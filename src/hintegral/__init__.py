@@ -35,8 +35,6 @@ from .space import (
     CatalogUnion,
     IntervalSet,
     IntervalSpace,
-    measure,
-    mu_H,
     scaled_embedding,
     validate_h_measure,
 )
@@ -44,14 +42,12 @@ from .integral import (
     PiecewiseFn,
     SimpleFn,
     T4Certificate,
-    approx_gap_witness,
     ess_sup,
     graded_integral,
     indefinite,
     integrate,
     integrate_ordinary,
     integrate_simple,
-    isimple_sup_gap,
     pointwise_add_fn,
     sublevel_set,
     verify_certificate,

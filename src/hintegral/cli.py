@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
 from . import exprs
-from .deficiency import LinenessScenario, evaluate_scenario, scenario_from_json
+from .deficiency import evaluate_scenario, scenario_from_json
 from .errors import (
     ParseError,
     UndefinedSumError,
@@ -32,16 +31,9 @@ from .errors import (
     UnsupportedExpressionError,
     UnsupportedScenarioError,
 )
-from .hvalue import HValue, ZERO, add, mul
-from .integral import (
-    PiecewiseFn,
-    SimpleFn,
-    approx_gap_witness,
-    constant_fn,
-    function_from_json,
-    integrate,
-)
-from .oracle import check_algebra_laws, check_integral_laws
+from .hvalue import HValue, add, mul
+from .integral import PiecewiseFn, SimpleFn, constant_fn, function_from_json, integrate
+from .oracle import approx_gap_witness, check_algebra_laws, check_integral_laws
 from .space import IntervalSet, IntervalSpace, space_from_json
 
 EXIT_OK = 0
@@ -50,17 +42,6 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_UNDEFINED_SUM = 4
 EXIT_GOLDEN_MISMATCH = 5
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    paths: List[str]
-    trials: int = 1000
-    seed: int = 0
-    json_out: bool = False
-    certificate: bool = False
-    demo_name: Optional[str] = None
 
 
 def _load_json(path: str):
@@ -73,28 +54,28 @@ def _load_json(path: str):
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    space = space_from_json(_load_json(cfg.paths[0]))
-    fn = function_from_json(_load_json(cfg.paths[1]))
+def cmd_eval(args: argparse.Namespace) -> int:
+    space = space_from_json(_load_json(args.space))
+    fn = function_from_json(_load_json(args.function))
     value, cert = integrate(space, fn)
-    if cfg.json_out:
+    if args.json:
         out = {"value": str(value)}
-        if cfg.certificate:
+        if args.certificate:
             out["certificate"] = cert.to_json()
         print(json.dumps(out, indent=2))
     else:
         print(value)
-        if cfg.certificate:
+        if args.certificate:
             print(json.dumps(cert.to_json(), indent=2))
     return EXIT_OK
 
 
-def cmd_laws(cfg: RunConfig) -> int:
-    algebra = check_algebra_laws(cfg.trials, cfg.seed)
+def cmd_laws(args: argparse.Namespace) -> int:
+    algebra = check_algebra_laws(args.trials, args.seed)
     # integral trials are an order of magnitude heavier per trial
-    integral = check_integral_laws(max(cfg.trials // 10, 1) if cfg.trials else 0, cfg.seed)
+    integral = check_integral_laws(max(args.trials // 10, 1) if args.trials else 0, args.seed)
     reports = [algebra, integral]
-    if cfg.json_out:
+    if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
         for r in reports:
@@ -105,10 +86,10 @@ def cmd_laws(cfg: RunConfig) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 
 
-def cmd_defi(cfg: RunConfig) -> int:
-    scenario = scenario_from_json(_load_json(cfg.paths[0]))
+def cmd_defi(args: argparse.Namespace) -> int:
+    scenario = scenario_from_json(_load_json(args.scenario))
     value, extra = evaluate_scenario(scenario)
-    if cfg.json_out:
+    if args.json:
         out = {"value": str(value)}
         if extra is not None:
             out["best_line"] = f"{extra.a}*x + {extra.b}*y = {extra.c}"
@@ -182,12 +163,8 @@ DEMOS = {
 }
 
 
-def cmd_demo(cfg: RunConfig) -> int:
-    if cfg.demo_name not in DEMOS:
-        raise ParseError(
-            f"unknown demo {cfg.demo_name!r}; choose from {sorted(DEMOS)}"
-        )
-    return DEMOS[cfg.demo_name]()
+def cmd_demo(args: argparse.Namespace) -> int:
+    return DEMOS[args.name]()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,48 +179,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("function")
     p_eval.add_argument("--json", action="store_true")
     p_eval.add_argument("--certificate", action="store_true")
+    p_eval.set_defaults(func=cmd_eval)
 
     p_laws = sub.add_parser("laws", help="run the randomized law suites")
     p_laws.add_argument("--trials", type=int, default=1000)
     p_laws.add_argument("--seed", type=int, default=0)
     p_laws.add_argument("--json", action="store_true")
+    p_laws.set_defaults(func=cmd_laws)
 
     p_defi = sub.add_parser("defi", help="evaluate a deficiency scenario file")
     p_defi.add_argument("scenario")
     p_defi.add_argument("--json", action="store_true")
+    p_defi.set_defaults(func=cmd_defi)
 
     p_demo = sub.add_parser("demo", help="replay a worked counterexample")
     p_demo.add_argument("name", choices=sorted(DEMOS))
+    p_demo.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        paths=[
-            p
-            for p in (
-                getattr(args, "space", None),
-                getattr(args, "function", None),
-                getattr(args, "scenario", None),
-            )
-            if p
-        ],
-        trials=getattr(args, "trials", 1000),
-        seed=getattr(args, "seed", 0),
-        json_out=getattr(args, "json", False),
-        certificate=getattr(args, "certificate", False),
-        demo_name=getattr(args, "name", None),
-    )
     try:
-        if cfg.subcommand == "eval":
-            return cmd_eval(cfg)
-        if cfg.subcommand == "laws":
-            return cmd_laws(cfg)
-        if cfg.subcommand == "defi":
-            return cmd_defi(cfg)
-        return cmd_demo(cfg)
+        return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exprs
 from .errors import ParseError, UnsupportedScenarioError
-from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
+from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, sum_finite
 from .space import CatalogSet, CatalogSpace, CatalogUnion
 from .integral import SimpleFn, integrate_simple
 

@@ -205,6 +205,18 @@ def poly(coeffs) -> Expr:
     return Poly(cs)
 
 
+def poly_coeffs(e: Expr) -> Optional[Tuple[Fraction, ...]]:
+    """Coefficients of a constant, affine or polynomial expression
+    (constant term first); None for a fractional power."""
+    if isinstance(e, Const):
+        return (e.value,)
+    if isinstance(e, Affine):
+        return (e.a, e.b)
+    if isinstance(e, Poly):
+        return e.coeffs
+    return None
+
+
 def eval_exact(e: Expr, x: Fraction) -> Fraction:
     """Exact value at a rational point; raises if irrational (Power only)."""
     if isinstance(e, Const):
@@ -230,10 +242,6 @@ def cmp_at(e: Expr, x: Fraction, c: Fraction) -> int:
 # ---------------------------------------------------------------------------
 # suprema / infima on open intervals
 # ---------------------------------------------------------------------------
-
-
-def is_monotone(e: Expr) -> bool:
-    return isinstance(e, (Const, Affine, Power))
 
 
 def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Tuple[Fraction, bool]:
@@ -353,16 +361,7 @@ def split_dominance(
     if e1 == e2:
         return [(lo, hi, 0)]
 
-    def as_polylike(e: Expr) -> Optional[Tuple[Fraction, ...]]:
-        if isinstance(e, Const):
-            return (e.value,)
-        if isinstance(e, Affine):
-            return (e.a, e.b)
-        if isinstance(e, Poly):
-            return e.coeffs
-        return None
-
-    p1, p2 = as_polylike(e1), as_polylike(e2)
+    p1, p2 = poly_coeffs(e1), poly_coeffs(e2)
     if p1 is not None and p2 is not None:
         diff = poly_add(p1, tuple(-c for c in p2))
         if len(diff) <= 2:
@@ -415,17 +414,7 @@ def split_dominance(
 
 def try_add(e1: Expr, e2: Expr) -> Expr:
     """Pointwise sum, provided it stays inside the grammar."""
-
-    def as_polylike(e: Expr) -> Optional[Tuple[Fraction, ...]]:
-        if isinstance(e, Const):
-            return (e.value,)
-        if isinstance(e, Affine):
-            return (e.a, e.b)
-        if isinstance(e, Poly):
-            return e.coeffs
-        return None
-
-    p1, p2 = as_polylike(e1), as_polylike(e2)
+    p1, p2 = poly_coeffs(e1), poly_coeffs(e2)
     if p1 is not None and p2 is not None:
         return poly(poly_add(p1, p2))
     raise UnsupportedExpressionError(

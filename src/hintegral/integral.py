@@ -19,14 +19,17 @@ mass coordinate over the positive-length set where that supremum is
 attained (0 when the supremum set is null, matching sup over the empty
 family = 0).  A certificate of witness sets substantiates every
 evaluation and can be re-verified independently.
+
+This module holds only the mathematics.  The test machinery that checks
+it from outside -- sampling of i-simple minorants, the approximation
+gap witness and the mutant hooks -- lives in :mod:`hintegral.oracle`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import (
@@ -35,17 +38,17 @@ from .errors import (
     UnknownSetError,
     UnsupportedExpressionError,
 )
-from .exprs import Affine, Const, EQ_ALL, EqAll, Expr, Poly, Power
-from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
+from .exprs import Affine, Const, EqAll, Expr, Poly, Power
+from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
 from .space import (
     AtomSet,
     AtomSpace,
     IntervalSet,
     IntervalSpace,
-    CatalogSpace,
     CatalogUnion,
     MeasurableSet,
     MeasureSpace,
+    intersect_intervals,
     set_from_json,
     set_to_json,
     union,
@@ -426,27 +429,22 @@ def _clip_pieces(f: PiecewiseFn, window: Optional[IntervalSet]) -> List[Piecewis
 
 def _mass_integral(space: IntervalSpace, pi2: Expr, lo: Fraction, hi: Fraction) -> Fraction:
     """Exact integral of pi2 * density over (lo, hi)."""
-    if isinstance(pi2, Const):
-        pcoeffs: Tuple[Fraction, ...] = (pi2.value,)
-    elif isinstance(pi2, Affine):
-        pcoeffs = (pi2.a, pi2.b)
-    elif isinstance(pi2, Poly):
-        pcoeffs = pi2.coeffs
-    else:
-        total = Fraction(0)
-        for k, c in enumerate(space.density):
-            if c == 0:
-                continue
-            e = pi2.q + k + 1
-            hi_p = exprs.pow_exact(hi, e)
-            lo_p = exprs.pow_exact(lo, e)
-            if hi_p is None or lo_p is None:
-                raise UnsupportedExpressionError(
-                    f"integral of x**{pi2.q} has irrational endpoint values"
-                )
-            total += c * (hi_p - lo_p) / e
-        return total
-    return exprs.poly_integral(exprs.poly_mul(pcoeffs, space.density), lo, hi)
+    pcoeffs = exprs.poly_coeffs(pi2)
+    if pcoeffs is not None:
+        return exprs.poly_integral(exprs.poly_mul(pcoeffs, space.density), lo, hi)
+    total = Fraction(0)
+    for k, c in enumerate(space.density):
+        if c == 0:
+            continue
+        e = pi2.q + k + 1
+        hi_p = exprs.pow_exact(hi, e)
+        lo_p = exprs.pow_exact(lo, e)
+        if hi_p is None or lo_p is None:
+            raise UnsupportedExpressionError(
+                f"integral of x**{pi2.q} has irrational endpoint values"
+            )
+        total += c * (hi_p - lo_p) / e
+    return total
 
 
 def _interval_integrate(
@@ -507,7 +505,6 @@ def _build_certificate(
                 d_wits.append(w)
 
     m_wits: List[Witness] = []
-    exact = True
     achieved = Fraction(0)
     if mass > 0:
         for p in top:
@@ -518,10 +515,13 @@ def _build_certificate(
                     continue
                 m_wits.append(Witness(where, mv, HValue(s, ExtRat(bound))))
                 achieved += bound * mv.m.frac
-            if not isinstance(p.pi2, Const) or space.density != (Fraction(1),):
-                exact = exact and False
-        if exact and achieved != mass:
-            exact = False
+    # the family realizes the mass exactly only for constant mass
+    # coordinates under the plain Lebesgue density
+    exact = mass <= 0 or (
+        space.density == (Fraction(1),)
+        and all(isinstance(p.pi2, Const) for p in top)
+        and achieved == mass
+    )
     return T4Certificate(
         value, tuple(d_wits), tuple(m_wits), exact, ExtRat(achieved)
     )
@@ -648,8 +648,6 @@ def _restrict_simple(f: SimpleFn, on: MeasurableSet) -> SimpleFn:
             if sub.atoms:
                 pieces.append((coeff, sub))
         elif isinstance(s, IntervalSet) and isinstance(on, IntervalSet):
-            from .space import intersect_intervals
-
             sub = intersect_intervals(s, on)
             if not sub.is_empty:
                 pieces.append((coeff, sub))
@@ -849,120 +847,6 @@ def indefinite(space: MeasureSpace, f: HFunction) -> Callable[[MeasurableSet], H
         return value
 
     return nu
-
-
-# ---------------------------------------------------------------------------
-# minorant sampling and the approximation gap
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GapReport:
-    samples: int
-    violations: List[dict] = field(default_factory=list)
-    largest: HValue = ZERO
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def random_isimple_minorant(rng: random.Random, space: AtomSpace, f: SimpleFn) -> SimpleFn:
-    """A random i-simple g with (0,0) <= g <= f pointwise."""
-    pieces = []
-    for a in space.atoms:
-        v = f.value_at_atom(a)
-        roll = rng.random()
-        if roll < 0.25 or v.is_zero:
-            continue
-        if roll < 0.5 and v.d > 0:
-            d = v.d * Fraction(rng.randint(0, 3), 4)
-            if d < v.d:
-                m = INF if rng.random() < 0.25 else ExtRat(rng.randint(0, 100))
-                pieces.append((HValue(d, m), AtomSet.of(a)))
-                continue
-        m_cap = v.m
-        if m_cap.is_finite:
-            m = m_cap.frac * Fraction(rng.randint(0, 4), 4)
-            pieces.append((HValue(v.d, ExtRat(m)), AtomSet.of(a)))
-        else:
-            pieces.append((HValue(v.d, ExtRat(rng.randint(0, 100))), AtomSet.of(a)))
-    return SimpleFn.of(pieces, i_simple=True)
-
-
-def isimple_sup_gap(
-    space: AtomSpace,
-    f: SimpleFn,
-    samples: int,
-    seed: int = 0,
-    integrate_fn=None,
-    mutate_g=None,
-) -> GapReport:
-    """Sample random i-simple minorants of f and check each integrates
-    below the integral of f; the largest sampled value is reported.
-
-    ``integrate_fn`` and ``mutate_g`` exist for mutant testing only.
-    """
-    integrate_fn = integrate_fn or (lambda sp, fn: integrate(sp, fn)[0])
-    target = integrate_fn(space, f)
-    rng = random.Random(seed)
-    report = GapReport(samples=samples)
-    for i in range(samples):
-        g = random_isimple_minorant(rng, space, f)
-        if mutate_g is not None:
-            g = mutate_g(g)
-        got = integrate_simple(space, g)
-        if not got <= target:
-            report.violations.append(
-                {"sample": i, "seed": seed, "minorant": str(got), "target": str(target)}
-            )
-        if got > report.largest:
-            report.largest = got
-    # the supremum is attained at f itself
-    attained = integrate_simple(space, f)
-    if attained > report.largest:
-        report.largest = attained
-    if attained != target:
-        report.violations.append(
-            {"sample": -1, "seed": seed, "minorant": str(attained), "target": str(target)}
-        )
-    return report
-
-
-@dataclass(frozen=True)
-class ApproxGapWitness:
-    x: Fraction
-    checks: Tuple[Tuple[str, str], ...]  # (chain value at x, verdict)
-
-
-def approx_gap_witness(chain: Sequence[SimpleFn]) -> ApproxGapWitness:
-    """A rational x in (0,1) whose diagonal value (x,x) no chain member
-    can approach: every simple function misses the open interval
-    ((x,0), (x,1)) at x, because only countably many dimensions occur
-    in the chain's ranges."""
-    used = {
-        coeff.d for g in chain for coeff, _ in g.pieces
-    }
-    x = None
-    for den in range(2, 10_000):
-        for num in range(1, den):
-            cand = Fraction(num, den)
-            if cand not in used:
-                x = cand
-                break
-        if x is not None:
-            break
-    assert x is not None  # the used set is finite
-    lo = HValue(x, ExtRat(0))
-    hi = HValue(x, ExtRat(1))
-    checks = []
-    for g in chain:
-        v = g.value_at_point(x)
-        inside = lo < v < hi
-        if inside:
-            raise AssertionError(f"chain member takes value {v} inside the gap at {x}")
-        checks.append((str(v), "outside"))
-    return ApproxGapWitness(x, tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ validated by overlap checks only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -89,9 +89,6 @@ class CatalogUnion:
 
 
 MeasurableSet = Union[AtomSet, IntervalSet, CatalogUnion]
-
-EMPTY_ATOMS = AtomSet(frozenset())
-EMPTY_INTERVALS = IntervalSet((), ())
 
 
 def union(parts: Sequence[MeasurableSet]) -> MeasurableSet:
@@ -301,16 +298,6 @@ class CatalogSpace:
 
 
 MeasureSpace = Union[AtomSpace, IntervalSpace, CatalogSpace]
-
-
-def measure(space: MeasureSpace, s: MeasurableSet) -> HValue:
-    """Evaluate the space's h-measure on a structural set."""
-    return space.measure(s)
-
-
-def mu_H(catalog: CatalogSpace, s: CatalogUnion) -> HValue:
-    """Declared dimension/measure of a disjoint union of catalog sets."""
-    return catalog.measure(s)
 
 
 def scaled_embedding(d0, base) -> MeasureSpace:

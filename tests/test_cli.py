@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +153,40 @@ class TestDemo:
         assert main(["demo", "no-approx"]) == 0
         out = capsys.readouterr().out
         assert "witness x" in out and "outside" in out
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+UNIT_SPACE = SCENARIOS / "space_unit_interval.json"
+# `defi --json` output of each bundled scenario file
+DEFI_GOLDENS = {
+    "continuity_dirichlet.json": {"value": "(1, inf)"},
+    "continuity_single_jump.json": {"value": "(0, 1)"},
+    "convexity_segment.json": {"value": "(0, 0)"},
+    "convexity_three_collinear.json": {"value": "(1, 8)"},
+    "convexity_two_points.json": {"value": "(1, 2)"},
+    "lineness_line_and_point.json": {"value": "(0, 1)", "best_line": "0*x + 1*y = 0"},
+}
+# `eval --json` value of each bundled function over UNIT_SPACE
+EVAL_GOLDENS = {
+    "function_root2.json": "(2, 0)",
+    "function_const_1_1.json": "(2, 1)",
+}
+
+
+class TestBundledScenarios:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+    def test_replay_matches_golden(self, path, capsys):
+        if path.name in DEFI_GOLDENS:
+            assert main(["defi", str(path), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out) == DEFI_GOLDENS[path.name]
+        elif path.name in EVAL_GOLDENS:
+            argv = ["eval", str(UNIT_SPACE), str(path), "--json", "--certificate"]
+            assert main(argv) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["value"] == out["certificate"]["value"] == EVAL_GOLDENS[path.name]
+        else:
+            # the space file is replayed by every function golden
+            assert path == UNIT_SPACE, f"{path.name} has no golden"
 
 
 class TestRoundTrip:

@@ -25,7 +25,6 @@ from hintegral.space import (
 from hintegral.integral import (
     PiecewiseFn,
     SimpleFn,
-    approx_gap_witness,
     constant_fn,
     ess_sup,
     function_from_json,
@@ -35,7 +34,6 @@ from hintegral.integral import (
     integrate,
     integrate_ordinary,
     integrate_simple,
-    isimple_sup_gap,
     pointwise_add_fn,
     sublevel_set,
     verify_certificate,
@@ -313,28 +311,6 @@ class TestIndefinite:
         f = constant_fn(0, 1, H(1, 1))
         nu = indefinite(UNIT, f)
         assert nu(IntervalSet.of()) == ZERO
-
-
-class TestMinorantGap:
-    def test_sup_attained(self):
-        sp = AtomSpace.of({"a": H(1, 2), "b": H(0, "inf")})
-        f = SimpleFn.of([(H(1, 1), AtomSet.of("a")), (H(2, 3), AtomSet.of("b"))])
-        rep = isimple_sup_gap(sp, f, samples=300, seed=5)
-        assert rep.ok
-        assert rep.largest == integrate(sp, f)[0]
-
-
-class TestApproxGap:
-    def test_witness_outside_diagonal_band(self):
-        chain = [
-            SimpleFn.of(
-                [(H(F(k, 4), F(k, 4)), IntervalSet.of([(F(k, 4), F(k + 1, 4))]))
-                 for k in range(1, 4)]
-            )
-        ]
-        w = approx_gap_witness(chain)
-        assert w.x not in {F(k, 4) for k in range(1, 4)}
-        assert all(verdict == "outside" for _, verdict in w.checks)
 
 
 class TestFunctionJson:

@@ -1,16 +1,26 @@
 """Oracle tests: generator contracts, law suites, exhaustive coverage,
-and detection of the three documented mutants."""
+minorant sampling, the approximation gap, detection of the three
+documented mutants, and the boundary between the production modules and
+this test machinery."""
 
+import ast
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import hintegral
 from hintegral.hvalue import HValue, ZERO
-from hintegral.space import AtomSet, AtomSpace
+from hintegral.space import AtomSet, AtomSpace, IntervalSet
 from hintegral.integral import SimpleFn, integrate, integrate_simple
 from hintegral.oracle import (
     all_partitions,
+    approx_gap_witness,
     brute_force_integral,
     check_algebra_laws,
     check_integral_laws,
@@ -20,6 +30,7 @@ from hintegral.oracle import (
     mutant_measure_non_additive,
     random_atom_space,
     random_hvalue,
+    random_isimple_minorant,
     random_simple_fn,
 )
 
@@ -110,6 +121,34 @@ class TestCleanSuites:
         assert a == b
 
 
+class TestMinorantGap:
+    def test_sup_attained(self):
+        sp = AtomSpace.of({"a": H(1, 2), "b": H(0, "inf")})
+        f = SimpleFn.of([(H(1, 1), AtomSet.of("a")), (H(2, 3), AtomSet.of("b"))])
+        rep = minorant_sample_check(sp, f, 300, seed=5)
+        assert rep.ok
+        # the largest integral over the sampled minorants and f itself
+        # is the integral of f
+        rng = random.Random(5)
+        sampled = [
+            integrate_simple(sp, random_isimple_minorant(rng, sp, f)) for _ in range(300)
+        ]
+        assert max(sampled + [integrate_simple(sp, f)]) == integrate(sp, f)[0]
+
+
+class TestApproxGap:
+    def test_witness_outside_diagonal_band(self):
+        chain = [
+            SimpleFn.of(
+                [(H(F(k, 4), F(k, 4)), IntervalSet.of([(F(k, 4), F(k + 1, 4))]))
+                 for k in range(1, 4)]
+            )
+        ]
+        w = approx_gap_witness(chain)
+        assert w.x not in {F(k, 4) for k in range(1, 4)}
+        assert all(verdict == "outside" for _, verdict in w.checks)
+
+
 # fixture space where the first atom dominates, so dropping it is visible
 DOMINATED = AtomSpace.of({"a": H(2, 1), "b": H(0, 1)})
 DOMINATED_F = SimpleFn.of(
@@ -153,3 +192,42 @@ class TestMutants:
             mutant_integrate_drops_atom(DOMINATED, DOMINATED_F)
             != integrate(DOMINATED, DOMINATED_F)[0]
         )
+
+
+PRODUCTION = ("integral", "space", "exprs", "hvalue", "deficiency")
+
+
+def _imported_modules(tree: ast.Module, package: str):
+    """Absolute names of every module an import statement in the tree
+    names, function-local imports included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join([package, base]) if base else package
+                yield from (f"{base}.{a.name}" for a in node.names)
+            yield base
+
+
+class TestImportBoundary:
+    def test_production_modules_import_no_test_machinery(self):
+        src = str(Path(hintegral.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        code = (
+            "import json, sys, hintegral; print(json.dumps({n: m.__file__ for n, m in "
+            "sys.modules.items() if n.startswith('hintegral')}))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = json.loads(out.stdout)
+        assert "hintegral.oracle" not in loaded
+        for name in PRODUCTION:
+            tree = ast.parse(Path(loaded[f"hintegral.{name}"]).read_text())
+            imported = set(_imported_modules(tree, "hintegral"))
+            assert any(m.startswith("hintegral.") for m in imported)  # scan sees the package
+            bad = {m for m in imported if m.split(".")[0] == "random" or m == "hintegral.oracle"}
+            assert not bad, f"hintegral.{name} imports {sorted(bad)}"
