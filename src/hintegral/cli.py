@@ -10,8 +10,9 @@ Subcommands:
 * ``demo NAME`` -- replay a worked counterexample with every
   intermediate value, verifying the golden expectations.
 
-Exit codes: 0 success, 1 law violation, 2 parse error, 3 unsupported
-expression or unknown set/scenario, 4 undefined sum, 5 golden mismatch.
+Exit codes: 0 success, 1 law violation, 2 parse error or overlapping
+pieces, 3 unsupported expression or unknown set/scenario, 4 undefined
+sum, 5 golden mismatch.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import List, Optional
 from . import exprs
 from .deficiency import evaluate_scenario, scenario_from_json
 from .errors import (
+    NonDisjointError,
     ParseError,
     UndefinedSumError,
     UnknownSetError,
@@ -202,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, NonDisjointError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (UnsupportedExpressionError, UnknownSetError, UnsupportedScenarioError) as exc:

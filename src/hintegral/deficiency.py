@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exprs
-from .errors import ParseError, UnsupportedScenarioError
+from .errors import ParseError, UnsupportedScenarioError, json_loader
 from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, sum_finite
 from .space import CatalogSet, CatalogSpace, CatalogUnion
 from .integral import SimpleFn, integrate_simple
@@ -390,9 +390,8 @@ def _primitive_from_json(obj) -> LinePrimitive:
     raise ParseError(f"unknown primitive type {kind!r}")
 
 
+@json_loader
 def scenario_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError("scenario must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "continuity":
         jumps = [

@@ -3,6 +3,8 @@
 Every failure mode is a signaled exception, never a sentinel value.
 """
 
+import functools
+
 
 class HIntegralError(Exception):
     """Base class for all package errors."""
@@ -34,3 +36,17 @@ class UnsupportedScenarioError(HIntegralError):
 
 class ParseError(HIntegralError):
     """Malformed input text or scenario file."""
+
+
+def json_loader(load):
+    """Make a ``*_from_json`` loader raise :class:`ParseError` for input
+    with a missing key or a value of the wrong shape."""
+
+    @functools.wraps(load)
+    def checked(obj):
+        try:
+            return load(obj)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"{load.__name__}: {type(exc).__name__}: {exc}") from exc
+
+    return checked

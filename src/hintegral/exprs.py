@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, isqrt
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import UnsupportedExpressionError
+from .errors import UnsupportedExpressionError, json_loader
 from .hvalue import as_fraction
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,23 @@ def poly_lipschitz_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction)
     )
 
 
+def poly_lower_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
+    """The smallest Bernstein coefficient of p on [lo, hi].
+
+    p on [lo, hi] is a convex combination of its Bernstein coefficients,
+    so the smallest one is a sound rational lower bound; the first and
+    last coefficients are p(lo) and p(hi) (Farouki & Rajan, CAGD 5, 1988).
+    """
+    cs = list(coeffs)
+    n = len(cs) - 1
+    for i in range(n):  # Taylor shift: cs become the coefficients of p(lo + t)
+        for k in range(n - 1, i - 1, -1):
+            cs[k] += lo * cs[k + 1]
+    width = hi - lo
+    scaled = [c * width**k / comb(n, k) for k, c in enumerate(cs)]
+    return min(sum(comb(i, k) * scaled[k] for k in range(i + 1)) for i in range(n + 1))
+
+
 # ---------------------------------------------------------------------------
 # exact roots and power comparisons
 # ---------------------------------------------------------------------------
@@ -90,11 +108,13 @@ def int_nth_root(n: int, k: int) -> Optional[int]:
         return None
     if n in (0, 1) or k == 1:
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+    if k == 2:
+        r = isqrt(n)
+    else:  # integer Newton from above 2**ceil(bits/k), down to floor(n**(1/k))
+        r, s = n, 1 << -(-n.bit_length() // k)
+        while s < r:
+            r, s = s, ((k - 1) * s + n // s ** (k - 1)) // k
+    return r if r**k == n else None
 
 
 def nth_root(x: Fraction, k: int) -> Optional[Fraction]:
@@ -427,6 +447,7 @@ def try_add(e1: Expr, e2: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+@json_loader
 def expr_from_json(obj) -> Expr:
     kind = obj.get("kind")
     if kind == "const":

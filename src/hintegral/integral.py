@@ -27,6 +27,7 @@ gap witness and the mutant hooks -- lives in :mod:`hintegral.oracle`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -37,6 +38,7 @@ from .errors import (
     ParseError,
     UnknownSetError,
     UnsupportedExpressionError,
+    json_loader,
 )
 from .exprs import Affine, Const, EqAll, Expr, Poly, Power
 from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
@@ -325,9 +327,11 @@ def _add_simple(f: SimpleFn, g: SimpleFn) -> SimpleFn:
 
 
 def _piece_covering(fn: PiecewiseFn, lo: Fraction, hi: Fraction) -> Optional[PiecewisePiece]:
-    for p in fn.pieces:
-        if p.lo <= lo and hi <= p.hi:
-            return p
+    # pieces are sorted and disjoint: only the last one starting at or
+    # before lo can cover (lo, hi)
+    i = bisect_right(fn.pieces, lo, key=lambda p: p.lo)
+    if i and hi <= fn.pieces[i - 1].hi:
+        return fn.pieces[i - 1]
     return None
 
 
@@ -375,39 +379,20 @@ def rational_pow_floor(x: Fraction, q: Fraction) -> Fraction:
     return x ** max(e, 0) if e > 0 else Fraction(1)
 
 
-def expr_lower_bound(e: Expr, lo: Fraction, hi: Fraction, depth: int = 5) -> Fraction:
+def expr_lower_bound(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
     """A sound rational lower bound on e over the open (lo, hi)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Affine):
-        return min(e.a + e.b * lo, e.a + e.b * hi)
     if isinstance(e, Power):
         return Fraction(0) if lo == 0 else rational_pow_floor(lo, e.q)
-    return _poly_lower(e.coeffs, lo, hi, depth)
-
-
-def _poly_lower(coeffs, lo: Fraction, hi: Fraction, depth: int) -> Fraction:
-    mid = (lo + hi) / 2
-    base = exprs.poly_eval(coeffs, mid) - exprs.poly_lipschitz_bound(
-        coeffs, lo, hi
-    ) * (hi - lo) / 2
-    if depth == 0:
-        return base
-    return max(
-        base,
-        min(
-            _poly_lower(coeffs, lo, mid, depth - 1),
-            _poly_lower(coeffs, mid, hi, depth - 1),
-        ),
-    )
+    return exprs.poly_lower_bound(exprs.poly_coeffs(e), lo, hi)
 
 
 def expr_at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """Exactly verify e >= c on (lo, hi); may be conservative for polys."""
-    if isinstance(e, (Const, Affine, Power)):
-        # monotone or constant: closed-endpoint comparisons suffice
-        return exprs.cmp_at(e, lo, c) >= 0 and exprs.cmp_at(e, hi, c) >= 0
-    return _poly_lower(e.coeffs, lo, hi, depth=7) >= c
+    """Exactly verify e >= c on (lo, hi); for polynomials this checks the
+    same Bernstein bound the certificate builder emits, so it may reject
+    a true bound but never one the builder produced."""
+    if isinstance(e, Power):
+        return exprs.cmp_pow(lo, e.q, c) >= 0  # x**q increases
+    return exprs.poly_lower_bound(exprs.poly_coeffs(e), lo, hi) >= c
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +468,6 @@ def _build_certificate(
     mass: Fraction,
     value: HValue,
 ) -> T4Certificate:
-    d_wits: List[Witness] = []
-    if top:
-        where = IntervalSet.of([(p.lo, p.hi) for p in top])
-        bound_m = Fraction(0)
-        if s == 0:
-            sub = _positive_mass_subpiece(top)
-            if sub is None:
-                where = None
-            else:
-                where, bound_m = sub
-        if where is not None:
-            d_wits.append(
-                Witness(where, space.measure(where), HValue(s, ExtRat(bound_m)))
-            )
-    else:
-        for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-            t = s - eps if s > eps else s * (1 - eps)
-            w = _superlevel_witness(space, pieces, t)
-            if w is not None:
-                d_wits.append(w)
-
     m_wits: List[Witness] = []
     achieved = Fraction(0)
     if mass > 0:
@@ -515,6 +479,22 @@ def _build_certificate(
                     continue
                 m_wits.append(Witness(where, mv, HValue(s, ExtRat(bound))))
                 achieved += bound * mv.m.frac
+
+    d_wits: List[Witness] = []
+    if top and s == 0:
+        # at dimension 0 a witness needs a positive mass bound: the first
+        # mass cell that has one is a dimension witness as it stands
+        d_wits = [w for w in m_wits if w.inf_bound > ZERO][:1]
+    elif top:
+        where = IntervalSet.of([(p.lo, p.hi) for p in top])
+        d_wits.append(Witness(where, space.measure(where), HValue(s, ExtRat(0))))
+    else:
+        for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
+            t = s - eps if s > eps else s * (1 - eps)
+            w = _superlevel_witness(space, pieces, t)
+            if w is not None:
+                d_wits.append(w)
+
     # the family realizes the mass exactly only for constant mass
     # coordinates under the plain Lebesgue density
     exact = mass <= 0 or (
@@ -525,27 +505,6 @@ def _build_certificate(
     return T4Certificate(
         value, tuple(d_wits), tuple(m_wits), exact, ExtRat(achieved)
     )
-
-
-def _positive_mass_subpiece(top: List[PiecewisePiece]):
-    """A subinterval of a top piece with a verified positive mass bound."""
-    for p in top:
-        for frac_lo, frac_hi in ((0, 1), (0, Fraction(1, 2)), (Fraction(1, 2), 1)):
-            lo = p.lo + (p.hi - p.lo) * frac_lo
-            hi = p.lo + (p.hi - p.lo) * frac_hi
-            b = expr_lower_bound(p.pi2, lo, hi)
-            if b > 0:
-                return IntervalSet.of([(lo, hi)]), b
-        # shrink toward the midpoint until the Lipschitz bound clears zero
-        lo, hi = p.lo, p.hi
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            lo = (lo + mid) / 2
-            hi = (hi + mid) / 2
-            b = expr_lower_bound(p.pi2, lo, hi)
-            if b > 0:
-                return IntervalSet.of([(lo, hi)]), b
-    return None
 
 
 def _superlevel_witness(
@@ -854,9 +813,8 @@ def indefinite(space: MeasureSpace, f: HFunction) -> Callable[[MeasurableSet], H
 # ---------------------------------------------------------------------------
 
 
+@json_loader
 def function_from_json(obj) -> HFunction:
-    if not isinstance(obj, dict):
-        raise ParseError("function description must be an object")
     if "simple" in obj:
         pieces = [
             (HValue.parse(p["coeff"]), set_from_json(p["set"]))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
-from .errors import NonDisjointError, ParseError, UnknownSetError
+from .errors import NonDisjointError, ParseError, UnknownSetError, json_loader
 from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, as_ext, sum_finite
 
 # ---------------------------------------------------------------------------
@@ -378,9 +378,8 @@ def set_to_json(s: MeasurableSet):
     return {"catalog": list(s.names)}
 
 
+@json_loader
 def space_from_json(obj) -> MeasureSpace:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError("space description must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "atoms":
         weights = {

@@ -91,6 +91,48 @@ class TestEval:
         assert code == 3  # sup of sqrt on (0,2) is irrational
 
 
+def _piece(lo, hi):
+    return {
+        "set": {"intervals": [[lo, hi]]},
+        "pi1": {"kind": "const", "value": "1"},
+        "pi2": {"kind": "const", "value": "1"},
+    }
+
+
+MALFORMED = {
+    "space-without-bounds": ("eval", {"kind": "interval"}, CONST11),
+    "const-without-value": (
+        "eval",
+        SPACE,
+        {"pieces": [{**_piece("0", "1"), "pi2": {"kind": "const"}}]},
+    ),
+    "jump-without-remainder": ("defi", {"kind": "continuity", "jumps": [{"x": "0"}]}),
+    "candidate-with-equal-points": (
+        "defi",
+        {
+            "kind": "lineness",
+            "primitives": [{"type": "point", "p": ["0", "0"]}],
+            "candidates": [{"p": ["1", "1"], "q": ["1", "1"]}],
+        },
+    ),
+    "overlapping-pieces": (
+        "eval",
+        SPACE,
+        {"pieces": [_piece("0", "1/2"), _piece("1/4", "1")]},
+    ),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exit_2_without_traceback(self, name, tmp_path, capsys):
+        sub, *files = MALFORMED[name]
+        paths = [write(tmp_path, f"{k}.json", obj) for k, obj in enumerate(files)]
+        assert main([sub, *paths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error") and "Traceback" not in err
+
+
 class TestLaws:
     def test_small_clean_run(self, capsys):
         assert main(["laws", "--trials", "50", "--seed", "0"]) == 0

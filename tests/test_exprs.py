@@ -51,11 +51,41 @@ class TestPolyHelpers:
             assert abs(exprs.poly_eval(deriv, F(k, 10))) <= bound
 
 
+rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
+widths = st.fractions(min_value=F(1, 20), max_value=5, max_denominator=20)
+
+
+class TestPolyLowerBound:
+    @given(
+        st.lists(rationals, min_size=1, max_size=6),
+        rationals,
+        widths,
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=50), max_size=5),
+    )
+    def test_never_exceeds_p_on_the_cell(self, coeffs, lo, width, ts):
+        bound = exprs.poly_lower_bound(coeffs, lo, lo + width)
+        for x in [lo, lo + width] + [lo + t * width for t in ts]:
+            assert bound <= exprs.poly_eval(coeffs, x)
+
+    @given(st.fractions(min_value=0, max_value=100, max_denominator=50), widths)
+    def test_exact_for_increasing_square(self, lo, width):
+        assert exprs.poly_lower_bound((F(1), F(0), F(1)), lo, lo + width) == 1 + lo * lo
+
+
 class TestExactRoots:
     def test_int_nth_root(self):
         assert int_nth_root(27, 3) == 3
         assert int_nth_root(28, 3) is None
         assert int_nth_root(1, 17) == 1
+        assert int_nth_root((2**60 + 3) ** 3, 3) == 2**60 + 3
+        assert int_nth_root(10**400, 2) == 10**200
+
+    @given(st.integers(0, 2**300 - 1), st.integers(2, 7))
+    def test_int_nth_root_is_exact_at_every_size(self, x, k):
+        assert int_nth_root(x**k, k) == x
+        if x >= 2:  # x**k +- 1 lies strictly between consecutive k-th powers
+            assert int_nth_root(x**k + 1, k) is None
+            assert int_nth_root(x**k - 1, k) is None
 
     def test_nth_root(self):
         assert nth_root(F(4, 9), 2) == F(2, 3)

@@ -174,6 +174,15 @@ class TestCertificates:
             assert w.measure > ZERO
         assert verify_certificate(UNIT, f, cert)
 
+    def test_dimension_witness_for_mass_with_an_interior_zero(self):
+        sp = IntervalSpace.of(0, 1)
+        f = piecewise((0, 1, exprs.const(0), exprs.poly([F(1, 4), -1, 1])))
+        v, cert = integrate(sp, f)
+        assert v == H(0, F(1, 12))  # int (x - 1/2)^2 = 1/12
+        assert len(cert.d_witnesses) == 1
+        assert cert.d_witnesses[0].inf_bound > ZERO
+        assert verify_certificate(sp, f, cert)
+
     def test_tampered_certificate_fails(self):
         f = constant_fn(0, 1, H(1, 1))
         v, cert = integrate(UNIT, f)
