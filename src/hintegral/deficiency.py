@@ -3,9 +3,12 @@
 Each functional measures how far an object is from a property as the
 h-integral of a declared "defect" integrand.  Scenarios carry the
 defect data explicitly (cluster remainders, catalog primitives, point
-sets); the module's job is the exact reduction of each functional to a
-simple-function integral over a catalog h-measure space, never the
-analytic computation of cluster sets or infima over all lines.
+sets).  Every integrand is simple, so each functional is the dominance
+sum of value x measure over disjoint sets: (0,1) for each point, jump
+or ordered pair, (1, length) for each bounded cell of a line, (1, inf)
+for the rest of a line, and the declared measure of a global cluster
+component.  The module never computes cluster sets analytically, nor
+infima over all lines.
 
 Lineness is explicitly candidate-restricted: the returned value is the
 minimum over the listed candidate lines, an upper bound for the true
@@ -14,16 +17,19 @@ infimum over every line in the plane.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import exprs
 from .errors import ParseError, UnsupportedScenarioError, json_loader
-from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, sum_finite
-from .space import CatalogSet, CatalogSpace, CatalogUnion
-from .integral import SimpleFn, integrate_simple
+from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
+from .space import CatalogSet
+
+ONE = Fraction(1)
+COUNT = HValue.of(0, 1)  # the measure of one point, jump or ordered pair
 
 # ---------------------------------------------------------------------------
 # exact plane geometry
@@ -84,7 +90,8 @@ class Line2:
         return Point2(Fraction(self.c, self.a), Fraction(0))
 
     def param(self, p: Point2) -> Fraction:
-        """Rational coordinate of a point of the line (direction (b, -a))."""
+        """Rational coordinate, along the line (direction (b, -a)), of
+        p's orthogonal projection onto it."""
         p0 = self.base_point()
         return Fraction(
             self.b * (p.x - p0.x) - self.a * (p.y - p0.y), self.a**2 + self.b**2
@@ -126,9 +133,13 @@ class ClusterScenario:
         xs = [x for x, _ in js]
         if len(set(xs)) != len(xs):
             raise ValueError("jump locations must be pairwise distinct")
-        for _, r in js:
-            if not r.is_nonneg():
-                raise ValueError("cluster remainders must be nonnegative")
+        remainders = [r for _, r in js]
+        if global_component is not None:
+            name, mu, remainder = global_component
+            CatalogSet(name, ambient=1, hvalue=mu)  # raises unless mu is a valid measure on R
+            remainders.append(remainder)
+        if not all(r.is_nonneg() for r in remainders):
+            raise ValueError("cluster remainders must be nonnegative")
         return ClusterScenario(js, global_component)
 
 
@@ -182,80 +193,20 @@ class ConvexityScenario:
 def defi_continuity(s: ClusterScenario) -> HValue:
     """h-integral of the declared cluster remainder over the real line.
 
-    Jump points are counting atoms of size (0,1); the optional global
-    component carries its declared measure.  (0,0) exactly when there
-    is no defect anywhere.
+    Each jump point carries the counting measure (0,1); the optional
+    global component carries its declared measure.  (0,0) exactly when
+    there is no defect anywhere.
     """
-    sets = []
-    pieces = []
-    for i, (x, remainder) in enumerate(s.jumps):
-        name = f"jump:{x}"
-        sets.append(CatalogSet(name, ambient=1, hvalue=HValue.of(0, 1), kind="finite-points"))
-        if not remainder.is_zero:
-            pieces.append((remainder, CatalogUnion.of(name)))
+    total = sum_finite(mul(remainder, COUNT) for _, remainder in s.jumps)
     if s.global_component is not None:
-        name, mu, remainder = s.global_component
-        sets.append(CatalogSet(name, ambient=1, hvalue=mu))
-        if not remainder.is_zero:
-            pieces.append((remainder, CatalogUnion.of(name)))
-    space = CatalogSpace.of(sets)
-    f = SimpleFn.of(pieces, i_simple=True)
-    return integrate_simple(space, f)
+        _, mu, remainder = s.global_component
+        total = add(total, mul(remainder, mu))
+    return total
 
 
 # ---------------------------------------------------------------------------
 # lineness
 # ---------------------------------------------------------------------------
-
-
-def _section_contributions(e: Line2, prims: Sequence[LinePrimitive]):
-    """Reduce every perpendicular section of the candidate line to
-    piecewise-constant data along the line: values at isolated foot
-    points, values on bounded shadow intervals, and a constant
-    background on the rest of the line."""
-    atom_vals: Dict[Fraction, List[HValue]] = {}
-    intervals: List[Tuple[Fraction, Fraction, HValue]] = []
-    background: List[HValue] = []
-    crossing_lines: List[Tuple[Fraction, Line2]] = []
-
-    def at_atom(t: Fraction, v: HValue):
-        atom_vals.setdefault(t, []).append(v)
-
-    for prim in prims:
-        if prim.kind == "point":
-            if e.contains(prim.p):
-                continue  # the section at p's foot subtracts y = p only if p is on e
-            at_atom(e.param(e.foot(prim.p)), HValue.of(0, 1))
-        elif prim.kind == "line":
-            line = prim.line()
-            if line == e:
-                continue  # every section meets e exactly at y itself, which is removed
-            if line.perpendicular_to(e):
-                # the section at the crossing foot is the whole line minus y
-                cross = _line_intersection(e, line)
-                at_atom(e.param(cross), HValue(Fraction(1), INF))
-                continue
-            background.append(HValue.of(0, 1))
-            if not line.parallel_to(e):
-                crossing_lines.append((e.param(_line_intersection(e, line)), line))
-        elif prim.kind == "segment":
-            p, q = prim.p, prim.q
-            if e.contains(p) and e.contains(q):
-                continue
-            seg_line = prim.line()
-            if seg_line.perpendicular_to(e):
-                t = e.param(e.foot(p))
-                at_atom(t, HValue(Fraction(1), ExtRat(rational_distance(p, q))))
-                continue
-            fp, fq = e.foot(p), e.foot(q)
-            tp, tq = e.param(fp), e.param(fq)
-            lo, hi = min(tp, tq), max(tp, tq)
-            intervals.append((lo, hi, HValue.of(0, 1)))
-            at_atom(lo, HValue.of(0, 1))
-            at_atom(hi, HValue.of(0, 1))
-        else:
-            raise UnsupportedScenarioError(f"unknown primitive kind {prim.kind!r}")
-    return atom_vals, intervals, background, crossing_lines
 
 
 def _line_intersection(e: Line2, other: Line2) -> Point2:
@@ -279,45 +230,65 @@ def _param_distance(e: Line2, t1: Fraction, t2: Fraction) -> Fraction:
 
 
 def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
-    atom_vals, intervals, background, crossing_lines = _section_contributions(e, prims)
-    bg = sum_finite(background)
+    """Integral along e of the measure of each perpendicular section of
+    K minus its base point.
 
-    # refine overlapping shadow intervals into disjoint elementary cells
-    edges = sorted({t for lo, hi, _ in intervals for t in (lo, hi)} | set(atom_vals))
-    cells = []
+    The integrand is piecewise constant along e: a value at each isolated
+    foot point, (0,1) per covering shadow on the bounded shadow cells,
+    and (0,1) per background line (a line neither e nor perpendicular to
+    it) everywhere, except that a crossing line misses its own foot.
+    """
+    feet: Dict[Fraction, HValue] = {}  # foot parameter -> summed section values
+    crossings: Counter = Counter()  # foot parameter -> background lines crossing e there
+    sweep: Counter = Counter()  # +1 at each shadow start, -1 at each end
+    background = 0
+
+    def at_foot(t: Fraction, v: HValue):
+        feet[t] = add(feet.get(t, ZERO), v)
+
+    for prim in prims:
+        if prim.kind == "point":
+            # a point of e is the base point of its own section
+            if not e.contains(prim.p):
+                at_foot(e.param(prim.p), COUNT)
+        elif prim.kind == "line":
+            line = prim.line()
+            if line == e:
+                continue  # every section meets e exactly at y itself, which is removed
+            if line.perpendicular_to(e):
+                # the section at the crossing foot is the whole line minus y
+                at_foot(e.param(_line_intersection(e, line)), HValue(ONE, INF))
+                continue
+            background += 1
+            if not line.parallel_to(e):
+                crossings[e.param(_line_intersection(e, line))] += 1
+        elif prim.kind == "segment":
+            p, q = prim.p, prim.q
+            if e.contains(p) and e.contains(q):
+                continue
+            if prim.line().perpendicular_to(e):
+                at_foot(e.param(p), HValue(ONE, ExtRat(rational_distance(p, q))))
+                continue
+            lo, hi = sorted((e.param(p), e.param(q)))
+            at_foot(lo, COUNT)
+            at_foot(hi, COUNT)
+            sweep[lo] += 1
+            sweep[hi] -= 1
+        else:
+            raise UnsupportedScenarioError(f"unknown primitive kind {prim.kind!r}")
+
+    total = mul(HValue.of(0, background), HValue(ONE, INF))  # the rest of the line
+    edges = sorted(feet)  # every shadow end is a foot
+    depth = 0
     for lo, hi in zip(edges, edges[1:]):
-        covering = [v for (a, b, v) in intervals if a <= lo and hi <= b]
-        if covering:
-            cells.append((lo, hi, sum_finite(covering)))
-
-    sets = []
-    pieces = []
-    for t in sorted(atom_vals):
-        # a crossing background line misses exactly its own crossing foot
-        val = sum_finite(atom_vals[t])
-        for tc, _ in crossing_lines:
-            if tc != t:
-                val = add(val, HValue.of(0, 1))
-        n_parallel = len(background) - len(crossing_lines)
-        for _ in range(n_parallel):
-            val = add(val, HValue.of(0, 1))
-        name = f"pt:{t}"
-        sets.append(CatalogSet(name, ambient=2, hvalue=HValue.of(0, 1), kind="finite-points"))
-        if not val.is_zero:
-            pieces.append((val, CatalogUnion.of(name)))
-    for lo, hi, val in cells:
-        val = add(val, bg)
-        name = f"iv:{lo}:{hi}"
-        length = _param_distance(e, lo, hi)
-        sets.append(CatalogSet(name, ambient=2, hvalue=HValue(Fraction(1), ExtRat(length)), kind="interval"))
-        if not val.is_zero:
-            pieces.append((val, CatalogUnion.of(name)))
-    sets.append(CatalogSet("rest", ambient=2, hvalue=HValue(Fraction(1), INF), kind="line"))
-    if not bg.is_zero:
-        pieces.append((bg, CatalogUnion.of("rest")))
-
-    space = CatalogSpace.of(sets)
-    return integrate_simple(space, SimpleFn.of(pieces, i_simple=True))
+        depth += sweep[lo]
+        if depth:
+            cell = HValue(ONE, ExtRat(_param_distance(e, lo, hi)))
+            total = add(total, mul(HValue.of(0, depth + background), cell))
+    for t in edges:
+        value = add(feet[t], HValue.of(0, background - crossings[t]))
+        total = add(total, mul(value, COUNT))
+    return total
 
 
 def defi_lineness(s: LinenessScenario) -> Tuple[HValue, Line2]:
@@ -326,13 +297,8 @@ def defi_lineness(s: LinenessScenario) -> Tuple[HValue, Line2]:
     An upper bound for the infimum over all lines of the plane; the
     returned line is the first candidate attaining the minimum.
     """
-    best = None
-    best_line = None
-    for e in s.candidates:
-        v = _lineness_value(e, s.primitives)
-        if best is None or v < best:
-            best, best_line = v, e
-    return best, best_line
+    values = [(_lineness_value(e, s.primitives), e) for e in s.candidates]
+    return min(values, key=lambda value_line: value_line[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +309,22 @@ def defi_lineness(s: LinenessScenario) -> Tuple[HValue, Line2]:
 def defi_convexity(s: ConvexityScenario) -> HValue:
     """h-integral of the missing-segment measure over ordered pairs.
 
-    For finite K the product space is counting atoms (0,1) per ordered
-    pair, and the integrand at (x,y) is the length of the segment xy
-    (removing the finitely many points of K is null at dimension 1)
-    unless the segment lies inside K.  A single convex primitive gives
-    (0,0) outright.
+    For finite K every ordered pair has counting measure (0,1), and the
+    integrand at (x,y) is the length of the segment xy (removing the
+    finitely many points of K is null at dimension 1) unless the segment
+    lies inside K.  A single convex primitive gives (0,0) outright.
     """
     if s.convex_primitive is not None:
         return ZERO
-    sets = []
-    pieces = []
-    for i, x in enumerate(s.points):
-        for j, y in enumerate(s.points):
-            name = f"pair:{i}:{j}"
-            sets.append(CatalogSet(name, ambient=4, hvalue=HValue.of(0, 1), kind="finite-points"))
-            if x == y:
-                continue
-            # removing the finitely many points of K is null at dimension 1
-            gap = HValue(Fraction(1), ExtRat(rational_distance(x, y)))
-            pieces.append((gap, CatalogUnion.of(name)))
-    space = CatalogSpace.of(sets)
-    return integrate_simple(space, SimpleFn.of(pieces))
+    pts = s.points
+    gaps = [
+        HValue(ONE, ExtRat(rational_distance(x, y)))
+        for i, x in enumerate(pts)
+        for y in pts[i + 1 :]
+        if x != y
+    ]
+    # each unordered pair stands for the two ordered pairs (x, y), (y, x)
+    return sum_finite(mul(gap, COUNT) for gap in gaps for _ in range(2))
 
 
 # ---------------------------------------------------------------------------

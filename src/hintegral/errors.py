@@ -50,3 +50,11 @@ def json_loader(load):
             raise ParseError(f"{load.__name__}: {type(exc).__name__}: {exc}") from exc
 
     return checked
+
+
+def json_list(value, what: str):
+    """``value`` if it is a JSON array.  Anything else is a ParseError; a
+    string in particular would otherwise be read one character at a time."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import UnsupportedExpressionError, json_loader
+from .errors import UnsupportedExpressionError, json_list, json_loader
 from .hvalue import as_fraction
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def expr_from_json(obj) -> Expr:
     if kind == "pow":
         return power(obj["q"])
     if kind == "poly":
-        return poly(obj["coeffs"])
+        return poly(json_list(obj["coeffs"], "coeffs"))
     raise UnsupportedExpressionError(f"unknown expression kind {kind!r}")
 
 

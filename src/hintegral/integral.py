@@ -50,6 +50,7 @@ from .space import (
     CatalogUnion,
     MeasurableSet,
     MeasureSpace,
+    contains,
     intersect_intervals,
     set_from_json,
     set_to_json,
@@ -112,7 +113,8 @@ class PiecewiseFn:
     Pieces are disjoint open subintervals; off their union the value is
     (0,0).  The dimension coordinate must be constant, affine or a
     rational power (so sublevel sets stay finite interval unions); the
-    mass coordinate may additionally be a polynomial.
+    mass coordinate may additionally be a polynomial.  A fractional
+    power is only allowed on pieces inside x >= 0.
     """
 
     pieces: Tuple[PiecewisePiece, ...]
@@ -127,6 +129,10 @@ class PiecewiseFn:
             if isinstance(pi1, Poly):
                 raise UnsupportedExpressionError(
                     "dimension coordinate must be constant, affine or a power"
+                )
+            if lo < 0 and (isinstance(pi1, Power) or isinstance(pi2, Power)):
+                raise UnsupportedExpressionError(
+                    f"a fractional power is defined for x >= 0 only, not on ({lo}, {hi})"
                 )
             out.append(PiecewisePiece(lo, hi, pi1, pi2))
         out.sort(key=lambda p: p.lo)
@@ -663,24 +669,30 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
     return True
 
 
+def _simple_bound_holds(f: SimpleFn, w: Witness) -> bool:
+    """f >= b everywhere on the witness set.  Off its pieces f is (0,0)
+    < b, so every atom, name, point and interval of the set must lie in
+    pieces whose coefficient is at least b."""
+    good = [s for coeff, s in f.pieces if coeff >= w.inf_bound and type(s) is type(w.where)]
+    if isinstance(w.where, AtomSet):
+        return w.where.atoms <= {a for s in good for a in s.atoms}
+    if isinstance(w.where, CatalogUnion):
+        return set(w.where.names) <= {n for s in good for n in s.names}
+    points = {x for s in good for x in s.points}
+    merged: List[Tuple[Fraction, Fraction]] = []
+    for a, c in sorted(iv for s in good for iv in s.intervals):
+        if merged and merged[-1][1] == a and a in points:  # adjacent pieces joined by a point
+            merged[-1] = (merged[-1][0], c)
+            points.discard(a)
+        else:
+            merged.append((a, c))
+    return contains(IntervalSet(tuple(merged), tuple(sorted(points))), w.where)
+
+
 def _bound_holds(f: HFunction, w: Witness) -> bool:
     b = w.inf_bound
     if isinstance(f, SimpleFn):
-        if isinstance(w.where, AtomSet):
-            return all(f.value_at_atom(a) >= b for a in w.where.atoms)
-        if isinstance(w.where, CatalogUnion):
-            vals = {
-                coeff
-                for coeff, s in f.pieces
-                if isinstance(s, CatalogUnion) and set(w.where.names) & set(s.names)
-            }
-            return all(v >= b for v in vals)
-        # interval pieces: check each witness interval against the piece value
-        for a, c in w.where.intervals:
-            val = f.value_at_point((a + c) / 2)
-            if not val >= b:
-                return False
-        return True
+        return _simple_bound_holds(f, w)
     for a, c in w.where.intervals:
         piece = _piece_covering(f, a, c)
         if piece is None:

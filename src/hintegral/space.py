@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
-from .errors import NonDisjointError, ParseError, UnknownSetError, json_loader
+from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader
 from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, as_ext, sum_finite
 
 # ---------------------------------------------------------------------------
@@ -359,11 +359,15 @@ def set_from_json(obj) -> MeasurableSet:
     if not isinstance(obj, dict):
         raise ParseError(f"set description must be an object, got {obj!r}")
     if "atoms" in obj:
-        return AtomSet(frozenset(obj["atoms"]))
+        return AtomSet(frozenset(json_list(obj["atoms"], "atoms")))
     if "intervals" in obj or "points" in obj:
-        return IntervalSet.of(obj.get("intervals", ()), obj.get("points", ()))
+        intervals = json_list(obj.get("intervals", ()), "intervals")
+        return IntervalSet.of(
+            [json_list(iv, "an interval") for iv in intervals],
+            json_list(obj.get("points", ()), "points"),
+        )
     if "catalog" in obj:
-        return CatalogUnion.of(*obj["catalog"])
+        return CatalogUnion.of(*json_list(obj["catalog"], "catalog"))
     raise ParseError(f"unrecognized set description keys: {sorted(obj)}")
 
 
@@ -387,10 +391,9 @@ def space_from_json(obj) -> MeasureSpace:
         }
         return AtomSpace.of(weights)
     if kind == "interval":
-        lo, hi = obj["bounds"]
-        return IntervalSpace.of(
-            lo, hi, obj.get("dim_offset", "0"), obj.get("density", ["1"])
-        )
+        lo, hi = json_list(obj["bounds"], "bounds")
+        density = json_list(obj.get("density", ["1"]), "density")
+        return IntervalSpace.of(lo, hi, obj.get("dim_offset", "0"), density)
     if kind == "catalog":
         entries = [
             CatalogSet(

@@ -90,6 +90,13 @@ class TestEval:
         )
         assert code == 3  # sup of sqrt on (0,2) is irrational
 
+    def test_fractional_power_below_zero_exit_3(self, tmp_path, capsys):
+        sp = {"kind": "interval", "bounds": ["-1", "1"]}
+        fn = {"pieces": [{**_piece("-1", "1"), "pi1": {"kind": "pow", "q": "1/2"}}]}
+        code = main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+
 
 def _piece(lo, hi):
     return {
@@ -97,6 +104,15 @@ def _piece(lo, hi):
         "pi1": {"kind": "const", "value": "1"},
         "pi2": {"kind": "const", "value": "1"},
     }
+
+
+def _continuity_global(hvalue, remainder):
+    g = {"name": "R", "hvalue": hvalue, "remainder": remainder}
+    return {"kind": "continuity", "global": g}
+
+
+def _simple_on(set_obj):
+    return {"simple": [{"coeff": "(0, 1)", "set": set_obj}]}
 
 
 MALFORMED = {
@@ -120,6 +136,30 @@ MALFORMED = {
         SPACE,
         {"pieces": [_piece("0", "1/2"), _piece("1/4", "1")]},
     ),
+    # a string where a list belongs must not be read one character at a time
+    "density-as-string": ("eval", {**SPACE, "density": "12"}, CONST11),
+    "bounds-as-string": ("eval", {**SPACE, "bounds": "01"}, CONST11),
+    "coeffs-as-string": (
+        "eval",
+        SPACE,
+        {"pieces": [{**_piece("0", "1"), "pi2": {"kind": "poly", "coeffs": "12"}}]},
+    ),
+    "atoms-as-string": (
+        "eval",
+        {"kind": "atoms", "atoms": {"a": "(0, 1)", "b": "(0, 1)"}},
+        _simple_on({"atoms": "ab"}),
+    ),
+    "catalog-as-string": (
+        "eval",
+        {"kind": "catalog", "sets": [{"name": n, "hvalue": "(0, 1)"} for n in "ab"]},
+        _simple_on({"catalog": "ab"}),
+    ),
+    "points-as-string": ("eval", SPACE, _simple_on({"points": "12"})),
+    "interval-as-string": ("eval", SPACE, _simple_on({"intervals": ["01"]})),
+    # the global component of a continuity scenario is a declared measure on R
+    "global-dimension-above-1": ("defi", _continuity_global("(2, 1)", "(0, 1)")),
+    "global-fractional-count": ("defi", _continuity_global("(0, 1/2)", "(0, 1)")),
+    "global-negative-remainder": ("defi", _continuity_global("(1, inf)", "(0, -1)")),
 }
 
 
@@ -172,6 +212,15 @@ class TestDefi:
         assert main(["defi", write(tmp_path, "c.json", s)]) == 0
         out = capsys.readouterr().out
         assert "(0, 1)" in out and "best line" in out
+
+    def test_global_name_next_to_a_jump(self, tmp_path, capsys):
+        s = {
+            "kind": "continuity",
+            "jumps": [{"x": "0", "remainder": "(0, 1)"}],
+            "global": {"name": "jump:0", "hvalue": "(1, inf)", "remainder": "(0, 1)"},
+        }
+        assert main(["defi", write(tmp_path, "c.json", s)]) == 0
+        assert capsys.readouterr().out.strip() == "(1, inf)"
 
     def test_unsupported_scenario_exit_3(self, tmp_path):
         s = {"kind": "convexity", "points": [["0", "0"], ["1", "1"]]}

@@ -24,6 +24,8 @@ convexity
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hintegral.errors import ParseError, UnsupportedScenarioError
 from hintegral.hvalue import HValue, ZERO, add
@@ -47,6 +49,7 @@ P = Point2.of
 
 X_AXIS = Line2.through(P(0, 0), P(1, 0))
 X_AXIS_PRIM = LinePrimitive("line", P(0, 0), P(1, 0))
+DIRECTIONS = [(1, 0), (0, 1), (3, 4), (4, -3), (1, 1)]
 
 
 class TestGeometry:
@@ -94,6 +97,17 @@ class TestContinuity:
         with pytest.raises(ValueError):
             ClusterScenario.of([(0, H(0, 1)), (0, H(0, 2))])
 
+    @pytest.mark.parametrize(
+        "mu, remainder", [(H(2, 1), H(0, 1)), (H(0, F(1, 2)), H(0, 1)), (H(1, 1), H(0, -1))]
+    )
+    def test_invalid_global_component_rejected(self, mu, remainder):
+        with pytest.raises(ValueError):
+            ClusterScenario.of([], ("R", mu, remainder))
+
+    def test_global_name_is_free(self):
+        s = ClusterScenario.of([(0, H(0, 1))], ("jump:0", H(1, "inf"), H(0, 1)))
+        assert defi_continuity(s) == H(1, "inf")
+
 
 class TestLineness:
     def test_line_alone(self):
@@ -137,6 +151,40 @@ class TestLineness:
         s = LinenessScenario.of([X_AXIS_PRIM, seg], [X_AXIS])
         # shadow of length 3 at value (0,1), plus two endpoint feet
         assert defi_lineness(s)[0] == H(1, 3)
+
+    def test_overlapping_parallel_segments(self):
+        # shadows (0, 3) and (1, 4): depth 1, 2, 1 on cells of length 1, 2, 1
+        segs = [
+            LinePrimitive("segment", P(0, 1), P(3, 1)),
+            LinePrimitive("segment", P(1, 2), P(4, 2)),
+        ]
+        s = LinenessScenario.of([X_AXIS_PRIM, *segs], [X_AXIS])
+        assert defi_lineness(s)[0] == H(1, 6)
+
+    def test_perpendicular_segment_and_point_share_a_foot(self):
+        prims = [
+            X_AXIS_PRIM,
+            LinePrimitive("segment", P(2, 0), P(2, 5)),
+            LinePrimitive("point", P(2, 7)),
+        ]
+        assert defi_lineness(LinenessScenario.of(prims, [X_AXIS]))[0] == H(1, 5)
+
+    @given(st.data())
+    def test_primitive_order_is_irrelevant(self, data):
+        coords = st.integers(-3, 3)
+        prims = []
+        kinds = st.sampled_from(["point", "line", "segment"])
+        for kind in data.draw(st.lists(kinds, max_size=8)):
+            p = P(data.draw(coords), data.draw(coords))
+            u, v = data.draw(st.sampled_from(DIRECTIONS))
+            k = data.draw(st.integers(1, 2))
+            q = None if kind == "point" else P(p.x + k * u, p.y + k * v)
+            prims.append(LinePrimitive(kind, p, q))
+        candidates = [X_AXIS, Line2.through(P(0, 1), P(3, 5))]
+        shuffled = data.draw(st.permutations(prims))
+        assert defi_lineness(LinenessScenario.of(shuffled, candidates)) == defi_lineness(
+            LinenessScenario.of(prims, candidates)
+        )
 
     def test_more_candidates_never_increase(self):
         prims = [X_AXIS_PRIM, LinePrimitive("point", P(0, 1))]

@@ -25,6 +25,8 @@ from hintegral.space import (
 from hintegral.integral import (
     PiecewiseFn,
     SimpleFn,
+    T4Certificate,
+    Witness,
     constant_fn,
     ess_sup,
     function_from_json,
@@ -190,6 +192,33 @@ class TestCertificates:
 
         bad = replace(cert, value=H(2, 2), achieved_m=ExtRat(2))
         assert not verify_certificate(UNIT, f, bad)
+
+    def test_interval_witness_must_lie_in_pieces(self):
+        # a witness reaching past the only piece is false though its midpoint is in it
+        sp = IntervalSpace.of(0, 1)
+        f = SimpleFn.of([(H(0, 1), IntervalSet.of([(0, F(1, 2))]))])
+        w = Witness(IntervalSet.of([(0, F(7, 8))]), H(0, F(7, 8)), H(0, F(6, 7)))
+        cert = T4Certificate(H(0, F(3, 4)), (w,), (w,), True, ExtRat(F(3, 4)))
+        assert not verify_certificate(sp, f, cert)
+
+    def test_interval_witness_across_adjacent_pieces(self):
+        sp = IntervalSpace.of(0, 1)
+        halves = [IntervalSet.of([(0, F(1, 2))]), IntervalSet.of([(F(1, 2), 1)])]
+        middle = IntervalSet.of(points=[F(1, 2)])
+        joined = SimpleFn.of([(H(0, 1), s) for s in halves] + [(H(0, 2), middle)])
+        w = Witness(IntervalSet.of([(0, 1)]), H(0, 1), H(0, 1))
+        cert = T4Certificate(H(0, 1), (w,), (w,), True, ExtRat(1))
+        assert verify_certificate(sp, joined, cert)
+        # without the shared endpoint, f is (0,0) at 1/2
+        split = SimpleFn.of([(H(0, 1), s) for s in halves])
+        assert not verify_certificate(sp, split, cert)
+
+    def test_catalog_witness_must_lie_in_pieces(self):
+        sp = CatalogSpace.of([CatalogSet("A", 1, H(1, 1)), CatalogSet("B", 1, H(1, 5))])
+        f = SimpleFn.of([(H(0, 1), CatalogUnion.of("A"))])
+        w = Witness(CatalogUnion.of("A", "B"), H(1, 6), H(0, 1))
+        cert = T4Certificate(H(1, 6), (w,), (w,), True, ExtRat(6))
+        assert not verify_certificate(sp, f, cert)
 
     def test_atom_certificate(self):
         sp = AtomSpace.of({"a": H(1, "inf"), "b": H(0, 3)})

@@ -231,3 +231,8 @@ class TestImportBoundary:
             assert any(m.startswith("hintegral.") for m in imported)  # scan sees the package
             bad = {m for m in imported if m.split(".")[0] == "random" or m == "hintegral.oracle"}
             assert not bad, f"hintegral.{name} imports {sorted(bad)}"
+
+    def test_deficiency_sums_without_the_integral_engine(self):
+        # each functional is a direct dominance sum, not a catalog integral
+        tree = ast.parse(Path(hintegral.deficiency.__file__).read_text())
+        assert "hintegral.integral" not in set(_imported_modules(tree, "hintegral"))
