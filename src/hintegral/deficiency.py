@@ -347,7 +347,10 @@ def _primitive_from_json(obj) -> LinePrimitive:
     if kind == "point":
         return LinePrimitive("point", _point_from_json(obj["p"]))
     if kind in ("line", "segment"):
-        return LinePrimitive(kind, _point_from_json(obj["p"]), _point_from_json(obj["q"]))
+        p, q = _point_from_json(obj["p"]), _point_from_json(obj["q"])
+        if p == q:
+            raise ParseError(f"a {kind} needs two distinct points, got ({p.x}, {p.y}) twice")
+        return LinePrimitive(kind, p, q)
     raise ParseError(f"unknown primitive type {kind!r}")
 
 

@@ -47,11 +47,8 @@ from .space import (
     AtomSpace,
     IntervalSet,
     IntervalSpace,
-    CatalogUnion,
     MeasurableSet,
     MeasureSpace,
-    contains,
-    intersect_intervals,
     set_from_json,
     set_to_json,
     union,
@@ -84,18 +81,10 @@ class SimpleFn:
             union([s for _, s in pieces])  # structural disjointness check
         return SimpleFn(tuple(pieces), i_simple)
 
-    def value_at_atom(self, atom: str) -> HValue:
-        for coeff, s in self.pieces:
-            if isinstance(s, AtomSet) and atom in s.atoms:
-                return coeff
-        return ZERO
-
-    def value_at_point(self, x: Fraction) -> HValue:
-        for coeff, s in self.pieces:
-            if isinstance(s, IntervalSet):
-                if any(a < x < b for a, b in s.intervals) or x in s.points:
-                    return coeff
-        return ZERO
+    def value_at(self, x) -> HValue:
+        """The coefficient of the piece holding x (an atom, a catalog
+        name or a point); (0,0) off every piece."""
+        return next((coeff for coeff, s in self.pieces if x in s), ZERO)
 
 
 @dataclass(frozen=True)
@@ -187,9 +176,9 @@ class T4Certificate:
     bound-dimension + measure-dimension approaching the reported
     dimension (equal to it when the supremum is attained).
     ``m_witnesses`` form one disjoint family realizing the reported
-    mass; ``exact_m`` is False when the mass is only approached from
-    below (non-constant mass coordinate), in which case
-    ``achieved_m`` records the family's exact lower sum.
+    mass; ``achieved_m`` records the family's exact lower sum and
+    ``exact_m`` is False when that sum only approaches the mass from
+    below (non-constant mass coordinate).
     """
 
     value: HValue
@@ -220,11 +209,16 @@ class T4Certificate:
 # ---------------------------------------------------------------------------
 
 
-def integrate_simple(space: MeasureSpace, f: SimpleFn) -> HValue:
-    """sum_i coeff_i * measure(piece_i); exact, refinement-invariant."""
+def _measured(space: MeasureSpace, f: SimpleFn) -> List[Tuple[HValue, MeasurableSet, HValue]]:
+    """(coefficient, set, measure) per piece, after the disjointness check."""
     if f.pieces:
         union([s for _, s in f.pieces])
-    return sum_finite(mul(coeff, space.measure(s)) for coeff, s in f.pieces)
+    return [(coeff, s, space.measure(s)) for coeff, s in f.pieces]
+
+
+def integrate_simple(space: MeasureSpace, f: SimpleFn) -> HValue:
+    """sum_i coeff_i * measure(piece_i); exact, refinement-invariant."""
+    return sum_finite(mul(coeff, mv) for coeff, _, mv in _measured(space, f))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +232,7 @@ def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
         if not isinstance(f, SimpleFn):
             raise UnsupportedExpressionError("atom spaces carry simple functions")
         return AtomSet(
-            frozenset(a for a in space.atoms if f.value_at_atom(a) < v)
+            frozenset(a for a in space.atoms if f.value_at(a) < v)
         )
     if isinstance(space, IntervalSpace) and isinstance(f, PiecewiseFn):
         return _piecewise_sublevel(space, f, v)
@@ -326,7 +320,7 @@ def _add_simple(f: SimpleFn, g: SimpleFn) -> SimpleFn:
             atoms |= s.atoms
     pieces = []
     for a in sorted(atoms):
-        v = add(f.value_at_atom(a), g.value_at_atom(a))
+        v = add(f.value_at(a), g.value_at(a))
         if not v.is_zero:
             pieces.append((v, AtomSet.of(a)))
     return SimpleFn.of(pieces, i_simple=f.i_simple or g.i_simple)
@@ -501,13 +495,7 @@ def _build_certificate(
             if w is not None:
                 d_wits.append(w)
 
-    # the family realizes the mass exactly only for constant mass
-    # coordinates under the plain Lebesgue density
-    exact = mass <= 0 or (
-        space.density == (Fraction(1),)
-        and all(isinstance(p.pi2, Const) for p in top)
-        and achieved == mass
-    )
+    exact = mass <= 0 or achieved == mass
     return T4Certificate(
         value, tuple(d_wits), tuple(m_wits), exact, ExtRat(achieved)
     )
@@ -554,19 +542,15 @@ def _superlevel_witness(
 
 def _mass_family(p: PiecewisePiece, s: Fraction):
     """Disjoint subintervals of a top piece with lower bounds on the mass
-    coordinate; exact for constants, a dyadic lower family otherwise."""
+    coordinate; exact for constants, a dyadic lower family otherwise.  A
+    cell with bound 0 is kept only at s > 0, where (s, 0) is positive."""
     if isinstance(p.pi2, Const):
-        return [(p.lo, p.hi, p.pi2.value)]
-    cells = 8
-    out = []
-    width = (p.hi - p.lo) / cells
-    for k in range(cells):
-        lo = p.lo + width * k
-        hi = lo + width
-        b = expr_lower_bound(p.pi2, lo, hi)
-        if b > 0 or s > 0:
-            out.append((lo, hi, max(b, Fraction(0))))
-    return out
+        cells = [(p.lo, p.hi, p.pi2.value)]
+    else:
+        width = (p.hi - p.lo) / 8
+        edges = [p.lo + width * k for k in range(9)]
+        cells = [(lo, hi, expr_lower_bound(p.pi2, lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    return [(lo, hi, max(b, Fraction(0))) for lo, hi, b in cells if b > 0 or s > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +569,9 @@ def integrate(
     evaluation described in the module docstring is used.
     """
     if isinstance(f, SimpleFn):
-        g = f if on is None else _restrict_simple(f, on)
-        value = integrate_simple(space, g)
-        return value, _simple_certificate(space, g, value)
+        terms = _measured(space, f if on is None else _restrict_simple(f, on))
+        value = sum_finite(mul(coeff, mv) for coeff, _, mv in terms)
+        return value, _simple_certificate(terms, value)
     if isinstance(space, IntervalSpace) and isinstance(f, PiecewiseFn):
         window = _as_window(space, on)
         return _interval_integrate(space, f, window)
@@ -606,41 +590,22 @@ def _as_window(space: IntervalSpace, on: Optional[MeasurableSet]) -> Optional[In
 
 
 def _restrict_simple(f: SimpleFn, on: MeasurableSet) -> SimpleFn:
-    pieces = []
-    for coeff, s in f.pieces:
-        if isinstance(s, AtomSet) and isinstance(on, AtomSet):
-            sub = AtomSet(s.atoms & on.atoms)
-            if sub.atoms:
-                pieces.append((coeff, sub))
-        elif isinstance(s, IntervalSet) and isinstance(on, IntervalSet):
-            sub = intersect_intervals(s, on)
-            if not sub.is_empty:
-                pieces.append((coeff, sub))
-        elif isinstance(s, CatalogUnion) and isinstance(on, CatalogUnion):
-            names = [n for n in s.names if n in on.names]
-            if names:
-                pieces.append((coeff, CatalogUnion.of(*names)))
-        else:
-            raise UnknownSetError("restriction set kind does not match the function")
-    return SimpleFn(tuple(pieces), f.i_simple)
+    pieces = tuple((c, sub) for c, s in f.pieces if not (sub := s & on).is_empty)
+    return SimpleFn(pieces, f.i_simple)
 
 
-def _simple_certificate(space: MeasureSpace, f: SimpleFn, value: HValue) -> T4Certificate:
+def _simple_certificate(
+    terms: List[Tuple[HValue, MeasurableSet, HValue]], value: HValue
+) -> T4Certificate:
     if value == ZERO:
         return T4Certificate(ZERO)
-    d_wits = []
-    m_wits = []
-    achieved = ExtRat(0)
-    for coeff, s in f.pieces:
-        mv = space.measure(s)
-        if coeff.is_zero or mv == ZERO:
-            continue
-        if coeff.d + mv.d == value.d:
-            w = Witness(s, mv, coeff)
-            d_wits.append(w)
-            m_wits.append(w)
-            achieved = achieved + coeff.m * mv.m
-    return T4Certificate(value, tuple(d_wits), tuple(m_wits), True, achieved)
+    wits = tuple(
+        Witness(s, mv, coeff)
+        for coeff, s, mv in terms
+        if not coeff.is_zero and mv != ZERO and coeff.d + mv.d == value.d
+    )
+    achieved = sum((w.inf_bound.m * w.measure.m for w in wits), ExtRat(0))
+    return T4Certificate(value, wits, wits, True, achieved)
 
 
 def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -> bool:
@@ -671,22 +636,10 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
 
 def _simple_bound_holds(f: SimpleFn, w: Witness) -> bool:
     """f >= b everywhere on the witness set.  Off its pieces f is (0,0)
-    < b, so every atom, name, point and interval of the set must lie in
-    pieces whose coefficient is at least b."""
-    good = [s for coeff, s in f.pieces if coeff >= w.inf_bound and type(s) is type(w.where)]
-    if isinstance(w.where, AtomSet):
-        return w.where.atoms <= {a for s in good for a in s.atoms}
-    if isinstance(w.where, CatalogUnion):
-        return set(w.where.names) <= {n for s in good for n in s.names}
-    points = {x for s in good for x in s.points}
-    merged: List[Tuple[Fraction, Fraction]] = []
-    for a, c in sorted(iv for s in good for iv in s.intervals):
-        if merged and merged[-1][1] == a and a in points:  # adjacent pieces joined by a point
-            merged[-1] = (merged[-1][0], c)
-            points.discard(a)
-        else:
-            merged.append((a, c))
-    return contains(IntervalSet(tuple(merged), tuple(sorted(points))), w.where)
+    < b, so the set must lie in the union of the pieces whose
+    coefficient is at least b."""
+    good = [s for coeff, s in f.pieces if coeff >= w.inf_bound]
+    return bool(good) and w.where <= union(good)
 
 
 def _bound_holds(f: HFunction, w: Witness) -> bool:
@@ -793,10 +746,10 @@ def integrate_ordinary(space: MeasureSpace, f: HFunction) -> HValue:
         live = [a for a in space.atoms if space.weights[a] != ZERO]
         if not live:
             return ZERO
-        s = max(f.value_at_atom(a).d for a in live)
+        s = max(f.value_at(a).d for a in live)
         m = ExtRat(0)
         for a in live:
-            v = f.value_at_atom(a)
+            v = f.value_at(a)
             if v.d == s:
                 m = m + v.m * space.weights[a].m
         if s == 0 and m.sign() == 0:

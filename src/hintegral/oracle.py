@@ -272,7 +272,7 @@ def brute_force_integral(space: AtomSpace, f: SimpleFn) -> HValue:
         mv = space.measure(AtomSet(sub))
         if not mv > ZERO:
             continue
-        inf_f = min(f.value_at_atom(a) for a in sub)
+        inf_f = min(f.value_at(a) for a in sub)
         if not inf_f > ZERO:
             continue
         qualifying.append((sub, inf_f, mv))
@@ -348,7 +348,7 @@ def check_integral_laws(
             report.record("monotonicity", ts, f=F)
 
         pointwise_zero = all(
-            mul(f.value_at_atom(a), space.weights[a]) == ZERO for a in space.atoms
+            mul(f.value_at(a), space.weights[a]) == ZERO for a in space.atoms
         )
         if (F == ZERO) != pointwise_zero:
             report.record("zero-law", ts, f=F)
@@ -385,13 +385,10 @@ def check_integral_laws(
 
 
 def _restrict(f: SimpleFn, atoms) -> SimpleFn:
-    keep = set(atoms)
-    pieces = []
-    for v, s in f.pieces:
-        sub = s.atoms & keep
-        if sub:
-            pieces.append((v, AtomSet(frozenset(sub))))
-    return SimpleFn.of(pieces, f.i_simple)
+    keep = AtomSet(frozenset(atoms))
+    return SimpleFn.of(
+        [(v, sub) for v, s in f.pieces if not (sub := s & keep).is_empty], f.i_simple
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +400,7 @@ def random_isimple_minorant(rng: random.Random, space: AtomSpace, f: SimpleFn) -
     """A random i-simple g with (0,0) <= g <= f pointwise."""
     pieces = []
     for a in space.atoms:
-        v = f.value_at_atom(a)
+        v = f.value_at(a)
         roll = rng.random()
         if roll < 0.25 or v.is_zero:
             continue
@@ -490,7 +487,7 @@ def approx_gap_witness(chain: Sequence[SimpleFn]) -> ApproxGapWitness:
     hi = HValue(x, ExtRat(1))
     checks = []
     for g in chain:
-        v = g.value_at_point(x)
+        v = g.value_at(x)
         inside = lo < v < hi
         if inside:
             raise AssertionError(f"chain member takes value {v} inside the gap at {x}")

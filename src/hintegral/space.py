@@ -12,7 +12,10 @@ Three concrete space kinds are provided:
   values (the values are axioms of a scenario, never computed).
 
 Measurable sets are structural: finite disjoint unions of primitives,
-validated by overlap checks only.
+validated by overlap checks only.  Each set kind owns its algebra:
+``x in s`` (membership), ``s <= t`` (exact subset), ``s & t``
+(intersection) and ``s.is_empty``; combining two sets of different
+kinds raises :class:`UnknownSetError`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, as_ext, sum_finite
 # ---------------------------------------------------------------------------
 
 
+def _same_kind(s, t) -> None:
+    if type(s) is not type(t):
+        raise UnknownSetError(
+            f"cannot combine a {type(s).__name__} with a {type(t).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class AtomSet:
     """A subset of an atom space, identified by atom ids."""
@@ -40,10 +50,26 @@ class AtomSet:
     def of(*atoms: str) -> "AtomSet":
         return AtomSet(frozenset(atoms))
 
+    def __contains__(self, atom) -> bool:
+        return atom in self.atoms
+
+    def __le__(self, other: "AtomSet") -> bool:
+        _same_kind(self, other)
+        return self.atoms <= other.atoms
+
+    def __and__(self, other: "AtomSet") -> "AtomSet":
+        _same_kind(self, other)
+        return AtomSet(self.atoms & other.atoms)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.atoms
+
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """A finite union of disjoint open subintervals plus isolated points."""
+    """A finite union of disjoint open subintervals plus isolated points,
+    both sorted (as :meth:`of` leaves them)."""
 
     intervals: Tuple[Tuple[Fraction, Fraction], ...]
     points: Tuple[Fraction, ...] = ()
@@ -70,6 +96,37 @@ class IntervalSet:
                     raise NonDisjointError(f"point {p} inside interval ({a}, {b})")
         return IntervalSet(tuple(ivs), tuple(pts))
 
+    def __contains__(self, x) -> bool:
+        return x in self.points or any(a < x < b for a, b in self.intervals)
+
+    def __le__(self, other: "IntervalSet") -> bool:
+        """Exact subset test.  Intervals of ``other`` that meet at one of
+        its own points form one interval, which may hold an interval of
+        ``self`` that neither holds alone."""
+        _same_kind(self, other)
+        merged: List[List[Fraction]] = []
+        for a, b in other.intervals:
+            if merged and merged[-1][1] == a and a in other.points:
+                merged[-1][1] = b
+            else:
+                merged.append([a, b])
+        return all(p in other for p in self.points) and all(
+            any(lo <= a and b <= hi for lo, hi in merged) for a, b in self.intervals
+        )
+
+    def __and__(self, other: "IntervalSet") -> "IntervalSet":
+        _same_kind(self, other)
+        ivs = [
+            (lo, hi)
+            for a, b in self.intervals
+            for c, d in other.intervals
+            for lo, hi in [(max(a, c), min(b, d))]
+            if lo < hi
+        ]
+        # a point of the intersection outside its intervals is a point of one side
+        pts = {p for p in self.points + other.points if p in self and p in other}
+        return IntervalSet.of(ivs, pts)
+
     @property
     def is_empty(self) -> bool:
         return not self.intervals and not self.points
@@ -86,6 +143,21 @@ class CatalogUnion:
         if len(set(names)) != len(names):
             raise NonDisjointError("catalog set listed twice in one union")
         return CatalogUnion(tuple(names))
+
+    def __contains__(self, name) -> bool:
+        return name in self.names
+
+    def __le__(self, other: "CatalogUnion") -> bool:
+        _same_kind(self, other)
+        return set(self.names) <= set(other.names)
+
+    def __and__(self, other: "CatalogUnion") -> "CatalogUnion":
+        _same_kind(self, other)
+        return CatalogUnion(tuple(n for n in self.names if n in other.names))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.names
 
 
 MeasurableSet = Union[AtomSet, IntervalSet, CatalogUnion]
@@ -115,42 +187,6 @@ def union(parts: Sequence[MeasurableSet]) -> MeasurableSet:
     for p in parts:
         names.extend(p.names)
     return CatalogUnion.of(*names)
-
-
-def contains(big: MeasurableSet, small: MeasurableSet) -> bool:
-    """Structural subset check (used by monotonicity properties)."""
-    if isinstance(big, AtomSet) and isinstance(small, AtomSet):
-        return small.atoms <= big.atoms
-    if isinstance(big, CatalogUnion) and isinstance(small, CatalogUnion):
-        return set(small.names) <= set(big.names)
-    if isinstance(big, IntervalSet) and isinstance(small, IntervalSet):
-        def covered_point(p: Fraction) -> bool:
-            return p in big.points or any(a < p < b for a, b in big.intervals)
-
-        def covered_interval(a: Fraction, b: Fraction) -> bool:
-            return any(ba <= a and b <= bb for ba, bb in big.intervals)
-
-        return all(covered_interval(a, b) for a, b in small.intervals) and all(
-            covered_point(p) for p in small.points
-        )
-    return False
-
-
-def intersect_intervals(s: IntervalSet, window: IntervalSet) -> IntervalSet:
-    """Intersection of two interval sets (window points are dropped:
-    single points never carry mass in an interval space)."""
-    ivs = []
-    for a, b in s.intervals:
-        for wa, wb in window.intervals:
-            lo, hi = max(a, wa), min(b, wb)
-            if lo < hi:
-                ivs.append((lo, hi))
-    pts = [
-        p
-        for p in s.points
-        if any(wa < p < wb for wa, wb in window.intervals) or p in window.points
-    ]
-    return IntervalSet.of(ivs, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +369,13 @@ def validate_h_measure(space: MeasureSpace, partition: Sequence[MeasurableSet]) 
     NonDisjointError).  A described infinite partition is the same
     check: the infinitely repeated empty tail contributes (0, 0).
     """
-    parts = [p for p in partition if not _is_empty(p)]
+    parts = [p for p in partition if not p.is_empty]
     if not parts:
         return True
     whole = union(parts)  # raises NonDisjointError on overlap
     lhs = space.measure(whole)
     rhs = sum_finite(space.measure(p) for p in parts)
     return lhs == rhs
-
-
-def _is_empty(s: MeasurableSet) -> bool:
-    if isinstance(s, AtomSet):
-        return not s.atoms
-    if isinstance(s, IntervalSet):
-        return s.is_empty
-    return not s.names
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,18 @@ MALFORMED = {
     "global-dimension-above-1": ("defi", _continuity_global("(2, 1)", "(0, 1)")),
     "global-fractional-count": ("defi", _continuity_global("(0, 1/2)", "(0, 1)")),
     "global-negative-remainder": ("defi", _continuity_global("(1, inf)", "(0, -1)")),
+    # a lineness primitive through one point twice has no line
+    **{
+        f"{kind}-with-equal-points": (
+            "defi",
+            {
+                "kind": "lineness",
+                "primitives": [{"type": kind, "p": ["0", "1"], "q": ["0", "1"]}],
+                "candidates": [{"p": ["0", "0"], "q": ["1", "0"]}],
+            },
+        )
+        for kind in ("segment", "line")
+    },
 }
 
 

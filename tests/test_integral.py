@@ -185,6 +185,26 @@ class TestCertificates:
         assert cert.d_witnesses[0].inf_bound > ZERO
         assert verify_certificate(sp, f, cert)
 
+    def test_zero_mass_piece_gives_no_witness(self):
+        # a top piece whose mass is 0 at dimension 0 bounds f by (0, 0) only
+        sp = IntervalSpace.of(0, 1)
+        f = piecewise(
+            (0, F(1, 2), exprs.const(0), exprs.const(0)),
+            (F(1, 2), 1, exprs.const(0), exprs.const(1)),
+        )
+        v, cert = integrate(sp, f)
+        assert v == H(0, F(1, 2))
+        assert all(w.inf_bound > ZERO for w in cert.m_witnesses)
+        assert verify_certificate(sp, f, cert)
+
+    def test_constant_mass_on_a_density_is_exact(self):
+        sp = IntervalSpace.of(0, 1, density=(1, 2))
+        f = piecewise((0, 1, exprs.const(1), exprs.const(3)))
+        v, cert = integrate(sp, f)
+        assert v == H(1, 6)
+        assert cert.achieved_m == ExtRat(6) and cert.exact_m
+        assert verify_certificate(sp, f, cert)
+
     def test_tampered_certificate_fails(self):
         f = constant_fn(0, 1, H(1, 1))
         v, cert = integrate(UNIT, f)
@@ -270,8 +290,8 @@ class TestPointwiseAdd:
         f = SimpleFn.of([(H(1, 2), AtomSet.of("a"))])
         g = SimpleFn.of([(H(1, 3), AtomSet.of("a")), (H(0, 1), AtomSet.of("b"))])
         h = pointwise_add_fn(f, g)
-        assert h.value_at_atom("a") == H(1, 5)
-        assert h.value_at_atom("b") == H(0, 1)
+        assert h.value_at("a") == H(1, 5)
+        assert h.value_at("b") == H(0, 1)
 
     def test_piecewise_dominance_split(self):
         f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hintegral.errors import NonDisjointError, UnknownSetError
 from hintegral.hvalue import INF, ZERO, ExtRat, HValue
@@ -14,8 +16,6 @@ from hintegral.space import (
     CatalogUnion,
     IntervalSet,
     IntervalSpace,
-    contains,
-    intersect_intervals,
     scaled_embedding,
     set_from_json,
     set_to_json,
@@ -50,14 +50,101 @@ class TestSets:
 
     def test_contains(self):
         big = IntervalSet.of([(0, 1)], points=[2])
-        assert contains(big, IntervalSet.of([(F(1, 4), F(1, 2))]))
-        assert contains(big, IntervalSet.of(points=[2]))
-        assert not contains(big, IntervalSet.of([(F(1, 2), F(3, 2))]))
+        assert IntervalSet.of([(F(1, 4), F(1, 2))]) <= big
+        assert IntervalSet.of(points=[2]) <= big
+        assert not IntervalSet.of([(F(1, 2), F(3, 2))]) <= big
 
     def test_intersect(self):
         s = IntervalSet.of([(0, 2)], points=[3])
         w = IntervalSet.of([(1, 4)])
-        assert intersect_intervals(s, w) == IntervalSet.of([(1, 2)], points=[3])
+        assert s & w == IntervalSet.of([(1, 2)], points=[3])
+
+    def test_subset_across_a_covered_endpoint(self):
+        # (0, 1) u {1} u (1, 2) is the interval (0, 2)
+        split = IntervalSet.of([(0, 1), (1, 2)], points=[1])
+        assert IntervalSet.of([(0, 2)]) <= split
+        assert not IntervalSet.of([(0, 2)]) <= IntervalSet.of([(0, 1), (1, 2)])
+
+    def test_intersection_keeps_a_point_of_either_side(self):
+        whole = IntervalSet.of([(0, 2)])
+        split = IntervalSet.of([(0, 1), (1, 2)], points=[1])
+        assert whole & split == split
+        assert split & whole == split
+
+    def test_catalog_algebra(self):
+        L, Lp = CatalogUnion.of("L"), CatalogUnion.of("p", "L")
+        assert "L" in Lp and L <= Lp and not Lp <= L
+        assert Lp & L == L and (L & CatalogUnion.of("p")).is_empty
+
+    def test_mixed_kinds_rejected(self):
+        with pytest.raises(UnknownSetError):
+            AtomSet.of("a") & CatalogUnion.of("a")
+        with pytest.raises(UnknownSetError):
+            IntervalSet.of(points=[1]) <= AtomSet.of("a")
+
+
+_POOL = [F(k, 2) for k in range(5)]  # a small pool, so sets often share endpoints
+
+
+def _draw_grid(draw):
+    """Sorted cuts and, for each gap between neighbours, whether the set
+    may use it."""
+    cuts = sorted(draw(st.lists(st.sampled_from(_POOL), min_size=3, max_size=5, unique=True)))
+    n = len(cuts) - 1
+    return cuts, draw(st.lists(st.sampled_from([True, True, False]), min_size=n, max_size=n))
+
+
+def _draw_interval_set(draw, cuts, keep):
+    """Each kept gap is an open interval; each cut is left out, kept as a
+    point, or bridged (an interval runs on across it)."""
+    n = len(cuts)
+    marks = draw(st.lists(st.sampled_from(["out", "point", "bridge"]), min_size=n, max_size=n))
+    ivs = []
+    for a, b, k, m in zip(cuts, cuts[1:], keep, marks):
+        if k and ivs and ivs[-1][1] == a and m == "bridge":
+            ivs[-1] = (ivs[-1][0], b)
+        elif k:
+            ivs.append((a, b))
+    return IntervalSet.of(ivs, [c for c, m in zip(cuts, marks) if m == "point"])
+
+
+@st.composite
+def _interval_set_pairs(draw):
+    """Half the time both sets use one grid and the same gaps, so one
+    often spans an interval that the other splits at a point or a gap."""
+    cuts, keep = _draw_grid(draw)
+    s = _draw_interval_set(draw, cuts, keep)
+    if not draw(st.booleans()):
+        cuts, keep = _draw_grid(draw)
+    return s, _draw_interval_set(draw, cuts, keep)
+
+
+def _probes(s, w):
+    """Every endpoint and point of s and w, every midpoint between
+    neighbouring ones, and one value beyond each end: membership in
+    either set is constant between neighbouring probes."""
+    marks = sorted({x for t in (s, w) for iv in t.intervals for x in iv} | set(s.points + w.points))
+    mids = [(a + b) / 2 for a, b in zip(marks, marks[1:])]
+    return marks + mids + [marks[0] - 1, marks[-1] + 1] if marks else []
+
+
+class TestSetAlgebraProperties:
+    @settings(max_examples=300)
+    @given(_interval_set_pairs())
+    def test_interval_algebra_agrees_with_membership(self, pair):
+        s, w = pair
+        assert s & w == w & s
+        for x in _probes(s, w):
+            assert (x in s & w) == (x in s and x in w)
+        assert (s <= w) == all(x in w for x in _probes(s, w) if x in s)
+
+    @given(st.frozensets(st.sampled_from("abcde")), st.frozensets(st.sampled_from("abcde")))
+    def test_atom_algebra_agrees_with_membership(self, a, b):
+        s, w = AtomSet(a), AtomSet(b)
+        assert s & w == w & s
+        for x in "abcdef":
+            assert (x in s & w) == (x in s and x in w)
+        assert (s <= w) == all(x in w for x in "abcdef" if x in s)
 
 
 class TestAtomSpace:
