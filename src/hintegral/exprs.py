@@ -1,13 +1,23 @@
 """Closed expression grammar for piecewise function coordinates.
 
-Supported shapes: constants, affine maps ``a + b*x``, rational powers
-``x**q`` with ``q > 0``, and polynomials with rational coefficients.
-The grammar is deliberately small: every sublevel set it induces is a
-finite union of intervals and points, and every comparison against a
-rational threshold is exactly decidable (``x**(p/r) < c  iff  x**p < c**r``
-for positive ``x, c``).  Anything that would force an irrational
-endpoint or bound raises :class:`UnsupportedExpressionError` instead of
-approximating.
+An expression is one of two node kinds:
+
+* :class:`Poly` -- a polynomial with trimmed rational coefficients,
+  constant term first.  The polynomials of degree 0 and 1 are the
+  constants and the affine maps ``a + b*x``; :func:`const`,
+  :func:`affine` and :func:`poly` all build this node.
+* :class:`Power` -- ``x**q`` for a non-integral rational ``q > 0``, on
+  ``x >= 0``.  :func:`power` builds a monomial ``Poly`` for an integral
+  exponent.
+
+Each decision below takes two cases: a polynomial, split by its
+degree, or a power.  Every comparison against a rational threshold is
+exactly decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive
+``x, c``).  Sublevel sets, suprema and dominance cells are solved for
+polynomials of degree at most 1 and for powers, so every sublevel set
+is a finite union of intervals and points.  A higher degree there, or
+anything that would force an irrational endpoint or bound, raises
+:class:`UnsupportedExpressionError` instead of approximating.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ def poly_trim(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
 
@@ -165,84 +175,54 @@ def cmp_pow_pow(x: Fraction, q1: Fraction, q2: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class Const:
-    value: Fraction
+class Poly:
+    """Polynomial with trimmed rational coefficients, constant term first."""
 
+    coeffs: Tuple[Fraction, ...]
 
-@dataclass(frozen=True)
-class Affine:
-    """a + b*x with b != 0 (slope zero is normalized to Const)."""
-
-    a: Fraction
-    b: Fraction
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
 class Power:
-    """x**q with rational exponent q > 0, on a domain with x >= 0."""
+    """x**q with a non-integral rational exponent q > 0, on a domain
+    with x >= 0."""
 
     q: Fraction
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Polynomial with rational coefficients, constant term first."""
-
-    coeffs: Tuple[Fraction, ...]
+Expr = Union[Poly, Power]
 
 
-Expr = Union[Const, Affine, Power, Poly]
+def const(c) -> Poly:
+    return Poly((as_fraction(c),))
 
 
-def const(c) -> Const:
-    return Const(as_fraction(c))
-
-
-def affine(a, b) -> Expr:
-    b = as_fraction(b)
-    if b == 0:
-        return Const(as_fraction(a))
-    return Affine(as_fraction(a), b)
+def affine(a, b) -> Poly:
+    return poly([a, b])
 
 
 def power(q) -> Expr:
     q = as_fraction(q)
     if q <= 0:
         raise UnsupportedExpressionError("power exponent must be positive")
-    if q == 1:
-        return Affine(Fraction(0), Fraction(1))
     if q.denominator == 1:
-        return Poly(poly_trim([Fraction(0)] * q.numerator + [Fraction(1)]))
+        return poly([0] * q.numerator + [1])
     return Power(q)
 
 
-def poly(coeffs) -> Expr:
-    cs = poly_trim([as_fraction(c) for c in coeffs])
-    if len(cs) == 1:
-        return Const(cs[0])
-    if len(cs) == 2:
-        return Affine(cs[0], cs[1])
-    return Poly(cs)
+def poly(coeffs) -> Poly:
+    return Poly(poly_trim([as_fraction(c) for c in coeffs]))
 
 
-def poly_coeffs(e: Expr) -> Optional[Tuple[Fraction, ...]]:
-    """Coefficients of a constant, affine or polynomial expression
-    (constant term first); None for a fractional power."""
-    if isinstance(e, Const):
-        return (e.value,)
-    if isinstance(e, Affine):
-        return (e.a, e.b)
-    if isinstance(e, Poly):
-        return e.coeffs
-    return None
+def _cmp(a: Fraction, b: Fraction) -> int:
+    return (a > b) - (a < b)
 
 
 def eval_exact(e: Expr, x: Fraction) -> Fraction:
     """Exact value at a rational point; raises if irrational (Power only)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Affine):
-        return e.a + e.b * x
     if isinstance(e, Poly):
         return poly_eval(e.coeffs, x)
     v = pow_exact(x, e.q)
@@ -255,12 +235,11 @@ def cmp_at(e: Expr, x: Fraction, c: Fraction) -> int:
     """Sign of e(x) - c, exact for every grammar member."""
     if isinstance(e, Power):
         return cmp_pow(x, e.q, c)
-    v = eval_exact(e, x)
-    return (v > c) - (v < c)
+    return _cmp(poly_eval(e.coeffs, x), c)
 
 
 # ---------------------------------------------------------------------------
-# suprema / infima on open intervals
+# suprema on open intervals
 # ---------------------------------------------------------------------------
 
 
@@ -270,11 +249,6 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Tuple[Fraction, bool]:
     Monotone and constant expressions only; the supremum must be a
     rational number or UnsupportedExpressionError is raised.
     """
-    if isinstance(e, Const):
-        return e.value, True
-    if isinstance(e, Affine):
-        end = hi if e.b > 0 else lo
-        return e.a + e.b * end, False
     if isinstance(e, Power):
         v = pow_exact(hi, e.q)
         if v is None:
@@ -282,24 +256,11 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Tuple[Fraction, bool]:
                 f"sup of x**{e.q} on ({lo}, {hi}) is irrational"
             )
         return v, False
+    if e.degree == 0:
+        return e.coeffs[0], True
+    if e.degree == 1:
+        return poly_eval(e.coeffs, hi if e.coeffs[1] > 0 else lo), False
     raise UnsupportedExpressionError("supremum of a general polynomial piece")
-
-
-def inf_on(e: Expr, lo: Fraction, hi: Fraction) -> Tuple[Fraction, bool]:
-    """(infimum, attained-on-positive-length) over the open (lo, hi)."""
-    if isinstance(e, Const):
-        return e.value, True
-    if isinstance(e, Affine):
-        end = lo if e.b > 0 else hi
-        return e.a + e.b * end, False
-    if isinstance(e, Power):
-        v = pow_exact(lo, e.q)
-        if v is None:
-            raise UnsupportedExpressionError(
-                f"inf of x**{e.q} on ({lo}, {hi}) is irrational"
-            )
-        return v, False
-    raise UnsupportedExpressionError("infimum of a general polynomial piece")
 
 
 # ---------------------------------------------------------------------------
@@ -325,47 +286,34 @@ def solve_below(
     equality part is EQ_ALL for a matching constant, otherwise the
     finite list of interior solutions of e(x) == c.
     """
-    if isinstance(e, Const):
-        if e.value < c:
-            return [(lo, hi)], []
-        if e.value == c:
-            return [], EQ_ALL
-        return [], []
-    if isinstance(e, Affine):
-        t = (c - e.a) / e.b
-        eq = [t] if lo < t < hi else []
-        if e.b > 0:
-            below = [(lo, min(hi, t))] if t > lo else []
-        else:
-            below = [(max(lo, t), hi)] if t < hi else []
-        return [iv for iv in below if iv[0] < iv[1]], eq
     if isinstance(e, Power):
-        if c <= 0:
+        if c <= 0 or cmp_pow(lo, e.q, c) >= 0:
             return [], []
-        side_lo = cmp_pow(lo, e.q, c)
-        side_hi = cmp_pow(hi, e.q, c)
-        if side_hi < 0:  # entire piece below (increasing power)
+        if cmp_pow(hi, e.q, c) < 0:  # entire piece below (increasing power)
             return [(lo, hi)], []
-        if side_lo > 0 or side_lo == 0:
-            return [], []
         t = pow_exact(c, 1 / e.q)
         if t is None:
             raise UnsupportedExpressionError(
                 f"threshold of x**{e.q} < {c} is irrational"
             )
-        eq = [t] if lo < t < hi else []
-        below = [(lo, min(hi, t))] if t > lo else []
-        return [iv for iv in below if iv[0] < iv[1]], eq
-    raise UnsupportedExpressionError("sublevel of a general polynomial piece")
+        increasing = True
+    elif e.degree == 0:
+        s = _cmp(e.coeffs[0], c)
+        return ([(lo, hi)] if s < 0 else []), (EQ_ALL if s == 0 else [])
+    elif e.degree == 1:
+        a, b = e.coeffs
+        t = (c - a) / b
+        increasing = b > 0
+    else:
+        raise UnsupportedExpressionError("sublevel of a general polynomial piece")
+    eq = [t] if lo < t < hi else []
+    below = (lo, min(hi, t)) if increasing else (max(lo, t), hi)
+    return [below] if below[0] < below[1] else [], eq
 
 
 # ---------------------------------------------------------------------------
 # pointwise dominance between two expressions on an open cell
 # ---------------------------------------------------------------------------
-
-
-def _probe(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
 
 
 def split_dominance(
@@ -380,51 +328,28 @@ def split_dominance(
     """
     if e1 == e2:
         return [(lo, hi, 0)]
-
-    p1, p2 = poly_coeffs(e1), poly_coeffs(e2)
-    if p1 is not None and p2 is not None:
-        diff = poly_add(p1, tuple(-c for c in p2))
-        if len(diff) <= 2:
-            expr_diff = poly(diff)
-            if isinstance(expr_diff, Const):
-                s = (expr_diff.value > 0) - (expr_diff.value < 0)
-                return [(lo, hi, s)]
-            t = -expr_diff.a / expr_diff.b
-            if not (lo < t < hi):
-                s = cmp_at(expr_diff, _probe(lo, hi), Fraction(0))
-                return [(lo, hi, s)]
-            left = cmp_at(expr_diff, _probe(lo, t), Fraction(0))
-            right = cmp_at(expr_diff, _probe(t, hi), Fraction(0))
-            return [(lo, t, left), (t, hi, right)]
-        raise UnsupportedExpressionError(
-            "dominance between higher-degree polynomial coordinates"
-        )
-
-    pw = e1 if isinstance(e1, Power) else e2 if isinstance(e2, Power) else None
-    other = e2 if pw is e1 else e1
-    flip = 1 if pw is e1 else -1
-
-    if isinstance(other, Power):
-        # x**q1 vs x**q2 cross only at x == 1 (within x > 0).
-        cuts = [t for t in (Fraction(1),) if lo < t < hi]
-        cells = []
-        edges = [lo] + cuts + [hi]
-        for a, b in zip(edges, edges[1:]):
-            s = cmp_pow_pow(_probe(a, b), e1.q, e2.q)
-            cells.append((a, b, s))
-        return cells
-    if isinstance(other, Const):
-        below, eq = solve_below(pw, other.value, lo, hi)
-        cuts = sorted(set(eq if not isinstance(eq, EqAll) else []))
-        edges = [lo] + [t for t in cuts if lo < t < hi] + [hi]
-        cells = []
-        for a, b in zip(edges, edges[1:]):
-            s = cmp_pow(_probe(a, b), pw.q, other.value) * flip
-            cells.append((a, b, s))
-        return cells
-    raise UnsupportedExpressionError(
-        "dominance between a fractional power and a non-constant coordinate"
-    )
+    if isinstance(e1, Poly) and isinstance(e2, Poly):
+        diff = poly_add(e1.coeffs, [-c for c in e2.coeffs])
+        if len(diff) > 2:
+            raise UnsupportedExpressionError(
+                "dominance between higher-degree polynomial coordinates"
+            )
+        cuts = [-diff[0] / diff[1]] if len(diff) == 2 else []
+        sign = lambda x: _cmp(poly_eval(diff, x), 0)
+    elif isinstance(e1, Power) and isinstance(e2, Power):
+        cuts = [Fraction(1)]  # x**q1 and x**q2 cross only at x == 1 within x > 0
+        sign = lambda x: cmp_pow_pow(x, e1.q, e2.q)
+    else:
+        pw, other, flip = (e1, e2, 1) if isinstance(e1, Power) else (e2, e1, -1)
+        if other.degree > 0:
+            raise UnsupportedExpressionError(
+                "dominance between a fractional power and a non-constant coordinate"
+            )
+        c = other.coeffs[0]
+        cuts = solve_below(pw, c, lo, hi)[1]
+        sign = lambda x: flip * cmp_pow(x, pw.q, c)
+    edges = [lo] + sorted(t for t in cuts if lo < t < hi) + [hi]
+    return [(a, b, sign((a + b) / 2)) for a, b in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +359,8 @@ def split_dominance(
 
 def try_add(e1: Expr, e2: Expr) -> Expr:
     """Pointwise sum, provided it stays inside the grammar."""
-    p1, p2 = poly_coeffs(e1), poly_coeffs(e2)
-    if p1 is not None and p2 is not None:
-        return poly(poly_add(p1, p2))
+    if isinstance(e1, Poly) and isinstance(e2, Poly):
+        return Poly(poly_add(e1.coeffs, e2.coeffs))
     raise UnsupportedExpressionError(
         "sum of a fractional power with another coordinate leaves the grammar"
     )
@@ -462,10 +386,10 @@ def expr_from_json(obj) -> Expr:
 
 
 def expr_to_json(e: Expr):
-    if isinstance(e, Const):
-        return {"kind": "const", "value": str(e.value)}
-    if isinstance(e, Affine):
-        return {"kind": "affine", "a": str(e.a), "b": str(e.b)}
     if isinstance(e, Power):
         return {"kind": "pow", "q": str(e.q)}
+    if e.degree == 0:
+        return {"kind": "const", "value": str(e.coeffs[0])}
+    if e.degree == 1:
+        return {"kind": "affine", "a": str(e.coeffs[0]), "b": str(e.coeffs[1])}
     return {"kind": "poly", "coeffs": [str(c) for c in e.coeffs]}

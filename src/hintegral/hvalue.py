@@ -257,7 +257,7 @@ class SeqDescriptor:
         return SeqDescriptor(tuple(prefix), tail)
 
     def terms(self):
-        """All nonzero terms that matter: the prefix plus one tail marker."""
+        """The nonzero terms of the prefix; the tail is read separately."""
         return [t for t in self.prefix if not t.is_zero]
 
     def map(self, fn) -> "SeqDescriptor":

@@ -6,9 +6,10 @@ Two function shapes are supported:
   value (0,0) off their union.  Its integral is the direct weighted sum
   ``sum_i coeff_i * measure(piece_i)``.
 * :class:`PiecewiseFn` -- a piecewise description over an interval
-  space, each piece carrying an exact expression for the dimension
-  coordinate (constant, affine or rational power) and for the mass
-  coordinate (polynomial or rational power).
+  space.  Each piece carries one exact expression per coordinate, a
+  rational polynomial or a non-integral rational power (see
+  :mod:`hintegral.exprs`); the dimension coordinate's polynomial has
+  degree at most 1.
 
 The general integral of a piecewise function is *never* computed by
 enumerating simple minorants (the supremum ranges over an unenumerable
@@ -40,7 +41,7 @@ from .errors import (
     UnsupportedExpressionError,
     json_loader,
 )
-from .exprs import Affine, Const, EqAll, Expr, Poly, Power
+from .exprs import EqAll, Expr, Poly, Power
 from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
 from .space import (
     AtomSet,
@@ -100,10 +101,11 @@ class PiecewiseFn:
     """Piecewise-graded function on an interval space.
 
     Pieces are disjoint open subintervals; off their union the value is
-    (0,0).  The dimension coordinate must be constant, affine or a
-    rational power (so sublevel sets stay finite interval unions); the
-    mass coordinate may additionally be a polynomial.  A fractional
-    power is only allowed on pieces inside x >= 0.
+    (0,0).  Each coordinate is a polynomial or a non-integral power.
+    The dimension coordinate's polynomial has degree at most 1, so its
+    sublevel sets stay finite interval unions; the mass coordinate's
+    may have any degree.  A fractional power is only allowed on pieces
+    inside x >= 0.
     """
 
     pieces: Tuple[PiecewisePiece, ...]
@@ -115,7 +117,7 @@ class PiecewiseFn:
             lo, hi = as_fraction(lo), as_fraction(hi)
             if not lo < hi:
                 raise ValueError(f"degenerate piece ({lo}, {hi})")
-            if isinstance(pi1, Poly):
+            if isinstance(pi1, Poly) and pi1.degree > 1:
                 raise UnsupportedExpressionError(
                     "dimension coordinate must be constant, affine or a power"
                 )
@@ -383,7 +385,7 @@ def expr_lower_bound(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
     """A sound rational lower bound on e over the open (lo, hi)."""
     if isinstance(e, Power):
         return Fraction(0) if lo == 0 else rational_pow_floor(lo, e.q)
-    return exprs.poly_lower_bound(exprs.poly_coeffs(e), lo, hi)
+    return exprs.poly_lower_bound(e.coeffs, lo, hi)
 
 
 def expr_at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
@@ -392,7 +394,7 @@ def expr_at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
     a true bound but never one the builder produced."""
     if isinstance(e, Power):
         return exprs.cmp_pow(lo, e.q, c) >= 0  # x**q increases
-    return exprs.poly_lower_bound(exprs.poly_coeffs(e), lo, hi) >= c
+    return exprs.poly_lower_bound(e.coeffs, lo, hi) >= c
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +416,8 @@ def _clip_pieces(f: PiecewiseFn, window: Optional[IntervalSet]) -> List[Piecewis
 
 def _mass_integral(space: IntervalSpace, pi2: Expr, lo: Fraction, hi: Fraction) -> Fraction:
     """Exact integral of pi2 * density over (lo, hi)."""
-    pcoeffs = exprs.poly_coeffs(pi2)
-    if pcoeffs is not None:
-        return exprs.poly_integral(exprs.poly_mul(pcoeffs, space.density), lo, hi)
+    if isinstance(pi2, Poly):
+        return exprs.poly_integral(exprs.poly_mul(pi2.coeffs, space.density), lo, hi)
     total = Fraction(0)
     for k, c in enumerate(space.density):
         if c == 0:
@@ -445,11 +446,8 @@ def _interval_integrate(
 
     sups = [exprs.sup_on(p.pi1, p.lo, p.hi)[0] for p in pieces]
     s = max(sups)
-    top = [
-        p
-        for p in pieces
-        if isinstance(p.pi1, Const) and p.pi1.value == s
-    ]
+    top_dim = exprs.const(s)
+    top = [p for p in pieces if p.pi1 == top_dim]
     mass = sum(
         (_mass_integral(space, p.pi2, p.lo, p.hi) for p in top), Fraction(0)
     )
@@ -509,31 +507,27 @@ def _superlevel_witness(
         return None
     for p in pieces:
         e = p.pi1
-        if isinstance(e, Const):
-            if e.value >= t:
-                where = IntervalSet.of([(p.lo, p.hi)])
-                return Witness(where, space.measure(where), HValue(t, ExtRat(0)))
-        elif isinstance(e, Affine):
-            x_t = (t - e.a) / e.b
-            lo, hi = (max(p.lo, x_t), p.hi) if e.b > 0 else (p.lo, min(p.hi, x_t))
-            if lo < hi:
-                where = IntervalSet.of([(lo, hi)])
-                mv = space.measure(where)
-                if mv != ZERO:
-                    return Witness(where, mv, HValue(t, ExtRat(0)))
-        elif isinstance(e, Power):
-            if exprs.cmp_pow(p.hi, e.q, t) <= 0:
+        lo, hi = p.lo, p.hi
+        if isinstance(e, Power):
+            if exprs.cmp_pow(hi, e.q, t) <= 0:
                 continue
-            x0 = p.lo
-            step = (p.hi - p.lo) / 2
+            step = (hi - lo) / 2
             for _ in range(64):
-                x0 = p.hi - step
-                if x0 > p.lo and exprs.cmp_pow(x0, e.q, t) >= 0:
+                if hi - step > lo and exprs.cmp_pow(hi - step, e.q, t) >= 0:
+                    lo = hi - step
                     break
                 step /= 2
             else:
                 continue
-            where = IntervalSet.of([(x0, p.hi)])
+        elif e.degree == 0:
+            if e.coeffs[0] < t:
+                continue
+        else:
+            a, b = e.coeffs
+            x_t = (t - a) / b
+            lo, hi = (max(lo, x_t), hi) if b > 0 else (lo, min(hi, x_t))
+        if lo < hi:
+            where = IntervalSet.of([(lo, hi)])
             mv = space.measure(where)
             if mv != ZERO:
                 return Witness(where, mv, HValue(t, ExtRat(0)))
@@ -544,8 +538,8 @@ def _mass_family(p: PiecewisePiece, s: Fraction):
     """Disjoint subintervals of a top piece with lower bounds on the mass
     coordinate; exact for constants, a dyadic lower family otherwise.  A
     cell with bound 0 is kept only at s > 0, where (s, 0) is positive."""
-    if isinstance(p.pi2, Const):
-        cells = [(p.lo, p.hi, p.pi2.value)]
+    if isinstance(p.pi2, Poly) and p.pi2.degree == 0:
+        cells = [(p.lo, p.hi, p.pi2.coeffs[0])]
     else:
         width = (p.hi - p.lo) / 8
         edges = [p.lo + width * k for k in range(9)]
@@ -646,6 +640,16 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         return _simple_bound_holds(f, w)
+    for x in w.where.points:
+        # a point off every open piece has the value (0,0) < b
+        piece = _piece_covering(f, x, x)
+        if piece is None or not piece.lo < x < piece.hi:
+            return False
+        s = exprs.cmp_at(piece.pi1, x, b.d)
+        if s < 0:
+            return False
+        if s == 0 and not (b.m.is_finite and exprs.cmp_at(piece.pi2, x, b.m.frac) >= 0):
+            return False
     for a, c in w.where.intervals:
         piece = _piece_covering(f, a, c)
         if piece is None:
@@ -654,8 +658,11 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
             return False
         if exprs.cmp_at(piece.pi1, (a + c) / 2, b.d) > 0:
             continue  # dimension strictly above the bound: mass bound is free
-        # a zero mass bound is guaranteed by the pi2 >= 0 invariant
-        if b.m.is_finite and b.m.frac > 0 and not expr_at_least(piece.pi2, b.m.frac, a, c):
+        # a zero mass bound is guaranteed by the pi2 >= 0 invariant; an
+        # infinite one exceeds the finite mass coordinate
+        if not b.m.is_finite or (
+            b.m.frac > 0 and not expr_at_least(piece.pi2, b.m.frac, a, c)
+        ):
             return False
     return True
 
@@ -676,9 +683,9 @@ def graded_integral(space: MeasureSpace, f: HFunction) -> HValue:
         raise UnsupportedExpressionError("graded piecewise functions need an interval space")
     dims = set()
     for p in f.pieces:
-        if not isinstance(p.pi1, Const):
+        if isinstance(p.pi1, Power) or p.pi1.degree > 0:
             raise ValueError("dimension coordinate is not constant")
-        dims.add(p.pi1.value)
+        dims.add(p.pi1.coeffs[0])
     if len(dims) > 1:
         raise ValueError("dimension coordinate is not constant")
     d = dims.pop() if dims else Fraction(0)

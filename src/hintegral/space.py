@@ -168,6 +168,8 @@ def union(parts: Sequence[MeasurableSet]) -> MeasurableSet:
     if not parts:
         raise ValueError("union of no parts has no kind")
     first = parts[0]
+    for p in parts[1:]:
+        _same_kind(first, p)
     if isinstance(first, AtomSet):
         seen: set = set()
         for p in parts:

@@ -97,6 +97,19 @@ class TestEval:
         assert code == 3
         assert capsys.readouterr().out == ""
 
+    def test_mixed_set_kinds_exit_3(self, tmp_path, capsys):
+        fn = {
+            "simple": [
+                {"coeff": "(1, 1)", "set": {"atoms": ["a"]}},
+                {"coeff": "(1, 1)", "set": {"intervals": [["0", "1"]]}},
+            ]
+        }
+        code = main(["eval", write(tmp_path, "s.json", SPACE), write(tmp_path, "f.json", fn)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported:") and "Traceback" not in captured.err
+
 
 def _piece(lo, hi):
     return {

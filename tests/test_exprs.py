@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from hintegral import exprs
@@ -19,7 +19,6 @@ from hintegral.exprs import (
     eval_exact,
     expr_from_json,
     expr_to_json,
-    inf_on,
     int_nth_root,
     nth_root,
     poly,
@@ -142,11 +141,10 @@ class TestEvalAndBounds:
         assert cmp_at(power(F(1, 2)), F(2), F(1)) > 0
         assert cmp_at(power(F(1, 2)), F(2), F(2)) < 0
 
-    def test_sup_inf(self):
+    def test_sup(self):
         assert sup_on(const(5), F(0), F(1)) == (5, True)
         assert sup_on(affine(0, 1), F(0), F(1)) == (1, False)
         assert sup_on(affine(1, -2), F(0), F(1)) == (1, False)
-        assert inf_on(power(F(1, 2)), F(0), F(1)) == (0, False)
         with pytest.raises(UnsupportedExpressionError):
             sup_on(power(F(1, 2)), F(0), F(2))
         with pytest.raises(UnsupportedExpressionError):
@@ -201,6 +199,97 @@ class TestSplitDominance:
             split_dominance(power(F(1, 2)), affine(1, 1), F(0), F(1))
 
 
+# Expressions for the properties below.  Constants include exact powers
+# so that a power meets them at a rational point often enough; a power
+# is only drawn on a cell with lo >= 0.
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+exact_powers = st.builds(
+    lambda v, k: v**k,
+    st.fractions(min_value=0, max_value=2, max_denominator=4),
+    st.sampled_from([2, 3, 6]),
+)
+consts = st.builds(const, st.one_of(small, exact_powers))
+affines = st.builds(affine, small, small.filter(lambda b: b != 0))
+powers = st.builds(power, st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(5, 2)]))
+
+
+@st.composite
+def cells(draw, nonneg: bool):
+    lo = draw(st.fractions(min_value=0 if nonneg else -4, max_value=3, max_denominator=8))
+    return lo, lo + draw(st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8))
+
+
+@st.composite
+def dominance_cases(draw):
+    """(e1, e2, lo, hi) from const/affine/power, with lo >= 0 when a
+    power appears; a power meets a constant or another power only."""
+    if draw(st.booleans()):
+        e1, e2 = draw(st.one_of(consts, affines)), draw(st.one_of(consts, affines))
+        lo, hi = draw(cells(nonneg=False))
+    else:
+        e1, e2 = draw(powers), draw(st.one_of(consts, powers))
+        if draw(st.booleans()):
+            e1, e2 = e2, e1
+        lo, hi = draw(cells(nonneg=True))
+    return e1, e2, lo, hi
+
+
+def _exact_sign(e1, e2, x):
+    """sign(e1(x) - e2(x)), decided here rather than by the code under test."""
+    if isinstance(e1, exprs.Power) and isinstance(e2, exprs.Power):
+        # x**q1 - x**q2 has the sign of (q1 - q2) * log x for x > 0
+        return ((e1.q > e2.q) - (e1.q < e2.q)) * ((x > 1) - (x < 1))
+    if isinstance(e2, exprs.Power):
+        return -_exact_sign(e2, e1, x)
+    c = eval_exact(e2, x)
+    if isinstance(e1, exprs.Power):
+        if c <= 0:
+            return 1
+        lhs, rhs = x**e1.q.numerator, c**e1.q.denominator
+    else:
+        lhs, rhs = eval_exact(e1, x), c
+    return (lhs > rhs) - (lhs < rhs)
+
+
+class TestDecisionProperties:
+    @given(dominance_cases())
+    @example((power(F(1, 2)), power(F(1, 3)), F(1, 2), F(2)))
+    def test_split_dominance_tiles_the_cell_with_exact_signs(self, case):
+        e1, e2, lo, hi = case
+        try:
+            parts = split_dominance(e1, e2, lo, hi)
+        except UnsupportedExpressionError:
+            reject()  # an irrational crossing cannot be cut exactly
+        assert parts[0][0] == lo and parts[-1][1] == hi
+        for (_, b, _), (a, _, _) in zip(parts, parts[1:]):
+            assert b == a
+        for a, b, sign in parts:
+            assert a < b
+            for k in (1, 2, 3):
+                assert _exact_sign(e1, e2, a + (b - a) * k / 4) == sign
+
+    @given(
+        st.one_of(
+            st.tuples(st.one_of(consts, affines), small, cells(nonneg=False)),
+            st.tuples(powers, st.one_of(small, exact_powers), cells(nonneg=True)),
+        )
+    )
+    @example((affine(1, -1), F(1, 2), (F(0), F(1))))
+    def test_solve_below_classifies_a_grid(self, case):
+        e, c, (lo, hi) = case
+        try:
+            below, eq = solve_below(e, c, lo, hi)
+        except UnsupportedExpressionError:
+            reject()  # an irrational threshold
+        eq_pts = [] if isinstance(eq, EqAll) else eq
+        assert all(lo < t < hi for t in eq_pts)
+        for x in [lo + (hi - lo) * F(k, 12) for k in range(1, 12)] + eq_pts:
+            s = cmp_at(e, x, c)
+            in_below = any(a < x < b for a, b in below)
+            in_eq = isinstance(eq, EqAll) or x in eq_pts
+            assert (s < 0, s == 0) == (in_below, in_eq)
+
+
 class TestTryAdd:
     def test_poly_sums(self):
         assert try_add(affine(1, 2), const(3)) == affine(4, 2)
@@ -213,5 +302,13 @@ class TestTryAdd:
 
 class TestJson:
     def test_round_trip(self):
-        for e in [const(3), affine(1, -2), power(F(2, 3)), poly([1, 0, 0, 4])]:
-            assert expr_from_json(expr_to_json(e)) == e
+        golden = [
+            (const(3), {"kind": "const", "value": "3"}),
+            (affine(1, -2), {"kind": "affine", "a": "1", "b": "-2"}),
+            (poly([1, 0, 0, 4]), {"kind": "poly", "coeffs": ["1", "0", "0", "4"]}),
+            (power(F(2, 3)), {"kind": "pow", "q": "2/3"}),
+        ]
+        for e, obj in golden:
+            assert expr_to_json(e) == obj
+            assert expr_from_json(obj) == e
+        assert expr_to_json(affine(3, 0)) == {"kind": "const", "value": "3"}

@@ -221,6 +221,44 @@ class TestCertificates:
         cert = T4Certificate(H(0, F(3, 4)), (w,), (w,), True, ExtRat(F(3, 4)))
         assert not verify_certificate(sp, f, cert)
 
+    def test_witness_points_are_checked(self):
+        # f is (0,0) at 3/4, below the bound (1, 1)
+        sp = IntervalSpace.of(0, 1)
+        w = Witness(IntervalSet.of([(0, F(1, 2))], [F(3, 4)]), H(0, F(1, 2)), H(1, 1))
+        cert = T4Certificate(H(1, F(1, 2)), (w,), (w,), True, ExtRat(F(1, 2)))
+        assert not verify_certificate(sp, constant_fn(0, F(1, 2), H(1, 1)), cert)
+        assert verify_certificate(sp, constant_fn(0, 1, H(1, 1)), cert)
+
+    def test_witness_point_compares_an_irrational_power_exactly(self):
+        # sqrt(2) > 7/5 and sqrt(2) < 3/2, though sqrt(2) is irrational
+        sp = IntervalSpace.of(0, 3)
+        root = exprs.power(F(1, 2))
+        f = piecewise((0, 3, root, exprs.const(1)))
+
+        def cert(bound):
+            w = Witness(IntervalSet.of([(F(5, 2), 3)], [2]), H(0, F(1, 2)), bound)
+            return T4Certificate(H(F(3, 2), 0), (w,), (), True, ExtRat(0))
+
+        assert verify_certificate(sp, f, cert(H(F(7, 5), 0)))
+        assert not verify_certificate(sp, f, cert(H(F(3, 2), 0)))
+
+    def test_infinite_mass_bound_fails_on_a_piecewise_function(self):
+        sp = IntervalSpace.of(0, 1)
+        f = constant_fn(0, 1, H(1, 1))
+        w = Witness(IntervalSet.of([(0, 1)]), H(0, 1), HValue(F(1), INF))
+        cert = T4Certificate(HValue(F(1), INF), (w,), (w,), True, INF)
+        assert not verify_certificate(sp, f, cert)
+
+    def test_witness_point_on_a_piece_boundary_fails(self):
+        sp = IntervalSpace.of(0, 1)
+        f = piecewise(
+            (0, F(1, 2), exprs.const(1), exprs.const(1)),
+            (F(1, 2), 1, exprs.const(1), exprs.const(1)),
+        )
+        w = Witness(IntervalSet.of([(0, F(1, 4))], [F(1, 2)]), H(0, F(1, 4)), H(1, 1))
+        cert = T4Certificate(H(1, 1), (w,), (w,), False, ExtRat(F(1, 4)))
+        assert not verify_certificate(sp, f, cert)
+
     def test_interval_witness_across_adjacent_pieces(self):
         sp = IntervalSpace.of(0, 1)
         halves = [IntervalSet.of([(0, F(1, 2))]), IntervalSet.of([(F(1, 2), 1)])]

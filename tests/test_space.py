@@ -48,6 +48,12 @@ class TestSets:
         with pytest.raises(NonDisjointError):
             union([CatalogUnion.of("L"), CatalogUnion.of("L")])
 
+    def test_union_of_mixed_kinds(self):
+        with pytest.raises(UnknownSetError):
+            union([AtomSet.of("a"), IntervalSet.of([(0, 1)])])
+        with pytest.raises(UnknownSetError):
+            union([IntervalSet.of([(0, 1)]), CatalogUnion.of("L")])
+
     def test_contains(self):
         big = IntervalSet.of([(0, 1)], points=[2])
         assert IntervalSet.of([(F(1, 4), F(1, 2))]) <= big
