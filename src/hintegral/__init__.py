@@ -3,7 +3,6 @@ spaces, the generalized integral of pair-valued functions, and the
 deficiency functionals built on it."""
 
 from .errors import (
-    EmptyListError,
     HIntegralError,
     NonDisjointError,
     ParseError,
@@ -20,12 +19,10 @@ from .hvalue import (
     HValue,
     SeqDescriptor,
     add,
-    compare,
     mul,
     scalar_mul,
     sum_described,
     sum_finite,
-    sup_finite,
 )
 from .space import (
     AtomSet,
@@ -42,11 +39,7 @@ from .integral import (
     PiecewiseFn,
     SimpleFn,
     T4Certificate,
-    ess_sup,
-    graded_integral,
-    indefinite,
     integrate,
-    integrate_ordinary,
     integrate_simple,
     pointwise_add_fn,
     sublevel_set,

@@ -72,6 +72,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _trial_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    return int(text)
+
+
 def cmd_laws(args: argparse.Namespace) -> int:
     algebra = check_algebra_laws(args.trials, args.seed)
     # integral trials are an order of magnitude heavier per trial
@@ -184,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_laws = sub.add_parser("laws", help="run the randomized law suites")
-    p_laws.add_argument("--trials", type=int, default=1000)
+    p_laws.add_argument("--trials", type=_trial_count, default=1000)
     p_laws.add_argument("--seed", type=int, default=0)
     p_laws.add_argument("--json", action="store_true")
     p_laws.set_defaults(func=cmd_laws)

@@ -79,11 +79,6 @@ class Line2:
         # directions (b, -a); dot product of directions
         return self.b * other.b + self.a * other.a == 0
 
-    def foot(self, p: Point2) -> Point2:
-        """Orthogonal projection of p onto the line; always rational."""
-        k = Fraction(self.a * p.x + self.b * p.y - self.c, self.a**2 + self.b**2)
-        return Point2(p.x - k * self.a, p.y - k * self.b)
-
     def base_point(self) -> Point2:
         if self.b != 0:
             return Point2(Fraction(0), Fraction(self.c, self.b))

@@ -14,10 +14,6 @@ class UndefinedSumError(HIntegralError):
     """Adding two values with equal dimension and second coordinates {+inf, -inf}."""
 
 
-class EmptyListError(HIntegralError):
-    """Supremum requested over an empty collection."""
-
-
 class UnknownSetError(HIntegralError):
     """A set primitive is not part of the space it is evaluated in."""
 

@@ -18,6 +18,10 @@ polynomials of degree at most 1 and for powers, so every sublevel set
 is a finite union of intervals and points.  A higher degree there, or
 anything that would force an irrational endpoint or bound, raises
 :class:`UnsupportedExpressionError` instead of approximating.
+
+This is the only module that looks inside an expression: the piece
+rules, mass integrals, exact lower bounds and superlevel cuts that
+:mod:`hintegral.integral` needs are functions here.
 """
 
 from __future__ import annotations
@@ -231,6 +235,20 @@ def eval_exact(e: Expr, x: Fraction) -> Fraction:
     return v
 
 
+def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
+    """Raise unless pi1 and pi2 may be the dimension and mass coordinates
+    of the piece (lo, hi): the dimension coordinate's polynomial has
+    degree at most 1, and a fractional power needs x >= 0."""
+    if isinstance(pi1, Poly) and pi1.degree > 1:
+        raise UnsupportedExpressionError(
+            "dimension coordinate must be constant, affine or a power"
+        )
+    if lo < 0 and (isinstance(pi1, Power) or isinstance(pi2, Power)):
+        raise UnsupportedExpressionError(
+            f"a fractional power is defined for x >= 0 only, not on ({lo}, {hi})"
+        )
+
+
 def cmp_at(e: Expr, x: Fraction, c: Fraction) -> int:
     """Sign of e(x) - c, exact for every grammar member."""
     if isinstance(e, Power):
@@ -243,8 +261,8 @@ def cmp_at(e: Expr, x: Fraction, c: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Tuple[Fraction, bool]:
-    """(supremum, attained-on-positive-length) of e over the open (lo, hi).
+def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
+    """Supremum of e over the open (lo, hi).
 
     Monotone and constant expressions only; the supremum must be a
     rational number or UnsupportedExpressionError is raised.
@@ -255,12 +273,98 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Tuple[Fraction, bool]:
             raise UnsupportedExpressionError(
                 f"sup of x**{e.q} on ({lo}, {hi}) is irrational"
             )
-        return v, False
+        return v
     if e.degree == 0:
-        return e.coeffs[0], True
+        return e.coeffs[0]
     if e.degree == 1:
-        return poly_eval(e.coeffs, hi if e.coeffs[1] > 0 else lo), False
+        return poly_eval(e.coeffs, hi if e.coeffs[1] > 0 else lo)
     raise UnsupportedExpressionError("supremum of a general polynomial piece")
+
+
+def superlevel_cut(e: Expr, t: Fraction, lo: Fraction, hi: Fraction) -> Optional[Interval]:
+    """A nonempty open subinterval of (lo, hi) on which the dimension
+    coordinate e is >= t, or None if none is found."""
+    if isinstance(e, Power):
+        if cmp_pow(hi, e.q, t) <= 0:
+            return None
+        step = (hi - lo) / 2
+        for _ in range(64):
+            if hi - step > lo and cmp_pow(hi - step, e.q, t) >= 0:
+                return hi - step, hi
+            step /= 2
+        return None
+    if e.degree == 0:
+        return (lo, hi) if e.coeffs[0] >= t else None
+    a, b = e.coeffs
+    x_t = (t - a) / b
+    lo, hi = (max(lo, x_t), hi) if b > 0 else (lo, min(hi, x_t))
+    return (lo, hi) if lo < hi else None
+
+
+# ---------------------------------------------------------------------------
+# exact lower bounds and integrals on a piece
+# ---------------------------------------------------------------------------
+
+
+def _pow_floor(x: Fraction, q: Fraction) -> Fraction:
+    """A positive rational lower bound for x**q (x > 0), exact when possible."""
+    exact = pow_exact(x, q)
+    if exact is not None:
+        return exact
+    if x < 1:
+        e = -(-q.numerator // q.denominator)  # ceil
+    else:
+        e = q.numerator // q.denominator  # floor
+    return x**e if e > 0 else Fraction(1)
+
+
+def lower_bound(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
+    """A sound rational lower bound on e over the open (lo, hi)."""
+    if isinstance(e, Power):
+        return Fraction(0) if lo == 0 else _pow_floor(lo, e.q)
+    return poly_lower_bound(e.coeffs, lo, hi)
+
+
+def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """Exactly verify e >= c on (lo, hi); for polynomials this checks the
+    same Bernstein bound that :func:`lower_bound` gives, so it may reject
+    a true bound but never one taken from there."""
+    if isinstance(e, Power):
+        return cmp_at(e, lo, c) >= 0  # x**q increases
+    return poly_lower_bound(e.coeffs, lo, hi) >= c
+
+
+def lower_cells(e: Expr, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """Disjoint cells (a, b, bound) that fill (lo, hi) up to their edges,
+    each with a rational lower bound on e: one exact cell for a
+    constant, eight equal cells bounded by :func:`lower_bound` otherwise."""
+    if isinstance(e, Poly) and e.degree == 0:
+        return [(lo, hi, e.coeffs[0])]
+    width = (hi - lo) / 8
+    edges = [lo + width * k for k in range(9)]
+    return [(a, b, lower_bound(e, a, b)) for a, b in zip(edges, edges[1:])]
+
+
+def weighted_integral(
+    e: Expr, density: Sequence[Fraction], lo: Fraction, hi: Fraction
+) -> Fraction:
+    """Exact integral of e * density over (lo, hi); the density is a
+    polynomial's coefficient tuple."""
+    if isinstance(e, Poly):
+        return poly_integral(poly_mul(e.coeffs, density), lo, hi)
+    total = Fraction(0)
+    for k, c in enumerate(density):
+        if c == 0:
+            continue
+        q = e.q + k + 1
+        hi_p = pow_exact(hi, q)
+        lo_p = pow_exact(lo, q)
+        if hi_p is None or lo_p is None:
+            raise UnsupportedExpressionError(
+                f"integral of x**{e.q} has irrational endpoint values"
+            )
+        total += c * (hi_p - lo_p) / q
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyListError, ParseError, UndefinedSumError
+from .errors import ParseError, UndefinedSumError
 
 RatLike = Union[int, str, Fraction]
 
@@ -27,7 +27,7 @@ def as_fraction(x: RatLike) -> Fraction:
     """Coerce an int, Fraction or exact string like ``"3/4"`` to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:  # not bool: JSON true is not 1
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -195,13 +195,6 @@ class HValue:
 ZERO = HValue.of(0, 0)
 
 
-def compare(a: HValue, b: HValue) -> int:
-    """Lexicographic comparison: -1, 0 or +1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def add(a: HValue, b: HValue) -> HValue:
     """Dominance addition; raises UndefinedSumError on (d,+inf)+(d,-inf)."""
     if a.d < b.d:
@@ -232,12 +225,6 @@ def sum_finite(values: Iterable[HValue]) -> HValue:
     for v in values:
         total = add(total, v)
     return total
-
-
-def sup_finite(values: Sequence[HValue]) -> HValue:
-    if not values:
-        raise EmptyListError("sup of an empty list")
-    return max(values)
 
 
 @dataclass(frozen=True)

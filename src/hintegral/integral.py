@@ -21,9 +21,12 @@ attained (0 when the supremum set is null, matching sup over the empty
 family = 0).  A certificate of witness sets substantiates every
 evaluation and can be re-verified independently.
 
-This module holds only the mathematics.  The test machinery that checks
-it from outside -- sampling of i-simple minorants, the approximation
-gap witness and the mutant hooks -- lives in :mod:`hintegral.oracle`.
+This module holds only the general integral, its certificate, sublevel
+sets, pointwise sums and the JSON formats.  It treats an expression as
+opaque; :mod:`hintegral.exprs` decides everything that depends on its
+kind.  The references the integral is checked against (brute force,
+the graded and the ordinary evaluation) and the rest of the test
+machinery live in :mod:`hintegral.oracle`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import (
@@ -41,7 +44,7 @@ from .errors import (
     UnsupportedExpressionError,
     json_loader,
 )
-from .exprs import EqAll, Expr, Poly, Power
+from .exprs import EqAll, Expr
 from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
 from .space import (
     AtomSet,
@@ -117,14 +120,7 @@ class PiecewiseFn:
             lo, hi = as_fraction(lo), as_fraction(hi)
             if not lo < hi:
                 raise ValueError(f"degenerate piece ({lo}, {hi})")
-            if isinstance(pi1, Poly) and pi1.degree > 1:
-                raise UnsupportedExpressionError(
-                    "dimension coordinate must be constant, affine or a power"
-                )
-            if lo < 0 and (isinstance(pi1, Power) or isinstance(pi2, Power)):
-                raise UnsupportedExpressionError(
-                    f"a fractional power is defined for x >= 0 only, not on ({lo}, {hi})"
-                )
+            exprs.check_piece(pi1, pi2, lo, hi)
             out.append(PiecewisePiece(lo, hi, pi1, pi2))
         out.sort(key=lambda p: p.lo)
         for p, q in zip(out, out[1:]):
@@ -250,9 +246,7 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
         below, eq = exprs.solve_below(p.pi1, v.d, p.lo, p.hi)
         ivs.extend(below)
         if isinstance(eq, EqAll):
-            ivs2, pts2 = _mass_below(p.pi2, v.m, p.lo, p.hi)
-            ivs.extend(ivs2)
-            pts.extend(pts2)
+            ivs.extend(_mass_below(p.pi2, v.m, p.lo, p.hi))
         else:
             for t in eq:
                 if _mass_point_below(p.pi2, v.m, t):
@@ -265,11 +259,11 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
 
 
 def _mass_below(pi2: Expr, m: ExtRat, lo: Fraction, hi: Fraction):
+    """The open intervals of (lo, hi) where pi2 < m; the points where
+    pi2 == m are not below m."""
     if not m.is_finite:
-        return ([(lo, hi)], []) if m.sign() > 0 else ([], [])
-    below, eq = exprs.solve_below(pi2, m.frac, lo, hi)
-    # equality points of pi2 are not below m, so only strict part counts
-    return below, []
+        return [(lo, hi)] if m.sign() > 0 else []
+    return exprs.solve_below(pi2, m.frac, lo, hi)[0]
 
 
 def _mass_point_below(pi2: Expr, m: ExtRat, x: Fraction) -> bool:
@@ -365,39 +359,6 @@ def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 
 
 # ---------------------------------------------------------------------------
-# verified lower bounds (certificate machinery)
-# ---------------------------------------------------------------------------
-
-
-def rational_pow_floor(x: Fraction, q: Fraction) -> Fraction:
-    """A positive rational lower bound for x**q (x > 0), exact when possible."""
-    exact = exprs.pow_exact(x, q)
-    if exact is not None:
-        return exact
-    if x < 1:
-        e = -(-q.numerator // q.denominator)  # ceil
-    else:
-        e = q.numerator // q.denominator  # floor
-    return x ** max(e, 0) if e > 0 else Fraction(1)
-
-
-def expr_lower_bound(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
-    """A sound rational lower bound on e over the open (lo, hi)."""
-    if isinstance(e, Power):
-        return Fraction(0) if lo == 0 else rational_pow_floor(lo, e.q)
-    return exprs.poly_lower_bound(e.coeffs, lo, hi)
-
-
-def expr_at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """Exactly verify e >= c on (lo, hi); for polynomials this checks the
-    same Bernstein bound the certificate builder emits, so it may reject
-    a true bound but never one the builder produced."""
-    if isinstance(e, Power):
-        return exprs.cmp_pow(lo, e.q, c) >= 0  # x**q increases
-    return exprs.poly_lower_bound(e.coeffs, lo, hi) >= c
-
-
-# ---------------------------------------------------------------------------
 # the general integral on interval spaces
 # ---------------------------------------------------------------------------
 
@@ -414,25 +375,6 @@ def _clip_pieces(f: PiecewiseFn, window: Optional[IntervalSet]) -> List[Piecewis
     return out
 
 
-def _mass_integral(space: IntervalSpace, pi2: Expr, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact integral of pi2 * density over (lo, hi)."""
-    if isinstance(pi2, Poly):
-        return exprs.poly_integral(exprs.poly_mul(pi2.coeffs, space.density), lo, hi)
-    total = Fraction(0)
-    for k, c in enumerate(space.density):
-        if c == 0:
-            continue
-        e = pi2.q + k + 1
-        hi_p = exprs.pow_exact(hi, e)
-        lo_p = exprs.pow_exact(lo, e)
-        if hi_p is None or lo_p is None:
-            raise UnsupportedExpressionError(
-                f"integral of x**{pi2.q} has irrational endpoint values"
-            )
-        total += c * (hi_p - lo_p) / e
-    return total
-
-
 def _interval_integrate(
     space: IntervalSpace, f: PiecewiseFn, window: Optional[IntervalSet] = None
 ) -> Tuple[HValue, T4Certificate]:
@@ -444,12 +386,13 @@ def _interval_integrate(
     if not pieces:
         return ZERO, T4Certificate(ZERO)
 
-    sups = [exprs.sup_on(p.pi1, p.lo, p.hi)[0] for p in pieces]
+    sups = [exprs.sup_on(p.pi1, p.lo, p.hi) for p in pieces]
     s = max(sups)
     top_dim = exprs.const(s)
     top = [p for p in pieces if p.pi1 == top_dim]
     mass = sum(
-        (_mass_integral(space, p.pi2, p.lo, p.hi) for p in top), Fraction(0)
+        (exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi) for p in top),
+        Fraction(0),
     )
     if s == 0 and mass == 0:
         return ZERO, T4Certificate(ZERO)
@@ -470,7 +413,10 @@ def _build_certificate(
     achieved = Fraction(0)
     if mass > 0:
         for p in top:
-            for sub_lo, sub_hi, bound in _mass_family(p, s):
+            for sub_lo, sub_hi, bound in exprs.lower_cells(p.pi2, p.lo, p.hi):
+                if bound <= 0 and s <= 0:
+                    continue  # a bound (s, 0) is positive only at s > 0
+                bound = max(bound, Fraction(0))
                 where = IntervalSet.of([(sub_lo, sub_hi)])
                 mv = space.measure(where)
                 if mv == ZERO:
@@ -506,45 +452,13 @@ def _superlevel_witness(
     if t <= 0:
         return None
     for p in pieces:
-        e = p.pi1
-        lo, hi = p.lo, p.hi
-        if isinstance(e, Power):
-            if exprs.cmp_pow(hi, e.q, t) <= 0:
-                continue
-            step = (hi - lo) / 2
-            for _ in range(64):
-                if hi - step > lo and exprs.cmp_pow(hi - step, e.q, t) >= 0:
-                    lo = hi - step
-                    break
-                step /= 2
-            else:
-                continue
-        elif e.degree == 0:
-            if e.coeffs[0] < t:
-                continue
-        else:
-            a, b = e.coeffs
-            x_t = (t - a) / b
-            lo, hi = (max(lo, x_t), hi) if b > 0 else (lo, min(hi, x_t))
-        if lo < hi:
-            where = IntervalSet.of([(lo, hi)])
+        cut = exprs.superlevel_cut(p.pi1, t, p.lo, p.hi)
+        if cut is not None:
+            where = IntervalSet.of([cut])
             mv = space.measure(where)
             if mv != ZERO:
                 return Witness(where, mv, HValue(t, ExtRat(0)))
     return None
-
-
-def _mass_family(p: PiecewisePiece, s: Fraction):
-    """Disjoint subintervals of a top piece with lower bounds on the mass
-    coordinate; exact for constants, a dyadic lower family otherwise.  A
-    cell with bound 0 is kept only at s > 0, where (s, 0) is positive."""
-    if isinstance(p.pi2, Poly) and p.pi2.degree == 0:
-        cells = [(p.lo, p.hi, p.pi2.coeffs[0])]
-    else:
-        width = (p.hi - p.lo) / 8
-        edges = [p.lo + width * k for k in range(9)]
-        cells = [(lo, hi, expr_lower_bound(p.pi2, lo, hi)) for lo, hi in zip(edges, edges[1:])]
-    return [(lo, hi, max(b, Fraction(0))) for lo, hi, b in cells if b > 0 or s > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,20 +481,14 @@ def integrate(
         value = sum_finite(mul(coeff, mv) for coeff, _, mv in terms)
         return value, _simple_certificate(terms, value)
     if isinstance(space, IntervalSpace) and isinstance(f, PiecewiseFn):
-        window = _as_window(space, on)
-        return _interval_integrate(space, f, window)
+        if on is not None:
+            if not isinstance(on, IntervalSet):
+                raise UnknownSetError("interval spaces restrict to interval sets")
+            space.nu(on)  # bounds check
+        return _interval_integrate(space, f, on)
     raise UnsupportedExpressionError(
         f"cannot integrate {type(f).__name__} over {type(space).__name__}"
     )
-
-
-def _as_window(space: IntervalSpace, on: Optional[MeasurableSet]) -> Optional[IntervalSet]:
-    if on is None:
-        return None
-    if not isinstance(on, IntervalSet):
-        raise UnknownSetError("interval spaces restrict to interval sets")
-    space.nu(on)  # bounds check
-    return on
 
 
 def _restrict_simple(f: SimpleFn, on: MeasurableSet) -> SimpleFn:
@@ -654,130 +562,17 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
         piece = _piece_covering(f, a, c)
         if piece is None:
             return False
-        if not expr_at_least(piece.pi1, b.d, a, c):
+        if not exprs.at_least(piece.pi1, b.d, a, c):
             return False
         if exprs.cmp_at(piece.pi1, (a + c) / 2, b.d) > 0:
             continue  # dimension strictly above the bound: mass bound is free
         # a zero mass bound is guaranteed by the pi2 >= 0 invariant; an
         # infinite one exceeds the finite mass coordinate
         if not b.m.is_finite or (
-            b.m.frac > 0 and not expr_at_least(piece.pi2, b.m.frac, a, c)
+            b.m.frac > 0 and not exprs.at_least(piece.pi2, b.m.frac, a, c)
         ):
             return False
     return True
-
-
-def graded_integral(space: MeasureSpace, f: HFunction) -> HValue:
-    """Integral of a function whose dimension coordinate is constant.
-
-    The evaluation shifts the lifted ordinary integral of the mass
-    coordinate by the shared dimension; it must (and does) agree with
-    the general integral.
-    """
-    if isinstance(f, SimpleFn):
-        dims = {coeff.d for coeff, _ in f.pieces if not coeff.is_zero}
-        if len(dims) > 1:
-            raise ValueError("dimension coordinate is not constant")
-        return integrate_simple(space, f)
-    if not isinstance(space, IntervalSpace):
-        raise UnsupportedExpressionError("graded piecewise functions need an interval space")
-    dims = set()
-    for p in f.pieces:
-        if isinstance(p.pi1, Power) or p.pi1.degree > 0:
-            raise ValueError("dimension coordinate is not constant")
-        dims.add(p.pi1.coeffs[0])
-    if len(dims) > 1:
-        raise ValueError("dimension coordinate is not constant")
-    d = dims.pop() if dims else Fraction(0)
-    if d > 0:
-        _require_full_cover(space, f)
-    nu_total = sum(
-        (space.nu(IntervalSet.of([(p.lo, p.hi)])) for p in f.pieces), Fraction(0)
-    )
-    mass = sum(
-        (_mass_integral(space, p.pi2, p.lo, p.hi) for p in f.pieces), Fraction(0)
-    )
-    if nu_total == 0 or (d == 0 and mass == 0):
-        return ZERO
-    return HValue(space.dim_offset + d, ExtRat(mass))
-
-
-def _require_full_cover(space: IntervalSpace, f: PiecewiseFn):
-    ivs, _ = _uncovered(space, f)
-    if ivs:
-        raise ValueError(
-            "a positive-dimension graded function must cover the space "
-            f"(uncovered: {ivs})"
-        )
-
-
-def ess_sup(space: MeasureSpace, g) -> Fraction:
-    """Essential supremum of a nonnegative real-valued description.
-
-    For atom spaces ``g`` maps atoms to rationals; for interval spaces
-    ``g`` is a list of (lo, hi, expression) pieces, value 0 elsewhere.
-    Null pieces and isolated points never contribute; sup over nothing
-    is 0.
-    """
-    if isinstance(space, AtomSpace):
-        vals = [
-            as_fraction(g[a])
-            for a in space.atoms
-            if space.weights[a] != ZERO and a in g
-        ]
-        return max(vals) if vals else Fraction(0)
-    if not isinstance(space, IntervalSpace):
-        raise UnsupportedExpressionError("ess_sup needs an atom or interval space")
-    best = Fraction(0)
-    covered = []
-    for lo, hi, e in g:
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        covered.append((lo, hi))
-        if space.nu(IntervalSet.of([(lo, hi)])) == 0:
-            continue
-        v, _ = exprs.sup_on(e, lo, hi)
-        best = max(best, v)
-    return best
-
-
-def integrate_ordinary(space: MeasureSpace, f: HFunction) -> HValue:
-    """The ordinary-measure evaluation for a dimension-0 embedding:
-    (ess sup of the dimension coordinate, mass integrated over the set
-    where that supremum is attained)."""
-    if isinstance(space, AtomSpace):
-        if not isinstance(f, SimpleFn):
-            raise UnsupportedExpressionError("atom spaces carry simple functions")
-        for a in space.atoms:
-            if space.weights[a] != ZERO and space.weights[a].d != 0:
-                raise ValueError("ordinary evaluation needs a dimension-0 embedding")
-        live = [a for a in space.atoms if space.weights[a] != ZERO]
-        if not live:
-            return ZERO
-        s = max(f.value_at(a).d for a in live)
-        m = ExtRat(0)
-        for a in live:
-            v = f.value_at(a)
-            if v.d == s:
-                m = m + v.m * space.weights[a].m
-        if s == 0 and m.sign() == 0:
-            return ZERO
-        return HValue(s, m)
-    if isinstance(space, IntervalSpace):
-        if space.dim_offset != 0:
-            raise ValueError("ordinary evaluation needs dim_offset 0")
-        value, _ = integrate(space, f)
-        return value
-    raise UnsupportedExpressionError("ordinary evaluation needs an atom or interval space")
-
-
-def indefinite(space: MeasureSpace, f: HFunction) -> Callable[[MeasurableSet], HValue]:
-    """The induced h-measure L |-> integral of f over L."""
-
-    def nu(L: MeasurableSet) -> HValue:
-        value, _ = integrate(space, f, on=L)
-        return value
-
-    return nu
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +587,10 @@ def function_from_json(obj) -> HFunction:
             (HValue.parse(p["coeff"]), set_from_json(p["set"]))
             for p in obj["simple"]
         ]
-        return SimpleFn.of(pieces, i_simple=bool(obj.get("i_simple", False)))
+        i_simple = obj.get("i_simple", False)
+        if not isinstance(i_simple, bool):
+            raise ParseError(f"i_simple must be true or false, got {i_simple!r}")
+        return SimpleFn.of(pieces, i_simple=i_simple)
     if "pieces" in obj:
         out = []
         for p in obj["pieces"]:

@@ -8,6 +8,12 @@ and full partitions can be enumerated exhaustively, so the checkers
 never trust the code paths they are checking.  All comparisons are
 exact; a nonzero tolerance anywhere is a bug.
 
+Beside :func:`brute_force_integral` sit two closed-form references the
+general integral must agree with: :func:`graded_integral` (a constant
+dimension coordinate shifts the ordinary integral of the mass
+coordinate) and :func:`integrate_ordinary` (the ordinary evaluation on a
+dimension-0 atom embedding, checked by the ``ordinary-agreement`` law).
+
 The module also samples random i-simple minorants of a function (the
 integral is the supremum of their integrals) and builds the witness
 that a diagonal function escapes every chain of simple functions.  No
@@ -25,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import UndefinedSumError
+from . import exprs
+from .errors import UndefinedSumError, UnsupportedExpressionError
 from .hvalue import (
     INF,
     ZERO,
@@ -38,11 +45,11 @@ from .hvalue import (
     sum_described,
     sum_finite,
 )
-from .space import AtomSet, AtomSpace, scaled_embedding
+from .space import AtomSet, AtomSpace, IntervalSet, IntervalSpace, scaled_embedding
 from .integral import (
     SimpleFn,
+    _uncovered,
     integrate,
-    integrate_ordinary,
     integrate_simple,
     pointwise_add_fn,
 )
@@ -299,6 +306,59 @@ def brute_force_integral(space: AtomSpace, f: SimpleFn) -> HValue:
 
     extend(frozenset(), ExtRat(0))
     return HValue(d, best)
+
+
+def graded_integral(space, f) -> HValue:
+    """Integral of a function whose dimension coordinate is constant.
+
+    The evaluation shifts the lifted ordinary integral of the mass
+    coordinate by the shared dimension; it must agree with the general
+    integral.
+    """
+    if isinstance(f, SimpleFn):
+        dims = {coeff.d for coeff, _ in f.pieces if not coeff.is_zero}
+        if len(dims) > 1:
+            raise ValueError("dimension coordinate is not constant")
+        return integrate_simple(space, f)
+    if not isinstance(space, IntervalSpace):
+        raise UnsupportedExpressionError("graded piecewise functions need an interval space")
+    dims = {p.pi1 for p in f.pieces}
+    if len(dims) > 1 or any(not (isinstance(e, exprs.Poly) and e.degree == 0) for e in dims):
+        raise ValueError("dimension coordinate is not constant")
+    d = dims.pop().coeffs[0] if dims else Fraction(0)
+    gaps, _ = _uncovered(space, f)
+    if d > 0 and gaps:
+        raise ValueError(f"a positive-dimension graded function must cover the space: {gaps}")
+    nu_total = sum(
+        (space.nu(IntervalSet.of([(p.lo, p.hi)])) for p in f.pieces), Fraction(0)
+    )
+    mass = sum(
+        (exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi) for p in f.pieces),
+        Fraction(0),
+    )
+    if nu_total == 0 or (d == 0 and mass == 0):
+        return ZERO
+    return HValue(space.dim_offset + d, ExtRat(mass))
+
+
+def integrate_ordinary(space: AtomSpace, f: SimpleFn) -> HValue:
+    """The ordinary-measure evaluation for a dimension-0 embedding:
+    (ess sup of the dimension coordinate, mass summed over the atoms
+    where that supremum is attained)."""
+    live = [a for a in space.atoms if space.weights[a] != ZERO]
+    if any(space.weights[a].d != 0 for a in live):
+        raise ValueError("ordinary evaluation needs a dimension-0 embedding")
+    if not live:
+        return ZERO
+    s = max(f.value_at(a).d for a in live)
+    m = ExtRat(0)
+    for a in live:
+        v = f.value_at(a)
+        if v.d == s:
+            m = m + v.m * space.weights[a].m
+    if s == 0 and m.sign() == 0:
+        return ZERO
+    return HValue(s, m)
 
 
 # ---------------------------------------------------------------------------

@@ -425,15 +425,19 @@ def space_from_json(obj) -> MeasureSpace:
         density = json_list(obj.get("density", ["1"]), "density")
         return IntervalSpace.of(lo, hi, obj.get("dim_offset", "0"), density)
     if kind == "catalog":
-        entries = [
-            CatalogSet(
-                name=e["name"],
-                ambient=int(e.get("ambient", 1)),
-                hvalue=HValue.parse(e["hvalue"]),
-                kind=e.get("set_kind", "declared"),
+        entries = []
+        for e in obj.get("sets", []):
+            ambient = e.get("ambient", 1)
+            if type(ambient) is not int:  # not bool, not a truncated float
+                raise ParseError(f"ambient must be an integer, got {ambient!r}")
+            entries.append(
+                CatalogSet(
+                    name=e["name"],
+                    ambient=ambient,
+                    hvalue=HValue.parse(e["hvalue"]),
+                    kind=e.get("set_kind", "declared"),
+                )
             )
-            for e in obj.get("sets", [])
-        ]
         return CatalogSpace.of(entries)
     raise ParseError(f"unknown space kind {kind!r}")
 

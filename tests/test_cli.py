@@ -173,6 +173,27 @@ MALFORMED = {
     "global-dimension-above-1": ("defi", _continuity_global("(2, 1)", "(0, 1)")),
     "global-fractional-count": ("defi", _continuity_global("(0, 1/2)", "(0, 1)")),
     "global-negative-remainder": ("defi", _continuity_global("(1, inf)", "(0, -1)")),
+    # a JSON value of the wrong type: booleans are not rationals or flags
+    "bounds-as-booleans": ("eval", {**SPACE, "bounds": [False, True]}, CONST11),
+    "const-value-as-boolean": (
+        "eval",
+        SPACE,
+        {"pieces": [{**_piece("0", "1"), "pi2": {"kind": "const", "value": True}}]},
+    ),
+    "i-simple-as-string": (
+        "eval",
+        SPACE,
+        # a truthy string would admit the infinite coefficient
+        {
+            "simple": [{"coeff": "(0, inf)", "set": {"intervals": [["0", "1"]]}}],
+            "i_simple": "false",
+        },
+    ),
+    "ambient-as-fraction": (
+        "eval",
+        {"kind": "catalog", "sets": [{"name": "a", "hvalue": "(0, 1)", "ambient": 1.9}]},
+        _simple_on({"catalog": ["a"]}),
+    ),
     # a lineness primitive through one point twice has no line
     **{
         f"{kind}-with-equal-points": (
@@ -206,6 +227,12 @@ class TestLaws:
 
     def test_zero_trials(self, capsys):
         assert main(["laws", "--trials", "0"]) == 0
+
+    def test_negative_trials_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["laws", "--trials", "-5"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
     def test_json_report(self, capsys):
         assert main(["laws", "--trials", "20", "--json"]) == 0
@@ -282,10 +309,43 @@ DEFI_GOLDENS = {
     "convexity_two_points.json": {"value": "(1, 2)"},
     "lineness_line_and_point.json": {"value": "(0, 1)", "best_line": "0*x + 1*y = 0"},
 }
-# `eval --json` value of each bundled function over UNIT_SPACE
+
+
+def _witness(lo, hi, measure, inf_bound):
+    where = {"intervals": [[lo, hi]], "points": []}
+    return {"set": where, "measure": measure, "inf_bound": inf_bound}
+
+
+def _eval_golden(value, d_witnesses, m_witnesses, achieved_m):
+    cert = {
+        "value": value,
+        "d_witnesses": d_witnesses,
+        "m_witnesses": m_witnesses,
+        "exact_m": True,
+        "achieved_m": achieved_m,
+    }
+    return {"value": value, "certificate": cert}
+
+
+# `eval --json --certificate` output of each bundled function over UNIT_SPACE
 EVAL_GOLDENS = {
-    "function_root2.json": "(2, 0)",
-    "function_const_1_1.json": "(2, 1)",
+    # sup of sqrt(x) on (0, 1) is not attained: superlevel witnesses at 1/2, 3/4, 7/8
+    "function_root2.json": _eval_golden(
+        "(2, 0)",
+        [
+            _witness("1/2", "1", "(1, 1/2)", "(1/2, 0)"),
+            _witness("3/4", "1", "(1, 1/4)", "(3/4, 0)"),
+            _witness("7/8", "1", "(1, 1/8)", "(7/8, 0)"),
+        ],
+        [],
+        "0",
+    ),
+    "function_const_1_1.json": _eval_golden(
+        "(2, 1)",
+        [_witness("0", "1", "(1, 1)", "(1, 0)")],
+        [_witness("0", "1", "(1, 1)", "(1, 1)")],
+        "1",
+    ),
 }
 
 
@@ -298,8 +358,7 @@ class TestBundledScenarios:
         elif path.name in EVAL_GOLDENS:
             argv = ["eval", str(UNIT_SPACE), str(path), "--json", "--certificate"]
             assert main(argv) == 0
-            out = json.loads(capsys.readouterr().out)
-            assert out["value"] == out["certificate"]["value"] == EVAL_GOLDENS[path.name]
+            assert json.loads(capsys.readouterr().out) == EVAL_GOLDENS[path.name]
         else:
             # the space file is replayed by every function golden
             assert path == UNIT_SPACE, f"{path.name} has no golden"

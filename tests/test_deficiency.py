@@ -58,11 +58,6 @@ class TestGeometry:
         assert Line2.through(P(5, 0), P(-3, 0)) == X_AXIS
         assert Line2.through(P(0, 0), P(1, 1)) == Line2.through(P(2, 2), P(-1, -1))
 
-    def test_foot(self):
-        assert X_AXIS.foot(P(3, 7)) == P(3, 0)
-        diag = Line2.through(P(0, 0), P(1, 1))
-        assert diag.foot(P(1, 0)) == P(F(1, 2), F(1, 2))
-
     def test_parallel_perpendicular(self):
         other = Line2.through(P(0, 1), P(1, 1))
         vert = Line2.through(P(0, 0), P(0, 1))

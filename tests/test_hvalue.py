@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hintegral.errors import EmptyListError, ParseError, UndefinedSumError
+from hintegral.errors import ParseError, UndefinedSumError
 from hintegral.hvalue import (
     INF,
     NEG_INF,
@@ -15,12 +15,10 @@ from hintegral.hvalue import (
     HValue,
     SeqDescriptor,
     add,
-    compare,
     mul,
     scalar_mul,
     sum_described,
     sum_finite,
-    sup_finite,
 )
 
 H = HValue.of
@@ -48,11 +46,6 @@ class TestOrder:
         assert H(0, "inf") > H(0, 100)
         assert H(0, "-inf") < H(0, -100)
         assert H(1, 0) > H(0, "inf")
-
-    def test_compare(self):
-        assert compare(H(1, 1), H(1, 1)) == 0
-        assert compare(ZERO, H(0, 1)) == -1
-        assert compare(H(2, 0), H(1, "inf")) == 1
 
     @given(hvalues, hvalues)
     def test_totality(self, a, b):
@@ -139,11 +132,6 @@ class TestAggregates:
     def test_sum_finite(self):
         assert sum_finite([]) == ZERO
         assert sum_finite([H(0, 1), H(1, 2), H(1, 3)]) == H(1, 5)
-
-    def test_sup_finite(self):
-        assert sup_finite([H(0, 5), H(1, -1), H(1, 0)]) == H(1, 0)
-        with pytest.raises(EmptyListError):
-            sup_finite([])
 
     def test_series_prefix_only(self):
         s = SeqDescriptor.of([H(0, 1), H(1, 2), H(1, 3)])

@@ -28,18 +28,15 @@ from hintegral.integral import (
     T4Certificate,
     Witness,
     constant_fn,
-    ess_sup,
     function_from_json,
     function_to_json,
-    graded_integral,
-    indefinite,
     integrate,
-    integrate_ordinary,
     integrate_simple,
     pointwise_add_fn,
     sublevel_set,
     verify_certificate,
 )
+from hintegral.oracle import graded_integral, integrate_ordinary
 
 H = HValue.of
 
@@ -373,31 +370,25 @@ class TestGradedAndOrdinary:
         f = SimpleFn.of([(H(1, 1), AtomSet.of("a")), (H(1, 2), AtomSet.of("b"))])
         assert graded_integral(sp, f) == integrate(sp, f)[0]
 
-    def test_ess_sup_ignores_null(self):
-        sp = AtomSpace.of({"a": H(1, 2), "b": ZERO})
-        assert ess_sup(sp, {"a": F(1, 2), "b": F(100)}) == F(1, 2)
-
-    def test_ess_sup_interval(self):
-        sp = IntervalSpace.of(0, 1)
-        g = [(0, F(1, 2), exprs.const(3)), (F(1, 2), 1, exprs.const(5))]
-        assert ess_sup(sp, g) == 5
-
     def test_ordinary_agreement_atoms(self):
         sp = scaled_embedding(0, {"a": 2, "b": 3})
         f = SimpleFn.of([(H(1, 1), AtomSet.of("a")), (H(1, 4), AtomSet.of("b"))])
         assert integrate_ordinary(sp, f) == integrate(sp, f)[0] == H(1, 14)
 
     def test_ordinary_needs_dim0(self):
+        sp = scaled_embedding(1, {"a": 2})
         with pytest.raises(ValueError):
-            integrate_ordinary(UNIT, constant_fn(0, 1, H(1, 1)))
+            integrate_ordinary(sp, SimpleFn.of([(H(1, 1), AtomSet.of("a"))]))
 
 
 class TestIndefinite:
+    """The indefinite integral L |-> integral of f over L is an h-measure."""
+
     def test_is_additive(self):
         from hintegral.hvalue import add
 
         f = constant_fn(0, 1, H(1, 1))
-        nu = indefinite(UNIT, f)
+        nu = lambda L: integrate(UNIT, f, on=L)[0]
         left = IntervalSet.of([(0, F(1, 3))])
         right = IntervalSet.of([(F(1, 3), 1)])
         whole = IntervalSet.of([(0, 1)])
@@ -405,8 +396,7 @@ class TestIndefinite:
 
     def test_empty_is_zero(self):
         f = constant_fn(0, 1, H(1, 1))
-        nu = indefinite(UNIT, f)
-        assert nu(IntervalSet.of()) == ZERO
+        assert integrate(UNIT, f, on=IntervalSet.of())[0] == ZERO
 
 
 class TestFunctionJson:

@@ -236,3 +236,12 @@ class TestImportBoundary:
         # each functional is a direct dominance sum, not a catalog integral
         tree = ast.parse(Path(hintegral.deficiency.__file__).read_text())
         assert "hintegral.integral" not in set(_imported_modules(tree, "hintegral"))
+
+    def test_integral_treats_expressions_as_opaque(self):
+        # every decision that depends on the expression kind lives in exprs
+        tree = ast.parse(Path(hintegral.integral.__file__).read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not names & {"Poly", "Power"}
+        assert not attrs & {"Poly", "Power", "coeffs", "degree", "q"}
