@@ -42,6 +42,7 @@ from .integral import (
     integrate,
     integrate_simple,
     pointwise_add_fn,
+    restrict,
     sublevel_set,
     verify_certificate,
 )

@@ -235,10 +235,25 @@ def eval_exact(e: Expr, x: Fraction) -> Fraction:
     return v
 
 
+def negative_at_an_end(e: Expr, lo: Fraction, hi: Fraction) -> bool:
+    """True if e is negative at lo or at hi, so also somewhere inside the
+    open (lo, hi).  A power on x >= 0 never is; an affine map is lowest
+    at one end, picked by its slope.  Only a polynomial of degree >= 2
+    may still dip below 0 between two nonnegative ends."""
+    if isinstance(e, Power):
+        return False
+    if e.degree == 0:
+        return e.coeffs[0] < 0
+    ends = (lo if e.coeffs[1] > 0 else hi,) if e.degree == 1 else (lo, hi)
+    return any(poly_eval(e.coeffs, x) < 0 for x in ends)
+
+
 def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
     """Raise unless pi1 and pi2 may be the dimension and mass coordinates
     of the piece (lo, hi): the dimension coordinate's polynomial has
-    degree at most 1, and a fractional power needs x >= 0."""
+    degree at most 1, a fractional power needs x >= 0, and neither
+    coordinate is negative at an end of the piece (exact for the
+    monotone dimension coordinate, see :func:`negative_at_an_end`)."""
     if isinstance(pi1, Poly) and pi1.degree > 1:
         raise UnsupportedExpressionError(
             "dimension coordinate must be constant, affine or a power"
@@ -247,6 +262,11 @@ def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
         raise UnsupportedExpressionError(
             f"a fractional power is defined for x >= 0 only, not on ({lo}, {hi})"
         )
+    for name, e in (("dimension", pi1), ("mass", pi2)):
+        if negative_at_an_end(e, lo, hi):
+            raise UnsupportedExpressionError(
+                f"{name} coordinate is negative on ({lo}, {hi})"
+            )
 
 
 def cmp_at(e: Expr, x: Fraction, c: Fraction) -> int:

@@ -239,13 +239,14 @@ class SeqDescriptor:
     prefix: tuple
     tail: HValue
 
+    def __post_init__(self):
+        for t in self.prefix + (self.tail,):
+            if not t.is_nonneg():
+                raise ValueError(f"series terms must be nonnegative, got {t}")
+
     @staticmethod
     def of(prefix: Sequence[HValue], tail: HValue = ZERO) -> "SeqDescriptor":
         return SeqDescriptor(tuple(prefix), tail)
-
-    def terms(self):
-        """The nonzero terms of the prefix; the tail is read separately."""
-        return [t for t in self.prefix if not t.is_zero]
 
     def map(self, fn) -> "SeqDescriptor":
         return SeqDescriptor(tuple(fn(t) for t in self.prefix), fn(self.tail))
@@ -258,10 +259,7 @@ def sum_described(s: SeqDescriptor) -> HValue:
     attained supremum of the dimensions; a nonzero tail with positive
     mass at dimension D pushes the mass to +inf.
     """
-    for t in list(s.prefix) + [s.tail]:
-        if not t.is_nonneg():
-            raise ValueError(f"series terms must be nonnegative, got {t}")
-    terms = s.terms()
+    terms = [t for t in s.prefix if not t.is_zero]
     tail = s.tail
     dims = [t.d for t in terms]
     if not tail.is_zero:

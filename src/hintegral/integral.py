@@ -21,12 +21,16 @@ attained (0 when the supremum set is null, matching sup over the empty
 family = 0).  A certificate of witness sets substantiates every
 evaluation and can be re-verified independently.
 
-This module holds only the general integral, its certificate, sublevel
-sets, pointwise sums and the JSON formats.  It treats an expression as
-opaque; :mod:`hintegral.exprs` decides everything that depends on its
-kind.  The references the integral is checked against (brute force,
-the graded and the ordinary evaluation) and the rest of the test
-machinery live in :mod:`hintegral.oracle`.
+Both shapes check their invariants in the constructor.  The integral
+over a set L (the paper's indefinite integral) is the integral of
+``restrict(f, L)``.
+
+This module holds only the general integral, its certificate,
+restriction, sublevel sets, pointwise sums and the JSON formats.  It
+treats an expression as opaque; :mod:`hintegral.exprs` decides
+everything that depends on its kind.  The references the integral is
+checked against (brute force, the graded and the ordinary evaluation)
+and the rest of the test machinery live in :mod:`hintegral.oracle`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from . import exprs
 from .errors import (
     NonDisjointError,
     ParseError,
-    UnknownSetError,
     UnsupportedExpressionError,
     json_loader,
 )
@@ -68,21 +71,24 @@ class SimpleFn:
     """Finite-range function: disjoint (coefficient, set) pieces.
 
     Coefficients lie in [0,+inf) x [0,+inf); with ``i_simple=True`` the
-    mass coordinate may be +inf.
+    mass coordinate may be +inf.  The constructor checks both and the
+    disjointness of the pieces, so every instance holds them.
     """
 
     pieces: Tuple[Tuple[HValue, MeasurableSet], ...]
     i_simple: bool = False
 
-    @staticmethod
-    def of(pieces: Sequence[Tuple[HValue, MeasurableSet]], i_simple: bool = False) -> "SimpleFn":
-        for coeff, _ in pieces:
+    def __post_init__(self):
+        for coeff, _ in self.pieces:
             if not coeff.is_nonneg():
                 raise ValueError(f"negative coefficient {coeff}")
-            if not i_simple and not coeff.m.is_finite:
+            if not self.i_simple and not coeff.m.is_finite:
                 raise ValueError(f"infinite coefficient {coeff} in a simple function")
-        if pieces:
-            union([s for _, s in pieces])  # structural disjointness check
+        if self.pieces:
+            union([s for _, s in self.pieces])  # structural disjointness check
+
+    @staticmethod
+    def of(pieces: Sequence[Tuple[HValue, MeasurableSet]], i_simple: bool = False) -> "SimpleFn":
         return SimpleFn(tuple(pieces), i_simple)
 
     def value_at(self, x) -> HValue:
@@ -108,27 +114,30 @@ class PiecewiseFn:
     The dimension coordinate's polynomial has degree at most 1, so its
     sublevel sets stay finite interval unions; the mass coordinate's
     may have any degree.  A fractional power is only allowed on pieces
-    inside x >= 0.
+    inside x >= 0.  The constructor checks the pieces (see
+    :func:`exprs.check_piece`) and that they are sorted and disjoint.
     """
 
     pieces: Tuple[PiecewisePiece, ...]
 
-    @staticmethod
-    def of(pieces: Sequence[Tuple]) -> "PiecewiseFn":
-        out = []
-        for lo, hi, pi1, pi2 in pieces:
-            lo, hi = as_fraction(lo), as_fraction(hi)
-            if not lo < hi:
-                raise ValueError(f"degenerate piece ({lo}, {hi})")
-            exprs.check_piece(pi1, pi2, lo, hi)
-            out.append(PiecewisePiece(lo, hi, pi1, pi2))
-        out.sort(key=lambda p: p.lo)
-        for p, q in zip(out, out[1:]):
+    def __post_init__(self):
+        for p in self.pieces:
+            if not p.lo < p.hi:
+                raise ValueError(f"degenerate piece ({p.lo}, {p.hi})")
+            exprs.check_piece(p.pi1, p.pi2, p.lo, p.hi)
+        for p, q in zip(self.pieces, self.pieces[1:]):
             if q.lo < p.hi:
                 raise NonDisjointError(
-                    f"overlapping pieces ({p.lo}, {p.hi}) and ({q.lo}, {q.hi})"
+                    f"pieces ({p.lo}, {p.hi}) and ({q.lo}, {q.hi}) overlap or are out of order"
                 )
-        return PiecewiseFn(tuple(out))
+
+    @staticmethod
+    def of(pieces: Sequence[Tuple]) -> "PiecewiseFn":
+        out = [
+            PiecewisePiece(as_fraction(lo), as_fraction(hi), pi1, pi2)
+            for lo, hi, pi1, pi2 in pieces
+        ]
+        return PiecewiseFn(tuple(sorted(out, key=lambda p: p.lo)))
 
     def value_at(self, x: Fraction) -> HValue:
         """Exact value at a rational point (raises if a power coordinate
@@ -208,9 +217,7 @@ class T4Certificate:
 
 
 def _measured(space: MeasureSpace, f: SimpleFn) -> List[Tuple[HValue, MeasurableSet, HValue]]:
-    """(coefficient, set, measure) per piece, after the disjointness check."""
-    if f.pieces:
-        union([s for _, s in f.pieces])
+    """(coefficient, set, measure) per piece."""
     return [(coeff, s, space.measure(s)) for coeff, s in f.pieces]
 
 
@@ -363,26 +370,8 @@ def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 # ---------------------------------------------------------------------------
 
 
-def _clip_pieces(f: PiecewiseFn, window: Optional[IntervalSet]) -> List[PiecewisePiece]:
-    if window is None:
-        return list(f.pieces)
-    out = []
-    for p in f.pieces:
-        for wa, wb in window.intervals:
-            lo, hi = max(p.lo, wa), min(p.hi, wb)
-            if lo < hi:
-                out.append(PiecewisePiece(lo, hi, p.pi1, p.pi2))
-    return out
-
-
-def _interval_integrate(
-    space: IntervalSpace, f: PiecewiseFn, window: Optional[IntervalSet] = None
-) -> Tuple[HValue, T4Certificate]:
-    pieces = [
-        p
-        for p in _clip_pieces(f, window)
-        if space.nu(IntervalSet.of([(p.lo, p.hi)])) > 0
-    ]
+def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T4Certificate]:
+    pieces = [p for p in f.pieces if space.nu(IntervalSet.of([(p.lo, p.hi)])) > 0]
     if not pieces:
         return ZERO, T4Certificate(ZERO)
 
@@ -466,34 +455,40 @@ def _superlevel_witness(
 # ---------------------------------------------------------------------------
 
 
-def integrate(
-    space: MeasureSpace, f: HFunction, on: Optional[MeasurableSet] = None
-) -> Tuple[HValue, T4Certificate]:
+def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]:
     """The general integral, with a witness certificate.
 
     On an atom space the supremum over simple minorants is attained at
     the function itself, so the value is the defining weighted sum.  On
     an interval space with a piecewise function, the closed-form
-    evaluation described in the module docstring is used.
+    evaluation described in the module docstring is used.  The integral
+    over a set L is the integral of ``restrict(f, L)``.
     """
     if isinstance(f, SimpleFn):
-        terms = _measured(space, f if on is None else _restrict_simple(f, on))
+        terms = _measured(space, f)
         value = sum_finite(mul(coeff, mv) for coeff, _, mv in terms)
         return value, _simple_certificate(terms, value)
     if isinstance(space, IntervalSpace) and isinstance(f, PiecewiseFn):
-        if on is not None:
-            if not isinstance(on, IntervalSet):
-                raise UnknownSetError("interval spaces restrict to interval sets")
-            space.nu(on)  # bounds check
-        return _interval_integrate(space, f, on)
+        return _interval_integrate(space, f)
     raise UnsupportedExpressionError(
         f"cannot integrate {type(f).__name__} over {type(space).__name__}"
     )
 
 
-def _restrict_simple(f: SimpleFn, on: MeasurableSet) -> SimpleFn:
-    pieces = tuple((c, sub) for c, s in f.pieces if not (sub := s & on).is_empty)
-    return SimpleFn(pieces, f.i_simple)
+def restrict(f: HFunction, L: MeasurableSet) -> HFunction:
+    """f * 1_L: f on L, (0,0) off it.  Only the part of L inside the
+    pieces counts, and a set of another kind raises UnknownSetError.  A
+    piecewise restriction drops the isolated points of L, which no
+    interval-space measure sees."""
+    if isinstance(f, SimpleFn):
+        pieces = tuple((c, sub) for c, s in f.pieces if not (sub := s & L).is_empty)
+        return SimpleFn(pieces, f.i_simple)
+    pieces = [
+        PiecewisePiece(lo, hi, p.pi1, p.pi2)
+        for p in f.pieces
+        for lo, hi in (IntervalSet.of([(p.lo, p.hi)]) & L).intervals
+    ]
+    return PiecewiseFn(tuple(pieces))
 
 
 def _simple_certificate(
@@ -506,8 +501,8 @@ def _simple_certificate(
         for coeff, s, mv in terms
         if not coeff.is_zero and mv != ZERO and coeff.d + mv.d == value.d
     )
-    achieved = sum((w.inf_bound.m * w.measure.m for w in wits), ExtRat(0))
-    return T4Certificate(value, wits, wits, True, achieved)
+    # the witnesses are the top-dimension terms whose masses the sum adds
+    return T4Certificate(value, wits, wits, True, value.m)
 
 
 def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -> bool:
@@ -528,6 +523,10 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
             return False
         recomputed = recomputed + w.inf_bound.m * w.measure.m
     if cert.m_witnesses:
+        try:  # a witness listed twice would count its mass twice
+            union([w.where for w in cert.m_witnesses])
+        except NonDisjointError:
+            return False
         if recomputed != cert.achieved_m or not recomputed <= cert.value.m:
             return False
     if cert.exact_m and cert.value != ZERO:
@@ -536,18 +535,14 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
     return True
 
 
-def _simple_bound_holds(f: SimpleFn, w: Witness) -> bool:
-    """f >= b everywhere on the witness set.  Off its pieces f is (0,0)
-    < b, so the set must lie in the union of the pieces whose
-    coefficient is at least b."""
-    good = [s for coeff, s in f.pieces if coeff >= w.inf_bound]
-    return bool(good) and w.where <= union(good)
-
-
 def _bound_holds(f: HFunction, w: Witness) -> bool:
+    """f >= b everywhere on the witness set."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
-        return _simple_bound_holds(f, w)
+        # off its pieces f is (0,0) < b, so the set must lie in the union
+        # of the pieces whose coefficient is at least b
+        good = [s for coeff, s in f.pieces if coeff >= b]
+        return bool(good) and w.where <= union(good)
     for x in w.where.points:
         # a point off every open piece has the value (0,0) < b
         piece = _piece_covering(f, x, x)
@@ -566,7 +561,7 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
             return False
         if exprs.cmp_at(piece.pi1, (a + c) / 2, b.d) > 0:
             continue  # dimension strictly above the bound: mass bound is free
-        # a zero mass bound is guaranteed by the pi2 >= 0 invariant; an
+        # a zero mass bound relies on pi2 >= 0 (see exprs.check_piece); an
         # infinite one exceeds the finite mass coordinate
         if not b.m.is_finite or (
             b.m.frac > 0 and not exprs.at_least(piece.pi2, b.m.frac, a, c)

@@ -237,9 +237,10 @@ class IntervalSpace:
         d0 = as_fraction(dim_offset)
         if d0 < 0:
             raise ValueError("dim_offset must be nonnegative")
-        return IntervalSpace(
-            lo, hi, d0, exprs.poly_trim([as_fraction(c) for c in density])
-        )
+        density = exprs.poly(density)
+        if exprs.negative_at_an_end(density, lo, hi):
+            raise ValueError(f"density is negative on ({lo}, {hi})")
+        return IntervalSpace(lo, hi, d0, density.coeffs)
 
     def full_set(self) -> IntervalSet:
         return IntervalSet.of([(self.lo, self.hi)])

@@ -36,6 +36,14 @@ CONST11 = {
 }
 
 
+def _piece(lo, hi):
+    return {
+        "set": {"intervals": [[lo, hi]]},
+        "pi1": {"kind": "const", "value": "1"},
+        "pi2": {"kind": "const", "value": "1"},
+    }
+
+
 class TestEval:
     def test_root_function(self, tmp_path, capsys):
         code = main(
@@ -97,6 +105,32 @@ class TestEval:
         assert code == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "space, pieces",
+        [
+            # a negative constant dimension
+            (SPACE, [{**_piece("0", "1"), "pi1": {"kind": "const", "value": "-1"}}]),
+            # x - 1 is negative on (0, 1), next to dimension 0 on (1, 2)
+            (
+                {"kind": "interval", "bounds": ["0", "2"]},
+                [
+                    {**_piece("0", "1"), "pi1": {"kind": "affine", "a": "-1", "b": "1"}},
+                    {**_piece("1", "2"), "pi1": {"kind": "const", "value": "0"}},
+                ],
+            ),
+            # the mass x**2 - 1 is negative on (0, 1)
+            (SPACE, [{**_piece("0", "1"), "pi2": {"kind": "poly", "coeffs": ["-1", "0", "1"]}}]),
+        ],
+        ids=["negative-constant-dimension", "negative-affine-dimension", "negative-mass"],
+    )
+    def test_negative_coordinate_exit_3(self, space, pieces, tmp_path, capsys):
+        fn = {"pieces": pieces}
+        code = main(["eval", write(tmp_path, "s.json", space), write(tmp_path, "f.json", fn)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported:") and "Traceback" not in captured.err
+
     def test_mixed_set_kinds_exit_3(self, tmp_path, capsys):
         fn = {
             "simple": [
@@ -109,14 +143,6 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("unsupported:") and "Traceback" not in captured.err
-
-
-def _piece(lo, hi):
-    return {
-        "set": {"intervals": [[lo, hi]]},
-        "pi1": {"kind": "const", "value": "1"},
-        "pi2": {"kind": "const", "value": "1"},
-    }
 
 
 def _continuity_global(hvalue, remainder):
@@ -151,6 +177,8 @@ MALFORMED = {
     ),
     # a string where a list belongs must not be read one character at a time
     "density-as-string": ("eval", {**SPACE, "density": "12"}, CONST11),
+    # a measure has a nonnegative density
+    "negative-density": ("eval", {**SPACE, "density": ["-1"]}, CONST11),
     "bounds-as-string": ("eval", {**SPACE, "bounds": "01"}, CONST11),
     "coeffs-as-string": (
         "eval",

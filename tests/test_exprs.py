@@ -141,6 +141,21 @@ class TestEvalAndBounds:
         assert cmp_at(power(F(1, 2)), F(2), F(1)) > 0
         assert cmp_at(power(F(1, 2)), F(2), F(2)) < 0
 
+    def test_negative_at_an_end(self):
+        neg = exprs.negative_at_an_end
+        assert neg(const(-1), F(0), F(1)) and not neg(const(0), F(0), F(1))
+        # an affine map is checked at its lower end, whichever side that is
+        assert neg(affine(1, -2), F(0), F(1)) and not neg(affine(1, -1), F(0), F(1))
+        assert neg(affine(-1, 2), F(0), F(1)) and not neg(affine(0, 2), F(0), F(1))
+        assert neg(poly([-1, 0, 1]), F(0), F(1)) and neg(poly([0, 0, -1]), F(0), F(1))
+        assert not neg(power(F(1, 2)), F(0), F(1))
+
+    def test_check_piece_rejects_negative_coordinates(self):
+        for pi1, pi2 in [(affine(1, -2), const(1)), (const(1), affine(1, -2))]:
+            with pytest.raises(UnsupportedExpressionError):
+                exprs.check_piece(pi1, pi2, F(0), F(1))
+        exprs.check_piece(affine(1, -2), const(1), F(0), F(1, 2))  # 0 at the end is fine
+
     def test_sup(self):
         assert sup_on(const(5), F(0), F(1)) == 5
         assert sup_on(affine(0, 1), F(0), F(1)) == 1

@@ -24,6 +24,7 @@ from hintegral.space import (
 )
 from hintegral.integral import (
     PiecewiseFn,
+    PiecewisePiece,
     SimpleFn,
     T4Certificate,
     Witness,
@@ -33,6 +34,7 @@ from hintegral.integral import (
     integrate,
     integrate_simple,
     pointwise_add_fn,
+    restrict,
     sublevel_set,
     verify_certificate,
 )
@@ -63,12 +65,22 @@ class TestSimpleIntegral:
         assert integrate_simple(sp, coarse) == integrate_simple(sp, fine)
 
     def test_disjointness_enforced(self):
-        sp = AtomSpace.of({"a": H(1, 2)})
-        f = SimpleFn(
-            ((H(1, 1), AtomSet.of("a")), (H(2, 1), AtomSet.of("a"))), False
-        )
+        # the constructor checks, so no function with overlapping pieces exists
         with pytest.raises(NonDisjointError):
-            integrate_simple(sp, f)
+            SimpleFn(((H(1, 1), AtomSet.of("a")), (H(2, 1), AtomSet.of("a"))), False)
+
+    def test_piecewise_disjointness_enforced(self):
+        def direct(*bounds):
+            one = exprs.const(1)
+            return PiecewiseFn(tuple(PiecewisePiece(F(a), F(b), one, one) for a, b in bounds))
+
+        with pytest.raises(NonDisjointError):
+            direct((0, F(1, 2)), (F(1, 4), 1))
+        with pytest.raises(NonDisjointError):  # disjoint, but out of order
+            direct((F(1, 2), 1), (0, F(1, 2)))
+        with pytest.raises(ValueError):
+            direct((F(1, 2), F(1, 2)))
+        assert direct((0, F(1, 2)), (F(1, 2), 1)).value_at(F(3, 4)) == H(1, 1)
 
     def test_simple_rejects_infinite_coeff(self):
         with pytest.raises(ValueError):
@@ -147,12 +159,12 @@ class TestIntervalEvaluation:
 
     def test_restriction(self):
         f = constant_fn(0, 1, H(1, 1))
-        v, _ = integrate(UNIT, f, on=IntervalSet.of([(0, F(1, 2))]))
+        v, _ = integrate(UNIT, restrict(f, IntervalSet.of([(0, F(1, 2))])))
         assert v == H(2, "1/2")
 
     def test_restriction_to_null_set(self):
         f = constant_fn(0, 1, H(1, 1))
-        v, _ = integrate(UNIT, f, on=IntervalSet.of(points=[F(1, 2)]))
+        v, _ = integrate(UNIT, restrict(f, IntervalSet.of(points=[F(1, 2)])))
         assert v == ZERO
 
     def test_irrational_sup_raises(self):
@@ -283,6 +295,52 @@ class TestCertificates:
         assert cert.exact_m
         assert verify_certificate(sp, f, cert)
 
+    def test_duplicate_interval_m_witness_fails(self):
+        # f = (0, 1) on (0, 1/2) integrates to (1, 1/2); its own witness
+        # listed twice would certify the mass 1
+        f = constant_fn(0, F(1, 2), H(0, 1))
+        v, cert = integrate(UNIT, f)
+        assert v == H(1, F(1, 2)) and verify_certificate(UNIT, f, cert)
+        (w,) = cert.m_witnesses
+        bad = T4Certificate(H(1, 1), cert.d_witnesses, (w, w), True, ExtRat(1))
+        assert not verify_certificate(UNIT, f, bad)
+
+    def test_duplicate_atom_m_witness_fails(self):
+        sp = AtomSpace.of({"a": H(0, 1), "b": H(0, 1)})
+        f = SimpleFn.of([(H(0, 1), AtomSet.of("a"))])
+        v, cert = integrate(sp, f)
+        assert v == H(0, 1) and verify_certificate(sp, f, cert)
+        (w,) = cert.m_witnesses
+        bad = T4Certificate(H(0, 2), (w,), (w, w), True, ExtRat(2))
+        assert not verify_certificate(sp, f, bad)
+
+    def test_duplicate_m_witness_of_a_bundled_function_fails(self):
+        import json
+        from dataclasses import replace
+        from pathlib import Path
+
+        from hintegral.space import space_from_json
+
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        sp = space_from_json(json.loads((scenarios / "space_unit_interval.json").read_text()))
+        tried = 0
+        for name in ("function_root2.json", "function_const_1_1.json"):
+            f = function_from_json(json.loads((scenarios / name).read_text()))
+            v, cert = integrate(sp, f)
+            assert verify_certificate(sp, f, cert)
+            for w in cert.m_witnesses:
+                # the extra mass is accounted for, so only the overlap is wrong
+                extra = w.inf_bound.m * w.measure.m
+                bad = replace(
+                    cert,
+                    value=HValue(v.d, v.m + extra),
+                    m_witnesses=cert.m_witnesses + (w,),
+                    achieved_m=cert.achieved_m + extra,
+                )
+                assert not verify_certificate(sp, f, bad)
+                tried += 1
+        assert tried > 0
+
     def test_certificate_json(self):
         f = constant_fn(0, 1, H(1, 1))
         _, cert = integrate(UNIT, f)
@@ -388,7 +446,7 @@ class TestIndefinite:
         from hintegral.hvalue import add
 
         f = constant_fn(0, 1, H(1, 1))
-        nu = lambda L: integrate(UNIT, f, on=L)[0]
+        nu = lambda L: integrate(UNIT, restrict(f, L))[0]
         left = IntervalSet.of([(0, F(1, 3))])
         right = IntervalSet.of([(F(1, 3), 1)])
         whole = IntervalSet.of([(0, 1)])
@@ -396,7 +454,46 @@ class TestIndefinite:
 
     def test_empty_is_zero(self):
         f = constant_fn(0, 1, H(1, 1))
-        assert integrate(UNIT, f, on=IntervalSet.of())[0] == ZERO
+        assert integrate(UNIT, restrict(f, IntervalSet.of()))[0] == ZERO
+
+
+class TestRestrict:
+    def test_atoms(self):
+        sp = AtomSpace.of({"a": H(1, 2), "b": H(0, 3), "c": H(1, 1)})
+        f = SimpleFn.of([(H(1, 1), AtomSet.of("a", "b")), (H(0, 5), AtomSet.of("c"))])
+        g = restrict(f, AtomSet.of("b", "c", "z"))
+        assert g == SimpleFn.of([(H(1, 1), AtomSet.of("b")), (H(0, 5), AtomSet.of("c"))])
+        assert integrate(sp, g)[0] == H(1, 8)  # (1,1)(0,3) + (0,5)(1,1)
+        assert restrict(f, AtomSet.of()) == SimpleFn.of([])
+
+    def test_intervals_with_points(self):
+        f = piecewise(
+            (0, F(1, 2), exprs.const(1), exprs.const(2)),
+            (F(1, 2), 1, exprs.affine(0, 1), exprs.const(1)),
+        )
+        L = IntervalSet.of([(F(1, 4), F(3, 4)), (F(7, 8), 2)], [F(1, 8), F(13, 16)])
+        g = restrict(f, L)
+        # the points of L are dropped; the part of L past the space is cut off
+        assert g == piecewise(
+            (F(1, 4), F(1, 2), exprs.const(1), exprs.const(2)),
+            (F(1, 2), F(3, 4), exprs.affine(0, 1), exprs.const(1)),
+            (F(7, 8), 1, exprs.affine(0, 1), exprs.const(1)),
+        )
+        assert g.value_at(F(1, 8)) == ZERO and g.value_at(F(13, 16)) == ZERO
+        assert integrate(UNIT, g)[0] == H(2, F(1, 2))  # the constant piece, 2 * 1/4
+
+    def test_simple_function_on_intervals(self):
+        sp = IntervalSpace.of(0, 1)
+        f = SimpleFn.of([(H(0, 1), IntervalSet.of([(0, F(1, 2))], [F(3, 4)]))])
+        g = restrict(f, IntervalSet.of([(F(1, 4), 1)]))
+        assert g == SimpleFn.of([(H(0, 1), IntervalSet.of([(F(1, 4), F(1, 2))], [F(3, 4)]))])
+        assert integrate(sp, g)[0] == H(0, F(1, 4))
+
+    def test_kind_mismatch(self):
+        with pytest.raises(UnknownSetError):
+            restrict(constant_fn(0, 1, H(1, 1)), AtomSet.of("a"))
+        with pytest.raises(UnknownSetError):
+            restrict(SimpleFn.of([(H(0, 1), AtomSet.of("a"))]), IntervalSet.of([(0, 1)]))
 
 
 class TestFunctionJson:

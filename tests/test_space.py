@@ -185,6 +185,12 @@ class TestIntervalSpace:
         assert sp.nu(IntervalSet.of([(0, 1)])) == 1
         assert sp.measure(IntervalSet.of([(0, F(1, 2))])) == H(2, "1/4")
 
+    def test_negative_density_rejected(self):
+        for density in [(-1,), (1, -2), (-1, 2), (0, 0, -1)]:
+            with pytest.raises(ValueError):
+                IntervalSpace.of(0, 1, density=density)
+        IntervalSpace.of(0, 1, density=(1, -1))  # 0 at the right end is fine
+
     def test_out_of_bounds(self):
         sp = IntervalSpace.of(0, 1)
         with pytest.raises(UnknownSetError):
