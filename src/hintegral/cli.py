@@ -207,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values are read and printed at every size
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

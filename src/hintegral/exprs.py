@@ -13,10 +13,12 @@ An expression is one of two node kinds:
 Each decision below takes two cases: a polynomial, split by its
 degree, or a power.  Every comparison against a rational threshold is
 exactly decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive
-``x, c``).  Sublevel sets, suprema and dominance cells are solved for
-polynomials of degree at most 1 and for powers, so every sublevel set
-is a finite union of intervals and points.  A higher degree there, or
-anything that would force an irrational endpoint or bound, raises
+``x, c``).  One function, :func:`split_dominance`, cuts a piece by
+comparing two expressions; a sublevel set is read off its cells against
+a constant, so it is a finite union of intervals and points.  It and
+the suprema are solved for polynomials of degree at most 1 and for
+powers.  A higher degree there, or anything that would force an
+irrational endpoint or bound, raises
 :class:`UnsupportedExpressionError` instead of approximating.
 
 This is the only module that looks inside an expression: the piece
@@ -161,18 +163,6 @@ def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def cmp_pow_pow(x: Fraction, q1: Fraction, q2: Fraction) -> int:
-    """Sign of x**q1 - x**q2 for x > 0."""
-    if x <= 0:
-        raise UnsupportedExpressionError("powers are compared for x > 0 only")
-    # x**q1 vs x**q2: bring to common integral exponents.
-    e1 = q1.numerator * q2.denominator
-    e2 = q2.numerator * q1.denominator
-    lhs = x ** e1
-    rhs = x ** e2
-    return (lhs > rhs) - (lhs < rhs)
-
-
 # ---------------------------------------------------------------------------
 # expression nodes
 # ---------------------------------------------------------------------------
@@ -198,6 +188,7 @@ class Power:
 
 
 Expr = Union[Poly, Power]
+Interval = Tuple[Fraction, Fraction]
 
 
 def const(c) -> Poly:
@@ -388,54 +379,6 @@ def weighted_integral(
 
 
 # ---------------------------------------------------------------------------
-# sublevel solving:  {x in (lo, hi) : e(x) < c}  and  {x : e(x) == c}
-# ---------------------------------------------------------------------------
-
-
-class EqAll:
-    """Marker: the equality region is the whole piece."""
-
-
-EQ_ALL = EqAll()
-
-Interval = Tuple[Fraction, Fraction]
-
-
-def solve_below(
-    e: Expr, c: Fraction, lo: Fraction, hi: Fraction
-) -> Tuple[List[Interval], Union[EqAll, List[Fraction]]]:
-    """Split the open piece (lo, hi) by comparison of e against rational c.
-
-    Returns (strictly-below open intervals, equality part).  The
-    equality part is EQ_ALL for a matching constant, otherwise the
-    finite list of interior solutions of e(x) == c.
-    """
-    if isinstance(e, Power):
-        if c <= 0 or cmp_pow(lo, e.q, c) >= 0:
-            return [], []
-        if cmp_pow(hi, e.q, c) < 0:  # entire piece below (increasing power)
-            return [(lo, hi)], []
-        t = pow_exact(c, 1 / e.q)
-        if t is None:
-            raise UnsupportedExpressionError(
-                f"threshold of x**{e.q} < {c} is irrational"
-            )
-        increasing = True
-    elif e.degree == 0:
-        s = _cmp(e.coeffs[0], c)
-        return ([(lo, hi)] if s < 0 else []), (EQ_ALL if s == 0 else [])
-    elif e.degree == 1:
-        a, b = e.coeffs
-        t = (c - a) / b
-        increasing = b > 0
-    else:
-        raise UnsupportedExpressionError("sublevel of a general polynomial piece")
-    eq = [t] if lo < t < hi else []
-    below = (lo, min(hi, t)) if increasing else (max(lo, t), hi)
-    return [below] if below[0] < below[1] else [], eq
-
-
-# ---------------------------------------------------------------------------
 # pointwise dominance between two expressions on an open cell
 # ---------------------------------------------------------------------------
 
@@ -445,10 +388,10 @@ def split_dominance(
 ) -> List[Tuple[Fraction, Fraction, int]]:
     """Partition (lo, hi) into open cells on which sign(e1 - e2) is constant.
 
-    Returns a list of (cell_lo, cell_hi, sign); the finitely many
-    crossing points between cells are dropped (they are null for every
-    measure this package integrates against).  Raises when the crossing
-    structure cannot be decided exactly.
+    Returns a list of (cell_lo, cell_hi, sign).  Every edge between two
+    cells is a point where e1 == e2; a caller that needs the points
+    (a sublevel set does) reads them off the edges.  Raises when the
+    crossing structure cannot be decided exactly.
     """
     if e1 == e2:
         return [(lo, hi, 0)]
@@ -462,7 +405,7 @@ def split_dominance(
         sign = lambda x: _cmp(poly_eval(diff, x), 0)
     elif isinstance(e1, Power) and isinstance(e2, Power):
         cuts = [Fraction(1)]  # x**q1 and x**q2 cross only at x == 1 within x > 0
-        sign = lambda x: cmp_pow_pow(x, e1.q, e2.q)
+        sign = lambda x: _cmp(e1.q, e2.q) * _cmp(x, 1)
     else:
         pw, other, flip = (e1, e2, 1) if isinstance(e1, Power) else (e2, e1, -1)
         if other.degree > 0:
@@ -470,8 +413,15 @@ def split_dominance(
                 "dominance between a fractional power and a non-constant coordinate"
             )
         c = other.coeffs[0]
-        cuts = solve_below(pw, c, lo, hi)[1]
         sign = lambda x: flip * cmp_pow(x, pw.q, c)
+        cuts = []
+        if cmp_pow(lo, pw.q, c) < 0 < cmp_pow(hi, pw.q, c):  # x**q increases
+            t = pow_exact(c, 1 / pw.q)
+            if t is None:
+                raise UnsupportedExpressionError(
+                    f"x**{pw.q} crosses {c} at an irrational point"
+                )
+            cuts = [t]
     edges = [lo] + sorted(t for t in cuts if lo < t < hi) + [hi]
     return [(a, b, sign((a + b) / 2)) for a, b in zip(edges, edges[1:])]
 

@@ -28,9 +28,11 @@ over a set L (the paper's indefinite integral) is the integral of
 This module holds only the general integral, its certificate,
 restriction, sublevel sets, pointwise sums and the JSON formats.  It
 treats an expression as opaque; :mod:`hintegral.exprs` decides
-everything that depends on its kind.  The references the integral is
-checked against (brute force, the graded and the ordinary evaluation)
-and the rest of the test machinery live in :mod:`hintegral.oracle`.
+everything that depends on its kind.  Sublevel sets and pointwise sums
+both read the cells of :func:`exprs.split_dominance`.  The references
+the integral is checked against (brute force, the graded and the
+ordinary evaluation) and the rest of the test machinery live in
+:mod:`hintegral.oracle`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
     UnsupportedExpressionError,
     json_loader,
 )
-from .exprs import EqAll, Expr
+from .exprs import Expr
 from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
 from .space import (
     AtomSet,
@@ -247,17 +249,25 @@ def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
 
 
 def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> IntervalSet:
+    """The cells of pi1 against v.d: below v where pi1 < v.d, and where
+    pi1 == v.d on a whole cell, below v where pi2 < v.m.  The edges
+    between the cells are the points where pi1 == v.d."""
     ivs: List[Tuple[Fraction, Fraction]] = []
     pts: List[Fraction] = []
+    level = exprs.const(v.d)
     for p in f.pieces:
-        below, eq = exprs.solve_below(p.pi1, v.d, p.lo, p.hi)
-        ivs.extend(below)
-        if isinstance(eq, EqAll):
-            ivs.extend(_mass_below(p.pi2, v.m, p.lo, p.hi))
-        else:
-            for t in eq:
-                if _mass_point_below(p.pi2, v.m, t):
-                    pts.append(t)
+        cells = exprs.split_dominance(p.pi1, level, p.lo, p.hi)
+        for a, b, sign in cells:
+            if sign == 0:
+                mass = (
+                    exprs.split_dominance(p.pi2, exprs.const(v.m.frac), a, b)
+                    if v.m.is_finite
+                    else [(a, b, -v.m.sign())]
+                )
+                ivs.extend((c, d) for c, d, s in mass if s < 0)
+            elif sign < 0:
+                ivs.append((a, b))
+        pts.extend(t for _, t, _ in cells[:-1] if _mass_point_below(p.pi2, v.m, t))
     if ZERO < v:
         gap_ivs, gap_pts = _uncovered(space, f)
         ivs.extend(gap_ivs)
@@ -265,37 +275,20 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
     return IntervalSet.of(ivs, pts)
 
 
-def _mass_below(pi2: Expr, m: ExtRat, lo: Fraction, hi: Fraction):
-    """The open intervals of (lo, hi) where pi2 < m; the points where
-    pi2 == m are not below m."""
-    if not m.is_finite:
-        return [(lo, hi)] if m.sign() > 0 else []
-    return exprs.solve_below(pi2, m.frac, lo, hi)[0]
-
-
 def _mass_point_below(pi2: Expr, m: ExtRat, x: Fraction) -> bool:
+    """pi2(x) < m: whether f(x) < v at a point x where f's dimension
+    coordinate equals v.d."""
     if not m.is_finite:
         return m.sign() > 0
     return exprs.cmp_at(pi2, x, m.frac) < 0
 
 
 def _uncovered(space: IntervalSpace, f: PiecewiseFn):
-    """Complement of the pieces within the space: gap intervals plus the
-    isolated boundary points between touching pieces."""
-    ivs = []
-    pts = []
-    cursor = space.lo
-    for p in f.pieces:
-        if cursor < p.lo:
-            ivs.append((cursor, p.lo))
-        elif space.lo < cursor == p.lo:
-            pts.append(cursor)
-        cursor = p.hi
-    if cursor < space.hi:
-        ivs.append((cursor, space.hi))
-    elif space.lo < cursor < space.hi:
-        pts.append(cursor)
-    return ivs, pts
+    """Complement of the open pieces within the space: the gap intervals
+    between them, and every piece end inside the space."""
+    ends = [space.lo] + [x for p in f.pieces for x in (p.lo, p.hi)] + [space.hi]
+    ivs = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+    return ivs, sorted({x for x in ends[1:-1] if space.lo < x < space.hi})
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +542,7 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
         if piece is None or not piece.lo < x < piece.hi:
             return False
         s = exprs.cmp_at(piece.pi1, x, b.d)
-        if s < 0:
-            return False
-        if s == 0 and not (b.m.is_finite and exprs.cmp_at(piece.pi2, x, b.m.frac) >= 0):
+        if s < 0 or (s == 0 and _mass_point_below(piece.pi2, b.m, x)):
             return False
     for a, c in w.where.intervals:
         piece = _piece_covering(f, a, c)
@@ -561,10 +552,10 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
             return False
         if exprs.cmp_at(piece.pi1, (a + c) / 2, b.d) > 0:
             continue  # dimension strictly above the bound: mass bound is free
-        # a zero mass bound relies on pi2 >= 0 (see exprs.check_piece); an
-        # infinite one exceeds the finite mass coordinate
-        if not b.m.is_finite or (
-            b.m.frac > 0 and not exprs.at_least(piece.pi2, b.m.frac, a, c)
+        # a mass bound of at most 0 relies on pi2 >= 0 (see
+        # exprs.check_piece); +inf exceeds the finite mass coordinate
+        if b.m.sign() > 0 and (
+            not b.m.is_finite or not exprs.at_least(piece.pi2, b.m.frac, a, c)
         ):
             return False
     return True

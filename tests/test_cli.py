@@ -1,9 +1,15 @@
 """CLI tests: subcommands, exit codes, output formats."""
 
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hintegral.cli import main
 from hintegral.hvalue import HValue
@@ -401,3 +407,184 @@ class TestRoundTrip:
 
         for token in re.findall(r"\([^()]*\)", out):
             HValue.parse(token)
+
+
+# More decimal digits than CPython's default limit (4300) for converting
+# between int and str.  BARE as a JSON value stands for LONG as a bare
+# number literal, which json.dumps would not write under that limit, and
+# inside a string for LONG's digits.
+LONG = "1" + "0" * 5000
+BARE = "@bare-literal@"
+
+
+def _text(obj):
+    return json.dumps(obj).replace(f'"{BARE}"', LONG).replace(BARE, LONG)
+
+
+def _mass(pi2):
+    return {"pieces": [{**_piece("0", "1"), "pi2": pi2}]}
+
+
+class TestLongNumbers:
+    def test_certificate_of_a_high_power(self, tmp_path, capsys):
+        fn = _mass({"kind": "pow", "q": "10001/2"})
+        argv = ["eval", str(UNIT_SPACE), write(tmp_path, "f.json", fn), "--certificate"]
+        assert main(argv) == 0
+        value, cert = capsys.readouterr().out.split("\n", 1)
+        assert value == "(2, 2/10003)"
+        cert = json.loads(cert)
+        assert cert["value"] == value
+        # x**(10001/2) on the cell (1/8, 1/4) is at least (1/8)**5001
+        (where,) = cert["m_witnesses"][1]["set"]["intervals"]
+        assert where == ["1/8", "1/4"]
+        bound = HValue.parse(cert["m_witnesses"][1]["inf_bound"])
+        assert bound == HValue.of(1, Fraction(1, 2**15003))
+
+    @pytest.mark.parametrize(
+        "sub, files, out",
+        [
+            ("eval", [SPACE, _mass({"kind": "const", "value": "1e5000"})], "(2, " + LONG + ")"),
+            ("eval", [SPACE, _mass({"kind": "const", "value": BARE})], "(2, " + LONG + ")"),
+            (
+                "defi",
+                [{"kind": "continuity", "jumps": [{"x": "0", "remainder": "(0, 1e5000)"}]}],
+                "(0, " + LONG + ")",
+            ),
+        ],
+        ids=["string-mass", "literal-mass", "defi-remainder"],
+    )
+    def test_value_is_printed_exactly(self, sub, files, out, tmp_path, capsys):
+        paths = []
+        for k, obj in enumerate(files):
+            paths.append(tmp_path / f"{k}.json")
+            paths[-1].write_text(_text(obj))
+        assert main([sub, *map(str, paths)]) == 0
+        assert capsys.readouterr().out == out + "\n"
+
+
+def _requests(numbers):
+    """JSON-shaped `eval` and `defi` requests whose numbers are drawn
+    from `numbers`.  A `pow` exponent stays small: a large one is still
+    an open defect (ROADMAP item 6), an OverflowError or a computation
+    that does not finish, which no exit code can report."""
+    exponents = st.one_of(st.fractions(-1, 6, max_denominator=3).map(str), st.sampled_from([2, "x"]))
+    hvalues = st.builds(lambda d, m: f"({d}, {m})", numbers, st.one_of(numbers, st.just("inf")))
+    points = st.lists(numbers, min_size=2, max_size=2)
+    # a pair drawn in order is an interval more often than not
+    spans = st.one_of(
+        points,
+        st.lists(st.fractions(0, 3, max_denominator=4), min_size=2, max_size=2, unique=True).map(
+            lambda ab: [str(x) for x in sorted(ab)]
+        ),
+    )
+    expressions = st.one_of(
+        st.builds(lambda v: {"kind": "const", "value": v}, numbers),
+        st.builds(lambda a, b: {"kind": "affine", "a": a, "b": b}, numbers, numbers),
+        st.builds(lambda q: {"kind": "pow", "q": q}, exponents),
+        st.builds(lambda cs: {"kind": "poly", "coeffs": cs}, st.lists(numbers, max_size=4)),
+        st.builds(lambda k: {"kind": k}, st.sampled_from(["const", "cubic"])),
+    )
+    one_span = st.builds(lambda iv: {"intervals": [iv]}, spans)
+    sets = st.one_of(
+        one_span,
+        st.builds(
+            lambda ivs, pts: {"intervals": ivs, "points": pts},
+            st.lists(spans, max_size=2),
+            st.lists(numbers, max_size=2),
+        ),
+        st.builds(lambda a: {"atoms": a}, st.lists(st.sampled_from("ab"), max_size=2)),
+        st.builds(lambda c: {"catalog": c}, st.lists(st.sampled_from("ab"), max_size=2)),
+    )
+    spaces = st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.just("interval"), "bounds": spans},
+            optional={"dim_offset": numbers, "density": st.lists(numbers, max_size=3)},
+        ),
+        st.builds(
+            lambda w: {"kind": "atoms", "atoms": w},
+            st.dictionaries(st.sampled_from("ab"), hvalues, max_size=2),
+        ),
+        st.builds(
+            lambda sets: {"kind": "catalog", "sets": sets},
+            st.lists(
+                st.fixed_dictionaries(
+                    {"name": st.sampled_from("ab"), "hvalue": hvalues},
+                    optional={"ambient": st.one_of(st.integers(0, 3), numbers)},
+                ),
+                max_size=2,
+            ),
+        ),
+    )
+    functions = st.one_of(
+        st.builds(
+            lambda ps: {"pieces": ps},
+            st.lists(
+                st.fixed_dictionaries(
+                    {"set": st.one_of(one_span, sets), "pi1": expressions, "pi2": expressions}
+                ),
+                max_size=3,
+            ),
+        ),
+        st.fixed_dictionaries(
+            {"simple": st.lists(st.fixed_dictionaries({"coeff": hvalues, "set": sets}), max_size=3)},
+            optional={"i_simple": st.sampled_from([True, False, "false"])},
+        ),
+    )
+    primitives = st.fixed_dictionaries(
+        {"type": st.sampled_from(["point", "line", "segment"]), "p": points, "q": points}
+    )
+    jumps = st.fixed_dictionaries({"x": numbers, "remainder": hvalues})
+    scenarios = st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.just("continuity"), "jumps": st.lists(jumps, max_size=3)},
+            optional={
+                "global": st.fixed_dictionaries(
+                    {"name": st.sampled_from(["R", "jump:0"]), "hvalue": hvalues, "remainder": hvalues}
+                )
+            },
+        ),
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("lineness"),
+                "primitives": st.lists(primitives, max_size=3),
+                "candidates": st.lists(
+                    st.fixed_dictionaries({"p": points, "q": points}), min_size=1, max_size=2
+                ),
+            }
+        ),
+        st.fixed_dictionaries({"kind": st.just("convexity"), "points": st.lists(points, max_size=4)}),
+        st.fixed_dictionaries(
+            {"kind": st.just("convexity"), "segment": st.lists(points, min_size=2, max_size=2)}
+        ),
+    )
+    return st.one_of(
+        st.tuples(st.just("eval"), spaces, functions), st.tuples(st.just("defi"), scenarios)
+    )
+
+
+# Numbers as JSON carries them: exact ones, small and past the 4300-digit
+# limit, as strings and as bare literals; and values that are not exact
+# rationals.  Half the requests hold exact numbers only, so that they get
+# past the loaders.
+exact = st.one_of(
+    st.integers(0, 3),
+    st.fractions(0, 3, max_denominator=4).map(str),
+    st.sampled_from([-1, "-1/2", "1e5000", "-1e5000", LONG, BARE, "1/" + LONG]),
+)
+inexact = st.sampled_from(["inf", "x", "1/0", "", 0.5, True, None, [], {}])
+
+
+class TestFuzzedInput:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(_requests(exact), _requests(st.one_of(exact, inexact))))
+    def test_exit_code_is_documented(self, request):
+        sub, *objs = request
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for k, obj in enumerate(objs):
+                paths.append(f"{tmp}/{k}.json")
+                Path(paths[-1]).write_text(_text(obj))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([sub, *paths])
+        assert code in (0, 2, 3, 4), err.getvalue()

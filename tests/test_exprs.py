@@ -1,4 +1,4 @@
-"""Expression grammar tests: exact roots, comparisons, sublevel solving."""
+"""Expression grammar tests: exact roots, comparisons, dominance cells."""
 
 from fractions import Fraction as F
 
@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from hintegral import exprs
 from hintegral.errors import UnsupportedExpressionError
 from hintegral.exprs import (
-    EQ_ALL,
-    EqAll,
     affine,
     cmp_at,
     cmp_pow,
-    cmp_pow_pow,
     const,
     eval_exact,
     expr_from_json,
@@ -24,11 +21,13 @@ from hintegral.exprs import (
     poly,
     pow_exact,
     power,
-    solve_below,
     split_dominance,
     sup_on,
     try_add,
 )
+from hintegral.hvalue import INF, NEG_INF, ZERO, HValue
+from hintegral.integral import PiecewiseFn, sublevel_set
+from hintegral.space import IntervalSpace
 
 
 class TestPolyHelpers:
@@ -100,11 +99,6 @@ class TestExactRoots:
         assert cmp_pow(F(2), F(1, 2), F(141421356, 100000000)) > 0
         assert cmp_pow(F(2), F(1, 2), F(141421357, 100000000)) < 0
 
-    def test_cmp_pow_pow(self):
-        assert cmp_pow_pow(F(1, 2), F(1, 2), F(1, 3)) < 0  # x^(1/2) < x^(1/3) below 1
-        assert cmp_pow_pow(F(2), F(1, 2), F(1, 3)) > 0
-        assert cmp_pow_pow(F(1), F(1, 2), F(1, 3)) == 0
-
     @given(
         st.fractions(min_value=F(0), max_value=F(50), max_denominator=40),
         st.fractions(min_value=F(1, 10), max_value=F(4), max_denominator=12),
@@ -166,29 +160,31 @@ class TestEvalAndBounds:
             sup_on(poly([0, 0, 1]), F(0), F(1))
 
 
-class TestSolveBelow:
+class TestSplitAgainstAConstant:
+    """The cells of e against a constant c: below, equal to and above c."""
+
     def test_const(self):
-        assert solve_below(const(1), F(2), F(0), F(1)) == ([(0, 1)], [])
-        below, eq = solve_below(const(2), F(2), F(0), F(1))
-        assert below == [] and isinstance(eq, EqAll)
-        assert solve_below(const(3), F(2), F(0), F(1)) == ([], [])
+        assert split_dominance(const(1), const(2), F(0), F(1)) == [(0, 1, -1)]
+        assert split_dominance(const(2), const(2), F(0), F(1)) == [(0, 1, 0)]
+        assert split_dominance(const(3), const(2), F(0), F(1)) == [(0, 1, 1)]
 
     def test_affine(self):
-        below, eq = solve_below(affine(0, 1), F(1, 2), F(0), F(1))
-        assert below == [(0, F(1, 2))] and eq == [F(1, 2)]
-        below, eq = solve_below(affine(1, -1), F(1, 2), F(0), F(1))
-        assert below == [(F(1, 2), 1)] and eq == [F(1, 2)]
+        half = const(F(1, 2))
+        cells = split_dominance(affine(0, 1), half, F(0), F(1))
+        assert cells == [(0, F(1, 2), -1), (F(1, 2), 1, 1)]
+        cells = split_dominance(affine(1, -1), half, F(0), F(1))
+        assert cells == [(0, F(1, 2), 1), (F(1, 2), 1, -1)]
 
     def test_power(self):
-        below, eq = solve_below(power(F(1, 2)), F(1, 2), F(0), F(1))
-        assert below == [(0, F(1, 4))] and eq == [F(1, 4)]
+        cells = split_dominance(power(F(1, 2)), const(F(1, 2)), F(0), F(1))
+        assert cells == [(0, F(1, 4), -1), (F(1, 4), 1, 1)]
         # x^(2/3) < 2 crosses at 2^(3/2), which is irrational
         with pytest.raises(UnsupportedExpressionError):
-            solve_below(power(F(2, 3)), F(2), F(0), F(3))
+            split_dominance(power(F(2, 3)), const(2), F(0), F(3))
 
     def test_power_trivial_sides(self):
-        assert solve_below(power(F(1, 2)), F(2), F(0), F(1)) == ([(0, 1)], [])
-        assert solve_below(power(F(1, 2)), F(0), F(0), F(1)) == ([], [])
+        assert split_dominance(power(F(1, 2)), const(2), F(0), F(1)) == [(0, 1, -1)]
+        assert split_dominance(power(F(1, 2)), const(0), F(0), F(1)) == [(0, 1, 1)]
 
 
 class TestSplitDominance:
@@ -266,6 +262,80 @@ def _exact_sign(e1, e2, x):
     return (lhs > rhs) - (lhs < rhs)
 
 
+SPACE_0_4 = IntervalSpace.of(0, 4)
+nonneg = st.one_of(st.fractions(min_value=0, max_value=4, max_denominator=6), exact_powers)
+
+
+def _coordinate(lo, hi, mass):
+    """A coordinate that is nonnegative on (lo, hi): a constant, the
+    affine map through two values at the ends, a power, and for a mass
+    also (x - r)**2."""
+    through = lambda y0, y1: affine(y0 - (y1 - y0) / (hi - lo) * lo, (y1 - y0) / (hi - lo))
+    options = [st.builds(const, nonneg), st.builds(through, nonneg, nonneg), powers]
+    if mass:
+        options.append(st.builds(lambda r: poly([r * r, -2 * r, 1]), nonneg))
+    return st.one_of(options)
+
+
+def _values(e, lo, hi):
+    """The rational values e takes at the ends and the middle of (lo, hi)."""
+    xs = (lo, (lo + hi) / 2, hi)
+    if isinstance(e, exprs.Power):
+        return [y for x in xs if (y := pow_exact(x, e.q)) is not None]
+    return [eval_exact(e, x) for x in xs]
+
+
+@st.composite
+def sublevel_cases(draw):
+    """(f, v) on the space (0, 4): pieces between sorted edges, some left
+    out as gaps and some touching; v's coordinates are often values that
+    f's coordinates take, so that f meets v at points and on pieces."""
+    edges = sorted(
+        draw(st.sets(st.fractions(min_value=0, max_value=4, max_denominator=4), min_size=2, max_size=6))
+    )
+    pieces = [
+        (lo, hi, draw(_coordinate(lo, hi, False)), draw(_coordinate(lo, hi, True)))
+        for lo, hi in zip(edges, edges[1:])
+        if draw(st.booleans())
+    ]
+    dims = [y for lo, hi, pi1, _ in pieces for y in _values(pi1, lo, hi)]
+    masses = [y for lo, hi, _, pi2 in pieces for y in _values(pi2, lo, hi)]
+    d = draw(st.one_of([nonneg] + ([st.sampled_from(dims)] if dims else [])))
+    m = draw(
+        st.one_of(
+            [small, st.sampled_from([INF, NEG_INF])]
+            + ([st.sampled_from(masses)] if masses else [])
+        )
+    )
+    return PiecewiseFn.of(pieces), HValue.of(d, m)
+
+
+def _crossings(e, c, lo, hi):
+    """The rational points of (lo, hi) where a constant, affine map or
+    power equals c."""
+    if isinstance(e, exprs.Power):
+        ts = [nth_root(c**e.q.denominator, e.q.numerator)] if c > 0 else []
+    elif e.degree == 1:
+        ts = [(c - e.coeffs[0]) / e.coeffs[1]]
+    else:
+        ts = []
+    return {t for t in ts if t is not None and lo < t < hi}
+
+
+def _below(f, v, x):
+    """f(x) < v, decided here rather than by the code under test; f is
+    (0, 0) off its pieces."""
+    for p in f.pieces:
+        if p.lo < x < p.hi:
+            s = _exact_sign(p.pi1, const(v.d), x)
+            if s != 0:
+                return s < 0
+            if not v.m.is_finite:
+                return v.m == INF
+            return _exact_sign(p.pi2, const(v.m.frac), x) < 0
+    return ZERO < v
+
+
 class TestDecisionProperties:
     @given(dominance_cases())
     @example((power(F(1, 2)), power(F(1, 3)), F(1, 2), F(2)))
@@ -283,26 +353,22 @@ class TestDecisionProperties:
             for k in (1, 2, 3):
                 assert _exact_sign(e1, e2, a + (b - a) * k / 4) == sign
 
-    @given(
-        st.one_of(
-            st.tuples(st.one_of(consts, affines), small, cells(nonneg=False)),
-            st.tuples(powers, st.one_of(small, exact_powers), cells(nonneg=True)),
-        )
-    )
-    @example((affine(1, -1), F(1, 2), (F(0), F(1))))
-    def test_solve_below_classifies_a_grid(self, case):
-        e, c, (lo, hi) = case
+    @given(sublevel_cases())
+    @example((PiecewiseFn.of([(0, 1, affine(1, -1), const(1))]), HValue.of(F(1, 2), 2)))
+    def test_sublevel_set_holds_exactly_the_points_below(self, case):
+        f, v = case
         try:
-            below, eq = solve_below(e, c, lo, hi)
+            below = sublevel_set(SPACE_0_4, f, v)
         except UnsupportedExpressionError:
-            reject()  # an irrational threshold
-        eq_pts = [] if isinstance(eq, EqAll) else eq
-        assert all(lo < t < hi for t in eq_pts)
-        for x in [lo + (hi - lo) * F(k, 12) for k in range(1, 12)] + eq_pts:
-            s = cmp_at(e, x, c)
-            in_below = any(a < x < b for a, b in below)
-            in_eq = isinstance(eq, EqAll) or x in eq_pts
-            assert (s < 0, s == 0) == (in_below, in_eq)
+            reject()  # an irrational crossing, or a polynomial mass of degree 2
+        edges = sorted({F(0), F(4)} | {x for p in f.pieces for x in (p.lo, p.hi)})
+        xs = set(edges[1:-1]) | {(a + b) / 2 for a, b in zip(edges, edges[1:])}
+        for p in f.pieces:
+            xs |= _crossings(p.pi1, v.d, p.lo, p.hi)
+            if v.m.is_finite:
+                xs |= _crossings(p.pi2, v.m.frac, p.lo, p.hi)
+        for x in xs:
+            assert (x in below) == _below(f, v, x), x
 
 
 class TestTryAdd:

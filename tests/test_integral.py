@@ -258,6 +258,13 @@ class TestCertificates:
         cert = T4Certificate(HValue(F(1), INF), (w,), (w,), True, INF)
         assert not verify_certificate(sp, f, cert)
 
+    def test_negative_infinite_mass_bound_holds(self):
+        # f = (1, 1) >= (1, -inf) on the whole piece, its points included
+        sp = IntervalSpace.of(0, 1)
+        f = constant_fn(0, 1, H(1, 1))
+        w = Witness(IntervalSet.of([(0, F(1, 2))], [F(3, 4)]), H(0, F(1, 2)), HValue(F(1), -INF))
+        assert verify_certificate(sp, f, T4Certificate(H(1, 0), (w,), (), True, ExtRat(0)))
+
     def test_witness_point_on_a_piece_boundary_fails(self):
         sp = IntervalSpace.of(0, 1)
         f = piecewise(
@@ -370,7 +377,8 @@ class TestSublevel:
     def test_uncovered_region_is_zero(self):
         f = piecewise((F(1, 4), F(1, 2), exprs.const(1), exprs.const(1)))
         s = sublevel_set(UNIT, f, H(0, 1))
-        assert s == IntervalSet.of([(0, F(1, 4)), (F(1, 2), 1)])
+        # the piece is open, so f is (0, 0) at its ends too
+        assert s == IntervalSet.of([(0, F(1, 4)), (F(1, 2), 1)], [F(1, 4), F(1, 2)])
 
     def test_infinite_threshold(self):
         f = piecewise((0, 1, exprs.const(1), exprs.affine(0, 1)))
