@@ -118,6 +118,28 @@ def poly_lower_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> 
 # ---------------------------------------------------------------------------
 
 
+# Bounds on the work of a power, measured on a 2-core x86-64 VM so that
+# one `eval` stays near a second.  An integral exponent is a dense
+# polynomial of that degree, whose Bernstein lower bound makes
+# `eval --certificate` of x**64 on (1/3, 999/1000) take 0.8 s, and of
+# x**100 1.8 s.  A fractional power x**(p/r) is
+# decided on x**p and c**r, and a root of a number of MAX_POWER_BITS
+# bits took at most 1.8 s (at degree 4096); `_power` refuses a larger
+# one.  An exponent part past MAX_POWER_BITS would pass that bound at
+# every base but 0 and 1, so `power` refuses it before anything is built.
+MAX_DEGREE = 64
+MAX_POWER_BITS = 2**16
+
+
+def _power(x: Fraction, e: int) -> Fraction:
+    """x**e for an integer e >= 0, refused past MAX_POWER_BITS bits."""
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) * e > MAX_POWER_BITS:
+        raise UnsupportedExpressionError(
+            f"an exact power would pass {MAX_POWER_BITS} bits"
+        )
+    return x**e
+
+
 def int_nth_root(n: int, k: int) -> Optional[int]:
     """Exact k-th root of a nonnegative integer, or None."""
     if n < 0:
@@ -148,7 +170,7 @@ def pow_exact(x: Fraction, q: Fraction) -> Optional[Fraction]:
     """x**q for x >= 0 and rational q > 0, or None if irrational."""
     if x == 0:
         return Fraction(0)
-    powered = x ** q.numerator
+    powered = _power(x, q.numerator)
     return nth_root(powered, q.denominator)
 
 
@@ -158,8 +180,8 @@ def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
         raise UnsupportedExpressionError("powers are defined for x >= 0 only")
     if c < 0:
         return 1
-    lhs = x ** q.numerator
-    rhs = c ** q.denominator
+    lhs = _power(x, q.numerator)
+    rhs = _power(c, q.denominator)
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -204,7 +226,15 @@ def power(q) -> Expr:
     if q <= 0:
         raise UnsupportedExpressionError("power exponent must be positive")
     if q.denominator == 1:
+        if q > MAX_DEGREE:
+            raise UnsupportedExpressionError(
+                f"an integral power exponent must be at most {MAX_DEGREE}"
+            )
         return poly([0] * q.numerator + [1])
+    if max(q.numerator, q.denominator) > MAX_POWER_BITS:
+        raise UnsupportedExpressionError(
+            f"a power exponent's numerator and denominator must be at most {MAX_POWER_BITS}"
+        )
     return Power(q)
 
 
@@ -326,7 +356,7 @@ def _pow_floor(x: Fraction, q: Fraction) -> Fraction:
         e = -(-q.numerator // q.denominator)  # ceil
     else:
         e = q.numerator // q.denominator  # floor
-    return x**e if e > 0 else Fraction(1)
+    return _power(x, e) if e > 0 else Fraction(1)
 
 
 def lower_bound(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:

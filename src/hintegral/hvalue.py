@@ -22,13 +22,30 @@ from .errors import ParseError, UndefinedSumError
 
 RatLike = Union[int, str, Fraction]
 
+_FRAC_ZERO = Fraction(0)  # immutable, so every exact zero shares it
+
+
+# Fractions are kept in lowest terms with a positive denominator, so two
+# of them are equal exactly when their numerators and denominators are,
+# and cross-multiplying orders them.  Comparing the integers directly
+# skips the numbers.Rational check in Fraction's own comparisons, which
+# dominates the cost of the value order.
+def _same(a: Fraction, b: Fraction) -> bool:
+    """a == b for two Fractions."""
+    return a.numerator == b.numerator and a.denominator == b.denominator
+
+
+def _below(a: Fraction, b: Fraction) -> bool:
+    """a < b for two Fractions."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
 
 def as_fraction(x: RatLike) -> Fraction:
     """Coerce an int, Fraction or exact string like ``"3/4"`` to a Fraction."""
     if isinstance(x, Fraction):
         return x
     if type(x) is int:  # not bool: JSON true is not 1
-        return Fraction(x)
+        return Fraction(x) if x else _FRAC_ZERO
     if isinstance(x, str):
         try:
             return Fraction(x.strip())
@@ -50,7 +67,7 @@ class ExtRat:
 
     def __init__(self, value: RatLike = 0, _inf: int = 0):
         if _inf:
-            self._frac = Fraction(0)
+            self._frac = _FRAC_ZERO
             self._inf = 1 if _inf > 0 else -1
         else:
             self._frac = as_fraction(value)
@@ -71,7 +88,8 @@ class ExtRat:
     def sign(self) -> int:
         if self._inf:
             return self._inf
-        return (self._frac > 0) - (self._frac < 0)
+        n = self._frac.numerator
+        return (n > 0) - (n < 0)
 
     # -- arithmetic -------------------------------------------------
 
@@ -104,12 +122,12 @@ class ExtRat:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtRat):
             return NotImplemented
-        return self._inf == other._inf and self._frac == other._frac
+        return self._inf == other._inf and _same(self._frac, other._frac)
 
     def __lt__(self, other: "ExtRat") -> bool:
         if self._inf != other._inf:
             return self._inf < other._inf
-        return self._frac < other._frac
+        return _below(self._frac, other._frac)
 
     def __hash__(self) -> int:
         return hash((self._inf, self._frac))
@@ -150,7 +168,7 @@ def as_ext(x: ExtLike) -> ExtRat:
     return ExtRat(x)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class HValue:
     """A generalized Hausdorff value ``(d, m)``, ordered lexicographically."""
 
@@ -160,8 +178,32 @@ class HValue:
     def __post_init__(self):
         if not isinstance(self.d, Fraction) or not isinstance(self.m, ExtRat):
             raise TypeError("use HValue.of() for coercing constructors")
-        if self.d < 0:
+        if self.d.numerator < 0:
             raise ValueError(f"dimension must be nonnegative, got {self.d}")
+
+    # -- order (a > b and a >= b fall back to b < a and b <= a) ----
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HValue:
+            return NotImplemented
+        return _same(self.d, other.d) and self.m == other.m
+
+    def __lt__(self, other: "HValue") -> bool:
+        if other.__class__ is not HValue:
+            return NotImplemented
+        if _same(self.d, other.d):
+            return self.m < other.m
+        return _below(self.d, other.d)
+
+    def __le__(self, other: "HValue") -> bool:
+        if other.__class__ is not HValue:
+            return NotImplemented
+        if _same(self.d, other.d):
+            return not other.m < self.m
+        return _below(self.d, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.m))
 
     @staticmethod
     def of(d: RatLike, m: ExtLike) -> "HValue":
@@ -169,7 +211,7 @@ class HValue:
 
     @property
     def is_zero(self) -> bool:
-        return self.d == 0 and self.m.sign() == 0
+        return self.d.numerator == 0 and self.m.sign() == 0
 
     def is_nonneg(self) -> bool:
         """True when the value lies in [0,+inf) x [0,+inf]."""
@@ -197,11 +239,9 @@ ZERO = HValue.of(0, 0)
 
 def add(a: HValue, b: HValue) -> HValue:
     """Dominance addition; raises UndefinedSumError on (d,+inf)+(d,-inf)."""
-    if a.d < b.d:
-        return b
-    if b.d < a.d:
-        return a
-    return HValue(a.d, a.m + b.m)
+    if _same(a.d, b.d):
+        return HValue(a.d, a.m + b.m)
+    return b if _below(a.d, b.d) else a
 
 
 def mul(a: HValue, b: HValue) -> HValue:

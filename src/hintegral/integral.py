@@ -46,6 +46,7 @@ from . import exprs
 from .errors import (
     NonDisjointError,
     ParseError,
+    UnknownSetError,
     UnsupportedExpressionError,
     json_loader,
 )
@@ -218,14 +219,9 @@ class T4Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _measured(space: MeasureSpace, f: SimpleFn) -> List[Tuple[HValue, MeasurableSet, HValue]]:
-    """(coefficient, set, measure) per piece."""
-    return [(coeff, s, space.measure(s)) for coeff, s in f.pieces]
-
-
 def integrate_simple(space: MeasureSpace, f: SimpleFn) -> HValue:
     """sum_i coeff_i * measure(piece_i); exact, refinement-invariant."""
-    return sum_finite(mul(coeff, mv) for coeff, _, mv in _measured(space, f))
+    return sum_finite(mul(coeff, space.measure(s)) for coeff, s in f.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,8 @@ def integrate_simple(space: MeasureSpace, f: SimpleFn) -> HValue:
 
 
 def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
-    """The exact set {x : f(x) < v}."""
+    """The exact set {x : f(x) < v}.  A piece outside the space raises
+    UnknownSetError, as it does in :func:`integrate`."""
     if isinstance(space, AtomSpace):
         if not isinstance(f, SimpleFn):
             raise UnsupportedExpressionError("atom spaces carry simple functions")
@@ -256,6 +253,10 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
     pts: List[Fraction] = []
     level = exprs.const(v.d)
     for p in f.pieces:
+        if p.lo < space.lo or space.hi < p.hi:
+            raise UnknownSetError(
+                f"piece ({p.lo}, {p.hi}) is not inside the space ({space.lo}, {space.hi})"
+            )
         cells = exprs.split_dominance(p.pi1, level, p.lo, p.hi)
         for a, b, sign in cells:
             if sign == 0:
@@ -458,9 +459,8 @@ def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]
     over a set L is the integral of ``restrict(f, L)``.
     """
     if isinstance(f, SimpleFn):
-        terms = _measured(space, f)
-        value = sum_finite(mul(coeff, mv) for coeff, _, mv in terms)
-        return value, _simple_certificate(terms, value)
+        value = integrate_simple(space, f)
+        return value, _simple_certificate(space, f, value)
     if isinstance(space, IntervalSpace) and isinstance(f, PiecewiseFn):
         return _interval_integrate(space, f)
     raise UnsupportedExpressionError(
@@ -484,15 +484,15 @@ def restrict(f: HFunction, L: MeasurableSet) -> HFunction:
     return PiecewiseFn(tuple(pieces))
 
 
-def _simple_certificate(
-    terms: List[Tuple[HValue, MeasurableSet, HValue]], value: HValue
-) -> T4Certificate:
+def _simple_certificate(space: MeasureSpace, f: SimpleFn, value: HValue) -> T4Certificate:
     if value == ZERO:
         return T4Certificate(ZERO)
     wits = tuple(
         Witness(s, mv, coeff)
-        for coeff, s, mv in terms
-        if not coeff.is_zero and mv != ZERO and coeff.d + mv.d == value.d
+        for coeff, s in f.pieces
+        if not coeff.is_zero
+        and (mv := space.measure(s)) != ZERO
+        and coeff.d + mv.d == value.d
     )
     # the witnesses are the top-dimension terms whose masses the sum adds
     return T4Certificate(value, wits, wits, True, value.m)

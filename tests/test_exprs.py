@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hintegral import exprs
 from hintegral.errors import UnsupportedExpressionError
 from hintegral.exprs import (
+    MAX_DEGREE,
+    MAX_POWER_BITS,
     affine,
     cmp_at,
     cmp_pow,
@@ -78,7 +80,7 @@ class TestExactRoots:
         assert int_nth_root((2**60 + 3) ** 3, 3) == 2**60 + 3
         assert int_nth_root(10**400, 2) == 10**200
 
-    @given(st.integers(0, 2**300 - 1), st.integers(2, 7))
+    @given(st.integers(0, 2**300 - 1), st.integers(2, 64))
     def test_int_nth_root_is_exact_at_every_size(self, x, k):
         assert int_nth_root(x**k, k) == x
         if x >= 2:  # x**k +- 1 lies strictly between consecutive k-th powers
@@ -93,6 +95,16 @@ class TestExactRoots:
         assert pow_exact(F(8), F(2, 3)) == 4
         assert pow_exact(F(2), F(1, 2)) is None
         assert pow_exact(F(0), F(1, 2)) == 0
+
+    def test_powers_stop_at_the_bit_bound(self):
+        # (1/4)**10001 has 20003 bits; (1/3)**65535 and 3**65535 would
+        # pass MAX_POWER_BITS, so they are refused instead of computed
+        assert pow_exact(F(1, 4), F(10001, 2)) == F(1, 2**10001)
+        with pytest.raises(UnsupportedExpressionError):
+            pow_exact(F(1, 3), F(65535, 2))
+        with pytest.raises(UnsupportedExpressionError):
+            cmp_pow(F(1, 2), F(1, 65535), F(3))
+        assert cmp_pow(F(1, 2), F(1, 65535), F(-3)) == 1
 
     def test_cmp_pow_exact_near_irrational(self):
         # sqrt(2) against tight rational bounds
@@ -122,6 +134,26 @@ class TestConstructors:
     def test_power_rejects_nonpositive(self):
         with pytest.raises(UnsupportedExpressionError):
             power(0)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            "1e5000",
+            MAX_DEGREE + 1,
+            F(MAX_POWER_BITS + 1, 2),
+            F(1, MAX_POWER_BITS + 1),
+            F(MAX_POWER_BITS + 1, MAX_POWER_BITS),
+        ],
+    )
+    def test_power_bounds_the_exponent(self, q):
+        # refused before x**q is expanded or x is raised to the numerator
+        with pytest.raises(UnsupportedExpressionError):
+            power(q)
+
+    def test_power_at_the_bound(self):
+        q = F(MAX_POWER_BITS - 1, MAX_POWER_BITS)
+        assert power(q).q == q
+        assert power(MAX_DEGREE).degree == MAX_DEGREE
 
 
 class TestEvalAndBounds:

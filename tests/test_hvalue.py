@@ -52,6 +52,104 @@ class TestOrder:
         assert (a < b) + (a == b) + (a > b) == 1
 
 
+# The integer kernel against Fraction's own operators.  A mass is
+# (inf_flag, Fraction) with Fraction 0 at the infinities, so that tuples
+# of plain numbers order and hash as the values do.  Numerators and
+# denominators reach past CPython's 4300-digit int/str limit.
+BIG = 10**4400 + 7
+big_ints = st.one_of(
+    st.integers(-10, 10),
+    st.integers(-(2**80), 2**80),
+    st.builds(lambda k, c: k * BIG + c, st.integers(-3, 3), st.integers(-5, 5)),
+)
+big_rationals = st.builds(
+    Fraction,
+    big_ints,
+    st.one_of(st.integers(1, 10), st.integers(1, 2**80), st.just(BIG), st.just(3 * BIG)),
+)
+ref_masses = st.one_of(
+    big_rationals.map(lambda q: (0, q)), st.sampled_from([(1, Fraction(0)), (-1, Fraction(0))])
+)
+ref_dims = big_rationals.map(abs)
+
+
+def ext_of(ref):
+    flag, q = ref
+    return ExtRat(q) if flag == 0 else (INF if flag > 0 else NEG_INF)
+
+
+def fresh(q: Fraction) -> Fraction:
+    """An equal Fraction built anew, so that no comparison rests on
+    identity."""
+    return Fraction(q.numerator * 3, q.denominator * 3)
+
+
+@st.composite
+def mass_pairs(draw):
+    """Two mass references, equal about half the time."""
+    flag, q = draw(ref_masses)
+    return (flag, q), draw(st.one_of(ref_masses, st.just((flag, fresh(q)))))
+
+
+@st.composite
+def value_pairs(draw):
+    """Two value references, often with equal dimensions."""
+    m, n = draw(mass_pairs())
+    d = draw(ref_dims)
+    return (d, m), (draw(st.one_of(ref_dims, st.just(fresh(d)))), n)
+
+
+def assert_same_order(x, y, a, b):
+    assert (x == y) == (a == b)
+    assert (x != y) == (a != b)
+    assert (x < y) == (a < b)
+    assert (x <= y) == (a <= b)
+    assert (x > y) == (a > b)
+    assert (x >= y) == (a >= b)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+class TestIntegerKernel:
+    @given(mass_pairs())
+    @settings(max_examples=300)
+    def test_extrat_matches_fraction_order(self, refs):
+        a, b = refs
+        x, y = ext_of(a), ext_of(b)
+        assert_same_order(x, y, a, b)
+        assert hash(x) == hash(a)
+
+    @given(value_pairs())
+    @settings(max_examples=300)
+    def test_hvalue_matches_fraction_order(self, refs):
+        (d, m), (e, n) = refs
+        x, y = HValue(d, ext_of(m)), HValue(e, ext_of(n))
+        assert_same_order(x, y, (d, m), (e, n))
+        assert hash(x) == hash((d, m))
+
+    @given(ref_masses)
+    def test_sign_matches_fraction_order(self, ref):
+        flag, q = ref
+        assert ext_of(ref).sign() == (flag or (q > 0) - (q < 0))
+
+    @given(value_pairs())
+    def test_add_keeps_the_larger_dimension(self, refs):
+        (d, m), (e, n) = refs
+        x, y = HValue(d, ext_of(m)), HValue(e, ext_of(n))
+        if d != e:
+            assert add(x, y) is (x if d > e else y)
+
+    def test_order_against_other_types(self):
+        assert H(1, 1) != (1, 1)
+        assert ExtRat(1) != 1
+        with pytest.raises(TypeError):
+            H(1, 1) < (1, 1)
+
+    def test_negative_dimension_is_refused(self):
+        with pytest.raises(ValueError):
+            HValue(Fraction(-BIG, 3), ExtRat(0))
+
+
 class TestAdd:
     def test_dominance(self):
         assert add(H(1, 5), H(0, 100)) == H(1, 5)

@@ -385,6 +385,16 @@ class TestSublevel:
         s = sublevel_set(UNIT, f, HValue(F(1), INF))
         assert s == IntervalSet.of([(0, 1)])
 
+    @pytest.mark.parametrize("lo, hi", [(5, 6), (F(1, 2), 2), (-1, F(1, 2))])
+    def test_piece_outside_the_space_is_refused(self, lo, hi):
+        # as integrate does: the gaps around such a piece would reach
+        # past the space, where its measure is not defined
+        f = piecewise((lo, hi, exprs.const(1), exprs.const(1)))
+        with pytest.raises(UnknownSetError):
+            sublevel_set(UNIT, f, H(0, 1))
+        with pytest.raises(UnknownSetError):
+            integrate(UNIT, f)
+
 
 class TestPointwiseAdd:
     def test_atoms(self):

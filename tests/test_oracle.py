@@ -110,6 +110,22 @@ class TestCleanSuites:
         report = check_integral_laws(60, seed=7)
         assert report.ok
 
+    def test_integral_suite_values_match_integrate(self):
+        # the suite integrates through integrate_simple, the value-only
+        # path; integrate must give each function it integrates the same
+        # value along with its certificate
+        spaces = {}
+
+        def both(space, f):
+            value = integrate_simple(space, f)
+            if (id(space), f) not in spaces:
+                spaces[id(space), f] = space  # keeps the id from reuse
+                assert integrate(space, f)[0] == value
+            return value
+
+        assert check_integral_laws(200, seed=7, integrate_fn=both).ok
+        assert len(spaces) > 1000
+
     def test_minorant_clean(self):
         sp = random_atom_space(3, 5)
         f = random_simple_fn(random.Random(3), sp)
