@@ -33,7 +33,6 @@ from .space import (
     IntervalSet,
     IntervalSpace,
     scaled_embedding,
-    validate_h_measure,
 )
 from .integral import (
     PiecewiseFn,

@@ -3,9 +3,10 @@
 An expression is one of two node kinds:
 
 * :class:`Poly` -- a polynomial with trimmed rational coefficients,
-  constant term first.  The polynomials of degree 0 and 1 are the
-  constants and the affine maps ``a + b*x``; :func:`const`,
-  :func:`affine` and :func:`poly` all build this node.
+  constant term first, of degree at most ``MAX_DEGREE``.  The
+  polynomials of degree 0 and 1 are the constants and the affine maps
+  ``a + b*x``; :func:`const`, :func:`affine` and :func:`poly` all build
+  this node.
 * :class:`Power` -- ``x**q`` for a non-integral rational ``q > 0``, on
   ``x >= 0``.  :func:`power` builds a monomial ``Poly`` for an integral
   exponent.
@@ -13,13 +14,16 @@ An expression is one of two node kinds:
 Each decision below takes two cases: a polynomial, split by its
 degree, or a power.  Every comparison against a rational threshold is
 exactly decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive
-``x, c``).  One function, :func:`split_dominance`, cuts a piece by
-comparing two expressions; a sublevel set is read off its cells against
-a constant, so it is a finite union of intervals and points.  It and
-the suprema are solved for polynomials of degree at most 1 and for
-powers.  A higher degree there, or anything that would force an
-irrational endpoint or bound, raises
-:class:`UnsupportedExpressionError` instead of approximating.
+``x, c``).  One sign test, :func:`at_least`, decides ``e >= c`` on a
+cell for every expression; a polynomial of degree >= 2 goes to an
+integer kernel (Bernstein coefficients with one common denominator,
+and Yun's square-free decomposition for its odd part).  One function,
+:func:`split_dominance`, cuts a piece by comparing two expressions; a
+sublevel set is read off its cells against a constant, so it is a
+finite union of intervals and points.  It and the suprema are solved
+for polynomials of degree at most 1 and for powers.  A higher degree
+there, or anything that would force an irrational endpoint or bound,
+raises :class:`UnsupportedExpressionError` instead of approximating.
 
 This is the only module that looks inside an expression: the piece
 rules, mass integrals, exact lower bounds and superlevel cuts that
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from itertools import zip_longest
+from math import factorial, gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedExpressionError, json_list, json_loader
@@ -66,7 +71,7 @@ def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ..
 
 
 def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)  # integer coefficients stay integers
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
@@ -103,14 +108,100 @@ def poly_lower_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> 
     so the smallest one is a sound rational lower bound; the first and
     last coefficients are p(lo) and p(hi) (Farouki & Rajan, CAGD 5, 1988).
     """
-    cs = list(coeffs)
-    n = len(cs) - 1
-    for i in range(n):  # Taylor shift: cs become the coefficients of p(lo + t)
-        for k in range(n - 1, i - 1, -1):
-            cs[k] += lo * cs[k + 1]
+    ints, den = _integer_poly(coeffs)
+    n = len(ints) - 1
+    scale = factorial(n) * den * (lo.denominator * (hi - lo).denominator) ** n
+    return Fraction(min(_bernstein(ints, lo, hi)), scale)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: integer coefficient lists, constant term first
+# ---------------------------------------------------------------------------
+
+
+def _integer_poly(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer coefficients and one positive denominator D, with p = ints / D."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _bernstein(ints: Sequence[int], lo: Fraction, hi: Fraction) -> List[int]:
+    """The Bernstein coefficients of the integer polynomial on [lo, hi],
+    each times n! * (b*d)**n, where lo = a/b and hi - lo = c/d."""
+    n = len(ints) - 1
     width = hi - lo
-    scaled = [c * width**k / comb(n, k) for k, c in enumerate(cs)]
-    return min(sum(comb(i, k) * scaled[k] for k in range(i + 1)) for i in range(n + 1))
+    u0 = lo.numerator * width.denominator
+    u1 = lo.denominator * width.numerator
+    v = lo.denominator * width.denominator  # x = (u0 + u1*t) / v on t in [0, 1]
+    ts, vk = [ints[n]], 1
+    for k in range(n - 1, -1, -1):  # Horner: ts <- ts * (u0 + u1*t) + ints[k] * v**(n-k)
+        vk *= v
+        nxt = [u0 * c for c in ts] + [0]
+        for i, c in enumerate(ts):
+            nxt[i + 1] += u1 * c
+        nxt[0] += ints[k] * vk
+        ts = nxt
+    # b_i = sum_k C(i, k) / C(n, k) * t_k; times n! the weight is C(i, k) * k! * (n-k)!
+    bs = [factorial(k) * factorial(n - k) * c for k, c in enumerate(ts)]
+    for i in range(1, n + 1):  # the binomial transform, one Pascal row at a time
+        for k in range(n, i - 1, -1):
+            bs[k] += bs[k - 1]
+    return bs
+
+
+def _primitive(p: List[int]) -> List[int]:
+    """p trimmed and divided by its content, leading coefficient positive."""
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p] if g else p
+
+
+def _divide(p: Sequence[int], q: Sequence[int]) -> List[int]:
+    """p / q for a primitive q that divides p, so every step is exact."""
+    r, n = list(p), len(q) - 1
+    out = [0] * max(len(p) - n, 1)
+    for k in range(len(p) - 1 - n, -1, -1):
+        out[k] = r[k + n] // q[-1]
+        for i, c in enumerate(q):
+            r[k + i] -= out[k] * c
+    return out
+
+
+def _gcd(p: List[int], q: List[int]) -> List[int]:
+    """A primitive greatest common divisor, by pseudo-remainders."""
+    p, q = _primitive(list(p)), _primitive(list(q))
+    while any(q):
+        r, n = list(p), len(q) - 1
+        while len(r) > n:  # r <- lc(q) * r - r's leading term * q
+            lead = r.pop()
+            if lead:
+                shift = len(r) - n
+                r = [q[-1] * c for c in r]
+                for i, c in enumerate(q[:-1]):
+                    r[i + shift] -= lead * c
+        p, q = q, _primitive(r or [0])
+    return _primitive(p)
+
+
+def _odd_part(p: List[int]) -> List[int]:
+    """The product of p's factors of odd multiplicity, signed so that it
+    has p's sign wherever p is nonzero.  Its roots are simple.  Yun's
+    square-free decomposition (SYMSAC 1976) peels the factors off by
+    multiplicity; every gcd is primitive, so every division is exact."""
+    g = _gcd(p, poly_deriv(p))
+    b, d = _divide(p, g), _divide(poly_deriv(p), g)
+    odd, multiplicity = [1], 1
+    while len(b) > 1:
+        d = [x - y for x, y in zip_longest(d, poly_deriv(b), fillvalue=0)]
+        factor = _gcd(b, d)
+        if multiplicity % 2:
+            odd = poly_mul(odd, factor)
+        b, d = _divide(b, factor), _divide(d, factor)
+        multiplicity += 1
+    return odd if p[-1] > 0 else [-c for c in odd]
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +209,14 @@ def poly_lower_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> 
 # ---------------------------------------------------------------------------
 
 
-# Bounds on the work of a power, measured on a 2-core x86-64 VM so that
-# one `eval` stays near a second.  An integral exponent is a dense
-# polynomial of that degree, whose Bernstein lower bound makes
-# `eval --certificate` of x**64 on (1/3, 999/1000) take 0.8 s, and of
-# x**100 1.8 s.  A fractional power x**(p/r) is
+# Bounds on the work of an expression, measured on a 2-core x86-64 VM so
+# that one `eval` stays near a second.  MAX_DEGREE bounds a polynomial and
+# an integral power exponent.  `eval --certificate` of x**64, or of a
+# dense degree-64 polynomial, on (1/3, 999/1000) takes 0.16 s.  A
+# degree-64 mass with an interior double root, whose sign test bisects
+# its odd part, takes 0.16 s with one-digit coefficients and 1.4-6.4 s
+# with 290-bit ones, most of it in the first gcd of `_odd_part`; longer
+# coefficients take longer still.  A fractional power x**(p/r) is
 # decided on x**p and c**r, and a root of a number of MAX_POWER_BITS
 # bits took at most 1.8 s (at degree 4096); `_power` refuses a larger
 # one.  An exponent part past MAX_POWER_BITS would pass that bound at
@@ -239,7 +333,10 @@ def power(q) -> Expr:
 
 
 def poly(coeffs) -> Poly:
-    return Poly(poly_trim([as_fraction(c) for c in coeffs]))
+    p = Poly(poly_trim([as_fraction(c) for c in coeffs]))
+    if p.degree > MAX_DEGREE:
+        raise UnsupportedExpressionError(f"a polynomial's degree must be at most {MAX_DEGREE}")
+    return p
 
 
 def _cmp(a: Fraction, b: Fraction) -> int:
@@ -256,25 +353,11 @@ def eval_exact(e: Expr, x: Fraction) -> Fraction:
     return v
 
 
-def negative_at_an_end(e: Expr, lo: Fraction, hi: Fraction) -> bool:
-    """True if e is negative at lo or at hi, so also somewhere inside the
-    open (lo, hi).  A power on x >= 0 never is; an affine map is lowest
-    at one end, picked by its slope.  Only a polynomial of degree >= 2
-    may still dip below 0 between two nonnegative ends."""
-    if isinstance(e, Power):
-        return False
-    if e.degree == 0:
-        return e.coeffs[0] < 0
-    ends = (lo if e.coeffs[1] > 0 else hi,) if e.degree == 1 else (lo, hi)
-    return any(poly_eval(e.coeffs, x) < 0 for x in ends)
-
-
 def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
     """Raise unless pi1 and pi2 may be the dimension and mass coordinates
     of the piece (lo, hi): the dimension coordinate's polynomial has
     degree at most 1, a fractional power needs x >= 0, and neither
-    coordinate is negative at an end of the piece (exact for the
-    monotone dimension coordinate, see :func:`negative_at_an_end`)."""
+    coordinate is negative anywhere on the piece (:func:`at_least`)."""
     if isinstance(pi1, Poly) and pi1.degree > 1:
         raise UnsupportedExpressionError(
             "dimension coordinate must be constant, affine or a power"
@@ -284,7 +367,7 @@ def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
             f"a fractional power is defined for x >= 0 only, not on ({lo}, {hi})"
         )
     for name, e in (("dimension", pi1), ("mass", pi2)):
-        if negative_at_an_end(e, lo, hi):
+        if not at_least(e, Fraction(0), lo, hi):
             raise UnsupportedExpressionError(
                 f"{name} coordinate is negative on ({lo}, {hi})"
             )
@@ -359,31 +442,52 @@ def _pow_floor(x: Fraction, q: Fraction) -> Fraction:
     return _power(x, e) if e > 0 else Fraction(1)
 
 
-def lower_bound(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
-    """A sound rational lower bound on e over the open (lo, hi)."""
-    if isinstance(e, Power):
-        return Fraction(0) if lo == 0 else _pow_floor(lo, e.q)
-    return poly_lower_bound(e.coeffs, lo, hi)
-
-
 def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """Exactly verify e >= c on (lo, hi); for polynomials this checks the
-    same Bernstein bound that :func:`lower_bound` gives, so it may reject
-    a true bound but never one taken from there."""
+    """Exactly decide e >= c on the open (lo, hi).
+
+    A power (on x >= 0) increases and a polynomial of degree <= 1 is
+    monotone, so one end decides.  A higher degree is decided by its
+    values at the ends, then by its Bernstein bound, then by bisecting
+    its odd part on Bernstein bounds: p >= c fails exactly where that
+    part is negative, and its roots are simple, so a cell around a root
+    at an end is eventually bounded by 0 and the bisection ends."""
     if isinstance(e, Power):
-        return cmp_at(e, lo, c) >= 0  # x**q increases
-    return poly_lower_bound(e.coeffs, lo, hi) >= c
+        return c <= 0 or cmp_pow(lo, e.q, c) >= 0
+    if e.degree <= 1:
+        return poly_eval(e.coeffs, hi if e.degree and e.coeffs[1] < 0 else lo) >= c
+    ints, _ = _integer_poly(poly_add(e.coeffs, (-c,)))
+    bs = _bernstein(ints, lo, hi)
+    if bs[0] < 0 or bs[-1] < 0:
+        return False
+    if min(bs) >= 0:
+        return True
+    odd = _odd_part(ints)
+    cells = [(lo, hi)]
+    while cells:
+        a, b = cells.pop()
+        bs = _bernstein(odd, a, b)
+        if bs[0] < 0 or bs[-1] < 0:
+            return False
+        if min(bs) < 0:
+            cells += [(a, (a + b) / 2), ((a + b) / 2, b)]
+    return True
 
 
 def lower_cells(e: Expr, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, Fraction, Fraction]]:
     """Disjoint cells (a, b, bound) that fill (lo, hi) up to their edges,
     each with a rational lower bound on e: one exact cell for a
-    constant, eight equal cells bounded by :func:`lower_bound` otherwise."""
+    constant, eight equal cells otherwise, bounded by a power's value at
+    the left edge (rounded down when irrational) or a polynomial's
+    Bernstein bound."""
     if isinstance(e, Poly) and e.degree == 0:
         return [(lo, hi, e.coeffs[0])]
     width = (hi - lo) / 8
     edges = [lo + width * k for k in range(9)]
-    return [(a, b, lower_bound(e, a, b)) for a, b in zip(edges, edges[1:])]
+    if isinstance(e, Power):
+        bounds = [Fraction(0) if a == 0 else _pow_floor(a, e.q) for a in edges[:-1]]
+    else:
+        bounds = [poly_lower_bound(e.coeffs, a, b) for a, b in zip(edges, edges[1:])]
+    return list(zip(edges, edges[1:], bounds))
 
 
 def weighted_integral(

@@ -238,7 +238,7 @@ class IntervalSpace:
         if d0 < 0:
             raise ValueError("dim_offset must be nonnegative")
         density = exprs.poly(density)
-        if exprs.negative_at_an_end(density, lo, hi):
+        if not exprs.at_least(density, Fraction(0), lo, hi):
             raise ValueError(f"density is negative on ({lo}, {hi})")
         return IntervalSpace(lo, hi, d0, density.coeffs)
 
@@ -339,46 +339,21 @@ class CatalogSpace:
 MeasureSpace = Union[AtomSpace, IntervalSpace, CatalogSpace]
 
 
-def scaled_embedding(d0, base) -> MeasureSpace:
-    """Lift an ordinary measure description to an h-measure space.
-
-    ``base`` is either a mapping atom -> nonnegative scalar mass, or a
-    triple ``(lo, hi)`` / ``(lo, hi, density)`` describing a weighted
-    Lebesgue measure on an open interval.  Sets of positive ordinary
-    measure get ``(d0, mass)``; nonempty null sets get ``(0, 0)``.
-    """
+def scaled_embedding(d0, base: Mapping) -> AtomSpace:
+    """Lift an ordinary measure on atoms, a mapping atom -> nonnegative
+    scalar mass, to an h-measure space: sets of positive ordinary measure
+    get ``(d0, mass)``; nonempty null sets get ``(0, 0)``.  The interval
+    counterpart is :meth:`IntervalSpace.of`."""
     d0 = as_fraction(d0)
     if d0 < 0:
         raise ValueError("dim_offset must be nonnegative")
-    if isinstance(base, Mapping):
-        weights = {}
-        for name, nu in base.items():
-            nu = as_ext(nu)
-            if nu.sign() < 0:
-                raise ValueError(f"negative mass for atom {name!r}")
-            weights[name] = HValue(d0, nu) if nu.sign() > 0 else ZERO
-        return AtomSpace.of(weights)
-    if isinstance(base, tuple) and len(base) in (2, 3):
-        lo, hi = base[0], base[1]
-        density = base[2] if len(base) == 3 else (1,)
-        return IntervalSpace.of(lo, hi, d0, density)
-    raise ValueError(f"cannot interpret measure description {base!r}")
-
-
-def validate_h_measure(space: MeasureSpace, partition: Sequence[MeasurableSet]) -> bool:
-    """True iff the measure of the union equals the sum over the parts.
-
-    Parts must be pairwise disjoint (checked structurally, raises
-    NonDisjointError).  A described infinite partition is the same
-    check: the infinitely repeated empty tail contributes (0, 0).
-    """
-    parts = [p for p in partition if not p.is_empty]
-    if not parts:
-        return True
-    whole = union(parts)  # raises NonDisjointError on overlap
-    lhs = space.measure(whole)
-    rhs = sum_finite(space.measure(p) for p in parts)
-    return lhs == rhs
+    weights = {}
+    for name, nu in base.items():
+        nu = as_ext(nu)
+        if nu.sign() < 0:
+            raise ValueError(f"negative mass for atom {name!r}")
+        weights[name] = HValue(d0, nu) if nu.sign() > 0 else ZERO
+    return AtomSpace.of(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hintegral.cli import main
+from hintegral.exprs import MAX_DEGREE
 from hintegral.hvalue import HValue
 
 
@@ -151,8 +152,10 @@ class TestEval:
             ),
             # the mass x**2 - 1 is negative on (0, 1)
             (SPACE, [{**_piece("0", "1"), "pi2": {"kind": "poly", "coeffs": ["-1", "0", "1"]}}]),
+            # the mass x**2 - x + 1/20 is 1/20 at both ends and -1/5 at 1/2
+            (SPACE, [{**_piece("0", "1"), "pi2": {"kind": "poly", "coeffs": ["1/20", "-1", "1"]}}]),
         ],
-        ids=["negative-constant-dimension", "negative-affine-dimension", "negative-mass"],
+        ids=["negative-constant-dimension", "negative-affine-dimension", "negative-mass", "mass-dip"],
     )
     def test_negative_coordinate_exit_3(self, space, pieces, tmp_path, capsys):
         fn = {"pieces": pieces}
@@ -161,6 +164,18 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("unsupported:") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("where", ["mass", "density"])
+    def test_degree_past_the_bound_exit_3(self, where, tmp_path, capsys):
+        coeffs = ["1"] * (MAX_DEGREE + 2)
+        space, fn = SPACE, {"pieces": [_piece("0", "1")]}
+        if where == "mass":
+            fn = {"pieces": [{**_piece("0", "1"), "pi2": {"kind": "poly", "coeffs": coeffs}}]}
+        else:
+            space = {**SPACE, "density": coeffs}
+        code = main(["eval", write(tmp_path, "s.json", space), write(tmp_path, "f.json", fn)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("unsupported:")
 
     def test_mixed_set_kinds_exit_3(self, tmp_path, capsys):
         fn = {
@@ -210,6 +225,8 @@ MALFORMED = {
     "density-as-string": ("eval", {**SPACE, "density": "12"}, CONST11),
     # a measure has a nonnegative density
     "negative-density": ("eval", {**SPACE, "density": ["-1"]}, CONST11),
+    # 1/20 at both ends of the space and -1/5 at 1/2
+    "density-dip": ("eval", {**SPACE, "density": ["1/20", "-1", "1"]}, CONST11),
     "bounds-as-string": ("eval", {**SPACE, "bounds": "01"}, CONST11),
     "coeffs-as-string": (
         "eval",

@@ -1,6 +1,8 @@
 """Expression grammar tests: exact roots, comparisons, dominance cells."""
 
+from collections import Counter
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import example, given, reject
@@ -12,6 +14,7 @@ from hintegral.exprs import (
     MAX_DEGREE,
     MAX_POWER_BITS,
     affine,
+    at_least,
     cmp_at,
     cmp_pow,
     const,
@@ -70,6 +73,110 @@ class TestPolyLowerBound:
     @given(st.fractions(min_value=0, max_value=100, max_denominator=50), widths)
     def test_exact_for_increasing_square(self, lo, width):
         assert exprs.poly_lower_bound((F(1), F(0), F(1)), lo, lo + width) == 1 + lo * lo
+
+    @given(
+        st.lists(st.fractions(max_denominator=10**6).filter(lambda c: abs(c) < 10**6), min_size=1, max_size=13),
+        st.integers(-(10**40), 10**40),
+        st.integers(1, 10**40),
+        st.integers(1, 10**40),
+        st.integers(1, 10**40),
+    )
+    def test_equals_a_fraction_reference(self, coeffs, lo_num, lo_den, w_num, w_den):
+        # degrees 0-12, signed coefficients, ends of up to 40 digits
+        lo = F(lo_num, lo_den)
+        hi = lo + F(w_num, w_den)
+        assert exprs.poly_lower_bound(coeffs, lo, hi) == _fraction_bernstein_min(coeffs, lo, hi)
+
+
+def _fraction_bernstein_min(coeffs, lo, hi):
+    """The smallest Bernstein coefficient in Fractions: a Taylor shift to
+    lo, a scaling by hi - lo, then the binomial sums."""
+    cs = [F(c) for c in coeffs]
+    n = len(cs) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            cs[k] += lo * cs[k + 1]
+    scaled = [c * (hi - lo) ** k / comb(n, k) for k, c in enumerate(cs)]
+    return min(sum(comb(i, k) * scaled[k] for k in range(i + 1)) for i in range(n + 1))
+
+
+def _sqrt_above(m, x):
+    """sqrt(m) > x, exactly, for a rational m > 0."""
+    return x < 0 or x * x < m
+
+
+def _merged(factors):
+    out = Counter()
+    for f, k in factors:
+        out[F(f)] += k
+    return out
+
+
+def _known_sign_nonnegative(sign, roots, squares, lo, hi):
+    """p >= 0 on (lo, hi) for p = sign * prod (x - r)**k * prod (x**2 - m)**l,
+    read off the factors: no root of odd multiplicity lies inside, and the
+    factors of odd multiplicity are positive at the midpoint together.  A
+    factor listed twice counts with the sum of its multiplicities."""
+    roots, squares = _merged(roots).items(), _merged(squares).items()
+    mid = (lo + hi) / 2
+    for r, k in roots:
+        if k % 2:
+            if lo < r < hi:
+                return False
+            sign *= 1 if mid > r else -1
+    for m, l in squares:
+        if l % 2:
+            for root_above in (lambda x: _sqrt_above(m, x), lambda x: not _sqrt_above(m, -x)):
+                # +sqrt(m) and -sqrt(m): is the root above lo and below hi?
+                if root_above(lo) and not root_above(hi):
+                    return False
+            sign *= 1 if mid * mid > m else -1
+    return sign > 0
+
+
+class TestAtLeast:
+    def test_zero_on_the_end_checked_inputs(self):
+        def nonneg(e):
+            return at_least(e, F(0), F(0), F(1))
+
+        assert not nonneg(const(-1)) and nonneg(const(0))
+        # an affine map is checked at its lower end, whichever side that is
+        assert not nonneg(affine(1, -2)) and nonneg(affine(1, -1))
+        assert not nonneg(affine(-1, 2)) and nonneg(affine(0, 2))
+        assert not nonneg(poly([-1, 0, 1])) and not nonneg(poly([0, 0, -1]))
+        assert nonneg(power(F(1, 2)))
+        # x**2 - x + 1/20 is 1/20 at both ends and -1/5 at 1/2
+        assert not nonneg(poly([F(1, 20), -1, 1]))
+        # (x - 1/3)**2: its smallest Bernstein coefficient on (0, 1) is -2/9
+        assert exprs.poly_lower_bound(poly([F(1, 9), F(-2, 3), 1]).coeffs, F(0), F(1)) == F(-2, 9)
+        assert nonneg(poly([F(1, 9), F(-2, 3), 1]))
+
+    def test_a_bound_above_the_bernstein_bound(self):
+        e = poly([F(1, 9) + F(1, 50), F(-2, 3), 1])  # (x - 1/3)**2 + 1/50
+        assert at_least(e, F(1, 50), F(0), F(1))
+        assert not at_least(e, F(1, 50) + F(1, 10**9), F(0), F(1))
+
+    @given(
+        st.sampled_from([-1, 1]),
+        st.lists(st.tuples(st.fractions(-4, 4, max_denominator=6), st.integers(1, 3)), max_size=3),
+        st.lists(st.tuples(st.sampled_from([2, 3, 5, F(1, 2), F(8, 9), F(7, 4)]), st.integers(1, 2)), max_size=2),
+        st.fractions(-5, 5, max_denominator=12),
+        st.fractions(F(1, 12), 6, max_denominator=12),
+    )
+    @example(1, [(F(1, 3), 2)], [], F(0), F(1))
+    @example(1, [(F(1, 2), 1), (F(1, 2), 2)], [], F(1, 2), F(1, 2))
+    @example(-1, [], [(2, 1)], F(-1), F(2))
+    def test_matches_the_sign_of_known_factors(self, sign, roots, squares, lo, width):
+        coeffs = (F(sign),)
+        for r, k in roots:
+            for _ in range(k):
+                coeffs = exprs.poly_mul(coeffs, (-r, F(1)))
+        for m, l in squares:
+            for _ in range(l):
+                coeffs = exprs.poly_mul(coeffs, (-F(m), F(0), F(1)))
+        hi = lo + width
+        expected = _known_sign_nonnegative(sign, roots, squares, lo, hi)
+        assert at_least(exprs.Poly(coeffs), F(0), lo, hi) == expected
 
 
 class TestExactRoots:
@@ -155,6 +262,12 @@ class TestConstructors:
         assert power(q).q == q
         assert power(MAX_DEGREE).degree == MAX_DEGREE
 
+    def test_poly_bounds_the_degree(self):
+        assert poly([1] * (MAX_DEGREE + 1)).degree == MAX_DEGREE
+        assert poly([1] + [0] * 400).degree == 0  # the degree counts after trimming
+        with pytest.raises(UnsupportedExpressionError):
+            poly([1] * (MAX_DEGREE + 2))
+
 
 class TestEvalAndBounds:
     def test_eval_exact(self):
@@ -166,15 +279,6 @@ class TestEvalAndBounds:
         # decidable even where the power value is irrational
         assert cmp_at(power(F(1, 2)), F(2), F(1)) > 0
         assert cmp_at(power(F(1, 2)), F(2), F(2)) < 0
-
-    def test_negative_at_an_end(self):
-        neg = exprs.negative_at_an_end
-        assert neg(const(-1), F(0), F(1)) and not neg(const(0), F(0), F(1))
-        # an affine map is checked at its lower end, whichever side that is
-        assert neg(affine(1, -2), F(0), F(1)) and not neg(affine(1, -1), F(0), F(1))
-        assert neg(affine(-1, 2), F(0), F(1)) and not neg(affine(0, 2), F(0), F(1))
-        assert neg(poly([-1, 0, 1]), F(0), F(1)) and neg(poly([0, 0, -1]), F(0), F(1))
-        assert not neg(power(F(1, 2)), F(0), F(1))
 
     def test_check_piece_rejects_negative_coordinates(self):
         for pi1, pi2 in [(affine(1, -2), const(1)), (const(1), affine(1, -2))]:

@@ -251,6 +251,16 @@ class TestCertificates:
         assert verify_certificate(sp, f, cert(H(F(7, 5), 0)))
         assert not verify_certificate(sp, f, cert(H(F(3, 2), 0)))
 
+    def test_mass_bound_above_the_bernstein_bound(self):
+        # (x - 1/3)**2 + 1/50 >= 1/100 on (0, 1), though its smallest
+        # Bernstein coefficient there is 1/9 + 1/50 - 1/3 < 0
+        sp = IntervalSpace.of(0, 1)
+        f = piecewise((0, 1, exprs.const(0), exprs.poly([F(1, 9) + F(1, 50), F(-2, 3), 1])))
+        w = Witness(IntervalSet.of([(0, 1)]), H(0, 1), H(0, F(1, 100)))
+        cert = T4Certificate(H(0, F(1, 9) + F(1, 50)), (w,), (w,), False, ExtRat(F(1, 100)))
+        assert integrate(sp, f)[0] == cert.value
+        assert verify_certificate(sp, f, cert)
+
     def test_infinite_mass_bound_fails_on_a_piecewise_function(self):
         sp = IntervalSpace.of(0, 1)
         f = constant_fn(0, 1, H(1, 1))

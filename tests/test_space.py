@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hintegral.errors import NonDisjointError, UnknownSetError
-from hintegral.hvalue import INF, ZERO, ExtRat, HValue
+from hintegral.hvalue import INF, ZERO, ExtRat, HValue, sum_finite
 from hintegral.space import (
     AtomSet,
     AtomSpace,
@@ -22,7 +22,6 @@ from hintegral.space import (
     space_from_json,
     space_to_json,
     union,
-    validate_h_measure,
 )
 
 H = HValue.of
@@ -186,10 +185,12 @@ class TestIntervalSpace:
         assert sp.measure(IntervalSet.of([(0, F(1, 2))])) == H(2, "1/4")
 
     def test_negative_density_rejected(self):
-        for density in [(-1,), (1, -2), (-1, 2), (0, 0, -1)]:
+        # the last one is 1/20 at both ends and -1/5 at 1/2
+        for density in [(-1,), (1, -2), (-1, 2), (0, 0, -1), (F(1, 20), -1, 1)]:
             with pytest.raises(ValueError):
                 IntervalSpace.of(0, 1, density=density)
         IntervalSpace.of(0, 1, density=(1, -1))  # 0 at the right end is fine
+        IntervalSpace.of(0, 1, density=(F(1, 9), F(-2, 3), 1))  # (x - 1/3)**2, 0 inside
 
     def test_out_of_bounds(self):
         sp = IntervalSpace.of(0, 1)
@@ -229,17 +230,16 @@ class TestScaledEmbedding:
         # null atoms embed to (0,0), not (d0, 0)
         assert sp.weights["b"] == ZERO
 
-    def test_interval(self):
-        sp = scaled_embedding(1, (F(0), F(1)))
-        assert isinstance(sp, IntervalSpace)
-        assert sp.measure(IntervalSet.of([(0, 1)])) == H(1, 1)
+
+def _additive(sp, parts):
+    """The measure of the union of disjoint parts is the sum of theirs."""
+    return sp.measure(union(parts)) == sum_finite(sp.measure(p) for p in parts)
 
 
 class TestHMeasureValidation:
     def test_additive_partition(self):
         sp = AtomSpace.of({"a": H(1, 2), "b": H(0, "inf"), "c": H(1, 1)})
-        parts = [AtomSet.of("a"), AtomSet.of("b", "c")]
-        assert validate_h_measure(sp, parts)
+        assert _additive(sp, [AtomSet.of("a"), AtomSet.of("b", "c")])
 
     def test_interval_partition(self):
         sp = IntervalSpace.of(0, 1, dim_offset=1)
@@ -247,12 +247,11 @@ class TestHMeasureValidation:
             IntervalSet.of([(0, F(1, 2))]),
             IntervalSet.of([(F(1, 2), 1)], points=[F(1, 2)]),
         ]
-        assert validate_h_measure(sp, parts)
+        assert _additive(sp, parts)
 
     def test_overlap_raises(self):
-        sp = AtomSpace.of({"a": H(1, 2)})
         with pytest.raises(NonDisjointError):
-            validate_h_measure(sp, [AtomSet.of("a"), AtomSet.of("a")])
+            union([AtomSet.of("a"), AtomSet.of("a")])
 
 
 class TestJson:
