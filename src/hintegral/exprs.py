@@ -22,8 +22,8 @@ and Yun's square-free decomposition for its odd part).  One function,
 sublevel set is read off its cells against a constant, so it is a
 finite union of intervals and points.  It and the suprema are solved
 for polynomials of degree at most 1 and for powers.  A higher degree
-there, or anything that would force an irrational endpoint or bound,
-raises :class:`UnsupportedExpressionError` instead of approximating.
+there, or an irrational endpoint or bound, raises
+:class:`UnsupportedExpressionError`; an irrational supremum is None.
 
 This is the only module that looks inside an expression: the piece
 rules, mass integrals, exact lower bounds and superlevel cuts that
@@ -385,19 +385,11 @@ def cmp_at(e: Expr, x: Fraction, c: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
-    """Supremum of e over the open (lo, hi).
-
-    Monotone and constant expressions only; the supremum must be a
-    rational number or UnsupportedExpressionError is raised.
-    """
+def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+    """Supremum of e over the open (lo, hi), or None when it is
+    irrational (a power at hi); a degree >= 2 polynomial raises."""
     if isinstance(e, Power):
-        v = pow_exact(hi, e.q)
-        if v is None:
-            raise UnsupportedExpressionError(
-                f"sup of x**{e.q} on ({lo}, {hi}) is irrational"
-            )
-        return v
+        return pow_exact(hi, e.q)
     if e.degree == 0:
         return e.coeffs[0]
     if e.degree == 1:
@@ -407,22 +399,17 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Fraction:
 
 def superlevel_cut(e: Expr, t: Fraction, lo: Fraction, hi: Fraction) -> Optional[Interval]:
     """A nonempty open subinterval of (lo, hi) on which the dimension
-    coordinate e is >= t, or None if none is found."""
+    coordinate e is >= t, or None if none is found: a polynomial's first
+    cell against t in :func:`split_dominance`, a power's widest dyadic cut."""
     if isinstance(e, Power):
         if cmp_pow(hi, e.q, t) <= 0:
             return None
-        step = (hi - lo) / 2
-        for _ in range(64):
-            if hi - step > lo and cmp_pow(hi - step, e.q, t) >= 0:
-                return hi - step, hi
-            step /= 2
+        for k in range(1, 65):
+            if cmp_pow(cut := hi - (hi - lo) / 2**k, e.q, t) >= 0:
+                return cut, hi
         return None
-    if e.degree == 0:
-        return (lo, hi) if e.coeffs[0] >= t else None
-    a, b = e.coeffs
-    x_t = (t - a) / b
-    lo, hi = (max(lo, x_t), hi) if b > 0 else (lo, min(hi, x_t))
-    return (lo, hi) if lo < hi else None
+    cells = split_dominance(e, const(t), lo, hi)
+    return next(((a, b) for a, b, sign in cells if sign >= 0), None)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ enumerating simple minorants (the supremum ranges over an unenumerable
 family).  Instead it is evaluated in closed form: the result dimension
 is the space's dimension offset plus the essential supremum of the
 dimension coordinate, and the result mass is the exact integral of the
-mass coordinate over the positive-length set where that supremum is
-attained (0 when the supremum set is null, matching sup over the empty
-family = 0).  A certificate of witness sets substantiates every
-evaluation and can be re-verified independently.
+mass coordinate over the pieces where that supremum is attained (0 when
+it is not).  Only the zero density has null pieces, and under it every
+integral is (0, 0); any other density is nonnegative with finitely many
+roots, so every piece has positive measure and the essential supremum
+is the largest supremum over the pieces.  A certificate of witness sets
+substantiates every evaluation and can be re-verified independently.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
@@ -249,14 +251,11 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
     """The cells of pi1 against v.d: below v where pi1 < v.d, and where
     pi1 == v.d on a whole cell, below v where pi2 < v.m.  The edges
     between the cells are the points where pi1 == v.d."""
+    _inside(space, f)
     ivs: List[Tuple[Fraction, Fraction]] = []
     pts: List[Fraction] = []
     level = exprs.const(v.d)
     for p in f.pieces:
-        if p.lo < space.lo or space.hi < p.hi:
-            raise UnknownSetError(
-                f"piece ({p.lo}, {p.hi}) is not inside the space ({space.lo}, {space.hi})"
-            )
         cells = exprs.split_dominance(p.pi1, level, p.lo, p.hi)
         for a, b, sign in cells:
             if sign == 0:
@@ -274,6 +273,15 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
         ivs.extend(gap_ivs)
         pts.extend(gap_pts)
     return IntervalSet.of(ivs, pts)
+
+
+def _inside(space: IntervalSpace, f: PiecewiseFn) -> None:
+    """Raise UnknownSetError unless every piece lies inside the space."""
+    for p in f.pieces:
+        if p.lo < space.lo or space.hi < p.hi:
+            raise UnknownSetError(
+                f"piece ({p.lo}, {p.hi}) is not inside the space ({space.lo}, {space.hi})"
+            )
 
 
 def _mass_point_below(pi2: Expr, m: ExtRat, x: Fraction) -> bool:
@@ -365,12 +373,21 @@ def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 
 
 def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T4Certificate]:
-    pieces = [p for p in f.pieces if space.nu(IntervalSet.of([(p.lo, p.hi)])) > 0]
-    if not pieces:
+    _inside(space, f)
+    # IntervalSpace.of proves the density nonnegative and a nonzero
+    # polynomial has finitely many roots, so every open cell of a piece
+    # has positive measure unless the density is the zero polynomial
+    pieces = f.pieces
+    if not pieces or not any(space.density):
         return ZERO, T4Certificate(ZERO)
 
     sups = [exprs.sup_on(p.pi1, p.lo, p.hi) for p in pieces]
-    s = max(sups)
+    s = max((x for x in sups if x is not None), default=None)
+    for p, sup in zip(pieces, sups):  # an irrational supremum may stay below s
+        if sup is None and (s is None or any(
+            sign >= 0 for _, _, sign in exprs.split_dominance(p.pi1, exprs.const(s), p.lo, p.hi)
+        )):
+            raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
     top_dim = exprs.const(s)
     top = [p for p in pieces if p.pi1 == top_dim]
     mass = sum(
@@ -386,7 +403,7 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
 
 def _build_certificate(
     space: IntervalSpace,
-    pieces: List[PiecewisePiece],
+    pieces: Sequence[PiecewisePiece],
     top: List[PiecewisePiece],
     s: Fraction,
     mass: Fraction,
@@ -402,8 +419,6 @@ def _build_certificate(
                 bound = max(bound, Fraction(0))
                 where = IntervalSet.of([(sub_lo, sub_hi)])
                 mv = space.measure(where)
-                if mv == ZERO:
-                    continue
                 m_wits.append(Witness(where, mv, HValue(s, ExtRat(bound))))
                 achieved += bound * mv.m.frac
 
@@ -429,18 +444,15 @@ def _build_certificate(
 
 
 def _superlevel_witness(
-    space: IntervalSpace, pieces: List[PiecewisePiece], t: Fraction
+    space: IntervalSpace, pieces: Sequence[PiecewisePiece], t: Fraction
 ) -> Optional[Witness]:
-    """A positive-measure set on which the dimension coordinate is >= t > 0."""
-    if t <= 0:
-        return None
+    """A positive-measure set on which the dimension coordinate is >= t;
+    t > 0, since a supremum of 0 is attained by a constant 0 piece."""
     for p in pieces:
         cut = exprs.superlevel_cut(p.pi1, t, p.lo, p.hi)
         if cut is not None:
             where = IntervalSet.of([cut])
-            mv = space.measure(where)
-            if mv != ZERO:
-                return Witness(where, mv, HValue(t, ExtRat(0)))
+            return Witness(where, space.measure(where), HValue(t, ExtRat(0)))
     return None
 
 

@@ -106,6 +106,20 @@ class TestEval:
         )
         assert code == 3  # sup of sqrt on (0,2) is irrational
 
+    @pytest.mark.parametrize("top, code, out", [("5", 0, "(5, 2)\n"), ("1", 3, "")])
+    def test_dominated_irrational_sup(self, top, code, out, tmp_path, capsys):
+        # sqrt(2) on (0, 2) is below 5 on (2, 4), so the value is rational;
+        # above 1 it is the supremum, which is irrational
+        sp = {"kind": "interval", "bounds": ["0", "4"]}
+        fn = {
+            "pieces": [
+                {**_piece("0", "2"), "pi1": {"kind": "pow", "q": "1/2"}},
+                {**_piece("2", "4"), "pi1": {"kind": "const", "value": top}},
+            ]
+        }
+        assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == code
+        assert capsys.readouterr().out == out
+
     def test_fractional_power_below_zero_exit_3(self, tmp_path, capsys):
         sp = {"kind": "interval", "bounds": ["-1", "1"]}
         fn = {"pieces": [{**_piece("-1", "1"), "pi1": {"kind": "pow", "q": "1/2"}}]}

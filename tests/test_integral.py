@@ -4,6 +4,8 @@ certificates, sublevel sets, pointwise sums, and the worked examples."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hintegral import exprs
 from hintegral.errors import (
@@ -11,7 +13,7 @@ from hintegral.errors import (
     UnknownSetError,
     UnsupportedExpressionError,
 )
-from hintegral.hvalue import INF, ZERO, ExtRat, HValue
+from hintegral.hvalue import INF, ZERO, ExtRat, HValue, add
 from hintegral.space import (
     AtomSet,
     AtomSpace,
@@ -172,6 +174,89 @@ class TestIntervalEvaluation:
         f = piecewise((0, 2, exprs.power(F(1, 2)), exprs.const(1)))
         with pytest.raises(UnsupportedExpressionError):
             integrate(sp, f)
+
+    def test_dominated_irrational_sup(self):
+        # sqrt(2) on (0, 2) stays below 5 on (2, 4), so the value is rational
+        sp = IntervalSpace.of(0, 4)
+        root, one = exprs.power(F(1, 2)), exprs.const(1)
+        f = piecewise((0, 2, root, one), (2, 4, exprs.const(5), one))
+        v, cert = integrate(sp, f)
+        assert v == H(5, 2)
+        (w,) = cert.d_witnesses
+        assert (w.where, w.inf_bound) == (IntervalSet.of([(2, 4)]), H(5, 0))
+        assert len(cert.m_witnesses) == 1
+        assert verify_certificate(sp, f, cert)
+        # but not below 1: the supremum of f's dimension is sqrt(2)
+        with pytest.raises(UnsupportedExpressionError):
+            integrate(sp, piecewise((0, 2, root, one), (2, 4, one, one)))
+
+
+points = st.fractions(min_value=0, max_value=4, max_denominator=8)
+inner = points.filter(lambda x: 0 < x < 4)
+
+
+def _through(lo, hi, u, w):
+    """The affine map with the values u at lo and w at hi."""
+    b = (w - u) / (hi - lo)
+    return exprs.affine(u - b * lo, b)
+
+
+@st.composite
+def densities(draw):
+    """On (0, 4): a positive constant times (x - r)**2 for up to two
+    interior r, and maybe x and 4 - x; or the zero density."""
+    if draw(st.integers(0, 4)) == 0:
+        return (0,)
+    coeffs = (draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)),)
+    for r in draw(st.lists(inner, max_size=2)):
+        coeffs = exprs.poly_mul(coeffs, (r * r, -2 * r, 1))
+    for end in ((0, 1), (4, -1)):
+        if draw(st.booleans()):
+            coeffs = exprs.poly_mul(coeffs, end)
+    return coeffs
+
+
+@st.composite
+def functions(draw):
+    """Pieces of (0, 4), some left as gaps, with a constant or affine
+    dimension and a mass of degree <= 2, both nonnegative."""
+    ends = sorted({F(0), F(4)} | set(draw(st.lists(inner, max_size=4))))
+    nonneg = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        if draw(st.booleans()):
+            continue
+        pi1 = _through(lo, hi, draw(nonneg), draw(nonneg))
+        if draw(st.booleans()):
+            pi2 = _through(lo, hi, draw(nonneg), draw(nonneg))
+        else:  # k * (x - r)**2 + m
+            k, r, m = draw(nonneg), draw(points), draw(nonneg)
+            pi2 = exprs.poly([k * r * r + m, -2 * k * r, k])
+        pieces.append((lo, hi, pi1, pi2))
+    return PiecewiseFn.of(pieces)
+
+
+class TestPositiveDensity:
+    """A nonnegative density that is not the zero polynomial gives every
+    open interval positive measure, so the integral ignores no piece."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(densities(), functions(), st.data())
+    def test_no_piece_is_null(self, density, f, data):
+        sp = IntervalSpace.of(0, 4, density=density)
+        a, b = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
+        measure = sp.measure(IntervalSet.of([(a, b)]))
+        v, cert = integrate(sp, f)
+        if any(density):
+            assert measure > ZERO
+            assert all(w.measure > ZERO for w in cert.d_witnesses + cert.m_witnesses)
+        else:
+            assert measure == ZERO
+            assert (v, cert) == (ZERO, T4Certificate(ZERO))
+        assert verify_certificate(sp, f, cert)
+        c = data.draw(inner)
+        halves = [integrate(sp, restrict(f, IntervalSet.of([iv])))[0] for iv in ((0, c), (c, 4))]
+        assert add(*halves) == v
 
 
 class TestCertificates:
@@ -400,10 +485,11 @@ class TestSublevel:
         # as integrate does: the gaps around such a piece would reach
         # past the space, where its measure is not defined
         f = piecewise((lo, hi, exprs.const(1), exprs.const(1)))
-        with pytest.raises(UnknownSetError):
+        with pytest.raises(UnknownSetError) as by_sublevel:
             sublevel_set(UNIT, f, H(0, 1))
-        with pytest.raises(UnknownSetError):
+        with pytest.raises(UnknownSetError) as by_integral:
             integrate(UNIT, f)
+        assert str(by_sublevel.value) == str(by_integral.value)
 
 
 class TestPointwiseAdd:
