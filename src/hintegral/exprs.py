@@ -15,9 +15,10 @@ Each decision below takes two cases: a polynomial, split by its
 degree, or a power.  Every comparison against a rational threshold is
 exactly decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive
 ``x, c``).  One sign test, :func:`at_least`, decides ``e >= c`` on a
-cell for every expression; a polynomial of degree >= 2 goes to an
-integer kernel (Bernstein coefficients with one common denominator,
-and Yun's square-free decomposition for its odd part).  One function,
+cell, or at a point (a cell with ``lo == hi``), for every expression; a
+polynomial of degree >= 2 goes to an integer kernel (Bernstein
+coefficients with one common denominator, and Yun's square-free
+decomposition for its odd part).  One function,
 :func:`split_dominance`, cuts a piece by comparing two expressions; a
 sublevel set is read off its cells against a constant, so it is a
 finite union of intervals and points.  It and the suprema are solved
@@ -373,21 +374,15 @@ def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
             )
 
 
-def cmp_at(e: Expr, x: Fraction, c: Fraction) -> int:
-    """Sign of e(x) - c, exact for every grammar member."""
-    if isinstance(e, Power):
-        return cmp_pow(x, e.q, c)
-    return _cmp(poly_eval(e.coeffs, x), c)
-
-
 # ---------------------------------------------------------------------------
 # suprema on open intervals
 # ---------------------------------------------------------------------------
 
 
 def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
-    """Supremum of e over the open (lo, hi), or None when it is
-    irrational (a power at hi); a degree >= 2 polynomial raises."""
+    """Supremum of e over the open (lo, hi), its value at lo when
+    lo == hi, or None when that is irrational (a power at hi); a
+    degree >= 2 polynomial raises."""
     if isinstance(e, Power):
         return pow_exact(hi, e.q)
     if e.degree == 0:
@@ -430,14 +425,15 @@ def _pow_floor(x: Fraction, q: Fraction) -> Fraction:
 
 
 def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """Exactly decide e >= c on the open (lo, hi).
+    """Exactly decide e >= c on the open (lo, hi), or at lo if lo == hi.
 
     A power (on x >= 0) increases and a polynomial of degree <= 1 is
     monotone, so one end decides.  A higher degree is decided by its
     values at the ends, then by its Bernstein bound, then by bisecting
     its odd part on Bernstein bounds: p >= c fails exactly where that
     part is negative, and its roots are simple, so a cell around a root
-    at an end is eventually bounded by 0 and the bisection ends."""
+    at an end is eventually bounded by 0 and the bisection ends.  At a
+    point every Bernstein coefficient is the value, and the ends decide."""
     if isinstance(e, Power):
         return c <= 0 or cmp_pow(lo, e.q, c) >= 0
     if e.degree <= 1:
@@ -562,7 +558,7 @@ def try_add(e1: Expr, e2: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization of expressions
+# JSON parsing of expressions
 # ---------------------------------------------------------------------------
 
 
@@ -579,12 +575,3 @@ def expr_from_json(obj) -> Expr:
         return poly(json_list(obj["coeffs"], "coeffs"))
     raise UnsupportedExpressionError(f"unknown expression kind {kind!r}")
 
-
-def expr_to_json(e: Expr):
-    if isinstance(e, Power):
-        return {"kind": "pow", "q": str(e.q)}
-    if e.degree == 0:
-        return {"kind": "const", "value": str(e.coeffs[0])}
-    if e.degree == 1:
-        return {"kind": "affine", "a": str(e.coeffs[0]), "b": str(e.coeffs[1])}
-    return {"kind": "poly", "coeffs": [str(c) for c in e.coeffs]}

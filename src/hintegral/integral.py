@@ -22,13 +22,16 @@ integral is (0, 0); any other density is nonnegative with finitely many
 roots, so every piece has positive measure and the essential supremum
 is the largest supremum over the pieces.  A certificate of witness sets
 substantiates every evaluation and can be re-verified independently.
+One rule, :func:`_holds`, decides f >= b on a cell or at a point of a
+piece, for witnesses and sublevel edges alike; it rests on the
+dimension coordinate being monotone on each piece.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
 ``restrict(f, L)``.
 
 This module holds only the general integral, its certificate,
-restriction, sublevel sets, pointwise sums and the JSON formats.  It
+restriction, sublevel sets, pointwise sums and the JSON parser.  It
 treats an expression as opaque; :mod:`hintegral.exprs` decides
 everything that depends on its kind.  Sublevel sets and pointwise sums
 both read the cells of :func:`exprs.split_dominance`.  The references
@@ -250,7 +253,8 @@ def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
 def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> IntervalSet:
     """The cells of pi1 against v.d: below v where pi1 < v.d, and where
     pi1 == v.d on a whole cell, below v where pi2 < v.m.  The edges
-    between the cells are the points where pi1 == v.d."""
+    between the cells are the points where pi1 == v.d, each below v
+    where :func:`_holds` fails."""
     _inside(space, f)
     ivs: List[Tuple[Fraction, Fraction]] = []
     pts: List[Fraction] = []
@@ -267,7 +271,7 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
                 ivs.extend((c, d) for c, d, s in mass if s < 0)
             elif sign < 0:
                 ivs.append((a, b))
-        pts.extend(t for _, t, _ in cells[:-1] if _mass_point_below(p.pi2, v.m, t))
+        pts.extend(t for _, t, _ in cells[:-1] if not _holds(p, v, t, t))
     if ZERO < v:
         gap_ivs, gap_pts = _uncovered(space, f)
         ivs.extend(gap_ivs)
@@ -282,14 +286,6 @@ def _inside(space: IntervalSpace, f: PiecewiseFn) -> None:
             raise UnknownSetError(
                 f"piece ({p.lo}, {p.hi}) is not inside the space ({space.lo}, {space.hi})"
             )
-
-
-def _mass_point_below(pi2: Expr, m: ExtRat, x: Fraction) -> bool:
-    """pi2(x) < m: whether f(x) < v at a point x where f's dimension
-    coordinate equals v.d."""
-    if not m.is_finite:
-        return m.sign() > 0
-    return exprs.cmp_at(pi2, x, m.frac) < 0
 
 
 def _uncovered(space: IntervalSpace, f: PiecewiseFn):
@@ -541,40 +537,42 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
 
 
 def _bound_holds(f: HFunction, w: Witness) -> bool:
-    """f >= b everywhere on the witness set."""
+    """f >= b everywhere on the witness set: each interval and each point
+    of a piecewise witness is a cell that :func:`_holds` decides."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         # off its pieces f is (0,0) < b, so the set must lie in the union
         # of the pieces whose coefficient is at least b
         good = [s for coeff, s in f.pieces if coeff >= b]
         return bool(good) and w.where <= union(good)
-    for x in w.where.points:
-        # a point off every open piece has the value (0,0) < b
-        piece = _piece_covering(f, x, x)
-        if piece is None or not piece.lo < x < piece.hi:
-            return False
-        s = exprs.cmp_at(piece.pi1, x, b.d)
-        if s < 0 or (s == 0 and _mass_point_below(piece.pi2, b.m, x)):
-            return False
-    for a, c in w.where.intervals:
+    for a, c in [(x, x) for x in w.where.points] + list(w.where.intervals):
         piece = _piece_covering(f, a, c)
-        if piece is None:
+        # off the open pieces, piece ends included, f is (0,0) < b
+        if piece is None or (a == c and not piece.lo < a < piece.hi):
             return False
-        if not exprs.at_least(piece.pi1, b.d, a, c):
-            return False
-        if exprs.cmp_at(piece.pi1, (a + c) / 2, b.d) > 0:
-            continue  # dimension strictly above the bound: mass bound is free
-        # a mass bound of at most 0 relies on pi2 >= 0 (see
-        # exprs.check_piece); +inf exceeds the finite mass coordinate
-        if b.m.sign() > 0 and (
-            not b.m.is_finite or not exprs.at_least(piece.pi2, b.m.frac, a, c)
-        ):
+        if not _holds(piece, b, a, c):
             return False
     return True
 
 
+def _holds(p: PiecewisePiece, b: HValue, a: Fraction, c: Fraction) -> bool:
+    """f >= b on the open cell (a, c) of the piece p, or at the point a
+    when a == c."""
+    if not exprs.at_least(p.pi1, b.d, a, c):
+        return False
+    if b.m.sign() <= 0:
+        return True  # pi2 >= 0 (see exprs.check_piece)
+    # the dimension coordinate is monotone (exprs.check_piece), so where
+    # it is >= b.d it equals b.d on an open cell only when it is that
+    # constant, and at a point only when its value there is b.d: only
+    # then does the mass coordinate have to reach b.m, which +inf exceeds
+    if exprs.sup_on(p.pi1, a, c) != b.d:
+        return True
+    return b.m.is_finite and exprs.at_least(p.pi2, b.m.frac, a, c)
+
+
 # ---------------------------------------------------------------------------
-# JSON formats
+# JSON parsing
 # ---------------------------------------------------------------------------
 
 
@@ -602,22 +600,3 @@ def function_from_json(obj) -> HFunction:
         return PiecewiseFn.of(out)
     raise ParseError("function description needs 'simple' or 'pieces'")
 
-
-def function_to_json(f: HFunction):
-    if isinstance(f, SimpleFn):
-        return {
-            "simple": [
-                {"coeff": str(coeff), "set": set_to_json(s)} for coeff, s in f.pieces
-            ],
-            "i_simple": f.i_simple,
-        }
-    return {
-        "pieces": [
-            {
-                "set": {"intervals": [[str(p.lo), str(p.hi)]]},
-                "pi1": exprs.expr_to_json(p.pi1),
-                "pi2": exprs.expr_to_json(p.pi2),
-            }
-            for p in f.pieces
-        ]
-    }

@@ -18,8 +18,8 @@ The indefinite integral over a part L of a partition is
 
 The module also samples random i-simple minorants of a function (the
 integral is the supremum of their integrals) and builds the witness
-that a diagonal function escapes every chain of simple functions.  No
-production module imports it.
+that a diagonal function escapes every chain of simple functions.  Of
+the other modules only the CLI imports it, for ``laws`` and ``demo``.
 
 The ``*_fn`` keyword arguments exist solely to inject broken
 implementations (mutants) in tests; production callers leave them
@@ -51,7 +51,7 @@ from .space import AtomSet, AtomSpace, IntervalSet, IntervalSpace, scaled_embedd
 from .integral import (
     SimpleFn,
     _uncovered,
-    integrate,  # noqa: F401  kept for perfbench/test_perfbench.py (ROADMAP item 3)
+    integrate,  # noqa: F401  kept for perfbench/test_perfbench.py (ROADMAP item 5)
     integrate_simple,
     pointwise_add_fn,
     restrict,

@@ -259,7 +259,7 @@ class IntervalSpace:
                 )
             total += exprs.poly_integral(self.density, a, b)
         for p in s.points:
-            if p < self.lo or p > self.hi:
+            if not self.lo < p < self.hi:
                 raise UnknownSetError(f"point {p} outside the space")
         return total
 
@@ -416,30 +416,3 @@ def space_from_json(obj) -> MeasureSpace:
             )
         return CatalogSpace.of(entries)
     raise ParseError(f"unknown space kind {kind!r}")
-
-
-def space_to_json(space: MeasureSpace):
-    if isinstance(space, AtomSpace):
-        return {
-            "kind": "atoms",
-            "atoms": {a: str(space.weights[a]) for a in space.atoms},
-        }
-    if isinstance(space, IntervalSpace):
-        return {
-            "kind": "interval",
-            "bounds": [str(space.lo), str(space.hi)],
-            "dim_offset": str(space.dim_offset),
-            "density": [str(c) for c in space.density],
-        }
-    return {
-        "kind": "catalog",
-        "sets": [
-            {
-                "name": e.name,
-                "ambient": e.ambient,
-                "hvalue": str(e.hvalue),
-                "set_kind": e.kind,
-            }
-            for e in space.sets.values()
-        ],
-    }

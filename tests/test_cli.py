@@ -191,6 +191,20 @@ class TestEval:
         assert code == 3
         assert capsys.readouterr().err.startswith("unsupported:")
 
+    @pytest.mark.parametrize("point", ["0", "1", "2"])
+    def test_point_outside_the_open_space_exit_3(self, point, tmp_path, capsys):
+        # the space (0, 1) is open: its ends lie outside it, like 2
+        fn = {
+            "simple": [
+                {"coeff": "(1, 1)", "set": {"intervals": [["0", "1/2"]], "points": [point]}}
+            ]
+        }
+        args = [write(tmp_path, "s.json", SPACE), write(tmp_path, "f.json", fn)]
+        assert main(["eval", *args, "--certificate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unsupported: point {point} outside the space\n"
+
     def test_mixed_set_kinds_exit_3(self, tmp_path, capsys):
         fn = {
             "simple": [

@@ -32,7 +32,6 @@ from hintegral.integral import (
     Witness,
     constant_fn,
     function_from_json,
-    function_to_json,
     integrate,
     integrate_simple,
     pointwise_add_fn,
@@ -360,6 +359,19 @@ class TestCertificates:
         w = Witness(IntervalSet.of([(0, F(1, 2))], [F(3, 4)]), H(0, F(1, 2)), HValue(F(1), -INF))
         assert verify_certificate(sp, f, T4Certificate(H(1, 0), (w,), (), True, ExtRat(0)))
 
+    def test_witness_point_where_the_dimension_meets_the_bound(self):
+        # f = (x, 1): at 1/4 its dimension equals the bound's, so its mass 1
+        # must reach 2 and does not; at 3/8 the dimension is above 1/4
+        sp = IntervalSpace.of(0, 1)
+        f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
+
+        def cert(point):
+            w = Witness(IntervalSet.of([(F(1, 2), F(3, 4))], [point]), H(0, F(1, 4)), H(F(1, 4), 2))
+            return T4Certificate(H(1, 0), (w,), (), True, ExtRat(0))
+
+        assert not verify_certificate(sp, f, cert(F(1, 4)))
+        assert verify_certificate(sp, f, cert(F(3, 8)))
+
     def test_witness_point_on_a_piece_boundary_fails(self):
         sp = IntervalSpace.of(0, 1)
         f = piecewise(
@@ -611,12 +623,22 @@ class TestRestrict:
 
 
 class TestFunctionJson:
-    def test_simple_round_trip(self):
+    def test_simple_parse(self):
         f = SimpleFn.of([(H(1, "inf"), AtomSet.of("a"))], i_simple=True)
-        assert function_from_json(function_to_json(f)) == f
+        obj = {"simple": [{"coeff": "(1, inf)", "set": {"atoms": ["a"]}}], "i_simple": True}
+        assert function_from_json(obj) == f
 
-    def test_piecewise_round_trip(self):
+    def test_piecewise_parse(self):
         f = PiecewiseFn.of(
             [(0, F(1, 2), exprs.power(F(1, 2)), exprs.poly([0, 1, 1]))]
         )
-        assert function_from_json(function_to_json(f)) == f
+        obj = {
+            "pieces": [
+                {
+                    "set": {"intervals": [["0", "1/2"]]},
+                    "pi1": {"kind": "pow", "q": "1/2"},
+                    "pi2": {"kind": "poly", "coeffs": ["0", "1", "1"]},
+                }
+            ]
+        }
+        assert function_from_json(obj) == f

@@ -20,7 +20,6 @@ from hintegral.space import (
     set_from_json,
     set_to_json,
     space_from_json,
-    space_to_json,
     union,
 )
 
@@ -196,6 +195,10 @@ class TestIntervalSpace:
         sp = IntervalSpace.of(0, 1)
         with pytest.raises(UnknownSetError):
             sp.nu(IntervalSet.of([(0, 2)]))
+        for p in (0, 1, 2):  # the space is open: its ends lie outside it
+            with pytest.raises(UnknownSetError):
+                sp.nu(IntervalSet.of(points=[p]))
+        assert sp.nu(IntervalSet.of(points=[F(1, 2)])) == 0
 
 
 class TestCatalogSpace:
@@ -263,11 +266,23 @@ class TestJson:
         ]:
             assert set_from_json(set_to_json(s)) == s
 
-    def test_space_round_trip(self):
-        spaces = [
-            AtomSpace.of({"a": H(1, "inf"), "b": H(0, 3)}),
-            IntervalSpace.of(0, 1, dim_offset="3/2", density=(1, 2)),
-            CatalogSpace.of([CatalogSet("L", 2, H(1, "inf"), "line")]),
+    def test_space_parse(self):
+        golden = [
+            (
+                AtomSpace.of({"a": H(1, "inf"), "b": H(0, 3)}),
+                {"kind": "atoms", "atoms": {"a": "(1, inf)", "b": "(0, 3)"}},
+            ),
+            (
+                IntervalSpace.of(0, 1, dim_offset="3/2", density=(1, 2)),
+                {"kind": "interval", "bounds": ["0", "1"], "dim_offset": "3/2", "density": ["1", "2"]},
+            ),
+            (
+                CatalogSpace.of([CatalogSet("L", 2, H(1, "inf"), "line")]),
+                {
+                    "kind": "catalog",
+                    "sets": [{"name": "L", "ambient": 2, "hvalue": "(1, inf)", "set_kind": "line"}],
+                },
+            ),
         ]
-        for sp in spaces:
-            assert space_from_json(space_to_json(sp)) == sp
+        for sp, obj in golden:
+            assert space_from_json(obj) == sp
