@@ -3,25 +3,24 @@
 Each functional measures how far an object is from a property as the
 h-integral of a declared "defect" integrand.  Scenarios carry the
 defect data explicitly (cluster remainders, catalog primitives, point
-sets).  Every integrand is simple, so each functional is the dominance
-sum of value x measure over disjoint sets: (0,1) for each point, jump
-or ordered pair, (1, length) for each bounded cell of a line, (1, inf)
-for the rest of a line, and the declared measure of a global cluster
-component.  The module never computes cluster sets analytically, nor
-infima over all lines.
+sets); the module never computes cluster sets analytically.  Every
+integrand is simple, so each functional is a dominance sum of value x
+measure over disjoint sets: (0,1) for each point, jump or ordered pair,
+and the declared measure of a global cluster component.
 
-Lineness is explicitly candidate-restricted: the returned value is the
-minimum over the listed candidate lines, an upper bound for the true
-infimum over every line in the plane.
+Lineness is a closed form (:func:`_lineness_value`): a line other than
+the candidate gives (1, inf), segments add the lengths the sections
+see, and distinct points count only at dimension 0.  The value is the
+minimum over the listed candidates, an upper bound for the infimum
+over every line in the plane.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import exprs
 from .errors import ParseError, UnsupportedScenarioError, json_loader
@@ -72,25 +71,9 @@ class Line2:
     def contains(self, p: Point2) -> bool:
         return self.a * p.x + self.b * p.y == self.c
 
-    def parallel_to(self, other: "Line2") -> bool:
-        return self.a * other.b == other.a * self.b
-
     def perpendicular_to(self, other: "Line2") -> bool:
         # directions (b, -a); dot product of directions
         return self.b * other.b + self.a * other.a == 0
-
-    def base_point(self) -> Point2:
-        if self.b != 0:
-            return Point2(Fraction(0), Fraction(self.c, self.b))
-        return Point2(Fraction(self.c, self.a), Fraction(0))
-
-    def param(self, p: Point2) -> Fraction:
-        """Rational coordinate, along the line (direction (b, -a)), of
-        p's orthogonal projection onto it."""
-        p0 = self.base_point()
-        return Fraction(
-            self.b * (p.x - p0.x) - self.a * (p.y - p0.y), self.a**2 + self.b**2
-        )
 
 
 def rational_distance(p: Point2, q: Point2) -> Fraction:
@@ -204,86 +187,50 @@ def defi_continuity(s: ClusterScenario) -> HValue:
 # ---------------------------------------------------------------------------
 
 
-def _line_intersection(e: Line2, other: Line2) -> Point2:
-    det = e.a * other.b - other.a * e.b
-    if det == 0:
-        raise ValueError("parallel lines do not intersect")
-    x = Fraction(e.c * other.b - other.c * e.b, det)
-    y = Fraction(e.a * other.c - other.a * e.c, det)
-    return Point2(x, y)
-
-
-def _param_distance(e: Line2, t1: Fraction, t2: Fraction) -> Fraction:
-    """Euclidean length of the piece of e between parameters t1, t2."""
-    n2 = Fraction(e.a**2 + e.b**2)
-    r = exprs.nth_root(n2, 2)
-    if r is None:
-        raise UnsupportedScenarioError(
-            f"shadow length along {e} is irrational (direction norm^2: {n2})"
-        )
-    return abs(t2 - t1) * r
-
-
 def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
-    """Integral along e of the measure of each perpendicular section of
-    K minus its base point.
+    """Integral along e = {a*x + b*y = c} of the measure of each
+    perpendicular section of K minus its foot, in closed form:
 
-    The integrand is piecewise constant along e: a value at each isolated
-    foot point, (0,1) per covering shadow on the bounded shadow cells,
-    and (0,1) per background line (a line neither e nor perpendicular to
-    it) everywhere, except that a crossing line misses its own foot.
+    - a line of K other than e meets almost every section off e, or is
+      one whole section: the integral reaches (1, inf), and no more, as
+      only finitely many sections have dimension 1;
+    - a segment perpendicular to e lies in one section, whose foot has
+      measure (0, 1): it adds (1, length);
+    - any other segment off e meets each section over its shadow once:
+      it adds (0, 1) x (1, |b*dx - a*dy| / sqrt(a^2 + b^2));
+    - points off e and segment ends are dimension 0, dominated once any
+      segment lies off e.
+
+    K is a set, so a repeated point counts once; its segments are assumed
+    not to overlap along a common line, as each adds its own length.
     """
-    feet: Dict[Fraction, HValue] = {}  # foot parameter -> summed section values
-    crossings: Counter = Counter()  # foot parameter -> background lines crossing e there
-    sweep: Counter = Counter()  # +1 at each shadow start, -1 at each end
-    background = 0
-
-    def at_foot(t: Fraction, v: HValue):
-        feet[t] = add(feet.get(t, ZERO), v)
-
+    if any(prim.kind == "line" and prim.line() != e for prim in prims):
+        return HValue(ONE, INF)
+    points = set()  # distinct points off e
+    length = Fraction(0)  # perpendicular segments
+    shadow = Fraction(0)  # shadow lengths times sqrt(a^2 + b^2)
     for prim in prims:
         if prim.kind == "point":
-            # a point of e is the base point of its own section
             if not e.contains(prim.p):
-                at_foot(e.param(prim.p), COUNT)
-        elif prim.kind == "line":
-            line = prim.line()
-            if line == e:
-                continue  # every section meets e exactly at y itself, which is removed
-            if line.perpendicular_to(e):
-                # the section at the crossing foot is the whole line minus y
-                at_foot(e.param(_line_intersection(e, line)), HValue(ONE, INF))
-                continue
-            background += 1
-            if not line.parallel_to(e):
-                crossings[e.param(_line_intersection(e, line))] += 1
+                points.add(prim.p)
         elif prim.kind == "segment":
             p, q = prim.p, prim.q
             if e.contains(p) and e.contains(q):
                 continue
             if prim.line().perpendicular_to(e):
-                at_foot(e.param(p), HValue(ONE, ExtRat(rational_distance(p, q))))
-                continue
-            lo, hi = sorted((e.param(p), e.param(q)))
-            at_foot(lo, COUNT)
-            at_foot(hi, COUNT)
-            sweep[lo] += 1
-            sweep[hi] -= 1
-        else:
+                length += rational_distance(p, q)
+            else:
+                shadow += abs(e.b * (q.x - p.x) - e.a * (q.y - p.y))
+        elif prim.kind != "line":  # every line is e itself
             raise UnsupportedScenarioError(f"unknown primitive kind {prim.kind!r}")
-
-    total = mul(HValue.of(0, background), HValue(ONE, INF))  # the rest of the line
-    edges = sorted(feet)  # every shadow end is a foot
-    depth = 0
-    for lo, hi in zip(edges, edges[1:]):
-        depth += sweep[lo]
-        if depth:
-            cell = HValue(ONE, ExtRat(_param_distance(e, lo, hi)))
-            total = add(total, mul(HValue.of(0, depth + background), cell))
-    for t in edges:
-        value = add(feet[t], HValue.of(0, background - crossings[t]))
-        total = add(total, mul(value, COUNT))
-    return total
+    if shadow:
+        norm = exprs.nth_root(n2 := Fraction(e.a**2 + e.b**2), 2)
+        if norm is None:
+            raise UnsupportedScenarioError(
+                f"shadow length along {e} is irrational (direction norm^2: {n2})"
+            )
+        length += shadow / norm
+    return HValue(ONE, ExtRat(length)) if length else HValue.of(0, len(points))
 
 
 def defi_lineness(s: LinenessScenario) -> Tuple[HValue, Line2]:
@@ -311,12 +258,11 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
     """
     if s.convex_primitive is not None:
         return ZERO
-    pts = s.points
+    pts = list(dict.fromkeys(s.points))  # K is a set: one copy of each point
     gaps = [
         HValue(ONE, ExtRat(rational_distance(x, y)))
         for i, x in enumerate(pts)
         for y in pts[i + 1 :]
-        if x != y
     ]
     # each unordered pair stands for the two ordered pairs (x, y), (y, x)
     return sum_finite(mul(gap, COUNT) for gap in gaps for _ in range(2))

@@ -380,9 +380,8 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
     sups = [exprs.sup_on(p.pi1, p.lo, p.hi) for p in pieces]
     s = max((x for x in sups if x is not None), default=None)
     for p, sup in zip(pieces, sups):  # an irrational supremum may stay below s
-        if sup is None and (s is None or any(
-            sign >= 0 for _, _, sign in exprs.split_dominance(p.pi1, exprs.const(s), p.lo, p.hi)
-        )):
+        # it is a power's value at hi (exprs.sup_on), so >= s means > s
+        if sup is None and (s is None or exprs.at_least(p.pi1, s, p.hi, p.hi)):
             raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
     top_dim = exprs.const(s)
     top = [p for p in pieces if p.pi1 == top_dim]
@@ -528,8 +527,8 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
             union([w.where for w in cert.m_witnesses])
         except NonDisjointError:
             return False
-        if recomputed != cert.achieved_m or not recomputed <= cert.value.m:
-            return False
+    if recomputed != cert.achieved_m or not recomputed <= cert.value.m:
+        return False
     if cert.exact_m and cert.value != ZERO:
         if cert.achieved_m != cert.value.m:
             return False

@@ -120,6 +120,18 @@ class TestEval:
         assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == code
         assert capsys.readouterr().out == out
 
+    def test_undominated_irrational_sup_names_its_cause(self, tmp_path, capsys):
+        # x**(2/3) on (0, 2) reaches 2**(2/3) > 3/2, which is irrational
+        sp = {"kind": "interval", "bounds": ["0", "3"]}
+        fn = {
+            "pieces": [
+                {**_piece("0", "2"), "pi1": {"kind": "pow", "q": "2/3"}},
+                {**_piece("2", "3"), "pi1": {"kind": "const", "value": "3/2"}},
+            ]
+        }
+        assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == 3
+        assert capsys.readouterr().err == "unsupported: sup of pi1 on (0, 2) is irrational\n"
+
     def test_fractional_power_below_zero_exit_3(self, tmp_path, capsys):
         sp = {"kind": "interval", "bounds": ["-1", "1"]}
         fn = {"pieces": [{**_piece("-1", "1"), "pi1": {"kind": "pow", "q": "1/2"}}]}
@@ -369,6 +381,20 @@ class TestDefi:
         out = capsys.readouterr().out
         assert "(0, 1)" in out and "best line" in out
 
+    def test_other_line_beats_an_irrational_norm(self, tmp_path, capsys):
+        # the line x = 0 gives (1, inf) along y = x, whose norm sqrt(2) is
+        # then never needed
+        s = {
+            "kind": "lineness",
+            "primitives": [
+                {"type": "line", "p": ["0", "0"], "q": ["0", "1"]},
+                {"type": "segment", "p": ["0", "0"], "q": ["2", "0"]},
+            ],
+            "candidates": [{"p": ["0", "0"], "q": ["1", "1"]}],
+        }
+        assert main(["defi", write(tmp_path, "c.json", s)]) == 0
+        assert capsys.readouterr().out == "(1, inf)\nbest line: 1*x + -1*y = 0\n"
+
     def test_global_name_next_to_a_jump(self, tmp_path, capsys):
         s = {
             "kind": "continuity",
@@ -412,6 +438,7 @@ DEFI_GOLDENS = {
     "convexity_three_collinear.json": {"value": "(1, 8)"},
     "convexity_two_points.json": {"value": "(1, 2)"},
     "lineness_line_and_point.json": {"value": "(0, 1)", "best_line": "0*x + 1*y = 0"},
+    "lineness_segments.json": {"value": "(1, 9)", "best_line": "0*x + 1*y = 0"},
 }
 
 

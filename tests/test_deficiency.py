@@ -13,12 +13,14 @@ lineness (candidate e = the x-axis)
   K = e only             every section loses its own base point  -> (0, 0)
   K = e + point (0,1)    (0,1) * mu({foot}) = (0,1)(0,1)         -> (0, 1)
   K = e + parallel line  (0,1) * mu(e) = (0,1)(1,inf)            -> (1, inf)
+  K = e + (0,1) twice    K is a set: one point, as above          -> (0, 1)
 
 convexity
   segment (convex)       every chord inside K                    -> (0, 0)
   {(0,0),(1,0)}          2 ordered pairs, each (1,1)(0,1)=(1,1)  -> (1, 2)
   {0,1,2} on a line      pairs 0-1,1-0,1-2,2-1: (1,1) each;
                          0-2,2-0: (1,2) each; masses 1+1+1+1+2+2 -> (1, 8)
+  (0,0) twice, (3,4)     K = {(0,0),(3,4)}: 2 ordered pairs, (1,5) each -> (1, 10)
 """
 
 from fractions import Fraction as F
@@ -28,7 +30,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hintegral.errors import ParseError, UnsupportedScenarioError
-from hintegral.hvalue import HValue, ZERO, add
+from hintegral.hvalue import HValue, ZERO, add, mul
 from hintegral.deficiency import (
     ClusterScenario,
     ConvexityScenario,
@@ -61,9 +63,8 @@ class TestGeometry:
     def test_parallel_perpendicular(self):
         other = Line2.through(P(0, 1), P(1, 1))
         vert = Line2.through(P(0, 0), P(0, 1))
-        assert X_AXIS.parallel_to(other)
         assert X_AXIS.perpendicular_to(vert)
-        assert not X_AXIS.parallel_to(vert)
+        assert not X_AXIS.perpendicular_to(other)
 
     def test_rational_distance(self):
         assert rational_distance(P(0, 0), P(3, 4)) == 5
@@ -102,6 +103,56 @@ class TestContinuity:
     def test_global_name_is_free(self):
         s = ClusterScenario.of([(0, H(0, 1))], ("jump:0", H(1, "inf"), H(0, 1)))
         assert defi_continuity(s) == H(1, "inf")
+
+
+# directions of rational length 1, 5 or 13
+PYTHAGOREAN = [(1, 0), (0, 1), (-1, 0), (0, -1), (3, 4), (4, -3), (-4, 3), (5, 12), (12, -5)]
+
+
+def _section_integral(origin, direction, prims):
+    """The lineness integral from its definition, on the line through
+    origin along direction (of rational length), which is in K or not at
+    all: the sections are constant between the feet of the points, the
+    segment ends and the segments' crossings with the line, so each foot
+    counts with measure (0, 1) and each cell between feet with (1, its
+    length), at the section through its midpoint."""
+    norm = rational_distance(P(0, 0), P(*direction))
+    ux, uy = direction[0] / norm, direction[1] / norm
+
+    def along(p):  # foot parameter of p, and its signed distance from e
+        dx, dy = p.x - origin.x, p.y - origin.y
+        return dx * ux + dy * uy, dy * ux - dx * uy
+
+    def section(t):
+        total = ZERO
+        for prim in prims:
+            if prim.kind == "point":
+                foot, off = along(prim.p)
+                if foot == t and off != 0:
+                    total = add(total, H(0, 1))
+            elif prim.kind == "segment":
+                (fp, op), (fq, oq) = along(prim.p), along(prim.q)
+                if fp == fq:  # perpendicular to e: inside the section or apart
+                    if fp == t:
+                        total = add(total, H(1, rational_distance(prim.p, prim.q)))
+                elif min(fp, fq) <= t <= max(fp, fq) and op + (oq - op) * (t - fp) / (fq - fp):
+                    total = add(total, H(0, 1))  # crosses the section off e
+        return total
+
+    ends = [p for prim in prims if prim.kind != "line" for p in (prim.p, prim.q) if p is not None]
+    feet = {along(p)[0] for p in ends}
+    for prim in prims:  # where a segment crosses e, its point there is a foot, removed
+        if prim.kind == "segment":
+            (fp, op), (fq, oq) = along(prim.p), along(prim.q)
+            if op * oq < 0:
+                feet.add(fp + (fq - fp) * op / (op - oq))
+    feet = sorted(feet)
+    total = ZERO
+    for t in feet:
+        total = add(total, mul(section(t), H(0, 1)))
+    for lo, hi in zip(feet, feet[1:]):
+        total = add(total, mul(section((lo + hi) / 2), H(1, hi - lo)))
+    return total
 
 
 class TestLineness:
@@ -181,6 +232,42 @@ class TestLineness:
             LinenessScenario.of(prims, candidates)
         )
 
+    def test_repeated_point_counts_once(self):
+        dot = LinePrimitive("point", P(0, 1))
+        s = LinenessScenario.of([X_AXIS_PRIM, dot, dot], [X_AXIS])
+        assert defi_lineness(s)[0] == H(0, 1)
+
+    def test_other_line_beats_an_irrational_norm(self):
+        # the shadow of the segment along y = x would need sqrt(2), but the
+        # line x = 0 already gives (1, inf)
+        diagonal = Line2.through(P(0, 0), P(1, 1))
+        prims = [
+            LinePrimitive("line", P(0, 0), P(0, 1)),
+            LinePrimitive("segment", P(0, 0), P(2, 0)),
+        ]
+        assert defi_lineness(LinenessScenario.of(prims, [diagonal])) == (H(1, "inf"), diagonal)
+        with pytest.raises(UnsupportedScenarioError, match="direction norm\\^2: 2"):
+            defi_lineness(LinenessScenario.of(prims[1:], [diagonal]))
+
+    @given(st.data())
+    def test_closed_form_matches_the_section_integral(self, data):
+        coords = st.integers(-4, 4)
+        points = data.draw(st.lists(st.tuples(coords, coords), max_size=4, unique=True))
+        prims = [LinePrimitive("point", P(x, y)) for x, y in points]
+        for _ in range(data.draw(st.integers(0, 4))):
+            p = P(data.draw(coords), data.draw(coords))
+            u, v = data.draw(st.sampled_from(PYTHAGOREAN))
+            k = data.draw(st.integers(1, 2))
+            prims.append(LinePrimitive("segment", p, P(p.x + k * u, p.y + k * v)))
+        origin = P(data.draw(coords), data.draw(coords))
+        u, v = data.draw(st.sampled_from(PYTHAGOREAN))
+        tip = P(origin.x + u, origin.y + v)
+        if data.draw(st.booleans()):
+            prims.append(LinePrimitive("line", origin, tip))
+        e = Line2.through(origin, tip)
+        expected = _section_integral(origin, (F(u), F(v)), prims)
+        assert defi_lineness(LinenessScenario.of(prims, [e])) == (expected, e)
+
     def test_more_candidates_never_increase(self):
         prims = [X_AXIS_PRIM, LinePrimitive("point", P(0, 1))]
         few = LinenessScenario.of(prims, [X_AXIS])
@@ -220,6 +307,10 @@ class TestConvexity:
         forward = defi_convexity(ConvexityScenario.of(pts))
         backward = defi_convexity(ConvexityScenario.of(list(reversed(pts))))
         assert forward == backward
+
+    def test_repeated_point_counts_once(self):
+        s = ConvexityScenario.of([P(0, 0), P(0, 0), P(3, 4)])
+        assert defi_convexity(s) == H(1, 10)
 
     def test_irrational_distance_unsupported(self):
         with pytest.raises(UnsupportedScenarioError):

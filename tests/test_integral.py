@@ -306,6 +306,13 @@ class TestCertificates:
         bad = replace(cert, value=H(2, 2), achieved_m=ExtRat(2))
         assert not verify_certificate(UNIT, f, bad)
 
+    @pytest.mark.parametrize("value_m, exact_m, achieved_m", [(100, True, 100), (100, False, 5)])
+    def test_achieved_mass_without_mass_witnesses_fails(self, value_m, exact_m, achieved_m):
+        # f = (1, 1) has the value (2, 1); no mass witness sums to 0, not achieved_m
+        f = constant_fn(0, 1, H(1, 1))
+        cert = T4Certificate(H(2, value_m), (), (), exact_m, ExtRat(achieved_m))
+        assert not verify_certificate(UNIT, f, cert)
+
     def test_interval_witness_must_lie_in_pieces(self):
         # a witness reaching past the only piece is false though its midpoint is in it
         sp = IntervalSpace.of(0, 1)
