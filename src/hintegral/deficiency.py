@@ -187,6 +187,23 @@ def defi_continuity(s: ClusterScenario) -> HValue:
 # ---------------------------------------------------------------------------
 
 
+def _union_on(line: Line2, segments) -> list:
+    """The union of segments (p, q) on one line, as disjoint segments
+    [p, q] in order along the line; overlapping or touching ones merge."""
+
+    def along(p: Point2) -> Fraction:
+        return line.b * p.x - line.a * p.y
+
+    spans = sorted((sorted(pq, key=along) for pq in segments), key=lambda pq: along(pq[0]))
+    union = []
+    for p, q in spans:
+        if union and along(p) <= along(union[-1][1]):
+            union[-1][1] = max(union[-1][1], q, key=along)
+        else:
+            union.append([p, q])
+    return union
+
+
 def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
     """Integral along e = {a*x + b*y = c} of the measure of each
     perpendicular section of K minus its foot, in closed form:
@@ -201,28 +218,31 @@ def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
     - points off e and segment ends are dimension 0, dominated once any
       segment lies off e.
 
-    K is a set, so a repeated point counts once; its segments are assumed
-    not to overlap along a common line, as each adds its own length.
+    K is a set, so a repeated point counts once, and the segments on a
+    common line are merged into their union before their lengths add.
     """
     if any(prim.kind == "line" and prim.line() != e for prim in prims):
         return HValue(ONE, INF)
     points = set()  # distinct points off e
-    length = Fraction(0)  # perpendicular segments
-    shadow = Fraction(0)  # shadow lengths times sqrt(a^2 + b^2)
+    segments = {}  # carrying line -> its segments (p, q)
     for prim in prims:
         if prim.kind == "point":
             if not e.contains(prim.p):
                 points.add(prim.p)
         elif prim.kind == "segment":
-            p, q = prim.p, prim.q
-            if e.contains(p) and e.contains(q):
-                continue
-            if prim.line().perpendicular_to(e):
+            segments.setdefault(prim.line(), []).append((prim.p, prim.q))
+        elif prim.kind != "line":  # every line is e itself
+            raise UnsupportedScenarioError(f"unknown primitive kind {prim.kind!r}")
+    length = Fraction(0)  # perpendicular segments
+    shadow = Fraction(0)  # shadow lengths times sqrt(a^2 + b^2)
+    for line, on_line in segments.items():
+        if line == e:
+            continue
+        for p, q in _union_on(line, on_line):
+            if line.perpendicular_to(e):
                 length += rational_distance(p, q)
             else:
                 shadow += abs(e.b * (q.x - p.x) - e.a * (q.y - p.y))
-        elif prim.kind != "line":  # every line is e itself
-            raise UnsupportedScenarioError(f"unknown primitive kind {prim.kind!r}")
     if shadow:
         norm = exprs.nth_root(n2 := Fraction(e.a**2 + e.b**2), 2)
         if norm is None:

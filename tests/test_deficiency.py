@@ -113,9 +113,12 @@ def _section_integral(origin, direction, prims):
     """The lineness integral from its definition, on the line through
     origin along direction (of rational length), which is in K or not at
     all: the sections are constant between the feet of the points, the
-    segment ends and the segments' crossings with the line, so each foot
-    counts with measure (0, 1) and each cell between feet with (1, its
-    length), at the section through its midpoint."""
+    segment ends and the segments' crossings with the line and with each
+    other, so each foot counts with measure (0, 1) and each cell between
+    feet with (1, its length), at the section through its midpoint.  A
+    section is a set:
+    it has the length of the union of the segments inside it, or else
+    counts each point of K on it off the line once."""
     norm = rational_distance(P(0, 0), P(*direction))
     ux, uy = direction[0] / norm, direction[1] / norm
 
@@ -124,28 +127,44 @@ def _section_integral(origin, direction, prims):
         return dx * ux + dy * uy, dy * ux - dx * uy
 
     def section(t):
-        total = ZERO
+        offsets = set()  # signed distances of K's points on the section, off e
+        inside = []  # the segments inside the section, as distance intervals
         for prim in prims:
             if prim.kind == "point":
                 foot, off = along(prim.p)
                 if foot == t and off != 0:
-                    total = add(total, H(0, 1))
+                    offsets.add(off)
             elif prim.kind == "segment":
                 (fp, op), (fq, oq) = along(prim.p), along(prim.q)
                 if fp == fq:  # perpendicular to e: inside the section or apart
                     if fp == t:
-                        total = add(total, H(1, rational_distance(prim.p, prim.q)))
-                elif min(fp, fq) <= t <= max(fp, fq) and op + (oq - op) * (t - fp) / (fq - fp):
-                    total = add(total, H(0, 1))  # crosses the section off e
-        return total
+                        inside.append(sorted((op, oq)))
+                elif min(fp, fq) <= t <= max(fp, fq):
+                    offsets.add(op + (oq - op) * (t - fp) / (fq - fp))
+        offsets.discard(0)  # the foot
+        if not inside:
+            return H(0, len(offsets))
+        length, reach = F(0), None
+        for lo, hi in sorted(inside):
+            start = lo if reach is None else max(lo, reach)
+            length += max(hi - start, 0)
+            reach = hi if reach is None else max(reach, hi)
+        return H(1, length)
 
     ends = [p for prim in prims if prim.kind != "line" for p in (prim.p, prim.q) if p is not None]
     feet = {along(p)[0] for p in ends}
+    slanted = []  # (slope, intercept) of the offset of each segment not perpendicular to e
     for prim in prims:  # where a segment crosses e, its point there is a foot, removed
         if prim.kind == "segment":
             (fp, op), (fq, oq) = along(prim.p), along(prim.q)
             if op * oq < 0:
                 feet.add(fp + (fq - fp) * op / (op - oq))
+            if fp != fq:
+                slope = (oq - op) / (fq - fp)
+                slanted.append((slope, op - slope * fp))
+    # where two segments cross, a section holds one point fewer
+    for i, (s1, c1) in enumerate(slanted):
+        feet.update((c2 - c1) / (s1 - s2) for s2, c2 in slanted[:i] if s1 != s2)
     feet = sorted(feet)
     total = ZERO
     for t in feet:
@@ -207,6 +226,22 @@ class TestLineness:
         s = LinenessScenario.of([X_AXIS_PRIM, *segs], [X_AXIS])
         assert defi_lineness(s)[0] == H(1, 6)
 
+    def test_overlapping_collinear_segments_count_their_union(self):
+        # K holds (0,1)-(4,1) and no more, whichever segments cover it
+        segs = [
+            LinePrimitive("segment", P(0, 1), P(3, 1)),
+            LinePrimitive("segment", P(4, 1), P(1, 1)),
+        ]
+        s = LinenessScenario.of([X_AXIS_PRIM, *segs], [X_AXIS])
+        assert defi_lineness(s)[0] == H(1, 4)
+        perpendicular = [
+            LinePrimitive("segment", P(2, 0), P(2, 3)),
+            LinePrimitive("segment", P(2, 5), P(2, 1)),
+            LinePrimitive("segment", P(2, 7), P(2, 8)),
+        ]
+        s = LinenessScenario.of([X_AXIS_PRIM, *perpendicular], [X_AXIS])
+        assert defi_lineness(s)[0] == H(1, 6)
+
     def test_perpendicular_segment_and_point_share_a_foot(self):
         prims = [
             X_AXIS_PRIM,
@@ -254,11 +289,19 @@ class TestLineness:
         coords = st.integers(-4, 4)
         points = data.draw(st.lists(st.tuples(coords, coords), max_size=4, unique=True))
         prims = [LinePrimitive("point", P(x, y)) for x, y in points]
+        drawn = []  # (start, direction) of each segment
         for _ in range(data.draw(st.integers(0, 4))):
             p = P(data.draw(coords), data.draw(coords))
             u, v = data.draw(st.sampled_from(PYTHAGOREAN))
             k = data.draw(st.integers(1, 2))
             prims.append(LinePrimitive("segment", p, P(p.x + k * u, p.y + k * v)))
+            drawn.append((p, u, v))
+        for _ in range(data.draw(st.integers(0, 2)) if drawn else 0):
+            # on the line of a drawn segment, mostly overlapping it
+            p, u, v = data.draw(st.sampled_from(drawn))
+            j, k = data.draw(st.integers(-1, 2)), data.draw(st.integers(1, 3))
+            a, b = P(p.x + j * u, p.y + j * v), P(p.x + (j + k) * u, p.y + (j + k) * v)
+            prims.append(LinePrimitive("segment", *data.draw(st.permutations([a, b]))))
         origin = P(data.draw(coords), data.draw(coords))
         u, v = data.draw(st.sampled_from(PYTHAGOREAN))
         tip = P(origin.x + u, origin.y + v)

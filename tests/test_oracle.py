@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import hintegral
-from hintegral.hvalue import HValue, ZERO
+from hintegral.hvalue import HValue, ZERO, add
 from hintegral.space import AtomSet, AtomSpace, IntervalSet
 from hintegral.integral import SimpleFn, integrate, integrate_simple
 from hintegral.oracle import (
@@ -135,6 +135,50 @@ class TestCleanSuites:
         a = check_algebra_laws(50, seed=5).to_json()
         b = check_algebra_laws(50, seed=5).to_json()
         assert a == b
+
+
+# the first trial of this seed draws 6 atoms, and f is nonzero on each
+SIX_ATOM_SEED = 56
+
+
+def _support(g: SimpleFn) -> set:
+    return {a for _, s in g.pieces for a in s.atoms}
+
+
+class TestBlockCache:
+    def test_each_block_is_evaluated_once_per_trial(self):
+        measured, integrated = [], []
+
+        def measure_fn(space, s):
+            measured.append(s)
+            return space.measure(s)
+
+        def integrate_fn(space, g):
+            integrated.append((space, g))
+            return integrate_simple(space, g)
+
+        assert check_integral_laws(
+            1, seed=SIX_ATOM_SEED, measure_fn=measure_fn, integrate_fn=integrate_fn
+        ).ok
+        space, f = integrated[0]
+        assert len(space.atoms) == 6 and _support(f) == set(space.atoms)
+        # 203 partitions hold 674 blocks, 63 of them distinct; beside the
+        # blocks the suite measures the whole space once and integrates
+        # seven times (f, g, f + g, c*f, a minorant of f, an ordinary
+        # embedding and the minorant check's target)
+        assert len(measured) <= 1 + 63
+        assert len(integrated) <= 63 + 7
+
+    def test_a_cached_block_still_reports_its_violation(self):
+        # wrong on one 2-atom block only: f is nonzero on every atom, so
+        # only its restriction to {a, b} has that support
+        def wrong_on_ab(space, g):
+            value = integrate_simple(space, g)
+            return add(value, H(1000, 1)) if _support(g) == {"a", "b"} else value
+
+        report = check_integral_laws(1, seed=SIX_ATOM_SEED, integrate_fn=wrong_on_ab)
+        [v] = [v for v in report.violations if v["law"] == "indefinite-sigma-additivity"]
+        assert ["a", "b"] in [sorted(block) for block in ast.literal_eval(v["partition"])]
 
 
 class TestMinorantGap:
