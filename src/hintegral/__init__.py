@@ -27,9 +27,6 @@ from .hvalue import (
 from .space import (
     AtomSet,
     AtomSpace,
-    CatalogSet,
-    CatalogSpace,
-    CatalogUnion,
     IntervalSet,
     IntervalSpace,
     scaled_embedding,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 from . import exprs
 from .errors import ParseError, UnsupportedScenarioError, json_loader
 from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
-from .space import CatalogSet
+from .space import check_declared
 
 ONE = Fraction(1)
 COUNT = HValue.of(0, 1)  # the measure of one point, jump or ordered pair
@@ -114,7 +114,7 @@ class ClusterScenario:
         remainders = [r for _, r in js]
         if global_component is not None:
             name, mu, remainder = global_component
-            CatalogSet(name, ambient=1, hvalue=mu)  # raises unless mu is a valid measure on R
+            check_declared(name, mu, ambient=1)  # mu is a declared measure on R
             remainders.append(remainder)
         if not all(r.is_nonneg() for r in remainders):
             raise ValueError("cluster remainders must be nonnegative")
@@ -275,17 +275,16 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
     integrand at (x,y) is the length of the segment xy (removing the
     finitely many points of K is null at dimension 1) unless the segment
     lies inside K.  A single convex primitive gives (0,0) outright.
+
+    Every term (1, |xy|) x (0, 1) has dimension 1, so the masses add: the
+    value is (1, 2 * sum |xy|) over the unordered pairs of distinct
+    points, each standing for (x, y) and (y, x), and (0, 0) without one.
     """
     if s.convex_primitive is not None:
         return ZERO
     pts = list(dict.fromkeys(s.points))  # K is a set: one copy of each point
-    gaps = [
-        HValue(ONE, ExtRat(rational_distance(x, y)))
-        for i, x in enumerate(pts)
-        for y in pts[i + 1 :]
-    ]
-    # each unordered pair stands for the two ordered pairs (x, y), (y, x)
-    return sum_finite(mul(gap, COUNT) for gap in gaps for _ in range(2))
+    total = sum(rational_distance(x, y) for i, x in enumerate(pts) for y in pts[i + 1 :])
+    return HValue(ONE, ExtRat(2 * total)) if total else ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,8 @@ class SimpleFn:
         return SimpleFn(tuple(pieces), i_simple)
 
     def value_at(self, x) -> HValue:
-        """The coefficient of the piece holding x (an atom, a catalog
-        name or a point); (0,0) off every piece."""
+        """The coefficient of the piece holding x (an atom, such as the
+        name of a catalog set, or a point); (0,0) off every piece."""
         return next((coeff for coeff, s in self.pieces if x in s), ZERO)
 
 

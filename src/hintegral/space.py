@@ -1,15 +1,16 @@
 """Measurable spaces and their h-measures.
 
-Three concrete space kinds are provided:
+Two concrete space kinds are provided:
 
 * :class:`AtomSpace` -- finitely many atoms, sigma-algebra the full
   power set, measure of a set the dominance sum of its atoms' weights.
+  A catalog file, named sets with declared dimension/measure values
+  (axioms of a scenario, never computed), reads as an atom space whose
+  atoms are the names; :func:`check_declared` makes its checks.
 * :class:`IntervalSpace` -- an open rational interval carrying the
   scaled embedding of a density-weighted Lebesgue measure: a set of
   positive ordinary measure ``v`` gets ``(dim_offset, v)``, null sets
   get ``(0, 0)``.
-* :class:`CatalogSpace` -- named sets with declared dimension/measure
-  values (the values are axioms of a scenario, never computed).
 
 Measurable sets are structural: finite disjoint unions of primitives,
 validated by overlap checks only.  Each set kind owns its algebra:
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader
-from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, as_ext, sum_finite
+from .hvalue import ZERO, ExtRat, HValue, as_fraction, as_ext, sum_finite
 
 # ---------------------------------------------------------------------------
 # measurable sets
@@ -132,35 +133,7 @@ class IntervalSet:
         return not self.intervals and not self.points
 
 
-@dataclass(frozen=True)
-class CatalogUnion:
-    """A disjoint-by-declaration union of named catalog sets."""
-
-    names: Tuple[str, ...]
-
-    @staticmethod
-    def of(*names: str) -> "CatalogUnion":
-        if len(set(names)) != len(names):
-            raise NonDisjointError("catalog set listed twice in one union")
-        return CatalogUnion(tuple(names))
-
-    def __contains__(self, name) -> bool:
-        return name in self.names
-
-    def __le__(self, other: "CatalogUnion") -> bool:
-        _same_kind(self, other)
-        return set(self.names) <= set(other.names)
-
-    def __and__(self, other: "CatalogUnion") -> "CatalogUnion":
-        _same_kind(self, other)
-        return CatalogUnion(tuple(n for n in self.names if n in other.names))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.names
-
-
-MeasurableSet = Union[AtomSet, IntervalSet, CatalogUnion]
+MeasurableSet = Union[AtomSet, IntervalSet]
 
 
 def union(parts: Sequence[MeasurableSet]) -> MeasurableSet:
@@ -178,17 +151,12 @@ def union(parts: Sequence[MeasurableSet]) -> MeasurableSet:
                 raise NonDisjointError(f"atoms listed twice: {sorted(overlap)}")
             seen |= p.atoms
         return AtomSet(frozenset(seen))
-    if isinstance(first, IntervalSet):
-        ivs: List = []
-        pts: List = []
-        for p in parts:
-            ivs.extend(p.intervals)
-            pts.extend(p.points)
-        return IntervalSet.of(ivs, pts)
-    names: List[str] = []
+    ivs: List = []
+    pts: List = []
     for p in parts:
-        names.extend(p.names)
-    return CatalogUnion.of(*names)
+        ivs.extend(p.intervals)
+        pts.extend(p.points)
+    return IntervalSet.of(ivs, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -270,73 +238,15 @@ class IntervalSpace:
         return ZERO
 
 
-@dataclass(frozen=True)
-class CatalogSet:
-    """A named set with a declared dimension/measure value."""
+class CatalogSpace(AtomSpace):
+    """No space is built as one: a catalog file reads as an
+    :class:`AtomSpace` (see :func:`space_from_json`)."""
 
-    name: str
-    ambient: int
-    hvalue: HValue
-    kind: str = "declared"
-
-    KINDS = (
-        "finite-points",
-        "countable",
-        "interval",
-        "segment",
-        "line",
-        "self-similar",
-        "product",
-        "declared",
-    )
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown catalog kind {self.kind!r}")
-        hv = self.hvalue
-        if not hv.is_nonneg():
-            raise ValueError(f"{self.name}: negative declared measure")
-        if hv.d == 0:
-            ok = (not hv.m.is_finite) or (
-                hv.m.frac.denominator == 1 and hv.m.frac >= 0
-            )
-            if not ok:
-                raise ValueError(
-                    f"{self.name}: dimension-0 value must be a count or +inf"
-                )
-        if hv.d > self.ambient:
-            raise ValueError(
-                f"{self.name}: dimension {hv.d} exceeds ambient {self.ambient}"
-            )
+    # perfbench/spans.py traces "CatalogSpace.measure" from this class's own __dict__
+    measure = AtomSpace.measure
 
 
-@dataclass(frozen=True)
-class CatalogSpace:
-    sets: Mapping[str, CatalogSet]
-
-    @staticmethod
-    def of(entries: Iterable[CatalogSet]) -> "CatalogSpace":
-        out: Dict[str, CatalogSet] = {}
-        for e in entries:
-            if e.name in out:
-                raise ValueError(f"duplicate catalog name {e.name!r}")
-            out[e.name] = e
-        return CatalogSpace(out)
-
-    def measure(self, s: CatalogUnion) -> HValue:
-        if not isinstance(s, CatalogUnion):
-            raise UnknownSetError(
-                f"{type(s).__name__} is not a set of a catalog space"
-            )
-        total = ZERO
-        for name in s.names:
-            if name not in self.sets:
-                raise UnknownSetError(f"unknown catalog set {name!r}")
-            total = add(total, self.sets[name].hvalue)
-        return total
-
-
-MeasureSpace = Union[AtomSpace, IntervalSpace, CatalogSpace]
+MeasureSpace = Union[AtomSpace, IntervalSpace]
 
 
 def scaled_embedding(d0, base: Mapping) -> AtomSpace:
@@ -361,31 +271,60 @@ def scaled_embedding(d0, base: Mapping) -> AtomSpace:
 # ---------------------------------------------------------------------------
 
 
+# the set_kind a catalog entry may name; it documents the entry and is never read
+SET_KINDS = (
+    "finite-points", "countable", "interval", "segment", "line", "self-similar", "product", "declared",
+)
+
+
+def check_declared(name: str, hvalue: HValue, ambient) -> HValue:
+    """``hvalue`` if it can be the declared measure of a set in R^ambient:
+    ``ambient`` is an integer, the value is nonnegative, a dimension-0
+    value is a count or +inf, and the dimension is at most ``ambient``."""
+    if type(ambient) is not int:  # not bool, not a truncated float
+        raise ValueError(f"{name}: ambient must be an integer, got {ambient!r}")
+    if not hvalue.is_nonneg():
+        raise ValueError(f"{name}: negative declared measure")
+    if hvalue.d == 0 and hvalue.m.is_finite and hvalue.m.frac.denominator != 1:
+        raise ValueError(f"{name}: dimension-0 value must be a count or +inf")
+    if hvalue.d > ambient:
+        raise ValueError(f"{name}: dimension {hvalue.d} exceeds ambient {ambient}")
+    return hvalue
+
+
+def _names(value, what: str) -> frozenset:
+    """A JSON list of distinct strings, as a set."""
+    names = json_list(value, what)
+    if not all(isinstance(n, str) for n in names):
+        raise ParseError(f"{what} must be strings, got {names!r}")
+    out = frozenset(names)
+    if len(out) != len(names):
+        raise ParseError(f"{what}: a name listed twice in {names!r}")
+    return out
+
+
 def set_from_json(obj) -> MeasurableSet:
     if not isinstance(obj, dict):
         raise ParseError(f"set description must be an object, got {obj!r}")
-    if "atoms" in obj:
-        return AtomSet(frozenset(json_list(obj["atoms"], "atoms")))
+    for key in ("atoms", "catalog"):
+        if key in obj:
+            return AtomSet(_names(obj[key], key))
     if "intervals" in obj or "points" in obj:
         intervals = json_list(obj.get("intervals", ()), "intervals")
         return IntervalSet.of(
             [json_list(iv, "an interval") for iv in intervals],
             json_list(obj.get("points", ()), "points"),
         )
-    if "catalog" in obj:
-        return CatalogUnion.of(*json_list(obj["catalog"], "catalog"))
     raise ParseError(f"unrecognized set description keys: {sorted(obj)}")
 
 
 def set_to_json(s: MeasurableSet):
     if isinstance(s, AtomSet):
         return {"atoms": sorted(s.atoms)}
-    if isinstance(s, IntervalSet):
-        return {
-            "intervals": [[str(a), str(b)] for a, b in s.intervals],
-            "points": [str(p) for p in s.points],
-        }
-    return {"catalog": list(s.names)}
+    return {
+        "intervals": [[str(a), str(b)] for a, b in s.intervals],
+        "points": [str(p) for p in s.points],
+    }
 
 
 @json_loader
@@ -401,18 +340,13 @@ def space_from_json(obj) -> MeasureSpace:
         density = json_list(obj.get("density", ["1"]), "density")
         return IntervalSpace.of(lo, hi, obj.get("dim_offset", "0"), density)
     if kind == "catalog":
-        entries = []
-        for e in obj.get("sets", []):
-            ambient = e.get("ambient", 1)
-            if type(ambient) is not int:  # not bool, not a truncated float
-                raise ParseError(f"ambient must be an integer, got {ambient!r}")
-            entries.append(
-                CatalogSet(
-                    name=e["name"],
-                    ambient=ambient,
-                    hvalue=HValue.parse(e["hvalue"]),
-                    kind=e.get("set_kind", "declared"),
-                )
-            )
-        return CatalogSpace.of(entries)
+        sets = obj.get("sets", [])
+        _names([e["name"] for e in sets], "catalog names")
+        for e in sets:
+            if e.get("set_kind", "declared") not in SET_KINDS:
+                raise ParseError(f"unknown catalog kind {e['set_kind']!r}")
+        return AtomSpace.of({
+            e["name"]: check_declared(e["name"], HValue.parse(e["hvalue"]), e.get("ambient", 1))
+            for e in sets
+        })
     raise ParseError(f"unknown space kind {kind!r}")

@@ -283,6 +283,36 @@ MALFORMED = {
         {"kind": "catalog", "sets": [{"name": n, "hvalue": "(0, 1)"} for n in "ab"]},
         _simple_on({"catalog": "ab"}),
     ),
+    # a list of named sets names each set once, by a string
+    **{
+        f"{key}-name-repeated": (
+            "eval",
+            {"kind": "catalog", "sets": [{"name": "a", "hvalue": "(0, 1)"}]},
+            _simple_on({key: ["a", "a"]}),
+        )
+        for key in ("atoms", "catalog")
+    },
+    # sorting the unknown names 1 and "b" for the message once raised a TypeError
+    "atom-name-not-a-string": (
+        "eval",
+        {"kind": "atoms", "atoms": {"a": "(0, 1)"}},
+        _simple_on({"atoms": [1, "b"]}),
+    ),
+    "catalog-name-not-a-string": (
+        "eval",
+        {"kind": "catalog", "sets": [{"name": n, "hvalue": "(0, 1)"} for n in (1, "a")]},
+        _simple_on({"catalog": ["a"]}),
+    ),
+    "catalog-name-repeated-in-space": (
+        "eval",
+        {"kind": "catalog", "sets": [{"name": "a", "hvalue": "(0, 1)"}] * 2},
+        _simple_on({"catalog": ["a"]}),
+    ),
+    "unknown-set-kind": (
+        "eval",
+        {"kind": "catalog", "sets": [{"name": "a", "hvalue": "(0, 1)", "set_kind": "blob"}]},
+        _simple_on({"catalog": ["a"]}),
+    ),
     "points-as-string": ("eval", SPACE, _simple_on({"points": "12"})),
     "interval-as-string": ("eval", SPACE, _simple_on({"intervals": ["01"]})),
     # the global component of a continuity scenario is a declared measure on R
@@ -430,6 +460,7 @@ class TestDemo:
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 UNIT_SPACE = SCENARIOS / "space_unit_interval.json"
+CATALOG_SPACE = SCENARIOS / "space_catalog_line_point.json"
 # `defi --json` output of each bundled scenario file
 DEFI_GOLDENS = {
     "continuity_dirichlet.json": {"value": "(1, inf)"},
@@ -458,24 +489,41 @@ def _eval_golden(value, d_witnesses, m_witnesses, achieved_m):
     return {"value": value, "certificate": cert}
 
 
-# `eval --json --certificate` output of each bundled function over UNIT_SPACE
+# each bundled function file: the space it runs over, and its
+# `eval --json --certificate` output there
 EVAL_GOLDENS = {
     # sup of sqrt(x) on (0, 1) is not attained: superlevel witnesses at 1/2, 3/4, 7/8
-    "function_root2.json": _eval_golden(
-        "(2, 0)",
-        [
-            _witness("1/2", "1", "(1, 1/2)", "(1/2, 0)"),
-            _witness("3/4", "1", "(1, 1/4)", "(3/4, 0)"),
-            _witness("7/8", "1", "(1, 1/8)", "(7/8, 0)"),
-        ],
-        [],
-        "0",
+    "function_root2.json": (
+        UNIT_SPACE,
+        _eval_golden(
+            "(2, 0)",
+            [
+                _witness("1/2", "1", "(1, 1/2)", "(1/2, 0)"),
+                _witness("3/4", "1", "(1, 1/4)", "(3/4, 0)"),
+                _witness("7/8", "1", "(1, 1/8)", "(7/8, 0)"),
+            ],
+            [],
+            "0",
+        ),
     ),
-    "function_const_1_1.json": _eval_golden(
-        "(2, 1)",
-        [_witness("0", "1", "(1, 1)", "(1, 0)")],
-        [_witness("0", "1", "(1, 1)", "(1, 1)")],
-        "1",
+    "function_const_1_1.json": (
+        UNIT_SPACE,
+        _eval_golden(
+            "(2, 1)",
+            [_witness("0", "1", "(1, 1)", "(1, 0)")],
+            [_witness("0", "1", "(1, 1)", "(1, 1)")],
+            "1",
+        ),
+    ),
+    # (0, 1) x ((1, inf) + (0, 1)); the catalog set {p, L} is written as its atoms
+    "function_catalog_line_point.json": (
+        CATALOG_SPACE,
+        _eval_golden(
+            "(1, inf)",
+            [{"set": {"atoms": ["L", "p"]}, "measure": "(1, inf)", "inf_bound": "(0, 1)"}],
+            [{"set": {"atoms": ["L", "p"]}, "measure": "(1, inf)", "inf_bound": "(0, 1)"}],
+            "inf",
+        ),
     ),
 }
 
@@ -487,12 +535,13 @@ class TestBundledScenarios:
             assert main(["defi", str(path), "--json"]) == 0
             assert json.loads(capsys.readouterr().out) == DEFI_GOLDENS[path.name]
         elif path.name in EVAL_GOLDENS:
-            argv = ["eval", str(UNIT_SPACE), str(path), "--json", "--certificate"]
-            assert main(argv) == 0
-            assert json.loads(capsys.readouterr().out) == EVAL_GOLDENS[path.name]
+            space, golden = EVAL_GOLDENS[path.name]
+            assert main(["eval", str(space), str(path), "--json", "--certificate"]) == 0
+            assert json.loads(capsys.readouterr().out) == golden
         else:
-            # the space file is replayed by every function golden
-            assert path == UNIT_SPACE, f"{path.name} has no golden"
+            # a space file is replayed by the function goldens over it
+            spaces = {space for space, _ in EVAL_GOLDENS.values()}
+            assert path in spaces, f"{path.name} has no golden"
 
 
 class TestRoundTrip:
@@ -589,6 +638,7 @@ def _requests(numbers):
         st.builds(lambda k: {"kind": k}, st.sampled_from(["const", "cubic"])),
     )
     one_span = st.builds(lambda iv: {"intervals": [iv]}, spans)
+    names = st.sampled_from(["a", "b", 1])
     sets = st.one_of(
         one_span,
         st.builds(
@@ -596,8 +646,8 @@ def _requests(numbers):
             st.lists(spans, max_size=2),
             st.lists(numbers, max_size=2),
         ),
-        st.builds(lambda a: {"atoms": a}, st.lists(st.sampled_from("ab"), max_size=2)),
-        st.builds(lambda c: {"catalog": c}, st.lists(st.sampled_from("ab"), max_size=2)),
+        st.builds(lambda a: {"atoms": a}, st.lists(names, max_size=2)),
+        st.builds(lambda c: {"catalog": c}, st.lists(names, max_size=2)),
     )
     spaces = st.one_of(
         st.fixed_dictionaries(
@@ -612,8 +662,11 @@ def _requests(numbers):
             lambda sets: {"kind": "catalog", "sets": sets},
             st.lists(
                 st.fixed_dictionaries(
-                    {"name": st.sampled_from("ab"), "hvalue": hvalues},
-                    optional={"ambient": st.one_of(st.integers(0, 3), numbers)},
+                    {"name": names, "hvalue": hvalues},
+                    optional={
+                        "ambient": st.one_of(st.integers(0, 3), numbers),
+                        "set_kind": st.sampled_from(["line", "blob"]),
+                    },
                 ),
                 max_size=2,
             ),

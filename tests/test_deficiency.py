@@ -23,6 +23,7 @@ convexity
   (0,0) twice, (3,4)     K = {(0,0),(3,4)}: 2 ordered pairs, (1,5) each -> (1, 10)
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hintegral.errors import ParseError, UnsupportedScenarioError
-from hintegral.hvalue import HValue, ZERO, add, mul
+from hintegral.hvalue import HValue, ZERO, add, mul, sum_finite
 from hintegral.deficiency import (
     ClusterScenario,
     ConvexityScenario,
@@ -45,6 +46,7 @@ from hintegral.deficiency import (
     rational_distance,
     scenario_from_json,
 )
+from hintegral.space import check_declared
 
 H = HValue.of
 P = Point2.of
@@ -99,6 +101,13 @@ class TestContinuity:
     def test_invalid_global_component_rejected(self, mu, remainder):
         with pytest.raises(ValueError):
             ClusterScenario.of([], ("R", mu, remainder))
+
+    @pytest.mark.parametrize("mu", [H(2, 1), H(0, F(1, 2)), H(1, -1)])
+    def test_global_measure_is_checked_as_a_declared_value(self, mu):
+        with pytest.raises(ValueError) as declared:
+            check_declared("R", mu, ambient=1)
+        with pytest.raises(ValueError, match=re.escape(str(declared.value))):
+            ClusterScenario.of([], ("R", mu, H(0, 1)))
 
     def test_global_name_is_free(self):
         s = ClusterScenario.of([(0, H(0, 1))], ("jump:0", H(1, "inf"), H(0, 1)))
@@ -355,9 +364,27 @@ class TestConvexity:
         s = ConvexityScenario.of([P(0, 0), P(0, 0), P(3, 4)])
         assert defi_convexity(s) == H(1, 10)
 
+    def test_fewer_than_two_distinct_points(self):
+        for pts in ([], [P(1, 1)], [P(1, 1), P(1, 1)]):
+            assert defi_convexity(ConvexityScenario.of(pts)) == ZERO
+
+    @given(st.lists(st.integers(-9, 9), max_size=7))
+    def test_closed_form_is_the_sum_over_ordered_pairs(self, ts):
+        # points t * (3, 4) lie 5 * |t - u| apart
+        pts = list(dict.fromkeys(P(3 * t, 4 * t) for t in ts))
+        terms = [
+            mul(H(1, rational_distance(x, y)), H(0, 1)) for x in pts for y in pts if x != y
+        ]
+        assert defi_convexity(ConvexityScenario.of(pts)) == sum_finite(terms)
+
     def test_irrational_distance_unsupported(self):
         with pytest.raises(UnsupportedScenarioError):
             defi_convexity(ConvexityScenario.of([P(0, 0), P(1, 1)]))
+        # the first irrational pair in pair order is named
+        with pytest.raises(UnsupportedScenarioError) as first:
+            rational_distance(P(0, 0), P(1, 2))
+        with pytest.raises(UnsupportedScenarioError, match=re.escape(str(first.value))):
+            defi_convexity(ConvexityScenario.of([P(0, 0), P(3, 4), P(1, 2), P(5, 5)]))
 
 
 class TestScenarioJson:

@@ -17,12 +17,11 @@ from hintegral.hvalue import INF, ZERO, ExtRat, HValue, add
 from hintegral.space import (
     AtomSet,
     AtomSpace,
-    CatalogSet,
-    CatalogSpace,
-    CatalogUnion,
     IntervalSet,
     IntervalSpace,
     scaled_embedding,
+    set_from_json,
+    space_from_json,
 )
 from hintegral.integral import (
     PiecewiseFn,
@@ -402,9 +401,10 @@ class TestCertificates:
         assert not verify_certificate(sp, split, cert)
 
     def test_catalog_witness_must_lie_in_pieces(self):
-        sp = CatalogSpace.of([CatalogSet("A", 1, H(1, 1)), CatalogSet("B", 1, H(1, 5))])
-        f = SimpleFn.of([(H(0, 1), CatalogUnion.of("A"))])
-        w = Witness(CatalogUnion.of("A", "B"), H(1, 6), H(0, 1))
+        sets = [{"name": "A", "hvalue": "(1, 1)"}, {"name": "B", "hvalue": "(1, 5)"}]
+        sp = space_from_json({"kind": "catalog", "sets": sets})
+        f = SimpleFn.of([(H(0, 1), set_from_json({"catalog": ["A"]}))])
+        w = Witness(set_from_json({"catalog": ["A", "B"]}), H(1, 6), H(0, 1))
         cert = T4Certificate(H(1, 6), (w,), (w,), True, ExtRat(6))
         assert not verify_certificate(sp, f, cert)
 
@@ -439,8 +439,6 @@ class TestCertificates:
         import json
         from dataclasses import replace
         from pathlib import Path
-
-        from hintegral.space import space_from_json
 
         scenarios = Path(__file__).resolve().parents[1] / "scenarios"
         sp = space_from_json(json.loads((scenarios / "space_unit_interval.json").read_text()))

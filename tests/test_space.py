@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hintegral.errors import NonDisjointError, UnknownSetError
+from hintegral.errors import NonDisjointError, ParseError, UnknownSetError
 from hintegral.hvalue import INF, ZERO, ExtRat, HValue, sum_finite
 from hintegral.space import (
     AtomSet,
     AtomSpace,
-    CatalogSet,
-    CatalogSpace,
-    CatalogUnion,
     IntervalSet,
     IntervalSpace,
+    check_declared,
     scaled_embedding,
     set_from_json,
     set_to_json,
@@ -43,14 +41,16 @@ class TestSets:
             union([AtomSet.of("a", "b"), AtomSet.of("b")])
 
     def test_union_catalog_duplicate(self):
+        # a catalog set is an atom set of names
+        parts = [set_from_json({"catalog": ["L"]}), set_from_json({"catalog": ["L"]})]
         with pytest.raises(NonDisjointError):
-            union([CatalogUnion.of("L"), CatalogUnion.of("L")])
+            union(parts)
 
     def test_union_of_mixed_kinds(self):
         with pytest.raises(UnknownSetError):
             union([AtomSet.of("a"), IntervalSet.of([(0, 1)])])
         with pytest.raises(UnknownSetError):
-            union([IntervalSet.of([(0, 1)]), CatalogUnion.of("L")])
+            union([IntervalSet.of([(0, 1)]), set_from_json({"catalog": ["L"]})])
 
     def test_contains(self):
         big = IntervalSet.of([(0, 1)], points=[2])
@@ -76,13 +76,13 @@ class TestSets:
         assert split & whole == split
 
     def test_catalog_algebra(self):
-        L, Lp = CatalogUnion.of("L"), CatalogUnion.of("p", "L")
+        L, Lp = set_from_json({"catalog": ["L"]}), set_from_json({"catalog": ["p", "L"]})
         assert "L" in Lp and L <= Lp and not Lp <= L
-        assert Lp & L == L and (L & CatalogUnion.of("p")).is_empty
+        assert Lp & L == L and (L & AtomSet.of("p")).is_empty
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(UnknownSetError):
-            AtomSet.of("a") & CatalogUnion.of("a")
+            AtomSet.of("a") & IntervalSet.of(points=[1])
         with pytest.raises(UnknownSetError):
             IntervalSet.of(points=[1]) <= AtomSet.of("a")
 
@@ -201,29 +201,52 @@ class TestIntervalSpace:
         assert sp.nu(IntervalSet.of(points=[F(1, 2)])) == 0
 
 
+def _catalog(*entries):
+    return space_from_json({"kind": "catalog", "sets": list(entries)})
+
+
 class TestCatalogSpace:
     def test_declared_values_dominance_sum(self):
-        sp = CatalogSpace.of(
-            [
-                CatalogSet("L", ambient=2, hvalue=H(1, "inf"), kind="line"),
-                CatalogSet("p", ambient=2, hvalue=H(0, 1), kind="finite-points"),
-            ]
+        sp = _catalog(
+            {"name": "L", "ambient": 2, "hvalue": "(1, inf)", "set_kind": "line"},
+            {"name": "p", "ambient": 2, "hvalue": "(0, 1)", "set_kind": "finite-points"},
         )
-        assert sp.measure(CatalogUnion.of("L", "p")) == H(1, "inf")
-        assert sp.measure(CatalogUnion.of("p")) == H(0, 1)
+        assert sp.measure(AtomSet.of("L", "p")) == H(1, "inf")
+        assert sp.measure(AtomSet.of("p")) == H(0, 1)
 
     def test_dim0_must_be_count(self):
         with pytest.raises(ValueError):
-            CatalogSet("bad", ambient=1, hvalue=H(0, "1/2"))
+            check_declared("bad", H(0, "1/2"), ambient=1)
+        with pytest.raises(ParseError):
+            _catalog({"name": "bad", "hvalue": "(0, 1/2)"})
+        assert check_declared("ok", H(0, "inf"), ambient=0) == H(0, "inf")
 
     def test_dim_bounded_by_ambient(self):
         with pytest.raises(ValueError):
-            CatalogSet("bad", ambient=1, hvalue=H(2, 1))
+            check_declared("bad", H(2, 1), ambient=1)
+        with pytest.raises(ParseError):
+            _catalog({"name": "bad", "ambient": 1, "hvalue": "(2, 1)"})
+
+    def test_ambient_is_an_integer(self):
+        for ambient in (True, 1.0, "1"):
+            with pytest.raises(ValueError):
+                check_declared("bad", H(1, 1), ambient=ambient)
 
     def test_unknown_name(self):
-        sp = CatalogSpace.of([])
+        sp = _catalog()
         with pytest.raises(UnknownSetError):
-            sp.measure(CatalogUnion.of("ghost"))
+            sp.measure(set_from_json({"catalog": ["ghost"]}))
+
+    def test_unknown_set_kind(self):
+        with pytest.raises(ParseError):
+            _catalog({"name": "L", "hvalue": "(1, 1)", "set_kind": "blob"})
+        for kind in ("declared", "segment", "self-similar", "countable"):
+            _catalog({"name": "L", "hvalue": "(1, 1)", "set_kind": kind})
+
+    def test_names_are_distinct_strings(self):
+        for names in (["a", "a"], [1, "a"]):
+            with pytest.raises(ParseError):
+                _catalog(*({"name": n, "hvalue": "(0, 1)"} for n in names))
 
 
 class TestScaledEmbedding:
@@ -262,9 +285,18 @@ class TestJson:
         for s in [
             AtomSet.of("a", "b"),
             IntervalSet.of([(0, F(1, 2))], points=[F(3, 4)]),
-            CatalogUnion.of("L", "p"),
         ]:
             assert set_from_json(set_to_json(s)) == s
+
+    def test_atoms_and_catalog_read_alike(self):
+        assert set_from_json({"catalog": ["p", "L"]}) == set_from_json({"atoms": ["L", "p"]})
+        assert set_to_json(set_from_json({"catalog": ["p", "L"]})) == {"atoms": ["L", "p"]}
+
+    def test_set_names_are_distinct_strings(self):
+        for key in ("atoms", "catalog"):
+            for names in (["a", "a"], [1], ["a", 1], "ab"):
+                with pytest.raises(ParseError):
+                    set_from_json({key: names})
 
     def test_space_parse(self):
         golden = [
@@ -277,7 +309,7 @@ class TestJson:
                 {"kind": "interval", "bounds": ["0", "1"], "dim_offset": "3/2", "density": ["1", "2"]},
             ),
             (
-                CatalogSpace.of([CatalogSet("L", 2, H(1, "inf"), "line")]),
+                AtomSpace.of({"L": H(1, "inf")}),
                 {
                     "kind": "catalog",
                     "sets": [{"name": "L", "ambient": 2, "hvalue": "(1, inf)", "set_kind": "line"}],
