@@ -324,8 +324,11 @@ def scenario_from_json(obj):
         g = obj.get("global")
         global_component = None
         if g is not None:
+            name = g.get("name", "global")
+            if not isinstance(name, str):
+                raise ParseError(f"a global component's name must be a string, got {name!r}")
             global_component = (
-                g.get("name", "global"),
+                name,
                 HValue.parse(g["hvalue"]),
                 HValue.parse(g["remainder"]),
             )
@@ -335,12 +338,12 @@ def scenario_from_json(obj):
         cands = [_line_from_json(c) for c in obj.get("candidates", [])]
         return LinenessScenario.of(prims, cands)
     if kind == "convexity":
+        prim = None
         if "segment" in obj:
             p, q = obj["segment"]
-            prim = LinePrimitive("segment", _point_from_json(p), _point_from_json(q))
-            return ConvexityScenario.of(convex_primitive=prim)
+            prim = _primitive_from_json({"type": "segment", "p": p, "q": q})
         pts = [_point_from_json(p) for p in obj.get("points", [])]
-        return ConvexityScenario.of(pts)
+        return ConvexityScenario.of(pts, prim)
     raise ParseError(f"unknown scenario kind {kind!r}")
 
 

@@ -27,7 +27,7 @@ there, or an irrational endpoint or bound, raises
 :class:`UnsupportedExpressionError`; an irrational supremum is None.
 
 This is the only module that looks inside an expression: the piece
-rules, mass integrals, exact lower bounds and superlevel cuts that
+rules, suprema, mass integrals and exact lower bounds that
 :mod:`hintegral.integral` needs are functions here.
 """
 
@@ -305,7 +305,6 @@ class Power:
 
 
 Expr = Union[Poly, Power]
-Interval = Tuple[Fraction, Fraction]
 
 
 def const(c) -> Poly:
@@ -390,21 +389,6 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     if e.degree == 1:
         return poly_eval(e.coeffs, hi if e.coeffs[1] > 0 else lo)
     raise UnsupportedExpressionError("supremum of a general polynomial piece")
-
-
-def superlevel_cut(e: Expr, t: Fraction, lo: Fraction, hi: Fraction) -> Optional[Interval]:
-    """A nonempty open subinterval of (lo, hi) on which the dimension
-    coordinate e is >= t, or None if none is found: a polynomial's first
-    cell against t in :func:`split_dominance`, a power's widest dyadic cut."""
-    if isinstance(e, Power):
-        if cmp_pow(hi, e.q, t) <= 0:
-            return None
-        for k in range(1, 65):
-            if cmp_pow(cut := hi - (hi - lo) / 2**k, e.q, t) >= 0:
-                return cut, hi
-        return None
-    cells = split_dominance(e, const(t), lo, hi)
-    return next(((a, b) for a, b, sign in cells if sign >= 0), None)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ roots, so every piece has positive measure and the essential supremum
 is the largest supremum over the pieces.  A certificate of witness sets
 substantiates every evaluation and can be re-verified independently.
 One rule, :func:`_holds`, decides f >= b on a cell or at a point of a
-piece, for witnesses and sublevel edges alike; it rests on the
-dimension coordinate being monotone on each piece.
+piece, for witnesses and sublevel edges; a witness whose mass bound is
+<= 0 only needs the dimension coordinate to reach b at a cell's end.
+Both rest on the dimension coordinate being monotone on each piece.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
@@ -175,7 +176,9 @@ def constant_fn(lo, hi, value: HValue) -> PiecewiseFn:
 
 @dataclass(frozen=True)
 class Witness:
-    """A set with its measure and a verified lower bound on inf over it."""
+    """A set with its measure and a bound f reaches on it: f >= inf_bound
+    everywhere there or, for a mass bound <= 0 on a piecewise function,
+    a dimension coordinate reaching inf_bound.d at an end of each interval."""
 
     where: MeasurableSet
     measure: HValue
@@ -187,9 +190,9 @@ class T4Certificate:
     """Witness evidence for an integral evaluation.
 
     ``d_witnesses`` substantiate the dimension: each witness has
-    positive measure and a positive lower bound on the function, with
-    bound-dimension + measure-dimension approaching the reported
-    dimension (equal to it when the supremum is attained).
+    positive measure and a positive bound (see :class:`Witness`), with
+    bound-dimension + measure-dimension equal to the reported dimension
+    whether or not the supremum is attained.
     ``m_witnesses`` form one disjoint family realizing the reported
     mass; ``achieved_m`` records the family's exact lower sum and
     ``exact_m`` is False when that sum only approaches the mass from
@@ -383,8 +386,8 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
         # it is a power's value at hi (exprs.sup_on), so >= s means > s
         if sup is None and (s is None or exprs.at_least(p.pi1, s, p.hi, p.hi)):
             raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
-    top_dim = exprs.const(s)
-    top = [p for p in pieces if p.pi1 == top_dim]
+    reach = [p for p, sup in zip(pieces, sups) if sup == s]
+    top = [p for p in reach if p.pi1 == exprs.const(s)]
     mass = sum(
         (exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi) for p in top),
         Fraction(0),
@@ -392,13 +395,12 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
     if s == 0 and mass == 0:
         return ZERO, T4Certificate(ZERO)
     value = HValue(space.dim_offset + s, ExtRat(mass))
-    cert = _build_certificate(space, pieces, top, s, mass, value)
-    return value, cert
+    return value, _build_certificate(space, reach, top, s, mass, value)
 
 
 def _build_certificate(
     space: IntervalSpace,
-    pieces: Sequence[PiecewisePiece],
+    reach: List[PiecewisePiece],
     top: List[PiecewisePiece],
     s: Fraction,
     mass: Fraction,
@@ -417,38 +419,19 @@ def _build_certificate(
                 m_wits.append(Witness(where, mv, HValue(s, ExtRat(bound))))
                 achieved += bound * mv.m.frac
 
-    d_wits: List[Witness] = []
-    if top and s == 0:
-        # at dimension 0 a witness needs a positive mass bound: the first
-        # mass cell that has one is a dimension witness as it stands
+    if s == 0:
+        # every piece is the constant 0, so a witness needs a positive
+        # mass bound: the first mass cell that has one serves as it stands
         d_wits = [w for w in m_wits if w.inf_bound > ZERO][:1]
-    elif top:
-        where = IntervalSet.of([(p.lo, p.hi) for p in top])
-        d_wits.append(Witness(where, space.measure(where), HValue(s, ExtRat(0))))
     else:
-        for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
-            t = s - eps if s > eps else s * (1 - eps)
-            w = _superlevel_witness(space, pieces, t)
-            if w is not None:
-                d_wits.append(w)
+        # the pieces whose dimension coordinate reaches s, attained or not
+        where = IntervalSet.of([(p.lo, p.hi) for p in reach])
+        d_wits = [Witness(where, space.measure(where), HValue(s, ExtRat(0)))]
 
     exact = mass <= 0 or achieved == mass
     return T4Certificate(
         value, tuple(d_wits), tuple(m_wits), exact, ExtRat(achieved)
     )
-
-
-def _superlevel_witness(
-    space: IntervalSpace, pieces: Sequence[PiecewisePiece], t: Fraction
-) -> Optional[Witness]:
-    """A positive-measure set on which the dimension coordinate is >= t;
-    t > 0, since a supremum of 0 is attained by a constant 0 piece."""
-    for p in pieces:
-        cut = exprs.superlevel_cut(p.pi1, t, p.lo, p.hi)
-        if cut is not None:
-            where = IntervalSet.of([cut])
-            return Witness(where, space.measure(where), HValue(t, ExtRat(0)))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +519,9 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
 
 
 def _bound_holds(f: HFunction, w: Witness) -> bool:
-    """f >= b everywhere on the witness set: each interval and each point
-    of a piecewise witness is a cell that :func:`_holds` decides."""
+    """f reaches the bound b on the witness set: each of its intervals and
+    points is a cell that :func:`_holds` decides, except that with a mass
+    bound <= 0 an interval needs only pi1 >= b.d at one of its ends."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         # off its pieces f is (0,0) < b, so the set must lie in the union
@@ -549,7 +533,16 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
         # off the open pieces, piece ends included, f is (0,0) < b
         if piece is None or (a == c and not piece.lo < a < piece.hi):
             return False
-        if not _holds(piece, b, a, c):
+        if b.m.sign() <= 0:
+            # pi1 is monotone and continuous on the piece: reaching b.d at
+            # an end of (a, c), it exceeds every t < b.d on a subcell of
+            # positive measure (the measure check excludes null sets), so
+            # the integral is at least (t + mu.d, 0) for every such t and
+            # its dimension at least b.d + mu.d; a mass bound <= 0 adds
+            # nothing positive to achieved_m
+            if not (exprs.at_least(piece.pi1, b.d, a, a) or exprs.at_least(piece.pi1, b.d, c, c)):
+                return False
+        elif not _holds(piece, b, a, c):
             return False
     return True
 

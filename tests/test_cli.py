@@ -352,6 +352,16 @@ MALFORMED = {
         )
         for kind in ("segment", "line")
     },
+    # one reader validates every segment, a convex one included
+    "convexity-segment-with-equal-points": (
+        "defi",
+        {"kind": "convexity", "segment": [["0", "1"], ["0", "1"]]},
+    ),
+    # the name goes into the messages of the declared-measure checks
+    "global-name-not-a-string": (
+        "defi",
+        {"kind": "continuity", "global": {"name": 5, "hvalue": "(1, inf)", "remainder": "(0, 1)"}},
+    ),
 }
 
 
@@ -438,6 +448,16 @@ class TestDefi:
         s = {"kind": "convexity", "points": [["0", "0"], ["1", "1"]]}
         assert main(["defi", write(tmp_path, "c.json", s)]) == 3
 
+    def test_segment_with_points_exit_3(self, tmp_path, capsys):
+        # the points were once dropped and the segment alone gave (0, 0)
+        s = {
+            "kind": "convexity",
+            "segment": [["0", "0"], ["1", "0"]],
+            "points": [["0", "1"], ["1", "1"]],
+        }
+        assert main(["defi", write(tmp_path, "c.json", s)]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestDemo:
     def test_monotone_failure(self, capsys):
@@ -492,19 +512,11 @@ def _eval_golden(value, d_witnesses, m_witnesses, achieved_m):
 # each bundled function file: the space it runs over, and its
 # `eval --json --certificate` output there
 EVAL_GOLDENS = {
-    # sup of sqrt(x) on (0, 1) is not attained: superlevel witnesses at 1/2, 3/4, 7/8
+    # sup of sqrt(x) on (0, 1) is not attained: one witness, on whose
+    # closure sqrt(x) reaches the bound's dimension 1 at x = 1
     "function_root2.json": (
         UNIT_SPACE,
-        _eval_golden(
-            "(2, 0)",
-            [
-                _witness("1/2", "1", "(1, 1/2)", "(1/2, 0)"),
-                _witness("3/4", "1", "(1, 1/4)", "(3/4, 0)"),
-                _witness("7/8", "1", "(1, 1/8)", "(7/8, 0)"),
-            ],
-            [],
-            "0",
-        ),
+        _eval_golden("(2, 0)", [_witness("0", "1", "(1, 1)", "(1, 0)")], [], "0"),
     ),
     "function_const_1_1.json": (
         UNIT_SPACE,

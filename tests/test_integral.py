@@ -1,10 +1,11 @@
 """Integral engine tests: simple sums, the closed-form evaluation,
 certificates, sublevel sets, pointwise sums, and the worked examples."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hintegral import exprs
@@ -257,16 +258,50 @@ class TestPositiveDensity:
         assert add(*halves) == v
 
 
+class TestLowerDimensionFails:
+    """Every certificate proves the value's dimension from below exactly,
+    whether or not the supremum is attained."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(densities(), functions(), st.fractions(min_value=F(1, 64), max_value=1, max_denominator=64))
+    def test_lowered_dimension_is_rejected(self, density, f, delta):
+        sp = IntervalSpace.of(0, 4, dim_offset=1, density=density)
+        v, cert = integrate(sp, f)
+        assume(v != ZERO)
+        assert verify_certificate(sp, f, cert)
+        assert not verify_certificate(sp, f, replace(cert, value=HValue(v.d - delta, v.m)))
+
+
 class TestCertificates:
-    def test_unattained_sup_ladder(self):
+    def test_unattained_sup_has_one_exact_witness(self):
+        # x and 1 - x tend to 1 at one end of (0, 1); x**(3/2) tends to 8
+        # at 4, and crosses every rational level below 8 at an irrational x
+        cases = [
+            (UNIT, exprs.affine(0, 1), H(2, 0)),
+            (UNIT, exprs.affine(1, -1), H(2, 0)),
+            (IntervalSpace.of(0, 4, dim_offset=1), exprs.power(F(3, 2)), H(9, 0)),
+        ]
+        for sp, pi1, value in cases:
+            f = piecewise((sp.lo, sp.hi, pi1, exprs.const(1)))
+            v, cert = integrate(sp, f)
+            assert v == value
+            (w,) = cert.d_witnesses
+            assert w.where == IntervalSet.of([(sp.lo, sp.hi)])
+            assert w.inf_bound == HValue(v.d - 1, ExtRat(0))
+            assert w.inf_bound.d + w.measure.d == v.d
+            assert verify_certificate(sp, f, cert)
+
+    @pytest.mark.parametrize("d", [F(15, 8), F(19, 10)])
+    def test_dimension_below_an_unattained_sup_fails(self, d):
         f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
-        v, cert = integrate(UNIT, f)
-        assert v == H(2, 0)
-        assert len(cert.d_witnesses) == 3
-        for w in cert.d_witnesses:
-            assert w.inf_bound > ZERO
-            assert w.measure > ZERO
-        assert verify_certificate(UNIT, f, cert)
+        _, cert = integrate(UNIT, f)
+        assert not verify_certificate(UNIT, f, replace(cert, value=H(d, 0)))
+
+    def test_forged_dimension_bound_fails(self):
+        # f = (x, 1) stays below dimension 1 on (0, 1/2), its closure included
+        f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
+        w = Witness(IntervalSet.of([(0, F(1, 2))]), H(1, F(1, 2)), H(1, 0))
+        assert not verify_certificate(UNIT, f, T4Certificate(H(2, 0), (w,), (), True, ExtRat(0)))
 
     def test_dimension_witness_for_mass_with_an_interior_zero(self):
         sp = IntervalSpace.of(0, 1)
@@ -300,8 +335,6 @@ class TestCertificates:
     def test_tampered_certificate_fails(self):
         f = constant_fn(0, 1, H(1, 1))
         v, cert = integrate(UNIT, f)
-        from dataclasses import replace
-
         bad = replace(cert, value=H(2, 2), achieved_m=ExtRat(2))
         assert not verify_certificate(UNIT, f, bad)
 
@@ -437,7 +470,6 @@ class TestCertificates:
 
     def test_duplicate_m_witness_of_a_bundled_function_fails(self):
         import json
-        from dataclasses import replace
         from pathlib import Path
 
         scenarios = Path(__file__).resolve().parents[1] / "scenarios"
