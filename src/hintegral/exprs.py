@@ -27,7 +27,7 @@ there, or an irrational endpoint or bound, raises
 :class:`UnsupportedExpressionError`; an irrational supremum is None.
 
 This is the only module that looks inside an expression: the piece
-rules, suprema, mass integrals and exact lower bounds that
+rules, sign tests, suprema and exact mass integrals that
 :mod:`hintegral.integral` needs are functions here.
 """
 
@@ -100,19 +100,6 @@ def poly_lipschitz_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction)
         (abs(c) * radius ** k for k, c in enumerate(poly_deriv(coeffs))),
         Fraction(0),
     )
-
-
-def poly_lower_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest Bernstein coefficient of p on [lo, hi].
-
-    p on [lo, hi] is a convex combination of its Bernstein coefficients,
-    so the smallest one is a sound rational lower bound; the first and
-    last coefficients are p(lo) and p(hi) (Farouki & Rajan, CAGD 5, 1988).
-    """
-    ints, den = _integer_poly(coeffs)
-    n = len(ints) - 1
-    scale = factorial(n) * den * (lo.denominator * (hi - lo).denominator) ** n
-    return Fraction(min(_bernstein(ints, lo, hi)), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +379,8 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# exact lower bounds and integrals on a piece
+# sign tests and integrals on a piece
 # ---------------------------------------------------------------------------
-
-
-def _pow_floor(x: Fraction, q: Fraction) -> Fraction:
-    """A positive rational lower bound for x**q (x > 0), exact when possible."""
-    exact = pow_exact(x, q)
-    if exact is not None:
-        return exact
-    if x < 1:
-        e = -(-q.numerator // q.denominator)  # ceil
-    else:
-        e = q.numerator // q.denominator  # floor
-    return _power(x, e) if e > 0 else Fraction(1)
 
 
 def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
@@ -438,23 +413,6 @@ def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
         if min(bs) < 0:
             cells += [(a, (a + b) / 2), ((a + b) / 2, b)]
     return True
-
-
-def lower_cells(e: Expr, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, Fraction, Fraction]]:
-    """Disjoint cells (a, b, bound) that fill (lo, hi) up to their edges,
-    each with a rational lower bound on e: one exact cell for a
-    constant, eight equal cells otherwise, bounded by a power's value at
-    the left edge (rounded down when irrational) or a polynomial's
-    Bernstein bound."""
-    if isinstance(e, Poly) and e.degree == 0:
-        return [(lo, hi, e.coeffs[0])]
-    width = (hi - lo) / 8
-    edges = [lo + width * k for k in range(9)]
-    if isinstance(e, Power):
-        bounds = [Fraction(0) if a == 0 else _pow_floor(a, e.q) for a in edges[:-1]]
-    else:
-        bounds = [poly_lower_bound(e.coeffs, a, b) for a, b in zip(edges, edges[1:])]
-    return list(zip(edges, edges[1:], bounds))
 
 
 def weighted_integral(

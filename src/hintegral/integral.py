@@ -21,11 +21,14 @@ it is not).  Only the zero density has null pieces, and under it every
 integral is (0, 0); any other density is nonnegative with finitely many
 roots, so every piece has positive measure and the essential supremum
 is the largest supremum over the pieces.  A certificate of witness sets
-substantiates every evaluation and can be re-verified independently.
-One rule, :func:`_holds`, decides f >= b on a cell or at a point of a
-piece, for witnesses and sublevel edges; a witness whose mass bound is
-<= 0 only needs the dimension coordinate to reach b at a cell's end.
-Both rest on the dimension coordinate being monotone on each piece.
+substantiates every evaluation and can be re-verified independently;
+a witness claims that the integral over its set reaches its bound b
+times the set's measure.  One rule, :func:`_holds`, decides f >= b at
+a point of a piece, for witness points and sublevel edges.  On an
+interval, a mass bound <= 0 only needs the dimension coordinate to
+reach b at an end, where that coordinate is the constant b.d the mass
+coordinate's exact integral decides, and elsewhere f >= b.  All of
+these rest on the dimension coordinate being monotone on each piece.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
@@ -176,9 +179,8 @@ def constant_fn(lo, hi, value: HValue) -> PiecewiseFn:
 
 @dataclass(frozen=True)
 class Witness:
-    """A set with its measure and a bound f reaches on it: f >= inf_bound
-    everywhere there or, for a mass bound <= 0 on a piecewise function,
-    a dimension coordinate reaching inf_bound.d at an end of each interval."""
+    """A set W with its measure and a bound b, claiming that the integral
+    of f over W is at least b * measure (see :func:`_bound_holds`)."""
 
     where: MeasurableSet
     measure: HValue
@@ -190,13 +192,13 @@ class T4Certificate:
     """Witness evidence for an integral evaluation.
 
     ``d_witnesses`` substantiate the dimension: each witness has
-    positive measure and a positive bound (see :class:`Witness`), with
-    bound-dimension + measure-dimension equal to the reported dimension
-    whether or not the supremum is attained.
-    ``m_witnesses`` form one disjoint family realizing the reported
-    mass; ``achieved_m`` records the family's exact lower sum and
-    ``exact_m`` is False when that sum only approaches the mass from
-    below (non-constant mass coordinate).
+    positive measure and a positive bound (see :class:`Witness`), one
+    has bound-dimension + measure-dimension equal to the reported
+    dimension whether or not the supremum is attained, and none has more.
+    ``m_witnesses`` form one disjoint family at that dimension whose
+    masses add up to the reported mass, which ``achieved_m`` repeats.
+    Each carries its set's exact mass, so ``exact_m`` is always True;
+    the field stays because the JSON form of a certificate has it.
     """
 
     value: HValue
@@ -274,7 +276,7 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
                 ivs.extend((c, d) for c, d, s in mass if s < 0)
             elif sign < 0:
                 ivs.append((a, b))
-        pts.extend(t for _, t, _ in cells[:-1] if not _holds(p, v, t, t))
+        pts.extend(t for _, t, _ in cells[:-1] if not _holds(p, v, t))
     if ZERO < v:
         gap_ivs, gap_pts = _uncovered(space, f)
         ivs.extend(gap_ivs)
@@ -388,50 +390,42 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
             raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
     reach = [p for p, sup in zip(pieces, sups) if sup == s]
     top = [p for p in reach if p.pi1 == exprs.const(s)]
-    mass = sum(
-        (exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi) for p in top),
-        Fraction(0),
-    )
+    masses = [exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi) for p in top]
+    mass = sum(masses, Fraction(0))
     if s == 0 and mass == 0:
         return ZERO, T4Certificate(ZERO)
     value = HValue(space.dim_offset + s, ExtRat(mass))
-    return value, _build_certificate(space, reach, top, s, mass, value)
+    return value, _build_certificate(space, reach, top, masses, s, value)
 
 
 def _build_certificate(
     space: IntervalSpace,
     reach: List[PiecewisePiece],
     top: List[PiecewisePiece],
+    masses: List[Fraction],
     s: Fraction,
-    mass: Fraction,
     value: HValue,
 ) -> T4Certificate:
+    # one mass witness per top piece, whose bound's mass is the piece's
+    # exact mass over its ordinary measure, so the witnesses sum to the mass
     m_wits: List[Witness] = []
-    achieved = Fraction(0)
-    if mass > 0:
-        for p in top:
-            for sub_lo, sub_hi, bound in exprs.lower_cells(p.pi2, p.lo, p.hi):
-                if bound <= 0 and s <= 0:
-                    continue  # a bound (s, 0) is positive only at s > 0
-                bound = max(bound, Fraction(0))
-                where = IntervalSet.of([(sub_lo, sub_hi)])
-                mv = space.measure(where)
-                m_wits.append(Witness(where, mv, HValue(s, ExtRat(bound))))
-                achieved += bound * mv.m.frac
+    if value.m.sign() > 0:
+        for p, m in zip(top, masses):
+            if m == 0 and s == 0:
+                continue  # a bound (s, 0) is positive only at s > 0
+            where = IntervalSet.of([(p.lo, p.hi)])
+            mv = space.measure(where)
+            m_wits.append(Witness(where, mv, HValue(s, ExtRat(m / mv.m.frac))))
 
     if s == 0:
         # every piece is the constant 0, so a witness needs a positive
-        # mass bound: the first mass cell that has one serves as it stands
-        d_wits = [w for w in m_wits if w.inf_bound > ZERO][:1]
+        # mass bound: the first mass witness, which has one, serves as it stands
+        d_wits = m_wits[:1]
     else:
         # the pieces whose dimension coordinate reaches s, attained or not
         where = IntervalSet.of([(p.lo, p.hi) for p in reach])
         d_wits = [Witness(where, space.measure(where), HValue(s, ExtRat(0)))]
-
-    exact = mass <= 0 or achieved == mass
-    return T4Certificate(
-        value, tuple(d_wits), tuple(m_wits), exact, ExtRat(achieved)
-    )
+    return T4Certificate(value, tuple(d_wits), tuple(m_wits), True, value.m)
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +483,21 @@ def _simple_certificate(space: MeasureSpace, f: SimpleFn, value: HValue) -> T4Ce
 
 
 def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -> bool:
-    """Re-evaluate every recorded witness inequality from scratch."""
+    """Re-evaluate every recorded witness claim from scratch.  Disjoint
+    witnesses add their claims by sigma-additivity, so together they
+    prove the value from below in both coordinates."""
     for w in list(cert.d_witnesses) + list(cert.m_witnesses):
         if space.measure(w.where) != w.measure or w.measure == ZERO:
             return False
         if not w.inf_bound > ZERO:
             return False
-        if not _bound_holds(f, w):
+        if not _bound_holds(space, f, w):
             return False
-    for w in cert.d_witnesses:
-        if w.inf_bound.d + w.measure.d > cert.value.d:
-            return False
+    reached = [w.inf_bound.d + w.measure.d for w in cert.d_witnesses]
+    if any(d > cert.value.d for d in reached):
+        return False
+    if cert.value != ZERO and cert.value.d not in reached:
+        return False
     recomputed = ExtRat(0)
     for w in cert.m_witnesses:
         if w.inf_bound.d + w.measure.d != cert.value.d:
@@ -510,18 +508,13 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
             union([w.where for w in cert.m_witnesses])
         except NonDisjointError:
             return False
-    if recomputed != cert.achieved_m or not recomputed <= cert.value.m:
-        return False
-    if cert.exact_m and cert.value != ZERO:
-        if cert.achieved_m != cert.value.m:
-            return False
-    return True
+    return recomputed == cert.achieved_m == cert.value.m
 
 
-def _bound_holds(f: HFunction, w: Witness) -> bool:
-    """f reaches the bound b on the witness set: each of its intervals and
-    points is a cell that :func:`_holds` decides, except that with a mass
-    bound <= 0 an interval needs only pi1 >= b.d at one of its ends."""
+def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
+    """The witness's claim: the integral of f over its set W is at least
+    b * mu(W).  f >= b decides it on a simple function and at each point
+    of W (:func:`_holds`); each interval of W has its rule below."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         # off its pieces f is (0,0) < b, so the set must lie in the union
@@ -533,7 +526,10 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
         # off the open pieces, piece ends included, f is (0,0) < b
         if piece is None or (a == c and not piece.lo < a < piece.hi):
             return False
-        if b.m.sign() <= 0:
+        if a == c:
+            if not _holds(piece, b, a):
+                return False
+        elif b.m.sign() <= 0:
             # pi1 is monotone and continuous on the piece: reaching b.d at
             # an end of (a, c), it exceeds every t < b.d on a subcell of
             # positive measure (the measure check excludes null sets), so
@@ -542,25 +538,32 @@ def _bound_holds(f: HFunction, w: Witness) -> bool:
             # nothing positive to achieved_m
             if not (exprs.at_least(piece.pi1, b.d, a, a) or exprs.at_least(piece.pi1, b.d, c, c)):
                 return False
-        elif not _holds(piece, b, a, c):
+        elif piece.pi1 == exprs.const(b.d):
+            # a constant dimension shifts the ordinary integral, as in
+            # _interval_integrate and oracle.graded_integral: the integral
+            # over (a, c) is (b.d + mu.d, the integral of pi2 * density), so
+            # it reaches b * mu(a, c) when that mass reaches b.m * nu(a, c)
+            mass = exprs.weighted_integral(piece.pi2, space.density, a, c)
+            if not (b.m.is_finite and mass >= b.m.frac * exprs.poly_integral(space.density, a, c)):
+                return False
+        elif not exprs.at_least(piece.pi1, b.d, a, c):
+            # pi1 is monotone (exprs.check_piece): at least b.d on the open
+            # cell and not that constant, it is above b.d throughout
             return False
     return True
 
 
-def _holds(p: PiecewisePiece, b: HValue, a: Fraction, c: Fraction) -> bool:
-    """f >= b on the open cell (a, c) of the piece p, or at the point a
-    when a == c."""
-    if not exprs.at_least(p.pi1, b.d, a, c):
+def _holds(p: PiecewisePiece, b: HValue, t: Fraction) -> bool:
+    """f >= b at the point t of the piece p."""
+    if not exprs.at_least(p.pi1, b.d, t, t):
         return False
     if b.m.sign() <= 0:
         return True  # pi2 >= 0 (see exprs.check_piece)
-    # the dimension coordinate is monotone (exprs.check_piece), so where
-    # it is >= b.d it equals b.d on an open cell only when it is that
-    # constant, and at a point only when its value there is b.d: only
-    # then does the mass coordinate have to reach b.m, which +inf exceeds
-    if exprs.sup_on(p.pi1, a, c) != b.d:
+    # only where the dimension coordinate's value is b.d (an irrational
+    # one is not) does the mass have to reach b.m, which +inf exceeds
+    if exprs.sup_on(p.pi1, t, t) != b.d:
         return True
-    return b.m.is_finite and exprs.at_least(p.pi2, b.m.frac, a, c)
+    return b.m.is_finite and exprs.at_least(p.pi2, b.m.frac, t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +573,8 @@ def _holds(p: PiecewisePiece, b: HValue, a: Fraction, c: Fraction) -> bool:
 
 @json_loader
 def function_from_json(obj) -> HFunction:
+    if ("simple" in obj) == ("pieces" in obj):
+        raise ParseError("function description needs one of 'simple' and 'pieces'")
     if "simple" in obj:
         pieces = [
             (HValue.parse(p["coeff"]), set_from_json(p["set"]))
@@ -579,16 +584,13 @@ def function_from_json(obj) -> HFunction:
         if not isinstance(i_simple, bool):
             raise ParseError(f"i_simple must be true or false, got {i_simple!r}")
         return SimpleFn.of(pieces, i_simple=i_simple)
-    if "pieces" in obj:
-        out = []
-        for p in obj["pieces"]:
-            s = set_from_json(p["set"])
-            if not isinstance(s, IntervalSet) or len(s.intervals) != 1 or s.points:
-                raise ParseError("each piecewise piece needs exactly one interval")
-            (lo, hi), = s.intervals
-            out.append(
-                (lo, hi, exprs.expr_from_json(p["pi1"]), exprs.expr_from_json(p["pi2"]))
-            )
-        return PiecewiseFn.of(out)
-    raise ParseError("function description needs 'simple' or 'pieces'")
-
+    out = []
+    for p in obj["pieces"]:
+        s = set_from_json(p["set"])
+        if not isinstance(s, IntervalSet) or len(s.intervals) != 1 or s.points:
+            raise ParseError("each piecewise piece needs exactly one interval")
+        (lo, hi), = s.intervals
+        out.append(
+            (lo, hi, exprs.expr_from_json(p["pi1"]), exprs.expr_from_json(p["pi2"]))
+        )
+    return PiecewiseFn.of(out)

@@ -306,10 +306,13 @@ def _names(value, what: str) -> frozenset:
 def set_from_json(obj) -> MeasurableSet:
     if not isinstance(obj, dict):
         raise ParseError(f"set description must be an object, got {obj!r}")
-    for key in ("atoms", "catalog"):
-        if key in obj:
-            return AtomSet(_names(obj[key], key))
-    if "intervals" in obj or "points" in obj:
+    atoms = [key for key in ("atoms", "catalog") if key in obj]
+    interval_shape = "intervals" in obj or "points" in obj
+    if len(atoms) + interval_shape > 1:
+        raise ParseError(f"a set description names one shape, got the keys {sorted(obj)}")
+    if atoms:
+        return AtomSet(_names(obj[atoms[0]], atoms[0]))
+    if interval_shape:
         intervals = json_list(obj.get("intervals", ()), "intervals")
         return IntervalSet.of(
             [json_list(iv, "an interval") for iv in intervals],

@@ -5,7 +5,6 @@ import io
 import json
 import tempfile
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,9 @@ from hypothesis import strategies as st
 
 from hintegral.cli import main
 from hintegral.exprs import MAX_DEGREE
-from hintegral.hvalue import HValue
+from hintegral.hvalue import ExtRat, HValue
+from hintegral.integral import T4Certificate, Witness, function_from_json, verify_certificate
+from hintegral.space import set_from_json, space_from_json
 
 
 def write(tmp_path, name, obj):
@@ -131,6 +132,15 @@ class TestEval:
         }
         assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == 3
         assert capsys.readouterr().err == "unsupported: sup of pi1 on (0, 2) is irrational\n"
+
+    def test_irrational_mass_names_its_cause(self, tmp_path, capsys):
+        # the mass of x**(1/2) on (0, 2) is (2/3) * 2**(3/2), which is irrational
+        sp = {"kind": "interval", "bounds": ["0", "2"]}
+        fn = {"pieces": [{**_piece("0", "2"), "pi2": {"kind": "pow", "q": "1/2"}}]}
+        assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unsupported: integral of x**1/2 has irrational endpoint values\n"
 
     def test_fractional_power_below_zero_exit_3(self, tmp_path, capsys):
         sp = {"kind": "interval", "bounds": ["-1", "1"]}
@@ -357,6 +367,18 @@ MALFORMED = {
         "defi",
         {"kind": "convexity", "segment": [["0", "1"], ["0", "1"]]},
     ),
+    # a description names one shape; the first key read used to win
+    "simple-and-pieces": ("eval", SPACE, {**_simple_on({"intervals": [["0", "1"]]}), **CONST11}),
+    "atoms-and-intervals": (
+        "eval",
+        {"kind": "atoms", "atoms": {"a": "(0, 1)"}},
+        _simple_on({"atoms": ["a"], "intervals": [["0", "1"]]}),
+    ),
+    "atoms-and-catalog": (
+        "eval",
+        {"kind": "atoms", "atoms": {"a": "(0, 1)"}},
+        _simple_on({"atoms": ["a"], "catalog": ["a"]}),
+    ),
     # the name goes into the messages of the declared-measure checks
     "global-name-not-a-string": (
         "defi",
@@ -527,6 +549,16 @@ EVAL_GOLDENS = {
             "1",
         ),
     ),
+    # one mass witness carries the piece's exact mass: x averages 1/2 on (0, 1)
+    "function_affine_mass.json": (
+        UNIT_SPACE,
+        _eval_golden(
+            "(2, 1/2)",
+            [_witness("0", "1", "(1, 1)", "(1, 0)")],
+            [_witness("0", "1", "(1, 1)", "(1, 1/2)")],
+            "1/2",
+        ),
+    ),
     # (0, 1) x ((1, inf) + (0, 1)); the catalog set {p, L} is written as its atoms
     "function_catalog_line_point.json": (
         CATALOG_SPACE,
@@ -549,7 +581,11 @@ class TestBundledScenarios:
         elif path.name in EVAL_GOLDENS:
             space, golden = EVAL_GOLDENS[path.name]
             assert main(["eval", str(space), str(path), "--json", "--certificate"]) == 0
-            assert json.loads(capsys.readouterr().out) == golden
+            out = json.loads(capsys.readouterr().out)
+            assert out == golden
+            sp = space_from_json(json.loads(space.read_text()))
+            f = function_from_json(json.loads(path.read_text()))
+            assert verify_certificate(sp, f, _certificate(out["certificate"]))
         else:
             # a space file is replayed by the function goldens over it
             spaces = {space for space, _ in EVAL_GOLDENS.values()}
@@ -583,6 +619,21 @@ def _mass(pi2):
     return {"pieces": [{**_piece("0", "1"), "pi2": pi2}]}
 
 
+def _certificate(obj):
+    """The certificate that `eval --certificate --json` wrote as obj."""
+
+    def witness(w):
+        return Witness(set_from_json(w["set"]), HValue.parse(w["measure"]), HValue.parse(w["inf_bound"]))
+
+    return T4Certificate(
+        HValue.parse(obj["value"]),
+        tuple(map(witness, obj["d_witnesses"])),
+        tuple(map(witness, obj["m_witnesses"])),
+        obj["exact_m"],
+        ExtRat.parse(obj["achieved_m"]),
+    )
+
+
 class TestLongNumbers:
     def test_certificate_of_a_high_power(self, tmp_path, capsys):
         fn = _mass({"kind": "pow", "q": "10001/2"})
@@ -592,11 +643,11 @@ class TestLongNumbers:
         assert value == "(2, 2/10003)"
         cert = json.loads(cert)
         assert cert["value"] == value
-        # x**(10001/2) on the cell (1/8, 1/4) is at least (1/8)**5001
-        (where,) = cert["m_witnesses"][1]["set"]["intervals"]
-        assert where == ["1/8", "1/4"]
-        bound = HValue.parse(cert["m_witnesses"][1]["inf_bound"])
-        assert bound == HValue.of(1, Fraction(1, 2**15003))
+        # one witness carries the piece's exact mass, 2/10003 over the measure 1
+        (w,) = cert["m_witnesses"]
+        assert w == _witness("0", "1", "(1, 1)", "(1, 2/10003)")
+        sp = space_from_json(json.loads(UNIT_SPACE.read_text()))
+        assert verify_certificate(sp, function_from_json(fn), _certificate(cert))
 
     @pytest.mark.parametrize(
         "sub, files, out",

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, reject
@@ -56,7 +56,22 @@ rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
 widths = st.fractions(min_value=F(1, 20), max_value=5, max_denominator=20)
 
 
+def _bernstein_min(coeffs, lo, hi):
+    """The smallest Bernstein coefficient of p on [lo, hi] from the
+    integer kernel of `at_least`: `_bernstein` scales each coefficient
+    of the integer polynomial D * p by n! * (b*d)**n, where lo = a/b and
+    hi - lo = c/d."""
+    ints, den = exprs._integer_poly(coeffs)
+    n = len(ints) - 1
+    scale = factorial(n) * den * (lo.denominator * (hi - lo).denominator) ** n
+    return F(min(exprs._bernstein(ints, lo, hi)), scale)
+
+
 class TestPolyLowerBound:
+    """p on [lo, hi] is a convex combination of its Bernstein
+    coefficients, so the smallest one bounds p from below; the first and
+    last are p(lo) and p(hi) (Farouki & Rajan, CAGD 5, 1988)."""
+
     @given(
         st.lists(rationals, min_size=1, max_size=6),
         rationals,
@@ -64,13 +79,13 @@ class TestPolyLowerBound:
         st.lists(st.fractions(min_value=0, max_value=1, max_denominator=50), max_size=5),
     )
     def test_never_exceeds_p_on_the_cell(self, coeffs, lo, width, ts):
-        bound = exprs.poly_lower_bound(coeffs, lo, lo + width)
+        bound = _bernstein_min(coeffs, lo, lo + width)
         for x in [lo, lo + width] + [lo + t * width for t in ts]:
             assert bound <= exprs.poly_eval(coeffs, x)
 
     @given(st.fractions(min_value=0, max_value=100, max_denominator=50), widths)
     def test_exact_for_increasing_square(self, lo, width):
-        assert exprs.poly_lower_bound((F(1), F(0), F(1)), lo, lo + width) == 1 + lo * lo
+        assert _bernstein_min((F(1), F(0), F(1)), lo, lo + width) == 1 + lo * lo
 
     @given(
         st.lists(st.fractions(max_denominator=10**6).filter(lambda c: abs(c) < 10**6), min_size=1, max_size=13),
@@ -83,7 +98,7 @@ class TestPolyLowerBound:
         # degrees 0-12, signed coefficients, ends of up to 40 digits
         lo = F(lo_num, lo_den)
         hi = lo + F(w_num, w_den)
-        assert exprs.poly_lower_bound(coeffs, lo, hi) == _fraction_bernstein_min(coeffs, lo, hi)
+        assert _bernstein_min(coeffs, lo, hi) == _fraction_bernstein_min(coeffs, lo, hi)
 
 
 def _fraction_bernstein_min(coeffs, lo, hi):
@@ -146,7 +161,7 @@ class TestAtLeast:
         # x**2 - x + 1/20 is 1/20 at both ends and -1/5 at 1/2
         assert not nonneg(poly([F(1, 20), -1, 1]))
         # (x - 1/3)**2: its smallest Bernstein coefficient on (0, 1) is -2/9
-        assert exprs.poly_lower_bound(poly([F(1, 9), F(-2, 3), 1]).coeffs, F(0), F(1)) == F(-2, 9)
+        assert _bernstein_min(poly([F(1, 9), F(-2, 3), 1]).coeffs, F(0), F(1)) == F(-2, 9)
         assert nonneg(poly([F(1, 9), F(-2, 3), 1]))
 
     def test_a_bound_above_the_bernstein_bound(self):

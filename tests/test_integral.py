@@ -142,8 +142,10 @@ class TestIntervalEvaluation:
         f = piecewise((0, 1, exprs.const(1), exprs.poly([0, 0, 3])))
         v, cert = integrate(UNIT, f)
         assert v == H(2, 1)  # int 3x^2 = 1
-        assert not cert.exact_m  # dyadic lower family only
-        assert cert.achieved_m < v.m
+        # one witness carries the piece's exact mass, 1 over the measure 1
+        (w,) = cert.m_witnesses
+        assert w.inf_bound == H(1, 1)
+        assert cert.exact_m and cert.achieved_m == v.m
         assert verify_certificate(UNIT, f, cert)
 
     def test_power_mass(self):
@@ -272,6 +274,26 @@ class TestLowerDimensionFails:
         assert not verify_certificate(sp, f, replace(cert, value=HValue(v.d - delta, v.m)))
 
 
+class TestExactMass:
+    """Every certificate carries the value's mass exactly: its mass
+    witnesses add up to that mass, so any other mass fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        densities(),
+        functions(),
+        st.fractions(min_value=-4, max_value=4, max_denominator=64).filter(lambda x: x != 0),
+    )
+    def test_moved_mass_is_rejected(self, density, f, delta):
+        sp = IntervalSpace.of(0, 4, dim_offset=1, density=density)
+        v, cert = integrate(sp, f)
+        assert cert.exact_m and cert.achieved_m == v.m
+        assert verify_certificate(sp, f, cert)
+        moved = HValue(v.d, v.m + ExtRat(delta))
+        assert not verify_certificate(sp, f, replace(cert, value=moved))
+        assert not verify_certificate(sp, f, replace(cert, value=moved, achieved_m=moved.m))
+
+
 class TestCertificates:
     def test_unattained_sup_has_one_exact_witness(self):
         # x and 1 - x tend to 1 at one end of (0, 1); x**(3/2) tends to 8
@@ -296,6 +318,22 @@ class TestCertificates:
         f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
         _, cert = integrate(UNIT, f)
         assert not verify_certificate(UNIT, f, replace(cert, value=H(d, 0)))
+
+    def test_forged_values_fail(self):
+        # f = (x, 1) has the value (2, 0), and g = (0, x**2) the value (1, 1/3)
+        f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
+        g = piecewise((0, 1, exprs.const(0), exprs.poly([0, 0, 1])))
+        (v, f_cert), (w, g_cert) = integrate(UNIT, f), integrate(UNIT, g)
+        assert (v, w) == (H(2, 0), H(1, F(1, 3)))
+        assert verify_certificate(UNIT, f, f_cert) and verify_certificate(UNIT, g, g_cert)
+        forgeries = [
+            (f, replace(f_cert, value=H(100, 0))),
+            (f, T4Certificate(H(7, 0))),
+            (g, replace(g_cert, value=H(1, 50), exact_m=True)),
+            (g, replace(g_cert, value=H(1, 50), exact_m=False)),
+        ]
+        for fn, cert in forgeries:
+            assert not verify_certificate(UNIT, fn, cert)
 
     def test_forged_dimension_bound_fails(self):
         # f = (x, 1) stays below dimension 1 on (0, 1/2), its closure included
@@ -368,21 +406,30 @@ class TestCertificates:
         f = piecewise((0, 3, root, exprs.const(1)))
 
         def cert(bound):
+            # the claimed value is the one the witness reaches
             w = Witness(IntervalSet.of([(F(5, 2), 3)], [2]), H(0, F(1, 2)), bound)
-            return T4Certificate(H(F(3, 2), 0), (w,), (), True, ExtRat(0))
+            return T4Certificate(bound, (w,), (), True, ExtRat(0))
 
         assert verify_certificate(sp, f, cert(H(F(7, 5), 0)))
         assert not verify_certificate(sp, f, cert(H(F(3, 2), 0)))
 
     def test_mass_bound_above_the_bernstein_bound(self):
-        # (x - 1/3)**2 + 1/50 >= 1/100 on (0, 1), though its smallest
-        # Bernstein coefficient there is 1/9 + 1/50 - 1/3 < 0
+        # (x - 1/3)**2 + 1/50 averages 1/9 + 1/50 on (0, 1), though its
+        # smallest Bernstein coefficient there is 1/9 + 1/50 - 1/3 < 0
         sp = IntervalSpace.of(0, 1)
-        f = piecewise((0, 1, exprs.const(0), exprs.poly([F(1, 9) + F(1, 50), F(-2, 3), 1])))
-        w = Witness(IntervalSet.of([(0, 1)]), H(0, 1), H(0, F(1, 100)))
-        cert = T4Certificate(H(0, F(1, 9) + F(1, 50)), (w,), (w,), False, ExtRat(F(1, 100)))
-        assert integrate(sp, f)[0] == cert.value
-        assert verify_certificate(sp, f, cert)
+        mass = F(1, 9) + F(1, 50)
+        f = piecewise((0, 1, exprs.const(0), exprs.poly([mass, F(-2, 3), 1])))
+
+        def cert(bound):
+            w = Witness(IntervalSet.of([(0, 1)]), H(0, 1), H(0, bound))
+            return T4Certificate(H(0, bound), (w,), (w,), True, ExtRat(bound))
+
+        assert integrate(sp, f) == (H(0, mass), cert(mass))
+        assert verify_certificate(sp, f, cert(mass))
+        assert not verify_certificate(sp, f, cert(mass + F(1, 10**9)))
+        # the bound 1/100 holds, but its mass falls short of the value
+        inexact = replace(cert(F(1, 100)), value=H(0, mass), exact_m=False)
+        assert not verify_certificate(sp, f, inexact)
 
     def test_infinite_mass_bound_fails_on_a_piecewise_function(self):
         sp = IntervalSpace.of(0, 1)
@@ -405,8 +452,9 @@ class TestCertificates:
         f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
 
         def cert(point):
+            # the claimed value is the one the witness reaches
             w = Witness(IntervalSet.of([(F(1, 2), F(3, 4))], [point]), H(0, F(1, 4)), H(F(1, 4), 2))
-            return T4Certificate(H(1, 0), (w,), (), True, ExtRat(0))
+            return T4Certificate(H(F(1, 4), 0), (w,), (), True, ExtRat(0))
 
         assert not verify_certificate(sp, f, cert(F(1, 4)))
         assert verify_certificate(sp, f, cert(F(3, 8)))
