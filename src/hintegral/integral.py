@@ -23,12 +23,9 @@ roots, so every piece has positive measure and the essential supremum
 is the largest supremum over the pieces.  A certificate of witness sets
 substantiates every evaluation and can be re-verified independently;
 a witness claims that the integral over its set reaches its bound b
-times the set's measure.  One rule, :func:`_holds`, decides f >= b at
-a point of a piece, for witness points and sublevel edges.  On an
-interval, a mass bound <= 0 only needs the dimension coordinate to
-reach b at an end, where that coordinate is the constant b.d the mass
-coordinate's exact integral decides, and elsewhere f >= b.  All of
-these rest on the dimension coordinate being monotone on each piece.
+times the set's measure.  One rule, :func:`_holds`, decides that
+claim exactly on each interval of the set, from the closed form above,
+and f >= b at each of its points and at each edge of a sublevel set.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
@@ -180,7 +177,7 @@ def constant_fn(lo, hi, value: HValue) -> PiecewiseFn:
 @dataclass(frozen=True)
 class Witness:
     """A set W with its measure and a bound b, claiming that the integral
-    of f over W is at least b * measure (see :func:`_bound_holds`)."""
+    of f over W is at least b * measure (see :func:`_holds`)."""
 
     where: MeasurableSet
     measure: HValue
@@ -276,7 +273,7 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
                 ivs.extend((c, d) for c, d, s in mass if s < 0)
             elif sign < 0:
                 ivs.append((a, b))
-        pts.extend(t for _, t, _ in cells[:-1] if not _holds(p, v, t))
+        pts.extend(t for _, t, _ in cells[:-1] if not _holds(p, v, t, t, space.density))
     if ZERO < v:
         gap_ivs, gap_pts = _uncovered(space, f)
         ivs.extend(gap_ivs)
@@ -512,9 +509,8 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
 
 
 def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
-    """The witness's claim: the integral of f over its set W is at least
-    b * mu(W).  f >= b decides it on a simple function and at each point
-    of W (:func:`_holds`); each interval of W has its rule below."""
+    """The witness's claim that the integral of f over its set W is at
+    least b * mu(W): f >= b on W for a simple function, else :func:`_holds`."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         # off its pieces f is (0,0) < b, so the set must lie in the union
@@ -526,44 +522,43 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
         # off the open pieces, piece ends included, f is (0,0) < b
         if piece is None or (a == c and not piece.lo < a < piece.hi):
             return False
-        if a == c:
-            if not _holds(piece, b, a):
-                return False
-        elif b.m.sign() <= 0:
-            # pi1 is monotone and continuous on the piece: reaching b.d at
-            # an end of (a, c), it exceeds every t < b.d on a subcell of
-            # positive measure (the measure check excludes null sets), so
-            # the integral is at least (t + mu.d, 0) for every such t and
-            # its dimension at least b.d + mu.d; a mass bound <= 0 adds
-            # nothing positive to achieved_m
-            if not (exprs.at_least(piece.pi1, b.d, a, a) or exprs.at_least(piece.pi1, b.d, c, c)):
-                return False
-        elif piece.pi1 == exprs.const(b.d):
-            # a constant dimension shifts the ordinary integral, as in
-            # _interval_integrate and oracle.graded_integral: the integral
-            # over (a, c) is (b.d + mu.d, the integral of pi2 * density), so
-            # it reaches b * mu(a, c) when that mass reaches b.m * nu(a, c)
-            mass = exprs.weighted_integral(piece.pi2, space.density, a, c)
-            if not (b.m.is_finite and mass >= b.m.frac * exprs.poly_integral(space.density, a, c)):
-                return False
-        elif not exprs.at_least(piece.pi1, b.d, a, c):
-            # pi1 is monotone (exprs.check_piece): at least b.d on the open
-            # cell and not that constant, it is above b.d throughout
+        if not _holds(piece, b, a, c, space.density):
             return False
     return True
 
 
-def _holds(p: PiecewisePiece, b: HValue, t: Fraction) -> bool:
-    """f >= b at the point t of the piece p."""
-    if not exprs.at_least(p.pi1, b.d, t, t):
+def _holds(
+    p: PiecewisePiece, b: HValue, a: Fraction, c: Fraction, density: Sequence[Fraction]
+) -> bool:
+    """On the open cell (a, c) of the piece p, the integral over the cell
+    reaches b times the cell's measure; at the point a == c, f(a) >= b.
+
+    pi1 is monotone and continuous on the piece (exprs.check_piece), so
+    its supremum on the cell is its larger end value.  Above b.d the
+    dimension decides; at b.d the mass does, and pi2 >= 0 meets a mass
+    bound <= 0.  A non-constant pi1 reaches b.d only at an end, a null
+    set, so a positive mass bound needs pi1 to be the constant b.d and
+    the exact integral of pi2 * density to reach b.m times the cell's
+    ordinary measure."""
+    if not (exprs.at_least(p.pi1, b.d, a, a) or exprs.at_least(p.pi1, b.d, c, c)):
         return False
-    if b.m.sign() <= 0:
-        return True  # pi2 >= 0 (see exprs.check_piece)
-    # only where the dimension coordinate's value is b.d (an irrational
-    # one is not) does the mass have to reach b.m, which +inf exceeds
-    if exprs.sup_on(p.pi1, t, t) != b.d:
+    # an irrational supremum is never b.d
+    if b.m.sign() <= 0 or exprs.sup_on(p.pi1, a, c) != b.d:
         return True
-    return b.m.is_finite and exprs.at_least(p.pi2, b.m.frac, t, t)
+    if not b.m.is_finite:
+        return False
+    if a == c:
+        return exprs.at_least(p.pi2, b.m.frac, a, a)
+    if p.pi1 != exprs.const(b.d):
+        return False
+    try:
+        mass = exprs.weighted_integral(p.pi2, density, a, c)
+    except UnsupportedExpressionError:
+        # a mass that reaches b.m everywhere reaches it on average
+        if exprs.at_least(p.pi2, b.m.frac, a, c):
+            return True
+        raise
+    return mass >= b.m.frac * exprs.poly_integral(density, a, c)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,104 @@ class TestExactMass:
         assert not verify_certificate(sp, f, replace(cert, value=moved, achieved_m=moved.m))
 
 
+@st.composite
+def powered(draw):
+    """functions(), with x**q in place of some pieces' coordinates."""
+    powers = st.sampled_from([F(1, 2), F(3, 2), F(2, 3)]).map(exprs.power)
+    pieces = []
+    for p in draw(functions()).pieces:
+        pi1, pi2 = (draw(powers) if draw(st.booleans()) else e for e in (p.pi1, p.pi2))
+        pieces.append((p.lo, p.hi, pi1, pi2))
+    return PiecewiseFn.of(pieces)
+
+
+def _root(x, r):
+    """The rational r-th root of x >= 0, or None."""
+    n, d = (round(k ** (1 / r)) for k in (x.numerator, x.denominator))
+    return F(n, d) if F(n, d) ** r == x else None
+
+
+def _pow(x, q):
+    """x**q for x >= 0 and a rational q > 0, or None where it is irrational."""
+    root = _root(x, F(q).denominator)
+    return None if root is None else root ** F(q).numerator
+
+
+def _value(e, x):
+    """e(x), or None where it is irrational."""
+    if isinstance(e, exprs.Power):
+        return _pow(x, e.q)
+    return sum(k * x**i for i, k in enumerate(e.coeffs))
+
+
+def _sign_at(e, x, c):
+    """The sign of e(x) - c for c >= 0: x**(p/r) against c as x**p against c**r."""
+    if isinstance(e, exprs.Power):
+        lhs, rhs = x ** e.q.numerator, c ** e.q.denominator
+    else:
+        lhs, rhs = _value(e, x), c
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _mass(e, density, a, c):
+    """The integral of e * density over (a, c) from the antiderivative of
+    each term, or None where it is irrational."""
+    terms = [(e.q, F(1))] if isinstance(e, exprs.Power) else list(enumerate(e.coeffs))
+    total = F(0)
+    for n, coeff in terms:
+        for k, w in enumerate(density):
+            ends = [_pow(x, n + k + 1) for x in (a, c)]
+            if None in ends:
+                return None
+            total += coeff * w * (ends[1] - ends[0]) / (n + k + 1)
+    return total
+
+
+def _claim(p, b, a, c, density):
+    """Whether the integral of f over the cell (a, c) of its piece p reaches
+    b times the cell's measure, or None where that needs an irrational mass.
+    The dimension's supremum on the cell is its larger end value; where it
+    is b.d, the mass is that of pi2 * density if pi1 is the constant b.d,
+    and 0 otherwise."""
+    signs = [_sign_at(p.pi1, x, b.d) for x in (a, c)]
+    if max(signs) != 0 or b.m.sign() <= 0:
+        return max(signs) >= 0
+    if not b.m.is_finite:
+        return False
+    mass = _mass(p.pi2, density, a, c) if signs == [0, 0] else F(0)
+    return None if mass is None else mass >= b.m.frac * _mass(exprs.const(1), density, a, c)
+
+
+class TestWitnessClaims:
+    """A one-witness certificate on a cell of a piece verifies exactly when
+    its claim holds, decided from the closed form of the integral."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(densities().filter(any), powered(), st.sampled_from([0, 1]), st.data())
+    def test_verifies_exactly_when_the_claim_holds(self, density, f, offset, data):
+        assume(f.pieces)
+        sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
+        p = data.draw(st.sampled_from(f.pieces))
+        ends = st.fractions(min_value=p.lo, max_value=p.hi, max_denominator=8)
+        a, c = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+        # the dimension's end values and the mass's average make the ties
+        at_ends = [v for x in (a, c) if (v := _value(p.pi1, x)) is not None]
+        d = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
+        d = data.draw(st.sampled_from([d, *at_ends]))
+        mass, nu = _mass(p.pi2, density, a, c), _mass(exprs.const(1), density, a, c)
+        average = [] if mass is None else [ExtRat(mass / nu)]
+        m = ExtRat(data.draw(st.fractions(min_value=-1, max_value=4, max_denominator=8)))
+        m = data.draw(st.sampled_from([m, INF, -INF, *average]))
+        b = HValue(d, m)
+        assume(b > ZERO)
+        holds = _claim(p, b, a, c, density)
+        assume(holds is not None)
+        cell = IntervalSet.of([(a, c)])
+        w = Witness(cell, sp.measure(cell), b)
+        cert = T4Certificate(HValue(b.d + w.measure.d, ExtRat(0)), (w,), (), True, ExtRat(0))
+        assert verify_certificate(sp, f, cert) == holds
+
+
 class TestCertificates:
     def test_unattained_sup_has_one_exact_witness(self):
         # x and 1 - x tend to 1 at one end of (0, 1); x**(3/2) tends to 8
@@ -444,6 +542,35 @@ class TestCertificates:
         f = constant_fn(0, 1, H(1, 1))
         w = Witness(IntervalSet.of([(0, F(1, 2))], [F(3, 4)]), H(0, F(1, 2)), HValue(F(1), -INF))
         assert verify_certificate(sp, f, T4Certificate(H(1, 0), (w,), (), True, ExtRat(0)))
+
+    @pytest.mark.parametrize("bound, holds", [(H(F(1, 2), 1), True), (H(1, 1), False)])
+    def test_cell_claim_decided_by_the_supremum(self, bound, holds):
+        # f = (x, 1) integrates to (2, 0) over W = (1/4, 1), past (3/2, 3/4)
+        # though f(1/4) is below the bound (1/2, 1); the dimension 1 is
+        # reached only at the end 1, so the mass 0 falls short of 1 * 3/4
+        f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
+        w = Witness(IntervalSet.of([(F(1, 4), 1)]), H(1, F(3, 4)), bound)
+        cert = T4Certificate(HValue(bound.d + 1, ExtRat(0)), (w,), (), True, ExtRat(0))
+        assert verify_certificate(UNIT, f, cert) == holds
+
+    def test_cell_claim_over_an_irrational_integral(self):
+        # x**(1/2) integrates to (2/3)(2 sqrt(2) - 1) ~ 1.219 over (1, 2);
+        # a bound it reaches everywhere on the cell it reaches on average
+        sp = IntervalSpace.of(0, 4)
+
+        def verify(pi1, bound):
+            f = piecewise((0, 4, pi1, exprs.power(F(1, 2))))
+            w = Witness(IntervalSet.of([(1, 2)]), H(0, 1), bound)
+            cert = T4Certificate(HValue(bound.d, ExtRat(0)), (w,), (), True, ExtRat(0))
+            return verify_certificate(sp, f, cert)
+
+        assert verify(exprs.const(0), H(0, F(1, 2)))
+        assert verify(exprs.const(0), H(0, 1))
+        # 6/5 holds, but deciding it needs sums of radicals (ROADMAP item 9)
+        with pytest.raises(UnsupportedExpressionError):
+            verify(exprs.const(0), H(0, F(6, 5)))
+        # an infinite mass bound fails before any integral is taken
+        assert not verify(exprs.const(1), HValue(F(1), INF))
 
     def test_witness_point_where_the_dimension_meets_the_bound(self):
         # f = (x, 1): at 1/4 its dimension equals the bound's, so its mass 1
