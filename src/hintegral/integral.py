@@ -23,9 +23,9 @@ roots, so every piece has positive measure and the essential supremum
 is the largest supremum over the pieces.  A certificate of witness sets
 substantiates every evaluation and can be re-verified independently;
 a witness claims that the integral over its set reaches its bound b
-times the set's measure.  One rule, :func:`_holds`, decides that
-claim exactly on each interval of the set, from the closed form above,
-and f >= b at each of its points and at each edge of a sublevel set.
+times the set's measure.  :func:`_bound_holds` decides that claim
+exactly on the whole set, from the closed form above summed over the
+cells where the set meets the pieces.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
@@ -43,10 +43,10 @@ ordinary evaluation) and the rest of the test machinery live in
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import (
@@ -177,7 +177,7 @@ def constant_fn(lo, hi, value: HValue) -> PiecewiseFn:
 @dataclass(frozen=True)
 class Witness:
     """A set W with its measure and a bound b, claiming that the integral
-    of f over W is at least b * measure (see :func:`_holds`)."""
+    of f over W is at least b * measure (see :func:`_bound_holds`)."""
 
     where: MeasurableSet
     measure: HValue
@@ -255,8 +255,8 @@ def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
 def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> IntervalSet:
     """The cells of pi1 against v.d: below v where pi1 < v.d, and where
     pi1 == v.d on a whole cell, below v where pi2 < v.m.  The edges
-    between the cells are the points where pi1 == v.d, each below v
-    where :func:`_holds` fails."""
+    between the cells are the points where pi1 == v.d, so the same
+    test on pi2 decides each of them (pi2 >= 0 is never below v.m <= 0)."""
     _inside(space, f)
     ivs: List[Tuple[Fraction, Fraction]] = []
     pts: List[Fraction] = []
@@ -273,7 +273,11 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
                 ivs.extend((c, d) for c, d, s in mass if s < 0)
             elif sign < 0:
                 ivs.append((a, b))
-        pts.extend(t for _, t, _ in cells[:-1] if not _holds(p, v, t, t, space.density))
+        if v.m.sign() > 0:
+            pts.extend(
+                t for _, t, _ in cells[:-1]
+                if not (v.m.is_finite and exprs.at_least(p.pi2, v.m.frac, t, t))
+            )
     if ZERO < v:
         gap_ivs, gap_pts = _uncovered(space, f)
         ivs.extend(gap_ivs)
@@ -329,13 +333,15 @@ def _add_simple(f: SimpleFn, g: SimpleFn) -> SimpleFn:
     return SimpleFn.of(pieces, i_simple=f.i_simple or g.i_simple)
 
 
-def _piece_covering(fn: PiecewiseFn, lo: Fraction, hi: Fraction) -> Optional[PiecewisePiece]:
-    # pieces are sorted and disjoint: only the last one starting at or
-    # before lo can cover (lo, hi)
-    i = bisect_right(fn.pieces, lo, key=lambda p: p.lo)
-    if i and hi <= fn.pieces[i - 1].hi:
-        return fn.pieces[i - 1]
-    return None
+def _cells(fn: PiecewiseFn, lo: Fraction, hi: Fraction) -> List[PiecewisePiece]:
+    """The pieces of fn that meet (lo, hi), each clipped to it.  The pieces
+    are sorted and disjoint, so both their ends are sorted."""
+    first = bisect_right(fn.pieces, lo, key=lambda p: p.hi)
+    last = bisect_left(fn.pieces, hi, key=lambda p: p.lo)
+    return [
+        PiecewisePiece(max(p.lo, lo), min(p.hi, hi), p.pi1, p.pi2)
+        for p in fn.pieces[first:last]
+    ]
 
 
 def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -347,14 +353,12 @@ def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
     )
     out: List[Tuple] = []
     for lo, hi in zip(edges, edges[1:]):
-        pf = _piece_covering(f, lo, hi)
-        pg = _piece_covering(g, lo, hi)
-        if pf is None and pg is None:
+        # every piece end is an edge, so each function has at most one cell here
+        cells = _cells(f, lo, hi) + _cells(g, lo, hi)
+        if len(cells) < 2:
+            out.extend((lo, hi, p.pi1, p.pi2) for p in cells)
             continue
-        if pf is None or pg is None:
-            p = pf if pf is not None else pg
-            out.append((lo, hi, p.pi1, p.pi2))
-            continue
+        pf, pg = cells
         for a, b, sign in exprs.split_dominance(pf.pi1, pg.pi1, lo, hi):
             if sign > 0:
                 out.append((a, b, pf.pi1, pf.pi2))
@@ -510,55 +514,51 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
 
 def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     """The witness's claim that the integral of f over its set W is at
-    least b * mu(W): f >= b on W for a simple function, else :func:`_holds`."""
+    least b * mu(W), decided exactly on the whole of W.
+
+    For a simple function that integral is the defining sum.  For a
+    piecewise function it is the dominance sum over the cells where W's
+    intervals meet the pieces; W's points are null.  pi1 is monotone and
+    continuous on its piece (exprs.check_piece), so its supremum on a
+    cell is its larger end value, and the largest of those against b.d
+    decides.  At b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive
+    one needs the cells where pi1 is the constant b.d, since elsewhere
+    it reaches b.d only at an end, a null set: their exact integral of
+    pi2 * density must reach b.m * nu(W)."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
-        # off its pieces f is (0,0) < b, so the set must lie in the union
-        # of the pieces whose coefficient is at least b
-        good = [s for coeff, s in f.pieces if coeff >= b]
-        return bool(good) and w.where <= union(good)
-    for a, c in [(x, x) for x in w.where.points] + list(w.where.intervals):
-        piece = _piece_covering(f, a, c)
-        # off the open pieces, piece ends included, f is (0,0) < b
-        if piece is None or (a == c and not piece.lo < a < piece.hi):
-            return False
-        if not _holds(piece, b, a, c, space.density):
-            return False
-    return True
-
-
-def _holds(
-    p: PiecewisePiece, b: HValue, a: Fraction, c: Fraction, density: Sequence[Fraction]
-) -> bool:
-    """On the open cell (a, c) of the piece p, the integral over the cell
-    reaches b times the cell's measure; at the point a == c, f(a) >= b.
-
-    pi1 is monotone and continuous on the piece (exprs.check_piece), so
-    its supremum on the cell is its larger end value.  Above b.d the
-    dimension decides; at b.d the mass does, and pi2 >= 0 meets a mass
-    bound <= 0.  A non-constant pi1 reaches b.d only at an end, a null
-    set, so a positive mass bound needs pi1 to be the constant b.d and
-    the exact integral of pi2 * density to reach b.m times the cell's
-    ordinary measure."""
-    if not (exprs.at_least(p.pi1, b.d, a, a) or exprs.at_least(p.pi1, b.d, c, c)):
+        return integrate_simple(space, restrict(f, w.where)) >= mul(b, w.measure)
+    if not isinstance(space, IntervalSpace):
+        raise UnsupportedExpressionError(f"cannot integrate PiecewiseFn over {type(space).__name__}")
+    reach = [
+        p
+        for lo, hi in w.where.intervals
+        for p in _cells(f, lo, hi)
+        if exprs.at_least(p.pi1, b.d, p.lo, p.lo) or exprs.at_least(p.pi1, b.d, p.hi, p.hi)
+    ]
+    if not reach:
         return False
     # an irrational supremum is never b.d
-    if b.m.sign() <= 0 or exprs.sup_on(p.pi1, a, c) != b.d:
+    if b.m.sign() <= 0 or any(exprs.sup_on(p.pi1, p.lo, p.hi) != b.d for p in reach):
         return True
     if not b.m.is_finite:
         return False
-    if a == c:
-        return exprs.at_least(p.pi2, b.m.frac, a, a)
-    if p.pi1 != exprs.const(b.d):
-        return False
-    try:
-        mass = exprs.weighted_integral(p.pi2, density, a, c)
-    except UnsupportedExpressionError:
-        # a mass that reaches b.m everywhere reaches it on average
-        if exprs.at_least(p.pi2, b.m.frac, a, c):
-            return True
-        raise
-    return mass >= b.m.frac * exprs.poly_integral(density, a, c)
+    mass, exact = Fraction(0), True
+    for p in reach:
+        if p.pi1 != exprs.const(b.d):
+            continue
+        try:
+            mass += exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi)
+        except UnsupportedExpressionError:
+            # pi2 >= 0, and a mass that reaches b.m everywhere reaches it on average
+            least = b.m.frac if exprs.at_least(p.pi2, b.m.frac, p.lo, p.hi) else 0
+            mass += least * exprs.poly_integral(space.density, p.lo, p.hi)
+            exact = False
+    if mass >= b.m.frac * w.measure.m.frac:
+        return True
+    if not exact:
+        raise UnsupportedExpressionError("the witness claim turns on an irrational mass")
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ Two concrete space kinds are provided:
 
 Measurable sets are structural: finite disjoint unions of primitives,
 validated by overlap checks only.  Each set kind owns its algebra:
-``x in s`` (membership), ``s <= t`` (exact subset), ``s & t``
-(intersection) and ``s.is_empty``; combining two sets of different
-kinds raises :class:`UnknownSetError`.
+``x in s`` (membership), ``s & t`` (intersection) and ``s.is_empty``;
+combining two sets of different kinds raises :class:`UnknownSetError`.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class AtomSet:
 
     def __contains__(self, atom) -> bool:
         return atom in self.atoms
-
-    def __le__(self, other: "AtomSet") -> bool:
-        _same_kind(self, other)
-        return self.atoms <= other.atoms
 
     def __and__(self, other: "AtomSet") -> "AtomSet":
         _same_kind(self, other)
@@ -99,21 +94,6 @@ class IntervalSet:
 
     def __contains__(self, x) -> bool:
         return x in self.points or any(a < x < b for a, b in self.intervals)
-
-    def __le__(self, other: "IntervalSet") -> bool:
-        """Exact subset test.  Intervals of ``other`` that meet at one of
-        its own points form one interval, which may hold an interval of
-        ``self`` that neither holds alone."""
-        _same_kind(self, other)
-        merged: List[List[Fraction]] = []
-        for a, b in other.intervals:
-            if merged and merged[-1][1] == a and a in other.points:
-                merged[-1][1] = b
-            else:
-                merged.append([a, b])
-        return all(p in other for p in self.points) and all(
-            any(lo <= a and b <= hi for lo, hi in merged) for a, b in self.intervals
-        )
 
     def __and__(self, other: "IntervalSet") -> "IntervalSet":
         _same_kind(self, other)

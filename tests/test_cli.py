@@ -531,6 +531,8 @@ def _eval_golden(value, d_witnesses, m_witnesses, achieved_m):
     return {"value": value, "certificate": cert}
 
 
+HALF_AND_A_POINT = {"intervals": [["0", "1/2"]], "points": ["3/4"]}
+
 # each bundled function file: the space it runs over, and its
 # `eval --json --certificate` output there
 EVAL_GOLDENS = {
@@ -556,6 +558,17 @@ EVAL_GOLDENS = {
             "(2, 1/2)",
             [_witness("0", "1", "(1, 1)", "(1, 0)")],
             [_witness("0", "1", "(1, 1)", "(1, 1/2)")],
+            "1/2",
+        ),
+    ),
+    # the piece of the top dimension is one witness, its point included,
+    # though a point is null: (1, 1) x (1, 1/2) is the whole value
+    "function_simple_interval_point.json": (
+        UNIT_SPACE,
+        _eval_golden(
+            "(2, 1/2)",
+            [{**_witness("0", "1/2", "(1, 1/2)", "(1, 1)"), "set": HALF_AND_A_POINT}],
+            [{**_witness("0", "1/2", "(1, 1/2)", "(1, 1)"), "set": HALF_AND_A_POINT}],
             "1/2",
         ),
     ),

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from hintegral import exprs
 from hintegral.errors import (
+    HIntegralError,
     NonDisjointError,
     UnknownSetError,
     UnsupportedExpressionError,
 )
-from hintegral.hvalue import INF, ZERO, ExtRat, HValue, add
+from hintegral.hvalue import INF, ZERO, ExtRat, HValue, add, mul, sum_finite
 from hintegral.space import (
     AtomSet,
     AtomSpace,
@@ -347,49 +348,111 @@ def _mass(e, density, a, c):
     return total
 
 
-def _claim(p, b, a, c, density):
-    """Whether the integral of f over the cell (a, c) of its piece p reaches
-    b times the cell's measure, or None where that needs an irrational mass.
-    The dimension's supremum on the cell is its larger end value; where it
-    is b.d, the mass is that of pi2 * density if pi1 is the constant b.d,
-    and 0 otherwise."""
-    signs = [_sign_at(p.pi1, x, b.d) for x in (a, c)]
-    if max(signs) != 0 or b.m.sign() <= 0:
-        return max(signs) >= 0
+def _cells(f, ivs):
+    """The cells (p, a, c) where the intervals ivs meet the pieces p of f."""
+    return [
+        (p, max(p.lo, a), min(p.hi, c))
+        for a, c in ivs
+        for p in f.pieces
+        if max(p.lo, a) < min(p.hi, c)
+    ]
+
+
+def _claim(cells, b, density, nu):
+    """Whether the integral of f over a set of ordinary measure nu, which
+    meets the pieces in the given cells, reaches b times the set's
+    measure, or None where that needs an irrational mass.  The set's
+    points are null.  The dimension's supremum on a cell is its larger
+    end value; where the largest of those is b.d, the mass is that of
+    pi2 * density over the cells where pi1 is the constant b.d."""
+    signs = [[_sign_at(p.pi1, x, b.d) for x in (a, c)] for p, a, c in cells]
+    top = max((max(s) for s in signs), default=-1)
+    if top != 0 or b.m.sign() <= 0:
+        return top >= 0
     if not b.m.is_finite:
         return False
-    mass = _mass(p.pi2, density, a, c) if signs == [0, 0] else F(0)
-    return None if mass is None else mass >= b.m.frac * _mass(exprs.const(1), density, a, c)
+    masses = [_mass(p.pi2, density, a, c) for (p, a, c), s in zip(cells, signs) if s == [0, 0]]
+    return None if None in masses else sum(masses) >= b.m.frac * nu
+
+
+@st.composite
+def witness_sets(draw, f):
+    """One to three intervals of (0, 4) between neighbouring cuts, some of
+    them touching, with cuts drawn among eighths and the ends of f's
+    pieces, so that they cross piece ends and gaps; sometimes a point."""
+    ends = sorted({x for p in f.pieces for x in (p.lo, p.hi)})
+    cut = st.one_of(points, st.sampled_from(ends))
+    cuts = sorted(draw(st.lists(cut, min_size=2, max_size=4, unique=True)))
+    keep = draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    assume(any(keep))
+    ivs = [iv for iv, k in zip(zip(cuts, cuts[1:]), keep) if k]
+    pts = [x for x in draw(st.lists(inner, max_size=1)) if not any(a < x < c for a, c in ivs)]
+    return IntervalSet.of(ivs, pts)
 
 
 class TestWitnessClaims:
-    """A one-witness certificate on a cell of a piece verifies exactly when
-    its claim holds, decided from the closed form of the integral."""
+    """A one-witness certificate verifies exactly when its claim holds,
+    decided from the closed form of the integral summed over the cells
+    where the witness set meets the pieces."""
 
     @settings(max_examples=200, deadline=None)
     @given(densities().filter(any), powered(), st.sampled_from([0, 1]), st.data())
     def test_verifies_exactly_when_the_claim_holds(self, density, f, offset, data):
         assume(f.pieces)
         sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
-        p = data.draw(st.sampled_from(f.pieces))
-        ends = st.fractions(min_value=p.lo, max_value=p.hi, max_denominator=8)
-        a, c = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+        where = data.draw(witness_sets(f))
+        cells = _cells(f, where.intervals)
+        nu = sum(_mass(exprs.const(1), density, a, c) for a, c in where.intervals)
         # the dimension's end values and the mass's average make the ties
-        at_ends = [v for x in (a, c) if (v := _value(p.pi1, x)) is not None]
+        at_ends = [v for p, a, c in cells for x in (a, c) if (v := _value(p.pi1, x)) is not None]
         d = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
         d = data.draw(st.sampled_from([d, *at_ends]))
-        mass, nu = _mass(p.pi2, density, a, c), _mass(exprs.const(1), density, a, c)
-        average = [] if mass is None else [ExtRat(mass / nu)]
+        level = [_mass(p.pi2, density, a, c) for p, a, c in cells if p.pi1 == exprs.const(d)]
+        average = [] if None in level else [ExtRat(sum(level) / nu)]
         m = ExtRat(data.draw(st.fractions(min_value=-1, max_value=4, max_denominator=8)))
         m = data.draw(st.sampled_from([m, INF, -INF, *average]))
         b = HValue(d, m)
         assume(b > ZERO)
-        holds = _claim(p, b, a, c, density)
+        holds = _claim(cells, b, density, nu)
         assume(holds is not None)
-        cell = IntervalSet.of([(a, c)])
-        w = Witness(cell, sp.measure(cell), b)
+        w = Witness(where, sp.measure(where), b)
         cert = T4Certificate(HValue(b.d + w.measure.d, ExtRat(0)), (w,), (), True, ExtRat(0))
         assert verify_certificate(sp, f, cert) == holds
+
+
+values = st.builds(
+    HValue.of, st.sampled_from([0, F(1, 2), 1, 2]), st.sampled_from([0, F(1, 2), 1, 3, "inf"])
+)
+
+
+class TestAtomWitnessClaims:
+    """On an atom space a one-witness certificate verifies exactly when
+    the defining sum over the witness set reaches the bound times the
+    set's measure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_verifies_exactly_when_the_sum_reaches_the_bound(self, data):
+        atoms = "abcd"
+        sp = AtomSpace.of({a: data.draw(values) for a in atoms})
+        # each atom lies in one of three pieces or in none
+        piece_of = {a: data.draw(st.sampled_from([0, 1, 2, None])) for a in atoms}
+        coeffs = [data.draw(values) for _ in range(3)]
+        sets = [AtomSet(frozenset(a for a in atoms if piece_of[a] == k)) for k in range(3)]
+        f = SimpleFn.of([(c, s) for c, s in zip(coeffs, sets) if not s.is_empty], i_simple=True)
+        where = AtomSet(frozenset(data.draw(st.sets(st.sampled_from(atoms), min_size=1))))
+        mu = sp.measure(where)
+        total = sum_finite(mul(f.value_at(a), sp.weights[a]) for a in where.atoms)
+        m = data.draw(st.sampled_from([ExtRat(-1), -INF, ExtRat(F(1, 2))]))
+        bounds = [data.draw(values), HValue(F(1, 2), m), *coeffs]
+        if total.d >= mu.d and total.m.is_finite and mu.m.is_finite and mu.m.sign() > 0:
+            # the bound that makes the claim an equality
+            bounds.append(HValue(total.d - mu.d, ExtRat(total.m.frac / mu.m.frac)))
+        b = data.draw(st.sampled_from(bounds))
+        assume(b > ZERO and mu != ZERO)
+        w = Witness(where, mu, b)
+        cert = T4Certificate(HValue(b.d + mu.d, ExtRat(0)), (w,), (), True, ExtRat(0))
+        assert verify_certificate(sp, f, cert) == (total >= mul(b, mu))
 
 
 class TestCertificates:
@@ -490,22 +553,26 @@ class TestCertificates:
         assert not verify_certificate(sp, f, cert)
 
     def test_witness_points_are_checked(self):
-        # f is (0,0) at 3/4, below the bound (1, 1)
+        # the point 3/4 is null, so whatever f is there, the claim is
+        # that f integrates to (1, 1/2) = (1, 1) x (0, 1/2) over (0, 1/2)
         sp = IntervalSpace.of(0, 1)
         w = Witness(IntervalSet.of([(0, F(1, 2))], [F(3, 4)]), H(0, F(1, 2)), H(1, 1))
         cert = T4Certificate(H(1, F(1, 2)), (w,), (w,), True, ExtRat(F(1, 2)))
-        assert not verify_certificate(sp, constant_fn(0, F(1, 2), H(1, 1)), cert)
+        assert verify_certificate(sp, constant_fn(0, F(1, 2), H(1, 1)), cert)
         assert verify_certificate(sp, constant_fn(0, 1, H(1, 1)), cert)
+        # (1, 1) on (0, 1/4) integrates to (1, 1/4) only
+        assert not verify_certificate(sp, constant_fn(0, F(1, 4), H(1, 1)), cert)
 
     def test_witness_point_compares_an_irrational_power_exactly(self):
-        # sqrt(2) > 7/5 and sqrt(2) < 3/2, though sqrt(2) is irrational
+        # at the cell end 2, sqrt(2) > 7/5 and sqrt(2) < 3/2, though
+        # sqrt(2) is irrational
         sp = IntervalSpace.of(0, 3)
         root = exprs.power(F(1, 2))
         f = piecewise((0, 3, root, exprs.const(1)))
 
         def cert(bound):
             # the claimed value is the one the witness reaches
-            w = Witness(IntervalSet.of([(F(5, 2), 3)], [2]), H(0, F(1, 2)), bound)
+            w = Witness(IntervalSet.of([(1, 2)]), H(0, 1), bound)
             return T4Certificate(bound, (w,), (), True, ExtRat(0))
 
         assert verify_certificate(sp, f, cert(H(F(7, 5), 0)))
@@ -573,18 +640,22 @@ class TestCertificates:
         assert not verify(exprs.const(1), HValue(F(1), INF))
 
     def test_witness_point_where_the_dimension_meets_the_bound(self):
-        # f = (x, 1): at 1/4 its dimension equals the bound's, so its mass 1
-        # must reach 2 and does not; at 3/8 the dimension is above 1/4
+        # f = (x, 1) meets the bound's dimension 1/4 at the point 1/4 and
+        # passes it at 3/8, but a point is null and never decides: on
+        # (1/2, 3/4) the dimension passes 1/4, so the claim holds; on
+        # (1/8, 1/4) it reaches 1/4 only at the end, so the mass there is
+        # 0 and falls short of 2 x 1/8
         sp = IntervalSpace.of(0, 1)
         f = piecewise((0, 1, exprs.affine(0, 1), exprs.const(1)))
 
-        def cert(point):
+        def cert(lo, hi, point):
             # the claimed value is the one the witness reaches
-            w = Witness(IntervalSet.of([(F(1, 2), F(3, 4))], [point]), H(0, F(1, 4)), H(F(1, 4), 2))
+            w = Witness(IntervalSet.of([(lo, hi)], [point]), H(0, hi - lo), H(F(1, 4), 2))
             return T4Certificate(H(F(1, 4), 0), (w,), (), True, ExtRat(0))
 
-        assert not verify_certificate(sp, f, cert(F(1, 4)))
-        assert verify_certificate(sp, f, cert(F(3, 8)))
+        for point in (F(1, 4), F(3, 8)):
+            assert verify_certificate(sp, f, cert(F(1, 2), F(3, 4), point))
+            assert not verify_certificate(sp, f, cert(F(1, 8), F(1, 4), point))
 
     def test_witness_point_on_a_piece_boundary_fails(self):
         sp = IntervalSpace.of(0, 1)
@@ -597,16 +668,48 @@ class TestCertificates:
         assert not verify_certificate(sp, f, cert)
 
     def test_interval_witness_across_adjacent_pieces(self):
+        # the shared endpoint 1/2 is null: with or without it, f
+        # integrates to (0, 1) over (0, 1), and to no more
         sp = IntervalSpace.of(0, 1)
         halves = [IntervalSet.of([(0, F(1, 2))]), IntervalSet.of([(F(1, 2), 1)])]
         middle = IntervalSet.of(points=[F(1, 2)])
         joined = SimpleFn.of([(H(0, 1), s) for s in halves] + [(H(0, 2), middle)])
-        w = Witness(IntervalSet.of([(0, 1)]), H(0, 1), H(0, 1))
-        cert = T4Certificate(H(0, 1), (w,), (w,), True, ExtRat(1))
-        assert verify_certificate(sp, joined, cert)
-        # without the shared endpoint, f is (0,0) at 1/2
         split = SimpleFn.of([(H(0, 1), s) for s in halves])
-        assert not verify_certificate(sp, split, cert)
+
+        def cert(m):
+            w = Witness(IntervalSet.of([(0, 1)]), H(0, 1), H(0, m))
+            return T4Certificate(H(0, m), (w,), (w,), True, ExtRat(m))
+
+        for f in (joined, split):
+            assert verify_certificate(sp, f, cert(1))
+            assert not verify_certificate(sp, f, cert(2))
+
+    def test_witness_across_pieces_of_different_dimensions(self):
+        # W = (0, 1/2) u (1/2, 1) integrates f to (1, 1/2) >= (1/2, 0) x (0, 1),
+        # though f's dimension 0 on (1/2, 1) is below the bound's 1/2
+        sp = IntervalSpace.of(0, 1)
+        f = piecewise(
+            (0, F(1, 2), exprs.const(1), exprs.const(1)),
+            (F(1, 2), 1, exprs.const(0), exprs.const(1)),
+        )
+        w = Witness(IntervalSet.of([(0, F(1, 2)), (F(1, 2), 1)]), H(0, 1), H(F(1, 2), 0))
+        assert verify_certificate(sp, f, T4Certificate(H(F(1, 2), 0), (w,), (), True, ExtRat(0)))
+
+    def test_atom_witness_across_coefficients(self):
+        # {a, b} integrates f to (0, 5) + (2, 1) = (2, 1) = (1, 1) x (1, 1),
+        # though f(a) = (0, 5) is below the bound (1, 1)
+        sp = AtomSpace.of({"a": H(0, 1), "b": H(1, 1)})
+        f = SimpleFn.of([(H(0, 5), AtomSet.of("a")), (H(1, 1), AtomSet.of("b"))])
+        assert integrate(sp, f)[0] == H(2, 1)
+        w = Witness(AtomSet.of("a", "b"), H(1, 1), H(1, 1))
+        assert verify_certificate(sp, f, T4Certificate(H(2, 1), (w,), (w,), True, ExtRat(1)))
+
+    def test_piecewise_function_on_an_atom_space_is_refused(self):
+        sp = AtomSpace.of({"a": H(0, 1)})
+        w = Witness(AtomSet.of("a"), H(0, 1), H(0, 1))
+        cert = T4Certificate(H(0, 1), (w,), (w,), True, ExtRat(1))
+        with pytest.raises(HIntegralError):
+            verify_certificate(sp, constant_fn(0, 1, H(0, 1)), cert)
 
     def test_catalog_witness_must_lie_in_pieces(self):
         sets = [{"name": "A", "hvalue": "(1, 1)"}, {"name": "B", "hvalue": "(1, 5)"}]

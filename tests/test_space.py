@@ -54,20 +54,13 @@ class TestSets:
 
     def test_contains(self):
         big = IntervalSet.of([(0, 1)], points=[2])
-        assert IntervalSet.of([(F(1, 4), F(1, 2))]) <= big
-        assert IntervalSet.of(points=[2]) <= big
-        assert not IntervalSet.of([(F(1, 2), F(3, 2))]) <= big
+        assert F(1, 4) in big and 2 in big
+        assert 1 not in big and F(3, 2) not in big
 
     def test_intersect(self):
         s = IntervalSet.of([(0, 2)], points=[3])
         w = IntervalSet.of([(1, 4)])
         assert s & w == IntervalSet.of([(1, 2)], points=[3])
-
-    def test_subset_across_a_covered_endpoint(self):
-        # (0, 1) u {1} u (1, 2) is the interval (0, 2)
-        split = IntervalSet.of([(0, 1), (1, 2)], points=[1])
-        assert IntervalSet.of([(0, 2)]) <= split
-        assert not IntervalSet.of([(0, 2)]) <= IntervalSet.of([(0, 1), (1, 2)])
 
     def test_intersection_keeps_a_point_of_either_side(self):
         whole = IntervalSet.of([(0, 2)])
@@ -77,14 +70,12 @@ class TestSets:
 
     def test_catalog_algebra(self):
         L, Lp = set_from_json({"catalog": ["L"]}), set_from_json({"catalog": ["p", "L"]})
-        assert "L" in Lp and L <= Lp and not Lp <= L
+        assert "L" in Lp
         assert Lp & L == L and (L & AtomSet.of("p")).is_empty
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(UnknownSetError):
             AtomSet.of("a") & IntervalSet.of(points=[1])
-        with pytest.raises(UnknownSetError):
-            IntervalSet.of(points=[1]) <= AtomSet.of("a")
 
 
 _POOL = [F(k, 2) for k in range(5)]  # a small pool, so sets often share endpoints
@@ -140,7 +131,6 @@ class TestSetAlgebraProperties:
         assert s & w == w & s
         for x in _probes(s, w):
             assert (x in s & w) == (x in s and x in w)
-        assert (s <= w) == all(x in w for x in _probes(s, w) if x in s)
 
     @given(st.frozensets(st.sampled_from("abcde")), st.frozensets(st.sampled_from("abcde")))
     def test_atom_algebra_agrees_with_membership(self, a, b):
@@ -148,7 +138,6 @@ class TestSetAlgebraProperties:
         assert s & w == w & s
         for x in "abcdef":
             assert (x in s & w) == (x in s and x in w)
-        assert (s <= w) == all(x in w for x in "abcdef" if x in s)
 
 
 class TestAtomSpace:
