@@ -18,17 +18,20 @@ exactly decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive
 cell, or at a point (a cell with ``lo == hi``), for every expression; a
 polynomial of degree >= 2 goes to an integer kernel (Bernstein
 coefficients with one common denominator, and Yun's square-free
-decomposition for its odd part).  One function,
-:func:`split_dominance`, cuts a piece by comparing two expressions; a
-sublevel set is read off its cells against a constant, so it is a
-finite union of intervals and points.  It and the suprema are solved
-for polynomials of degree at most 1 and for powers.  A higher degree
-there, or an irrational endpoint or bound, raises
-:class:`UnsupportedExpressionError`; an irrational supremum is None.
+decomposition for its odd part).  Integrals run on integers too: a
+polynomial's antiderivative has one common denominator, and each end is
+one Horner pass.  One function, :func:`split_dominance`, cuts a piece
+by comparing two expressions; a sublevel set is read off its cells
+against a constant, so it is a finite union of intervals and points.
+It and the suprema are solved for polynomials of degree at most 1 and
+for powers.  A higher degree there, or an irrational endpoint or bound,
+raises :class:`UnsupportedExpressionError`; an irrational supremum is
+None.
 
 This is the only module that looks inside an expression: the piece
 rules, sign tests, suprema and exact mass integrals that
-:mod:`hintegral.integral` needs are functions here.
+:mod:`hintegral.integral` needs are functions here, with an upper bound
+for a power's mass integral where that is irrational.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from math import factorial, gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedExpressionError, json_list, json_loader
-from .hvalue import as_fraction
+from .hvalue import _FRAC_ZERO, as_fraction
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient tuples, constant term first)
@@ -80,11 +83,24 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ..
 
 
 def poly_integral(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> Fraction:
-    """Exact integral of the polynomial over [a, b]."""
-    total = Fraction(0)
-    for k, c in enumerate(coeffs):
-        total += c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-    return total
+    """Exact integral of the polynomial over [a, b], as F(b) - F(a) for
+    the antiderivative F with F(0) = 0.  F has the integer coefficients
+    ints / den, den = lcm(den(c_k) * (k + 1)), so each end is one integer
+    Horner pass and one Fraction."""
+    den = lcm(*(c.denominator * (k + 1) for k, c in enumerate(coeffs)))
+    ints = [c.numerator * (den // (c.denominator * (k + 1))) for k, c in enumerate(coeffs)]
+    return _antiderivative_at(ints, den, b) - _antiderivative_at(ints, den, a)
+
+
+def _antiderivative_at(ints: Sequence[int], den: int, x: Fraction) -> Fraction:
+    """sum_k ints[k] * x**(k+1) / den, with x = p/q, over the common
+    denominator den * q**(n+1): Horner's rule on p with powers of q."""
+    p, q = x.numerator, x.denominator
+    acc, qk = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return Fraction(acc * p, den * qk * q)
 
 
 def poly_deriv(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -211,6 +227,9 @@ def _odd_part(p: List[int]) -> List[int]:
 # every base but 0 and 1, so `power` refuses it before anything is built.
 MAX_DEGREE = 64
 MAX_POWER_BITS = 2**16
+# A witness claim that turns on an irrational mass x**(p/k) bounds it by
+# the nearest multiples of 1 / (den(x**p) * 2**ROOT_BITS) on either side.
+ROOT_BITS = 64
 
 
 def _power(x: Fraction, e: int) -> Fraction:
@@ -222,18 +241,24 @@ def _power(x: Fraction, e: int) -> Fraction:
     return x**e
 
 
+def _floor_root(n: int, k: int) -> int:
+    """floor(n**(1/k)) for an integer n >= 0."""
+    if n in (0, 1) or k == 1:
+        return n
+    if k == 2:
+        return isqrt(n)
+    # integer Newton from above 2**ceil(bits/k), down to floor(n**(1/k))
+    r, s = n, 1 << -(-n.bit_length() // k)
+    while s < r:
+        r, s = s, ((k - 1) * s + n // s ** (k - 1)) // k
+    return r
+
+
 def int_nth_root(n: int, k: int) -> Optional[int]:
     """Exact k-th root of a nonnegative integer, or None."""
     if n < 0:
         return None
-    if n in (0, 1) or k == 1:
-        return n
-    if k == 2:
-        r = isqrt(n)
-    else:  # integer Newton from above 2**ceil(bits/k), down to floor(n**(1/k))
-        r, s = n, 1 << -(-n.bit_length() // k)
-        while s < r:
-            r, s = s, ((k - 1) * s + n // s ** (k - 1)) // k
+    r = _floor_root(n, k)
     return r if r**k == n else None
 
 
@@ -246,6 +271,18 @@ def nth_root(x: Fraction, k: int) -> Optional[Fraction]:
     if den is None:
         return None
     return Fraction(num, den)
+
+
+def _pow_rounded(x: Fraction, q: Fraction, up: bool) -> Fraction:
+    """x**q for x >= 0 and rational q = p/k > 0, rounded up or down to a
+    multiple of 1 / scale, scale = den(x**p) * 2**ROOT_BITS."""
+    y, k = _power(x, q.numerator), q.denominator
+    scale = y.denominator << ROOT_BITS
+    radicand = y.numerator * _power(Fraction(scale), k).numerator // y.denominator
+    root = _floor_root(radicand, k)  # floor((y * scale**k)**(1/k)), an integer radicand
+    if up and root**k != radicand:
+        root += 1
+    return Fraction(root, scale)
 
 
 def pow_exact(x: Fraction, q: Fraction) -> Optional[Fraction]:
@@ -354,7 +391,7 @@ def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
             f"a fractional power is defined for x >= 0 only, not on ({lo}, {hi})"
         )
     for name, e in (("dimension", pi1), ("mass", pi2)):
-        if not at_least(e, Fraction(0), lo, hi):
+        if not at_least(e, _FRAC_ZERO, lo, hi):
             raise UnsupportedExpressionError(
                 f"{name} coordinate is negative on ({lo}, {hi})"
             )
@@ -434,6 +471,22 @@ def weighted_integral(
                 f"integral of x**{e.q} has irrational endpoint values"
             )
         total += c * (hi_p - lo_p) / q
+    return total
+
+
+def weighted_integral_above(
+    e: Power, density: Sequence[Fraction], lo: Fraction, hi: Fraction
+) -> Fraction:
+    """A rational upper bound on the integral of x**q * density over (lo,
+    hi), for when it is irrational: each term c_k * (hi**r - lo**r) / r,
+    r = q + k + 1, with hi**r and lo**r rounded outward, the way the sign
+    of c_k calls for (a density coefficient may be negative)."""
+    total = Fraction(0)
+    for k, c in enumerate(density):
+        if c == 0:
+            continue
+        q = e.q + k + 1
+        total += c * (_pow_rounded(hi, q, c > 0) - _pow_rounded(lo, q, c < 0)) / q
     return total
 
 

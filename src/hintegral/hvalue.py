@@ -41,16 +41,31 @@ def _below(a: Fraction, b: Fraction) -> bool:
 
 
 def as_fraction(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction or exact string like ``"3/4"`` to a Fraction."""
-    if isinstance(x, Fraction):
+    """Coerce an int, Fraction or exact string like ``"3/4"`` to a Fraction.
+
+    A string is read after ``strip()``.  When it is ASCII ``-?digits`` or
+    ``-?digits/digits`` its integers are read directly, which skips the
+    regular expression of ``Fraction(str)``; every other string (a
+    ``+``, ``_``, non-ASCII digits, a decimal point, an exponent, inner
+    spaces) still goes to ``Fraction(str)``.  Both routes give the same
+    value on the strings the fast one takes, and the same ``ParseError``
+    for ``x/0``, so the accepted grammar is ``Fraction``'s own."""
+    if type(x) is Fraction:
         return x
     if type(x) is int:  # not bool: JSON true is not 1
         return Fraction(x) if x else _FRAC_ZERO
     if isinstance(x, str):
+        text = x.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num.startswith("-") else num
         try:
-            return Fraction(x.strip())
+            if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not an exact rational: {x!r}") from exc
+    if isinstance(x, Fraction):
+        return x
     raise ParseError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -524,7 +524,10 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     decides.  At b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive
     one needs the cells where pi1 is the constant b.d, since elsewhere
     it reaches b.d only at an end, a null set: their exact integral of
-    pi2 * density must reach b.m * nu(W)."""
+    pi2 * density must reach b.m * nu(W).  A cell whose integral is
+    irrational counts from below as b.m * nu(cell) or 0, and from above
+    as its integral with the ends' powers rounded outward; a claim that
+    falls between the two sums raises."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         return integrate_simple(space, restrict(f, w.where)) >= mul(b, w.measure)
@@ -543,22 +546,29 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
         return True
     if not b.m.is_finite:
         return False
-    mass, exact = Fraction(0), True
+    exact, irrational = Fraction(0), []
     for p in reach:
         if p.pi1 != exprs.const(b.d):
             continue
         try:
-            mass += exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi)
+            exact += exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi)
         except UnsupportedExpressionError:
-            # pi2 >= 0, and a mass that reaches b.m everywhere reaches it on average
-            least = b.m.frac if exprs.at_least(p.pi2, b.m.frac, p.lo, p.hi) else 0
-            mass += least * exprs.poly_integral(space.density, p.lo, p.hi)
-            exact = False
-    if mass >= b.m.frac * w.measure.m.frac:
+            irrational.append(p)
+    target = b.m.frac * w.measure.m.frac
+    # pi2 >= 0, and a mass that reaches b.m everywhere reaches it on average
+    least = exact + sum(
+        b.m.frac * exprs.poly_integral(space.density, p.lo, p.hi)
+        for p in irrational
+        if exprs.at_least(p.pi2, b.m.frac, p.lo, p.hi)
+    )
+    if least >= target:
         return True
-    if not exact:
-        raise UnsupportedExpressionError("the witness claim turns on an irrational mass")
-    return False
+    most = exact + sum(
+        exprs.weighted_integral_above(p.pi2, space.density, p.lo, p.hi) for p in irrational
+    )
+    if most < target:
+        return False
+    raise UnsupportedExpressionError("the witness claim turns on an irrational mass")
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +591,24 @@ def function_from_json(obj) -> HFunction:
         return SimpleFn.of(pieces, i_simple=i_simple)
     out = []
     for p in obj["pieces"]:
-        s = set_from_json(p["set"])
-        if not isinstance(s, IntervalSet) or len(s.intervals) != 1 or s.points:
-            raise ParseError("each piecewise piece needs exactly one interval")
-        (lo, hi), = s.intervals
+        lo, hi = _piece_ends(p["set"])
         out.append(
             (lo, hi, exprs.expr_from_json(p["pi1"]), exprs.expr_from_json(p["pi2"]))
         )
     return PiecewiseFn.of(out)
+
+
+def _piece_ends(obj) -> Tuple[Fraction, Fraction]:
+    """The ends of a piece's set, one interval: read directly when it is
+    ``{"intervals": [[lo, hi]]}`` with lo < hi, and otherwise through
+    :func:`set_from_json`, so every other shape keeps its error."""
+    if type(obj) is dict and obj.keys() == {"intervals"}:
+        ivs = obj["intervals"]
+        if type(ivs) is list and len(ivs) == 1 and type(ivs[0]) is list and len(ivs[0]) == 2:
+            lo, hi = as_fraction(ivs[0][0]), as_fraction(ivs[0][1])
+            if lo < hi:
+                return lo, hi
+    s = set_from_json(obj)
+    if not isinstance(s, IntervalSet) or len(s.intervals) != 1 or s.points:
+        raise ParseError("each piecewise piece needs exactly one interval")
+    return s.intervals[0]

@@ -199,13 +199,18 @@ class IntervalSpace:
             raise UnknownSetError(
                 f"{type(s).__name__} is not a set of an interval space"
             )
-        total = Fraction(0)
+        runs: List[List[Fraction]] = []
         for a, b in s.intervals:
             if a < self.lo or b > self.hi:
                 raise UnknownSetError(
                     f"({a}, {b}) is not inside the space ({self.lo}, {self.hi})"
                 )
-            total += exprs.poly_integral(self.density, a, b)
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        # the integrals over (a, b) and (b, c) telescope to the one over (a, c)
+        total = sum((exprs.poly_integral(self.density, a, b) for a, b in runs), Fraction(0))
         for p in s.points:
             if not self.lo < p < self.hi:
                 raise UnknownSetError(f"point {p} outside the space")

@@ -241,6 +241,83 @@ class TestEval:
         assert captured.err.startswith("unsupported:") and "Traceback" not in captured.err
 
 
+def _unpack_error(values):
+    """Python's own message for unpacking `values` into two names; its
+    wording differs between versions."""
+    try:
+        _, _ = values
+    except ValueError as exc:
+        return f"function_from_json: ValueError: {exc}"
+
+
+ONE_INTERVAL = "each piecewise piece needs exactly one interval"
+# The piece reader's error contract: a piece `set` of any shape but one
+# interval keeps the exit code and stderr it had when every set went
+# through `set_from_json`.
+PIECE_SETS = {
+    "two intervals": ({"intervals": [["0", "1/4"], ["1/2", "1"]]}, ONE_INTERVAL),
+    "interval and point": ({"intervals": [["0", "1/2"]], "points": ["3/4"]}, ONE_INTERVAL),
+    "point only": ({"points": ["1/2"]}, ONE_INTERVAL),
+    "no interval": ({"intervals": []}, ONE_INTERVAL),
+    "atoms": ({"atoms": ["a"]}, ONE_INTERVAL),
+    "catalog": ({"catalog": ["a"]}, ONE_INTERVAL),
+    "unknown key": ({"segment": [["0", "1"]]}, "unrecognized set description keys: ['segment']"),
+    "two shapes": (
+        {"intervals": [["0", "1"]], "atoms": ["a"]},
+        "a set description names one shape, got the keys ['atoms', 'intervals']",
+    ),
+    "three numbers": ({"intervals": [["0", "1/2", "1"]]}, _unpack_error([0, 1, 2])),
+    "one number": ({"intervals": [["0"]]}, _unpack_error([0])),
+    "string": ("(0, 1)", "set description must be an object, got '(0, 1)'"),
+    "list": ([["0", "1"]], "set description must be an object, got [['0', '1']]"),
+    "null": (None, "set description must be an object, got None"),
+    "intervals not a list": ({"intervals": "01"}, "intervals must be a list, got '01'"),
+    "interval not a list": ({"intervals": ["01"]}, "an interval must be a list, got '01'"),
+    "interval an object": (
+        {"intervals": [{"lo": "0", "hi": "1"}]},
+        "an interval must be a list, got {'lo': '0', 'hi': '1'}",
+    ),
+    "points not a list": ({"intervals": [["0", "1"]], "points": "1"}, "points must be a list, got '1'"),
+    "degenerate": ({"intervals": [["1/2", "1/2"]]}, "degenerate interval (1/2, 1/2)"),
+    "reversed": ({"intervals": [["1", "0"]]}, "degenerate interval (1, 0)"),
+    "bad end": ({"intervals": [["0", "x"]]}, "not an exact rational: 'x'"),
+    "bad ends": ({"intervals": [["y", "x"]]}, "not an exact rational: 'y'"),
+    "zero denominator": ({"intervals": [["0", "1/0"]]}, "not an exact rational: '1/0'"),
+    "float end": ({"intervals": [[0, 0.5]]}, "cannot interpret 0.5 as an exact rational"),
+    "bool end": ({"intervals": [[False, 1]]}, "cannot interpret False as an exact rational"),
+}
+
+
+class TestPieceReader:
+    @pytest.mark.parametrize("name", sorted(PIECE_SETS))
+    def test_exit_2_and_the_same_message(self, name, tmp_path, capsys):
+        # the set is read before the coordinates, so a bad one after it
+        # does not change the message
+        where, message = PIECE_SETS[name]
+        bad = {"set": where, "pi1": {"kind": "const", "value": "1"}, "pi2": {"kind": "pow", "q": "x"}}
+        space = write(tmp_path, "s.json", SPACE)
+        for pieces in ([{**bad, "pi2": CONST11["pieces"][0]["pi2"]}], [_piece("0", "1/8"), bad]):
+            fn = write(tmp_path, "f.json", {"pieces": pieces})
+            assert main(["eval", space, fn, "--json", "--certificate"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            {"intervals": [["0", "1"]], "points": []},
+            {"intervals": [[0, 1]]},
+            {"intervals": [[" 0 ", "+1"]]},
+            {"intervals": [["0", "1e0"]]},
+            {"intervals": [["0", "1"]], "note": "ignored"},
+        ],
+    )
+    def test_other_spellings_of_one_interval(self, where, tmp_path, capsys):
+        fn = {"pieces": [{**CONST11["pieces"][0], "set": where}]}
+        assert main(["eval", write(tmp_path, "s.json", SPACE), write(tmp_path, "f.json", fn)]) == 0
+        assert capsys.readouterr().out == "(2, 1)\n"
+
+
 def _continuity_global(hvalue, remainder):
     g = {"name": "R", "hvalue": hvalue, "remainder": remainder}
     return {"kind": "continuity", "global": g}

@@ -1,6 +1,7 @@
 """Expression grammar tests: exact roots, comparisons, dominance cells."""
 
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -43,6 +44,22 @@ class TestPolyHelpers:
     def test_integral(self):
         # int_0^1 x^2 dx = 1/3
         assert exprs.poly_integral((F(0), F(0), F(1)), F(0), F(1)) == F(1, 3)
+
+    @given(
+        st.lists(
+            st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+            min_size=1,
+            max_size=9,
+        ),
+        st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
+        st.builds(F, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
+        st.booleans(),
+    )
+    def test_integral_is_the_sum_of_its_terms(self, coeffs, a, b, empty):
+        # degree 0-8, 200-bit coefficients, ends of either sign, and a == b
+        b = a if empty else b
+        terms = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+        assert exprs.poly_integral(tuple(coeffs), a, b) == terms
 
     def test_lipschitz_is_a_bound(self):
         coeffs = (F(1), F(-3), F(2), F(5))
@@ -245,6 +262,31 @@ class TestExactRoots:
         if x >= 2:  # x**k +- 1 lies strictly between consecutive k-th powers
             assert int_nth_root(x**k + 1, k) is None
             assert int_nth_root(x**k - 1, k) is None
+
+    @given(
+        st.sampled_from([F(1, 2), F(3, 2), F(2, 3), F(1, 3), F(5, 4)]),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+        st.fractions(min_value=0, max_value=4, max_denominator=12),
+        st.fractions(min_value=0, max_value=4, max_denominator=12),
+    )
+    def test_an_irrational_integral_lies_just_below_its_upper_bound(self, q, density, a, b):
+        # against 80 digits of sum_k c_k (b**r - a**r) / r, r = q + k + 1; a
+        # negative c_k rounds its ends the other way
+        def dec(x):
+            return Decimal(x.numerator) / Decimal(x.denominator)
+
+        def power_of(x, r):
+            return dec(x) ** dec(r) if x else Decimal(0)
+
+        a, b = min(a, b), max(a, b)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            exact = sum(
+                dec(F(c)) * (power_of(b, q + k + 1) - power_of(a, q + k + 1)) / dec(q + k + 1)
+                for k, c in enumerate(density)
+            )
+            above = dec(exprs.weighted_integral_above(power(q), [F(c) for c in density], a, b))
+            assert exact - Decimal(10) ** -60 <= above <= exact + Decimal(10) ** -15
 
     def test_nth_root(self):
         assert nth_root(F(4, 9), 2) == F(2, 3)

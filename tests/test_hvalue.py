@@ -1,5 +1,6 @@
 """Value semiring unit tests: order, arithmetic, series, rendering."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hintegral.hvalue import (
     HValue,
     SeqDescriptor,
     add,
+    as_fraction,
     mul,
     scalar_mul,
     sum_described,
@@ -271,3 +273,63 @@ class TestText:
     @settings(max_examples=300)
     def test_round_trip(self, v):
         assert HValue.parse(str(v)) == v
+
+
+def _agrees_with_fraction(text):
+    """as_fraction(text) is Fraction(text.strip()), or a ParseError
+    exactly where Fraction raises."""
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            as_fraction(text)
+    else:
+        got = as_fraction(text)
+        assert type(got) is Fraction and got == expected
+
+
+class TestAsFraction:
+    """The digit-string fast path keeps Fraction's grammar and values."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3", "-3", "+3", "-0", "007/010", "1_0", "1_0/3", "\u0663", "\u00b3", " 3/4 ",
+            "\t-3/4\n", "3 / 4", "3/ 4", "3/0", "-3/-4", "3/-4", "1e3", "1.5", ".5",
+            "5.", "--3", "-/3", "3/", "/3", "", " ", "-", "3/4/5", "1/\u0663",
+            "9" * 5000, "-" + "9" * 5000 + "/7",
+        ],
+    )
+    def test_hand_picked_strings(self, text):
+        _agrees_with_fraction(text)
+
+    @given(
+        st.one_of(
+            # no "e": Fraction reads "1e999999999" by building 10**999999999
+            st.text(alphabet="0123456789-+/_. \t\u0663\u00b3", max_size=12),
+            st.from_regex(r"\s?-?[0-9]{1,40}(/-?[0-9]{0,40})?\s?", fullmatch=True),
+            st.text(max_size=6),
+        )
+    )
+    @settings(max_examples=500)
+    def test_any_string(self, text):
+        _agrees_with_fraction(text)
+
+    def test_a_5000_digit_numerator(self):
+        # past CPython's default 4300-digit int/str limit, which the CLI lifts
+        text = "-" + "9" * 5000 + "/7"
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(0)
+            assert as_fraction(text) == Fraction(-(10**5000 - 1), 7)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    def test_other_types(self):
+        assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+        assert as_fraction(-7) == -7
+        for bad in (True, 0.5, None, [1]):
+            with pytest.raises(ParseError):
+                as_fraction(bad)

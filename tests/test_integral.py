@@ -695,6 +695,24 @@ class TestCertificates:
         w = Witness(IntervalSet.of([(0, F(1, 2)), (F(1, 2), 1)]), H(0, 1), H(F(1, 2), 0))
         assert verify_certificate(sp, f, T4Certificate(H(F(1, 2), 0), (w,), (), True, ExtRat(0)))
 
+    def test_false_claim_over_an_irrational_mass_fails(self):
+        # f = (0, x**(1/2)) on (0, 2) has the mass (2/3)(2 sqrt 2 - 1) ~ 1.22
+        # on W = (1, 2) u (2, 3), which the bound (0, 1) puts at nu(W) = 2
+        sp = IntervalSpace.of(0, 4)
+        f = piecewise((0, 2, exprs.const(0), exprs.power(F(1, 2))))
+
+        def claim(where, m):
+            w = Witness(where, sp.measure(where), H(0, m))
+            return T4Certificate(H(0, 0), (w,), (), True, ExtRat(0))
+
+        where = IntervalSet.of([(1, 2), (2, 3)])
+        assert not verify_certificate(sp, f, claim(where, 1))
+        assert not verify_certificate(sp, f, claim(where, F(62, 100)))  # the mass 1.24
+        # the mass 1 is true, but from below the cell counts only 1/2 x nu((1, 2))
+        with pytest.raises(UnsupportedExpressionError):
+            verify_certificate(sp, f, claim(where, F(1, 2)))
+        assert verify_certificate(sp, f, claim(IntervalSet.of([(1, 2)]), 1))  # sqrt x >= 1
+
     def test_atom_witness_across_coefficients(self):
         # {a, b} integrates f to (0, 5) + (2, 1) = (2, 1) = (1, 1) x (1, 1),
         # though f(a) = (0, 5) is below the bound (1, 1)

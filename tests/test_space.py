@@ -180,6 +180,24 @@ class TestIntervalSpace:
         IntervalSpace.of(0, 1, density=(1, -1))  # 0 at the right end is fine
         IntervalSpace.of(0, 1, density=(F(1, 9), F(-2, 3), 1))  # (x - 1/3)**2, 0 inside
 
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_nu_is_the_sum_over_the_intervals(self, data):
+        # adjacent intervals make runs whose integrals telescope; gaps and
+        # points between them; densities of degree 0-2, nonnegative on (0, 2)
+        c = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=4))
+        r = data.draw(st.sampled_from(_POOL))
+        density = data.draw(st.sampled_from([(c,), (c, c), (2 * c, -c), (c * r * r, -2 * c * r, c)]))
+        sp = IntervalSpace.of(0, 2, density=density)
+        cuts, keep = _draw_grid(data.draw)
+        s = _draw_interval_set(data.draw, cuts, keep)
+        s = IntervalSet.of(s.intervals, [p for p in s.points if 0 < p < 2])
+
+        def antiderivative(x):
+            return sum(w * x ** (k + 1) / (k + 1) for k, w in enumerate(density))
+
+        assert sp.nu(s) == sum(antiderivative(b) - antiderivative(a) for a, b in s.intervals)
+
     def test_out_of_bounds(self):
         sp = IntervalSpace.of(0, 1)
         with pytest.raises(UnknownSetError):
