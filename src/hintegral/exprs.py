@@ -29,9 +29,10 @@ raises :class:`UnsupportedExpressionError`; an irrational supremum is
 None.
 
 This is the only module that looks inside an expression: the piece
-rules, sign tests, suprema and exact mass integrals that
-:mod:`hintegral.integral` needs are functions here, with an upper bound
-for a power's mass integral where that is irrational.
+rules, sign tests, suprema and mass integrals that
+:mod:`hintegral.integral` needs are functions here.  A power's mass
+integral comes as two rational bounds, equal where every end power is
+rational, that round each irrational one as ROOT_BITS describes.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, log2
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedExpressionError, json_list, json_loader
-from .hvalue import _FRAC_ZERO, as_fraction
+from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient tuples, constant term first)
@@ -222,13 +223,14 @@ def _odd_part(p: List[int]) -> List[int]:
 # with 290-bit ones, most of it in the first gcd of `_odd_part`; longer
 # coefficients take longer still.  A fractional power x**(p/r) is
 # decided on x**p and c**r, and a root of a number of MAX_POWER_BITS
-# bits took at most 1.8 s (at degree 4096); `_power` refuses a larger
-# one.  An exponent part past MAX_POWER_BITS would pass that bound at
-# every base but 0 and 1, so `power` refuses it before anything is built.
+# bits (hvalue's bound, which also limits a decimal exponent) takes at
+# most 0.04 s (at degree 3); `_power` refuses a larger one.  An exponent
+# part past MAX_POWER_BITS would pass that bound at every base but 0 and
+# 1, so `power` refuses it before anything is built.
 MAX_DEGREE = 64
-MAX_POWER_BITS = 2**16
-# A witness claim that turns on an irrational mass x**(p/k) bounds it by
-# the nearest multiples of 1 / (den(x**p) * 2**ROOT_BITS) on either side.
+# An irrational mass x**(p/k) is bounded by the multiples of 1 / scale next
+# to it, scale = den(x**p) * 2**ROOT_BITS, or 2**(MAX_POWER_BITS // k)
+# where scale**k would pass MAX_POWER_BITS bits.
 ROOT_BITS = 64
 
 
@@ -247,8 +249,11 @@ def _floor_root(n: int, k: int) -> int:
         return n
     if k == 2:
         return isqrt(n)
-    # integer Newton from above 2**ceil(bits/k), down to floor(n**(1/k))
-    r, s = n, 1 << -(-n.bit_length() // k)
+    # integer Newton from above, down to floor(n**(1/k)), started just above
+    # the float root where it fits: a high k then takes a few steps, not k ln 2
+    bits = n.bit_length()
+    s = int(2 ** (log2(n) / k) * (1 + 2**-32)) + 1 if bits < 1000 * k else 1 << -(-bits // k)
+    r = n + 1
     while s < r:
         r, s = s, ((k - 1) * s + n // s ** (k - 1)) // k
     return r
@@ -273,24 +278,27 @@ def nth_root(x: Fraction, k: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _pow_rounded(x: Fraction, q: Fraction, up: bool) -> Fraction:
-    """x**q for x >= 0 and rational q = p/k > 0, rounded up or down to a
-    multiple of 1 / scale, scale = den(x**p) * 2**ROOT_BITS."""
-    y, k = _power(x, q.numerator), q.denominator
-    scale = y.denominator << ROOT_BITS
-    radicand = y.numerator * _power(Fraction(scale), k).numerator // y.denominator
-    root = _floor_root(radicand, k)  # floor((y * scale**k)**(1/k)), an integer radicand
-    if up and root**k != radicand:
-        root += 1
-    return Fraction(root, scale)
-
-
 def pow_exact(x: Fraction, q: Fraction) -> Optional[Fraction]:
     """x**q for x >= 0 and rational q > 0, or None if irrational."""
     if x == 0:
         return Fraction(0)
     powered = _power(x, q.numerator)
     return nth_root(powered, q.denominator)
+
+
+def _pow_bounds(x: Fraction, q: Fraction) -> Tuple[Fraction, Fraction]:
+    """x**q for x >= 0 and rational q = p/k > 0, twice when it is rational;
+    otherwise the multiples of 1 / scale just below and just above it,
+    with the scale ROOT_BITS describes."""
+    exact = pow_exact(x, q)
+    if exact is not None:
+        return exact, exact
+    y, k = _power(x, q.numerator), q.denominator
+    scale = y.denominator << ROOT_BITS
+    if scale.bit_length() * k > MAX_POWER_BITS:
+        scale = 1 << MAX_POWER_BITS // k
+    root = _floor_root(y.numerator * scale**k // y.denominator, k)  # floor(y**(1/k) * scale)
+    return Fraction(root, scale), Fraction(root + 1, scale)
 
 
 def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
@@ -456,38 +464,32 @@ def weighted_integral(
     e: Expr, density: Sequence[Fraction], lo: Fraction, hi: Fraction
 ) -> Fraction:
     """Exact integral of e * density over (lo, hi); the density is a
-    polynomial's coefficient tuple."""
+    polynomial's coefficient tuple.  Raises where it is irrational."""
+    low, high = weighted_integral_bounds(e, density, lo, hi)
+    if low != high:
+        raise UnsupportedExpressionError(f"integral of x**{e.q} has irrational endpoint values")
+    return low
+
+
+def weighted_integral_bounds(
+    e: Expr, density: Sequence[Fraction], lo: Fraction, hi: Fraction
+) -> Tuple[Fraction, Fraction]:
+    """Rational bounds low <= high on the integral of e * density over
+    (lo, hi), equal exactly when every end power is rational.  A power
+    sums c_k * (hi**r - lo**r) / r, r = q + k + 1, with the ends rounded
+    inward for low and outward for high, as the sign of c_k calls for."""
     if isinstance(e, Poly):
-        return poly_integral(poly_mul(e.coeffs, density), lo, hi)
-    total = Fraction(0)
+        v = poly_integral(poly_mul(e.coeffs, density), lo, hi)
+        return v, v
+    low = high = Fraction(0)
     for k, c in enumerate(density):
         if c == 0:
             continue
         q = e.q + k + 1
-        hi_p = pow_exact(hi, q)
-        lo_p = pow_exact(lo, q)
-        if hi_p is None or lo_p is None:
-            raise UnsupportedExpressionError(
-                f"integral of x**{e.q} has irrational endpoint values"
-            )
-        total += c * (hi_p - lo_p) / q
-    return total
-
-
-def weighted_integral_above(
-    e: Power, density: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> Fraction:
-    """A rational upper bound on the integral of x**q * density over (lo,
-    hi), for when it is irrational: each term c_k * (hi**r - lo**r) / r,
-    r = q + k + 1, with hi**r and lo**r rounded outward, the way the sign
-    of c_k calls for (a density coefficient may be negative)."""
-    total = Fraction(0)
-    for k, c in enumerate(density):
-        if c == 0:
-            continue
-        q = e.q + k + 1
-        total += c * (_pow_rounded(hi, q, c > 0) - _pow_rounded(lo, q, c < 0)) / q
-    return total
+        (lo_down, lo_up), (hi_down, hi_up) = _pow_bounds(lo, q), _pow_bounds(hi, q)
+        ends = c * (hi_down - lo_up) / q, c * (hi_up - lo_down) / q
+        low, high = low + min(ends), high + max(ends)
+    return low, high
 
 
 # ---------------------------------------------------------------------------

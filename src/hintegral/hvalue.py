@@ -24,6 +24,11 @@ RatLike = Union[int, str, Fraction]
 
 _FRAC_ZERO = Fraction(0)  # immutable, so every exact zero shares it
 
+# The largest exact power built, in bits (see hintegral.exprs).  Fraction(str)
+# builds 10**e for a decimal exponent e; as log2(10) < 10/3, one with
+# 10 * e <= 3 * MAX_POWER_BITS keeps it within the bound.
+MAX_POWER_BITS = 2**16
+
 
 # Fractions are kept in lowest terms with a positive denominator, so two
 # of them are equal exactly when their numerators and denominators are,
@@ -49,7 +54,9 @@ def as_fraction(x: RatLike) -> Fraction:
     ``+``, ``_``, non-ASCII digits, a decimal point, an exponent, inner
     spaces) still goes to ``Fraction(str)``.  Both routes give the same
     value on the strings the fast one takes, and the same ``ParseError``
-    for ``x/0``, so the accepted grammar is ``Fraction``'s own."""
+    for ``x/0``, so the accepted grammar is ``Fraction``'s own, save that
+    a decimal exponent whose power of ten would pass ``MAX_POWER_BITS``
+    bits is a ``ParseError``."""
     if type(x) is Fraction:
         return x
     if type(x) is int:  # not bool: JSON true is not 1
@@ -61,6 +68,9 @@ def as_fraction(x: RatLike) -> Fraction:
         try:
             if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+            if exponent.isdecimal() and int(exponent) * 10 > 3 * MAX_POWER_BITS:
+                raise ParseError(f"a decimal exponent above {3 * MAX_POWER_BITS // 10}: {x!r}")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not an exact rational: {x!r}") from exc

@@ -46,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import List, Sequence, Tuple, Union
 
 from . import exprs
@@ -524,10 +525,11 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     decides.  At b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive
     one needs the cells where pi1 is the constant b.d, since elsewhere
     it reaches b.d only at an end, a null set: their exact integral of
-    pi2 * density must reach b.m * nu(W).  A cell whose integral is
-    irrational counts from below as b.m * nu(cell) or 0, and from above
-    as its integral with the ends' powers rounded outward; a claim that
-    falls between the two sums raises."""
+    pi2 * density must reach b.m * nu(W).  Touching cells with one pi2
+    join, so a piece that W splits telescopes, as in IntervalSpace.nu.
+    exprs.weighted_integral_bounds bounds each run's integral, and an
+    exact pi2 >= b.m on a run, which a coarse rounded root can miss,
+    raises the lower bound to b.m * nu(run).  Between the sums, raise."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         return integrate_simple(space, restrict(f, w.where)) >= mul(b, w.measure)
@@ -546,28 +548,31 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
         return True
     if not b.m.is_finite:
         return False
-    exact, irrational = Fraction(0), []
+    runs: List[List] = []  # [lo, hi, pi2] of each run of touching top cells
     for p in reach:
         if p.pi1 != exprs.const(b.d):
             continue
+        if runs and runs[-1][1] == p.lo and runs[-1][2] == p.pi2:
+            runs[-1][1] = p.hi
+        else:
+            runs.append([p.lo, p.hi, p.pi2])
+    bounds = []
+    for lo, hi, pi2 in runs:
         try:
-            exact += exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi)
-        except UnsupportedExpressionError:
-            irrational.append(p)
+            bounds.append(exprs.weighted_integral_bounds(pi2, space.density, lo, hi))
+        except UnsupportedExpressionError:  # an end power past MAX_POWER_BITS
+            bounds.append((Fraction(0), inf))
     target = b.m.frac * w.measure.m.frac
-    # pi2 >= 0, and a mass that reaches b.m everywhere reaches it on average
-    least = exact + sum(
-        b.m.frac * exprs.poly_integral(space.density, p.lo, p.hi)
-        for p in irrational
-        if exprs.at_least(p.pi2, b.m.frac, p.lo, p.hi)
-    )
-    if least >= target:
-        return True
-    most = exact + sum(
-        exprs.weighted_integral_above(p.pi2, space.density, p.lo, p.hi) for p in irrational
-    )
-    if most < target:
+    if sum(high for _, high in bounds) < target:
         return False
+    least = (  # pi2 >= b.m on a run puts its integral at b.m * nu(run) or more
+        max(low, b.m.frac * exprs.poly_integral(space.density, lo, hi))
+        if low != high and exprs.at_least(pi2, b.m.frac, lo, hi)
+        else low
+        for (low, high), (lo, hi, pi2) in zip(bounds, runs)
+    )
+    if sum(low for low, _ in bounds) >= target or sum(least) >= target:
+        return True
     raise UnsupportedExpressionError("the witness claim turns on an irrational mass")
 
 

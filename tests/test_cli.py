@@ -142,6 +142,17 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == "unsupported: integral of x**1/2 has irrational endpoint values\n"
 
+    @pytest.mark.parametrize("hi, q", [("3", "1/1000"), ("3/2", "1/500")])
+    def test_a_root_of_high_degree_names_its_irrational_mass(self, tmp_path, capsys, hi, q):
+        # its rounding stays within the bound on exact powers, so that bound
+        # is not named instead
+        sp = {"kind": "interval", "bounds": ["0", hi]}
+        fn = {"pieces": [{**_piece("0", hi), "pi2": {"kind": "pow", "q": q}}]}
+        assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unsupported: integral of x**{q} has irrational endpoint values\n"
+
     def test_fractional_power_below_zero_exit_3(self, tmp_path, capsys):
         sp = {"kind": "interval", "bounds": ["-1", "1"]}
         fn = {"pieces": [{**_piece("-1", "1"), "pi1": {"kind": "pow", "q": "1/2"}}]}
@@ -355,6 +366,8 @@ MALFORMED = {
     # 1/20 at both ends of the space and -1/5 at 1/2
     "density-dip": ("eval", {**SPACE, "density": ["1/20", "-1", "1"]}, CONST11),
     "bounds-as-string": ("eval", {**SPACE, "bounds": "01"}, CONST11),
+    # Fraction would build 10**99999999 in full before reading it
+    "bounds-with-a-huge-exponent": ("eval", {**SPACE, "bounds": ["0", "1e99999999"]}, CONST11),
     "coeffs-as-string": (
         "eval",
         SPACE,
@@ -636,6 +649,16 @@ EVAL_GOLDENS = {
             [_witness("0", "1", "(1, 1)", "(1, 0)")],
             [_witness("0", "1", "(1, 1)", "(1, 1/2)")],
             "1/2",
+        ),
+    ),
+    # the mass of sqrt(x) goes through the power integral: 2/3 on (0, 1)
+    "function_root_mass.json": (
+        UNIT_SPACE,
+        _eval_golden(
+            "(2, 2/3)",
+            [_witness("0", "1", "(1, 1)", "(1, 0)")],
+            [_witness("0", "1", "(1, 1)", "(1, 2/3)")],
+            "2/3",
         ),
     ),
     # the piece of the top dimension is one witness, its point included,

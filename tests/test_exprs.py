@@ -269,9 +269,12 @@ class TestExactRoots:
         st.fractions(min_value=0, max_value=4, max_denominator=12),
         st.fractions(min_value=0, max_value=4, max_denominator=12),
     )
+    @example(F(1, 2), [1, -2], F(1, 4), F(4))  # every end power is rational
+    @example(F(1, 2), [1, -2], F(1, 4), F(2))
     def test_an_irrational_integral_lies_just_below_its_upper_bound(self, q, density, a, b):
-        # against 80 digits of sum_k c_k (b**r - a**r) / r, r = q + k + 1; a
-        # negative c_k rounds its ends the other way
+        # against 80 digits of sum_k c_k (b**r - a**r) / r, r = q + k + 1, the
+        # bounds enclose it within 1e-15; a negative c_k rounds its ends the
+        # other way, and the bounds meet where every end power is rational
         def dec(x):
             return Decimal(x.numerator) / Decimal(x.denominator)
 
@@ -279,14 +282,49 @@ class TestExactRoots:
             return dec(x) ** dec(r) if x else Decimal(0)
 
         a, b = min(a, b), max(a, b)
+        density = [F(c) for c in density]
+        low, high = exprs.weighted_integral_bounds(power(q), density, a, b)
         with localcontext() as ctx:
             ctx.prec = 80
             exact = sum(
-                dec(F(c)) * (power_of(b, q + k + 1) - power_of(a, q + k + 1)) / dec(q + k + 1)
+                dec(c) * (power_of(b, q + k + 1) - power_of(a, q + k + 1)) / dec(q + k + 1)
                 for k, c in enumerate(density)
             )
-            above = dec(exprs.weighted_integral_above(power(q), [F(c) for c in density], a, b))
-            assert exact - Decimal(10) ** -60 <= above <= exact + Decimal(10) ** -15
+            slack = Decimal(10) ** -60
+            assert exact - Decimal(10) ** -15 <= dec(low) <= exact + slack
+            assert exact - slack <= dec(high) <= exact + Decimal(10) ** -15
+        rational = all(
+            pow_exact(x, q + k + 1) is not None for k, c in enumerate(density) if c for x in (a, b)
+        )
+        assert (low == high) == rational
+        if rational:
+            assert low == exprs.weighted_integral(power(q), density, a, b)
+
+    @pytest.mark.parametrize("k", [200, 1000, 5000, 30000])
+    def test_a_root_of_high_degree_is_bounded_within_the_bit_bound(self, k):
+        # 2**-b with b = MAX_POWER_BITS // k, as (den(x**p) * 2**64)**k
+        # would pass the bound; each end rounds by 2**-b, over r = q + 1
+        q, a, b = F(1, k), F(1, 3), F(2, 3)
+        low, high = exprs.weighted_integral_bounds(power(q), (F(1),), a, b)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            r = Decimal(k + 1) / k
+            exact = ((Decimal(2) / 3) ** r - (Decimal(1) / 3) ** r) / r
+            assert Decimal(low.numerator) / low.denominator <= exact
+            assert exact <= Decimal(high.numerator) / high.denominator
+        assert high - low == F(2, 2 ** (MAX_POWER_BITS // k)) / (q + 1)
+
+    @given(st.integers(0, 2**2000), st.integers(2, 400))
+    @example(2, 3)
+    @example(2**64, 2**16)
+    def test_floor_root_brackets_its_radicand(self, n, k):
+        r = exprs._floor_root(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+    def test_a_root_of_high_degree_integrates_at_rational_ends(self):
+        # 0 and 1 are their own powers, so nothing is rounded: x**(1/1500)
+        # integrates to 1500/1501 without a root of 2**64 to the 1500th power
+        assert exprs.weighted_integral(power(F(1, 1500)), (F(1),), F(0), F(1)) == F(1500, 1501)
 
     def test_nth_root(self):
         assert nth_root(F(4, 9), 2) == F(2, 3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hintegral.errors import ParseError, UndefinedSumError
 from hintegral.hvalue import (
     INF,
+    MAX_POWER_BITS,
     NEG_INF,
     ZERO,
     ExtRat,
@@ -326,6 +327,19 @@ class TestAsFraction:
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
+
+    def test_a_huge_decimal_exponent_is_refused_at_once(self):
+        # Fraction would build 10**9999999 (33 MB) first; the largest
+        # exponent read keeps its power of ten within the bit bound
+        largest = 3 * MAX_POWER_BITS // 10
+        assert (10**largest).bit_length() <= MAX_POWER_BITS
+        for text in ("1e9999999", "-2E-9999999", f"1e+{largest + 1}", "1e" + "9" * 50):
+            with pytest.raises(ParseError):
+                as_fraction(text)
+        assert as_fraction(f"1e-{largest}") == Fraction(1, 10**largest)
+        assert as_fraction("1e3") == 1000
+        assert as_fraction("1E-3") == Fraction(1, 1000)
+        assert as_fraction("1_0e1_0") == 10**11
 
     def test_other_types(self):
         assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)

@@ -2,6 +2,7 @@
 certificates, sublevel sets, pointwise sums, and the worked examples."""
 
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -348,6 +349,21 @@ def _mass(e, density, a, c):
     return total
 
 
+def _dec(x):
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _approx_mass(e, density, a, c):
+    """The integral of e * density over (a, c), in the current Decimal context."""
+    terms = [(e.q, F(1))] if isinstance(e, exprs.Power) else list(enumerate(e.coeffs))
+    return sum(
+        _dec(coeff * w) * (_dec(c) ** _dec(r) - _dec(a) ** _dec(r)) / _dec(r)
+        for n, coeff in terms
+        for k, w in enumerate(density)
+        for r in [F(n + k + 1)]
+    )
+
+
 def _cells(f, ivs):
     """The cells (p, a, c) where the intervals ivs meet the pieces p of f."""
     return [
@@ -361,18 +377,25 @@ def _cells(f, ivs):
 def _claim(cells, b, density, nu):
     """Whether the integral of f over a set of ordinary measure nu, which
     meets the pieces in the given cells, reaches b times the set's
-    measure, or None where that needs an irrational mass.  The set's
-    points are null.  The dimension's supremum on a cell is its larger
-    end value; where the largest of those is b.d, the mass is that of
-    pi2 * density over the cells where pi1 is the constant b.d."""
+    measure.  An irrational mass is compared to 80 digits, and a claim
+    within 1e-50 of it is None, undecided.  The set's points are null.
+    The dimension's supremum on a cell is its larger end value; where
+    the largest of those is b.d, the mass is that of pi2 * density over
+    the cells where pi1 is the constant b.d."""
     signs = [[_sign_at(p.pi1, x, b.d) for x in (a, c)] for p, a, c in cells]
     top = max((max(s) for s in signs), default=-1)
     if top != 0 or b.m.sign() <= 0:
         return top >= 0
     if not b.m.is_finite:
         return False
-    masses = [_mass(p.pi2, density, a, c) for (p, a, c), s in zip(cells, signs) if s == [0, 0]]
-    return None if None in masses else sum(masses) >= b.m.frac * nu
+    tops = [(p, a, c) for (p, a, c), s in zip(cells, signs) if s == [0, 0]]
+    masses = [_mass(p.pi2, density, a, c) for p, a, c in tops]
+    if None not in masses:
+        return sum(masses) >= b.m.frac * nu
+    with localcontext() as ctx:
+        ctx.prec = 80
+        gap = sum(_approx_mass(p.pi2, density, a, c) for p, a, c in tops) - _dec(b.m.frac * nu)
+    return None if abs(gap) < Decimal(10) ** -50 else gap > 0
 
 
 @st.composite
@@ -633,9 +656,9 @@ class TestCertificates:
 
         assert verify(exprs.const(0), H(0, F(1, 2)))
         assert verify(exprs.const(0), H(0, 1))
-        # 6/5 holds, but deciding it needs sums of radicals (ROADMAP item 9)
-        with pytest.raises(UnsupportedExpressionError):
-            verify(exprs.const(0), H(0, F(6, 5)))
+        # 1.219 lies above 6/5 and below 5/4 by far more than the rounding
+        assert verify(exprs.const(0), H(0, F(6, 5)))
+        assert not verify(exprs.const(0), H(0, F(5, 4)))
         # an infinite mass bound fails before any integral is taken
         assert not verify(exprs.const(1), HValue(F(1), INF))
 
@@ -708,10 +731,44 @@ class TestCertificates:
         where = IntervalSet.of([(1, 2), (2, 3)])
         assert not verify_certificate(sp, f, claim(where, 1))
         assert not verify_certificate(sp, f, claim(where, F(62, 100)))  # the mass 1.24
-        # the mass 1 is true, but from below the cell counts only 1/2 x nu((1, 2))
-        with pytest.raises(UnsupportedExpressionError):
-            verify_certificate(sp, f, claim(where, F(1, 2)))
+        assert verify_certificate(sp, f, claim(where, F(1, 2)))  # the mass 1
         assert verify_certificate(sp, f, claim(IntervalSet.of([(1, 2)]), 1))  # sqrt x >= 1
+
+    @pytest.mark.parametrize(
+        "q, lo, hi, m",
+        [
+            # its root rounds within 2**-327, as a finer scale would pass the bit bound
+            (F(1, 200), F(1, 3), F(2, 3), F(1, 2)),
+            # rounded within 2**-13, too coarse for the mass 1 - 1.4e-4 over
+            # 1 - 1/4000, which x**(1/5000) >= 0.99978 on the cell decides
+            (F(1, 5000), F(1, 3), F(2, 3), F(3999, 4000)),
+            # lo**(1001/1000) would pass the bit bound, so only that decides
+            (F(1, 1000), F(10**20 + 1, 3 * 10**20), F(2, 3), F(1, 2)),
+        ],
+    )
+    def test_a_root_of_high_degree_decides_a_true_claim(self, q, lo, hi, m):
+        sp = IntervalSpace.of(0, 1)
+        f = piecewise((lo, hi, exprs.const(0), exprs.power(q)))
+        where = IntervalSet.of([(lo, hi)])
+        w = Witness(where, sp.measure(where), H(0, m))
+        assert verify_certificate(sp, f, T4Certificate(H(0, 0), (w,), (), True, ExtRat(0)))
+
+    @pytest.mark.parametrize("ends", [[0, 4], [0, 2, 4]])
+    def test_a_split_piece_telescopes_to_its_exact_mass(self, ends):
+        # f = (0, x**(1/2)) integrates to (2/3)(4**(3/2) - 1) = 14/3 over
+        # W = (1, 2) u (2, 4), so the bound (0, 14/9) is an equality at
+        # nu(W) = 3, on one piece or two; sqrt(2) at the inner end cancels
+        sp = IntervalSpace.of(0, 4)
+        root = exprs.power(F(1, 2))
+        f = piecewise(*((a, c, exprs.const(0), root) for a, c in zip(ends, ends[1:])))
+        where = IntervalSet.of([(1, 2), (2, 4)])
+
+        def verify(m):
+            w = Witness(where, sp.measure(where), H(0, m))
+            return verify_certificate(sp, f, T4Certificate(H(0, 0), (w,), (), True, ExtRat(0)))
+
+        assert verify(F(14, 9))
+        assert not verify(F(14, 9) + F(1, 10**30))
 
     def test_atom_witness_across_coefficients(self):
         # {a, b} integrates f to (0, 5) + (2, 1) = (2, 1) = (1, 1) x (1, 1),
