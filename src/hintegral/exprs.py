@@ -11,22 +11,23 @@ An expression is one of two node kinds:
   ``x >= 0``.  :func:`power` builds a monomial ``Poly`` for an integral
   exponent.
 
-Each decision below takes two cases: a polynomial, split by its
-degree, or a power.  Every comparison against a rational threshold is
-exactly decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive
-``x, c``).  One sign test, :func:`at_least`, decides ``e >= c`` on a
-cell, or at a point (a cell with ``lo == hi``), for every expression; a
-polynomial of degree >= 2 goes to an integer kernel (Bernstein
-coefficients with one common denominator, and Yun's square-free
-decomposition for its odd part).  Integrals run on integers too: a
-polynomial's antiderivative has one common denominator, and each end is
-one Horner pass.  One function, :func:`split_dominance`, cuts a piece
-by comparing two expressions; a sublevel set is read off its cells
-against a constant, so it is a finite union of intervals and points.
-It and the suprema are solved for polynomials of degree at most 1 and
-for powers.  A higher degree there, or an irrational endpoint or bound,
-raises :class:`UnsupportedExpressionError`; an irrational supremum is
-None.
+Each decision below takes two cases: a polynomial, split by its degree,
+or a power.  Every comparison against a rational threshold is exactly
+decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive ``x, c``, or
+by a rounded root where c**r is too long).  One sign test,
+:func:`at_least`, decides ``e >= c`` on a cell, or at a point (a cell
+with ``lo == hi``), for every expression; a polynomial of degree >= 2
+goes to an integer kernel (Bernstein coefficients with one common
+denominator, and Yun's square-free decomposition for its odd part).
+Integrals run on integers too: a polynomial's antiderivative has one
+common denominator, and each end is one Horner pass.  One function,
+:func:`split_dominance`, cuts a piece by comparing two expressions; a
+sublevel set is read off its cells against a constant, so it is a finite
+union of intervals and points.  It and the suprema are solved for
+polynomials of degree at most 1 and for powers.  A higher degree there,
+or an irrational endpoint or bound, raises
+:class:`UnsupportedExpressionError`; an irrational supremum is None, and
+:func:`cmp_sup` compares it with a rational exactly.
 
 This is the only module that looks inside an expression: the piece
 rules, sign tests, suprema and mass integrals that
@@ -302,14 +303,23 @@ def _pow_bounds(x: Fraction, q: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
-    """Sign of x**q - c for x >= 0, exact even when x**q is irrational."""
+    """Sign of x**q - c for x >= 0, exact even when x**q is irrational:
+    x**p against c**k for q = p/k, or, where c**k is too long, c against
+    the bounds of :func:`_pow_bounds`; c strictly between them raises."""
     if x < 0:
         raise UnsupportedExpressionError("powers are defined for x >= 0 only")
     if c < 0:
         return 1
-    lhs = _power(x, q.numerator)
-    rhs = _power(c, q.denominator)
-    return (lhs > rhs) - (lhs < rhs)
+    try:
+        rhs = _power(c, q.denominator)
+    except UnsupportedExpressionError:
+        low, high = _pow_bounds(x, q)  # equal to x**q, or strictly around it
+        if low == high:
+            return _cmp(low, c)
+        if low < c < high:
+            raise
+        return 1 if c <= low else -1
+    return _cmp(_power(x, q.numerator), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +431,14 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     if e.degree == 1:
         return poly_eval(e.coeffs, hi if e.coeffs[1] > 0 else lo)
     raise UnsupportedExpressionError("supremum of a general polynomial piece")
+
+
+def cmp_sup(e: Expr, lo: Fraction, hi: Fraction, c: Fraction) -> int:
+    """Sign of sup(e on the open (lo, hi)) - c, exact where the supremum
+    is irrational (a power at hi); a degree >= 2 polynomial raises."""
+    if isinstance(e, Power):
+        return cmp_pow(hi, e.q, c)
+    return _cmp(sup_on(e, lo, hi), c)
 
 
 # ---------------------------------------------------------------------------

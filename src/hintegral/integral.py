@@ -17,19 +17,19 @@ family).  Instead it is evaluated in closed form: the result dimension
 is the space's dimension offset plus the essential supremum of the
 dimension coordinate, and the result mass is the exact integral of the
 mass coordinate over the pieces where that supremum is attained (0 when
-it is not).  Only the zero density has null pieces, and under it every
-integral is (0, 0); any other density is nonnegative with finitely many
-roots, so every piece has positive measure and the essential supremum
-is the largest supremum over the pieces.  A certificate of witness sets
-substantiates every evaluation and can be re-verified independently;
-a witness claims that the integral over its set reaches its bound b
-times the set's measure.  :func:`_bound_holds` decides that claim
-exactly on the whole set, from the closed form above summed over the
-cells where the set meets the pieces.
+it is not), one integral per run of touching pieces with one mass
+coordinate (:func:`_runs`).  Only the zero density has null pieces, and
+under it every integral is (0, 0); any other density is nonnegative
+with finitely many roots, so every piece has positive measure and the
+essential supremum is the largest supremum over the pieces.  Each run
+is a mass witness of the certificate, which can be re-verified: a
+witness claims that the integral over its set reaches its bound b times
+the set's measure, and :func:`_bound_holds` decides that exactly from
+the same closed form and runs.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
-``restrict(f, L)``.
+``restrict(f, L)``, whose pieces are the same cells.
 
 This module holds only the general integral, its certificate,
 restriction, sublevel sets, pointwise sums and the JSON parser.  It
@@ -66,6 +66,7 @@ from .space import (
     IntervalSpace,
     MeasurableSet,
     MeasureSpace,
+    join_runs,
     set_from_json,
     set_to_json,
     union,
@@ -375,6 +376,11 @@ def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 # ---------------------------------------------------------------------------
 
 
+def _runs(cells: Sequence[PiecewisePiece], level: Fraction) -> List[list]:
+    """[lo, hi, pi2] of each run of touching cells with pi1 = level and one pi2."""
+    return join_runs((p.lo, p.hi, p.pi2) for p in cells if p.pi1 == exprs.const(level))
+
+
 def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T4Certificate]:
     _inside(space, f)
     # IntervalSpace.of proves the density nonnegative and a nonzero
@@ -387,38 +393,24 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
     sups = [exprs.sup_on(p.pi1, p.lo, p.hi) for p in pieces]
     s = max((x for x in sups if x is not None), default=None)
     for p, sup in zip(pieces, sups):  # an irrational supremum may stay below s
-        # it is a power's value at hi (exprs.sup_on), so >= s means > s
-        if sup is None and (s is None or exprs.at_least(p.pi1, s, p.hi, p.hi)):
+        if sup is None and (s is None or exprs.cmp_sup(p.pi1, p.lo, p.hi, s) > 0):
             raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
     reach = [p for p, sup in zip(pieces, sups) if sup == s]
-    top = [p for p in reach if p.pi1 == exprs.const(s)]
-    masses = [exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi) for p in top]
+    runs = _runs(reach, s)
+    masses = [exprs.weighted_integral(pi2, space.density, lo, hi) for lo, hi, pi2 in runs]
     mass = sum(masses, Fraction(0))
     if s == 0 and mass == 0:
         return ZERO, T4Certificate(ZERO)
     value = HValue(space.dim_offset + s, ExtRat(mass))
-    return value, _build_certificate(space, reach, top, masses, s, value)
-
-
-def _build_certificate(
-    space: IntervalSpace,
-    reach: List[PiecewisePiece],
-    top: List[PiecewisePiece],
-    masses: List[Fraction],
-    s: Fraction,
-    value: HValue,
-) -> T4Certificate:
-    # one mass witness per top piece, whose bound's mass is the piece's
-    # exact mass over its ordinary measure, so the witnesses sum to the mass
+    # one mass witness per run, whose bound's mass is the run's exact
+    # mass over its ordinary measure, so the witnesses sum to the mass
     m_wits: List[Witness] = []
-    if value.m.sign() > 0:
-        for p, m in zip(top, masses):
-            if m == 0 and s == 0:
-                continue  # a bound (s, 0) is positive only at s > 0
-            where = IntervalSet.of([(p.lo, p.hi)])
-            mv = space.measure(where)
-            m_wits.append(Witness(where, mv, HValue(s, ExtRat(m / mv.m.frac))))
-
+    for (lo, hi, _), m in zip(runs, masses):
+        if m == 0 and (s == 0 or mass == 0):
+            continue  # a zero value mass needs no witness, and (s, 0) is positive only at s > 0
+        where = IntervalSet.of([(lo, hi)])
+        mv = space.measure(where)
+        m_wits.append(Witness(where, mv, HValue(s, ExtRat(m / mv.m.frac))))
     if s == 0:
         # every piece is the constant 0, so a witness needs a positive
         # mass bound: the first mass witness, which has one, serves as it stands
@@ -427,7 +419,7 @@ def _build_certificate(
         # the pieces whose dimension coordinate reaches s, attained or not
         where = IntervalSet.of([(p.lo, p.hi) for p in reach])
         d_wits = [Witness(where, space.measure(where), HValue(s, ExtRat(0)))]
-    return T4Certificate(value, tuple(d_wits), tuple(m_wits), True, value.m)
+    return value, T4Certificate(value, tuple(d_wits), tuple(m_wits), True, value.m)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +454,9 @@ def restrict(f: HFunction, L: MeasurableSet) -> HFunction:
     if isinstance(f, SimpleFn):
         pieces = tuple((c, sub) for c, s in f.pieces if not (sub := s & L).is_empty)
         return SimpleFn(pieces, f.i_simple)
-    pieces = [
-        PiecewisePiece(lo, hi, p.pi1, p.pi2)
-        for p in f.pieces
-        for lo, hi in (IntervalSet.of([(p.lo, p.hi)]) & L).intervals
-    ]
-    return PiecewiseFn(tuple(pieces))
+    if not isinstance(L, IntervalSet):
+        raise UnknownSetError(f"cannot combine a IntervalSet with a {type(L).__name__}")
+    return PiecewiseFn(tuple(p for lo, hi in L.intervals for p in _cells(f, lo, hi)))
 
 
 def _simple_certificate(space: MeasureSpace, f: SimpleFn, value: HValue) -> T4Certificate:
@@ -488,7 +477,7 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
     """Re-evaluate every recorded witness claim from scratch.  Disjoint
     witnesses add their claims by sigma-additivity, so together they
     prove the value from below in both coordinates."""
-    for w in list(cert.d_witnesses) + list(cert.m_witnesses):
+    for w in dict.fromkeys(cert.d_witnesses + cert.m_witnesses):  # each claim once
         if space.measure(w.where) != w.measure or w.measure == ZERO:
             return False
         if not w.inf_bound > ZERO:
@@ -519,43 +508,29 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
 
     For a simple function that integral is the defining sum.  For a
     piecewise function it is the dominance sum over the cells where W's
-    intervals meet the pieces; W's points are null.  pi1 is monotone and
-    continuous on its piece (exprs.check_piece), so its supremum on a
-    cell is its larger end value, and the largest of those against b.d
-    decides.  At b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive
-    one needs the cells where pi1 is the constant b.d, since elsewhere
-    it reaches b.d only at an end, a null set: their exact integral of
-    pi2 * density must reach b.m * nu(W).  Touching cells with one pi2
-    join, so a piece that W splits telescopes, as in IntervalSpace.nu.
-    exprs.weighted_integral_bounds bounds each run's integral, and an
-    exact pi2 >= b.m on a run, which a coarse rounded root can miss,
-    raises the lower bound to b.m * nu(run).  Between the sums, raise."""
+    intervals meet the pieces; W's points are null.  The largest sign of
+    pi1's supremum on a cell against b.d (exprs.cmp_sup) decides.  At
+    b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive one needs the
+    cells where pi1 is the constant b.d, since elsewhere pi1 is monotone
+    (exprs.check_piece) and reaches b.d only at an end, a null set: the
+    exact integral of pi2 * density over their runs must reach
+    b.m * nu(W).  exprs.weighted_integral_bounds bounds each run's
+    integral, and an exact pi2 >= b.m on a run, which a coarse rounded
+    root can miss, raises the lower bound to b.m * nu(run).  Between
+    the sums, raise."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         return integrate_simple(space, restrict(f, w.where)) >= mul(b, w.measure)
     if not isinstance(space, IntervalSpace):
         raise UnsupportedExpressionError(f"cannot integrate PiecewiseFn over {type(space).__name__}")
-    reach = [
-        p
-        for lo, hi in w.where.intervals
-        for p in _cells(f, lo, hi)
-        if exprs.at_least(p.pi1, b.d, p.lo, p.lo) or exprs.at_least(p.pi1, b.d, p.hi, p.hi)
-    ]
-    if not reach:
-        return False
-    # an irrational supremum is never b.d
-    if b.m.sign() <= 0 or any(exprs.sup_on(p.pi1, p.lo, p.hi) != b.d for p in reach):
-        return True
+    cells = [p for lo, hi in w.where.intervals for p in _cells(f, lo, hi)]
+    signs = [exprs.cmp_sup(p.pi1, p.lo, p.hi, b.d) for p in cells]
+    top = max(signs, default=-1)
+    if top != 0 or b.m.sign() <= 0:
+        return top >= 0
     if not b.m.is_finite:
         return False
-    runs: List[List] = []  # [lo, hi, pi2] of each run of touching top cells
-    for p in reach:
-        if p.pi1 != exprs.const(b.d):
-            continue
-        if runs and runs[-1][1] == p.lo and runs[-1][2] == p.pi2:
-            runs[-1][1] = p.hi
-        else:
-            runs.append([p.lo, p.hi, p.pi2])
+    runs = _runs([p for p, sign in zip(cells, signs) if sign == 0], b.d)
     bounds = []
     for lo, hi, pi2 in runs:
         try:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader
@@ -116,6 +116,18 @@ class IntervalSet:
 MeasurableSet = Union[AtomSet, IntervalSet]
 
 
+def join_runs(cells: Iterable[Tuple[Fraction, Fraction, object]]) -> List[list]:
+    """[lo, hi, key] of each run of sorted cells (lo, hi, key) that touch and
+    share one key: one integrand's integrals over them telescope into one."""
+    runs: List[list] = []
+    for lo, hi, key in cells:
+        if runs and runs[-1][1] == lo and runs[-1][2] == key:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, key])
+    return runs
+
+
 def union(parts: Sequence[MeasurableSet]) -> MeasurableSet:
     """Disjoint union of same-kind sets; overlap raises NonDisjointError."""
     if not parts:
@@ -199,22 +211,16 @@ class IntervalSpace:
             raise UnknownSetError(
                 f"{type(s).__name__} is not a set of an interval space"
             )
-        runs: List[List[Fraction]] = []
         for a, b in s.intervals:
             if a < self.lo or b > self.hi:
                 raise UnknownSetError(
                     f"({a}, {b}) is not inside the space ({self.lo}, {self.hi})"
                 )
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-        # the integrals over (a, b) and (b, c) telescope to the one over (a, c)
-        total = sum((exprs.poly_integral(self.density, a, b) for a, b in runs), Fraction(0))
         for p in s.points:
             if not self.lo < p < self.hi:
                 raise UnknownSetError(f"point {p} outside the space")
-        return total
+        runs = join_runs((a, b, None) for a, b in s.intervals)
+        return sum((exprs.poly_integral(self.density, a, b) for a, b, _ in runs), Fraction(0))
 
     def measure(self, s: IntervalSet) -> HValue:
         v = self.nu(s)

@@ -622,6 +622,7 @@ def _eval_golden(value, d_witnesses, m_witnesses, achieved_m):
 
 
 HALF_AND_A_POINT = {"intervals": [["0", "1/2"]], "points": ["3/4"]}
+CUT_AT_QUARTER_AND_HALF = {"intervals": [["0", "1/4"], ["1/4", "1/2"], ["1/2", "1"]], "points": []}
 
 # each bundled function file: the space it runs over, and its
 # `eval --json --certificate` output there
@@ -657,6 +658,18 @@ EVAL_GOLDENS = {
         _eval_golden(
             "(2, 2/3)",
             [_witness("0", "1", "(1, 1)", "(1, 0)")],
+            [_witness("0", "1", "(1, 1)", "(1, 2/3)")],
+            "2/3",
+        ),
+    ),
+    # the same function cut at 1/4 and 1/2: the three top pieces share
+    # sqrt(x) and touch, so they are one run and one mass witness, and
+    # sqrt(x)**3 at the irrational cut 1/2 never enters
+    "function_split_root_mass.json": (
+        UNIT_SPACE,
+        _eval_golden(
+            "(2, 2/3)",
+            [{**_witness("0", "1", "(1, 1)", "(1, 0)"), "set": CUT_AT_QUARTER_AND_HALF}],
             [_witness("0", "1", "(1, 1)", "(1, 2/3)")],
             "2/3",
         ),

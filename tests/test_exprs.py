@@ -17,6 +17,7 @@ from hintegral.exprs import (
     affine,
     at_least,
     cmp_pow,
+    cmp_sup,
     const,
     eval_exact,
     expr_from_json,
@@ -337,18 +338,35 @@ class TestExactRoots:
 
     def test_powers_stop_at_the_bit_bound(self):
         # (1/4)**10001 has 20003 bits; (1/3)**65535 and 3**65535 would
-        # pass MAX_POWER_BITS, so they are refused instead of computed
+        # pass MAX_POWER_BITS, so they are refused instead of computed.
+        # (1/2)**(1/65535) then lies in the bracket [1/2, 1] of its rounded
+        # root: 3 is above it, and 3/4 inside it is refused
         assert pow_exact(F(1, 4), F(10001, 2)) == F(1, 2**10001)
         with pytest.raises(UnsupportedExpressionError):
             pow_exact(F(1, 3), F(65535, 2))
+        assert cmp_pow(F(1, 2), F(1, 65535), F(3)) == -1
         with pytest.raises(UnsupportedExpressionError):
-            cmp_pow(F(1, 2), F(1, 65535), F(3))
+            cmp_pow(F(1, 2), F(1, 65535), F(3, 4))
         assert cmp_pow(F(1, 2), F(1, 65535), F(-3)) == 1
 
     def test_cmp_pow_exact_near_irrational(self):
         # sqrt(2) against tight rational bounds
         assert cmp_pow(F(2), F(1, 2), F(141421356, 100000000)) > 0
         assert cmp_pow(F(2), F(1, 2), F(141421357, 100000000)) < 0
+
+    def test_cmp_pow_brackets_a_bound_past_the_bit_bound(self):
+        # (1 + 3**-30000)**3 would pass MAX_POWER_BITS; 2**(1/3) = 1.2599...
+        # is bracketed to 64 bits, and so is 27**(1/3) = 3 exactly
+        tiny = F(1, 3**30000)
+        assert cmp_pow(F(2), F(1, 3), 1 + tiny) == 1
+        assert cmp_pow(F(2), F(1, 3), F(13, 10) + tiny) == -1
+        assert cmp_pow(F(27), F(1, 3), 3 + tiny) == -1
+        assert cmp_pow(F(27), F(1, 3), 3 - tiny) == 1
+        low, high = exprs._pow_bounds(F(2), F(1, 3))
+        assert high - low == F(1, 2**64)
+        assert cmp_pow(F(2), F(1, 3), low) == 1 and cmp_pow(F(2), F(1, 3), high) == -1
+        with pytest.raises(UnsupportedExpressionError):  # inside the bracket
+            cmp_pow(F(2), F(1, 3), low + tiny)
 
     @given(
         st.fractions(min_value=F(0), max_value=F(50), max_denominator=40),
@@ -425,6 +443,18 @@ class TestEvalAndBounds:
         assert sup_on(power(F(1, 2)), F(0), F(2)) is None  # sqrt(2)
         with pytest.raises(UnsupportedExpressionError):
             sup_on(poly([0, 0, 1]), F(0), F(1))
+
+    def test_cmp_sup(self):
+        # a power's irrational supremum at hi compares exactly, an affine
+        # map's supremum is its larger end value
+        assert cmp_sup(power(F(1, 2)), F(0), F(2), F(141421356, 100000000)) == 1
+        assert cmp_sup(power(F(1, 2)), F(0), F(2), F(141421357, 100000000)) == -1
+        assert cmp_sup(power(F(1, 2)), F(0), F(4), F(2)) == 0
+        assert cmp_sup(affine(1, -2), F(0), F(1, 2), F(1)) == 0
+        assert cmp_sup(affine(0, 1), F(0), F(1, 2), F(1)) == -1
+        assert cmp_sup(const(0), F(0), F(1), F(-1)) == 1
+        with pytest.raises(UnsupportedExpressionError):
+            cmp_sup(poly([0, 0, 1]), F(0), F(1), F(1))
 
 
 class TestSplitAgainstAConstant:

@@ -1,15 +1,16 @@
 """Integral engine tests: simple sums, the closed-form evaluation,
 certificates, sublevel sets, pointwise sums, and the worked examples."""
 
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from hintegral import exprs
+from hintegral import exprs, integral
 from hintegral.errors import (
     HIntegralError,
     NonDisjointError,
@@ -229,7 +230,8 @@ def functions(draw):
     for lo, hi in zip(ends, ends[1:]):
         if draw(st.booleans()):
             continue
-        pi1 = _through(lo, hi, draw(nonneg), draw(nonneg))
+        u = draw(nonneg)
+        pi1 = _through(lo, hi, u, draw(st.one_of(st.just(u), nonneg)))
         if draw(st.booleans()):
             pi2 = _through(lo, hi, draw(nonneg), draw(nonneg))
         else:  # k * (x - r)**2 + m
@@ -335,17 +337,26 @@ def _sign_at(e, x, c):
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _mass(e, density, a, c):
-    """The integral of e * density over (a, c) from the antiderivative of
-    each term, or None where it is irrational."""
-    terms = [(e.q, F(1))] if isinstance(e, exprs.Power) else list(enumerate(e.coeffs))
+def _mass(cells, density):
+    """The integral of e * density over the cells (e, a, c), from the
+    antiderivative of each term at the cells' ends, or None where it is
+    irrational.  Equal terms at a shared end cancel first, so a piece
+    cut in two keeps the rational mass of the whole."""
+    ends = Counter()  # (x, r) -> the coefficient of x**r
+    for e, a, c in cells:
+        terms = [(e.q, F(1))] if isinstance(e, exprs.Power) else list(enumerate(e.coeffs))
+        for n, coeff in terms:
+            for k, w in enumerate(density):
+                r = n + k + 1
+                ends[c, r] += coeff * w / r
+                ends[a, r] -= coeff * w / r
     total = F(0)
-    for n, coeff in terms:
-        for k, w in enumerate(density):
-            ends = [_pow(x, n + k + 1) for x in (a, c)]
-            if None in ends:
+    for (x, r), coeff in ends.items():
+        if coeff:
+            value = _pow(x, r)
+            if value is None:
                 return None
-            total += coeff * w * (ends[1] - ends[0]) / (n + k + 1)
+            total += coeff * value
     return total
 
 
@@ -388,24 +399,28 @@ def _claim(cells, b, density, nu):
         return top >= 0
     if not b.m.is_finite:
         return False
-    tops = [(p, a, c) for (p, a, c), s in zip(cells, signs) if s == [0, 0]]
-    masses = [_mass(p.pi2, density, a, c) for p, a, c in tops]
-    if None not in masses:
-        return sum(masses) >= b.m.frac * nu
+    tops = [(p.pi2, a, c) for (p, a, c), s in zip(cells, signs) if s == [0, 0]]
+    mass = _mass(tops, density)
+    if mass is not None:
+        return mass >= b.m.frac * nu
     with localcontext() as ctx:
         ctx.prec = 80
-        gap = sum(_approx_mass(p.pi2, density, a, c) for p, a, c in tops) - _dec(b.m.frac * nu)
+        gap = sum(_approx_mass(e, density, a, c) for e, a, c in tops) - _dec(b.m.frac * nu)
     return None if abs(gap) < Decimal(10) ** -50 else gap > 0
 
 
 @st.composite
 def witness_sets(draw, f):
-    """One to three intervals of (0, 4) between neighbouring cuts, some of
-    them touching, with cuts drawn among eighths and the ends of f's
-    pieces, so that they cross piece ends and gaps; sometimes a point."""
+    """One to four intervals of (0, 4) between neighbouring cuts, some of
+    them touching, with cuts drawn among eighths, the ends of f's pieces
+    and the sevenths inside them, so that they cross piece ends and gaps
+    and cut pieces in two; sometimes a point."""
     ends = sorted({x for p in f.pieces for x in (p.lo, p.hi)})
-    cut = st.one_of(points, st.sampled_from(ends))
-    cuts = sorted(draw(st.lists(cut, min_size=2, max_size=4, unique=True)))
+    sevenths = st.sampled_from(f.pieces).flatmap(
+        lambda p: st.integers(1, 6).map(lambda k: p.lo + (p.hi - p.lo) * k / 7)
+    )
+    cut = st.one_of(points, st.sampled_from(ends), sevenths)
+    cuts = sorted(draw(st.lists(cut, min_size=2, max_size=5, unique=True)))
     keep = draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
     assume(any(keep))
     ivs = [iv for iv, k in zip(zip(cuts, cuts[1:]), keep) if k]
@@ -425,15 +440,16 @@ class TestWitnessClaims:
         sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
         where = data.draw(witness_sets(f))
         cells = _cells(f, where.intervals)
-        nu = sum(_mass(exprs.const(1), density, a, c) for a, c in where.intervals)
-        # the dimension's end values and the mass's average make the ties
+        nu = _mass([(exprs.const(1), a, c) for a, c in where.intervals], density)
+        # the dimension's end values, the largest most often, and the
+        # mass's average make the ties
         at_ends = [v for p, a, c in cells for x in (a, c) if (v := _value(p.pi1, x)) is not None]
         d = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=8))
-        d = data.draw(st.sampled_from([d, *at_ends]))
-        level = [_mass(p.pi2, density, a, c) for p, a, c in cells if p.pi1 == exprs.const(d)]
-        average = [] if None in level else [ExtRat(sum(level) / nu)]
+        d = data.draw(st.sampled_from([d, *at_ends, *[max(at_ends, default=d)] * len(at_ends)]))
+        level = _mass([(p.pi2, a, c) for p, a, c in cells if p.pi1 == exprs.const(d)], density)
+        average = [] if level is None else [ExtRat(level / nu)]
         m = ExtRat(data.draw(st.fractions(min_value=-1, max_value=4, max_denominator=8)))
-        m = data.draw(st.sampled_from([m, INF, -INF, *average]))
+        m = data.draw(st.sampled_from([m, m, INF, -INF, *average * 2]))
         b = HValue(d, m)
         assume(b > ZERO)
         holds = _claim(cells, b, density, nu)
@@ -441,6 +457,29 @@ class TestWitnessClaims:
         w = Witness(where, sp.measure(where), b)
         cert = T4Certificate(HValue(b.d + w.measure.d, ExtRat(0)), (w,), (), True, ExtRat(0))
         assert verify_certificate(sp, f, cert) == holds
+
+
+class TestCutPieces:
+    """Cutting a piece in two at a rational inner point changes neither
+    the function nor its integral: the halves of a top piece join into
+    one run, so an irrational power at the cut cancels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(densities(), powered(), st.sampled_from([0, 1]), st.data())
+    def test_a_cut_piece_keeps_the_value(self, density, f, offset, data):
+        assume(f.pieces)
+        sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
+        try:
+            v, _ = integrate(sp, f)
+        except UnsupportedExpressionError:
+            reject()
+        k = data.draw(st.integers(0, len(f.pieces) - 1))
+        p = f.pieces[k]
+        t = p.lo + (p.hi - p.lo) * data.draw(st.integers(1, 6)) / 7
+        cut = PiecewiseFn(f.pieces[:k] + (replace(p, hi=t), replace(p, lo=t)) + f.pieces[k + 1 :])
+        u, cert = integrate(sp, cut)
+        assert u == v
+        assert verify_certificate(sp, cut, cert)
 
 
 values = st.builds(
@@ -769,6 +808,52 @@ class TestCertificates:
 
         assert verify(F(14, 9))
         assert not verify(F(14, 9) + F(1, 10**30))
+
+    def test_a_split_top_piece_is_one_mass_witness(self):
+        # (1, x**(1/2)) cut at 1/4 and 1/2 integrates as the uncut piece,
+        # though x**(3/2) is irrational at 1/2: its three pieces are one run
+        root = exprs.power(F(1, 2))
+        ends = [0, F(1, 4), F(1, 2), 1]
+        f = piecewise(*((a, c, exprs.const(1), root) for a, c in zip(ends, ends[1:])))
+        v, cert = integrate(UNIT, f)
+        assert v == H(2, F(2, 3))
+        [w] = cert.m_witnesses
+        assert (w.where, w.inf_bound) == (IntervalSet.of([(0, 1)]), H(1, F(2, 3)))
+        assert verify_certificate(UNIT, f, cert)
+
+    @pytest.mark.parametrize("d, holds", [(1, True), (F(13, 10), False)])
+    def test_a_long_dimension_bound_is_decided_by_a_rounded_root(self, d, holds):
+        # b.d**3 would pass the bit bound, so 2**(1/3) = 1.2599... is
+        # compared with b.d through its rounded root, not decided by cubes
+        sp = IntervalSpace.of(0, 4)
+        f = piecewise((1, 2, exprs.power(F(1, 3)), exprs.const(1)))
+        where = IntervalSet.of([(1, 2)])
+        b = H(d + F(1, 3**30000), 0)
+        w = Witness(where, sp.measure(where), b)
+        assert verify_certificate(sp, f, T4Certificate(b, (w,), (), True, ExtRat(0))) == holds
+
+    def test_each_distinct_witness_is_decided_once(self, monkeypatch):
+        # a simple function's witnesses stand in both lists, and an interval
+        # certificate of dimension 0 repeats its first mass witness
+        decided = []
+        decide = integral._bound_holds
+        monkeypatch.setattr(
+            integral, "_bound_holds", lambda sp, f, w: decided.append(w) or decide(sp, f, w)
+        )
+        zero, one, two = (exprs.const(c) for c in (0, 1, 2))
+        cases = [
+            (IntervalSpace.of(0, 1), piecewise((0, F(1, 2), zero, one), (F(1, 2), 1, zero, two))),
+            (
+                AtomSpace.of({"a": H(0, 1), "b": H(0, 2)}),
+                SimpleFn.of([(H(0, 1), AtomSet.of("a")), (H(0, 3), AtomSet.of("b"))]),
+            ),
+        ]
+        for sp, f in cases:
+            decided.clear()
+            _, cert = integrate(sp, f)
+            assert verify_certificate(sp, f, cert)
+            assert len(cert.d_witnesses) + len(cert.m_witnesses) > len(set(decided))
+            assert sorted(map(repr, decided)) == sorted({repr(w) for w in cert.d_witnesses + cert.m_witnesses})
 
     def test_atom_witness_across_coefficients(self):
         # {a, b} integrates f to (0, 5) + (2, 1) = (2, 1) = (1, 1) x (1, 1),
