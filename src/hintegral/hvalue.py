@@ -6,16 +6,19 @@ lexicographically; addition is "dominance" addition (the larger
 dimension wins, equal dimensions add their masses), multiplication adds
 dimensions and multiplies masses with the convention ``0 * inf == 0``.
 
-Everything is exact: finite numbers are :class:`fractions.Fraction`
-values in lowest terms, infinities are explicit symbols.  No floats
-appear anywhere in this module.
+Everything is exact.  A dimension is a :class:`fractions.Fraction`; a
+finite mass is a coprime pair of integers, numerator and denominator,
+which :class:`ExtRat` adds, multiplies and compares with ``math.gcd``
+and integer products, and gives as a ``Fraction`` on request.  The
+infinities are explicit symbols.  No floats appear anywhere in this
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .errors import ParseError, UndefinedSumError
@@ -79,24 +82,25 @@ def as_fraction(x: RatLike) -> Fraction:
     raise ParseError(f"cannot interpret {x!r} as an exact rational")
 
 
-@total_ordering
 class ExtRat:
     """An exact rational extended with ``+inf`` and ``-inf``.
 
-    Arithmetic follows the usual extended-real conventions:
+    A finite value is the integer pair ``_n/_d``: coprime, with ``_d > 0``
+    and ``_inf == 0``.  An infinite one has ``_inf`` set to 1 or -1 and the
+    pair ``0/1``.  Arithmetic follows the usual extended-real conventions:
     ``r + inf == inf``, ``inf + (-inf)`` raises :class:`UndefinedSumError`,
     and ``0 * inf == 0``.
     """
 
-    __slots__ = ("_frac", "_inf")
+    __slots__ = ("_n", "_d", "_inf")
 
-    def __init__(self, value: RatLike = 0, _inf: int = 0):
-        if _inf:
-            self._frac = _FRAC_ZERO
-            self._inf = 1 if _inf > 0 else -1
+    def __init__(self, value: RatLike):
+        if type(value) is int:
+            self._n, self._d = value, 1
         else:
-            self._frac = as_fraction(value)
-            self._inf = 0
+            q = as_fraction(value)
+            self._n, self._d = q.numerator, q.denominator
+        self._inf = 0
 
     # -- predicates -------------------------------------------------
 
@@ -108,63 +112,99 @@ class ExtRat:
     def frac(self) -> Fraction:
         if self._inf:
             raise ValueError("infinite value has no Fraction form")
-        return self._frac
+        return Fraction(self._n, self._d)
 
     def sign(self) -> int:
         if self._inf:
             return self._inf
-        n = self._frac.numerator
+        n = self._n
         return (n > 0) - (n < 0)
 
-    # -- arithmetic -------------------------------------------------
+    # -- arithmetic (Knuth, TAOCP vol. 2, 4.5.1) --------------------
 
     def __add__(self, other: "ExtRat") -> "ExtRat":
-        if self._inf and other._inf:
-            if self._inf != other._inf:
+        if other.__class__ is not ExtRat:
+            return NotImplemented
+        if self._inf or other._inf:
+            if self._inf == -other._inf:
                 raise UndefinedSumError("(+inf) + (-inf) is undefined")
-            return self
-        if self._inf:
-            return self
-        if other._inf:
-            return other
-        return ExtRat(self._frac + other._frac)
+            return self if self._inf else other
+        n, d, m, e = self._n, self._d, other._n, other._d
+        if d == e:
+            n += m
+            g = gcd(n, d)
+            return _ext(n // g, d // g, 0)
+        # With d = g*s and e = g*u, n*u + m*s is coprime to s and to u,
+        # so only a factor of g can cancel.
+        g = gcd(d, e)
+        if g == 1:
+            return _ext(n * e + m * d, d * e, 0)
+        s = d // g
+        t = n * (e // g) + m * s
+        h = gcd(t, g)
+        return _ext(t // h, s * (e // h), 0)
 
     def __mul__(self, other: "ExtRat") -> "ExtRat":
-        # 0 * inf == 0 by convention.
-        if self.sign() == 0 or other.sign() == 0:
-            return ExtRat(0)
+        if other.__class__ is not ExtRat:
+            return NotImplemented
         if self._inf or other._inf:
-            return INF if self.sign() * other.sign() > 0 else NEG_INF
-        return ExtRat(self._frac * other._frac)
+            # 0 * inf == 0 by convention.
+            s = self.sign() * other.sign()
+            return _ext(0, 1, 0) if s == 0 else (INF if s > 0 else NEG_INF)
+        n, d, m, e = self._n, self._d, other._n, other._d
+        g, h = gcd(n, e), gcd(m, d)
+        return _ext((n // g) * (m // h), (d // h) * (e // g), 0)
 
     def __neg__(self) -> "ExtRat":
-        if self._inf:
-            return NEG_INF if self._inf > 0 else INF
-        return ExtRat(-self._frac)
+        return _ext(-self._n, self._d, -self._inf)
 
     # -- order ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtRat):
+        if other.__class__ is not ExtRat:
             return NotImplemented
-        return self._inf == other._inf and _same(self._frac, other._frac)
+        return self._inf == other._inf and self._n == other._n and self._d == other._d
 
     def __lt__(self, other: "ExtRat") -> bool:
+        if other.__class__ is not ExtRat:
+            return NotImplemented
         if self._inf != other._inf:
             return self._inf < other._inf
-        return _below(self._frac, other._frac)
+        return self._n * other._d < other._n * self._d
+
+    def __le__(self, other: "ExtRat") -> bool:
+        if other.__class__ is not ExtRat:
+            return NotImplemented
+        if self._inf != other._inf:
+            return self._inf < other._inf
+        return self._n * other._d <= other._n * self._d
+
+    def __gt__(self, other: "ExtRat") -> bool:
+        if other.__class__ is not ExtRat:
+            return NotImplemented
+        if self._inf != other._inf:
+            return self._inf > other._inf
+        return self._n * other._d > other._n * self._d
+
+    def __ge__(self, other: "ExtRat") -> bool:
+        if other.__class__ is not ExtRat:
+            return NotImplemented
+        if self._inf != other._inf:
+            return self._inf > other._inf
+        return self._n * other._d >= other._n * self._d
 
     def __hash__(self) -> int:
-        return hash((self._inf, self._frac))
+        # Equal to hash((self._inf, self.frac)) at a finite value, and to
+        # hash((self._inf, Fraction(0))) at an infinite one.
+        d = self._d
+        return hash((self._inf, self._n if d == 1 else Fraction(self._n, d)))
 
     # -- text -------------------------------------------------------
 
     def __str__(self) -> str:
-        if self._inf > 0:
-            return "inf"
-        if self._inf < 0:
-            return "-inf"
-        return str(self._frac)
+        if self._inf:
+            return "inf" if self._inf > 0 else "-inf"
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
 
     def __repr__(self) -> str:
         return f"ExtRat({str(self)!r})"
@@ -176,11 +216,21 @@ class ExtRat:
             return INF
         if t == "-inf":
             return NEG_INF
-        return ExtRat(as_fraction(t))
+        return ExtRat(t)
 
 
-INF = ExtRat(0, _inf=1)
-NEG_INF = ExtRat(0, _inf=-1)
+def _ext(n: int, d: int, inf: int) -> ExtRat:
+    """The ExtRat with the given slots, built without a check: n and d
+    coprime with d > 0, and n, d = 0, 1 when inf is 1 or -1."""
+    x = object.__new__(ExtRat)
+    x._n = n
+    x._d = d
+    x._inf = inf
+    return x
+
+
+INF = _ext(0, 1, 1)
+NEG_INF = _ext(0, 1, -1)
 
 ExtLike = Union[RatLike, ExtRat]
 
@@ -281,7 +331,7 @@ def scalar_mul(c: RatLike, a: HValue) -> HValue:
     c = as_fraction(c)
     if c == 0:
         return ZERO
-    return HValue(a.d, ExtRat(c) * a.m)
+    return HValue(a.d, _ext(c.numerator, c.denominator, 0) * a.m)
 
 
 def sum_finite(values: Iterable[HValue]) -> HValue:
@@ -332,7 +382,7 @@ def sum_described(s: SeqDescriptor) -> HValue:
     if not dims:
         return ZERO
     top = max(dims)
-    mass = ExtRat(0)
+    mass = _ext(0, 1, 0)
     for t in terms:
         if t.d == top:
             mass = mass + t.m

@@ -537,12 +537,13 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
             bounds.append(exprs.weighted_integral_bounds(pi2, space.density, lo, hi))
         except UnsupportedExpressionError:  # an end power past MAX_POWER_BITS
             bounds.append((Fraction(0), inf))
-    target = b.m.frac * w.measure.m.frac
+    bm = b.m.frac
+    target = bm * w.measure.m.frac
     if sum(high for _, high in bounds) < target:
         return False
     least = (  # pi2 >= b.m on a run puts its integral at b.m * nu(run) or more
-        max(low, b.m.frac * exprs.poly_integral(space.density, lo, hi))
-        if low != high and exprs.at_least(pi2, b.m.frac, lo, hi)
+        max(low, bm * exprs.poly_integral(space.density, lo, hi))
+        if low != high and exprs.at_least(pi2, bm, lo, hi)
         else low
         for (low, high), (lo, hi, pi2) in zip(bounds, runs)
     )

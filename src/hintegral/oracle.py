@@ -112,11 +112,11 @@ def random_hvalue(seed, profile: str = "nonneg") -> HValue:
     if profile == "nonneg":
         return HValue(d, ExtRat(_random_rat(rng, signed=False)))
     if profile == "signed":
-        if rng.random() < Fraction(1, 8):
+        if rng.random() < 0.125:
             return HValue(d, INF if rng.random() < 0.5 else -INF)
         return HValue(d, ExtRat(_random_rat(rng, signed=True)))
     if profile == "with-infinities":
-        if rng.random() < Fraction(1, 8):
+        if rng.random() < 0.125:
             return HValue(d, INF)
         return HValue(d, ExtRat(_random_rat(rng, signed=False)))
     raise ValueError(f"unknown profile {profile!r}")

@@ -1,6 +1,8 @@
 """Value semiring unit tests: order, arithmetic, series, rendering."""
 
+import operator
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,75 @@ def value_pairs(draw):
     return (d, m), (draw(st.one_of(ref_dims, st.just(fresh(d)))), n)
 
 
+@st.composite
+def arithmetic_pairs(draw):
+    """Two mass references, in either order.  The second is often the
+    negation of the first, shares its denominator, or is 0 or an
+    infinity."""
+    flag, q = draw(ref_masses)
+    other = draw(
+        st.one_of(
+            ref_masses,
+            st.just((-flag, -q)),
+            big_ints.map(lambda k: (0, q + k)),
+            st.sampled_from([(0, Fraction(0)), (1, Fraction(0)), (-1, Fraction(0))]),
+        )
+    )
+    return ((flag, q), other) if draw(st.booleans()) else (other, (flag, q))
+
+
+def ref_sign(ref):
+    flag, q = ref
+    return flag or (q > 0) - (q < 0)
+
+
+def ref_add(a, b):
+    """The reference sum, or None where inf + (-inf) leaves it undefined."""
+    (flag, p), (other, q) = a, b
+    if flag and other and flag != other:
+        return None
+    if flag or other:
+        return (flag or other, Fraction(0))
+    return (0, p + q)
+
+
+def ref_mul(a, b):
+    """The reference product, with 0 * inf == 0."""
+    if a[0] or b[0]:
+        return (ref_sign(a) * ref_sign(b), Fraction(0))
+    return (0, a[1] * b[1])
+
+
+@contextmanager
+def unbounded_int_text():
+    """Lift CPython's 4300-digit int/str limit, as the CLI does."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def assert_mass(x, ref):
+    """x is the mass ``ref``.  ``==`` compares numerators and
+    denominators, so equality with the mass built from the reduced
+    Fraction also says that x is in lowest terms."""
+    flag, q = ref
+    assert x == ext_of(ref)
+    assert x.sign() == ref_sign(ref)
+    assert hash(x) == hash(ref)
+    with unbounded_int_text():
+        assert str(x) == ("inf" if flag > 0 else "-inf" if flag < 0 else str(q))
+    if flag:
+        with pytest.raises(ValueError):
+            x.frac
+    else:
+        assert type(x.frac) is Fraction and x.frac == q
+
+
 def assert_same_order(x, y, a, b):
     assert (x == y) == (a == b)
     assert (x != y) == (a != b)
@@ -132,8 +203,28 @@ class TestIntegerKernel:
 
     @given(ref_masses)
     def test_sign_matches_fraction_order(self, ref):
-        flag, q = ref
-        assert ext_of(ref).sign() == (flag or (q > 0) - (q < 0))
+        assert ext_of(ref).sign() == ref_sign(ref)
+
+    @given(arithmetic_pairs())
+    @settings(max_examples=300)
+    def test_extrat_arithmetic_matches_fraction(self, refs):
+        a, b = refs
+        x, y = ext_of(a), ext_of(b)
+        assert_mass(x, a)
+        assert_mass(-x, (-a[0], -a[1]))
+        assert_mass(x * y, ref_mul(a, b))
+        total = ref_add(a, b)
+        if total is None:
+            with pytest.raises(UndefinedSumError):
+                x + y
+        else:
+            assert_mass(x + y, total)
+
+    def test_a_sum_that_cancels_is_zero_over_one(self):
+        q = Fraction(BIG, 3 * BIG + 1)
+        assert_mass(ExtRat(q) + ExtRat(-q), (0, Fraction(0)))
+        assert_mass(ExtRat(Fraction(1, 6)) + ExtRat(Fraction(5, 6)), (0, Fraction(1)))
+        assert_mass(ExtRat(Fraction(1, 6)) + ExtRat(Fraction(1, 10)), (0, Fraction(4, 15)))
 
     @given(value_pairs())
     def test_add_keeps_the_larger_dimension(self, refs):
@@ -147,6 +238,13 @@ class TestIntegerKernel:
         assert ExtRat(1) != 1
         with pytest.raises(TypeError):
             H(1, 1) < (1, 1)
+        ops = (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.mul)
+        for other in (1, Fraction(1), 1.0, "1", None):
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op(ExtRat(1), other)
+                with pytest.raises(TypeError):
+                    op(other, ExtRat(1))
 
     def test_negative_dimension_is_refused(self):
         with pytest.raises(ValueError):
@@ -319,14 +417,8 @@ class TestAsFraction:
     def test_a_5000_digit_numerator(self):
         # past CPython's default 4300-digit int/str limit, which the CLI lifts
         text = "-" + "9" * 5000 + "/7"
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-        try:
-            if limit is not None:
-                sys.set_int_max_str_digits(0)
+        with unbounded_int_text():
             assert as_fraction(text) == Fraction(-(10**5000 - 1), 7)
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
 
     def test_a_huge_decimal_exponent_is_refused_at_once(self):
         # Fraction would build 10**9999999 (33 MB) first; the largest
