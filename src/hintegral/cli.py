@@ -10,9 +10,9 @@ Subcommands:
 * ``demo NAME`` -- replay a worked counterexample with every
   intermediate value, verifying the golden expectations.
 
-Exit codes: 0 success, 1 law violation, 2 parse error or overlapping
-pieces, 3 unsupported expression or unknown set/scenario, 4 undefined
-sum, 5 golden mismatch.
+Exit codes: 0 success, 1 law violation, 2 parse error (an unreadable
+file included) or overlapping pieces, 3 unsupported expression or
+unknown set/scenario, 4 undefined sum, 5 golden mismatch.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # a directory, an unreadable or undecodable file, nesting too deep
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

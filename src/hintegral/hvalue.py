@@ -6,12 +6,12 @@ lexicographically; addition is "dominance" addition (the larger
 dimension wins, equal dimensions add their masses), multiplication adds
 dimensions and multiplies masses with the convention ``0 * inf == 0``.
 
-Everything is exact.  A dimension is a :class:`fractions.Fraction`; a
-finite mass is a coprime pair of integers, numerator and denominator,
-which :class:`ExtRat` adds, multiplies and compares with ``math.gcd``
-and integer products, and gives as a ``Fraction`` on request.  The
-infinities are explicit symbols.  No floats appear anywhere in this
-module.
+Everything is exact.  A dimension and a finite mass are each a coprime
+pair of integers, numerator and denominator, which :class:`HValue` and
+:class:`ExtRat` add, multiply and compare with ``math.gcd`` and integer
+products; ``HValue.d`` and ``ExtRat.frac`` give them as a ``Fraction``
+on read.  The infinities are explicit symbols.  No floats appear
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import ParseError, UndefinedSumError
 
@@ -31,21 +31,6 @@ _FRAC_ZERO = Fraction(0)  # immutable, so every exact zero shares it
 # builds 10**e for a decimal exponent e; as log2(10) < 10/3, one with
 # 10 * e <= 3 * MAX_POWER_BITS keeps it within the bound.
 MAX_POWER_BITS = 2**16
-
-
-# Fractions are kept in lowest terms with a positive denominator, so two
-# of them are equal exactly when their numerators and denominators are,
-# and cross-multiplying orders them.  Comparing the integers directly
-# skips the numbers.Rational check in Fraction's own comparisons, which
-# dominates the cost of the value order.
-def _same(a: Fraction, b: Fraction) -> bool:
-    """a == b for two Fractions."""
-    return a.numerator == b.numerator and a.denominator == b.denominator
-
-
-def _below(a: Fraction, b: Fraction) -> bool:
-    """a < b for two Fractions."""
-    return a.numerator * b.denominator < b.numerator * a.denominator
 
 
 def as_fraction(x: RatLike) -> Fraction:
@@ -80,6 +65,23 @@ def as_fraction(x: RatLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     raise ParseError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _rat_add(n: int, d: int, m: int, e: int) -> Tuple[int, int]:
+    """n/d + m/e in lowest terms, for coprime pairs with d, e > 0."""
+    if d == e:
+        n += m
+        g = gcd(n, d)
+        return n // g, d // g
+    # With d = g*s and e = g*u, n*u + m*s is coprime to s and to u,
+    # so only a factor of g can cancel.
+    g = gcd(d, e)
+    if g == 1:
+        return n * e + m * d, d * e
+    s = d // g
+    t = n * (e // g) + m * s
+    h = gcd(t, g)
+    return t // h, s * (e // h)
 
 
 class ExtRat:
@@ -129,20 +131,8 @@ class ExtRat:
             if self._inf == -other._inf:
                 raise UndefinedSumError("(+inf) + (-inf) is undefined")
             return self if self._inf else other
-        n, d, m, e = self._n, self._d, other._n, other._d
-        if d == e:
-            n += m
-            g = gcd(n, d)
-            return _ext(n // g, d // g, 0)
-        # With d = g*s and e = g*u, n*u + m*s is coprime to s and to u,
-        # so only a factor of g can cancel.
-        g = gcd(d, e)
-        if g == 1:
-            return _ext(n * e + m * d, d * e, 0)
-        s = d // g
-        t = n * (e // g) + m * s
-        h = gcd(t, g)
-        return _ext(t // h, s * (e // h), 0)
+        n, d = _rat_add(self._n, self._d, other._n, other._d)
+        return _ext(n, d, 0)
 
     def __mul__(self, other: "ExtRat") -> "ExtRat":
         if other.__class__ is not ExtRat:
@@ -243,42 +233,66 @@ def as_ext(x: ExtLike) -> ExtRat:
     return ExtRat(x)
 
 
-@dataclass(frozen=True, eq=False)
 class HValue:
-    """A generalized Hausdorff value ``(d, m)``, ordered lexicographically."""
+    """A generalized Hausdorff value ``(d, m)``, ordered lexicographically.
 
-    d: Fraction
-    m: ExtRat
+    The dimension is the integer pair ``_dn/_dd``: coprime, with
+    ``_dd > 0``.  ``d`` gives it as a ``Fraction``: the one passed to the
+    constructor, or for a value built by arithmetic one built on first
+    read.  ``m`` is the mass.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.d, Fraction) or not isinstance(self.m, ExtRat):
+    __slots__ = ("_dn", "_dd", "_m", "_d")
+
+    def __init__(self, d: Fraction, m: ExtRat):
+        if not isinstance(d, Fraction) or not isinstance(m, ExtRat):
             raise TypeError("use HValue.of() for coercing constructors")
-        if self.d.numerator < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.d}")
+        if d.numerator < 0:
+            raise ValueError(f"dimension must be nonnegative, got {d}")
+        self._dn, self._dd, self._m, self._d = d.numerator, d.denominator, m, d
+
+    @property
+    def d(self) -> Fraction:
+        q = self._d
+        if q is None:
+            q = self._d = Fraction(self._dn, self._dd)
+        return q
+
+    @property
+    def m(self) -> ExtRat:
+        return self._m
 
     # -- order (a > b and a >= b fall back to b < a and b <= a) ----
+    # Two dimensions in lowest terms are equal exactly when their
+    # numerators and denominators are, so unequal denominators mean
+    # unequal dimensions, and cross products order them.
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not HValue:
             return NotImplemented
-        return _same(self.d, other.d) and self.m == other.m
+        return self._dn == other._dn and self._dd == other._dd and self._m == other._m
 
     def __lt__(self, other: "HValue") -> bool:
         if other.__class__ is not HValue:
             return NotImplemented
-        if _same(self.d, other.d):
-            return self.m < other.m
-        return _below(self.d, other.d)
+        n, d, p, e = self._dn, self._dd, other._dn, other._dd
+        if d != e:
+            return n * e < p * d
+        if n != p:
+            return n < p
+        return self._m < other._m
 
     def __le__(self, other: "HValue") -> bool:
         if other.__class__ is not HValue:
             return NotImplemented
-        if _same(self.d, other.d):
-            return not other.m < self.m
-        return _below(self.d, other.d)
+        return not other < self
 
     def __hash__(self) -> int:
-        return hash((self.d, self.m))
+        # Equal to hash((self.d, self.m)): an integral Fraction hashes as its int.
+        return hash((self._dn if self._dd == 1 else self.d, self._m))
+
+    def __repr__(self) -> str:
+        return f"HValue(d={self.d!r}, m={self._m!r})"
 
     @staticmethod
     def of(d: RatLike, m: ExtLike) -> "HValue":
@@ -286,14 +300,16 @@ class HValue:
 
     @property
     def is_zero(self) -> bool:
-        return self.d.numerator == 0 and self.m.sign() == 0
+        m = self._m
+        return self._dn == 0 and m._n == 0 and m._inf == 0
 
     def is_nonneg(self) -> bool:
         """True when the value lies in [0,+inf) x [0,+inf]."""
-        return self.m.sign() >= 0
+        return self._m.sign() >= 0
 
     def __str__(self) -> str:
-        return f"({self.d}, {self.m})"
+        n, d = self._dn, self._dd
+        return f"({n}, {self._m})" if d == 1 else f"({n}/{d}, {self._m})"
 
     @staticmethod
     def parse(text: str) -> "HValue":
@@ -309,21 +325,37 @@ class HValue:
         return HValue(d, ExtRat.parse(parts[1]))
 
 
+def _hv(n: int, d: int, m: ExtRat) -> HValue:
+    """The HValue with dimension n/d and mass m, built without a check:
+    n >= 0 and d > 0 coprime."""
+    x = object.__new__(HValue)
+    x._dn = n
+    x._dd = d
+    x._m = m
+    x._d = None
+    return x
+
+
 ZERO = HValue.of(0, 0)
 
 
 def add(a: HValue, b: HValue) -> HValue:
     """Dominance addition; raises UndefinedSumError on (d,+inf)+(d,-inf)."""
-    if _same(a.d, b.d):
-        return HValue(a.d, a.m + b.m)
-    return b if _below(a.d, b.d) else a
+    n, d, p, e = a._dn, a._dd, b._dn, b._dd
+    if d != e:
+        return b if n * e < p * d else a
+    if n != p:
+        return b if n < p else a
+    return _hv(n, d, a._m + b._m)
 
 
 def mul(a: HValue, b: HValue) -> HValue:
     """Product: (0,0) absorbs, otherwise dimensions add and masses multiply."""
-    if a.is_zero or b.is_zero:
+    m, k = a._m, b._m
+    if (a._dn == 0 and m._n == 0 and m._inf == 0) or (b._dn == 0 and k._n == 0 and k._inf == 0):
         return ZERO
-    return HValue(a.d + b.d, a.m * b.m)
+    n, d = _rat_add(a._dn, a._dd, b._dn, b._dd)
+    return _hv(n, d, m * k)
 
 
 def scalar_mul(c: RatLike, a: HValue) -> HValue:
@@ -331,7 +363,7 @@ def scalar_mul(c: RatLike, a: HValue) -> HValue:
     c = as_fraction(c)
     if c == 0:
         return ZERO
-    return HValue(a.d, _ext(c.numerator, c.denominator, 0) * a.m)
+    return _hv(a._dn, a._dd, _ext(c.numerator, c.denominator, 0) * a._m)
 
 
 def sum_finite(values: Iterable[HValue]) -> HValue:
@@ -376,16 +408,17 @@ def sum_described(s: SeqDescriptor) -> HValue:
     """
     terms = [t for t in s.prefix if not t.is_zero]
     tail = s.tail
-    dims = [t.d for t in terms]
-    if not tail.is_zero:
-        dims.append(tail.d)
-    if not dims:
+    live = terms if tail.is_zero else terms + [tail]
+    if not live:
         return ZERO
-    top = max(dims)
+    n, d = live[0]._dn, live[0]._dd
+    for t in live:
+        if t._dn * d > n * t._dd:
+            n, d = t._dn, t._dd
     mass = _ext(0, 1, 0)
     for t in terms:
-        if t.d == top:
-            mass = mass + t.m
-    if not tail.is_zero and tail.d == top and tail.m.sign() > 0:
+        if t._dn == n and t._dd == d:
+            mass = mass + t._m
+    if tail._dn == n and tail._dd == d and tail._m.sign() > 0:
         mass = INF
-    return HValue(top, mass)
+    return _hv(n, d, mass)

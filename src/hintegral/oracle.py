@@ -108,7 +108,7 @@ def random_hvalue(seed, profile: str = "nonneg") -> HValue:
     """Deterministic random value; numerators and denominators stay
     below 100, infinities appear with probability 1/8 when allowed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    d = abs(_random_rat(rng, signed=False))
+    d = _random_rat(rng, signed=False)
     if profile == "nonneg":
         return HValue(d, ExtRat(_random_rat(rng, signed=False)))
     if profile == "signed":

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, output formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -487,7 +488,48 @@ class TestMalformedInput:
         assert err.startswith("parse error") and "Traceback" not in err
 
 
+def _unreadable(tmp_path, name):
+    """A path that cannot be read as JSON text: a directory, bytes that
+    are not UTF-8, or arrays nested past the parser's recursion limit."""
+    if name == "directory":
+        return str(tmp_path)
+    p = tmp_path / f"{name}.json"
+    if name == "not-utf8":
+        p.write_bytes(b'{"kind": "\xff\xfe"}')
+    else:
+        p.write_text("[" * 100_000)
+    return str(p)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("name", ["directory", "not-utf8", "nested-too-deep"])
+    @pytest.mark.parametrize("sub", ["eval", "defi"])
+    def test_exit_2_without_traceback(self, sub, name, tmp_path, capsys):
+        path = _unreadable(tmp_path, name)
+        assert main([sub, path] + ([path] if sub == "eval" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err
+
+
+# SHA-256 of f"{exit code}\n{stdout}" of `laws --trials 100 --seed k --json`,
+# k = 0..4: a change to the value arithmetic, the law suites or their draws
+# that alters a report fails here.
+LAWS_SHA256 = [
+    "5d2503eea0df97134853f1bf05c4f5ccee829b0b7f394ca1e9c7afbef441c145",
+    "5e14fd67a787982b9c4786c90740fd6b1201623ad5dd9f56da326ddd3930ccd9",
+    "94b39b2fd71030c8cc73bccc495c92a3a1b8c327f643da35141ef19b9ea223d4",
+    "6fdc08d0b0c6e94d32c75d5e324fd90342b8fc5a3c5e78cfccfc4ddee8144d83",
+    "44191c8b637a4eec9490a54558c862c22cc2a602ea3a804ddbdd5396527bfa5e",
+]
+
+
 class TestLaws:
+    @pytest.mark.parametrize("seed", range(len(LAWS_SHA256)))
+    def test_pinned_json_output(self, seed, capsys):
+        code = main(["laws", "--trials", "100", "--seed", str(seed), "--json"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == LAWS_SHA256[seed]
+
     def test_small_clean_run(self, capsys):
         assert main(["laws", "--trials", "50", "--seed", "0"]) == 0
         out = capsys.readouterr().out

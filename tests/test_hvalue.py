@@ -1,9 +1,11 @@
 """Value semiring unit tests: order, arithmetic, series, rendering."""
 
+import itertools
 import operator
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,84 @@ def assert_same_order(x, y, a, b):
         assert hash(x) == hash(y)
 
 
+ref_dims0 = st.one_of(st.just(Fraction(0)), ref_dims)
+
+
+def below(d: Fraction) -> Fraction:
+    """A dimension below a positive d, with d's numerator when that is
+    coprime to the larger denominator."""
+    return Fraction(d.numerator, d.denominator + 1)
+
+
+@st.composite
+def value_triples(draw):
+    """Three (Fraction, ExtRat) value references.  The later dimensions
+    often equal the first, share its numerator or its denominator, or
+    are 0."""
+    d = draw(ref_dims0)
+    dims = st.one_of(ref_dims0, st.just(fresh(d)), st.just(d + 1), st.just(below(d)))
+    return [(e, ext_of(draw(ref_masses))) for e in (d, draw(dims), draw(dims))]
+
+
+@st.composite
+def series_refs(draw):
+    """A prefix of at most five nonnegative value references and a tail.
+    Their dimensions are often d, d + 1, or a smaller one with the
+    numerator of either."""
+    d = draw(ref_dims0)
+    dims = st.one_of(ref_dims0, st.sampled_from([fresh(d), d + 1, below(d), below(d + 1)]))
+    masses = st.one_of(ref_dims.map(ExtRat), st.just(INF))
+    prefix = draw(st.lists(st.tuples(dims, masses), max_size=5))
+    tail = draw(st.one_of(st.just((Fraction(0), ExtRat(0))), st.tuples(dims, masses)))
+    return prefix, tail
+
+
+def ref_is_zero(ref):
+    return ref[0] == 0 and ref[1].sign() == 0
+
+
+def ref_value_add(a, b):
+    """Dominance addition on references; the mass sum may raise."""
+    if a[0] == b[0]:
+        return (a[0], a[1] + b[1])
+    return b if a[0] < b[0] else a
+
+
+def ref_value_mul(a, b):
+    if ref_is_zero(a) or ref_is_zero(b):
+        return (Fraction(0), ExtRat(0))
+    return (a[0] + b[0], a[1] * b[1])
+
+
+def ref_sum_described(prefix, tail):
+    terms = [t for t in prefix if not ref_is_zero(t)]
+    dims = [d for d, _ in terms] + ([] if ref_is_zero(tail) else [tail[0]])
+    if not dims:
+        return (Fraction(0), ExtRat(0))
+    top = max(dims)
+    mass = ExtRat(0)
+    for d, m in terms:
+        if d == top:
+            mass = mass + m
+    if tail[0] == top and tail[1].sign() > 0:
+        mass = INF
+    return (top, mass)
+
+
+def assert_value(x, ref):
+    """x is the value ``ref``, a (Fraction, ExtRat) pair, and its
+    dimension is a coprime pair with a positive denominator, so that
+    ``==`` on the integers is ``==`` on the dimensions."""
+    d, m = ref
+    assert x._dd > 0 and gcd(x._dn, x._dd) == 1
+    assert type(x.d) is Fraction and x.d == d and x.m == m
+    assert x == HValue(d, m) and hash(x) == hash(ref)
+    assert x.is_zero == ref_is_zero(ref)
+    with unbounded_int_text():
+        assert str(x) == f"({d}, {m})"
+        assert repr(x) == f"HValue(d={d!r}, m={m!r})"
+
+
 class TestIntegerKernel:
     @given(mass_pairs())
     @settings(max_examples=300)
@@ -249,6 +329,42 @@ class TestIntegerKernel:
     def test_negative_dimension_is_refused(self):
         with pytest.raises(ValueError):
             HValue(Fraction(-BIG, 3), ExtRat(0))
+
+    @given(value_triples())
+    @settings(max_examples=300, deadline=None)
+    def test_value_arithmetic_matches_the_reference(self, refs):
+        a, b, c = refs
+        x, y, z = (HValue(*r) for r in refs)
+        cases = [(x, a), (y, b), (z, c), (mul(x, y), ref_value_mul(a, b))]
+        cases.append((mul(cases[-1][0], z), ref_value_mul(cases[-1][1], c)))
+        try:
+            total = ref_value_add(a, b)
+        except UndefinedSumError:
+            with pytest.raises(UndefinedSumError):
+                add(x, y)
+        else:
+            cases.append((add(x, y), total))
+        for v, r in cases:
+            assert_value(v, r)
+        for (v, r), (w, q) in itertools.combinations_with_replacement(cases, 2):
+            assert_same_order(v, w, r, q)
+
+    @given(series_refs())
+    @settings(max_examples=200, deadline=None)
+    def test_sum_described_matches_the_reference(self, refs):
+        prefix, tail = refs
+        s = SeqDescriptor.of([HValue(*r) for r in prefix], HValue(*tail))
+        assert_value(sum_described(s), ref_sum_described(prefix, tail))
+
+    def test_d_is_the_constructor_fraction_and_values_are_immutable(self):
+        d = Fraction(BIG, 3)
+        x = HValue(d, ExtRat(1))
+        assert x.d is d
+        y = mul(x, HValue(Fraction(0), ExtRat(2)))
+        assert y.d is y.d and y.d == d  # built once, on first read
+        for attr in ("d", "m", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, Fraction(1))
 
 
 class TestAdd:
