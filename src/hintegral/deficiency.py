@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
-from . import exprs
 from .errors import ParseError, UnsupportedScenarioError, json_loader
 from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
 from .space import check_declared
@@ -76,15 +75,34 @@ class Line2:
         return self.b * other.b + self.a * other.a == 0
 
 
+def _on_one_denominator(p: Point2) -> Tuple[int, int, int]:
+    """(X, Y, D) with p = (X/D, Y/D) and D the lcm of p's denominators."""
+    b, d = p.x.denominator, p.y.denominator
+    den = lcm(b, d)
+    return p.x.numerator * (den // b), p.y.numerator * (den // d), den
+
+
+def _pair_root(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """(r, n, L) for two points given by :func:`_on_one_denominator`:
+    their squared distance is n / L**2 with L the lcm of their
+    denominators, and r = isqrt(n).  The distance is r / L, rational
+    exactly when r * r == n."""
+    (x1, y1, d1), (x2, y2, d2) = u, v
+    den = lcm(d1, d2)
+    s, t = den // d1, den // d2
+    dx, dy = x1 * s - x2 * t, y1 * s - y2 * t
+    n = dx * dx + dy * dy
+    return isqrt(n), n, den
+
+
 def rational_distance(p: Point2, q: Point2) -> Fraction:
     """Euclidean distance, demanded exact; raises when irrational."""
-    d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-    r = exprs.nth_root(d2, 2)
-    if r is None:
+    r, n, den = _pair_root(_on_one_denominator(p), _on_one_denominator(q))
+    if r * r != n:
         raise UnsupportedScenarioError(
-            f"distance between {p} and {q} is irrational (squared: {d2})"
+            f"distance between {p} and {q} is irrational (squared: {Fraction(n, den * den)})"
         )
-    return r
+    return Fraction(r, den)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +262,9 @@ def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
             else:
                 shadow += abs(e.b * (q.x - p.x) - e.a * (q.y - p.y))
     if shadow:
-        norm = exprs.nth_root(n2 := Fraction(e.a**2 + e.b**2), 2)
-        if norm is None:
+        n2 = e.a**2 + e.b**2
+        norm = isqrt(n2)
+        if norm * norm != n2:
             raise UnsupportedScenarioError(
                 f"shadow length along {e} is irrational (direction norm^2: {n2})"
             )
@@ -279,11 +298,29 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
     Every term (1, |xy|) x (0, 1) has dimension 1, so the masses add: the
     value is (1, 2 * sum |xy|) over the unordered pairs of distinct
     points, each standing for (x, y) and (y, x), and (0, 0) without one.
+
+    Each |xy| is one ``isqrt`` on integers (:func:`_pair_root`), r / L
+    with L the lcm of the pair's denominators.  The numerators r are
+    summed per L, and one Fraction is built per distinct L at the end.
+    Those are added pairwise, level by level, so that only the last few
+    additions carry the denominator of the whole sum, which for coprime
+    pair denominators is their product.
     """
     if s.convex_primitive is not None:
         return ZERO
     pts = list(dict.fromkeys(s.points))  # K is a set: one copy of each point
-    total = sum(rational_distance(x, y) for i, x in enumerate(pts) for y in pts[i + 1 :])
+    scaled = [(p, _on_one_denominator(p)) for p in pts]
+    sums = {}  # pair denominator L -> sum of the numerators r over L
+    for i, (p, u) in enumerate(scaled):
+        for q, v in scaled[i + 1 :]:
+            r, n, den = _pair_root(u, v)
+            if r * r != n:
+                rational_distance(p, q)  # raises, naming the pair
+            sums[den] = sums.get(den, 0) + r
+    terms = [Fraction(r, den) for den, r in sums.items()]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    total = terms[0] if terms else 0
     return HValue(ONE, ExtRat(2 * total)) if total else ZERO
 
 

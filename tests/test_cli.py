@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hintegral
 from hintegral.cli import main
 from hintegral.exprs import MAX_DEGREE
 from hintegral.hvalue import ExtRat, HValue
@@ -509,6 +513,33 @@ class TestUnreadableInput:
         assert main([sub, path] + ([path] if sub == "eval" else [])) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err
+
+
+class TestInputEncoding:
+    def test_utf8_input_reads_under_an_ascii_locale(self, tmp_path, capsys):
+        # JSON text is UTF-8 whatever the locale; under the C locale, with
+        # Python's UTF-8 mode and locale coercion off, the default encoding
+        # for open() is ASCII
+        space = tmp_path / "s.json"
+        space.write_bytes('{"kind": "atoms", "atoms": {"é": "(0, 1)", "b": "(1, 2)"}}'.encode("utf-8"))
+        fn = tmp_path / "f.json"
+        fn.write_bytes(
+            '{"simple": [{"coeff": "(1, 1)", "set": {"atoms": ["é"]}},'
+            ' {"coeff": "(0, 3)", "set": {"atoms": ["b"]}}]}'.encode("utf-8")
+        )
+        argv = ["eval", str(space), str(fn), "--certificate", "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert json.loads(expected)["value"] == "(1, 7)" and "\\u00e9" in expected
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = str(Path(hintegral.__file__).parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from hintegral.cli import main; sys.exit(main())", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", expected)
 
 
 # SHA-256 of f"{exit code}\n{stdout}" of `laws --trials 100 --seed k --json`,

@@ -23,14 +23,16 @@ convexity
   (0,0) twice, (3,4)     K = {(0,0),(3,4)}: 2 ordered pairs, (1,5) each -> (1, 10)
 """
 
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hintegral.errors import ParseError, UnsupportedScenarioError
+from hintegral.exprs import nth_root
 from hintegral.hvalue import HValue, ZERO, add, mul, sum_finite
 from hintegral.deficiency import (
     ClusterScenario,
@@ -47,6 +49,7 @@ from hintegral.deficiency import (
     scenario_from_json,
 )
 from hintegral.space import check_declared
+from test_hvalue import unbounded_int_text
 
 H = HValue.of
 P = Point2.of
@@ -339,6 +342,81 @@ class TestLineness:
             LinenessScenario.of([X_AXIS_PRIM], [])
 
 
+def ref_distance(p, q):
+    """The distance on Fractions, as computed before the integer kernel."""
+    d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+    r = nth_root(d2, 2)
+    if r is None:
+        raise UnsupportedScenarioError(
+            f"distance between {p} and {q} is irrational (squared: {d2})"
+        )
+    return r
+
+
+def ref_convexity(pts):
+    pts = list(dict.fromkeys(pts))
+    total = sum(ref_distance(x, y) for i, x in enumerate(pts) for y in pts[i + 1 :])
+    return H(1, 2 * total) if total else ZERO
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the UnsupportedScenarioError it raises."""
+    try:
+        return f(*args)
+    except UnsupportedScenarioError as exc:
+        return str(exc)
+
+
+def _circle(draw, radius):
+    """Points at double rational angles on a circle: the chord between
+    two of them is 2 * radius * |sin(a1 - a2)|, which is rational."""
+    centre = [F(draw(st.integers(-50, 50)), draw(st.integers(1, 12))) for _ in range(2)]
+    pts = []
+    for t in draw(st.lists(st.fractions(-1, 1, max_denominator=16), min_size=2, max_size=6)):
+        c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        pts.append(P(centre[0] + radius * (c * c - s * s), centre[1] + radius * 2 * c * s))
+    return pts
+
+
+NEAR_2_48 = st.integers(2**48 - 2**20, 2**48 + 2**20)
+HUGE = 10**4400  # past the 4300-digit limit of int/str conversion
+
+
+@st.composite
+def point_family(draw):
+    """A few points of one kind: on a shared denominator, on mixed ones,
+    on integers (most distances irrational), on a rational circle (every
+    distance rational), near 2**48, or with numerators past 4300 digits."""
+    kind = draw(st.sampled_from(["shared", "mixed", "integer", "circle", "near 2^48", "huge"]))
+    if kind == "shared":
+        den = draw(st.integers(1, 60))
+        coords = st.integers(-200, 200).map(lambda n: F(n, den))
+    elif kind == "mixed":
+        coords = st.builds(F, st.integers(-200, 200), st.integers(1, 60))
+    elif kind == "integer":
+        coords = st.integers(-6, 6).map(F)
+    elif kind == "circle":
+        return _circle(draw, F(draw(st.integers(1, 50)), draw(st.integers(1, 12))))
+    elif kind == "near 2^48":
+        if draw(st.booleans()):
+            return _circle(draw, F(draw(NEAR_2_48) | 1))
+        coords = NEAR_2_48.map(F)
+    else:
+        # on a line of direction (3, 4), or anywhere
+        huge = st.builds(F, st.integers(HUGE, HUGE + 10**6), st.integers(1, 99))
+        ts = draw(st.lists(huge, min_size=1, max_size=5))
+        if draw(st.booleans()):
+            return [P(3 * t, 4 * t) for t in ts]
+        coords = st.sampled_from(ts)
+    return draw(st.lists(st.builds(P, coords, coords), min_size=2, max_size=6))
+
+
+def point_sets():
+    """One family of points, or two side by side, whose cross pairs mix
+    denominators and are mostly irrational."""
+    return st.lists(point_family(), min_size=1, max_size=2).map(lambda fams: sum(fams, []))
+
+
 class TestConvexity:
     def test_convex_segment(self):
         s = ConvexityScenario.of(
@@ -385,6 +463,30 @@ class TestConvexity:
             rational_distance(P(0, 0), P(1, 2))
         with pytest.raises(UnsupportedScenarioError, match=re.escape(str(first.value))):
             defi_convexity(ConvexityScenario.of([P(0, 0), P(3, 4), P(1, 2), P(5, 5)]))
+
+    @given(point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_kernel_matches_the_fraction_reference(self, pts):
+        with unbounded_int_text():  # the messages print every digit
+            for i, p in enumerate(pts):
+                for q in pts[i + 1 :]:
+                    assert _outcome(rational_distance, p, q) == _outcome(ref_distance, p, q)
+            scenario = ConvexityScenario.of(pts)
+            assert _outcome(defi_convexity, scenario) == _outcome(ref_convexity, pts)
+
+    def test_forty_points_with_distinct_1000_bit_denominators(self):
+        # nearly every pair has a denominator of its own, and the sum has
+        # their product; on t * (3, 4) the distances are 5 |t - u|, and
+        # the k-th smallest t (from 0) adds k times and subtracts n - 1 - k
+        rng = random.Random(0)
+        dens = set()
+        while len(dens) < 40:
+            dens.add(rng.getrandbits(1000) | 1 << 999 | 1)
+        ts = sorted(F(rng.randrange(1, den), den) for den in dens)
+        pts = [P(3 * t, 4 * t) for t in ts]
+        rng.shuffle(pts)
+        expected = sum((2 * k - len(ts) + 1) * t for k, t in enumerate(ts))
+        assert defi_convexity(ConvexityScenario.of(pts)) == H(1, 10 * expected)
 
 
 class TestScenarioJson:
