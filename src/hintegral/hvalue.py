@@ -148,7 +148,7 @@ class ExtRat:
     def __neg__(self) -> "ExtRat":
         return _ext(-self._n, self._d, -self._inf)
 
-    # -- order ------------------------------------------------------
+    # -- order (a > b and a >= b fall back to b < a and b <= a) ----
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ExtRat:
@@ -165,23 +165,7 @@ class ExtRat:
     def __le__(self, other: "ExtRat") -> bool:
         if other.__class__ is not ExtRat:
             return NotImplemented
-        if self._inf != other._inf:
-            return self._inf < other._inf
-        return self._n * other._d <= other._n * self._d
-
-    def __gt__(self, other: "ExtRat") -> bool:
-        if other.__class__ is not ExtRat:
-            return NotImplemented
-        if self._inf != other._inf:
-            return self._inf > other._inf
-        return self._n * other._d > other._n * self._d
-
-    def __ge__(self, other: "ExtRat") -> bool:
-        if other.__class__ is not ExtRat:
-            return NotImplemented
-        if self._inf != other._inf:
-            return self._inf > other._inf
-        return self._n * other._d >= other._n * self._d
+        return not other < self
 
     def __hash__(self) -> int:
         # Equal to hash((self._inf, self.frac)) at a finite value, and to

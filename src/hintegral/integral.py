@@ -239,15 +239,14 @@ def integrate_simple(space: MeasureSpace, f: SimpleFn) -> HValue:
 
 
 def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
-    """The exact set {x : f(x) < v}.  A piece outside the space raises
-    UnknownSetError, as it does in :func:`integrate`."""
+    """The exact set {x : f(x) < v}.  A function off its space raises
+    as it does in :func:`integrate` (see :func:`_inside`)."""
+    _inside(space, f)
     if isinstance(space, AtomSpace):
-        if not isinstance(f, SimpleFn):
-            raise UnsupportedExpressionError("atom spaces carry simple functions")
         return AtomSet(
             frozenset(a for a in space.atoms if f.value_at(a) < v)
         )
-    if isinstance(space, IntervalSpace) and isinstance(f, PiecewiseFn):
+    if isinstance(f, PiecewiseFn):
         return _piecewise_sublevel(space, f, v)
     raise UnsupportedExpressionError(
         f"sublevel sets are unsupported for {type(space).__name__}/{type(f).__name__}"
@@ -259,7 +258,6 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
     pi1 == v.d on a whole cell, below v where pi2 < v.m.  The edges
     between the cells are the points where pi1 == v.d, so the same
     test on pi2 decides each of them (pi2 >= 0 is never below v.m <= 0)."""
-    _inside(space, f)
     ivs: List[Tuple[Fraction, Fraction]] = []
     pts: List[Fraction] = []
     level = exprs.const(v.d)
@@ -287,13 +285,22 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
     return IntervalSet.of(ivs, pts)
 
 
-def _inside(space: IntervalSpace, f: PiecewiseFn) -> None:
-    """Raise UnknownSetError unless every piece lies inside the space."""
-    for p in f.pieces:
-        if p.lo < space.lo or space.hi < p.hi:
-            raise UnknownSetError(
-                f"piece ({p.lo}, {p.hi}) is not inside the space ({space.lo}, {space.hi})"
-            )
+def _inside(space: MeasureSpace, f: HFunction) -> None:
+    """Raise unless f is a function on the space: each piece set of a
+    simple function goes through ``space.measure``, and a piecewise
+    function needs an interval space.  Its pieces are sorted and
+    disjoint, so only an end piece can leave the space."""
+    if isinstance(f, SimpleFn):
+        for _, s in f.pieces:
+            space.measure(s)
+        return
+    if not isinstance(space, IntervalSpace):
+        raise UnsupportedExpressionError(f"cannot integrate PiecewiseFn over {type(space).__name__}")
+    if any(p.lo < space.lo or space.hi < p.hi for p in f.pieces[:1] + f.pieces[-1:]):
+        p = next(p for p in f.pieces if p.lo < space.lo or space.hi < p.hi)
+        raise UnknownSetError(
+            f"piece ({p.lo}, {p.hi}) is not inside the space ({space.lo}, {space.hi})"
+        )
 
 
 def _uncovered(space: IntervalSpace, f: PiecewiseFn):
@@ -382,7 +389,6 @@ def _runs(cells: Sequence[PiecewisePiece], level: Fraction) -> List[list]:
 
 
 def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T4Certificate]:
-    _inside(space, f)
     # IntervalSpace.of proves the density nonnegative and a nonzero
     # polynomial has finitely many roots, so every open cell of a piece
     # has positive measure unless the density is the zero polynomial
@@ -434,16 +440,14 @@ def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]
     the function itself, so the value is the defining weighted sum.  On
     an interval space with a piecewise function, the closed-form
     evaluation described in the module docstring is used.  The integral
-    over a set L is the integral of ``restrict(f, L)``.
+    over a set L is the integral of ``restrict(f, L)``.  A function off
+    its space raises (see :func:`_inside`).
     """
+    _inside(space, f)
     if isinstance(f, SimpleFn):
         value = integrate_simple(space, f)
         return value, _simple_certificate(space, f, value)
-    if isinstance(space, IntervalSpace) and isinstance(f, PiecewiseFn):
-        return _interval_integrate(space, f)
-    raise UnsupportedExpressionError(
-        f"cannot integrate {type(f).__name__} over {type(space).__name__}"
-    )
+    return _interval_integrate(space, f)
 
 
 def restrict(f: HFunction, L: MeasurableSet) -> HFunction:
@@ -476,7 +480,9 @@ def _simple_certificate(space: MeasureSpace, f: SimpleFn, value: HValue) -> T4Ce
 def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -> bool:
     """Re-evaluate every recorded witness claim from scratch.  Disjoint
     witnesses add their claims by sigma-additivity, so together they
-    prove the value from below in both coordinates."""
+    prove the value from below in both coordinates.  A function off its
+    space raises, as it does in :func:`integrate`."""
+    _inside(space, f)
     for w in dict.fromkeys(cert.d_witnesses + cert.m_witnesses):  # each claim once
         if space.measure(w.where) != w.measure or w.measure == ZERO:
             return False
@@ -521,8 +527,6 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         return integrate_simple(space, restrict(f, w.where)) >= mul(b, w.measure)
-    if not isinstance(space, IntervalSpace):
-        raise UnsupportedExpressionError(f"cannot integrate PiecewiseFn over {type(space).__name__}")
     cells = [p for lo, hi in w.where.intervals for p in _cells(f, lo, hi)]
     signs = [exprs.cmp_sup(p.pi1, p.lo, p.hi, b.d) for p in cells]
     top = max(signs, default=-1)

@@ -174,7 +174,7 @@ class AtomSpace:
     def measure(self, s: AtomSet) -> HValue:
         if not isinstance(s, AtomSet):
             raise UnknownSetError(f"{type(s).__name__} is not a set of an atom space")
-        missing = s.atoms - set(self.atoms)
+        missing = s.atoms.difference(self.weights)
         if missing:
             raise UnknownSetError(f"unknown atoms: {sorted(missing)}")
         return sum_finite(self.weights[a] for a in sorted(s.atoms))

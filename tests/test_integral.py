@@ -979,6 +979,84 @@ class TestSublevel:
         assert str(by_sublevel.value) == str(by_integral.value)
 
 
+class TestMembership:
+    """integrate, sublevel_set and verify_certificate refuse a function
+    off its space alike, and verify_certificate refuses it even when
+    every witness lies on the space."""
+
+    def test_certificate_for_an_atom_off_the_space(self):
+        sp = AtomSpace.of({"a": H(0, 1)})
+        on = SimpleFn.of([(H(1, 1), AtomSet.of("a"))])
+        value, cert = integrate(sp, on)
+        assert value == H(1, 1) and verify_certificate(sp, on, cert)
+        off = SimpleFn.of([(H(1, 1), AtomSet.of("a")), (H(5, 1), AtomSet.of("z"))])
+        with pytest.raises(UnknownSetError, match=r"unknown atoms: \['z'\]"):
+            verify_certificate(sp, off, cert)
+
+    def test_certificate_for_a_piece_past_the_end(self):
+        sp = IntervalSpace.of(0, 1)
+        _, cert = integrate(sp, constant_fn(0, 1, H(1, 1)))
+        with pytest.raises(UnknownSetError, match=r"piece \(0, 2\) is not inside"):
+            verify_certificate(sp, constant_fn(0, 2, H(1, 1)), cert)
+
+    @pytest.mark.parametrize(
+        "space, f, error, message",
+        [
+            (  # sublevel_set used to skip z and return {a}
+                AtomSpace.of({"a": H(0, 1)}),
+                SimpleFn.of([(H(1, 1), AtomSet.of("a", "z"))]),
+                UnknownSetError,
+                "unknown atoms: ['z']",
+            ),
+            (
+                UNIT,
+                SimpleFn.of([(H(1, 1), IntervalSet.of([(0, 2)]))]),
+                UnknownSetError,
+                "(0, 2) is not inside the space (0, 1)",
+            ),
+            (
+                UNIT,
+                SimpleFn.of([(H(1, 1), IntervalSet.of([], [2]))]),
+                UnknownSetError,
+                "point 2 outside the space",
+            ),
+            (
+                UNIT,
+                piecewise((0, F(1, 2), exprs.const(1), exprs.const(1)),
+                          (F(1, 2), 2, exprs.const(1), exprs.const(1))),
+                UnknownSetError,
+                "piece (1/2, 2) is not inside the space (0, 1)",
+            ),
+            (  # the first piece past the end is named, not the last
+                UNIT,
+                piecewise((0, F(1, 2), exprs.const(1), exprs.const(1)),
+                          (2, 3, exprs.const(1), exprs.const(1)),
+                          (4, 5, exprs.const(1), exprs.const(1))),
+                UnknownSetError,
+                "piece (2, 3) is not inside the space (0, 1)",
+            ),
+            (
+                AtomSpace.of({"a": H(0, 1)}),
+                constant_fn(0, 1, H(1, 1)),
+                UnsupportedExpressionError,
+                "cannot integrate PiecewiseFn over AtomSpace",
+            ),
+        ],
+        ids=["unknown-atom", "interval-past-end", "point-outside",
+             "piece-past-end", "middle-piece-past-end", "piecewise-on-atoms"],
+    )
+    def test_one_refusal_through_every_entry_point(self, space, f, error, message):
+        entry_points = [
+            lambda: integrate(space, f),
+            lambda: sublevel_set(space, f, H(2, 0)),
+            lambda: verify_certificate(space, f, T4Certificate(ZERO)),
+        ]
+        for call in entry_points:
+            with pytest.raises(error) as refused:
+                call()
+            assert type(refused.value) is error and str(refused.value) == message
+
+
 class TestPointwiseAdd:
     def test_atoms(self):
         f = SimpleFn.of([(H(1, 2), AtomSet.of("a"))])
