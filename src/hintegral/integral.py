@@ -47,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import (
@@ -285,15 +285,15 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
     return IntervalSet.of(ivs, pts)
 
 
-def _inside(space: MeasureSpace, f: HFunction) -> None:
+def _inside(space: MeasureSpace, f: HFunction) -> Optional[List[HValue]]:
     """Raise unless f is a function on the space: each piece set of a
     simple function goes through ``space.measure``, and a piecewise
     function needs an interval space.  Its pieces are sorted and
-    disjoint, so only an end piece can leave the space."""
+    disjoint, so only an end piece can leave the space.  Return the
+    measures of a simple function's piece sets in piece order, and None
+    for a piecewise function."""
     if isinstance(f, SimpleFn):
-        for _, s in f.pieces:
-            space.measure(s)
-        return
+        return [space.measure(s) for _, s in f.pieces]
     if not isinstance(space, IntervalSpace):
         raise UnsupportedExpressionError(f"cannot integrate PiecewiseFn over {type(space).__name__}")
     if any(p.lo < space.lo or space.hi < p.hi for p in f.pieces[:1] + f.pieces[-1:]):
@@ -436,17 +436,23 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
 def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]:
     """The general integral, with a witness certificate.
 
-    On an atom space the supremum over simple minorants is attained at
-    the function itself, so the value is the defining weighted sum.  On
-    an interval space with a piecewise function, the closed-form
-    evaluation described in the module docstring is used.  The integral
-    over a set L is the integral of ``restrict(f, L)``.  A function off
-    its space raises (see :func:`_inside`).
+    For a simple function, on an atom space or an interval space, the
+    supremum over simple minorants is attained at the function itself,
+    so the value is the defining weighted sum, over the measures that
+    :func:`_inside` returns.  Its witnesses are the sum's top terms:
+    each piece whose term is nonzero at the value's dimension, with its
+    coefficient as the bound, in both lists.  A (0, 0) value has no
+    such term.  For a piecewise function on an interval space, the
+    closed-form evaluation described in the module docstring is used.
+    The integral over a set L is the integral of ``restrict(f, L)``.  A
+    function off its space raises (see :func:`_inside`).
     """
-    _inside(space, f)
+    measures = _inside(space, f)
     if isinstance(f, SimpleFn):
-        value = integrate_simple(space, f)
-        return value, _simple_certificate(space, f, value)
+        terms = [(mul(c, mv), Witness(s, mv, c)) for (c, s), mv in zip(f.pieces, measures)]
+        value = sum_finite(t for t, _ in terms)
+        wits = tuple(w for t, w in terms if not t.is_zero and t.d == value.d)
+        return value, T4Certificate(value, wits, wits, True, value.m)
     return _interval_integrate(space, f)
 
 
@@ -461,20 +467,6 @@ def restrict(f: HFunction, L: MeasurableSet) -> HFunction:
     if not isinstance(L, IntervalSet):
         raise UnknownSetError(f"cannot combine a IntervalSet with a {type(L).__name__}")
     return PiecewiseFn(tuple(p for lo, hi in L.intervals for p in _cells(f, lo, hi)))
-
-
-def _simple_certificate(space: MeasureSpace, f: SimpleFn, value: HValue) -> T4Certificate:
-    if value == ZERO:
-        return T4Certificate(ZERO)
-    wits = tuple(
-        Witness(s, mv, coeff)
-        for coeff, s in f.pieces
-        if not coeff.is_zero
-        and (mv := space.measure(s)) != ZERO
-        and coeff.d + mv.d == value.d
-    )
-    # the witnesses are the top-dimension terms whose masses the sum adds
-    return T4Certificate(value, wits, wits, True, value.m)
 
 
 def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -> bool:

@@ -96,6 +96,30 @@ class TestSimpleIntegral:
         sp = AtomSpace.of({"a": H(1, 2)})
         assert integrate_simple(sp, SimpleFn.of([])) == ZERO
 
+    @pytest.mark.parametrize(
+        "sp, sets",
+        [
+            (AtomSpace.of({"a": H(0, 1), "b": H(1, 2), "c": H(1, 1)}),
+             [AtomSet.of("a"), AtomSet.of("b"), AtomSet.of("c")]),
+            (IntervalSpace.of(0, 1),
+             [IntervalSet.of([(0, F(1, 4))]), IntervalSet.of([(F(1, 4), F(1, 2))]),
+              IntervalSet.of([(F(1, 2), 1)])]),
+        ],
+        ids=["atoms", "interval"],
+    )
+    def test_integrate_measures_each_piece_once(self, monkeypatch, sp, sets):
+        # the value and the witnesses come from one pass over the pieces
+        calls = []
+        for cls in (AtomSpace, IntervalSpace):
+            measure = cls.measure
+            monkeypatch.setattr(
+                cls, "measure", lambda self, s, measure=measure: calls.append(s) or measure(self, s)
+            )
+        f = SimpleFn.of([(H(1, k + 1), s) for k, s in enumerate(sets)])
+        value, cert = integrate(sp, f)
+        assert value != ZERO and cert.m_witnesses
+        assert calls == sets
+
 
 class TestWorkedExamples:
     def test_root_sequence_has_mass_zero(self):
@@ -515,6 +539,34 @@ class TestAtomWitnessClaims:
         w = Witness(where, mu, b)
         cert = T4Certificate(HValue(b.d + mu.d, ExtRat(0)), (w,), (), True, ExtRat(0))
         assert verify_certificate(sp, f, cert) == (total >= mul(b, mu))
+
+
+class TestSimpleCertificates:
+    """A simple function's witnesses are the terms of its sum that reach
+    the value: each piece, in order, with a nonzero coefficient and a
+    nonzero measure whose dimensions add up to the value's, in both lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_witnesses_are_the_top_terms(self, data):
+        atoms = "abcdef"[: data.draw(st.integers(1, 6))]
+        sp = AtomSpace.of({a: data.draw(values) for a in atoms})
+        # each atom lies in one of four pieces or in none
+        piece_of = {a: data.draw(st.sampled_from([0, 1, 2, 3, None])) for a in atoms}
+        sets = [AtomSet(frozenset(a for a in atoms if piece_of[a] == k)) for k in range(4)]
+        f = SimpleFn.of([(data.draw(values), s) for s in sets if not s.is_empty], i_simple=True)
+        value, cert = integrate(sp, f)
+        assert value == integrate_simple(sp, f)
+        if value == ZERO:
+            assert cert == T4Certificate(ZERO)
+        top = tuple(
+            Witness(s, mu, c)
+            for c, s in f.pieces
+            if not c.is_zero and (mu := sp.measure(s)) != ZERO and c.d + mu.d == value.d
+        )
+        assert cert.d_witnesses == cert.m_witnesses == top
+        assert cert.value == value and cert.achieved_m == value.m
+        assert verify_certificate(sp, f, cert)
 
 
 class TestCertificates:
