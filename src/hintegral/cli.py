@@ -18,6 +18,7 @@ unknown set/scenario, 4 undefined sum, 5 golden mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -176,6 +177,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return DEMOS[args.name]()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hintegral",
@@ -208,6 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when argv is None) and return
+    its exit code.
+
+    The argument parser is built once per process, on the first call, and
+    reused: parsing leaves it unchanged, so a caller that runs many
+    commands in one process (an embedding, the test suite) pays for it
+    once, as a shell user does.
+    """
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact values are read and printed at every size
     args = build_parser().parse_args(argv)

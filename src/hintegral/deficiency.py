@@ -13,6 +13,10 @@ the candidate gives (1, inf), segments add the lengths the sections
 see, and distinct points count only at dimension 0.  The value is the
 minimum over the listed candidates, an upper bound for the infimum
 over every line in the plane.
+
+The geometry is exact and on integers: a point is read straight onto
+one denominator (:class:`Point2`), and lines, incidence and squared
+distances are integer expressions in those numerators.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import ParseError, UnsupportedScenarioError, json_loader
-from .hvalue import INF, ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
+from .hvalue import INF, ZERO, ExtRat, HValue, RatLike, add, as_fraction, as_pair, mul, sum_finite
 from .space import check_declared
 
 ONE = Fraction(1)
@@ -34,14 +38,43 @@ COUNT = HValue.of(0, 1)  # the measure of one point, jump or ordered pair
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Point2:
-    x: Fraction
-    y: Fraction
+    """A point of the plane with rational coordinates, held on one
+    denominator: the integers ``X``, ``Y``, ``D`` with ``(x, y) = (X/D, Y/D)``
+    and ``D`` the lcm of the denominators of x and y in lowest terms, so
+    equal points hold equal integers.  ``x`` and ``y`` give the
+    coordinates as Fractions."""
+
+    __slots__ = ("X", "Y", "D")
+
+    def __init__(self, x: RatLike, y: RatLike):
+        a, b = as_pair(x)
+        c, d = as_pair(y)
+        den = lcm(b, d)
+        self.X, self.Y, self.D = a * (den // b), c * (den // d), den
 
     @staticmethod
-    def of(x, y) -> "Point2":
-        return Point2(as_fraction(x), as_fraction(y))
+    def of(x: RatLike, y: RatLike) -> "Point2":
+        return Point2(x, y)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.X, self.D)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.Y, self.D)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Point2:
+            return NotImplemented
+        return self.X == other.X and self.Y == other.Y and self.D == other.D
+
+    def __hash__(self) -> int:
+        return hash((self.X, self.Y, self.D))
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, y={self.y!r})"
 
 
 @dataclass(frozen=True)
@@ -56,48 +89,43 @@ class Line2:
     def through(p: Point2, q: Point2) -> "Line2":
         if p == q:
             raise ValueError("a line needs two distinct points")
-        a = q.y - p.y
-        b = p.x - q.x
-        c = a * p.x + b * p.y
-        den = lcm(a.denominator, b.denominator, c.denominator)
-        ai, bi, ci = int(a * den), int(b * den), int(c * den)
-        g = gcd(gcd(abs(ai), abs(bi)), abs(ci)) or 1
-        ai, bi, ci = ai // g, bi // g, ci // g
-        if ai < 0 or (ai == 0 and bi < 0):
-            ai, bi, ci = -ai, -bi, -ci
-        return Line2(ai, bi, ci)
+        # the cross product of the points (X, Y, D) in homogeneous coordinates
+        a = p.D * q.Y - p.Y * q.D
+        b = p.X * q.D - p.D * q.X
+        c = p.X * q.Y - p.Y * q.X
+        g = gcd(a, b, c)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        return Line2(a // g, b // g, c // g)
 
     def contains(self, p: Point2) -> bool:
-        return self.a * p.x + self.b * p.y == self.c
+        return self.a * p.X + self.b * p.Y == self.c * p.D
 
     def perpendicular_to(self, other: "Line2") -> bool:
         # directions (b, -a); dot product of directions
         return self.b * other.b + self.a * other.a == 0
 
-
-def _on_one_denominator(p: Point2) -> Tuple[int, int, int]:
-    """(X, Y, D) with p = (X/D, Y/D) and D the lcm of p's denominators."""
-    b, d = p.x.denominator, p.y.denominator
-    den = lcm(b, d)
-    return p.x.numerator * (den // b), p.y.numerator * (den // d), den
+    def along(self, p: Point2) -> Fraction:
+        """The position of p along the line's direction (b, -a), scaled
+        by the direction's length."""
+        return Fraction(self.b * p.X - self.a * p.Y, p.D)
 
 
-def _pair_root(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """(r, n, L) for two points given by :func:`_on_one_denominator`:
-    their squared distance is n / L**2 with L the lcm of their
-    denominators, and r = isqrt(n).  The distance is r / L, rational
-    exactly when r * r == n."""
-    (x1, y1, d1), (x2, y2, d2) = u, v
+def _pair_root(p: Point2, q: Point2) -> Tuple[int, int, int]:
+    """(r, n, L) for two points: their squared distance is n / L**2 with
+    L the lcm of their denominators, and r = isqrt(n).  The distance is
+    r / L, rational exactly when r * r == n."""
+    d1, d2 = p.D, q.D
     den = lcm(d1, d2)
     s, t = den // d1, den // d2
-    dx, dy = x1 * s - x2 * t, y1 * s - y2 * t
+    dx, dy = p.X * s - q.X * t, p.Y * s - q.Y * t
     n = dx * dx + dy * dy
     return isqrt(n), n, den
 
 
 def rational_distance(p: Point2, q: Point2) -> Fraction:
     """Euclidean distance, demanded exact; raises when irrational."""
-    r, n, den = _pair_root(_on_one_denominator(p), _on_one_denominator(q))
+    r, n, den = _pair_root(p, q)
     if r * r != n:
         raise UnsupportedScenarioError(
             f"distance between {p} and {q} is irrational (squared: {Fraction(n, den * den)})"
@@ -209,9 +237,7 @@ def _union_on(line: Line2, segments) -> list:
     """The union of segments (p, q) on one line, as disjoint segments
     [p, q] in order along the line; overlapping or touching ones merge."""
 
-    def along(p: Point2) -> Fraction:
-        return line.b * p.x - line.a * p.y
-
+    along = line.along
     spans = sorted((sorted(pq, key=along) for pq in segments), key=lambda pq: along(pq[0]))
     union = []
     for p, q in spans:
@@ -260,7 +286,7 @@ def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
             if line.perpendicular_to(e):
                 length += rational_distance(p, q)
             else:
-                shadow += abs(e.b * (q.x - p.x) - e.a * (q.y - p.y))
+                shadow += abs(e.along(q) - e.along(p))
     if shadow:
         n2 = e.a**2 + e.b**2
         norm = isqrt(n2)
@@ -309,11 +335,10 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
     if s.convex_primitive is not None:
         return ZERO
     pts = list(dict.fromkeys(s.points))  # K is a set: one copy of each point
-    scaled = [(p, _on_one_denominator(p)) for p in pts]
     sums = {}  # pair denominator L -> sum of the numerators r over L
-    for i, (p, u) in enumerate(scaled):
-        for q, v in scaled[i + 1 :]:
-            r, n, den = _pair_root(u, v)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            r, n, den = _pair_root(p, q)
             if r * r != n:
                 rational_distance(p, q)  # raises, naming the pair
             sums[den] = sums.get(den, 0) + r
@@ -332,7 +357,7 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
 def _point_from_json(obj) -> Point2:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ParseError(f"a point is a pair of rationals, got {obj!r}")
-    return Point2.of(obj[0], obj[1])
+    return Point2(obj[0], obj[1])
 
 
 def _line_from_json(obj) -> Line2:

@@ -10,8 +10,9 @@ Everything is exact.  A dimension and a finite mass are each a coprime
 pair of integers, numerator and denominator, which :class:`HValue` and
 :class:`ExtRat` add, multiply and compare with ``math.gcd`` and integer
 products; ``HValue.d`` and ``ExtRat.frac`` give them as a ``Fraction``
-on read.  The infinities are explicit symbols.  No floats appear
-anywhere in this module.
+on read.  Text is read straight onto such a pair by :func:`as_pair`.
+The infinities are explicit symbols.  No floats appear anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -33,38 +34,60 @@ _FRAC_ZERO = Fraction(0)  # immutable, so every exact zero shares it
 MAX_POWER_BITS = 2**16
 
 
-def as_fraction(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction or exact string like ``"3/4"`` to a Fraction.
+def as_pair(x: RatLike) -> Tuple[int, int]:
+    """The coprime integer pair ``(n, d)``, ``d > 0``, of an int, Fraction or
+    exact string like ``"3/4"``: the one reader of exact rationals.
 
     A string is read after ``strip()``.  When it is ASCII ``-?digits`` or
-    ``-?digits/digits`` its integers are read directly, which skips the
-    regular expression of ``Fraction(str)``; every other string (a
-    ``+``, ``_``, non-ASCII digits, a decimal point, an exponent, inner
-    spaces) still goes to ``Fraction(str)``.  Both routes give the same
-    value on the strings the fast one takes, and the same ``ParseError``
-    for ``x/0``, so the accepted grammar is ``Fraction``'s own, save that
-    a decimal exponent whose power of ten would pass ``MAX_POWER_BITS``
-    bits is a ``ParseError``."""
-    if type(x) is Fraction:
-        return x
+    ``-?digits/digits`` with a nonzero denominator, its integers are read
+    and reduced directly, which skips the regular expression of
+    ``Fraction(str)``; every other string (a ``+``, ``_``, non-ASCII
+    digits, a decimal point, an exponent, inner spaces, ``x/0``) still
+    goes to ``Fraction(str)``.  Both routes give the same value on the
+    strings the fast one takes, so the accepted grammar and its
+    ``ParseError`` are ``Fraction``'s own, save that a decimal exponent
+    whose power of ten would pass ``MAX_POWER_BITS`` bits is a
+    ``ParseError``."""
     if type(x) is int:  # not bool: JSON true is not 1
-        return Fraction(x) if x else _FRAC_ZERO
+        return x, 1
     if isinstance(x, str):
         text = x.strip()
         num, slash, den = text.partition("/")
         digits = num[1:] if num.startswith("-") else num
         try:
-            if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            if text.isascii() and digits.isdigit():
+                if not slash:
+                    return int(num), 1
+                if den.isdigit():
+                    n, d = int(num), int(den)
+                    if d:
+                        g = gcd(n, d)
+                        return n // g, d // g
             exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
             if exponent.isdecimal() and int(exponent) * 10 > 3 * MAX_POWER_BITS:
                 raise ParseError(f"a decimal exponent above {3 * MAX_POWER_BITS // 10}: {x!r}")
-            return Fraction(text)
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not an exact rational: {x!r}") from exc
+        return q.numerator, q.denominator
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     raise ParseError(f"cannot interpret {x!r} as an exact rational")
+
+
+def as_fraction(x: RatLike) -> Fraction:
+    """Coerce an int, Fraction or exact string like ``"3/4"`` to a Fraction,
+    read by :func:`as_pair`."""
+    if type(x) is Fraction:
+        return x
+    n, d = as_pair(x)
+    # The pair is already coprime, so the Fraction takes it without a
+    # second gcd: this sets the two slots that Fraction's own unchecked
+    # constructor sets (``Fraction._from_coprime_ints`` from Python 3.12).
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
 
 
 def _rat_add(n: int, d: int, m: int, e: int) -> Tuple[int, int]:
@@ -97,11 +120,7 @@ class ExtRat:
     __slots__ = ("_n", "_d", "_inf")
 
     def __init__(self, value: RatLike):
-        if type(value) is int:
-            self._n, self._d = value, 1
-        else:
-            q = as_fraction(value)
-            self._n, self._d = q.numerator, q.denominator
+        self._n, self._d = as_pair(value)
         self._inf = 0
 
     # -- predicates -------------------------------------------------
@@ -190,7 +209,8 @@ class ExtRat:
             return INF
         if t == "-inf":
             return NEG_INF
-        return ExtRat(t)
+        n, d = as_pair(t)
+        return _ext(n, d, 0)
 
 
 def _ext(n: int, d: int, inf: int) -> ExtRat:
@@ -303,10 +323,10 @@ class HValue:
         parts = t[1:-1].split(",")
         if len(parts) != 2:
             raise ParseError(f"expected two comma-separated coordinates in {text!r}")
-        d = as_fraction(parts[0])
-        if d < 0:
+        n, d = as_pair(parts[0])
+        if n < 0:
             raise ParseError(f"negative dimension in {text!r}")
-        return HValue(d, ExtRat.parse(parts[1]))
+        return _hv(n, d, ExtRat.parse(parts[1]))
 
 
 def _hv(n: int, d: int, m: ExtRat) -> HValue:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hintegral
-from hintegral.cli import main
+from hintegral.cli import build_parser, main
 from hintegral.exprs import MAX_DEGREE
 from hintegral.hvalue import ExtRat, HValue
 from hintegral.integral import T4Certificate, Witness, function_from_json, verify_certificate
@@ -580,6 +580,34 @@ class TestLaws:
         reports = json.loads(capsys.readouterr().out)
         assert [r["law"] for r in reports] == ["algebra", "integral"]
         assert all(r["violations"] == [] for r in reports)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call_as_a_fresh_process_would(self, capsys):
+        assert build_parser() is build_parser()
+        space, fn = str(SCENARIOS / "space_unit_interval.json"), str(SCENARIOS / "function_root2.json")
+        runs = [
+            ["laws", "--trials", "-5"],
+            ["eval", space, fn, "--certificate", "--json"],
+            ["eval", space, fn],
+            ["defi", str(SCENARIOS / "lineness_segments.json"), "--json"],
+            ["laws", "--json"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(hintegral.__file__).parent.parent))
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # an argparse error
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hintegral.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert build_parser() is build_parser()
 
 
 class TestDefi:

@@ -26,6 +26,7 @@ convexity
 import random
 import re
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,7 @@ from hintegral.deficiency import (
     scenario_from_json,
 )
 from hintegral.space import check_declared
-from test_hvalue import unbounded_int_text
+from test_hvalue import rational_texts, ref_as_fraction, unbounded_int_text
 
 H = HValue.of
 P = Point2.of
@@ -487,6 +488,82 @@ class TestConvexity:
         rng.shuffle(pts)
         expected = sum((2 * k - len(ts) + 1) * t for k, t in enumerate(ts))
         assert defi_convexity(ConvexityScenario.of(pts)) == H(1, 10 * expected)
+
+
+def ref_through(p, q):
+    """Line2.through on the Fractions of p and q, as computed before the
+    points held integers."""
+    a = q.y - p.y
+    b = p.x - q.x
+    c = a * p.x + b * p.y
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    ai, bi, ci = int(a * den), int(b * den), int(c * den)
+    g = gcd(gcd(abs(ai), abs(bi)), abs(ci)) or 1
+    ai, bi, ci = ai // g, bi // g, ci // g
+    if ai < 0 or (ai == 0 and bi < 0):
+        ai, bi, ci = -ai, -bi, -ci
+    return Line2(ai, bi, ci)
+
+
+def _point_outcome(x, y):
+    """Point2.of(x, y) as its repr, str and coordinates, or the text of
+    its ParseError."""
+    try:
+        p = P(x, y)
+    except ParseError as exc:
+        return str(exc)
+    return repr(p), str(p), p.x, p.y
+
+
+def _ref_point_outcome(x, y):
+    try:
+        fx, fy = ref_as_fraction(x), ref_as_fraction(y)
+    except ParseError as exc:
+        return str(exc)
+    text = f"Point2(x={fx!r}, y={fy!r})"
+    return text, text, fx, fy
+
+
+class TestPoint2:
+    """A point keeps its public face on integers: the repr of its
+    Fraction coordinates, equality by value and the Fraction line formula."""
+
+    def test_repr(self):
+        assert repr(P(1, 0)) == str(P("1", "0")) == "Point2(x=Fraction(1, 1), y=Fraction(0, 1))"
+        assert repr(P("-2/4", 3)) == "Point2(x=Fraction(-1, 2), y=Fraction(3, 1))"
+
+    def test_equal_points_are_equal_and_hash_alike_across_input_forms(self):
+        forms = [P("1/2", 1), P(F(2, 4), "1"), P(" 3/6 ", F(1)), P("0.5", "+1"), P("5e-1", "2/2")]
+        assert all(p == forms[0] and hash(p) == hash(forms[0]) for p in forms)
+        assert len(set(forms)) == 1
+        assert P("1/2", 1) != P(1, "1/2") and P(1, 2) != P("1/3", "2/3")
+        assert P(1, 0) != (1, 0)
+
+    def test_irrational_distance_message(self):
+        with pytest.raises(UnsupportedScenarioError) as exc:
+            rational_distance(P(1, 0), P(0, 1))
+        assert str(exc.value) == (
+            "distance between Point2(x=Fraction(1, 1), y=Fraction(0, 1)) and "
+            "Point2(x=Fraction(0, 1), y=Fraction(1, 1)) is irrational (squared: 2)"
+        )
+
+    @given(rational_texts(), rational_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_the_fraction_route(self, x, y):
+        with unbounded_int_text():
+            assert _point_outcome(x, y) == _ref_point_outcome(x, y)
+
+    @given(point_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_lines_match_the_fraction_formula(self, pts):
+        for i, p in enumerate(pts):
+            for q in pts[i + 1 :]:
+                if p == q:
+                    continue
+                line = Line2.through(p, q)
+                assert line == ref_through(p, q) == Line2.through(q, p)
+                for r in pts:
+                    assert line.contains(r) == (line.a * r.x + line.b * r.y == line.c)
 
 
 class TestScenarioJson:

@@ -22,6 +22,7 @@ from hintegral.hvalue import (
     SeqDescriptor,
     add,
     as_fraction,
+    as_pair,
     mul,
     scalar_mul,
     sum_described,
@@ -555,3 +556,132 @@ class TestAsFraction:
         for bad in (True, 0.5, None, [1]):
             with pytest.raises(ParseError):
                 as_fraction(bad)
+
+
+def ref_as_fraction(x):
+    """The Fraction route that ``as_pair`` replaced: an ASCII digit string
+    becomes ``Fraction(int, int)``, and every other string ``Fraction(str)``."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        text = x.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num.startswith("-") else num
+        try:
+            if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+            if exponent.isdecimal() and int(exponent) * 10 > 3 * MAX_POWER_BITS:
+                raise ParseError(f"a decimal exponent above {3 * MAX_POWER_BITS // 10}: {x!r}")
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not an exact rational: {x!r}") from exc
+    if isinstance(x, Fraction):
+        return x
+    raise ParseError(f"cannot interpret {x!r} as an exact rational")
+
+
+def ref_ext_parse(text):
+    t = text.strip()
+    if t == "inf" or t == "+inf":
+        return INF
+    if t == "-inf":
+        return NEG_INF
+    return ExtRat(ref_as_fraction(t))
+
+
+def ref_hvalue_parse(text):
+    t = text.strip()
+    if not (t.startswith("(") and t.endswith(")")):
+        raise ParseError(f"expected '(d, m)', got {text!r}")
+    parts = t[1:-1].split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected two comma-separated coordinates in {text!r}")
+    d = ref_as_fraction(parts[0])
+    if d < 0:
+        raise ParseError(f"negative dimension in {text!r}")
+    return HValue(d, ref_ext_parse(parts[1]))
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def rational_texts(draw):
+    """Signed integers and fractions, some past 4300 digits, padded with
+    whitespace, and the spellings that leave the ASCII digit grammar:
+    ``+``, ``_``, non-ASCII digits, decimals, exponents, ``x/0``."""
+
+    def digits(lo):
+        # past CPython's 4300-digit int/str limit one time in four; drawn
+        # short, as Hypothesis prints what it draws
+        text = str(draw(st.integers(lo, 10**30)))
+        return text + "7" * 4300 if draw(st.integers(0, 3)) == 0 else text
+
+    n, d = draw(st.sampled_from(["", "-"])) + digits(0), digits(1)
+    form = draw(
+        st.sampled_from(
+            ["int", "frac", "x/0", "x/-d", "+", "_", "arabic", "decimal", "exponent", "huge exponent", "x / d", "inf"]
+        )
+    )
+    text = {
+        "int": f"{n}",
+        "frac": f"{n}/{d}",
+        "x/0": f"{n}/0",
+        "x/-d": f"{n}/-{d}",
+        "+": f"+{n.lstrip('-')}/{d}",
+        "_": f"{n}_0/{d}",
+        "arabic": f"{n}/{d}".translate(ARABIC_INDIC),
+        "decimal": f"{n}.{d}",
+        "exponent": f"{n}e{draw(st.integers(-40, 40))}",
+        "huge exponent": f"{n}e{draw(st.integers(20000, 10**9))}",
+        "x / d": f"{n} / {d}",
+        "inf": draw(st.sampled_from(["inf", "+inf", "-inf", "INF", "--inf"])),
+    }[form]
+    pad = st.sampled_from(["", " ", "\t", " \n", "  "])
+    return draw(pad) + text + draw(pad)
+
+
+def reader_outcome(read, text):
+    """What a reader gives: the ParseError text, or the value's type, str,
+    repr and hash and the value itself."""
+    try:
+        v = read(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+    return (type(v), str(v), repr(v), hash(v), v)
+
+
+def _refusal(read, text):
+    """The text of the ParseError a reader raises, or None."""
+    try:
+        read(text)
+    except ParseError as exc:
+        return str(exc)
+    return None
+
+
+class TestReaders:
+    """The integer readers give what the Fraction route gave, value and
+    ParseError alike."""
+
+    @given(rational_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_as_fraction_and_ext_parse(self, text):
+        with unbounded_int_text():  # as the CLI reads and prints
+            ref = reader_outcome(ref_as_fraction, text)
+            assert reader_outcome(as_fraction, text) == ref
+            if ref[0] != "ParseError":
+                assert as_pair(text) == (ref[-1].numerator, ref[-1].denominator)
+            assert reader_outcome(ExtRat.parse, text) == reader_outcome(ref_ext_parse, text)
+        # under CPython's default limit a long number is refused alike
+        assert _refusal(as_fraction, text) == _refusal(ref_as_fraction, text)
+
+    @given(rational_texts(), rational_texts(), st.sampled_from(["({}, {})", "({},{})", " ( {} ,{} ) ", "{}, {}"]))
+    @settings(max_examples=300, deadline=None)
+    def test_hvalue_parse(self, d, m, shape):
+        text = shape.format(d, m)
+        with unbounded_int_text():
+            assert reader_outcome(HValue.parse, text) == reader_outcome(ref_hvalue_parse, text)
