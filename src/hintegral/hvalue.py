@@ -317,7 +317,9 @@ class HValue:
 
     @staticmethod
     def parse(text: str) -> "HValue":
-        t = text.strip()
+        """Read "(d, m)"; anything else, a JSON number, boolean, null or
+        list included, raises ParseError."""
+        t = text.strip() if isinstance(text, str) else ""
         if not (t.startswith("(") and t.endswith(")")):
             raise ParseError(f"expected '(d, m)', got {text!r}")
         parts = t[1:-1].split(",")

@@ -22,10 +22,12 @@ coordinate (:func:`_runs`).  Only the zero density has null pieces, and
 under it every integral is (0, 0); any other density is nonnegative
 with finitely many roots, so every piece has positive measure and the
 essential supremum is the largest supremum over the pieces.  Each run
-is a mass witness of the certificate, which can be re-verified: a
-witness claims that the integral over its set reaches its bound b times
-the set's measure, and :func:`_bound_holds` decides that exactly from
-the same closed form and runs.
+is one top term (:func:`_top_terms`), as each piece of a simple
+function is, and each term that reaches the value is a witness of the
+certificate, which can be re-verified: a witness claims that the
+integral over its set reaches its bound b times the set's measure,
+and :func:`_bound_holds` decides that exactly from the same closed
+form and runs.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
@@ -196,8 +198,9 @@ class T4Certificate:
     dimension whether or not the supremum is attained, and none has more.
     ``m_witnesses`` form one disjoint family at that dimension whose
     masses add up to the reported mass, which ``achieved_m`` repeats.
-    Each carries its set's exact mass, so ``exact_m`` is always True;
-    the field stays because the JSON form of a certificate has it.
+    :func:`integrate` gives both lists the same top terms.  Each carries
+    its set's exact mass, so ``exact_m`` is always True; the field stays
+    because the JSON form of a certificate has it.
     """
 
     value: HValue
@@ -388,44 +391,34 @@ def _runs(cells: Sequence[PiecewisePiece], level: Fraction) -> List[list]:
     return join_runs((p.lo, p.hi, p.pi2) for p in cells if p.pi1 == exprs.const(level))
 
 
-def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T4Certificate]:
+def _top_terms(space: IntervalSpace, f: PiecewiseFn) -> List[Tuple[HValue, Witness]]:
+    """The top terms of the closed form, each with its witness: one per
+    run of :func:`_runs` where pi1 is the constant s, with the bound
+    (s, m / nu) and the run's exact mass m, so the term is (o + s, m);
+    or, when no piece is that constant, one zero-mass term on the union
+    of the pieces whose pi1 reaches s, with the bound (s, 0)."""
     # IntervalSpace.of proves the density nonnegative and a nonzero
     # polynomial has finitely many roots, so every open cell of a piece
     # has positive measure unless the density is the zero polynomial
     pieces = f.pieces
     if not pieces or not any(space.density):
-        return ZERO, T4Certificate(ZERO)
-
+        return []
     sups = [exprs.sup_on(p.pi1, p.lo, p.hi) for p in pieces]
     s = max((x for x in sups if x is not None), default=None)
     for p, sup in zip(pieces, sups):  # an irrational supremum may stay below s
         if sup is None and (s is None or exprs.cmp_sup(p.pi1, p.lo, p.hi, s) > 0):
             raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
     reach = [p for p, sup in zip(pieces, sups) if sup == s]
-    runs = _runs(reach, s)
-    masses = [exprs.weighted_integral(pi2, space.density, lo, hi) for lo, hi, pi2 in runs]
-    mass = sum(masses, Fraction(0))
-    if s == 0 and mass == 0:
-        return ZERO, T4Certificate(ZERO)
-    value = HValue(space.dim_offset + s, ExtRat(mass))
-    # one mass witness per run, whose bound's mass is the run's exact
-    # mass over its ordinary measure, so the witnesses sum to the mass
-    m_wits: List[Witness] = []
-    for (lo, hi, _), m in zip(runs, masses):
-        if m == 0 and (s == 0 or mass == 0):
-            continue  # a zero value mass needs no witness, and (s, 0) is positive only at s > 0
-        where = IntervalSet.of([(lo, hi)])
+    parts = [
+        (IntervalSet.of([(lo, hi)]), exprs.weighted_integral(pi2, space.density, lo, hi))
+        for lo, hi, pi2 in _runs(reach, s)
+    ] or [(IntervalSet.of([(p.lo, p.hi) for p in reach]), Fraction(0))]
+    terms = []
+    for where, m in parts:
         mv = space.measure(where)
-        m_wits.append(Witness(where, mv, HValue(s, ExtRat(m / mv.m.frac))))
-    if s == 0:
-        # every piece is the constant 0, so a witness needs a positive
-        # mass bound: the first mass witness, which has one, serves as it stands
-        d_wits = m_wits[:1]
-    else:
-        # the pieces whose dimension coordinate reaches s, attained or not
-        where = IntervalSet.of([(p.lo, p.hi) for p in reach])
-        d_wits = [Witness(where, space.measure(where), HValue(s, ExtRat(0)))]
-    return value, T4Certificate(value, tuple(d_wits), tuple(m_wits), True, value.m)
+        b = HValue(s, ExtRat(m / mv.m.frac))
+        terms.append((mul(b, mv), Witness(where, mv, b)))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +429,25 @@ def _interval_integrate(space: IntervalSpace, f: PiecewiseFn) -> Tuple[HValue, T
 def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]:
     """The general integral, with a witness certificate.
 
-    For a simple function, on an atom space or an interval space, the
-    supremum over simple minorants is attained at the function itself,
-    so the value is the defining weighted sum, over the measures that
-    :func:`_inside` returns.  Its witnesses are the sum's top terms:
-    each piece whose term is nonzero at the value's dimension, with its
-    coefficient as the bound, in both lists.  A (0, 0) value has no
-    such term.  For a piecewise function on an interval space, the
-    closed-form evaluation described in the module docstring is used.
-    The integral over a set L is the integral of ``restrict(f, L)``.  A
-    function off its space raises (see :func:`_inside`).
+    One rule serves both shapes: the value is the dominance sum of
+    terms, each a bound times a measure, and the terms nonzero at the
+    value's dimension are the witnesses, in both lists; a (0, 0) value
+    has none.  A simple function's terms are its pieces, each
+    coefficient times the measure that :func:`_inside` returns: the
+    supremum over simple minorants is attained at the function itself.
+    A piecewise function's are the top terms of the closed form in the
+    module docstring (:func:`_top_terms`).  The integral over a set L is
+    the integral of ``restrict(f, L)``.  A function off its space raises
+    (see :func:`_inside`).
     """
     measures = _inside(space, f)
     if isinstance(f, SimpleFn):
         terms = [(mul(c, mv), Witness(s, mv, c)) for (c, s), mv in zip(f.pieces, measures)]
-        value = sum_finite(t for t, _ in terms)
-        wits = tuple(w for t, w in terms if not t.is_zero and t.d == value.d)
-        return value, T4Certificate(value, wits, wits, True, value.m)
-    return _interval_integrate(space, f)
+    else:
+        terms = _top_terms(space, f)
+    value = sum_finite(t for t, _ in terms)
+    wits = tuple(w for t, w in terms if not t.is_zero and t.d == value.d)
+    return value, T4Certificate(value, wits, wits, True, value.m)
 
 
 def restrict(f: HFunction, L: MeasurableSet) -> HFunction:

@@ -492,6 +492,28 @@ class TestMalformedInput:
         assert err.startswith("parse error") and "Traceback" not in err
 
 
+def _not_text_input(where, value):
+    """A subcommand and its files, with the JSON value `value` where a
+    "(d, m)" text belongs: a continuity remainder, an atom weight or a
+    simple function's coefficient."""
+    if where == "remainder":
+        return "defi", [{"kind": "continuity", "jumps": [{"x": "1", "remainder": value}]}]
+    if where == "weight":
+        return "eval", [{"kind": "atoms", "atoms": {"a": value}}, {"simple": []}]
+    coeff = {"simple": [{"coeff": value, "set": {"atoms": ["a"]}}]}
+    return "eval", [{"kind": "atoms", "atoms": {"a": "(0, 1)"}}, coeff]
+
+
+class TestValueNotText:
+    @pytest.mark.parametrize("value", [1, True, None, 2.5, [1]], ids=json.dumps)
+    @pytest.mark.parametrize("where", ["remainder", "weight", "coeff"])
+    def test_exit_2_naming_the_expected_form(self, where, value, tmp_path, capsys):
+        sub, files = _not_text_input(where, value)
+        paths = [write(tmp_path, f"{k}.json", obj) for k, obj in enumerate(files)]
+        assert main([sub, *paths]) == 2
+        assert capsys.readouterr().err == f"parse error: expected '(d, m)', got {value!r}\n"
+
+
 def _unreadable(tmp_path, name):
     """A path that cannot be read as JSON text: a directory, bytes that
     are not UTF-8, or arrays nested past the parser's recursion limit."""
@@ -711,11 +733,12 @@ def _witness(lo, hi, measure, inf_bound):
     return {"set": where, "measure": measure, "inf_bound": inf_bound}
 
 
-def _eval_golden(value, d_witnesses, m_witnesses, achieved_m):
+def _eval_golden(value, witnesses, achieved_m):
+    """Both witness lists are the one list of top terms."""
     cert = {
         "value": value,
-        "d_witnesses": d_witnesses,
-        "m_witnesses": m_witnesses,
+        "d_witnesses": witnesses,
+        "m_witnesses": witnesses,
         "exact_m": True,
         "achieved_m": achieved_m,
     }
@@ -723,57 +746,37 @@ def _eval_golden(value, d_witnesses, m_witnesses, achieved_m):
 
 
 HALF_AND_A_POINT = {"intervals": [["0", "1/2"]], "points": ["3/4"]}
-CUT_AT_QUARTER_AND_HALF = {"intervals": [["0", "1/4"], ["1/4", "1/2"], ["1/2", "1"]], "points": []}
 
 # each bundled function file: the space it runs over, and its
 # `eval --json --certificate` output there
 EVAL_GOLDENS = {
-    # sup of sqrt(x) on (0, 1) is not attained: one witness, on whose
-    # closure sqrt(x) reaches the bound's dimension 1 at x = 1
+    # sup of sqrt(x) on (0, 1) is not attained and no piece is the
+    # constant 1: one zero-mass witness, on whose closure sqrt(x)
+    # reaches the bound's dimension 1 at x = 1
     "function_root2.json": (
         UNIT_SPACE,
-        _eval_golden("(2, 0)", [_witness("0", "1", "(1, 1)", "(1, 0)")], [], "0"),
+        _eval_golden("(2, 0)", [_witness("0", "1", "(1, 1)", "(1, 0)")], "0"),
     ),
     "function_const_1_1.json": (
         UNIT_SPACE,
-        _eval_golden(
-            "(2, 1)",
-            [_witness("0", "1", "(1, 1)", "(1, 0)")],
-            [_witness("0", "1", "(1, 1)", "(1, 1)")],
-            "1",
-        ),
+        _eval_golden("(2, 1)", [_witness("0", "1", "(1, 1)", "(1, 1)")], "1"),
     ),
-    # one mass witness carries the piece's exact mass: x averages 1/2 on (0, 1)
+    # one witness carries the piece's exact mass: x averages 1/2 on (0, 1)
     "function_affine_mass.json": (
         UNIT_SPACE,
-        _eval_golden(
-            "(2, 1/2)",
-            [_witness("0", "1", "(1, 1)", "(1, 0)")],
-            [_witness("0", "1", "(1, 1)", "(1, 1/2)")],
-            "1/2",
-        ),
+        _eval_golden("(2, 1/2)", [_witness("0", "1", "(1, 1)", "(1, 1/2)")], "1/2"),
     ),
     # the mass of sqrt(x) goes through the power integral: 2/3 on (0, 1)
     "function_root_mass.json": (
         UNIT_SPACE,
-        _eval_golden(
-            "(2, 2/3)",
-            [_witness("0", "1", "(1, 1)", "(1, 0)")],
-            [_witness("0", "1", "(1, 1)", "(1, 2/3)")],
-            "2/3",
-        ),
+        _eval_golden("(2, 2/3)", [_witness("0", "1", "(1, 1)", "(1, 2/3)")], "2/3"),
     ),
     # the same function cut at 1/4 and 1/2: the three top pieces share
-    # sqrt(x) and touch, so they are one run and one mass witness, and
+    # sqrt(x) and touch, so they are one run and one witness, and
     # sqrt(x)**3 at the irrational cut 1/2 never enters
     "function_split_root_mass.json": (
         UNIT_SPACE,
-        _eval_golden(
-            "(2, 2/3)",
-            [{**_witness("0", "1", "(1, 1)", "(1, 0)"), "set": CUT_AT_QUARTER_AND_HALF}],
-            [_witness("0", "1", "(1, 1)", "(1, 2/3)")],
-            "2/3",
-        ),
+        _eval_golden("(2, 2/3)", [_witness("0", "1", "(1, 1)", "(1, 2/3)")], "2/3"),
     ),
     # the piece of the top dimension is one witness, its point included,
     # though a point is null: (1, 1) x (1, 1/2) is the whole value
@@ -781,7 +784,6 @@ EVAL_GOLDENS = {
         UNIT_SPACE,
         _eval_golden(
             "(2, 1/2)",
-            [{**_witness("0", "1/2", "(1, 1/2)", "(1, 1)"), "set": HALF_AND_A_POINT}],
             [{**_witness("0", "1/2", "(1, 1/2)", "(1, 1)"), "set": HALF_AND_A_POINT}],
             "1/2",
         ),
@@ -791,7 +793,6 @@ EVAL_GOLDENS = {
         CATALOG_SPACE,
         _eval_golden(
             "(1, inf)",
-            [{"set": {"atoms": ["L", "p"]}, "measure": "(1, inf)", "inf_bound": "(0, 1)"}],
             [{"set": {"atoms": ["L", "p"]}, "measure": "(1, inf)", "inf_bound": "(0, 1)"}],
             "inf",
         ),

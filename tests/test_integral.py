@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from hintegral import exprs, integral
@@ -210,9 +210,10 @@ class TestIntervalEvaluation:
         f = piecewise((0, 2, root, one), (2, 4, exprs.const(5), one))
         v, cert = integrate(sp, f)
         assert v == H(5, 2)
+        # the run (2, 4) certifies both coordinates: mass 2 over the measure 2
         (w,) = cert.d_witnesses
-        assert (w.where, w.inf_bound) == (IntervalSet.of([(2, 4)]), H(5, 0))
-        assert len(cert.m_witnesses) == 1
+        assert (w.where, w.inf_bound) == (IntervalSet.of([(2, 4)]), H(5, 1))
+        assert cert.m_witnesses == (w,)
         assert verify_certificate(sp, f, cert)
         # but not below 1: the supremum of f's dimension is sqrt(2)
         with pytest.raises(UnsupportedExpressionError):
@@ -320,6 +321,52 @@ class TestExactMass:
         moved = HValue(v.d, v.m + ExtRat(delta))
         assert not verify_certificate(sp, f, replace(cert, value=moved))
         assert not verify_certificate(sp, f, replace(cert, value=moved, achieved_m=moved.m))
+
+
+def ref_closed_form(sp, f):
+    """The closed form as a value alone: (0, 0) without a piece or a
+    density, and when s = 0 and the mass is 0; else (o + s, the sum of
+    the masses of the pieces where pi1 is the constant s)."""
+    if not f.pieces or not any(sp.density):
+        return ZERO
+    s = max(exprs.sup_on(p.pi1, p.lo, p.hi) for p in f.pieces)
+    mass = sum(
+        (exprs.weighted_integral(p.pi2, sp.density, p.lo, p.hi)
+         for p in f.pieces if p.pi1 == exprs.const(s)),
+        F(0),
+    )
+    if s == 0 and mass == 0:
+        return ZERO
+    return HValue(sp.dim_offset + s, ExtRat(mass))
+
+
+# two runs at the top dimension 2, apart; and at s = 0 a run of mass 0
+# beside a run of mass 3, whose term alone is nonzero
+TWO_RUNS = piecewise(
+    (0, 1, exprs.const(2), exprs.const(1)), (2, 3, exprs.const(2), exprs.affine(0, 1))
+)
+ZERO_BESIDE_MASS = piecewise(
+    (0, 1, exprs.const(0), exprs.const(0)), (1, 2, exprs.const(0), exprs.const(3))
+)
+
+
+class TestTopTerms:
+    """A piecewise function's value is the sum of its top terms, and the
+    nonzero ones at its dimension are its witnesses, in both lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(densities(), functions(), st.sampled_from([0, 1]))
+    @example((1,), TWO_RUNS, 1)
+    @example((1,), ZERO_BESIDE_MASS, 0)
+    def test_value_and_witnesses_are_the_top_terms(self, density, f, offset):
+        sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
+        v, cert = integrate(sp, f)
+        assert v == ref_closed_form(sp, f)
+        assert cert.d_witnesses == cert.m_witnesses
+        for w in cert.m_witnesses:
+            term = mul(w.inf_bound, w.measure)
+            assert not term.is_zero and term.d == v.d
+        assert verify_certificate(sp, f, cert)
 
 
 @st.composite
