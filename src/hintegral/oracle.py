@@ -6,13 +6,16 @@ here against independent computations: the integral laws run on atom
 spaces small enough (at most 6 atoms) that subsets, disjoint families
 and full partitions can be enumerated exhaustively, so the checkers
 never trust the code paths they are checking.  All comparisons are
-exact; a nonzero tolerance anywhere is a bug.
+exact; a nonzero tolerance anywhere is a bug.  The integral under test
+is :func:`integrate`'s value, the one ``hintegral eval`` prints.
 
 Beside :func:`brute_force_integral` sit two closed-form references the
 general integral must agree with: :func:`graded_integral` (a constant
 dimension coordinate shifts the ordinary integral of the mass
-coordinate) and :func:`integrate_ordinary` (the ordinary evaluation on a
-dimension-0 atom embedding, checked by the ``ordinary-agreement`` law).
+coordinate; a simple function's is the defining sum
+:func:`integrate_simple`) and :func:`integrate_ordinary` (the ordinary
+evaluation on a dimension-0 atom embedding, checked by the
+``ordinary-agreement`` law).  No reference calls :func:`integrate`.
 The indefinite integral over a part L of a partition is
 ``integrate(space, restrict(f, L))``.
 
@@ -51,7 +54,7 @@ from .space import AtomSet, AtomSpace, IntervalSet, IntervalSpace, scaled_embedd
 from .integral import (
     SimpleFn,
     _uncovered,
-    integrate,  # noqa: F401  kept for perfbench/test_perfbench.py (ROADMAP item 5)
+    integrate,
     integrate_simple,
     pointwise_add_fn,
     restrict,
@@ -385,10 +388,11 @@ def check_integral_laws(
     ``measure_fn`` or ``integrate_fn`` must be deterministic, a function
     of its arguments alone; then a cached value is the value each
     partition would have recomputed, and a cache cannot hide a
-    violation.
+    violation.  The laws check :func:`integrate`'s value;
+    ``integrate_fn`` replaces it only to inject a mutant.
     """
     measure_fn = measure_fn or (lambda sp, s: sp.measure(s))
-    integrate_fn = integrate_fn or integrate_simple
+    integrate_fn = integrate_fn or (lambda sp, g: integrate(sp, g)[0])
     report = LawReport(
         "integral", trials, _trial_seed(seed, 0), _trial_seed(seed, max(trials - 1, 0))
     )
@@ -501,10 +505,12 @@ def minorant_sample_check(
 
     The attainment check (reported as sample -1) together with the
     per-sample bound means a clean report has the integral of f as the
-    largest value seen.
+    largest value seen.  The minorants and f itself are integrated by
+    :func:`integrate`; ``integrate_fn``, which exists for mutants,
+    replaces only the target they are held to.
     """
-    integrate_fn = integrate_fn or integrate_simple
-    target = integrate_fn(space, f)
+    attained = integrate(space, f)[0]
+    target = integrate_fn(space, f) if integrate_fn else attained
     rng = random.Random(seed)
     report = LawReport("minorant", samples, seed, seed)
 
@@ -520,10 +526,9 @@ def minorant_sample_check(
         )
 
     for i in range(samples):
-        got = integrate_simple(space, random_isimple_minorant(rng, space, f))
+        got = integrate(space, random_isimple_minorant(rng, space, f))[0]
         if not got <= target:
             violation(i, got)
-    attained = integrate_simple(space, f)
     if attained != target:
         violation(-1, attained)
     return report
@@ -587,4 +592,4 @@ def mutant_measure_non_additive(space: AtomSpace, s: AtomSet) -> HValue:
 def mutant_integrate_drops_atom(space: AtomSpace, f: SimpleFn) -> HValue:
     """Broken integral: silently ignores the first atom of the space."""
     rest = restrict(f, AtomSet(frozenset(space.atoms[1:])))
-    return integrate_simple(space, rest)
+    return integrate(space, rest)[0]

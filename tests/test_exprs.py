@@ -19,7 +19,6 @@ from hintegral.exprs import (
     cmp_pow,
     cmp_sup,
     const,
-    eval_exact,
     expr_from_json,
     int_nth_root,
     nth_root,
@@ -420,11 +419,6 @@ class TestConstructors:
 
 
 class TestEvalAndBounds:
-    def test_eval_exact(self):
-        assert eval_exact(power(F(1, 2)), F(9, 4)) == F(3, 2)
-        with pytest.raises(UnsupportedExpressionError):
-            eval_exact(power(F(1, 2)), F(2))
-
     def test_at_least_power_point_no_eval(self):
         # decidable even where the power value is irrational
         assert at_least(power(F(1, 2)), F(1), F(2), F(2))
@@ -549,13 +543,13 @@ def _exact_sign(e1, e2, x):
         return ((e1.q > e2.q) - (e1.q < e2.q)) * ((x > 1) - (x < 1))
     if isinstance(e2, exprs.Power):
         return -_exact_sign(e2, e1, x)
-    c = eval_exact(e2, x)
+    c = exprs.poly_eval(e2.coeffs, x)
     if isinstance(e1, exprs.Power):
         if c <= 0:
             return 1
         lhs, rhs = x**e1.q.numerator, c**e1.q.denominator
     else:
-        lhs, rhs = eval_exact(e1, x), c
+        lhs, rhs = exprs.poly_eval(e1.coeffs, x), c
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -579,7 +573,7 @@ def _values(e, lo, hi):
     xs = (lo, (lo + hi) / 2, hi)
     if isinstance(e, exprs.Power):
         return [y for x in xs if (y := pow_exact(x, e.q)) is not None]
-    return [eval_exact(e, x) for x in xs]
+    return [exprs.poly_eval(e.coeffs, x) for x in xs]
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """Oracle tests: generator contracts, law suites, exhaustive coverage,
 minorant sampling, the approximation gap, detection of the three
-documented mutants, and the boundary between the production modules and
-this test machinery."""
+documented mutants and of a mutant of integrate, and the boundary
+between the production modules and this test machinery."""
 
 import ast
 import json
@@ -88,7 +88,7 @@ class TestBruteForceIntegral:
         for _ in range(50):
             sp = random_atom_space(rng, rng.randint(1, 5))
             f = random_simple_fn(rng, sp)
-            assert brute_force_integral(sp, f) == integrate_simple(sp, f)
+            assert brute_force_integral(sp, f) == integrate(sp, f)[0]
 
     def test_zero_cases(self):
         sp = AtomSpace.of({"a": ZERO, "b": H(1, 2)})
@@ -111,16 +111,16 @@ class TestCleanSuites:
         assert report.ok
 
     def test_integral_suite_values_match_integrate(self):
-        # the suite integrates through integrate_simple, the value-only
-        # path; integrate must give each function it integrates the same
-        # value along with its certificate
+        # the suite integrates through integrate, the evaluator eval
+        # runs; the reference sum integrate_simple must give each
+        # function it integrates the same value
         spaces = {}
 
         def both(space, f):
-            value = integrate_simple(space, f)
+            value = integrate(space, f)[0]
             if (id(space), f) not in spaces:
                 spaces[id(space), f] = space  # keeps the id from reuse
-                assert integrate(space, f)[0] == value
+                assert integrate_simple(space, f) == value
             return value
 
         assert check_integral_laws(200, seed=7, integrate_fn=both).ok
@@ -130,6 +130,19 @@ class TestCleanSuites:
         sp = random_atom_space(3, 5)
         f = random_simple_fn(random.Random(3), sp)
         assert minorant_sample_check(sp, f, 200, seed=0).ok
+
+    def test_a_mutant_of_integrate_fails_the_default_suite(self, monkeypatch):
+        # with no injected integrate_fn the suite checks integrate itself,
+        # so dropping the last piece of a simple function there is caught
+        def drops_last_piece(space, f):
+            if isinstance(f, SimpleFn):
+                f = SimpleFn(f.pieces[:-1], f.i_simple)
+            return integrate(space, f)
+
+        monkeypatch.setattr(hintegral.integral, "integrate", drops_last_piece)
+        monkeypatch.setattr(hintegral.oracle, "integrate", drops_last_piece)
+        for seed in range(1, 21):
+            assert not check_integral_laws(10, seed).ok, seed
 
     def test_reports_are_deterministic(self):
         a = check_algebra_laws(50, seed=5).to_json()
