@@ -1,10 +1,11 @@
 """Integration of pair-valued functions over h-measure spaces.
 
-Two function shapes are supported:
+Two function shapes are supported, one per space kind:
 
 * :class:`SimpleFn` -- finite range over disjoint measurable pieces,
   value (0,0) off their union.  Its integral is the direct weighted sum
-  ``sum_i coeff_i * measure(piece_i)``.
+  ``sum_i coeff_i * measure(piece_i)`` on an atom space; on an interval
+  space, whose points are null, :func:`_inside` lowers it to constant pieces.
 * :class:`PiecewiseFn` -- a piecewise description over an interval
   space.  Each piece carries one exact expression per coordinate, a
   rational polynomial or a non-integral rational power (see
@@ -85,7 +86,8 @@ class SimpleFn:
 
     Coefficients lie in [0,+inf) x [0,+inf); with ``i_simple=True`` the
     mass coordinate may be +inf.  The constructor checks both and the
-    disjointness of the pieces, so every instance holds them.
+    disjointness of the pieces, so every instance holds them.  Over
+    interval sets it is read as constant pieces (:func:`_lower`).
     """
 
     pieces: Tuple[Tuple[HValue, MeasurableSet], ...]
@@ -235,17 +237,13 @@ def integrate_simple(space: MeasureSpace, f: SimpleFn) -> HValue:
 
 def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
     """The exact set {x : f(x) < v}.  A function off its space raises
-    as it does in :func:`integrate` (see :func:`_inside`)."""
-    _inside(space, f)
+    as it does in :func:`integrate` (see :func:`_inside`).  On an
+    interval space a simple function's isolated points are null and
+    count as (0, 0), as :func:`restrict` drops the isolated points of L."""
+    f, _ = _inside(space, f)
     if isinstance(space, AtomSpace):
-        return AtomSet(
-            frozenset(a for a in space.atoms if f.value_at(a) < v)
-        )
-    if isinstance(f, PiecewiseFn):
-        return _piecewise_sublevel(space, f, v)
-    raise UnsupportedExpressionError(
-        f"sublevel sets are unsupported for {type(space).__name__}/{type(f).__name__}"
-    )
+        return AtomSet(frozenset(a for a in space.atoms if f.value_at(a) < v))
+    return _piecewise_sublevel(space, f, v)
 
 
 def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> IntervalSet:
@@ -280,15 +278,16 @@ def _piecewise_sublevel(space: IntervalSpace, f: PiecewiseFn, v: HValue) -> Inte
     return IntervalSet.of(ivs, pts)
 
 
-def _inside(space: MeasureSpace, f: HFunction) -> Optional[List[HValue]]:
-    """Raise unless f is a function on the space: each piece set of a
-    simple function goes through ``space.measure``, and a piecewise
-    function needs an interval space.  Its pieces are sorted and
-    disjoint, so only an end piece can leave the space.  Return the
-    measures of a simple function's piece sets in piece order, and None
-    for a piecewise function."""
+def _inside(space: MeasureSpace, f: HFunction) -> Tuple[HFunction, Optional[List[HValue]]]:
+    """Raise unless f is a function on the space, and return f in the
+    space's shape with the measures of a simple function's piece sets,
+    which go through ``space.measure``: on an atom space f and them in
+    piece order, on an interval space f lowered (:func:`_lower`) and None.
+    A piecewise function needs an interval space; its pieces are sorted
+    and disjoint, so only an end piece can leave the space."""
     if isinstance(f, SimpleFn):
-        return [space.measure(s) for _, s in f.pieces]
+        measures = [space.measure(s) for _, s in f.pieces]
+        return (f, measures) if isinstance(space, AtomSpace) else (_lower(f), None)
     if not isinstance(space, IntervalSpace):
         raise UnsupportedExpressionError(f"cannot integrate PiecewiseFn over {type(space).__name__}")
     if any(p.lo < space.lo or space.hi < p.hi for p in f.pieces[:1] + f.pieces[-1:]):
@@ -296,6 +295,18 @@ def _inside(space: MeasureSpace, f: HFunction) -> Optional[List[HValue]]:
         raise UnknownSetError(
             f"piece ({p.lo}, {p.hi}) is not inside the space ({space.lo}, {space.hi})"
         )
+    return f, None
+
+
+def _lower(f: SimpleFn) -> PiecewiseFn:
+    """f over interval sets as constant pieces on its intervals, its points
+    dropped.  A piecewise mass is rational: an infinite mass raises."""
+    pieces = []
+    for c, s in f.pieces:
+        if not c.m.is_finite:
+            raise UnsupportedExpressionError(f"infinite coefficient {c} needs an atom space")
+        pieces.extend((lo, hi, exprs.const(c.d), exprs.const(c.m.frac)) for lo, hi in s.intervals)
+    return PiecewiseFn.of(pieces)
 
 
 def _uncovered(space: IntervalSpace, f: PiecewiseFn):
@@ -312,7 +323,14 @@ def _uncovered(space: IntervalSpace, f: PiecewiseFn):
 
 
 def pointwise_add_fn(f: HFunction, g: HFunction) -> HFunction:
-    """Pointwise dominance sum, staying inside the function grammar."""
+    """Pointwise dominance sum, staying inside the function grammar.  A
+    simple function over interval sets is lowered (:func:`_lower`), its
+    isolated points null; an empty one stays simple."""
+    f, g = (
+        _lower(h) if isinstance(h, SimpleFn) and any(isinstance(s, IntervalSet) for _, s in h.pieces)
+        else h
+        for h in (f, g)
+    )
     if isinstance(f, SimpleFn) and isinstance(g, SimpleFn):
         return _add_simple(f, g)
     if isinstance(f, PiecewiseFn) and isinstance(g, PiecewiseFn):
@@ -321,19 +339,9 @@ def pointwise_add_fn(f: HFunction, g: HFunction) -> HFunction:
 
 
 def _add_simple(f: SimpleFn, g: SimpleFn) -> SimpleFn:
-    atoms = set()
-    for fn in (f, g):
-        for _, s in fn.pieces:
-            if not isinstance(s, AtomSet):
-                raise UnsupportedExpressionError(
-                    "pointwise sums of simple functions need atom pieces"
-                )
-            atoms |= s.atoms
-    pieces = []
-    for a in sorted(atoms):
-        v = add(f.value_at(a), g.value_at(a))
-        if not v.is_zero:
-            pieces.append((v, AtomSet.of(a)))
+    atoms = sorted(set().union(*(s.atoms for fn in (f, g) for _, s in fn.pieces)))
+    sums = ((add(f.value_at(a), g.value_at(a)), a) for a in atoms)
+    pieces = [(v, AtomSet.of(a)) for v, a in sums if not v.is_zero]
     return SimpleFn.of(pieces, i_simple=f.i_simple or g.i_simple)
 
 
@@ -349,12 +357,7 @@ def _cells(fn: PiecewiseFn, lo: Fraction, hi: Fraction) -> List[PiecewisePiece]:
 
 
 def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
-    edges = sorted(
-        {p.lo for p in f.pieces}
-        | {p.hi for p in f.pieces}
-        | {p.lo for p in g.pieces}
-        | {p.hi for p in g.pieces}
-    )
+    edges = sorted({x for p in f.pieces + g.pieces for x in (p.lo, p.hi)})
     out: List[Tuple] = []
     for lo, hi in zip(edges, edges[1:]):
         # every piece end is an edge, so each function has at most one cell here
@@ -425,15 +428,15 @@ def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]
     One rule serves both shapes: the value is the dominance sum of
     terms, each a bound times a measure, and the terms nonzero at the
     value's dimension are the witnesses, in both lists; a (0, 0) value
-    has none.  A simple function's terms are its pieces, each
-    coefficient times the measure that :func:`_inside` returns: the
-    supremum over simple minorants is attained at the function itself.
-    A piecewise function's are the top terms of the closed form in the
-    module docstring (:func:`_top_terms`).  The integral over a set L is
-    the integral of ``restrict(f, L)``.  A function off its space raises
-    (see :func:`_inside`).
+    has none.  On an atom space a simple function's terms are its
+    pieces, each coefficient times the measure that :func:`_inside`
+    returns: the supremum over simple minorants is attained at the
+    function itself.  On an interval space they are the top terms of the
+    closed form in the module docstring (:func:`_top_terms`).  The
+    integral over a set L is the integral of ``restrict(f, L)``.  A
+    function off its space raises (see :func:`_inside`).
     """
-    measures = _inside(space, f)
+    f, measures = _inside(space, f)
     if isinstance(f, SimpleFn):
         terms = [(mul(c, mv), s, mv, c) for (c, s), mv in zip(f.pieces, measures)]
     else:
@@ -463,7 +466,7 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
     witnesses add their claims by sigma-additivity, so together they
     prove the value from below in both coordinates.  A function off its
     space raises, as it does in :func:`integrate`."""
-    _inside(space, f)
+    f, _ = _inside(space, f)
     for w in dict.fromkeys(cert.d_witnesses + cert.m_witnesses):  # each claim once
         if space.measure(w.where) != w.measure or w.measure == ZERO:
             return False
@@ -493,18 +496,18 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     """The witness's claim that the integral of f over its set W is at
     least b * mu(W), decided exactly on the whole of W.
 
-    For a simple function that integral is :func:`integrate`'s value.
-    For a piecewise function it is the dominance sum over the cells
-    where W's intervals meet the pieces; W's points are null.  The
-    largest sign of pi1's supremum on a cell against b.d (exprs.cmp_sup)
-    decides.  At b.d a mass bound <= 0 holds, as pi2 >= 0.  A positive
-    one needs the cells where pi1 is the constant b.d, since elsewhere
-    pi1 is monotone (exprs.check_piece) and reaches b.d only at an end,
-    a null set: the exact integral of pi2 * density over their runs must
-    reach b.m * nu(W).  exprs.weighted_integral_bounds bounds each run's
-    integral, and an exact pi2 >= b.m on a run, which a coarse rounded
-    root can miss, raises the lower bound to b.m * nu(run).  Between the
-    sums, raise."""
+    For a simple function, on an atom space, that integral is
+    :func:`integrate`'s value.  For a piecewise function it is the
+    dominance sum over the cells where W's intervals meet the pieces;
+    W's points are null.  The largest sign of pi1's supremum on a cell
+    against b.d (exprs.cmp_sup) decides.  At b.d a mass bound <= 0
+    holds, as pi2 >= 0.  A positive one needs the cells where pi1 is the
+    constant b.d, since elsewhere pi1 is monotone (exprs.check_piece)
+    and reaches b.d only at an end, a null set: the exact integral of
+    pi2 * density over their runs must reach b.m * nu(W).
+    exprs.weighted_integral_bounds bounds each run's integral, and an
+    exact pi2 >= b.m on a run, which a coarse rounded root can miss,
+    raises the lower bound to b.m * nu(run).  Between the sums, raise."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
         return integrate(space, restrict(f, w.where))[0] >= mul(b, w.measure)

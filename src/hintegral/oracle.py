@@ -392,7 +392,7 @@ def check_integral_laws(
     ``integrate_fn`` replaces it only to inject a mutant.
     """
     measure_fn = measure_fn or (lambda sp, s: sp.measure(s))
-    integrate_fn = integrate_fn or (lambda sp, g: integrate(sp, g)[0])
+    value_fn = integrate_fn or (lambda sp, g: integrate(sp, g)[0])
     report = LawReport(
         "integral", trials, _trial_seed(seed, 0), _trial_seed(seed, max(trials - 1, 0))
     )
@@ -403,15 +403,15 @@ def check_integral_laws(
         space = random_atom_space(rng, n)
         f = random_simple_fn(rng, space)
         g = random_simple_fn(rng, space)
-        F = integrate_fn(space, f)
-        G = integrate_fn(space, g)
+        F = value_fn(space, f)
+        G = value_fn(space, g)
 
-        if integrate_fn(space, pointwise_add_fn(f, g)) != add(F, G):
+        if value_fn(space, pointwise_add_fn(f, g)) != add(F, G):
             report.record("additivity", ts, f=F, g=G)
 
         c = _random_rat(rng, signed=False)
         cf = SimpleFn.of([(scalar_mul(c, v), s) for v, s in f.pieces if not scalar_mul(c, v).is_zero])
-        if integrate_fn(space, cf) != scalar_mul(c, F):
+        if value_fn(space, cf) != scalar_mul(c, F):
             report.record("homogeneity", ts, c=c, f=F)
 
         minor = SimpleFn.of(
@@ -421,7 +421,7 @@ def check_integral_laws(
                 if rng.random() < 0.7
             ]
         )
-        if not integrate_fn(space, minor) <= F:
+        if not value_fn(space, minor) <= F:
             report.record("monotonicity", ts, f=F)
 
         pointwise_zero = all(
@@ -441,7 +441,7 @@ def check_integral_laws(
                 break
         for part in all_partitions(space.atoms):
             total = sum_finite(
-                _once(integrals, p, lambda s: integrate_fn(space, restrict(f, s)))
+                _once(integrals, p, lambda s: value_fn(space, restrict(f, s)))
                 for p in part
             )
             if F != total:
@@ -455,7 +455,7 @@ def check_integral_laws(
         masses = {a: abs(_random_rat(rng, signed=False)) for a in space.atoms}
         space0 = scaled_embedding(0, masses)
         f0 = random_simple_fn(rng, space0)
-        if integrate_ordinary(space0, f0) != integrate_fn(space0, f0):
+        if integrate_ordinary(space0, f0) != value_fn(space0, f0):
             report.record("ordinary-agreement", ts, f=integrate_ordinary(space0, f0))
 
         gap = minorant_sample_check(space, f, 5, ts, integrate_fn)

@@ -202,9 +202,6 @@ class IntervalSpace:
             raise ValueError(f"density is negative on ({lo}, {hi})")
         return IntervalSpace(lo, hi, d0, density.coeffs)
 
-    def full_set(self) -> IntervalSet:
-        return IntervalSet.of([(self.lo, self.hi)])
-
     def nu(self, s: IntervalSet) -> Fraction:
         """Ordinary (density-weighted Lebesgue) measure of the set."""
         if not isinstance(s, IntervalSet):

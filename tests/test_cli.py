@@ -745,8 +745,6 @@ def _eval_golden(value, witnesses, achieved_m):
     return {"value": value, "certificate": cert}
 
 
-HALF_AND_A_POINT = {"intervals": [["0", "1/2"]], "points": ["3/4"]}
-
 # each bundled function file: the space it runs over, and its
 # `eval --json --certificate` output there
 EVAL_GOLDENS = {
@@ -778,15 +776,12 @@ EVAL_GOLDENS = {
         UNIT_SPACE,
         _eval_golden("(2, 2/3)", [_witness("0", "1", "(1, 1)", "(1, 2/3)")], "2/3"),
     ),
-    # the piece of the top dimension is one witness, its point included,
-    # though a point is null: (1, 1) x (1, 1/2) is the whole value
+    # on an interval space a simple function is lowered to constant
+    # pieces and its null point 3/4 goes: the run of the top dimension is
+    # one witness, and (1, 1) x (1, 1/2) is the whole value
     "function_simple_interval_point.json": (
         UNIT_SPACE,
-        _eval_golden(
-            "(2, 1/2)",
-            [{**_witness("0", "1/2", "(1, 1/2)", "(1, 1)"), "set": HALF_AND_A_POINT}],
-            "1/2",
-        ),
+        _eval_golden("(2, 1/2)", [_witness("0", "1/2", "(1, 1/2)", "(1, 1)")], "1/2"),
     ),
     # (0, 1) x ((1, inf) + (0, 1)); the catalog set {p, L} is written as its atoms
     "function_catalog_line_point.json": (

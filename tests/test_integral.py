@@ -110,17 +110,19 @@ class TestSimpleIntegral:
         assert integrate_simple(sp, SimpleFn.of([])) == ZERO
 
     @pytest.mark.parametrize(
-        "sp, sets",
+        "sp, sets, passes",
         [
             (AtomSpace.of({"a": H(0, 1), "b": H(1, 2), "c": H(1, 1)}),
-             [AtomSet.of("a"), AtomSet.of("b"), AtomSet.of("c")]),
+             [AtomSet.of("a"), AtomSet.of("b"), AtomSet.of("c")], 1),
+            # the membership check measures the three piece sets, then the
+            # lowered function's closed form measures its three runs
             (IntervalSpace.of(0, 1),
              [IntervalSet.of([(0, F(1, 4))]), IntervalSet.of([(F(1, 4), F(1, 2))]),
-              IntervalSet.of([(F(1, 2), 1)])]),
+              IntervalSet.of([(F(1, 2), 1)])], 2),
         ],
         ids=["atoms", "interval"],
     )
-    def test_integrate_measures_each_piece_once(self, monkeypatch, sp, sets):
+    def test_integrate_measures_each_piece_once(self, monkeypatch, sp, sets, passes):
         # the value and the witnesses come from one pass over the pieces
         calls = []
         for cls in (AtomSpace, IntervalSpace):
@@ -131,7 +133,7 @@ class TestSimpleIntegral:
         f = SimpleFn.of([(H(1, k + 1), s) for k, s in enumerate(sets)])
         value, cert = integrate(sp, f)
         assert value != ZERO and cert.m_witnesses
-        assert calls == sets
+        assert calls == sets * passes
 
 
 class TestWorkedExamples:
@@ -1202,6 +1204,113 @@ class TestPointwiseAdd:
         a, _ = integrate(UNIT, f)
         b, _ = integrate(UNIT, g)
         assert lhs == add(a, b)
+
+
+finite_values = st.builds(
+    HValue.of, st.sampled_from([0, F(1, 2), 1, 2]), st.sampled_from([0, F(1, 2), 1, 3])
+)
+
+
+@st.composite
+def interval_simple_functions(draw):
+    """A simple function on (0, 4) with one to three pieces: each cell
+    between sorted ends, and each end inside (0, 4) as a point, lies in
+    one piece or in none."""
+    ends = sorted({F(0), F(4)} | set(draw(st.lists(inner, max_size=4))))
+    owner = st.sampled_from([0, 1, 2, None])
+    cells = [(c, draw(owner)) for c in zip(ends, ends[1:])]
+    points = [(e, draw(owner)) for e in ends[1:-1]]
+    sets = [
+        IntervalSet.of([c for c, k in cells if k == j], [e for e, k in points if k == j])
+        for j in range(3)
+    ]
+    assume(not all(s.is_empty for s in sets))
+    return SimpleFn.of([(draw(finite_values), s) for s in sets if not s.is_empty])
+
+
+def _ends(f: SimpleFn) -> set:
+    """The piece ends and isolated points of f."""
+    return {x for _, s in f.pieces for x in (*s.points, *(e for iv in s.intervals for e in iv))}
+
+
+class TestSimpleOnIntervals:
+    """On an interval space a simple function is lowered to constant
+    pieces: its integral is its defining sum, and its sublevel
+    sets and sums are those of its lowering, whose points are null."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(densities(), st.sampled_from([0, 1]), interval_simple_functions(),
+           interval_simple_functions(), values, st.lists(inner, max_size=4))
+    def test_agrees_with_the_coefficients(self, density, offset, f, g, v, xs):
+        sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
+        value, cert = integrate(sp, f)
+        assert value == integrate_simple(sp, f)
+        assert verify_certificate(sp, f, cert)
+        below = sublevel_set(sp, f, v)
+        total = pointwise_add_fn(f, g)
+        for x in set(xs) - _ends(f) - _ends(g):
+            assert (x in below) == (f.value_at(x) < v)
+            assert value_at(total, x) == add(f.value_at(x), g.value_at(x))
+        for x in _ends(f) - {F(0), F(4)}:
+            assert (x in below) == (ZERO < v)  # f counts as (0, 0) at each end and point
+
+    def test_points_are_null_in_sublevel_sets_and_sums(self):
+        # ROADMAP item 16's reproducer: (1, 1) on (0, 1/2) and at 3/4
+        sp = IntervalSpace.of(0, 1)
+        f = SimpleFn.of([(H(1, 1), IntervalSet.of([(0, F(1, 2))], [F(3, 4)]))])
+        # f is (0, 0) at 3/4 and at 1/2, below (1, 1), and (1, 1) on (0, 1/2)
+        assert sublevel_set(sp, f, H(1, 1)) == IntervalSet.of([(F(1, 2), 1)], [F(1, 2)])
+        assert pointwise_add_fn(f, f) == piecewise((0, F(1, 2), exprs.const(1), exprs.const(2)))
+
+    def test_empty_function(self):
+        sp = IntervalSpace.of(0, 1)
+        empty = SimpleFn.of([])
+        assert integrate(sp, empty) == (ZERO, T4Certificate(ZERO))
+        assert sublevel_set(sp, empty, H(0, 1)) == IntervalSet.of([(0, 1)])
+        assert sublevel_set(sp, empty, ZERO) == IntervalSet.of()
+        assert verify_certificate(sp, empty, T4Certificate(ZERO))
+        # it stays simple, so it adds to an empty function on atoms
+        assert pointwise_add_fn(empty, SimpleFn.of([])) == empty
+
+    def test_a_certificate_whose_witness_holds_a_point_still_verifies(self):
+        import json
+        from pathlib import Path
+
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        sp = space_from_json(json.loads((scenarios / "space_unit_interval.json").read_text()))
+        f = function_from_json(
+            json.loads((scenarios / "function_simple_interval_point.json").read_text())
+        )
+        value, cert = integrate(sp, f)
+        (w,) = cert.m_witnesses
+        assert value == H(2, F(1, 2)) and w.where == IntervalSet.of([(0, F(1, 2))])
+        # a witness that also holds f's point 3/4 claims the same, as the point is null
+        w = Witness(IntervalSet.of([(0, F(1, 2))], [F(3, 4)]), H(1, F(1, 2)), H(1, 1))
+        assert verify_certificate(sp, f, T4Certificate(value, (w,), (w,), True, value.m))
+
+    def test_an_infinite_coefficient_is_refused(self, tmp_path, capsys):
+        import json
+        from pathlib import Path
+
+        from hintegral.cli import main
+
+        f = SimpleFn.of([(H(1, "inf"), IntervalSet.of([(0, F(1, 2))]))], i_simple=True)
+        message = "infinite coefficient (1, inf) needs an atom space"
+        for call in (
+            lambda: integrate(UNIT, f),
+            lambda: sublevel_set(UNIT, f, H(1, 1)),
+            lambda: verify_certificate(UNIT, f, T4Certificate(ZERO)),
+            lambda: pointwise_add_fn(f, f),
+        ):
+            with pytest.raises(UnsupportedExpressionError) as refused:
+                call()
+            assert str(refused.value) == message
+        fn = {"simple": [{"coeff": "(1, inf)", "set": {"intervals": [["0", "1/2"]]}}], "i_simple": True}
+        (tmp_path / "f.json").write_text(json.dumps(fn))
+        space = Path(__file__).resolve().parents[1] / "scenarios" / "space_unit_interval.json"
+        assert main(["eval", str(space), str(tmp_path / "f.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"unsupported: {message}\n"
 
 
 class TestGradedAndOrdinary:
