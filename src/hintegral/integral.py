@@ -17,18 +17,17 @@ enumerating simple minorants (the supremum ranges over an unenumerable
 family).  Instead it is evaluated in closed form: the result dimension
 is the space's dimension offset plus the essential supremum of the
 dimension coordinate, and the result mass is the exact integral of the
-mass coordinate over the pieces where that supremum is attained (0 when
-it is not), one integral per run of touching pieces with one mass
-coordinate (:func:`_runs`).  Only the zero density has null pieces, and
-under it every integral is (0, 0); any other density is nonnegative
-with finitely many roots, so every piece has positive measure and the
-essential supremum is the largest supremum over the pieces.  Each run
-is one top term (:func:`_top_terms`), as each piece of a simple
-function is, and each term that reaches the value is a witness of the
-certificate, which can be re-verified: a witness claims that the
-integral over its set reaches its bound b times the set's measure,
-and :func:`_bound_holds` decides that exactly from the same closed
-form and runs.
+mass coordinate against the space's measure over the pieces where that
+supremum is attained (0 when it is not), one integral per run of
+touching pieces with one mass coordinate (:func:`_runs`).  On a null
+space every integral is (0, 0); on any other every piece has positive
+measure (:attr:`IntervalSpace.is_null`), so the essential supremum is
+the largest supremum over the pieces.  Each run is one top term
+(:func:`_top_terms`), as each piece of a simple function is, and each
+term that reaches the value is a witness of the certificate, which can
+be re-verified: a witness claims that the integral over its set
+reaches its bound b times the set's measure, and :func:`_bound_holds`
+decides that exactly from the same closed form and runs.
 
 Both shapes check their invariants in the constructor.  The integral
 over a set L (the paper's indefinite integral) is the integral of
@@ -324,11 +323,13 @@ def _uncovered(space: IntervalSpace, f: PiecewiseFn):
 
 def pointwise_add_fn(f: HFunction, g: HFunction) -> HFunction:
     """Pointwise dominance sum, staying inside the function grammar.  A
-    simple function over interval sets is lowered (:func:`_lower`), its
-    isolated points null; an empty one stays simple."""
+    function without pieces is the zero function, so the sum is the
+    other one unchanged.  A simple function over interval sets is
+    lowered (:func:`_lower`), its isolated points null."""
+    if not f.pieces or not g.pieces:
+        return g if not f.pieces else f
     f, g = (
-        _lower(h) if isinstance(h, SimpleFn) and any(isinstance(s, IntervalSet) for _, s in h.pieces)
-        else h
+        _lower(h) if isinstance(h, SimpleFn) and isinstance(h.pieces[0][1], IntervalSet) else h
         for h in (f, g)
     )
     if isinstance(f, SimpleFn) and isinstance(g, SimpleFn):
@@ -393,11 +394,8 @@ def _top_terms(space: IntervalSpace, f: PiecewiseFn) -> List[Tuple]:
     so the term is (o + s, m); or, when no piece is that constant, one
     zero-mass term on the union of the pieces whose pi1 reaches s, with
     the bound (s, 0)."""
-    # IntervalSpace.of proves the density nonnegative and a nonzero
-    # polynomial has finitely many roots, so every open cell of a piece
-    # has positive measure unless the density is the zero polynomial
     pieces = f.pieces
-    if not pieces or not any(space.density):
+    if not pieces or space.is_null:
         return []
     sups = [exprs.sup_on(p.pi1, p.lo, p.hi) for p in pieces]
     s = max((x for x in sups if x is not None), default=None)
@@ -406,7 +404,7 @@ def _top_terms(space: IntervalSpace, f: PiecewiseFn) -> List[Tuple]:
             raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
     reach = [p for p, sup in zip(pieces, sups) if sup == s]
     parts = [
-        (IntervalSet.of([(lo, hi)]), exprs.weighted_integral(pi2, space.density, lo, hi))
+        (IntervalSet.of([(lo, hi)]), space.integral(pi2, lo, hi))
         for lo, hi, pi2 in _runs(reach, s)
     ] or [(IntervalSet.of([(p.lo, p.hi) for p in reach]), Fraction(0))]
     terms = []
@@ -503,9 +501,9 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     against b.d (exprs.cmp_sup) decides.  At b.d a mass bound <= 0
     holds, as pi2 >= 0.  A positive one needs the cells where pi1 is the
     constant b.d, since elsewhere pi1 is monotone (exprs.check_piece)
-    and reaches b.d only at an end, a null set: the exact integral of
-    pi2 * density over their runs must reach b.m * nu(W).
-    exprs.weighted_integral_bounds bounds each run's integral, and an
+    and reaches b.d only at an end, a null set: the integral of pi2
+    against the space's measure over their runs must reach b.m * nu(W).
+    ``space.integral_bounds`` bounds each run's integral, and an
     exact pi2 >= b.m on a run, which a coarse rounded root can miss,
     raises the lower bound to b.m * nu(run).  Between the sums, raise."""
     b = w.inf_bound
@@ -522,7 +520,7 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     bounds = []
     for lo, hi, pi2 in runs:
         try:
-            bounds.append(exprs.weighted_integral_bounds(pi2, space.density, lo, hi))
+            bounds.append(space.integral_bounds(pi2, lo, hi))
         except UnsupportedExpressionError:  # an end power past MAX_POWER_BITS
             bounds.append((Fraction(0), inf))
     bm = b.m.frac
@@ -530,7 +528,7 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     if sum(high for _, high in bounds) < target:
         return False
     least = (  # pi2 >= b.m on a run puts its integral at b.m * nu(run) or more
-        max(low, bm * exprs.poly_integral(space.density, lo, hi))
+        max(low, bm * space.nu(IntervalSet.of([(lo, hi)])))
         if low != high and exprs.at_least(pi2, bm, lo, hi)
         else low
         for (low, high), (lo, hi, pi2) in zip(bounds, runs)

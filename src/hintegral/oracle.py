@@ -327,10 +327,7 @@ def graded_integral(space, f) -> HValue:
     if d > 0 and gaps:
         raise ValueError(f"a positive-dimension graded function must cover the space: {gaps}")
     nu_total = space.nu(IntervalSet.of([(p.lo, p.hi) for p in f.pieces]))
-    mass = sum(
-        (exprs.weighted_integral(p.pi2, space.density, p.lo, p.hi) for p in f.pieces),
-        Fraction(0),
-    )
+    mass = sum((space.integral(p.pi2, p.lo, p.hi) for p in f.pieces), Fraction(0))
     if nu_total == 0 or (d == 0 and mass == 0):
         return ZERO
     return HValue(space.dim_offset + d, ExtRat(mass))

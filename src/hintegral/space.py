@@ -10,7 +10,8 @@ Two concrete space kinds are provided:
 * :class:`IntervalSpace` -- an open rational interval carrying the
   scaled embedding of a density-weighted Lebesgue measure: a set of
   positive ordinary measure ``v`` gets ``(dim_offset, v)``, null sets
-  get ``(0, 0)``.
+  get ``(0, 0)``.  Only the space reads its density: points are null,
+  and so is every set under the zero density (:attr:`IntervalSpace.is_null`).
 
 Measurable sets are structural: finite disjoint unions of primitives,
 validated by overlap checks only.  Each set kind owns its algebra:
@@ -20,6 +21,7 @@ combining two sets of different kinds raises :class:`UnknownSetError`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
@@ -86,10 +88,11 @@ class IntervalSet:
         pts = sorted(as_fraction(p) for p in points)
         if len(set(pts)) != len(pts):
             raise NonDisjointError("duplicate points")
-        for p in pts:
-            for a, b in ivs:
-                if a < p < b:
-                    raise NonDisjointError(f"point {p} inside interval ({a}, {b})")
+        for p in pts:  # only the last interval that starts below p can hold it
+            i = bisect_left(ivs, p, key=lambda iv: iv[0])
+            a, b = ivs[i - 1] if i else (p, p)
+            if a < p < b:
+                raise NonDisjointError(f"point {p} inside interval ({a}, {b})")
         return IntervalSet(tuple(ivs), tuple(pts))
 
     def __contains__(self, x) -> bool:
@@ -201,6 +204,21 @@ class IntervalSpace:
         if not exprs.at_least(density, Fraction(0), lo, hi):
             raise ValueError(f"density is negative on ({lo}, {hi})")
         return IntervalSpace(lo, hi, d0, density.coeffs)
+
+    @property
+    def is_null(self) -> bool:
+        """Every set is null exactly under the zero density: :meth:`of`
+        proves it nonnegative, and a nonzero polynomial has finitely many
+        roots, so any other gives each open interval positive measure."""
+        return not any(self.density)
+
+    def integral(self, e: exprs.Expr, lo: Fraction, hi: Fraction) -> Fraction:
+        """The exact integral of e over (lo, hi); raises where it is irrational."""
+        return exprs.weighted_integral(e, self.density, lo, hi)
+
+    def integral_bounds(self, e: exprs.Expr, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
+        """Rational bounds low <= high on :meth:`integral`, equal where it is rational."""
+        return exprs.weighted_integral_bounds(e, self.density, lo, hi)
 
     def nu(self, s: IntervalSet) -> Fraction:
         """Ordinary (density-weighted Lebesgue) measure of the set."""

@@ -218,6 +218,18 @@ class TestIntervalEvaluation:
         with pytest.raises(UnsupportedExpressionError):
             integrate(sp, f)
 
+    def test_a_null_space_is_decided_before_any_supremum(self):
+        # under the zero density every set is null, so the irrational
+        # supremum of x**(1/2) on (0, 2) never enters; under density 1 it does
+        root = exprs.power(F(1, 2))
+        f = piecewise((0, 2, root, root))
+        null = IntervalSpace.of(0, 2, density=(0,))
+        value, cert = integrate(null, f)
+        assert (value, cert) == (ZERO, T4Certificate(ZERO))
+        assert verify_certificate(null, f, cert)
+        with pytest.raises(UnsupportedExpressionError, match=r"^sup of pi1 on \(0, 2\) is irrational$"):
+            integrate(IntervalSpace.of(0, 2), f)
+
     def test_dominated_irrational_sup(self):
         # sqrt(2) on (0, 2) stays below 5 on (2, 4), so the value is rational
         sp = IntervalSpace.of(0, 4)
@@ -1204,6 +1216,18 @@ class TestPointwiseAdd:
         a, _ = integrate(UNIT, f)
         b, _ = integrate(UNIT, g)
         assert lhs == add(a, b)
+
+    def test_the_zero_function_adds_to_a_piecewise_function(self):
+        # a function without pieces has no shape: the sum is the other one
+        empty, f = SimpleFn.of([]), constant_fn(0, 1, H(1, 1))
+        assert pointwise_add_fn(empty, f) is f
+        assert pointwise_add_fn(f, empty) is f
+
+    def test_the_zero_function_adds_to_a_simple_function_on_intervals(self):
+        empty = SimpleFn.of([])
+        f = SimpleFn.of([(H(1, 1), IntervalSet.of([(0, F(1, 2))], [F(3, 4)]))])
+        assert pointwise_add_fn(empty, f) is f
+        assert pointwise_add_fn(f, empty) is f
 
 
 finite_values = st.builds(

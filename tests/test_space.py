@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hintegral.errors import NonDisjointError, ParseError, UnknownSetError
+from hintegral import exprs
+from hintegral.errors import NonDisjointError, ParseError, UnknownSetError, UnsupportedExpressionError
 from hintegral.hvalue import INF, ZERO, ExtRat, HValue, sum_finite
 from hintegral.space import (
     AtomSet,
@@ -30,6 +31,22 @@ class TestSets:
             IntervalSet.of([(0, 1), (F(1, 2), 2)])
         with pytest.raises(NonDisjointError):
             IntervalSet.of([(0, 1)], points=[F(1, 2)])
+
+    @settings(max_examples=200)
+    @given(st.sets(st.integers(0, 20), max_size=8),
+           st.sets(st.fractions(min_value=-1, max_value=11, max_denominator=2), max_size=6))
+    def test_a_point_inside_an_interval_is_named_with_it(self, ends, points):
+        # the first such point in sorted order, and the one interval holding it
+        ends = sorted(ends)
+        ivs = [(F(a, 2), F(b, 2)) for a, b in zip(ends[::2], ends[1::2])]
+        inside = [(p, a, b) for p in sorted(points) for a, b in ivs if a < p < b]
+        if not inside:
+            assert IntervalSet.of(ivs[::-1], points).points == tuple(sorted(points))
+            return
+        with pytest.raises(NonDisjointError) as refused:
+            IntervalSet.of(ivs[::-1], points)
+        p, a, b = inside[0]
+        assert str(refused.value) == f"point {p} inside interval ({a}, {b})"
 
     def test_touching_intervals_allowed(self):
         s = IntervalSet.of([(0, 1), (1, 2)], points=[1])
@@ -171,6 +188,26 @@ class TestIntervalSpace:
         sp = IntervalSpace.of(0, 1, dim_offset=2, density=(0, 2))
         assert sp.nu(IntervalSet.of([(0, 1)])) == 1
         assert sp.measure(IntervalSet.of([(0, F(1, 2))])) == H(2, "1/4")
+
+    def test_the_space_integrates_against_its_measure(self):
+        # density 2x on (0, 2): x integrates to 2x**3/3, and 1 to nu
+        sp = IntervalSpace.of(0, 2, density=(0, 2))
+        assert sp.integral(exprs.affine(0, 1), 0, 1) == F(2, 3)
+        assert sp.integral(exprs.const(1), 0, 1) == sp.nu(IntervalSet.of([(0, 1)])) == 1
+        # x**(1/2) integrates to 4x**(5/2)/5: 4/5 on (0, 1), 16 * 2**(1/2) / 5 on (0, 2)
+        root = exprs.power(F(1, 2))
+        assert sp.integral(root, 0, 1) == sp.integral_bounds(root, 0, 1)[0] == F(4, 5)
+        low, high = sp.integral_bounds(root, 0, 2)
+        assert 0 < low < high and low**2 < F(512, 25) < high**2
+        with pytest.raises(UnsupportedExpressionError):
+            sp.integral(root, 0, 2)
+
+    def test_only_the_zero_density_is_null(self):
+        assert IntervalSpace.of(0, 1, density=(0,)).is_null
+        assert IntervalSpace.of(0, 1, density=(0, 0)).is_null
+        # a nonzero density vanishes at finitely many points
+        for density in [(1,), (1, -1), (F(1, 9), F(-2, 3), 1)]:
+            assert not IntervalSpace.of(0, 1, density=density).is_null
 
     def test_negative_density_rejected(self):
         # the last one is 1/20 at both ends and -1/5 at 1/2
