@@ -45,10 +45,10 @@ ordinary evaluation) and the rest of the test machinery live in
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import exprs
@@ -69,6 +69,7 @@ from .space import (
     MeasurableSet,
     MeasureSpace,
     join_runs,
+    meeting,
     set_from_json,
     set_to_json,
     union,
@@ -347,13 +348,10 @@ def _add_simple(f: SimpleFn, g: SimpleFn) -> SimpleFn:
 
 
 def _cells(fn: PiecewiseFn, lo: Fraction, hi: Fraction) -> List[PiecewisePiece]:
-    """The pieces of fn that meet (lo, hi), each clipped to it.  The pieces
-    are sorted and disjoint, so both their ends are sorted."""
-    first = bisect_right(fn.pieces, lo, key=lambda p: p.hi)
-    last = bisect_left(fn.pieces, hi, key=lambda p: p.lo)
+    """The pieces of fn that meet (lo, hi), each clipped to it."""
     return [
         PiecewisePiece(max(p.lo, lo), min(p.hi, hi), p.pi1, p.pi2)
-        for p in fn.pieces[first:last]
+        for p in fn.pieces[meeting(fn.pieces, lo, hi, attrgetter("lo"), attrgetter("hi"))]
     ]
 
 

@@ -17,22 +17,32 @@ Measurable sets are structural: finite disjoint unions of primitives,
 validated by overlap checks only.  Each set kind owns its algebra:
 ``x in s`` (membership), ``s & t`` (intersection) and ``s.is_empty``;
 combining two sets of different kinds raises :class:`UnknownSetError`.
+Sorted intervals, of a set or of a function, are searched by :func:`meeting`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader
 from .hvalue import ZERO, ExtRat, HValue, as_fraction, as_ext, sum_finite
 
+_ENDS = (itemgetter(0), itemgetter(1))  # of an interval (a, b), for meeting
+
 # ---------------------------------------------------------------------------
 # measurable sets
 # ---------------------------------------------------------------------------
+
+
+def meeting(items: Sequence, lo, hi, lo_of, hi_of) -> slice:
+    """The slice of ``items``, sorted disjoint open intervals (lo_of(item), hi_of(item)),
+    that meet (lo, hi), or hold lo when lo == hi: sorted and disjoint, so both ends are sorted."""
+    return slice(bisect_right(items, lo, key=hi_of), bisect_left(items, hi, key=lo_of))
 
 
 def _same_kind(s, t) -> None:
@@ -74,41 +84,37 @@ class IntervalSet:
 
     @staticmethod
     def of(intervals: Sequence = (), points: Sequence = ()) -> "IntervalSet":
-        ivs = sorted(
-            (as_fraction(a), as_fraction(b)) for a, b in intervals
-        )
+        ivs = sorted((as_fraction(a), as_fraction(b)) for a, b in intervals)
         for a, b in ivs:
             if not a < b:
                 raise NonDisjointError(f"degenerate interval ({a}, {b})")
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             if a2 < b1:
-                raise NonDisjointError(
-                    f"overlapping intervals ({a1}, {b1}) and ({a2}, {b2})"
-                )
+                raise NonDisjointError(f"overlapping intervals ({a1}, {b1}) and ({a2}, {b2})")
         pts = sorted(as_fraction(p) for p in points)
-        if len(set(pts)) != len(pts):
-            raise NonDisjointError("duplicate points")
-        for p in pts:  # only the last interval that starts below p can hold it
-            i = bisect_left(ivs, p, key=lambda iv: iv[0])
-            a, b = ivs[i - 1] if i else (p, p)
-            if a < p < b:
+        for prev, p in zip([None] + pts, pts):
+            if p == prev:
+                raise NonDisjointError(f"duplicate point {p}")
+            for a, b in ivs[meeting(ivs, p, p, *_ENDS)]:
                 raise NonDisjointError(f"point {p} inside interval ({a}, {b})")
         return IntervalSet(tuple(ivs), tuple(pts))
 
     def __contains__(self, x) -> bool:
-        return x in self.points or any(a < x < b for a, b in self.intervals)
+        i = bisect_left(self.points, x)
+        return x in self.points[i:i + 1] or bool(self.intervals[meeting(self.intervals, x, x, *_ENDS)])
 
     def __and__(self, other: "IntervalSet") -> "IntervalSet":
         _same_kind(self, other)
         ivs = [
-            (lo, hi)
+            (max(a, c), min(b, d))
             for a, b in self.intervals
-            for c, d in other.intervals
-            for lo, hi in [(max(a, c), min(b, d))]
-            if lo < hi
+            for c, d in other.intervals[meeting(other.intervals, a, b, *_ENDS)]
         ]
-        # a point of the intersection outside its intervals is a point of one side
-        pts = {p for p in self.points + other.points if p in self and p in other}
+        # a point of the intersection off its intervals: self's in other, other's in self's intervals
+        ps = other.points
+        pts = [p for p in self.points if p in other] + [
+            p for a, b in self.intervals for p in ps[bisect_right(ps, a):bisect_left(ps, b)]
+        ]
         return IntervalSet.of(ivs, pts)
 
     @property
@@ -146,12 +152,7 @@ def union(parts: Sequence[MeasurableSet]) -> MeasurableSet:
                 raise NonDisjointError(f"atoms listed twice: {sorted(overlap)}")
             seen |= p.atoms
         return AtomSet(frozenset(seen))
-    ivs: List = []
-    pts: List = []
-    for p in parts:
-        ivs.extend(p.intervals)
-        pts.extend(p.points)
-    return IntervalSet.of(ivs, pts)
+    return IntervalSet.of([iv for p in parts for iv in p.intervals], [x for p in parts for x in p.points])
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,12 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("unsupported:") and "Traceback" not in captured.err
 
+    def test_a_point_in_two_pieces_is_named_exit_2(self, tmp_path, capsys):
+        # the pieces of a simple function are disjoint, and both list 1/2
+        fn = {"simple": [{"coeff": c, "set": {"points": ["1/2"]}} for c in ("(1, 1)", "(1, 2)")]}
+        assert main(["eval", write(tmp_path, "s.json", SPACE), write(tmp_path, "f.json", fn)]) == 2
+        assert capsys.readouterr() == ("", "parse error: duplicate point 1/2\n")
+
 
 def _unpack_error(values):
     """Python's own message for unpacking `values` into two names; its

@@ -1,9 +1,10 @@
 """Measure space tests: sets, disjointness, h-measures, JSON."""
 
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hintegral import exprs
@@ -15,6 +16,7 @@ from hintegral.space import (
     IntervalSet,
     IntervalSpace,
     check_declared,
+    meeting,
     scaled_embedding,
     set_from_json,
     set_to_json,
@@ -47,6 +49,12 @@ class TestSets:
             IntervalSet.of(ivs[::-1], points)
         p, a, b = inside[0]
         assert str(refused.value) == f"point {p} inside interval ({a}, {b})"
+
+    def test_a_duplicate_point_is_named(self):
+        with pytest.raises(NonDisjointError, match="^duplicate point 1/2$"):
+            IntervalSet.of(points=[F(1, 2), 2, F(1, 4), F(1, 2), 2])
+        with pytest.raises(NonDisjointError, match="^duplicate point 1/2$"):
+            union([IntervalSet.of(points=[F(1, 2)]), IntervalSet.of([(0, F(1, 4))], [F(1, 2)])])
 
     def test_touching_intervals_allowed(self):
         s = IntervalSet.of([(0, 1), (1, 2)], points=[1])
@@ -140,6 +148,38 @@ def _probes(s, w):
     return marks + mids + [marks[0] - 1, marks[-1] + 1] if marks else []
 
 
+def _scan(s, x):
+    """x in s by a scan of every point and interval: a reference
+    independent of the bisect lookup that membership and & share."""
+    return x in s.points or any(a < x < b for a, b in s.intervals)
+
+
+@st.composite
+def _sorted_intervals(draw):
+    """Sorted disjoint open intervals on integer cuts, some touching, the
+    empty list included."""
+    cuts = sorted(draw(st.sets(st.integers(0, 12), max_size=8)))
+    keep = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+    return [(a, b) for a, b, k in zip(cuts, cuts[1:], keep) if k]
+
+
+ENDS = (itemgetter(0), itemgetter(1))
+
+
+class TestMeeting:
+    @settings(max_examples=200)
+    @given(_sorted_intervals())
+    @example([])
+    def test_agrees_with_a_scan(self, ivs):
+        # every end, every midpoint between ends, and a probe past each side
+        ends = sorted({x for iv in ivs for x in iv})
+        probes = [F(x) for x in ends] + [F(a + b, 2) for a, b in zip(ends, ends[1:])] + [F(-1), F(13)]
+        for lo in probes:
+            assert ivs[meeting(ivs, lo, lo, *ENDS)] == [(a, b) for a, b in ivs if a < lo < b]
+            for hi in (x for x in probes if lo < x):
+                assert ivs[meeting(ivs, lo, hi, *ENDS)] == [(a, b) for a, b in ivs if a < hi and lo < b]
+
+
 class TestSetAlgebraProperties:
     @settings(max_examples=300)
     @given(_interval_set_pairs())
@@ -147,7 +187,8 @@ class TestSetAlgebraProperties:
         s, w = pair
         assert s & w == w & s
         for x in _probes(s, w):
-            assert (x in s & w) == (x in s and x in w)
+            assert _scan(s & w, x) == (_scan(s, x) and _scan(w, x))
+            assert (x in s) == _scan(s, x)
 
     @given(st.frozensets(st.sampled_from("abcde")), st.frozensets(st.sampled_from("abcde")))
     def test_atom_algebra_agrees_with_membership(self, a, b):
