@@ -16,16 +16,24 @@ or a power.  Every comparison against a rational threshold is exactly
 decidable (``x**(p/r) < c  iff  x**p < c**r`` for positive ``x, c``, or
 by a rounded root where c**r is too long).  One sign test,
 :func:`at_least`, decides ``e >= c`` on a cell, or at a point (a cell
-with ``lo == hi``), for every expression; a polynomial of degree >= 2
-goes to an integer kernel (Bernstein coefficients with one common
-denominator, and Yun's square-free decomposition for its odd part).
-Integrals run on integers too: a polynomial's antiderivative has one
-common denominator, and each end is one Horner pass.  One function,
-:func:`split_dominance`, cuts a piece by comparing two expressions; a
-sublevel set is read off its cells against a constant, so it is a finite
-union of intervals and points.  It and the suprema are solved for
-polynomials of degree at most 1 and for powers.  A higher degree there,
-or an irrational endpoint or bound, raises
+with ``lo == hi``), for every expression.
+
+A polynomial's kernels run on integers: a :class:`Poly` carries its
+coefficients as integers over one common denominator, built once.
+:func:`at_least` decides degree 0 and 1 by integer cross products, and
+degree >= 2 on the integer polynomial of ``e - c`` (its Bernstein
+coefficients, and Yun's square-free decomposition for its odd part);
+:func:`sup_on` evaluates an affine map at its end on integers; and a
+polynomial's integral against a density multiplies the integer
+coefficient lists and makes one integer Horner pass per end.  Fractions
+remain in the results (a supremum, an integral, a power's bounds) and in
+the cells that the bisection of :func:`at_least` halves.
+
+One function, :func:`split_dominance`, cuts a piece by comparing two
+expressions; a sublevel set is read off its cells against a constant, so
+it is a finite union of intervals and points.  It and the suprema are
+solved for polynomials of degree at most 1 and for powers.  A higher
+degree there, or an irrational endpoint or bound, raises
 :class:`UnsupportedExpressionError`; an irrational supremum is None, and
 :func:`cmp_sup` compares it with a rational exactly.
 
@@ -38,14 +46,14 @@ rational, that round each irrational one as ROOT_BITS describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, isqrt, lcm, log2
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedExpressionError, json_list, json_loader
-from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction
+from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction, frac_cmp
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient tuples, constant term first)
@@ -54,7 +62,7 @@ from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction
 
 def poly_trim(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     cs = list(coeffs)
-    while cs and cs[-1] == 0:
+    while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     return tuple(cs) if cs else (Fraction(0),)
 
@@ -85,24 +93,8 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ..
 
 
 def poly_integral(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> Fraction:
-    """Exact integral of the polynomial over [a, b], as F(b) - F(a) for
-    the antiderivative F with F(0) = 0.  F has the integer coefficients
-    ints / den, den = lcm(den(c_k) * (k + 1)), so each end is one integer
-    Horner pass and one Fraction."""
-    den = lcm(*(c.denominator * (k + 1) for k, c in enumerate(coeffs)))
-    ints = [c.numerator * (den // (c.denominator * (k + 1))) for k, c in enumerate(coeffs)]
-    return _antiderivative_at(ints, den, b) - _antiderivative_at(ints, den, a)
-
-
-def _antiderivative_at(ints: Sequence[int], den: int, x: Fraction) -> Fraction:
-    """sum_k ints[k] * x**(k+1) / den, with x = p/q, over the common
-    denominator den * q**(n+1): Horner's rule on p with powers of q."""
-    p, q = x.numerator, x.denominator
-    acc, qk = ints[-1], 1
-    for c in reversed(ints[:-1]):
-        qk *= q
-        acc = acc * p + c * qk
-    return Fraction(acc * p, den * qk * q)
+    """Exact integral of the polynomial over [a, b] (see :func:`_integral`)."""
+    return _integral(*_integer_poly(coeffs), a, b)
 
 
 def poly_deriv(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -125,20 +117,43 @@ def poly_lipschitz_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction)
 # ---------------------------------------------------------------------------
 
 
-def _integer_poly(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+def _integer_poly(coeffs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
     """Integer coefficients and one positive denominator D, with p = ints / D."""
+    if len(coeffs) == 1:  # a constant, the commonest coordinate
+        return (coeffs[0].numerator,), coeffs[0].denominator
     den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _integral(ints: Sequence[int], den: int, a: Fraction, b: Fraction) -> Fraction:
+    """Exact integral over [a, b] of the polynomial ints / den, as F(b) - F(a)
+    for the antiderivative F with F(0) = 0.  F is anti / (den * m) with
+    m = lcm(1, ..., n + 1), so each end is one integer Horner pass and the
+    two ends meet in one Fraction."""
+    m = lcm(*range(1, len(ints) + 1))
+    anti = [c * (m // (k + 1)) for k, c in enumerate(ints)]
+    (nb, qb), (na, qa) = _antiderivative_at(anti, b), _antiderivative_at(anti, a)
+    return Fraction(nb * qa - na * qb, den * m * qa * qb)
+
+
+def _antiderivative_at(anti: Sequence[int], x: Fraction) -> Tuple[int, int]:
+    """sum_k anti[k] * x**(k+1) as num / q**n, with x = p/q and n terms:
+    Horner's rule on p with powers of q."""
+    p, q = x.numerator, x.denominator
+    acc, qk = anti[-1], q
+    for c in reversed(anti[:-1]):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc * p, qk
 
 
 def _bernstein(ints: Sequence[int], lo: Fraction, hi: Fraction) -> List[int]:
     """The Bernstein coefficients of the integer polynomial on [lo, hi],
-    each times n! * (b*d)**n, where lo = a/b and hi - lo = c/d."""
+    each times n! * (b*d)**n, where lo = a/b and hi = c/d."""
     n = len(ints) - 1
-    width = hi - lo
-    u0 = lo.numerator * width.denominator
-    u1 = lo.denominator * width.numerator
-    v = lo.denominator * width.denominator  # x = (u0 + u1*t) / v on t in [0, 1]
+    u0 = lo.numerator * hi.denominator
+    u1 = hi.numerator * lo.denominator - u0
+    v = lo.denominator * hi.denominator  # x = (u0 + u1*t) / v on t in [0, 1]
     ts, vk = [ints[n]], 1
     for k in range(n - 1, -1, -1):  # Horner: ts <- ts * (u0 + u1*t) + ints[k] * v**(n-k)
         vk *= v
@@ -306,20 +321,20 @@ def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
     """Sign of x**q - c for x >= 0, exact even when x**q is irrational:
     x**p against c**k for q = p/k, or, where c**k is too long, c against
     the bounds of :func:`_pow_bounds`; c strictly between them raises."""
-    if x < 0:
+    if x.numerator < 0:
         raise UnsupportedExpressionError("powers are defined for x >= 0 only")
-    if c < 0:
+    if c.numerator < 0:
         return 1
     try:
         rhs = _power(c, q.denominator)
     except UnsupportedExpressionError:
         low, high = _pow_bounds(x, q)  # equal to x**q, or strictly around it
         if low == high:
-            return _cmp(low, c)
+            return frac_cmp(low, c)
         if low < c < high:
             raise
         return 1 if c <= low else -1
-    return _cmp(_power(x, q.numerator), rhs)
+    return frac_cmp(_power(x, q.numerator), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +344,18 @@ def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial with trimmed rational coefficients, constant term first."""
+    """Polynomial with trimmed rational coefficients, constant term first,
+    and their integer form ``ints / den`` with one denominator ``den > 0``
+    (:func:`_integer_poly`), built once here for the kernels to read."""
 
     coeffs: Tuple[Fraction, ...]
+    ints: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ints, den = _integer_poly(self.coeffs)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
 
     @property
     def degree(self) -> int:
@@ -381,10 +405,6 @@ def poly(coeffs) -> Poly:
     return p
 
 
-def _cmp(a: Fraction, b: Fraction) -> int:
-    return (a > b) - (a < b)
-
-
 def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
     """Raise unless pi1 and pi2 may be the dimension and mass coordinates
     of the piece (lo, hi): the dimension coordinate's polynomial has
@@ -394,7 +414,7 @@ def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
         raise UnsupportedExpressionError(
             "dimension coordinate must be constant, affine or a power"
         )
-    if lo < 0 and (isinstance(pi1, Power) or isinstance(pi2, Power)):
+    if lo.numerator < 0 and (isinstance(pi1, Power) or isinstance(pi2, Power)):
         raise UnsupportedExpressionError(
             f"a fractional power is defined for x >= 0 only, not on ({lo}, {hi})"
         )
@@ -419,7 +439,8 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     if e.degree == 0:
         return e.coeffs[0]
     if e.degree == 1:
-        return poly_eval(e.coeffs, hi if e.coeffs[1] > 0 else lo)
+        x = hi if e.ints[1] > 0 else lo
+        return Fraction(e.ints[0] * x.denominator + e.ints[1] * x.numerator, e.den * x.denominator)
     raise UnsupportedExpressionError("supremum of a general polynomial piece")
 
 
@@ -428,7 +449,7 @@ def cmp_sup(e: Expr, lo: Fraction, hi: Fraction, c: Fraction) -> int:
     is irrational (a power at hi); a degree >= 2 polynomial raises."""
     if isinstance(e, Power):
         return cmp_pow(hi, e.q, c)
-    return _cmp(sup_on(e, lo, hi), c)
+    return frac_cmp(sup_on(e, lo, hi), c)
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +468,22 @@ def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
     at an end is eventually bounded by 0 and the bisection ends.  At a
     point every Bernstein coefficient is the value, and the ends decide."""
     if isinstance(e, Power):
-        return c <= 0 or cmp_pow(lo, e.q, c) >= 0
-    if e.degree <= 1:
-        return poly_eval(e.coeffs, hi if e.degree and e.coeffs[1] < 0 else lo) >= c
-    ints, _ = _integer_poly(poly_add(e.coeffs, (-c,)))
-    bs = _bernstein(ints, lo, hi)
+        return c.numerator <= 0 or cmp_pow(lo, e.q, c) >= 0
+    ints, den, cn, cd = e.ints, e.den, c.numerator, c.denominator
+    if e.degree == 0:
+        return ints[0] * cd >= cn * den
+    if e.degree == 1:
+        x = hi if ints[1] < 0 else lo
+        return (ints[0] * x.denominator + ints[1] * x.numerator) * cd >= cn * den * x.denominator
+    g = gcd(den, cd)  # e - c = diff / lcm(den, cd)
+    diff = [k * (cd // g) for k in ints]
+    diff[0] -= cn * (den // g)
+    bs = _bernstein(diff, lo, hi)
     if bs[0] < 0 or bs[-1] < 0:
         return False
     if min(bs) >= 0:
         return True
-    odd = _odd_part(ints)
+    odd = _odd_part(diff)
     cells = [(lo, hi)]
     while cells:
         a, b = cells.pop()
@@ -487,7 +514,8 @@ def weighted_integral_bounds(
     sums c_k * (hi**r - lo**r) / r, r = q + k + 1, with the ends rounded
     inward for low and outward for high, as the sign of c_k calls for."""
     if isinstance(e, Poly):
-        v = poly_integral(poly_mul(e.coeffs, density), lo, hi)
+        ints, den = _integer_poly(density)
+        v = _integral(poly_mul(e.ints, ints), e.den * den, lo, hi)
         return v, v
     low = high = Fraction(0)
     for k, c in enumerate(density):
@@ -524,10 +552,10 @@ def split_dominance(
                 "dominance between higher-degree polynomial coordinates"
             )
         cuts = [-diff[0] / diff[1]] if len(diff) == 2 else []
-        sign = lambda x: _cmp(poly_eval(diff, x), 0)
+        sign = lambda x: frac_cmp(poly_eval(diff, x), 0)
     elif isinstance(e1, Power) and isinstance(e2, Power):
         cuts = [Fraction(1)]  # x**q1 and x**q2 cross only at x == 1 within x > 0
-        sign = lambda x: _cmp(e1.q, e2.q) * _cmp(x, 1)
+        sign = lambda x: frac_cmp(e1.q, e2.q) * frac_cmp(x, 1)
     else:
         pw, other, flip = (e1, e2, 1) if isinstance(e1, Power) else (e2, e1, -1)
         if other.degree > 0:

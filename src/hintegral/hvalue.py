@@ -90,6 +90,14 @@ def as_fraction(x: RatLike) -> Fraction:
     return q
 
 
+def frac_cmp(a: Fraction, b: Fraction) -> int:
+    """The sign of a - b by one integer cross product (denominators are
+    positive), which skips the ``numbers.Rational`` checks of Fraction's
+    own comparisons."""
+    d = a.numerator * b.denominator - b.numerator * a.denominator
+    return (d > 0) - (d < 0)
+
+
 def _rat_add(n: int, d: int, m: int, e: int) -> Tuple[int, int]:
     """n/d + m/e in lowest terms, for coprime pairs with d, e > 0."""
     if d == e:

@@ -60,7 +60,7 @@ from .errors import (
     json_loader,
 )
 from .exprs import Expr
-from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, mul, sum_finite
+from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, frac_cmp, mul, sum_finite
 from .space import (
     AtomSet,
     AtomSpace,
@@ -137,22 +137,25 @@ class PiecewiseFn:
 
     def __post_init__(self):
         for p in self.pieces:
-            if not p.lo < p.hi:
+            if frac_cmp(p.lo, p.hi) >= 0:
                 raise ValueError(f"degenerate piece ({p.lo}, {p.hi})")
             exprs.check_piece(p.pi1, p.pi2, p.lo, p.hi)
         for p, q in zip(self.pieces, self.pieces[1:]):
-            if q.lo < p.hi:
+            if frac_cmp(q.lo, p.hi) < 0:
                 raise NonDisjointError(
                     f"pieces ({p.lo}, {p.hi}) and ({q.lo}, {q.hi}) overlap or are out of order"
                 )
 
     @staticmethod
     def of(pieces: Sequence[Tuple]) -> "PiecewiseFn":
+        """The pieces (lo, hi, pi1, pi2), sorted by lo unless they already are."""
         out = [
             PiecewisePiece(as_fraction(lo), as_fraction(hi), pi1, pi2)
             for lo, hi, pi1, pi2 in pieces
         ]
-        return PiecewiseFn(tuple(sorted(out, key=lambda p: p.lo)))
+        if any(frac_cmp(q.lo, p.lo) < 0 for p, q in zip(out, out[1:])):
+            out.sort(key=attrgetter("lo"))
+        return PiecewiseFn(tuple(out))
 
 
 HFunction = Union[SimpleFn, PiecewiseFn]
@@ -382,7 +385,8 @@ def _add_piecewise(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 
 def _runs(cells: Sequence[PiecewisePiece], level: Fraction) -> List[list]:
     """[lo, hi, pi2] of each run of touching cells with pi1 = level and one pi2."""
-    return join_runs((p.lo, p.hi, p.pi2) for p in cells if p.pi1 == exprs.const(level))
+    top = exprs.const(level)
+    return join_runs((p.lo, p.hi, p.pi2) for p in cells if p.pi1 == top)
 
 
 def _top_terms(space: IntervalSpace, f: PiecewiseFn) -> List[Tuple]:
@@ -571,7 +575,7 @@ def _piece_ends(obj) -> Tuple[Fraction, Fraction]:
         ivs = obj["intervals"]
         if type(ivs) is list and len(ivs) == 1 and type(ivs[0]) is list and len(ivs[0]) == 2:
             lo, hi = as_fraction(ivs[0][0]), as_fraction(ivs[0][1])
-            if lo < hi:
+            if frac_cmp(lo, hi) < 0:
                 return lo, hi
     s = set_from_json(obj)
     if not isinstance(s, IntervalSet) or len(s.intervals) != 1 or s.points:

@@ -30,7 +30,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader
-from .hvalue import ZERO, ExtRat, HValue, as_fraction, as_ext, sum_finite
+from .hvalue import ZERO, ExtRat, HValue, as_fraction, as_ext, frac_cmp, sum_finite
 
 _ENDS = (itemgetter(0), itemgetter(1))  # of an interval (a, b), for meeting
 
@@ -86,17 +86,20 @@ class IntervalSet:
     def of(intervals: Sequence = (), points: Sequence = ()) -> "IntervalSet":
         ivs = sorted((as_fraction(a), as_fraction(b)) for a, b in intervals)
         for a, b in ivs:
-            if not a < b:
+            if frac_cmp(a, b) >= 0:
                 raise NonDisjointError(f"degenerate interval ({a}, {b})")
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
-            if a2 < b1:
+            if frac_cmp(a2, b1) < 0:
                 raise NonDisjointError(f"overlapping intervals ({a1}, {b1}) and ({a2}, {b2})")
         pts = sorted(as_fraction(p) for p in points)
+        i = 0  # one merge walk: ivs[i] is the first interval that ends after p
         for prev, p in zip([None] + pts, pts):
             if p == prev:
                 raise NonDisjointError(f"duplicate point {p}")
-            for a, b in ivs[meeting(ivs, p, p, *_ENDS)]:
-                raise NonDisjointError(f"point {p} inside interval ({a}, {b})")
+            while i < len(ivs) and frac_cmp(p, ivs[i][1]) >= 0:
+                i += 1
+            if i < len(ivs) and frac_cmp(ivs[i][0], p) < 0:
+                raise NonDisjointError(f"point {p} inside interval ({ivs[i][0]}, {ivs[i][1]})")
         return IntervalSet(tuple(ivs), tuple(pts))
 
     def __contains__(self, x) -> bool:

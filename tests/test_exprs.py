@@ -31,7 +31,7 @@ from hintegral.exprs import (
 )
 from hintegral.hvalue import INF, NEG_INF, ZERO, HValue
 from hintegral.integral import PiecewiseFn, sublevel_set
-from hintegral.space import IntervalSpace
+from hintegral.space import IntervalSet, IntervalSpace
 
 
 class TestPolyHelpers:
@@ -77,10 +77,10 @@ def _bernstein_min(coeffs, lo, hi):
     """The smallest Bernstein coefficient of p on [lo, hi] from the
     integer kernel of `at_least`: `_bernstein` scales each coefficient
     of the integer polynomial D * p by n! * (b*d)**n, where lo = a/b and
-    hi - lo = c/d."""
+    hi = c/d."""
     ints, den = exprs._integer_poly(coeffs)
     n = len(ints) - 1
-    scale = factorial(n) * den * (lo.denominator * (hi - lo).denominator) ** n
+    scale = factorial(n) * den * (lo.denominator * hi.denominator) ** n
     return F(min(exprs._bernstein(ints, lo, hi)), scale)
 
 
@@ -246,6 +246,102 @@ class TestAtAPoint:
         # sqrt(2) >= c  iff  c <= 0 or c**2 <= 2
         assert sup_on(power(F(1, 2)), F(2), F(2)) is None
         assert at_least(power(F(1, 2)), c, F(2), F(2)) == (c <= 0 or c * c <= 2)
+
+
+nonzero = rationals.filter(lambda c: c != 0)
+signed_ends = st.fractions(min_value=-10, max_value=10, max_denominator=30)
+long_rationals = st.builds(F, st.integers(-(2**100), 2**100), st.integers(1, 2**100))
+
+
+def _value(coeffs, x):
+    """p(x) term by term in Fractions."""
+    return sum(F(a) * x**k for k, a in enumerate(coeffs))
+
+
+def _fraction_at_least(coeffs, c, lo, hi):
+    """p >= c on [lo, hi], which on the open (lo, hi) is the same by
+    continuity, for p of degree <= 2 in Fractions: the formula the integer
+    sign test replaced, p at the end its slope points away from, for
+    degree <= 1, and for a quadratic its smallest value among the ends
+    and, when it opens upward, the vertex -b / 2a inside the cell."""
+    if len(coeffs) <= 2:
+        return _value(coeffs, hi if len(coeffs) == 2 and coeffs[1] < 0 else lo) >= c
+    xs = [lo, hi]
+    vertex = -coeffs[1] / (2 * coeffs[2])
+    if coeffs[2] > 0 and lo < vertex < hi:
+        xs.append(vertex)
+    return min(_value(coeffs, x) for x in xs) >= c
+
+
+class TestIntegerKernel:
+    """The integer kernels equal the Fraction formulas they replaced, at
+    c != 0, at ends of either sign and at points (lo == hi)."""
+
+    @given(
+        st.lists(rationals, min_size=1, max_size=3),
+        nonzero,
+        signed_ends,
+        st.one_of(st.just(F(0)), widths),
+        st.one_of(st.none(), st.fractions(min_value=0, max_value=1, max_denominator=12)),
+    )
+    @example([F(1, 4), -1, 1], F(1, 100), F(0), F(1), None)  # (x - 1/2)**2 across its root
+    @example([F(13, 4), -1, 1], F(3), F(0), F(1), None)  # ... plus 3 touches 3 at 1/2
+    @example([F(1, 2), -1], F(-1, 2), F(-1), F(1), None)  # an affine map at its lower end
+    def test_at_least_at_degree_0_to_2(self, coeffs, c, lo, width, tie):
+        # tie: c is p's value at lo + tie * width, so c sits on p's range
+        e = poly(coeffs)
+        hi = lo + width
+        if tie is not None:
+            c = _value(e.coeffs, lo + tie * width)
+            if c == 0:
+                reject()
+        assert at_least(e, c, lo, hi) == _fraction_at_least(e.coeffs, c, lo, hi)
+
+    @given(rationals, rationals, signed_ends, st.one_of(st.just(F(0)), widths))
+    def test_sup_on_at_degree_1(self, a, b, lo, width):
+        # the supremum of a + b*x on (lo, hi) is its larger end value
+        hi = lo + width
+        assert sup_on(affine(a, b), lo, hi) == max(a + b * lo, a + b * hi)
+
+    @given(
+        st.lists(long_rationals, min_size=1, max_size=4),
+        st.lists(long_rationals, min_size=1, max_size=3),
+        signed_ends,
+        st.one_of(st.just(F(0)), widths),
+    )
+    def test_weighted_integral_of_a_polynomial(self, mass, density, a, width):
+        # the reference multiplies the Fraction coefficient lists and sums
+        # c_k * (b**(k+1) - a**(k+1)) / (k+1)
+        b = a + width
+        prod = [F(0)] * (len(mass) + len(density) - 1)
+        for i, x in enumerate(mass):
+            for j, y in enumerate(density):
+                prod[i + j] += x * y
+        expected = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(prod))
+        low, high = exprs.weighted_integral_bounds(poly(mass), density, a, b)
+        assert low == high == expected
+        assert exprs.poly_integral(exprs.poly_mul(poly(mass).coeffs, density), a, b) == expected
+
+    @given(st.data())
+    def test_nu(self, data):
+        # a space (lo, hi) of either sign with a density of degree 0-2 that
+        # is nonnegative on it; touching intervals join into one run
+        lo, width = data.draw(signed_ends), data.draw(widths)
+        hi = lo + width
+        c = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=5))
+        r = data.draw(signed_ends)
+        density = data.draw(st.sampled_from([(c,), (-c * lo, c), (c * r * r + 1, -2 * c * r, c)]))
+        sp = IntervalSpace.of(lo, hi, density=density)
+        ts = data.draw(st.lists(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=8))
+        cuts = sorted({lo + t * width for t in ts})
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+        ivs = [(a, b) for (a, b), k in zip(zip(cuts, cuts[1:]), keep) if k]
+
+        def antiderivative(x):
+            return sum(w * x ** (k + 1) / (k + 1) for k, w in enumerate(density))
+
+        expected = sum((antiderivative(b) - antiderivative(a) for a, b in ivs), F(0))
+        assert sp.nu(IntervalSet.of(ivs)) == expected
 
 
 class TestExactRoots:

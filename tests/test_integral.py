@@ -1,6 +1,8 @@
 """Integral engine tests: simple sums, the closed-form evaluation,
 certificates, sublevel sets, pointwise sums, and the worked examples."""
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -641,6 +643,47 @@ class TestSimpleCertificates:
         assert cert.d_witnesses == cert.m_witnesses == top
         assert cert.value == value and cert.achieved_m == value.m
         assert verify_certificate(sp, f, cert)
+
+
+HALF_SQUARE = exprs.poly([F(1, 4), -1, 1])  # (x - 1/2)**2, whose double root 1/2 is inside (0, 1)
+TOP = exprs.const(2)
+# Each function, on (0, 1) with dimension offset 1, is integrated under the
+# densities 1, 1/2 + x and (x - 1/2)**2 (degrees 0-2); every mass is rational.
+CERT_DENSITIES = [(1,), (F(1, 2), 1), (F(1, 4), -1, 1)]
+CERT_FUNCTIONS = {
+    "const": [(0, 1, TOP, exprs.const(F(3, 2)))],
+    "affine": [(0, F(1, 2), TOP, exprs.affine(F(1, 4), 2)), (F(1, 2), 1, exprs.affine(0, 1), exprs.const(1))],
+    "root": [(F(1, 4), 1, TOP, exprs.power(F(1, 2))), (0, F(1, 4), exprs.power(F(1, 2)), exprs.const(3))],
+    "square": [(0, F(1, 2), TOP, exprs.poly([1, 0, 1])), (F(1, 2), 1, exprs.power(F(1, 2)), HALF_SQUARE)],
+    "across_root": [
+        (0, F(1, 3), TOP, HALF_SQUARE),
+        (F(1, 3), F(2, 3), TOP, HALF_SQUARE),
+        (F(3, 4), 1, TOP, exprs.affine(1, -1)),
+    ],
+}
+# SHA-256 of the lines json.dumps(cert.to_json(), sort_keys=True), one per
+# density in CERT_DENSITIES order: a change to reading, the sign tests, the
+# suprema or the mass integrals that alters a certificate fails here.
+CERT_SHA256 = {
+    "const": "21ab0af499d17d2b988328777635e67e1874c020a8dee74f9fd30989ed62ccb9",
+    "affine": "dfb21c066233780b2e26a11f2ca0ee1bb5a33c641cb0304a76467ccc84811f87",
+    "root": "f0d5ffd6105167bc665a901ff4ece621c58c5d9d90c22e2920a23e4ca7ba8341",
+    "square": "62e37371fbc72c83f2ca2ecf72b71645c1575ead4258d80183bb3f1010520be5",
+    "across_root": "894eedda7b629fa003563d3379df69f845c7845ef470cd18e384a48efa851acf",
+}
+
+
+class TestPinnedCertificates:
+    @pytest.mark.parametrize("name", CERT_FUNCTIONS)
+    def test_certificates_are_byte_identical(self, name):
+        f = PiecewiseFn.of(CERT_FUNCTIONS[name])
+        digest = hashlib.sha256()
+        for density in CERT_DENSITIES:
+            sp = IntervalSpace.of(0, 1, dim_offset=1, density=density)
+            _, cert = integrate(sp, f)
+            assert verify_certificate(sp, f, cert)
+            digest.update(json.dumps(cert.to_json(), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == CERT_SHA256[name]
 
 
 class TestCertificates:
