@@ -19,15 +19,18 @@ by a rounded root where c**r is too long).  One sign test,
 with ``lo == hi``), for every expression.
 
 A polynomial's kernels run on integers: a :class:`Poly` carries its
-coefficients as integers over one common denominator, built once.
+coefficients as integers over one common denominator, built once where
+they are read: :func:`poly` and :func:`const` build it from the coprime
+pairs of :func:`hvalue.as_pair`, trimmed, over their denominators' lcm.
 :func:`at_least` decides degree 0 and 1 by integer cross products, and
 degree >= 2 on the integer polynomial of ``e - c`` (its Bernstein
 coefficients, and Yun's square-free decomposition for its odd part);
 :func:`sup_on` evaluates an affine map at its end on integers; and a
 polynomial's integral against a density multiplies the integer
 coefficient lists and makes one integer Horner pass per end.  Fractions
-remain in the results (a supremum, an integral, a power's bounds) and in
-the cells that the bisection of :func:`at_least` halves.
+remain in the coefficients that a Poly compares and prints, in the results
+(a supremum, an integral, a power's bounds) and in the cells that the
+bisection of :func:`at_least` halves.
 
 One function, :func:`split_dominance`, cuts a piece by comparing two
 expressions; a sublevel set is read off its cells against a constant, so
@@ -48,12 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import starmap, zip_longest
 from math import factorial, gcd, isqrt, lcm, log2
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedExpressionError, json_list, json_loader
-from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction, frac_cmp
+from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction, as_pair, frac_cmp, pair_fraction
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient tuples, constant term first)
@@ -92,9 +95,9 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ..
     return poly_trim(out)
 
 
-def poly_integral(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> Fraction:
+def poly_integral(p: Poly, a: Fraction, b: Fraction) -> Fraction:
     """Exact integral of the polynomial over [a, b] (see :func:`_integral`)."""
-    return _integral(*_integer_poly(coeffs), a, b)
+    return _integral(p.ints, p.den, a, b)
 
 
 def poly_deriv(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -117,12 +120,10 @@ def poly_lipschitz_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction)
 # ---------------------------------------------------------------------------
 
 
-def _integer_poly(coeffs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    """Integer coefficients and one positive denominator D, with p = ints / D."""
-    if len(coeffs) == 1:  # a constant, the commonest coordinate
-        return (coeffs[0].numerator,), coeffs[0].denominator
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+def _integer_poly(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, ...], int]:
+    """Integer coefficients and one positive denominator D, with p = ints / D, of coprime pairs."""
+    den = lcm(*[d for _, d in pairs])
+    return tuple([n * (den // d) for n, d in pairs]), den
 
 
 def _integral(ints: Sequence[int], den: int, a: Fraction, b: Fraction) -> Fraction:
@@ -344,16 +345,16 @@ def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial with trimmed rational coefficients, constant term first,
-    and their integer form ``ints / den`` with one denominator ``den > 0``
-    (:func:`_integer_poly`), built once here for the kernels to read."""
+    """Polynomial with trimmed rational coefficients, constant term first, and their
+    integer form ``ints / den``, ``den > 0`` (:func:`_integer_poly`), built once for the
+    kernels to read: by :func:`poly` from the pairs it reads, or here from the Fractions."""
 
     coeffs: Tuple[Fraction, ...]
     ints: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ints, den = _integer_poly(self.coeffs)
+        ints, den = _integer_poly([(c.numerator, c.denominator) for c in self.coeffs])
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
 
@@ -373,8 +374,18 @@ class Power:
 Expr = Union[Poly, Power]
 
 
+def _read(coeffs: Tuple[Fraction, ...], ints: Tuple[int, ...], den: int) -> Poly:
+    """The Poly of coefficients read as coprime pairs (:func:`as_pair`) and their integer
+    form, written straight into its ``__dict__`` (it is frozen), without ``__post_init__``."""
+    p = object.__new__(Poly)
+    fields = vars(p)
+    fields["coeffs"], fields["ints"], fields["den"] = coeffs, ints, den
+    return p
+
+
 def const(c) -> Poly:
-    return Poly((as_fraction(c),))
+    n, d = as_pair(c)
+    return _read((pair_fraction(n, d),), (n,), d)  # a constant's pair is its integer form
 
 
 def affine(a, b) -> Poly:
@@ -383,7 +394,7 @@ def affine(a, b) -> Poly:
 
 def power(q) -> Expr:
     q = as_fraction(q)
-    if q <= 0:
+    if q.numerator <= 0:
         raise UnsupportedExpressionError("power exponent must be positive")
     if q.denominator == 1:
         if q > MAX_DEGREE:
@@ -399,10 +410,12 @@ def power(q) -> Expr:
 
 
 def poly(coeffs) -> Poly:
-    p = Poly(poly_trim([as_fraction(c) for c in coeffs]))
-    if p.degree > MAX_DEGREE:
+    pairs = list(map(as_pair, coeffs)) or [(0, 1)]
+    while len(pairs) > 1 and pairs[-1][0] == 0:  # trimmed on the pairs
+        pairs.pop()
+    if len(pairs) > MAX_DEGREE + 1:
         raise UnsupportedExpressionError(f"a polynomial's degree must be at most {MAX_DEGREE}")
-    return p
+    return _read(tuple(starmap(pair_fraction, pairs)), *_integer_poly(pairs))
 
 
 def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
@@ -495,11 +508,9 @@ def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
     return True
 
 
-def weighted_integral(
-    e: Expr, density: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> Fraction:
+def weighted_integral(e: Expr, density: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     """Exact integral of e * density over (lo, hi); the density is a
-    polynomial's coefficient tuple.  Raises where it is irrational."""
+    polynomial.  Raises where it is irrational."""
     low, high = weighted_integral_bounds(e, density, lo, hi)
     if low != high:
         raise UnsupportedExpressionError(f"integral of x**{e.q} has irrational endpoint values")
@@ -507,18 +518,17 @@ def weighted_integral(
 
 
 def weighted_integral_bounds(
-    e: Expr, density: Sequence[Fraction], lo: Fraction, hi: Fraction
+    e: Expr, density: Poly, lo: Fraction, hi: Fraction
 ) -> Tuple[Fraction, Fraction]:
     """Rational bounds low <= high on the integral of e * density over
     (lo, hi), equal exactly when every end power is rational.  A power
     sums c_k * (hi**r - lo**r) / r, r = q + k + 1, with the ends rounded
     inward for low and outward for high, as the sign of c_k calls for."""
     if isinstance(e, Poly):
-        ints, den = _integer_poly(density)
-        v = _integral(poly_mul(e.ints, ints), e.den * den, lo, hi)
+        v = _integral(poly_mul(e.ints, density.ints), e.den * density.den, lo, hi)
         return v, v
     low = high = Fraction(0)
-    for k, c in enumerate(density):
+    for k, c in enumerate(density.coeffs):
         if c == 0:
             continue
         q = e.q + k + 1

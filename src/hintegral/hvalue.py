@@ -78,12 +78,12 @@ def as_pair(x: RatLike) -> Tuple[int, int]:
 def as_fraction(x: RatLike) -> Fraction:
     """Coerce an int, Fraction or exact string like ``"3/4"`` to a Fraction,
     read by :func:`as_pair`."""
-    if type(x) is Fraction:
-        return x
-    n, d = as_pair(x)
-    # The pair is already coprime, so the Fraction takes it without a
-    # second gcd: this sets the two slots that Fraction's own unchecked
-    # constructor sets (``Fraction._from_coprime_ints`` from Python 3.12).
+    return x if type(x) is Fraction else pair_fraction(*as_pair(x))
+
+
+def pair_fraction(n: int, d: int) -> Fraction:
+    """n/d for a coprime pair with d > 0 (:func:`as_pair`), without a second gcd: this sets
+    the two slots that Fraction's own unchecked constructor sets (``_from_coprime_ints``, 3.12)."""
     q = object.__new__(Fraction)
     q._numerator = n
     q._denominator = d
@@ -141,7 +141,7 @@ class ExtRat:
     def frac(self) -> Fraction:
         if self._inf:
             raise ValueError("infinite value has no Fraction form")
-        return Fraction(self._n, self._d)
+        return pair_fraction(self._n, self._d)
 
     def sign(self) -> int:
         if self._inf:
@@ -267,7 +267,7 @@ class HValue:
     def d(self) -> Fraction:
         q = self._d
         if q is None:
-            q = self._d = Fraction(self._dn, self._dd)
+            q = self._d = pair_fraction(self._dn, self._dd)
         return q
 
     @property

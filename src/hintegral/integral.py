@@ -353,7 +353,9 @@ def _add_simple(f: SimpleFn, g: SimpleFn) -> SimpleFn:
 def _cells(fn: PiecewiseFn, lo: Fraction, hi: Fraction) -> List[PiecewisePiece]:
     """The pieces of fn that meet (lo, hi), each clipped to it."""
     return [
-        PiecewisePiece(max(p.lo, lo), min(p.hi, hi), p.pi1, p.pi2)
+        PiecewisePiece(
+            p.lo if frac_cmp(p.lo, lo) > 0 else lo, p.hi if frac_cmp(p.hi, hi) < 0 else hi, p.pi1, p.pi2
+        )
         for p in fn.pieces[meeting(fn.pieces, lo, hi, attrgetter("lo"), attrgetter("hi"))]
     ]
 
@@ -467,7 +469,10 @@ def verify_certificate(space: MeasureSpace, f: HFunction, cert: T4Certificate) -
     prove the value from below in both coordinates.  A function off its
     space raises, as it does in :func:`integrate`."""
     f, _ = _inside(space, f)
-    for w in dict.fromkeys(cert.d_witnesses + cert.m_witnesses):  # each claim once
+    # each claim once: equal lists, as integrate writes them, need no hashing of a
+    # Witness (ROADMAP item 13, which removes the second list, makes this the only case)
+    same = cert.m_witnesses == cert.d_witnesses
+    for w in cert.d_witnesses if same else dict.fromkeys(cert.d_witnesses + cert.m_witnesses):
         if space.measure(w.where) != w.measure or w.measure == ZERO:
             return False
         if not w.inf_bound > ZERO:

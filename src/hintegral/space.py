@@ -12,6 +12,7 @@ Two concrete space kinds are provided:
   positive ordinary measure ``v`` gets ``(dim_offset, v)``, null sets
   get ``(0, 0)``.  Only the space reads its density: points are null,
   and so is every set under the zero density (:attr:`IntervalSpace.is_null`).
+  The density is an :class:`exprs.Poly`, its integer form built once in :meth:`IntervalSpace.of`.
 
 Measurable sets are structural: finite disjoint unions of primitives,
 validated by overlap checks only.  Each set kind owns its algebra:
@@ -41,8 +42,13 @@ _ENDS = (itemgetter(0), itemgetter(1))  # of an interval (a, b), for meeting
 
 def meeting(items: Sequence, lo, hi, lo_of, hi_of) -> slice:
     """The slice of ``items``, sorted disjoint open intervals (lo_of(item), hi_of(item)),
-    that meet (lo, hi), or hold lo when lo == hi: sorted and disjoint, so both ends are sorted."""
-    return slice(bisect_right(items, lo, key=hi_of), bisect_left(items, hi, key=lo_of))
+    that meet (lo, hi), or hold lo when lo == hi: sorted and disjoint, so both ends are sorted.
+    The bisection compares ends by integer cross products, as :func:`frac_cmp` does."""
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return slice(
+        bisect_right(items, 0, key=lambda item: (x := hi_of(item)).numerator * b - a * x.denominator),
+        bisect_left(items, 0, key=lambda item: (x := lo_of(item)).numerator * d - c * x.denominator),
+    )
 
 
 def _same_kind(s, t) -> None:
@@ -189,12 +195,13 @@ class AtomSpace:
 
 @dataclass(frozen=True)
 class IntervalSpace:
-    """Open interval (lo, hi) with h-measure (dim_offset, weighted length)."""
+    """Open interval (lo, hi) with h-measure (dim_offset, weighted length) under
+    a polynomial density, whose integer form :meth:`of` builds once."""
 
     lo: Fraction
     hi: Fraction
     dim_offset: Fraction
-    density: Tuple[Fraction, ...] = (Fraction(1),)
+    density: exprs.Poly
 
     @staticmethod
     def of(lo, hi, dim_offset=0, density: Sequence = (1,)) -> "IntervalSpace":
@@ -207,14 +214,14 @@ class IntervalSpace:
         density = exprs.poly(density)
         if not exprs.at_least(density, Fraction(0), lo, hi):
             raise ValueError(f"density is negative on ({lo}, {hi})")
-        return IntervalSpace(lo, hi, d0, density.coeffs)
+        return IntervalSpace(lo, hi, d0, density)
 
     @property
     def is_null(self) -> bool:
         """Every set is null exactly under the zero density: :meth:`of`
         proves it nonnegative, and a nonzero polynomial has finitely many
         roots, so any other gives each open interval positive measure."""
-        return not any(self.density)
+        return not any(self.density.ints)
 
     def integral(self, e: exprs.Expr, lo: Fraction, hi: Fraction) -> Fraction:
         """The exact integral of e over (lo, hi); raises where it is irrational."""
@@ -231,19 +238,19 @@ class IntervalSpace:
                 f"{type(s).__name__} is not a set of an interval space"
             )
         for a, b in s.intervals:
-            if a < self.lo or b > self.hi:
+            if frac_cmp(a, self.lo) < 0 or frac_cmp(b, self.hi) > 0:
                 raise UnknownSetError(
                     f"({a}, {b}) is not inside the space ({self.lo}, {self.hi})"
                 )
         for p in s.points:
-            if not self.lo < p < self.hi:
+            if not frac_cmp(self.lo, p) < 0 < frac_cmp(self.hi, p):
                 raise UnknownSetError(f"point {p} outside the space")
         runs = join_runs((a, b, None) for a, b in s.intervals)
         return sum((exprs.poly_integral(self.density, a, b) for a, b, _ in runs), Fraction(0))
 
     def measure(self, s: IntervalSet) -> HValue:
         v = self.nu(s)
-        if v > 0:
+        if v.numerator > 0:
             return HValue(self.dim_offset, ExtRat(v))
         return ZERO
 

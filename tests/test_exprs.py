@@ -10,7 +10,7 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from hintegral import exprs
-from hintegral.errors import UnsupportedExpressionError
+from hintegral.errors import ParseError, UnsupportedExpressionError
 from hintegral.exprs import (
     MAX_DEGREE,
     MAX_POWER_BITS,
@@ -29,7 +29,7 @@ from hintegral.exprs import (
     sup_on,
     try_add,
 )
-from hintegral.hvalue import INF, NEG_INF, ZERO, HValue
+from hintegral.hvalue import INF, NEG_INF, ZERO, HValue, as_fraction
 from hintegral.integral import PiecewiseFn, sublevel_set
 from hintegral.space import IntervalSet, IntervalSpace
 
@@ -43,7 +43,7 @@ class TestPolyHelpers:
 
     def test_integral(self):
         # int_0^1 x^2 dx = 1/3
-        assert exprs.poly_integral((F(0), F(0), F(1)), F(0), F(1)) == F(1, 3)
+        assert exprs.poly_integral(exprs.Poly((F(0), F(0), F(1))), F(0), F(1)) == F(1, 3)
 
     @given(
         st.lists(
@@ -59,7 +59,7 @@ class TestPolyHelpers:
         # degree 0-8, 200-bit coefficients, ends of either sign, and a == b
         b = a if empty else b
         terms = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
-        assert exprs.poly_integral(tuple(coeffs), a, b) == terms
+        assert exprs.poly_integral(exprs.Poly(tuple(coeffs)), a, b) == terms
 
     def test_lipschitz_is_a_bound(self):
         coeffs = (F(1), F(-3), F(2), F(5))
@@ -78,7 +78,8 @@ def _bernstein_min(coeffs, lo, hi):
     integer kernel of `at_least`: `_bernstein` scales each coefficient
     of the integer polynomial D * p by n! * (b*d)**n, where lo = a/b and
     hi = c/d."""
-    ints, den = exprs._integer_poly(coeffs)
+    p = exprs.Poly(tuple(coeffs))
+    ints, den = p.ints, p.den
     n = len(ints) - 1
     scale = factorial(n) * den * (lo.denominator * hi.denominator) ** n
     return F(min(exprs._bernstein(ints, lo, hi)), scale)
@@ -318,9 +319,9 @@ class TestIntegerKernel:
             for j, y in enumerate(density):
                 prod[i + j] += x * y
         expected = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(prod))
-        low, high = exprs.weighted_integral_bounds(poly(mass), density, a, b)
+        low, high = exprs.weighted_integral_bounds(poly(mass), poly(density), a, b)
         assert low == high == expected
-        assert exprs.poly_integral(exprs.poly_mul(poly(mass).coeffs, density), a, b) == expected
+        assert exprs.poly_integral(exprs.Poly(exprs.poly_mul(poly(mass).coeffs, density)), a, b) == expected
 
     @given(st.data())
     def test_nu(self, data):
@@ -379,7 +380,7 @@ class TestExactRoots:
 
         a, b = min(a, b), max(a, b)
         density = [F(c) for c in density]
-        low, high = exprs.weighted_integral_bounds(power(q), density, a, b)
+        low, high = exprs.weighted_integral_bounds(power(q), poly(density), a, b)
         with localcontext() as ctx:
             ctx.prec = 80
             exact = sum(
@@ -394,14 +395,14 @@ class TestExactRoots:
         )
         assert (low == high) == rational
         if rational:
-            assert low == exprs.weighted_integral(power(q), density, a, b)
+            assert low == exprs.weighted_integral(power(q), poly(density), a, b)
 
     @pytest.mark.parametrize("k", [200, 1000, 5000, 30000])
     def test_a_root_of_high_degree_is_bounded_within_the_bit_bound(self, k):
         # 2**-b with b = MAX_POWER_BITS // k, as (den(x**p) * 2**64)**k
         # would pass the bound; each end rounds by 2**-b, over r = q + 1
         q, a, b = F(1, k), F(1, 3), F(2, 3)
-        low, high = exprs.weighted_integral_bounds(power(q), (F(1),), a, b)
+        low, high = exprs.weighted_integral_bounds(power(q), const(1), a, b)
         with localcontext() as ctx:
             ctx.prec = 80
             r = Decimal(k + 1) / k
@@ -420,7 +421,7 @@ class TestExactRoots:
     def test_a_root_of_high_degree_integrates_at_rational_ends(self):
         # 0 and 1 are their own powers, so nothing is rounded: x**(1/1500)
         # integrates to 1500/1501 without a root of 2**64 to the 1500th power
-        assert exprs.weighted_integral(power(F(1, 1500)), (F(1),), F(0), F(1)) == F(1500, 1501)
+        assert exprs.weighted_integral(power(F(1, 1500)), const(1), F(0), F(1)) == F(1500, 1501)
 
     def test_nth_root(self):
         assert nth_root(F(4, 9), 2) == F(2, 3)
@@ -512,6 +513,52 @@ class TestConstructors:
         assert poly([1] + [0] * 400).degree == 0  # the degree counts after trimming
         with pytest.raises(UnsupportedExpressionError):
             poly([1] * (MAX_DEGREE + 2))
+
+
+# what JSON and the library hand the reader: ints, Fractions, unreduced and
+# padded strings, and decimal and exponent strings, which Fraction(str) reads
+COEFFICIENTS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**12),
+    st.builds(
+        lambda n, d, pad: f"{pad}{n}/{d}{pad}", st.integers(-99, 99), st.integers(1, 99), st.sampled_from(["", " "])
+    ),
+    st.builds(lambda i, f: f"{i}.{f}", st.integers(-99, 99), st.integers(0, 99)),
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(-99, 99), st.integers(-3, 3)),
+    st.sampled_from(["6/4", " -3/9 ", "-0", "0.5", "1e2", "+3/4", "-2.50", "3E-2"]),
+)
+ZEROS = st.lists(st.sampled_from([0, "0", "-0", "0/7", "0e3", "0.0", F(0)]), max_size=3)
+
+
+class TestReader:
+    """poly and const read each coefficient as a pair; the reference reads
+    it as a Fraction and builds the Poly from the trimmed Fractions."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert (got.coeffs, got.ints, got.den) == (ref.coeffs, ref.ints, ref.den)
+        assert got == ref and hash(got) == hash(ref)
+        assert all(type(c) is F for c in got.coeffs)
+        assert got.den > 0 and [F(n, got.den) for n in got.ints] == list(got.coeffs)
+
+    @given(st.lists(COEFFICIENTS, max_size=5), ZEROS)
+    @example([], [])
+    @example(["6/4", " -3/9 ", "-0", "0.5", "1e2"], ["0", "-0"])
+    def test_poly_and_const_match_the_fraction_route(self, cs, zeros):
+        cs = cs + zeros
+        self.assert_same(poly(cs), exprs.Poly(exprs.poly_trim([as_fraction(c) for c in cs])))
+        for c in cs:
+            self.assert_same(const(c), exprs.Poly((as_fraction(c),)))
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, None])
+    def test_refuses_what_is_not_an_exact_rational(self, bad):
+        for build in (lambda: const(bad), lambda: poly([1, bad]), lambda: poly([bad, 0])):
+            with pytest.raises(ParseError):
+                build()
+
+    def test_degree_65_keeps_its_message(self):
+        with pytest.raises(UnsupportedExpressionError, match=f"^a polynomial's degree must be at most {MAX_DEGREE}$"):
+            poly(["1/2"] * (MAX_DEGREE + 2) + ["0"])
 
 
 class TestEvalAndBounds:

@@ -2,11 +2,13 @@
 certificates, sublevel sets, pointwise sums, and the worked examples."""
 
 import hashlib
+import importlib.util
 import json
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -356,7 +358,7 @@ def ref_closed_form(sp, f):
     """The closed form as a value alone: (0, 0) without a piece or a
     density, and when s = 0 and the mass is 0; else (o + s, the sum of
     the masses of the pieces where pi1 is the constant s)."""
-    if not f.pieces or not any(sp.density):
+    if not f.pieces or not any(sp.density.coeffs):
         return ZERO
     s = max(exprs.sup_on(p.pi1, p.lo, p.hi) for p in f.pieces)
     mass = sum(
@@ -672,6 +674,9 @@ CERT_SHA256 = {
     "across_root": "894eedda7b629fa003563d3379df69f845c7845ef470cd18e384a48efa851acf",
 }
 
+INTERVAL_SHA256 = "2f8ff4a696ed8531807de62efe2bf398db4cf91e716b3e173b27299245113f7c"
+ROOT = Path(__file__).resolve().parent.parent
+
 
 class TestPinnedCertificates:
     @pytest.mark.parametrize("name", CERT_FUNCTIONS)
@@ -684,6 +689,57 @@ class TestPinnedCertificates:
             assert verify_certificate(sp, f, cert)
             digest.update(json.dumps(cert.to_json(), sort_keys=True).encode() + b"\n")
         assert digest.hexdigest() == CERT_SHA256[name]
+
+    def test_interval_workload_certificates_are_byte_identical(self):
+        # the benchmark's 180 interval operations (seeds 101-103, cycles 0-3),
+        # read from JSON text as the benchmark reads them; its generator
+        # imports nothing from hintegral
+        spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        digest = hashlib.sha256()
+        ops = [op for seed in (101, 102, 103) for cycle in range(4) for op in gen.interval_cycle(seed, cycle)]
+        for op in ops:
+            sp = space_from_json(json.loads(json.dumps(op["space"])))
+            f = function_from_json(json.loads(json.dumps(op["function"])))
+            value, cert = integrate(sp, f)
+            assert str(value) == op["value"] and verify_certificate(sp, f, cert)
+            digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+        assert len(ops) == 180
+        assert digest.hexdigest() == INTERVAL_SHA256
+
+
+class TestWitnessLists:
+    """Hand-built witness lists on TWO_RUNS, whose runs (0, 1) and (2, 3)
+    reach dimension 3 over the space (0, 3) with masses 1 and 5/2: every
+    claim is checked once, and the mass is added up over m_witnesses."""
+
+    SPACE = IntervalSpace.of(0, 3, dim_offset=1)
+
+    @pytest.mark.parametrize("pick, mass, verdict", [
+        pytest.param(lambda d: tuple(replace(w) for w in d), F(7, 2), True, id="equal"),
+        pytest.param(lambda d: d[::-1], F(7, 2), True, id="reordered"),
+        pytest.param(lambda d: d[:1], F(7, 2), False, id="subset-missing-mass"),
+        pytest.param(lambda d: d[1:], F(5, 2), True, id="subset-of-its-mass"),
+        # the masses add up to 9/2, so only the disjointness of the union refuses it
+        pytest.param(lambda d: d + d[:1], F(9, 2), False, id="listed-twice"),
+        # (0, 1) has measure (1, 1), not (1, 2): a claim of m_witnesses alone is checked too
+        pytest.param(lambda d: (replace(d[0], measure=H(1, 2), inf_bound=H(2, F(7, 4))),), F(7, 2), False,
+                     id="mass-claim-not-in-d"),
+    ])
+    def test_verdict(self, pick, mass, verdict):
+        _, cert = integrate(self.SPACE, TWO_RUNS)
+        assert len(cert.d_witnesses) == 2
+        m_witnesses = pick(cert.d_witnesses)
+        forged = T4Certificate(H(3, mass), cert.d_witnesses, m_witnesses, True, ExtRat(mass))
+        assert verify_certificate(self.SPACE, TWO_RUNS, forged) is verdict
+
+    def test_a_false_claim_in_equal_lists_fails(self):
+        # each list holds a witness whose measure is doubled
+        _, cert = integrate(self.SPACE, TWO_RUNS)
+        w = cert.d_witnesses[0]
+        wits = (replace(w, measure=H(1, 2)),) + cert.d_witnesses[1:]
+        assert not verify_certificate(self.SPACE, TWO_RUNS, replace(cert, d_witnesses=wits, m_witnesses=wits))
 
 
 class TestCertificates:

@@ -30,6 +30,7 @@ from hintegral.hvalue import HValue
 from hintegral.integral import (
     PiecewiseFn,
     SimpleFn,
+    function_from_json,
     integrate,
     pointwise_add_fn,
     restrict,
@@ -87,6 +88,22 @@ def simple_on_intervals(n):
     """A simple function of n interval pieces that each hold a point."""
     pieces = [(HValue.of(1, 1), IntervalSet.of([(2 * k, 2 * k + 1)], [2 * k + F(3, 2)])) for k in range(n)]
     return lambda: SimpleFn.of(pieces)
+
+
+def read_steps(n):
+    """function_from_json on the JSON of steps(n)'s n touching pieces."""
+    const = lambda e: {"kind": "const", "value": str(e.coeffs[0])}
+    obj = {"pieces": [
+        {"set": {"intervals": [[str(p.lo), str(p.hi)]]}, "pi1": const(p.pi1), "pi2": const(p.pi2)}
+        for p in steps(n)[1].pieces
+    ]}
+    return lambda: function_from_json(obj)
+
+
+def nu_spread(n):
+    """IntervalSpace.nu on spread(n)'s n intervals and n points."""
+    space, s = IntervalSpace.of(0, 2 * n), spread(n)
+    return lambda: space.nu(s)
 
 
 def interval_and(n):
@@ -181,6 +198,8 @@ ITEM_14 = pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
     pytest.param(simple_on_intervals, id="SimpleFn"),
     pytest.param(interval_and, id="IntervalSet_and"),
     pytest.param(interval_in, id="IntervalSet_in"),
+    pytest.param(read_steps, id="function_from_json"),
+    pytest.param(nu_spread, id="IntervalSpace_nu"),
     pytest.param(restrict_simple_on_intervals, id="restrict_simple_on_intervals"),
     pytest.param(integrate_piecewise, id="integrate_piecewise"),
     pytest.param(verify_piecewise, id="verify_certificate_piecewise"),
