@@ -124,13 +124,13 @@ class PiecewisePiece:
 class PiecewiseFn:
     """Piecewise-graded function on an interval space.
 
-    Pieces are disjoint open subintervals; off their union the value is
-    (0,0).  Each coordinate is a polynomial or a non-integral power.
-    The dimension coordinate's polynomial has degree at most 1, so its
-    sublevel sets stay finite interval unions; the mass coordinate's
-    may have any degree.  A fractional power is only allowed on pieces
-    inside x >= 0.  The constructor checks the pieces (see
-    :func:`exprs.check_piece`) and that they are sorted and disjoint.
+    Pieces are disjoint open subintervals; off their union the value is (0,0).  Each
+    coordinate is a polynomial or a non-integral power.  The dimension coordinate's
+    polynomial has degree at most 1, so its sublevel sets stay finite interval unions; the
+    mass coordinate's may have any degree.  A fractional power is only allowed on pieces
+    inside x >= 0.  The constructor checks the pieces (:func:`exprs.check_piece`) and is the
+    only code that compares their ends: one ``frac_cmp`` proves lo < hi for each piece and
+    one that each pair of neighbours is sorted and disjoint.
     """
 
     pieces: Tuple[PiecewisePiece, ...]
@@ -148,14 +148,19 @@ class PiecewiseFn:
 
     @staticmethod
     def of(pieces: Sequence[Tuple]) -> "PiecewiseFn":
-        """The pieces (lo, hi, pi1, pi2), sorted by lo unless they already are."""
-        out = [
-            PiecewisePiece(as_fraction(lo), as_fraction(hi), pi1, pi2)
-            for lo, hi, pi1, pi2 in pieces
-        ]
-        if any(frac_cmp(q.lo, p.lo) < 0 for p, q in zip(out, out[1:])):
-            out.sort(key=attrgetter("lo"))
-        return PiecewiseFn(tuple(out))
+        """The pieces (lo, hi, pi1, pi2), sorted by lo (see :func:`_ordered`)."""
+        return _ordered([PiecewisePiece(as_fraction(a), as_fraction(b), f, g) for a, b, f, g in pieces])
+
+
+def _ordered(pieces: List[PiecewisePiece]) -> PiecewiseFn:
+    """The pieces sorted by lo as a PiecewiseFn.  Unsorted pieces fail the neighbour check, so
+    they are sorted only when a check fails, then checked again: each error is the sorted one."""
+    try:
+        return PiecewiseFn(tuple(pieces))
+    except (ValueError, NonDisjointError, UnsupportedExpressionError):
+        if (ordered := sorted(pieces, key=attrgetter("lo"))) == pieces:
+            raise
+    return PiecewiseFn(tuple(ordered))
 
 
 HFunction = Union[SimpleFn, PiecewiseFn]
@@ -163,9 +168,7 @@ HFunction = Union[SimpleFn, PiecewiseFn]
 
 def constant_fn(lo, hi, value: HValue) -> PiecewiseFn:
     """The constant function `value` on the open interval (lo, hi)."""
-    return PiecewiseFn.of(
-        [(lo, hi, exprs.const(value.d), exprs.const(value.m.frac))]
-    )
+    return PiecewiseFn.of([(lo, hi, exprs.const(value.d), exprs.const(value.m.frac))])
 
 
 # ---------------------------------------------------------------------------
@@ -552,37 +555,63 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
 
 @json_loader
 def function_from_json(obj) -> HFunction:
+    """The function obj describes.  A piecewise one is read in one pass, with a memo for this
+    call only: each distinct end text (:func:`_number`) and string expression (:func:`_expr`)
+    is read once.  Only the constructor compares ends (:func:`_ordered`); on any failure the
+    first piece read with lo >= hi raises its set's error instead, as in a piece-by-piece read."""
     if ("simple" in obj) == ("pieces" in obj):
         raise ParseError("function description needs one of 'simple' and 'pieces'")
     if "simple" in obj:
-        pieces = [
-            (HValue.parse(p["coeff"]), set_from_json(p["set"]))
-            for p in obj["simple"]
-        ]
+        pieces = [(HValue.parse(p["coeff"]), set_from_json(p["set"])) for p in obj["simple"]]
         i_simple = obj.get("i_simple", False)
         if not isinstance(i_simple, bool):
             raise ParseError(f"i_simple must be true or false, got {i_simple!r}")
         return SimpleFn.of(pieces, i_simple=i_simple)
-    out = []
-    for p in obj["pieces"]:
-        lo, hi = _piece_ends(p["set"])
-        out.append(
-            (lo, hi, exprs.expr_from_json(p["pi1"]), exprs.expr_from_json(p["pi2"]))
-        )
-    return PiecewiseFn.of(out)
+    memo, read, out = {}, [], []
+    try:
+        for p in obj["pieces"]:
+            lo, hi = _piece_ends(p["set"], memo)
+            read.append((p["set"], lo, hi))
+            out.append(PiecewisePiece(lo, hi, _expr(p["pi1"], memo), _expr(p["pi2"], memo)))
+        return _ordered(out)
+    except Exception:  # whatever failed, an earlier set with lo >= hi was the first error
+        for where, lo, hi in read:
+            if frac_cmp(lo, hi) >= 0:
+                set_from_json(where)  # raises "degenerate interval (lo, hi)"
+        raise
 
 
-def _piece_ends(obj) -> Tuple[Fraction, Fraction]:
-    """The ends of a piece's set, one interval: read directly when it is
-    ``{"intervals": [[lo, hi]]}`` with lo < hi, and otherwise through
-    :func:`set_from_json`, so every other shape keeps its error."""
+def _piece_ends(obj, memo: dict) -> Tuple[Fraction, Fraction]:
+    """The ends of a one-interval set, read through the memo of one function_from_json call:
+    ``{"intervals": [[lo, hi]]}`` directly and not compared (the constructor compares them), any
+    other shape by :func:`set_from_json`, which checks lo < hi and so keeps its error."""
     if type(obj) is dict and obj.keys() == {"intervals"}:
         ivs = obj["intervals"]
         if type(ivs) is list and len(ivs) == 1 and type(ivs[0]) is list and len(ivs[0]) == 2:
-            lo, hi = as_fraction(ivs[0][0]), as_fraction(ivs[0][1])
-            if frac_cmp(lo, hi) < 0:
-                return lo, hi
+            return _number(ivs[0][0], memo), _number(ivs[0][1], memo)
     s = set_from_json(obj)
     if not isinstance(s, IntervalSet) or len(s.intervals) != 1 or s.points:
         raise ParseError("each piecewise piece needs exactly one interval")
     return s.intervals[0]
+
+
+def _number(x, memo: dict) -> Fraction:
+    """as_fraction(x), once per memo for a string: JSON 1, 1.0 and true are one Python key."""
+    if type(x) is str and x not in memo:
+        memo[x] = as_fraction(x)
+    return memo[x] if type(x) is str else as_fraction(x)
+
+
+def _expr(obj, memo: dict) -> Expr:
+    """exprs.expr_from_json(obj), once per memo when its values are strings or lists of them."""
+    if type(obj) is not dict:
+        return exprs.expr_from_json(obj)
+    key = []
+    for k, v in obj.items():
+        v = tuple(v) if type(v) is list else v
+        if type(v) is not str and (type(v) is not tuple or {*map(type, v)} != {str}):
+            return exprs.expr_from_json(obj)
+        key.append((k, v))
+    if (key := tuple(key)) not in memo:
+        memo[key] = exprs.expr_from_json(obj)
+    return memo[key]

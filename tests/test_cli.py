@@ -340,6 +340,45 @@ class TestPieceReader:
         assert capsys.readouterr().out == "(2, 1)\n"
 
 
+def _memo_piece(lo, hi, value="1", coeff="1"):
+    return {
+        "set": {"intervals": [[lo, hi]]},
+        "pi1": {"kind": "const", "value": value},
+        "pi2": {"kind": "poly", "coeffs": [coeff]},
+    }
+
+
+class TestReaderMemo:
+    """The reader reads each distinct end text and string expression once
+    per function.  In Python true == 1 == 1.0, so a memo keyed by those
+    values would read JSON true, 1.0 or null as the "1" or 1 that an earlier
+    piece held at the same place; each keeps its own exit code and message."""
+
+    @pytest.mark.parametrize("first", ["1", 1])
+    @pytest.mark.parametrize("where", ["end", "value", "coeffs"])
+    @pytest.mark.parametrize(
+        "x, code, out, err",
+        [
+            (True, 2, "", "parse error: cannot interpret True as an exact rational\n"),
+            (1.0, 2, "", "parse error: cannot interpret 1.0 as an exact rational\n"),
+            (1, 0, "(1, 2)\n", ""),
+            (None, 2, "", "parse error: cannot interpret None as an exact rational\n"),
+        ],
+    )
+    def test_a_value_of_another_json_type_is_read_as_itself(
+        self, first, where, x, code, out, err, tmp_path, capsys
+    ):
+        second = {
+            "end": _memo_piece(x, "2"),
+            "value": _memo_piece("1", "2", value=x),
+            "coeffs": _memo_piece("1", "2", coeff=x),
+        }[where]
+        space = write(tmp_path, "s.json", {"kind": "interval", "bounds": ["0", "2"]})
+        fn = write(tmp_path, "f.json", {"pieces": [_memo_piece("0", first, first, first), second]})
+        assert main(["eval", space, fn]) == code
+        assert capsys.readouterr() == (out, err)
+
+
 def _continuity_global(hvalue, remainder):
     g = {"name": "R", "hvalue": hvalue, "remainder": remainder}
     return {"kind": "continuity", "global": g}

@@ -1539,3 +1539,95 @@ class TestFunctionJson:
             ]
         }
         assert function_from_json(obj) == f
+
+
+def _spellings(q):
+    """JSON strings of the rational q: reduced, unreduced, padded and, where
+    its denominator divides 100, decimal."""
+    out = [str(q), f"{2 * q.numerator}/{2 * q.denominator}", f" {q} "]
+    if 100 % q.denominator == 0:
+        out.append(str(Decimal(q.numerator) / Decimal(q.denominator)))
+    return out
+
+
+# nonnegative on (0, 4); all but the polynomial may be a dimension coordinate
+_POOL = [
+    ("const", [F(3, 4)]),
+    ("const", [F(0)]),
+    ("affine", [F(1, 2), F(1, 4)]),
+    ("pow", [F(1, 2)]),
+    ("poly", [F(1), F(0), F(1, 2)]),
+]
+_DIMENSIONS = {"const", "affine", "pow"}
+_POOL_KINDS = _DIMENSIONS | {"poly"}
+
+
+@st.composite
+def _piece_lists(draw):
+    """A piecewise function's JSON: touching or gapped pieces on a grid of
+    quarters, maybe shuffled; numbers in several spellings; expressions
+    from a small pool, a drawn JSON object often reused as it is; and
+    maybe one injected overlap, degenerate piece or negative mass."""
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=8, unique=True)))
+    spans = [(F(a, 4), F(b, 4)) for a, b in zip(cuts, cuts[1:])]
+    spans = [s for s in spans if s == spans[0] or draw(st.booleans())]
+    num = lambda q: draw(st.sampled_from(_spellings(q)))
+
+    def expr(kind, values):
+        if kind == "affine":
+            return {"kind": kind, "a": num(values[0]), "b": num(values[1])}
+        if kind == "poly":
+            return {"kind": kind, "coeffs": [num(c) for c in values]}
+        return {"kind": kind, ("q" if kind == "pow" else "value"): num(values[0])}
+
+    made = []  # the expressions drawn so far
+
+    def pick(kinds):
+        reuse = [e for e in made if e["kind"] in kinds]
+        if reuse and draw(st.booleans()):
+            return draw(st.sampled_from(reuse))
+        made.append(expr(*draw(st.sampled_from([e for e in _POOL if e[0] in kinds]))))
+        return made[-1]
+
+    pieces = [
+        {"set": {"intervals": [[num(lo), num(hi)]]}, "pi1": pick(_DIMENSIONS), "pi2": pick(_POOL_KINDS)}
+        for lo, hi in spans
+    ]
+    fault = draw(st.sampled_from([None, "overlap", "degenerate", "negative"]))
+    k = draw(st.integers(0, len(pieces) - 1))
+    lo, hi = spans[k]
+    if fault == "overlap":
+        shifted = {"intervals": [[num(lo + F(1, 8)), num(hi + F(1, 8))]]}
+        pieces.insert(k, {**pieces[k], "set": shifted})
+    elif fault == "degenerate":
+        pieces[k] = {**pieces[k], "set": {"intervals": [[num(hi), num(draw(st.sampled_from([lo, hi])))]]}}
+    elif fault == "negative":
+        pieces[k] = {**pieces[k], "pi2": expr("const", [F(-1, 2)])}
+    return {"pieces": draw(st.permutations(pieces)) if draw(st.booleans()) else pieces}
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (HIntegralError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassReader:
+    @settings(max_examples=300, deadline=None)
+    @given(_piece_lists())
+    def test_the_reader_matches_a_piece_by_piece_read(self, obj):
+        # the reference reads every set and expression anew, without a memo,
+        # and orders the pieces with PiecewiseFn.of, whose pieces are in
+        # turn those of the constructor after a sort by lo
+        def reference():
+            pieces = []
+            for p in obj["pieces"]:
+                ((lo, hi),) = set_from_json(p["set"]).intervals
+                pieces.append((lo, hi, exprs.expr_from_json(p["pi1"]), exprs.expr_from_json(p["pi2"])))
+            assert _outcome(lambda: PiecewiseFn.of(pieces)) == _outcome(
+                lambda: PiecewiseFn(tuple(sorted((PiecewisePiece(*p) for p in pieces), key=lambda p: p.lo)))
+            )
+            return PiecewiseFn.of(pieces)
+
+        assert _outcome(lambda: function_from_json(obj)) == _outcome(reference)

@@ -90,12 +90,36 @@ def simple_on_intervals(n):
     return lambda: SimpleFn.of(pieces)
 
 
-def read_steps(n):
-    """function_from_json on the JSON of steps(n)'s n touching pieces."""
+def steps_json(n):
+    """The JSON of steps(n)'s n touching pieces."""
     const = lambda e: {"kind": "const", "value": str(e.coeffs[0])}
-    obj = {"pieces": [
+    return {"pieces": [
         {"set": {"intervals": [[str(p.lo), str(p.hi)]]}, "pi1": const(p.pi1), "pi2": const(p.pi2)}
         for p in steps(n)[1].pieces
+    ]}
+
+
+def read_steps(n):
+    """function_from_json on the JSON of steps(n)'s n touching pieces."""
+    obj = steps_json(n)
+    return lambda: function_from_json(obj)
+
+
+def read_steps_reversed(n):
+    """function_from_json on steps(n) written last piece first, which it sorts."""
+    obj = {"pieces": steps_json(n)["pieces"][::-1]}
+    return lambda: function_from_json(obj)
+
+
+def read_shared_poly(n):
+    """function_from_json on n touching pieces that share one polynomial mass."""
+    obj = {"pieces": [
+        {
+            "set": {"intervals": [[str(k), str(k + 1)]]},
+            "pi1": {"kind": "const", "value": "1"},
+            "pi2": {"kind": "poly", "coeffs": ["1", "-1", "1/2"]},
+        }
+        for k in range(n)
     ]}
     return lambda: function_from_json(obj)
 
@@ -199,6 +223,8 @@ ITEM_14 = pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
     pytest.param(interval_and, id="IntervalSet_and"),
     pytest.param(interval_in, id="IntervalSet_in"),
     pytest.param(read_steps, id="function_from_json"),
+    pytest.param(read_steps_reversed, id="function_from_json_reversed"),
+    pytest.param(read_shared_poly, id="function_from_json_shared_poly"),
     pytest.param(nu_spread, id="IntervalSpace_nu"),
     pytest.param(restrict_simple_on_intervals, id="restrict_simple_on_intervals"),
     pytest.param(integrate_piecewise, id="integrate_piecewise"),
