@@ -130,21 +130,29 @@ class PiecewiseFn:
     mass coordinate's may have any degree.  A fractional power is only allowed on pieces
     inside x >= 0.  The constructor checks the pieces (:func:`exprs.check_piece`) and is the
     only code that compares their ends: one ``frac_cmp`` proves lo < hi for each piece and
-    one that each pair of neighbours is sorted and disjoint.
+    one that each pair of neighbours is sorted and disjoint.  A piece's error comes before an
+    overlap's, but a neighbour whose lo is below both ends of the piece before it raises before
+    any piece is checked: :func:`_ordered` sorts on that error, so it checks each piece once.
     """
 
     pieces: Tuple[PiecewisePiece, ...]
 
     def __post_init__(self):
+        clash = None
+        for p, q in zip(self.pieces, self.pieces[1:]):
+            if frac_cmp(q.lo, p.hi) < 0:
+                error = NonDisjointError(
+                    f"pieces ({p.lo}, {p.hi}) and ({q.lo}, {q.hi}) overlap or are out of order"
+                )
+                if frac_cmp(q.lo, p.lo) < 0:
+                    raise error
+                clash = clash or error
         for p in self.pieces:
             if frac_cmp(p.lo, p.hi) >= 0:
                 raise ValueError(f"degenerate piece ({p.lo}, {p.hi})")
             exprs.check_piece(p.pi1, p.pi2, p.lo, p.hi)
-        for p, q in zip(self.pieces, self.pieces[1:]):
-            if frac_cmp(q.lo, p.hi) < 0:
-                raise NonDisjointError(
-                    f"pieces ({p.lo}, {p.hi}) and ({q.lo}, {q.hi}) overlap or are out of order"
-                )
+        if clash is not None:
+            raise clash
 
     @staticmethod
     def of(pieces: Sequence[Tuple]) -> "PiecewiseFn":
@@ -153,8 +161,8 @@ class PiecewiseFn:
 
 
 def _ordered(pieces: List[PiecewisePiece]) -> PiecewiseFn:
-    """The pieces sorted by lo as a PiecewiseFn.  Unsorted pieces fail the neighbour check, so
-    they are sorted only when a check fails, then checked again: each error is the sorted one."""
+    """The pieces sorted by lo as a PiecewiseFn.  They are sorted only when a check fails (for valid
+    pieces out of order, before any piece is checked), then checked: each error is the sorted one."""
     try:
         return PiecewiseFn(tuple(pieces))
     except (ValueError, NonDisjointError, UnsupportedExpressionError):

@@ -31,9 +31,11 @@ unset.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import exprs
@@ -44,8 +46,11 @@ from .hvalue import (
     ExtRat,
     HValue,
     SeqDescriptor,
+    _ext,
+    _hv,
     add,
     mul,
+    pair_fraction,
     scalar_mul,
     sum_described,
     sum_finite,
@@ -100,28 +105,35 @@ def _trial_seed(seed: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_rat(rng: random.Random, signed: bool) -> Fraction:
+def _random_pair(rng: random.Random, signed: bool) -> Tuple[int, int]:
+    """A random rational as a coprime pair (n, d), d > 0."""
     num = rng.randint(0, 100)
     if signed and rng.random() < 0.5:
         num = -num
-    return Fraction(num, rng.randint(1, 100))
+    den = rng.randint(1, 100)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _random_rat(rng: random.Random, signed: bool) -> Fraction:
+    return pair_fraction(*_random_pair(rng, signed))
 
 
 def random_hvalue(seed, profile: str = "nonneg") -> HValue:
     """Deterministic random value; numerators and denominators stay
     below 100, infinities appear with probability 1/8 when allowed."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    d = _random_rat(rng, signed=False)
+    n, d = _random_pair(rng, signed=False)
     if profile == "nonneg":
-        return HValue(d, ExtRat(_random_rat(rng, signed=False)))
+        return _hv(n, d, _ext(*_random_pair(rng, signed=False), 0))
     if profile == "signed":
         if rng.random() < 0.125:
-            return HValue(d, INF if rng.random() < 0.5 else -INF)
-        return HValue(d, ExtRat(_random_rat(rng, signed=True)))
+            return _hv(n, d, INF if rng.random() < 0.5 else -INF)
+        return _hv(n, d, _ext(*_random_pair(rng, signed=True), 0))
     if profile == "with-infinities":
         if rng.random() < 0.125:
-            return HValue(d, INF)
-        return HValue(d, ExtRat(_random_rat(rng, signed=False)))
+            return _hv(n, d, INF)
+        return _hv(n, d, _ext(*_random_pair(rng, signed=False), 0))
     raise ValueError(f"unknown profile {profile!r}")
 
 
@@ -270,25 +282,26 @@ def brute_force_integral(space: AtomSpace, f: SimpleFn) -> HValue:
     characterization: dimension from single positive sets, mass from
     exhaustive enumeration of disjoint qualifying families."""
     atoms = space.atoms
-    qualifying = []  # (frozenset, inf_f, measure)
+    values = [f.value_at(a) for a in atoms]
+    qualifying = []  # (mask, dimension of inf_f * measure, its mass)
     for mask in range(1, 1 << len(atoms)):
-        sub = frozenset(a for k, a in enumerate(atoms) if mask >> k & 1)
-        mv = space.measure(AtomSet(sub))
+        sub = [k for k in range(len(atoms)) if mask >> k & 1]
+        mv = space.measure(AtomSet(frozenset(atoms[k] for k in sub)))
         if not mv > ZERO:
             continue
-        inf_f = min(f.value_at(a) for a in sub)
+        inf_f = min(values[k] for k in sub)
         if not inf_f > ZERO:
             continue
-        qualifying.append((sub, inf_f, mv))
+        qualifying.append((mask, inf_f.d + mv.d, inf_f.m * mv.m))
     if not qualifying:
         return ZERO
-    d = max(inf_f.d + mv.d for _, inf_f, mv in qualifying)
-    top = [(sub, inf_f, mv) for sub, inf_f, mv in qualifying if inf_f.d + mv.d == d]
+    d = max(dim for _, dim, _ in qualifying)
+    top = [(mask, mass) for mask, dim, mass in qualifying if dim == d]
 
     best = ExtRat(0)
     seen = set()
 
-    def extend(used: frozenset, total: ExtRat):
+    def extend(used: int, total: ExtRat):
         nonlocal best
         if total > best:
             best = total
@@ -296,12 +309,11 @@ def brute_force_integral(space: AtomSpace, f: SimpleFn) -> HValue:
         if key in seen:
             return
         seen.add(key)
-        for sub, inf_f, mv in top:
-            if sub & used:
-                continue
-            extend(used | sub, total + inf_f.m * mv.m)
+        for mask, mass in top:
+            if not mask & used:
+                extend(used | mask, total + mass)
 
-    extend(frozenset(), ExtRat(0))
+    extend(0, ExtRat(0))
     return HValue(d, best)
 
 
@@ -358,13 +370,28 @@ def integrate_ordinary(space: AtomSpace, f: SimpleFn) -> HValue:
 # ---------------------------------------------------------------------------
 
 
-def _once(cache: dict, block, value_of: Callable[[AtomSet], HValue]) -> HValue:
-    """value_of(the block as an AtomSet), computed on the block's first
-    lookup in cache and read from it afterwards."""
-    key = frozenset(block)
-    if key not in cache:
-        cache[key] = value_of(AtomSet(key))
-    return cache[key]
+@functools.lru_cache(maxsize=None)  # n <= 6: at most 279 partitions in all
+def _partitions(n: int) -> Tuple[Tuple[list, Tuple[int, ...]], ...]:
+    """The set partitions of range(n) in :func:`all_partitions` order,
+    each as its blocks' index lists and as their bit masks."""
+    return tuple(
+        (part, tuple(sum(1 << k for k in block) for block in part))
+        for part in all_partitions(tuple(range(n)))
+    )
+
+
+def _unsummed(target: HValue, parts, sets: list, value_of: Callable[[AtomSet], HValue]):
+    """The index lists of the first partition in parts whose blocks'
+    values do not sum_finite to target, or None.  A block's value is
+    value_of(sets[mask]), computed on its first lookup."""
+    values = [None] * len(sets)
+
+    def at(mask: int) -> HValue:
+        if values[mask] is None:
+            values[mask] = value_of(sets[mask])
+        return values[mask]
+
+    return next((part for part, masks in parts if target != sum_finite(map(at, masks))), None)
 
 
 def check_integral_laws(
@@ -379,8 +406,10 @@ def check_integral_laws(
     The two sigma-additivity laws sum the measure and the restricted
     integral over every block of every partition (all 203 partitions of
     a 6-atom set, 674 blocks), but each distinct block (at most 63) is
-    evaluated once per trial and its value reused by every partition
-    holding it.  The caches never outlive a trial, and
+    evaluated once per trial, on its first lookup, and its value reused
+    by every partition holding it.  The partitions are built once per
+    atom count, a block as the bit mask of its atoms' indices, and the
+    values are cached by mask for one trial alone;
     ``brute_force_integral`` keeps its own enumeration.  An injected
     ``measure_fn`` or ``integrate_fn`` must be deterministic, a function
     of its arguments alone; then a cached value is the value each
@@ -427,23 +456,16 @@ def check_integral_laws(
         if (F == ZERO) != pointwise_zero:
             report.record("zero-law", ts, f=F)
 
+        atoms = space.atoms
+        sets = [AtomSet(frozenset(a for k, a in enumerate(atoms) if m >> k & 1)) for m in range(1 << n)]
         whole = measure_fn(space, space.full_set())
-        measures, integrals = {}, {}  # by block, for this trial only
-        for part in all_partitions(space.atoms):
-            total = sum_finite(
-                _once(measures, p, lambda s: measure_fn(space, s)) for p in part
-            )
-            if whole != total:
-                report.record("measure-sigma-additivity", ts, partition=part)
-                break
-        for part in all_partitions(space.atoms):
-            total = sum_finite(
-                _once(integrals, p, lambda s: value_fn(space, restrict(f, s)))
-                for p in part
-            )
-            if F != total:
-                report.record("indefinite-sigma-additivity", ts, partition=part)
-                break
+        for law, target, value_of in (
+            ("measure-sigma-additivity", whole, lambda s: measure_fn(space, s)),
+            ("indefinite-sigma-additivity", F, lambda s: value_fn(space, restrict(f, s))),
+        ):
+            part = _unsummed(target, _partitions(n), sets, value_of)
+            if part is not None:
+                report.record(law, ts, partition=[[atoms[k] for k in block] for block in part])
 
         brute = brute_force_integral(space, f)
         if brute != F:

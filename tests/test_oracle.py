@@ -4,6 +4,10 @@ documented mutants and of a mutant of integrate, and the boundary
 between the production modules and this test machinery."""
 
 import ast
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import random
@@ -15,10 +19,12 @@ from pathlib import Path
 import pytest
 
 import hintegral
-from hintegral.hvalue import HValue, ZERO, add
+from hintegral import cli
+from hintegral.hvalue import INF, ExtRat, HValue, ZERO, add, sum_finite
 from hintegral.space import AtomSet, AtomSpace, IntervalSet
-from hintegral.integral import SimpleFn, integrate, integrate_simple
+from hintegral.integral import SimpleFn, integrate, integrate_simple, restrict
 from hintegral.oracle import (
+    _random_rat,
     all_partitions,
     approx_gap_witness,
     brute_force_integral,
@@ -69,6 +75,41 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_atom_space(0, 7)
 
+    @pytest.mark.parametrize("profile", ["nonneg", "signed", "with-infinities"])
+    def test_draws_match_the_fraction_reference(self, profile):
+        # same values from the same randint/random calls: each rng ends in the same state
+        for seed in range(3000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            v, expected = random_hvalue(rng, profile), reference_hvalue(ref, profile)
+            assert (v, str(v), hash(v), v.d) == (expected, str(expected), hash(expected), expected.d)
+            assert type(v.d) is F and rng.getstate() == ref.getstate()
+            for signed in (False, True):
+                x, y = _random_rat(rng, signed), reference_rat(ref, signed)
+                assert type(x) is F and (x, hash(x), str(x)) == (y, hash(y), str(y))
+            assert rng.getstate() == ref.getstate()
+
+
+def reference_rat(rng, signed):
+    """The draw of a random rational, built through Fraction."""
+    num = rng.randint(0, 100)
+    if signed and rng.random() < 0.5:
+        num = -num
+    return F(num, rng.randint(1, 100))
+
+
+def reference_hvalue(rng, profile):
+    """The draw of a random value, built through Fraction, ExtRat and HValue."""
+    d = reference_rat(rng, signed=False)
+    if profile == "nonneg":
+        return HValue(d, ExtRat(reference_rat(rng, signed=False)))
+    if profile == "signed":
+        if rng.random() < 0.125:
+            return HValue(d, INF if rng.random() < 0.5 else -INF)
+        return HValue(d, ExtRat(reference_rat(rng, signed=True)))
+    if rng.random() < 0.125:
+        return HValue(d, INF)
+    return HValue(d, ExtRat(reference_rat(rng, signed=False)))
+
 
 class TestPartitions:
     def test_bell_numbers(self):
@@ -89,6 +130,16 @@ class TestBruteForceIntegral:
             sp = random_atom_space(rng, rng.randint(1, 5))
             f = random_simple_fn(rng, sp)
             assert brute_force_integral(sp, f) == integrate(sp, f)[0]
+        # 6-atom spaces, some with atoms of weight (0, 0) and of infinite mass at once
+        zero_and_infinite = full_support = False
+        for _ in range(60):
+            sp = random_atom_space(rng, 6)
+            f = random_simple_fn(rng, sp)
+            assert brute_force_integral(sp, f) == integrate(sp, f)[0]
+            weights = list(sp.weights.values())
+            zero_and_infinite |= ZERO in weights and any(not w.m.is_finite for w in weights)
+            full_support |= len(f.pieces) == 6
+        assert zero_and_infinite and full_support
 
     def test_zero_cases(self):
         sp = AtomSpace.of({"a": ZERO, "b": H(1, 2)})
@@ -192,6 +243,82 @@ class TestBlockCache:
         report = check_integral_laws(1, seed=SIX_ATOM_SEED, integrate_fn=wrong_on_ab)
         [v] = [v for v in report.violations if v["law"] == "indefinite-sigma-additivity"]
         assert ["a", "b"] in [sorted(block) for block in ast.literal_eval(v["partition"])]
+
+    def test_sigma_records_keep_their_order_and_partition_text(self):
+        # both walks fail: the measure's record comes first, and each names the
+        # first partition, in all_partitions order, that a frozenset walk finds
+        calls = []
+
+        def integrate_fn(space, g):
+            calls.append((space, g))
+            return wrong_on_pairs(space, g)
+
+        report = check_integral_laws(
+            1, seed=SIX_ATOM_SEED, measure_fn=mutant_measure_non_additive, integrate_fn=integrate_fn
+        )
+        space, f = calls[0]  # the suite integrates f first
+        measure = lambda s: mutant_measure_non_additive(space, s)
+        block_integral = lambda s: wrong_on_pairs(space, restrict(f, s))
+        expected = {
+            "measure-sigma-additivity": _first_unsummed(space, measure(space.full_set()), measure),
+            "indefinite-sigma-additivity": _first_unsummed(space, wrong_on_pairs(space, f), block_integral),
+        }
+        records = [v for v in report.violations if v["law"] in expected]
+        assert [v["law"] for v in records] == list(expected)
+        assert [v["partition"] for v in records] == list(expected.values())
+
+
+def _first_unsummed(space, target, value_of):
+    """str of the first partition of the atoms whose blocks' values do not sum to target."""
+    for part in all_partitions(space.atoms):
+        if sum_finite(value_of(AtomSet(frozenset(block))) for block in part) != target:
+            return str(part)
+    return None
+
+
+def wrong_on_pairs(space, g):
+    """integrate, off by (1000, 1) on every function supported on two atoms."""
+    value = integrate(space, g)[0]
+    return add(value, H(1000, 1)) if len(_support(g)) == 2 else value
+
+
+# SHA-256 of json.dumps of the 300 reports of TestPinnedReports, 5,870 violations
+LAW_REPORTS_SHA256 = "40c23856c65015ba0597416bdc422aa8a3df7b40c38bc6c8bd0a411790eae6f5"
+# SHA-256 of the concatenated stdout of the laws workload's 27 operations
+LAWS_STDOUT_SHA256 = "747df29080655b723f580481478c55b32c304f657e59a9228c65ef4a752240b0"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestPinnedReports:
+    def test_law_reports_are_byte_identical(self):
+        reports = []
+        for seed in range(60):
+            reports += [
+                check_integral_laws(10, seed),
+                check_integral_laws(10, seed, measure_fn=mutant_measure_non_additive),
+                check_integral_laws(10, seed, integrate_fn=mutant_integrate_drops_atom),
+                check_integral_laws(10, seed, integrate_fn=wrong_on_pairs),
+                check_algebra_laws(100, seed, add_fn=mutant_add_drops_dominance),
+            ]
+        assert sum(len(r.violations) for r in reports) == 5870
+        text = json.dumps([r.to_json() for r in reports])
+        assert hashlib.sha256(text.encode()).hexdigest() == LAW_REPORTS_SHA256
+
+    def test_laws_workload_stdout_is_byte_identical(self):
+        # the benchmark's laws operations of seed 101, cycles 0-2, in generated
+        # order; its generator imports nothing from hintegral
+        spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        ops = [op for cycle in range(3) for op in gen.laws_cycle(101, cycle)]
+        digest = hashlib.sha256()
+        for op in ops:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(op["argv"]) == 0
+            digest.update(out.getvalue().encode())
+        assert len(ops) == 27
+        assert digest.hexdigest() == LAWS_STDOUT_SHA256
 
 
 class TestMinorantGap:

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hintegral import exprs
+from hintegral import exprs, integral
 from hintegral.deficiency import (
     ClusterScenario,
     ConvexityScenario,
@@ -246,3 +246,24 @@ def test_calls_at_most_double_with_the_input(entry):
 def test_convexity_sums_over_pairs():
     # n points have n(n - 1)/2 pairs: about 4 per doubling, and no more
     assert_growth(convexity, 4.2)
+
+
+def test_pieces_given_out_of_order_are_each_checked_once(monkeypatch):
+    # a neighbour with a smaller lo is refused before any piece is checked,
+    # so sorting costs no second check; pieces in order compare ends 2n - 1 times
+    calls = {"check_piece": 0, "frac_cmp": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(exprs, "check_piece", counted("check_piece", exprs.check_piece))
+    monkeypatch.setattr(integral, "frac_cmp", counted("frac_cmp", integral.frac_cmp))
+    for read in (read_steps_reversed, read_steps):
+        run = read(200)
+        calls.update(check_piece=0, frac_cmp=0)
+        run()
+        assert calls["check_piece"] == 200
+    assert calls["frac_cmp"] == 2 * 200 - 1
