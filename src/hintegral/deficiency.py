@@ -26,12 +26,11 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
-from .errors import ParseError, UnsupportedScenarioError, json_loader
-from .hvalue import INF, ZERO, ExtRat, HValue, RatLike, add, as_fraction, as_pair, mul, sum_finite
+from .errors import ParseError, UnsupportedScenarioError, json_list, json_loader
+from .hvalue import INF, ZERO, ExtRat, HValue, RatLike, add, as_pair, mul, pair_fraction, sum_finite
 from .space import check_declared
 
 ONE = Fraction(1)
-COUNT = HValue.of(0, 1)  # the measure of one point, jump or ordered pair
 
 # ---------------------------------------------------------------------------
 # exact plane geometry
@@ -48,10 +47,7 @@ class Point2:
     __slots__ = ("X", "Y", "D")
 
     def __init__(self, x: RatLike, y: RatLike):
-        a, b = as_pair(x)
-        c, d = as_pair(y)
-        den = lcm(b, d)
-        self.X, self.Y, self.D = a * (den // b), c * (den // d), den
+        _set_point(self, *as_pair(x), *as_pair(y))
 
     @staticmethod
     def of(x: RatLike, y: RatLike) -> "Point2":
@@ -75,6 +71,13 @@ class Point2:
 
     def __repr__(self) -> str:
         return f"Point2(x={self.x!r}, y={self.y!r})"
+
+
+def _set_point(p: Point2, a: int, b: int, c: int, d: int) -> Point2:
+    """p set to (a/b, c/d), two coprime pairs (:func:`as_pair`) put on one denominator."""
+    den = lcm(b, d)
+    p.X, p.Y, p.D = a * (den // b), c * (den // d), den
+    return p
 
 
 @dataclass(frozen=True)
@@ -153,10 +156,10 @@ class ClusterScenario:
 
     @staticmethod
     def of(jumps: Sequence[Tuple], global_component=None) -> "ClusterScenario":
-        js = tuple((as_fraction(x), r) for x, r in jumps)
-        xs = [x for x, _ in js]
-        if len(set(xs)) != len(xs):
+        read = [(as_pair(x), r) for x, r in jumps]
+        if len({xy for xy, _ in read}) != len(read):  # reduced pairs: equal exactly when the values are
             raise ValueError("jump locations must be pairwise distinct")
+        js = tuple((pair_fraction(*xy), r) for xy, r in read)
         remainders = [r for _, r in js]
         if global_component is not None:
             name, mu, remainder = global_component
@@ -217,11 +220,12 @@ class ConvexityScenario:
 def defi_continuity(s: ClusterScenario) -> HValue:
     """h-integral of the declared cluster remainder over the real line.
 
-    Each jump point carries the counting measure (0,1); the optional
+    Each jump point carries the counting measure (0,1), and r x (0,1) = r
+    for every r, so the remainders are added as they are; the optional
     global component carries its declared measure.  (0,0) exactly when
     there is no defect anywhere.
     """
-    total = sum_finite(mul(remainder, COUNT) for _, remainder in s.jumps)
+    total = sum_finite(remainder for _, remainder in s.jumps)
     if s.global_component is not None:
         _, mu, remainder = s.global_component
         total = add(total, mul(remainder, mu))
@@ -327,10 +331,12 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
 
     Each |xy| is one ``isqrt`` on integers (:func:`_pair_root`), r / L
     with L the lcm of the pair's denominators.  The numerators r are
-    summed per L, and one Fraction is built per distinct L at the end.
-    Those are added pairwise, level by level, so that only the last few
+    summed per L, and the sums are added pairwise, level by level, as
+    integer pairs (L, r): two nodes with g = gcd(L1, L2) give
+    (L1 // g * L2, r1 * (L2 // g) + r2 * (L1 // g)).  Only the last few
     additions carry the denominator of the whole sum, which for coprime
-    pair denominators is their product.
+    pair denominators is their product, and one Fraction is built at
+    the end.
     """
     if s.convex_primitive is not None:
         return ZERO
@@ -342,11 +348,22 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
             if r * r != n:
                 rational_distance(p, q)  # raises, naming the pair
             sums[den] = sums.get(den, 0) + r
-    terms = [Fraction(r, den) for den, r in sums.items()]
-    while len(terms) > 1:
-        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
-    total = terms[0] if terms else 0
+    total = _pairwise_sum(sums)
     return HValue(ONE, ExtRat(2 * total)) if total else ZERO
+
+
+def _pairwise_sum(sums: dict) -> Fraction:
+    """The sum of r / L over the items (L, r) of sums, added pairwise,
+    level by level, as unreduced integer pairs (L, r) on lcm denominators."""
+    terms = list(sums.items())
+    while len(terms) > 1:
+        level = []
+        for (d1, n1), (d2, n2) in zip(terms[::2], terms[1::2]):
+            g = gcd(d1, d2)
+            level.append((d1 // g * d2, n1 * (d2 // g) + n2 * (d1 // g)))
+        terms = level + terms[len(terms) & ~1 :]
+    den, r = terms[0] if terms else (1, 0)
+    return Fraction(r, den)
 
 
 # ---------------------------------------------------------------------------
@@ -354,34 +371,53 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
 # ---------------------------------------------------------------------------
 
 
-def _point_from_json(obj) -> Point2:
+def _pair(x, memo: dict) -> Tuple[int, int]:
+    """as_pair(x), once per memo for a string: JSON 1, 1.0 and true are one Python key."""
+    if type(x) is not str:
+        return as_pair(x)
+    pair = memo.get(x)
+    if pair is None:
+        pair = memo[x] = as_pair(x)
+    return pair
+
+
+def _point_from_json(obj, memo: dict) -> Point2:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ParseError(f"a point is a pair of rationals, got {obj!r}")
-    return Point2(obj[0], obj[1])
+    return _set_point(object.__new__(Point2), *_pair(obj[0], memo), *_pair(obj[1], memo))
 
 
-def _line_from_json(obj) -> Line2:
-    return Line2.through(_point_from_json(obj["p"]), _point_from_json(obj["q"]))
+def _line_from_json(obj, memo: dict) -> Line2:
+    return Line2.through(_point_from_json(obj["p"], memo), _point_from_json(obj["q"], memo))
 
 
-def _primitive_from_json(obj) -> LinePrimitive:
+def _primitive_from_json(obj, memo: dict) -> LinePrimitive:
     kind = obj.get("type")
     if kind == "point":
-        return LinePrimitive("point", _point_from_json(obj["p"]))
-    if kind in ("line", "segment"):
-        p, q = _point_from_json(obj["p"]), _point_from_json(obj["q"])
+        p, q = _point_from_json(obj["p"], memo), None
+    elif kind in ("line", "segment"):
+        p, q = _point_from_json(obj["p"], memo), _point_from_json(obj["q"], memo)
         if p == q:
             raise ParseError(f"a {kind} needs two distinct points, got ({p.x}, {p.y}) twice")
-        return LinePrimitive(kind, p, q)
-    raise ParseError(f"unknown primitive type {kind!r}")
+    else:
+        raise ParseError(f"unknown primitive type {kind!r}")
+    # LinePrimitive(kind, p, q), its fields written straight into its __dict__ (it is frozen)
+    prim = object.__new__(LinePrimitive)
+    fields = vars(prim)
+    fields["kind"], fields["p"], fields["q"] = kind, p, q
+    return prim
 
 
 @json_loader
 def scenario_from_json(obj):
+    """The scenario obj describes, read in one pass.  A memo for this call only reads each
+    distinct coordinate text once (:func:`_pair`); a jump's x is read by
+    :meth:`ClusterScenario.of`.  A list field given as anything else is a ParseError."""
     kind = obj["kind"]
+    memo = {}
     if kind == "continuity":
         jumps = [
-            (j["x"], HValue.parse(j["remainder"])) for j in obj.get("jumps", [])
+            (j["x"], HValue.parse(j["remainder"])) for j in json_list(obj.get("jumps", []), "jumps")
         ]
         g = obj.get("global")
         global_component = None
@@ -396,15 +432,15 @@ def scenario_from_json(obj):
             )
         return ClusterScenario.of(jumps, global_component)
     if kind == "lineness":
-        prims = [_primitive_from_json(p) for p in obj.get("primitives", [])]
-        cands = [_line_from_json(c) for c in obj.get("candidates", [])]
+        prims = [_primitive_from_json(p, memo) for p in json_list(obj.get("primitives", []), "primitives")]
+        cands = [_line_from_json(c, memo) for c in json_list(obj.get("candidates", []), "candidates")]
         return LinenessScenario.of(prims, cands)
     if kind == "convexity":
         prim = None
         if "segment" in obj:
             p, q = obj["segment"]
-            prim = _primitive_from_json({"type": "segment", "p": p, "q": q})
-        pts = [_point_from_json(p) for p in obj.get("points", [])]
+            prim = _primitive_from_json({"type": "segment", "p": p, "q": q}, memo)
+        pts = [_point_from_json(p, memo) for p in json_list(obj.get("points", []), "points")]
         return ConvexityScenario.of(pts, prim)
     raise ParseError(f"unknown scenario kind {kind!r}")
 

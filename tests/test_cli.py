@@ -738,6 +738,20 @@ class TestDefi:
         assert main(["defi", write(tmp_path, "c.json", s)]) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("kind, field", [
+        ("continuity", "jumps"), ("convexity", "points"),
+        ("lineness", "primitives"), ("lineness", "candidates"),
+    ])
+    @pytest.mark.parametrize("value", ["", "ab", {}, {"p": ["0", "0"]}, 3, None])
+    def test_a_list_field_given_as_anything_else_exit_2(self, kind, field, value, tmp_path, capsys):
+        # an empty string or object was once read as an empty list, and exited 0
+        s = {"kind": kind, field: value}
+        if kind == "lineness":
+            s = {"primitives": [], "candidates": [{"p": ["0", "0"], "q": ["1", "0"]}]} | s
+        assert main(["defi", write(tmp_path, "c.json", s)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"parse error: {field} must be a list, got {value!r}\n"
+
 
 class TestDemo:
     def test_monotone_failure(self, capsys):

@@ -23,19 +23,28 @@ convexity
   (0,0) twice, (3,4)     K = {(0,0),(3,4)}: 2 ordered pairs, (1,5) each -> (1, 10)
 """
 
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
 import random
 import re
 from fractions import Fraction as F
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hintegral.errors import ParseError, UnsupportedScenarioError
+from hintegral import deficiency
+from hintegral.cli import main
+from hintegral.errors import ParseError, UnsupportedScenarioError, json_list, json_loader
 from hintegral.exprs import nth_root
-from hintegral.hvalue import HValue, ZERO, add, mul, sum_finite
+from hintegral.hvalue import HValue, ZERO, add, as_fraction, as_pair, mul, sum_finite
 from hintegral.deficiency import (
+    _pairwise_sum,
     ClusterScenario,
     ConvexityScenario,
     Line2,
@@ -596,3 +605,254 @@ class TestScenarioJson:
     def test_bad_kind(self):
         with pytest.raises(ParseError):
             scenario_from_json({"kind": "perimeter"})
+
+    def test_each_coordinate_text_is_read_once(self, monkeypatch):
+        # "1" is read once however often it appears, and the JSON int 1 is
+        # not a key of the memo: it is read at each of its two places
+        reads = []
+        monkeypatch.setattr(deficiency, "as_pair", lambda x: reads.append(x) or as_pair(x))
+        obj = {
+            "kind": "lineness",
+            "primitives": [
+                {"type": "point", "p": ["1", "1"]},
+                {"type": "segment", "p": ["1", 1], "q": [" 1 ", "0"]},
+            ],
+            "candidates": [{"p": ["1", "0"], "q": [1, "2/4"]}],
+        }
+        scenario_from_json(obj)
+        assert sorted(map(repr, reads)) == ["' 1 '", "'0'", "'1'", "'2/4'", "1", "1"]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader against a point-by-point reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_point(obj):
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
+        raise ParseError(f"a point is a pair of rationals, got {obj!r}")
+    return Point2(obj[0], obj[1])
+
+
+def _ref_primitive(obj):
+    kind = obj.get("type")
+    if kind == "point":
+        return LinePrimitive("point", _ref_point(obj["p"]))
+    if kind in ("line", "segment"):
+        p, q = _ref_point(obj["p"]), _ref_point(obj["q"])
+        if p == q:
+            raise ParseError(f"a {kind} needs two distinct points, got ({p.x}, {p.y}) twice")
+        return LinePrimitive(kind, p, q)
+    raise ParseError(f"unknown primitive type {kind!r}")
+
+
+def _ref_cluster(jumps, global_component):
+    """ClusterScenario.of as it read jump locations onto Fractions and
+    compared them by hashing."""
+    js = tuple((as_fraction(x), r) for x, r in jumps)
+    if len({x for x, _ in js}) != len(js):
+        raise ValueError("jump locations must be pairwise distinct")
+    remainders = [r for _, r in js]
+    if global_component is not None:
+        name, mu, remainder = global_component
+        check_declared(name, mu, ambient=1)
+        remainders.append(remainder)
+    if not all(r.is_nonneg() for r in remainders):
+        raise ValueError("cluster remainders must be nonnegative")
+    return ClusterScenario(js, global_component)
+
+
+def _ref_read(obj):
+    """scenario_from_json read item by item, without a memo."""
+    kind = obj["kind"]
+    if kind == "continuity":
+        jumps = [(j["x"], HValue.parse(j["remainder"])) for j in json_list(obj.get("jumps", []), "jumps")]
+        g = obj.get("global")
+        glob = None if g is None else (g["name"], HValue.parse(g["hvalue"]), HValue.parse(g["remainder"]))
+        return _ref_cluster(jumps, glob)
+    if kind == "lineness":
+        prims = [_ref_primitive(p) for p in json_list(obj.get("primitives", []), "primitives")]
+        cands = [
+            Line2.through(_ref_point(c["p"]), _ref_point(c["q"]))
+            for c in json_list(obj.get("candidates", []), "candidates")
+        ]
+        return LinenessScenario.of(prims, cands)
+    prim = None
+    if "segment" in obj:
+        p, q = obj["segment"]
+        prim = _ref_primitive({"type": "segment", "p": p, "q": q})
+    return ConvexityScenario.of([_ref_point(p) for p in json_list(obj.get("points", []), "points")], prim)
+
+
+_ref_read.__name__ = "scenario_from_json"  # the loader's messages name the function
+ref_scenario_from_json = json_loader(_ref_read)
+
+
+def _read_outcome(read, obj):
+    """The scenario read, with its repr and hash, or the type and text of the error."""
+    try:
+        s = read(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s, repr(s), hash(s)
+
+
+HVALUE_TEXTS = ["(0, 1)", "(0, 0)", "(1, 2/4)", "(1, inf)", "(1/2, 3)", " (0, 0.5) "]
+VALUES = [F(-1), F(0), F(1, 2), F(1), F(3, 4), F(2), F(5, 2)]
+
+
+@st.composite
+def number_json(draw, refused):
+    """One of a few values, spelled one of several ways, a JSON int among
+    them; with ``refused``, one time in four a value the reader must refuse."""
+    if refused and draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(["1/0", "x", True, 1.0, None]))
+    q = draw(st.sampled_from(VALUES))
+    n, d = q.numerator, q.denominator
+    if d == 1 and draw(st.booleans()):
+        return n
+    forms = [str(q), f"{2 * n}/{2 * d}", f" {q} ", f"{n * 10**3}e-3" if d == 1 else f"{n}/{d}"]
+    if d == 1:
+        forms.append(f"{n}e0")
+    if d in (1, 2, 4):
+        forms.append(str(float(q)))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def scenario_json(draw):
+    """A scenario whose numbers come from a small pool, so that one text,
+    or one value in two spellings, or 1 and true, often meet in a file."""
+    mode = draw(st.sampled_from(["clean", "refused", "1 then true"]))
+    pool = draw(st.lists(number_json(mode == "refused"), min_size=3, max_size=10))
+    if mode == "1 then true":
+        # JSON 1, 1.0 and true are one Python key, but only 1 is a number
+        pool = ["1", 1, 1, draw(st.sampled_from([True, 1.0, None]))]
+    number = st.sampled_from(pool)
+    point = st.lists(number, min_size=2, max_size=2)
+
+    @st.composite
+    def primitive(draw):
+        kinds = ["point", "line", "segment", "segment"] + ["blob"] * (draw(st.integers(0, 19)) == 0)
+        kind = draw(st.sampled_from(kinds))
+        return {"type": kind, "p": draw(point), "q": draw(point)}
+
+    kind = draw(st.sampled_from(["continuity", "lineness", "convexity"]))
+    if kind == "continuity":
+        remainder = st.sampled_from(HVALUE_TEXTS + ["(0, -1)"] * (draw(st.integers(0, 9)) == 0))
+        jumps = draw(st.lists(number, max_size=6, unique_by=repr if draw(st.booleans()) else None))
+        obj = {"kind": kind, "jumps": [{"x": x, "remainder": draw(remainder)} for x in jumps]}
+        if draw(st.integers(0, 3)) == 0:
+            mu = draw(st.sampled_from(HVALUE_TEXTS))
+            obj["global"] = {"name": "rest", "hvalue": mu, "remainder": draw(remainder)}
+        return obj
+    if kind == "lineness":
+        lines = st.fixed_dictionaries({"p": point, "q": point})
+        return {
+            "kind": kind,
+            "primitives": draw(st.lists(primitive(), max_size=8)),
+            "candidates": draw(st.lists(lines, min_size=draw(st.sampled_from([0, 1, 1, 1])), max_size=3)),
+        }
+    obj = {"kind": kind, "points": draw(st.lists(point, max_size=6))}
+    if draw(st.integers(0, 4)) == 0:
+        obj["segment"] = draw(st.lists(point, min_size=2, max_size=2))
+    return obj
+
+
+class TestOnePassReader:
+    @given(scenario_json())
+    @settings(max_examples=500, deadline=None)
+    def test_reader_matches_the_point_by_point_reference(self, obj):
+        text = json.dumps(obj)
+        got = _read_outcome(scenario_from_json, json.loads(text))
+        assert got == _read_outcome(ref_scenario_from_json, json.loads(text))
+
+    def test_a_json_int_then_true_or_a_float(self):
+        # 1, 1.0 and true are one Python dict key, but only an int is a number here
+        for later in (True, 1.0, None):
+            obj = {"kind": "convexity", "points": [["1", 1], [later, "0"]]}
+            assert _read_outcome(scenario_from_json, obj) == _read_outcome(ref_scenario_from_json, obj)
+            assert _read_outcome(scenario_from_json, obj)[0] is ParseError
+
+
+def ref_tree(sums):
+    """The sum of r / L over sums' items (L, r), one Fraction per L added pairwise."""
+    terms = [F(r, den) for den, r in sums.items()]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return terms[0] if terms else F(0)
+
+
+@st.composite
+def denominator_maps(draw):
+    """Pair denominators L with numerator sums r: small ones, families
+    sharing a long factor, powers of 2 and 3, and 1000-bit ones, alone
+    or with a shared factor."""
+    kind = draw(st.sampled_from(["small", "shared", "powers", "1000-bit", "1000-bit shared"]))
+    if kind == "small":
+        dens = st.integers(1, 60)
+    elif kind == "shared":
+        base = draw(st.integers(2, 2**64))
+        dens = st.integers(1, 30).map(lambda k: base * k)
+    elif kind == "powers":
+        dens = st.builds(lambda i, j: 2**i * 3**j, st.integers(0, 40), st.integers(0, 25))
+    elif kind == "1000-bit":
+        dens = st.integers(2**999, 2**1000)
+    else:
+        base = draw(st.integers(2**500, 2**501))
+        dens = st.integers(2**498, 2**499).map(lambda k: base * k)
+    nums = st.one_of(st.integers(1, 10**6), st.integers(1, 2**1100))
+    return draw(st.dictionaries(dens, nums, max_size=40))
+
+
+class TestPairwiseSum:
+    @given(denominator_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_pairs_match_the_fraction_tree(self, sums):
+        total = _pairwise_sum(sums)
+        assert type(total) is F and total == ref_tree(sums)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFI_SHA256 = "a260cb53f500ab66cf379d586a8926270771e13d7e12c91476ad8c14328bc2b2"
+
+
+def _defi_digest(paths):
+    """One SHA-256 over the exit code, stdout and stderr of ``defi`` on each
+    path, without and with ``--json``."""
+    digest = hashlib.sha256()
+    for path in paths:
+        for flags in ([], ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["defi", str(path), *flags])
+            digest.update(f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    def test_scenario_workload_defi_output_is_byte_identical(self, tmp_path):
+        # the benchmark's 180 defi requests (seeds 101-103, cycles 0-3) and
+        # the bundled scenario files; its generator imports nothing from hintegral
+        spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        ops = [
+            op
+            for seed in (101, 102, 103)
+            for cycle in range(4)
+            for op in gen.scenario_cycle(seed, cycle)
+            if not op["kind"].startswith("eval")
+        ]
+        assert len(ops) == 180
+        paths = []
+        for i, op in enumerate(ops):
+            (scenario,) = op["files"]
+            paths.append(tmp_path / f"{i}.json")
+            paths[-1].write_text(json.dumps(scenario))
+        bundled = sorted(
+            p for p in (ROOT / "scenarios").glob("*.json")
+            if p.name.startswith(("continuity", "convexity", "lineness"))
+        )
+        assert len(bundled) == 7
+        assert _defi_digest(paths + bundled) == DEFI_SHA256

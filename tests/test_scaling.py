@@ -25,6 +25,7 @@ from hintegral.deficiency import (
     defi_continuity,
     defi_convexity,
     defi_lineness,
+    scenario_from_json,
 )
 from hintegral.hvalue import HValue
 from hintegral.integral import (
@@ -209,6 +210,21 @@ def lineness(n):
     return lambda: defi_lineness(s)
 
 
+def read_lineness(n):
+    """scenario_from_json on lineness(n)'s n primitives and candidate, as JSON."""
+    point = lambda x, y: [str(x), str(y)]
+    prims = [{"type": "point", "p": point(k, 1)} for k in range(0, n, 2)]
+    prims += [{"type": "segment", "p": point(k, 1), "q": point(k, 2)} for k in range(1, n, 2)]
+    obj = {"kind": "lineness", "primitives": prims, "candidates": [{"p": point(0, 0), "q": point(1, 0)}]}
+    return lambda: scenario_from_json(obj)
+
+
+def read_continuity(n):
+    """scenario_from_json on continuity(n)'s n jumps, as JSON."""
+    obj = {"kind": "continuity", "jumps": [{"x": str(k), "remainder": f"(0, {k + 1})"} for k in range(n)]}
+    return lambda: scenario_from_json(obj)
+
+
 def convexity(n):
     s = ConvexityScenario.of([Point2.of(k, 0) for k in range(n)])
     return lambda: defi_convexity(s)
@@ -235,6 +251,8 @@ ITEM_14 = pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
     pytest.param(restrict_atoms, id="restrict_atoms"),
     pytest.param(continuity, id="defi_continuity"),
     pytest.param(lineness, id="defi_lineness"),
+    pytest.param(read_lineness, id="scenario_from_json_lineness"),
+    pytest.param(read_continuity, id="scenario_from_json_continuity"),
     pytest.param(verify_atoms, id="verify_certificate_atoms", marks=ITEM_14),
     pytest.param(sublevel_atoms, id="sublevel_set_atoms", marks=ITEM_14),
     pytest.param(add_atoms, id="pointwise_add_fn_atoms", marks=ITEM_14),
