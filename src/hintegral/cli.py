@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -27,6 +28,7 @@ from typing import List, Optional
 from . import exprs
 from .deficiency import evaluate_scenario, scenario_from_json
 from .errors import (
+    HIntegralError,
     NonDisjointError,
     ParseError,
     UndefinedSumError,
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .hvalue import HValue, add, mul
 from .integral import PiecewiseFn, SimpleFn, constant_fn, function_from_json, integrate
-from .oracle import approx_gap_witness, check_algebra_laws, check_integral_laws
+from .oracle import LawReport, approx_gap_witness, check_algebra_laws, check_integral_laws
 from .space import IntervalSet, IntervalSpace, space_from_json
 
 EXIT_OK = 0
@@ -80,11 +82,90 @@ def _trial_count(text: str) -> int:
     return int(text)
 
 
+def _can_fork() -> bool:
+    """Whether the algebra suite may run in a forked child: the platform
+    forks, this process may use at least two CPUs, and it runs one thread
+    (a fork copies only the calling thread, and Python 3.12 warns)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no per-thread listing: the thread count is unknown
+        return False
+
+
+def _algebra_report(text: str, status: int) -> LawReport:
+    """The algebra report from the child's JSON record; a recorded error is
+    raised here, a package error as its own class."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(
+            f"the algebra suite's child process ended with code {code} and no report"
+        ) from None
+    if "error" in record:
+        module, name, message = record["error"]
+        cls = getattr(sys.modules.get(module), name, None)
+        if isinstance(cls, type) and issubclass(cls, HIntegralError):
+            raise cls(message)
+        raise RuntimeError(f"the algebra suite's child process raised {module}.{name}: {message}")
+    r = record["report"]
+    return LawReport(r["law"], r["trials"], *r["seed_range"], r["violations"])
+
+
+def _laws_side_by_side(trials: int, integral_trials: int, seed: int) -> List[LawReport]:
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: never returns, and never flushes the stdio buffers it shares
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                record = {"report": check_algebra_laws(trials, seed).to_json()}
+            except BaseException as exc:  # to the parent, which raises it: unwinding would run the caller here
+                record = {"error": [type(exc).__module__, type(exc).__qualname__, str(exc)]}
+            with os.fdopen(write_fd, "w", encoding="utf-8") as pipe:
+                pipe.write(json.dumps(record))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with os.fdopen(read_fd, encoding="utf-8") as pipe:
+        try:
+            integral = check_integral_laws(integral_trials, seed)
+        finally:
+            # to EOF before waitpid: a report longer than the pipe buffer
+            # holds the child in its write until it is read
+            text = pipe.read()
+            _, status = os.waitpid(pid, 0)
+    return [_algebra_report(text, status), integral]
+
+
 def cmd_laws(args: argparse.Namespace) -> int:
-    algebra = check_algebra_laws(args.trials, args.seed)
+    """Run the algebra and the integral law suites and print their reports.
+
+    The suites share no state, so when ``os.fork`` exists,
+    ``os.sched_getaffinity(0)`` exists and holds at least two CPUs, and the
+    process runs one thread, the algebra suite runs in one forked child
+    while this process runs the integral suite.  The child writes its
+    report, or its error, as one JSON record to a pipe and leaves through
+    ``os._exit``.  The parent reads the pipe to EOF, then calls
+    ``waitpid``, and raises a recorded error as the sequential path would.
+    Otherwise the suites run one after the other.  The output is the same
+    on both paths.
+    """
     # integral trials are an order of magnitude heavier per trial
-    integral = check_integral_laws(max(args.trials // 10, 1) if args.trials else 0, args.seed)
-    reports = [algebra, integral]
+    integral_trials = max(args.trials // 10, 1) if args.trials else 0
+    if _can_fork():
+        reports = _laws_side_by_side(args.trials, integral_trials, args.seed)
+    else:
+        reports = [
+            check_algebra_laws(args.trials, args.seed),
+            check_integral_laws(integral_trials, args.seed),
+        ]
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:

@@ -438,7 +438,10 @@ def scenario_from_json(obj):
     if kind == "convexity":
         prim = None
         if "segment" in obj:
-            p, q = obj["segment"]
+            ends = json_list(obj["segment"], "segment")
+            if len(ends) != 2:
+                raise ParseError(f"segment must be two points, got {len(ends)}")
+            p, q = ends
             prim = _primitive_from_json({"type": "segment", "p": p, "q": q}, memo)
         pts = [_point_from_json(p, memo) for p in json_list(obj.get("points", []), "points")]
         return ConvexityScenario.of(pts, prim)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -16,10 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hintegral
+from hintegral import cli
 from hintegral.cli import build_parser, main
+from hintegral.errors import ParseError, UndefinedSumError
 from hintegral.exprs import MAX_DEGREE
 from hintegral.hvalue import ExtRat, HValue
 from hintegral.integral import T4Certificate, Witness, function_from_json, verify_certificate
+from hintegral.oracle import LawReport
 from hintegral.space import set_from_json, space_from_json
 
 
@@ -648,6 +652,120 @@ class TestLaws:
         assert [r["law"] for r in reports] == ["algebra", "integral"]
         assert all(r["violations"] == [] for r in reports)
 
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_both_paths_print_the_same(self, seed, flags, monkeypatch, capsys):
+        argv = ["--trials", "100", "--seed", str(seed), *flags]
+        forked = run_laws(monkeypatch, capsys, 2, argv)
+        in_turn = run_laws(monkeypatch, capsys, 1, argv)
+        assert (forked[3], in_turn[3]) == (1, 0)
+        assert forked[:3] == in_turn[:3]
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (UndefinedSumError, 4, "undefined sum"), (ParseError, 2, "parse error"),
+    ])
+    def test_a_package_error_in_the_child_exits_as_in_turn(self, error, code, prefix, monkeypatch, capsys):
+        def failing(trials, seed):
+            raise error(f"seed {seed}")
+
+        monkeypatch.setattr(cli, "check_algebra_laws", failing)
+        argv = ["--trials", "10", "--seed", "3"]
+        assert run_laws(monkeypatch, capsys, 2, argv) == (code, "", f"{prefix}: seed 3\n", 1)
+        assert run_laws(monkeypatch, capsys, 1, argv) == (code, "", f"{prefix}: seed 3\n", 0)
+
+    def test_a_package_error_in_the_parent_reaps_the_child(self, monkeypatch, capsys):
+        def failing(trials, seed):
+            raise UndefinedSumError("integral")
+
+        monkeypatch.setattr(cli, "check_integral_laws", failing)
+        assert run_laws(monkeypatch, capsys, 2, ["--trials", "10"]) == (4, "", "undefined sum: integral\n", 1)
+
+    @pytest.mark.parametrize("failing, message", [
+        (lambda trials, seed: 1 / 0, "raised builtins.ZeroDivisionError: division by zero"),
+        (lambda trials, seed: os._exit(3), "ended with code 3 and no report"),
+    ])
+    def test_any_other_failure_in_the_child_raises(self, failing, message, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "check_algebra_laws", failing)
+        with pytest.raises(RuntimeError, match=message):
+            run_laws(monkeypatch, capsys, 2, ["--trials", "10"])
+
+    def test_a_report_longer_than_the_pipe_comes_through_whole(self, monkeypatch, capsys):
+        violations = [{"law": "commutativity", "seed": i, "a": f"({i}, 1)"} for i in range(50_000)]
+        report = LawReport("algebra", 10, 0, 9, violations)
+        monkeypatch.setattr(cli, "check_algebra_laws", lambda trials, seed: report)
+        argv = ["--trials", "10", "--json"]
+        forked = run_laws(monkeypatch, capsys, 2, argv)
+        assert forked[0] == 1 and forked[3] == 1
+        assert json.loads(forked[1])[0] == report.to_json()
+        assert forked[:3] == run_laws(monkeypatch, capsys, 1, argv)[:3]
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_in_turn_on_a_platform_without(self, missing, monkeypatch, capsys):
+        argv = ["--trials", "20", "--seed", "5"]
+        code, out, err, _ = run_laws(monkeypatch, capsys, 1, argv)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, missing)
+        assert main(["laws", *argv]) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_in_turn_while_another_thread_runs(self, monkeypatch, capsys):
+        argv = ["--trials", "20", "--seed", "5"]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with_thread = run_laws(monkeypatch, capsys, 2, argv)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert with_thread[3] == 0
+        assert with_thread[:3] == run_laws(monkeypatch, capsys, 1, argv)[:3]
+
+    def test_unflushed_output_before_a_forked_run_appears_once(self):
+        # stdout is a buffered pipe, so the text waits in its buffer when the child forks
+        script = (
+            "import os, sys\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from hintegral.cli import main\n"
+            "print('before the run', end=' ')\n"
+            "code = main(['laws', '--trials', '20'])\n"
+            "print(len(forks), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(hintegral.__file__).parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (run.returncode, run.stderr) == (0, "1\n")
+        assert run.stdout.startswith("before the run algebra: 20 trials")
+        assert run.stdout.count("before the run") == 1
+
+
+def run_laws(monkeypatch, capsys, cpus, argv):
+    """``main(["laws", *argv])`` with ``cpus`` CPUs for the process: its exit
+    code, stdout, stderr and fork count.  No child is left behind, also
+    when main raises."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", counted_fork)
+        try:
+            code = main(["laws", *argv])
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    out, err = capsys.readouterr()
+    return code, out, err, len(forks)
+
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -751,6 +869,20 @@ class TestDefi:
         assert main(["defi", write(tmp_path, "c.json", s)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"parse error: {field} must be a list, got {value!r}\n"
+
+
+    @pytest.mark.parametrize("segment, message", [
+        ({"p": ["0", "0"], "q": ["1", "0"]}, "segment must be a list, got {'p': ['0', '0'], 'q': ['1', '0']}"),
+        ("ab", "segment must be a list, got 'ab'"),
+        ([["0", "0"]], "segment must be two points, got 1"),
+        ([["0", "0"], ["1", "0"], ["2", "0"]], "segment must be two points, got 3"),
+    ])
+    def test_a_segment_not_two_points_exit_2(self, segment, message, tmp_path, capsys):
+        # a dict or string was once unpacked as its keys or characters
+        s = {"kind": "convexity", "segment": segment}
+        assert main(["defi", write(tmp_path, "c.json", s)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"parse error: {message}\n"
 
 
 class TestDemo:
