@@ -29,7 +29,6 @@ from .space import (
     AtomSpace,
     IntervalSet,
     IntervalSpace,
-    scaled_embedding,
 )
 from .integral import (
     PiecewiseFn,

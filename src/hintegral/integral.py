@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
@@ -57,6 +58,7 @@ from .errors import (
     ParseError,
     UnknownSetError,
     UnsupportedExpressionError,
+    json_list,
     json_loader,
 )
 from .exprs import Expr
@@ -107,9 +109,15 @@ class SimpleFn:
         return SimpleFn(tuple(pieces), i_simple)
 
     def value_at(self, x) -> HValue:
-        """The coefficient of the piece holding x (an atom, such as the
-        name of a catalog set, or a point); (0,0) off every piece."""
-        return next((coeff for coeff, s in self.pieces if x in s), ZERO)
+        """The coefficient of the piece holding x, (0,0) off every piece: an atom, such as the
+        name of a catalog set, is looked up in :attr:`_by_atom`, and a point found by a scan."""
+        if self.pieces and isinstance(self.pieces[0][1], IntervalSet):
+            return next((coeff for coeff, s in self.pieces if x in s), ZERO)
+        return self._by_atom.get(x, ZERO)
+
+    @cached_property  # built on the first lookup: a frozen dataclass still has a __dict__
+    def _by_atom(self) -> dict:
+        return {a: coeff for coeff, s in self.pieces for a in s.atoms}
 
 
 @dataclass(frozen=True)
@@ -464,11 +472,13 @@ def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]
 def restrict(f: HFunction, L: MeasurableSet) -> HFunction:
     """f * 1_L: f on L, (0,0) off it.  Only the part of L inside the
     pieces counts, and a set of another kind raises UnknownSetError.  A
-    piecewise restriction drops the isolated points of L, which no
-    interval-space measure sees."""
+    simple function over interval sets is restricted as its constant
+    pieces (:func:`_lower`), and a piecewise restriction drops the
+    isolated points of L, which no interval-space measure sees."""
+    if isinstance(f, SimpleFn) and f.pieces and isinstance(f.pieces[0][1], IntervalSet):
+        f = _lower(f)
     if isinstance(f, SimpleFn):
-        pieces = tuple((c, sub) for c, s in f.pieces if not (sub := s & L).is_empty)
-        return SimpleFn(pieces, f.i_simple)
+        return SimpleFn(tuple((c, sub) for c, s in f.pieces if (sub := s & L).atoms), f.i_simple)
     if not isinstance(L, IntervalSet):
         raise UnknownSetError(f"cannot combine a IntervalSet with a {type(L).__name__}")
     return PiecewiseFn(tuple(p for lo, hi in L.intervals for p in _cells(f, lo, hi)))
@@ -512,21 +522,24 @@ def _bound_holds(space: MeasureSpace, f: HFunction, w: Witness) -> bool:
     """The witness's claim that the integral of f over its set W is at
     least b * mu(W), decided exactly on the whole of W.
 
-    For a simple function, on an atom space, that integral is
-    :func:`integrate`'s value.  For a piecewise function it is the
-    dominance sum over the cells where W's intervals meet the pieces;
-    W's points are null.  The largest sign of pi1's supremum on a cell
-    against b.d (exprs.cmp_sup) decides.  At b.d a mass bound <= 0
-    holds, as pi2 >= 0.  A positive one needs the cells where pi1 is the
-    constant b.d, since elsewhere pi1 is monotone (exprs.check_piece)
-    and reaches b.d only at an end, a null set: the integral of pi2
-    against the space's measure over their runs must reach b.m * nu(W).
-    ``space.integral_bounds`` bounds each run's integral, and an
-    exact pi2 >= b.m on a run, which a coarse rounded root can miss,
-    raises the lower bound to b.m * nu(run).  Between the sums, raise."""
+    For a simple function, on an atom space, that integral is the
+    defining sum over W's atoms of coefficient times weight (``mul``
+    distributes: (0, 0) absorbs and inf * 0 = 0).  For a piecewise
+    function it is the dominance sum over the cells where W's intervals
+    meet the pieces; W's points are null.  The largest sign of pi1's
+    supremum on a cell against b.d (exprs.cmp_sup) decides.  At b.d a
+    mass bound <= 0 holds, as pi2 >= 0.  A positive one needs the cells
+    where pi1 is the constant b.d, since elsewhere pi1 is monotone
+    (exprs.check_piece) and reaches b.d only at an end, a null set: the
+    integral of pi2 against the space's measure over their runs must
+    reach b.m * nu(W).  ``space.integral_bounds`` bounds each run's
+    integral, and an exact pi2 >= b.m on a run, which a coarse rounded
+    root can miss, raises the lower bound to b.m * nu(run).  Between
+    the sums, raise."""
     b = w.inf_bound
     if isinstance(f, SimpleFn):
-        return integrate(space, restrict(f, w.where))[0] >= mul(b, w.measure)
+        total = sum_finite(mul(f.value_at(a), space.weights[a]) for a in w.where.atoms)
+        return total >= mul(b, w.measure)
     cells = [p for lo, hi in w.where.intervals for p in _cells(f, lo, hi)]
     signs = [exprs.cmp_sup(p.pi1, p.lo, p.hi, b.d) for p in cells]
     top = max(signs, default=-1)
@@ -570,14 +583,15 @@ def function_from_json(obj) -> HFunction:
     if ("simple" in obj) == ("pieces" in obj):
         raise ParseError("function description needs one of 'simple' and 'pieces'")
     if "simple" in obj:
-        pieces = [(HValue.parse(p["coeff"]), set_from_json(p["set"])) for p in obj["simple"]]
+        simple = json_list(obj["simple"], "simple")
+        pieces = [(HValue.parse(p["coeff"]), set_from_json(p["set"])) for p in simple]
         i_simple = obj.get("i_simple", False)
         if not isinstance(i_simple, bool):
             raise ParseError(f"i_simple must be true or false, got {i_simple!r}")
         return SimpleFn.of(pieces, i_simple=i_simple)
     memo, read, out = {}, [], []
     try:
-        for p in obj["pieces"]:
+        for p in json_list(obj["pieces"], "pieces"):
             lo, hi = _piece_ends(p["set"], memo)
             read.append((p["set"], lo, hi))
             out.append(PiecewisePiece(lo, hi, _expr(p["pi1"], memo), _expr(p["pi2"], memo)))

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from . import exprs
 from .errors import UndefinedSumError, UnsupportedExpressionError
@@ -49,13 +49,15 @@ from .hvalue import (
     _ext,
     _hv,
     add,
+    as_ext,
+    as_fraction,
     mul,
     pair_fraction,
     scalar_mul,
     sum_described,
     sum_finite,
 )
-from .space import AtomSet, AtomSpace, IntervalSet, IntervalSpace, scaled_embedding
+from .space import AtomSet, AtomSpace, IntervalSet, IntervalSpace
 from .integral import (
     SimpleFn,
     _uncovered,
@@ -392,6 +394,23 @@ def _unsummed(target: HValue, parts, sets: list, value_of: Callable[[AtomSet], H
         return values[mask]
 
     return next((part for part, masks in parts if target != sum_finite(map(at, masks))), None)
+
+
+def scaled_embedding(d0, base: Mapping) -> AtomSpace:
+    """Lift an ordinary measure on atoms, a mapping atom -> nonnegative
+    scalar mass, to an h-measure space: sets of positive ordinary measure
+    get ``(d0, mass)``; nonempty null sets get ``(0, 0)``.  The interval
+    counterpart is :meth:`IntervalSpace.of`."""
+    d0 = as_fraction(d0)
+    if d0 < 0:
+        raise ValueError("dim_offset must be nonnegative")
+    weights = {}
+    for name, nu in base.items():
+        nu = as_ext(nu)
+        if nu.sign() < 0:
+            raise ValueError(f"negative mass for atom {name!r}")
+        weights[name] = HValue(d0, nu) if nu.sign() > 0 else ZERO
+    return AtomSpace.of(weights)
 
 
 def check_integral_laws(

@@ -15,9 +15,9 @@ Two concrete space kinds are provided:
   The density is an :class:`exprs.Poly`, its integer form built once in :meth:`IntervalSpace.of`.
 
 Measurable sets are structural: finite disjoint unions of primitives,
-validated by overlap checks only.  Each set kind owns its algebra:
-``x in s`` (membership), ``s & t`` (intersection) and ``s.is_empty``;
-combining two sets of different kinds raises :class:`UnknownSetError`.
+validated by overlap checks only.  Each set kind owns its membership
+``x in s``, and atom sets intersect (``s & t``); combining two sets of
+different kinds raises :class:`UnknownSetError`.
 Sorted intervals, of a set or of a function, are searched by :func:`meeting`.
 """
 
@@ -31,7 +31,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
 from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader
-from .hvalue import ZERO, ExtRat, HValue, as_fraction, as_ext, frac_cmp, sum_finite
+from .hvalue import ZERO, ExtRat, HValue, as_fraction, frac_cmp, sum_finite
 
 _ENDS = (itemgetter(0), itemgetter(1))  # of an interval (a, b), for meeting
 
@@ -75,10 +75,6 @@ class AtomSet:
         _same_kind(self, other)
         return AtomSet(self.atoms & other.atoms)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.atoms
-
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -111,24 +107,6 @@ class IntervalSet:
     def __contains__(self, x) -> bool:
         i = bisect_left(self.points, x)
         return x in self.points[i:i + 1] or bool(self.intervals[meeting(self.intervals, x, x, *_ENDS)])
-
-    def __and__(self, other: "IntervalSet") -> "IntervalSet":
-        _same_kind(self, other)
-        ivs = [
-            (max(a, c), min(b, d))
-            for a, b in self.intervals
-            for c, d in other.intervals[meeting(other.intervals, a, b, *_ENDS)]
-        ]
-        # a point of the intersection off its intervals: self's in other, other's in self's intervals
-        ps = other.points
-        pts = [p for p in self.points if p in other] + [
-            p for a, b in self.intervals for p in ps[bisect_right(ps, a):bisect_left(ps, b)]
-        ]
-        return IntervalSet.of(ivs, pts)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals and not self.points
 
 
 MeasurableSet = Union[AtomSet, IntervalSet]
@@ -266,23 +244,6 @@ class CatalogSpace(AtomSpace):
 MeasureSpace = Union[AtomSpace, IntervalSpace]
 
 
-def scaled_embedding(d0, base: Mapping) -> AtomSpace:
-    """Lift an ordinary measure on atoms, a mapping atom -> nonnegative
-    scalar mass, to an h-measure space: sets of positive ordinary measure
-    get ``(d0, mass)``; nonempty null sets get ``(0, 0)``.  The interval
-    counterpart is :meth:`IntervalSpace.of`."""
-    d0 = as_fraction(d0)
-    if d0 < 0:
-        raise ValueError("dim_offset must be nonnegative")
-    weights = {}
-    for name, nu in base.items():
-        nu = as_ext(nu)
-        if nu.sign() < 0:
-            raise ValueError(f"negative mass for atom {name!r}")
-        weights[name] = HValue(d0, nu) if nu.sign() > 0 else ZERO
-    return AtomSpace.of(weights)
-
-
 # ---------------------------------------------------------------------------
 # JSON formats
 # ---------------------------------------------------------------------------
@@ -351,16 +312,19 @@ def set_to_json(s: MeasurableSet):
 def space_from_json(obj) -> MeasureSpace:
     kind = obj["kind"]
     if kind == "atoms":
-        weights = {
-            name: HValue.parse(text) for name, text in obj.get("atoms", {}).items()
-        }
-        return AtomSpace.of(weights)
+        atoms = obj.get("atoms", {})
+        if not isinstance(atoms, dict):
+            raise ParseError(f"atoms must be an object, got {atoms!r}")
+        return AtomSpace.of({name: HValue.parse(text) for name, text in atoms.items()})
     if kind == "interval":
         lo, hi = json_list(obj["bounds"], "bounds")
         density = json_list(obj.get("density", ["1"]), "density")
         return IntervalSpace.of(lo, hi, obj.get("dim_offset", "0"), density)
     if kind == "catalog":
-        sets = obj.get("sets", [])
+        sets = json_list(obj.get("sets", []), "sets")
+        for e in sets:
+            if not isinstance(e, dict):
+                raise ParseError(f"a catalog entry must be an object, got {e!r}")
         _names([e["name"] for e in sets], "catalog names")
         for e in sets:
             if e.get("set_kind", "declared") not in SET_KINDS:

@@ -130,6 +130,20 @@ class TestEval:
         assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == code
         assert capsys.readouterr().out == out
 
+    @pytest.mark.parametrize("sp, fn, message", [
+        (SPACE, {"simple": "ab"}, "simple must be a list, got 'ab'"),
+        (SPACE, {"pieces": "ab"}, "pieces must be a list, got 'ab'"),
+        (SPACE, {"pieces": _piece("0", "1")}, f"pieces must be a list, got {_piece('0', '1')!r}"),
+        ({"kind": "atoms", "atoms": "ab"}, CONST11, "atoms must be an object, got 'ab'"),
+        ({"kind": "catalog", "sets": "ab"}, CONST11, "sets must be a list, got 'ab'"),
+        ({"kind": "catalog", "sets": ["ab"]}, CONST11, "a catalog entry must be an object, got 'ab'"),
+    ])
+    def test_a_list_field_given_as_anything_else_exit_2(self, sp, fn, message, tmp_path, capsys):
+        # each was once read one character or key at a time, and raised a Python error naming no field
+        assert main(["eval", write(tmp_path, "s.json", sp), write(tmp_path, "f.json", fn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"parse error: {message}\n"
+
     def test_undominated_irrational_sup_names_its_cause(self, tmp_path, capsys):
         # x**(2/3) on (0, 2) reaches 2**(2/3) > 3/2, which is irrational
         sp = {"kind": "interval", "bounds": ["0", "3"]}

@@ -27,7 +27,6 @@ from hintegral.space import (
     AtomSpace,
     IntervalSet,
     IntervalSpace,
-    scaled_embedding,
     set_from_json,
     space_from_json,
 )
@@ -46,7 +45,7 @@ from hintegral.integral import (
     sublevel_set,
     verify_certificate,
 )
-from hintegral.oracle import graded_integral, integrate_ordinary
+from hintegral.oracle import graded_integral, integrate_ordinary, scaled_embedding
 
 H = HValue.of
 
@@ -603,7 +602,7 @@ class TestAtomWitnessClaims:
         piece_of = {a: data.draw(st.sampled_from([0, 1, 2, None])) for a in atoms}
         coeffs = [data.draw(values) for _ in range(3)]
         sets = [AtomSet(frozenset(a for a in atoms if piece_of[a] == k)) for k in range(3)]
-        f = SimpleFn.of([(c, s) for c, s in zip(coeffs, sets) if not s.is_empty], i_simple=True)
+        f = SimpleFn.of([(c, s) for c, s in zip(coeffs, sets) if s.atoms], i_simple=True)
         where = AtomSet(frozenset(data.draw(st.sets(st.sampled_from(atoms), min_size=1))))
         mu = sp.measure(where)
         total = sum_finite(mul(f.value_at(a), sp.weights[a]) for a in where.atoms)
@@ -632,7 +631,7 @@ class TestSimpleCertificates:
         # each atom lies in one of four pieces or in none
         piece_of = {a: data.draw(st.sampled_from([0, 1, 2, 3, None])) for a in atoms}
         sets = [AtomSet(frozenset(a for a in atoms if piece_of[a] == k)) for k in range(4)]
-        f = SimpleFn.of([(data.draw(values), s) for s in sets if not s.is_empty], i_simple=True)
+        f = SimpleFn.of([(data.draw(values), s) for s in sets if s.atoms], i_simple=True)
         value, cert = integrate(sp, f)
         assert value == integrate_simple(sp, f)
         if value == ZERO:
@@ -1347,8 +1346,8 @@ def interval_simple_functions(draw):
         IntervalSet.of([c for c, k in cells if k == j], [e for e, k in points if k == j])
         for j in range(3)
     ]
-    assume(not all(s.is_empty for s in sets))
-    return SimpleFn.of([(draw(finite_values), s) for s in sets if not s.is_empty])
+    assume(any(s.intervals or s.points for s in sets))
+    return SimpleFn.of([(draw(finite_values), s) for s in sets if s.intervals or s.points])
 
 
 def _ends(f: SimpleFn) -> set:
@@ -1424,6 +1423,7 @@ class TestSimpleOnIntervals:
             lambda: sublevel_set(UNIT, f, H(1, 1)),
             lambda: verify_certificate(UNIT, f, T4Certificate(ZERO)),
             lambda: pointwise_add_fn(f, f),
+            lambda: restrict(f, IntervalSet.of([(0, 1)])),
         ):
             with pytest.raises(UnsupportedExpressionError) as refused:
                 call()
@@ -1480,6 +1480,28 @@ class TestIndefinite:
         assert integrate(UNIT, restrict(f, IntervalSet.of()))[0] == ZERO
 
 
+@st.composite
+def interval_sets(draw):
+    """Open intervals between sorted ends in [-1, 5] and some of the ends
+    as points, so part of the set may lie off the space (0, 4)."""
+    ends = sorted(set(draw(st.lists(st.fractions(-1, 5, max_denominator=8), max_size=6))))
+    ivs = [(a, b) for a, b in zip(ends, ends[1:]) if draw(st.booleans())]
+    return IntervalSet.of(ivs, [e for e in ends if draw(st.booleans())])
+
+
+def _clipped_sum(sp, f: SimpleFn, L: IntervalSet) -> HValue:
+    """The defining sum of f * 1_L: each coefficient times the measure of
+    each of its piece's intervals clipped to each of L's, found by a plain
+    scan of both; points are null."""
+    return sum_finite(
+        mul(c, sp.measure(IntervalSet.of([(max(a, p), min(b, q))])))
+        for c, s in f.pieces
+        for a, b in s.intervals
+        for p, q in L.intervals
+        if max(a, p) < min(b, q)
+    )
+
+
 class TestRestrict:
     def test_atoms(self):
         sp = AtomSpace.of({"a": H(1, 2), "b": H(0, 3), "c": H(1, 1)})
@@ -1509,8 +1531,22 @@ class TestRestrict:
         sp = IntervalSpace.of(0, 1)
         f = SimpleFn.of([(H(0, 1), IntervalSet.of([(0, F(1, 2))], [F(3, 4)]))])
         g = restrict(f, IntervalSet.of([(F(1, 4), 1)]))
-        assert g == SimpleFn.of([(H(0, 1), IntervalSet.of([(F(1, 4), F(1, 2))], [F(3, 4)]))])
+        # restricted as its constant pieces, so the null point 3/4 is dropped
+        assert g == piecewise((F(1, 4), F(1, 2), exprs.const(0), exprs.const(1)))
         assert integrate(sp, g)[0] == H(0, F(1, 4))
+
+    def test_a_point_off_the_space_is_dropped(self):
+        # f's point 2 lies in L but not in the space (0, 1): restrict drops it as a
+        # null point, so integrate does not refuse it
+        f = SimpleFn.of([(H(0, 1), IntervalSet.of([(0, F(1, 2))], [2]))])
+        g = restrict(f, IntervalSet.of([(F(1, 4), 1)], [2]))
+        assert integrate(IntervalSpace.of(0, 1), g)[0] == H(0, F(1, 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(densities(), st.sampled_from([0, 1]), interval_simple_functions(), interval_sets())
+    def test_simple_function_on_intervals_agrees_with_the_clipped_sum(self, density, offset, f, L):
+        sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
+        assert integrate(sp, restrict(f, L))[0] == _clipped_sum(sp, f, L)
 
     def test_kind_mismatch(self):
         with pytest.raises(UnknownSetError):

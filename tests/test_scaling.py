@@ -131,11 +131,6 @@ def nu_spread(n):
     return lambda: space.nu(s)
 
 
-def interval_and(n):
-    a, b = spread(n), spread(n, F(3, 4))
-    return lambda: a & b
-
-
 def interval_in(n):
     s, probes = spread(n), [F(3 * k, 4) for k in range(n)]
     return lambda: [x in s for x in probes]
@@ -230,13 +225,9 @@ def convexity(n):
     return lambda: defi_convexity(s)
 
 
-ITEM_14 = pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
-
-
 @pytest.mark.parametrize("entry", [
     pytest.param(sublevel, id="sublevel_set"),
     pytest.param(simple_on_intervals, id="SimpleFn"),
-    pytest.param(interval_and, id="IntervalSet_and"),
     pytest.param(interval_in, id="IntervalSet_in"),
     pytest.param(read_steps, id="function_from_json"),
     pytest.param(read_steps_reversed, id="function_from_json_reversed"),
@@ -253,9 +244,9 @@ ITEM_14 = pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
     pytest.param(lineness, id="defi_lineness"),
     pytest.param(read_lineness, id="scenario_from_json_lineness"),
     pytest.param(read_continuity, id="scenario_from_json_continuity"),
-    pytest.param(verify_atoms, id="verify_certificate_atoms", marks=ITEM_14),
-    pytest.param(sublevel_atoms, id="sublevel_set_atoms", marks=ITEM_14),
-    pytest.param(add_atoms, id="pointwise_add_fn_atoms", marks=ITEM_14),
+    pytest.param(verify_atoms, id="verify_certificate_atoms"),
+    pytest.param(sublevel_atoms, id="sublevel_set_atoms"),
+    pytest.param(add_atoms, id="pointwise_add_fn_atoms"),
 ])
 def test_calls_at_most_double_with_the_input(entry):
     assert_growth(entry, RATIO)
