@@ -26,8 +26,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
-from .errors import ParseError, UnsupportedScenarioError, json_list, json_loader
-from .hvalue import INF, ZERO, ExtRat, HValue, RatLike, add, as_pair, mul, pair_fraction, sum_finite
+from .errors import ParseError, UnsupportedScenarioError, json_list, json_loader, json_object
+from .hvalue import INF, ZERO, ExtRat, HValue, RatLike, add, as_pair, mul, pair_fraction, read_once, sum_finite
 from .space import check_declared
 
 ONE = Fraction(1)
@@ -371,20 +371,11 @@ def _pairwise_sum(sums: dict) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _pair(x, memo: dict) -> Tuple[int, int]:
-    """as_pair(x), once per memo for a string: JSON 1, 1.0 and true are one Python key."""
-    if type(x) is not str:
-        return as_pair(x)
-    pair = memo.get(x)
-    if pair is None:
-        pair = memo[x] = as_pair(x)
-    return pair
-
-
 def _point_from_json(obj, memo: dict) -> Point2:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ParseError(f"a point is a pair of rationals, got {obj!r}")
-    return _set_point(object.__new__(Point2), *_pair(obj[0], memo), *_pair(obj[1], memo))
+    x, y = obj
+    return _set_point(object.__new__(Point2), *read_once(as_pair, x, memo), *read_once(as_pair, y, memo))
 
 
 def _line_from_json(obj, memo: dict) -> Line2:
@@ -411,9 +402,9 @@ def _primitive_from_json(obj, memo: dict) -> LinePrimitive:
 @json_loader
 def scenario_from_json(obj):
     """The scenario obj describes, read in one pass.  A memo for this call only reads each
-    distinct coordinate text once (:func:`_pair`); a jump's x is read by
+    distinct coordinate text once (:func:`read_once`); a jump's x is read by
     :meth:`ClusterScenario.of`.  A list field given as anything else is a ParseError."""
-    kind = obj["kind"]
+    kind = json_object(obj, "scenario description")["kind"]
     memo = {}
     if kind == "continuity":
         jumps = [

@@ -48,6 +48,13 @@ def json_loader(load):
     return checked
 
 
+def json_object(value, what: str):
+    """``value`` if it is a JSON object; anything else is a ParseError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def json_list(value, what: str):
     """``value`` if it is a JSON array.  Anything else is a ParseError; a
     string in particular would otherwise be read one character at a time."""

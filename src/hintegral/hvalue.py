@@ -81,6 +81,17 @@ def as_fraction(x: RatLike) -> Fraction:
     return x if type(x) is Fraction else pair_fraction(*as_pair(x))
 
 
+def read_once(read, x, memo: dict):
+    """read(x), once per memo for a string: JSON 1, 1.0 and true are one Python key.  A reader
+    keeps one memo per document, so each distinct number text in it is read once."""
+    if type(x) is not str:
+        return read(x)
+    got = memo.get(x)
+    if got is None:
+        got = memo[x] = read(x)
+    return got
+
+
 def pair_fraction(n: int, d: int) -> Fraction:
     """n/d for a coprime pair with d > 0 (:func:`as_pair`), without a second gcd: this sets
     the two slots that Fraction's own unchecked constructor sets (``_from_coprime_ints``, 3.12)."""

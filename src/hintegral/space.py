@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
-from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader
+from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader, json_object
 from .hvalue import ZERO, ExtRat, HValue, as_fraction, frac_cmp, sum_finite
 
 _ENDS = (itemgetter(0), itemgetter(1))  # of an interval (a, b), for meeting
@@ -282,8 +282,7 @@ def _names(value, what: str) -> frozenset:
 
 
 def set_from_json(obj) -> MeasurableSet:
-    if not isinstance(obj, dict):
-        raise ParseError(f"set description must be an object, got {obj!r}")
+    json_object(obj, "set description")
     atoms = [key for key in ("atoms", "catalog") if key in obj]
     interval_shape = "intervals" in obj or "points" in obj
     if len(atoms) + interval_shape > 1:
@@ -310,21 +309,19 @@ def set_to_json(s: MeasurableSet):
 
 @json_loader
 def space_from_json(obj) -> MeasureSpace:
-    kind = obj["kind"]
+    kind = json_object(obj, "space description")["kind"]
     if kind == "atoms":
-        atoms = obj.get("atoms", {})
-        if not isinstance(atoms, dict):
-            raise ParseError(f"atoms must be an object, got {atoms!r}")
+        atoms = json_object(obj.get("atoms", {}), "atoms")
         return AtomSpace.of({name: HValue.parse(text) for name, text in atoms.items()})
     if kind == "interval":
-        lo, hi = json_list(obj["bounds"], "bounds")
+        bounds = json_list(obj["bounds"], "bounds")
+        if len(bounds) != 2:
+            raise ParseError(f"bounds must be two numbers, got {len(bounds)}")
+        lo, hi = bounds
         density = json_list(obj.get("density", ["1"]), "density")
         return IntervalSpace.of(lo, hi, obj.get("dim_offset", "0"), density)
     if kind == "catalog":
-        sets = json_list(obj.get("sets", []), "sets")
-        for e in sets:
-            if not isinstance(e, dict):
-                raise ParseError(f"a catalog entry must be an object, got {e!r}")
+        sets = [json_object(e, "a catalog entry") for e in json_list(obj.get("sets", []), "sets")]
         _names([e["name"] for e in sets], "catalog names")
         for e in sets:
             if e.get("set_kind", "declared") not in SET_KINDS:

@@ -542,6 +542,25 @@ MALFORMED = {
         "defi",
         {"kind": "continuity", "global": {"name": 5, "hvalue": "(1, inf)", "remainder": "(0, 1)"}},
     ),
+    # an entry of the wrong JSON type is named, not indexed as a string (see FIELD_NAMED)
+    "simple-piece-as-string": ("eval", {"kind": "atoms", "atoms": {"a": "(0, 1)"}}, {"simple": ["ab"]}),
+    "piecewise-piece-as-string": ("eval", SPACE, {"pieces": ["ab"]}),
+    "space-as-string": ("eval", "ab", CONST11),
+    "one-bound": ("eval", {**SPACE, "bounds": ["0"]}, CONST11),
+    "three-bounds": ("eval", {**SPACE, "bounds": ["0", "1", "2"]}, CONST11),
+    "scenario-as-string": ("defi", "ab"),
+    "function-as-boolean": ("eval", SPACE, True),
+}
+
+# the whole message of the MALFORMED entries that name their field
+FIELD_NAMED = {
+    "simple-piece-as-string": "parse error: a simple piece must be an object, got 'ab'\n",
+    "piecewise-piece-as-string": "parse error: a piecewise piece must be an object, got 'ab'\n",
+    "space-as-string": "parse error: space description must be an object, got 'ab'\n",
+    "one-bound": "parse error: bounds must be two numbers, got 1\n",
+    "three-bounds": "parse error: bounds must be two numbers, got 3\n",
+    "scenario-as-string": "parse error: scenario description must be an object, got 'ab'\n",
+    "function-as-boolean": "parse error: function description must be an object, got True\n",
 }
 
 
@@ -553,6 +572,7 @@ class TestMalformedInput:
         assert main([sub, *paths]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error") and "Traceback" not in err
+        assert err == FIELD_NAMED.get(name, err)
 
 
 def _not_text_input(where, value):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from hintegral import exprs, integral
+from hintegral import exprs
 from hintegral.errors import (
     HIntegralError,
     NonDisjointError,
@@ -1060,10 +1060,11 @@ class TestCertificates:
         # a simple function's witnesses stand in both lists, and an interval
         # certificate of dimension 0 repeats its first mass witness
         decided = []
-        decide = integral._bound_holds
-        monkeypatch.setattr(
-            integral, "_bound_holds", lambda sp, f, w: decided.append(w) or decide(sp, f, w)
-        )
+        for shape in (SimpleFn, PiecewiseFn):
+            decide = shape.claim_holds
+            monkeypatch.setattr(
+                shape, "claim_holds", lambda f, sp, w, decide=decide: decided.append(w) or decide(f, sp, w)
+            )
         zero, one, two = (exprs.const(c) for c in (0, 1, 2))
         cases = [
             (IntervalSpace.of(0, 1), piecewise((0, F(1, 2), zero, one), (F(1, 2), 1, zero, two))),
@@ -1265,9 +1266,16 @@ class TestMembership:
                 UnsupportedExpressionError,
                 "cannot integrate PiecewiseFn over AtomSpace",
             ),
+            (
+                AtomSpace.of({"a": H(0, 1)}),
+                SimpleFn.of([(H(1, 1), IntervalSet.of([(0, 1)]))]),
+                UnknownSetError,
+                "IntervalSet is not a set of an atom space",
+            ),
         ],
         ids=["unknown-atom", "interval-past-end", "point-outside",
-             "piece-past-end", "middle-piece-past-end", "piecewise-on-atoms"],
+             "piece-past-end", "middle-piece-past-end", "piecewise-on-atoms",
+             "simple-on-intervals-on-atoms"],
     )
     def test_one_refusal_through_every_entry_point(self, space, f, error, message):
         entry_points = [
@@ -1326,6 +1334,21 @@ class TestPointwiseAdd:
         f = SimpleFn.of([(H(1, 1), IntervalSet.of([(0, F(1, 2))], [F(3, 4)]))])
         assert pointwise_add_fn(empty, f) is f
         assert pointwise_add_fn(f, empty) is f
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            constant_fn(0, 1, H(1, 1)),
+            # lowered to constant pieces, so a piecewise function too
+            SimpleFn.of([(H(1, 1), IntervalSet.of([(0, F(1, 2))], [F(3, 4)]))]),
+        ],
+        ids=["piecewise", "simple-on-intervals"],
+    )
+    def test_functions_of_different_shapes_are_refused(self, other):
+        atoms = SimpleFn.of([(H(1, 2), AtomSet.of("a"))])
+        for f, g in ((atoms, other), (other, atoms)):
+            with pytest.raises(UnsupportedExpressionError, match="^cannot add functions of different shapes$"):
+                pointwise_add_fn(f, g)
 
 
 finite_values = st.builds(
