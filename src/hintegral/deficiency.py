@@ -379,11 +379,12 @@ def _point_from_json(obj, memo: dict) -> Point2:
 
 
 def _line_from_json(obj, memo: dict) -> Line2:
+    json_object(obj, "a candidate")
     return Line2.through(_point_from_json(obj["p"], memo), _point_from_json(obj["q"], memo))
 
 
 def _primitive_from_json(obj, memo: dict) -> LinePrimitive:
-    kind = obj.get("type")
+    kind = json_object(obj, "a primitive").get("type")
     if kind == "point":
         p, q = _point_from_json(obj["p"], memo), None
     elif kind in ("line", "segment"):
@@ -408,12 +409,13 @@ def scenario_from_json(obj):
     memo = {}
     if kind == "continuity":
         jumps = [
-            (j["x"], HValue.parse(j["remainder"])) for j in json_list(obj.get("jumps", []), "jumps")
+            (json_object(j, "a jump")["x"], HValue.parse(j["remainder"]))
+            for j in json_list(obj.get("jumps", []), "jumps")
         ]
         g = obj.get("global")
         global_component = None
         if g is not None:
-            name = g.get("name", "global")
+            name = json_object(g, "a global component").get("name", "global")
             if not isinstance(name, str):
                 raise ParseError(f"a global component's name must be a string, got {name!r}")
             global_component = (

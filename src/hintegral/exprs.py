@@ -55,7 +55,7 @@ from itertools import starmap, zip_longest
 from math import factorial, gcd, isqrt, lcm, log2
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import UnsupportedExpressionError, json_list, json_loader
+from .errors import UnsupportedExpressionError, json_list, json_loader, json_object
 from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction, as_pair, frac_cmp, pair_fraction
 
 # ---------------------------------------------------------------------------
@@ -607,7 +607,7 @@ def try_add(e1: Expr, e2: Expr) -> Expr:
 
 @json_loader
 def expr_from_json(obj) -> Expr:
-    kind = obj.get("kind")
+    kind = json_object(obj, "an expression").get("kind")
     if kind == "const":
         return const(obj["value"])
     if kind == "affine":

@@ -319,7 +319,26 @@ class HValue:
 
     @staticmethod
     def of(d: RatLike, m: ExtLike) -> "HValue":
-        return HValue(as_fraction(d), as_ext(m))
+        """``HValue(as_fraction(d), as_ext(m))``.  An int or Fraction d with an
+        ExtRat, int or Fraction m is built from their integer pairs without
+        the checks of either; every refusal stays the same, in the same order."""
+        t = type(d)
+        if t is int:
+            n, e = d, 1
+        elif t is Fraction:
+            n, e = d.numerator, d.denominator
+        else:
+            return HValue(as_fraction(d), as_ext(m))
+        t = type(m)
+        if t is int:
+            m = _ext(m, 1, 0)
+        elif t is Fraction:
+            m = _ext(m.numerator, m.denominator, 0)
+        elif t is not ExtRat:
+            m = as_ext(m)
+        if n < 0:
+            raise ValueError(f"dimension must be nonnegative, got {d}")
+        return _hv(n, e, m)
 
     @property
     def is_zero(self) -> bool:
@@ -384,7 +403,11 @@ def mul(a: HValue, b: HValue) -> HValue:
     if (a._dn == 0 and m._n == 0 and m._inf == 0) or (b._dn == 0 and k._n == 0 and k._inf == 0):
         return ZERO
     n, d = _rat_add(a._dn, a._dd, b._dn, b._dd)
-    return _hv(n, d, m * k)
+    if m._inf or k._inf:
+        return _hv(n, d, m * k)
+    p, q, r, s = m._n, m._d, k._n, k._d  # ExtRat.__mul__ of two finite masses
+    g, h = gcd(p, s), gcd(r, q)
+    return _hv(n, d, _ext((p // g) * (r // h), (q // h) * (s // g), 0))
 
 
 def scalar_mul(c: RatLike, a: HValue) -> HValue:

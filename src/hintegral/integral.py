@@ -133,7 +133,10 @@ class SimpleFn:
         return AtomSet(frozenset(a for a in space.atoms if self.value_at(a) < v))
 
     def restrict(self, L: MeasurableSet) -> "SimpleFn":
-        return SimpleFn(tuple((c, sub) for c, s in self.pieces if (sub := s & L).atoms), self.i_simple)
+        """Built without :meth:`__post_init__`: its coefficients are checked, and parts of
+        disjoint sets are disjoint."""
+        pieces = tuple((c, sub) for c, s in self.pieces if (sub := s & L).atoms)
+        return _unchecked(SimpleFn, pieces=pieces, i_simple=self.i_simple)
 
     def add(self, g: "SimpleFn") -> "SimpleFn":
         atoms = sorted(set().union(*(s.atoms for fn in (self, g) for _, s in fn.pieces)))
@@ -359,6 +362,14 @@ def _uncovered(space: IntervalSpace, f: PiecewiseFn):
 HFunction = Union[SimpleFn, PiecewiseFn]
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, every one of them, written
+    straight into its __dict__: no __init__ and no __post_init__ check."""
+    x = object.__new__(cls)
+    vars(x).update(fields)
+    return x
+
+
 def constant_fn(lo, hi, value: HValue) -> PiecewiseFn:
     """The constant function `value` on the open interval (lo, hi)."""
     return PiecewiseFn.of([(lo, hi, exprs.const(value.d), exprs.const(value.m.frac))])
@@ -486,9 +497,13 @@ def integrate(space: MeasureSpace, f: HFunction) -> Tuple[HValue, T4Certificate]
     terms = f.terms(space, measures)
     value = sum_finite(t for t, _, _, _ in terms)
     wits = tuple(
-        Witness(s, mv, b) for t, s, mv, b in terms if not t.is_zero and t.same_dim(value)
+        _unchecked(Witness, where=s, measure=mv, inf_bound=b)
+        for t, s, mv, b in terms
+        if not t.is_zero and t.same_dim(value)
     )
-    return value, T4Certificate(value, wits, wits, True, value.m)
+    return value, _unchecked(
+        T4Certificate, value=value, d_witnesses=wits, m_witnesses=wits, exact_m=True, achieved_m=value.m
+    )
 
 
 def sublevel_set(space: MeasureSpace, f: HFunction, v: HValue) -> MeasurableSet:
@@ -583,7 +598,7 @@ def function_from_json(obj) -> HFunction:
         for p in json_list(obj["pieces"], "pieces"):
             lo, hi = _piece_ends(json_object(p, "a piecewise piece")["set"], memo)
             read.append((p["set"], lo, hi))
-            out.append(PiecewisePiece(lo, hi, _expr(p["pi1"], memo), _expr(p["pi2"], memo)))
+            out.append(PiecewisePiece(lo, hi, _expr(p["pi1"], "pi1", memo), _expr(p["pi2"], "pi2", memo)))
         return _ordered(out)
     except Exception:  # whatever failed, an earlier set with lo >= hi was the first error
         for where, lo, hi in read:
@@ -606,12 +621,11 @@ def _piece_ends(obj, memo: dict) -> Tuple[Fraction, Fraction]:
     return s.intervals[0]
 
 
-def _expr(obj, memo: dict) -> Expr:
-    """exprs.expr_from_json(obj), once per memo when its values are strings or lists of them."""
-    if type(obj) is not dict:
-        return exprs.expr_from_json(obj)
+def _expr(obj, what: str, memo: dict) -> Expr:
+    """exprs.expr_from_json(obj), once per memo when its values are strings or lists of them;
+    an obj that is not an object is a ParseError naming ``what``."""
     key = []
-    for k, v in obj.items():
+    for k, v in json_object(obj, what).items():
         v = tuple(v) if type(v) is list else v
         if type(v) is not str and (type(v) is not tuple or {*map(type, v)} != {str}):
             return exprs.expr_from_json(obj)

@@ -55,7 +55,6 @@ from .hvalue import (
     pair_fraction,
     scalar_mul,
     sum_described,
-    sum_finite,
 )
 from .space import AtomSet, AtomSpace, IntervalSet, IntervalSpace
 from .integral import (
@@ -107,12 +106,32 @@ def _trial_seed(seed: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, drawn as CPython's ``_randbelow`` draws it:
+    ``getrandbits(k)`` for k the bit length of n = hi - lo + 1, again until
+    it is below n.  The value and the generator's state after it are
+    ``randint``'s own, without ``randrange``'s argument checks."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _random_pair(rng: random.Random, signed: bool) -> Tuple[int, int]:
-    """A random rational as a coprime pair (n, d), d > 0."""
-    num = rng.randint(0, 100)
+    """A random rational as a coprime pair (n, d), d > 0: ``randint(0, 100)``
+    and ``randint(1, 100)``, inlined as in :func:`_randint` (101 and 100 have 7 bits)."""
+    bits = rng.getrandbits
+    num = bits(7)
+    while num > 100:
+        num = bits(7)
     if signed and rng.random() < 0.5:
         num = -num
-    den = rng.randint(1, 100)
+    den = bits(7)
+    while den >= 100:
+        den = bits(7)
+    den += 1
     g = gcd(num, den)
     return num // g, den // g
 
@@ -227,7 +246,7 @@ def check_algebra_laws(
         if mul_fn(an, add_fn(bn, cn)) != add_fn(mul_fn(an, bn), mul_fn(an, cn)):
             report.record("distributivity", ts, a=an, b=bn, c=cn)
 
-        prefix = [random_hvalue(rng, "nonneg") for _ in range(rng.randint(0, 4))]
+        prefix = [random_hvalue(rng, "nonneg") for _ in range(_randint(rng, 0, 4))]
         tail = random_hvalue(rng, "nonneg") if rng.random() < 0.5 else ZERO
         s = SeqDescriptor.of(prefix, tail)
         if mul_fn(an, sum_described(s)) != sum_described(s.map(lambda t: mul_fn(an, t))):
@@ -373,27 +392,45 @@ def integrate_ordinary(space: AtomSpace, f: SimpleFn) -> HValue:
 
 
 @functools.lru_cache(maxsize=None)  # n <= 6: at most 279 partitions in all
-def _partitions(n: int) -> Tuple[Tuple[list, Tuple[int, ...]], ...]:
-    """The set partitions of range(n) in :func:`all_partitions` order,
-    each as its blocks' index lists and as their bit masks."""
-    return tuple(
-        (part, tuple(sum(1 << k for k in block) for block in part))
-        for part in all_partitions(tuple(range(n)))
-    )
+def _partitions(n: int) -> Tuple[Tuple[list, Tuple[Tuple[int, int], ...], int], ...]:
+    """The set partitions of range(n) in :func:`all_partitions` order, each
+    as its blocks' index lists, the steps of its left fold over its blocks'
+    bit masks and the node that holds its sum.  A node is a prefix of some
+    partition's masks, numbered in order of first appearance from node 0,
+    the empty prefix; a step (parent, mask) adds the block mask to the
+    parent's sum and makes the next node.  A partition's steps are the
+    prefixes no earlier partition has, so each is summed once: 405 sums for
+    the 674 blocks of the 203 partitions of 6 atoms."""
+    nodes = {(): 0}
+    out = []
+    for part in all_partitions(tuple(range(n))):
+        masks = tuple(sum(1 << k for k in block) for block in part)
+        steps = []
+        for j in range(len(masks)):
+            if masks[: j + 1] not in nodes:
+                nodes[masks[: j + 1]] = len(nodes)
+                steps.append((nodes[masks[:j]], masks[j]))
+        out.append((part, tuple(steps), nodes[masks]))
+    return tuple(out)
 
 
 def _unsummed(target: HValue, parts, sets: list, value_of: Callable[[AtomSet], HValue]):
-    """The index lists of the first partition in parts whose blocks'
-    values do not sum_finite to target, or None.  A block's value is
-    value_of(sets[mask]), computed on its first lookup."""
+    """The index lists of the first partition in parts whose blocks' values
+    do not sum_finite to target, or None.  A block's value is
+    value_of(sets[mask]), computed on its first lookup, and a prefix's sum
+    on its first partition: the same fold, in the same order, as a
+    sum_finite per partition."""
     values = [None] * len(sets)
-
-    def at(mask: int) -> HValue:
-        if values[mask] is None:
-            values[mask] = value_of(sets[mask])
-        return values[mask]
-
-    return next((part for part, masks in parts if target != sum_finite(map(at, masks))), None)
+    sums = [ZERO]
+    for part, steps, node in parts:
+        for parent, mask in steps:
+            v = values[mask]
+            if v is None:
+                v = values[mask] = value_of(sets[mask])
+            sums.append(add(sums[parent], v))
+        if target != sums[node]:
+            return part
+    return None
 
 
 def scaled_embedding(d0, base: Mapping) -> AtomSpace:
@@ -426,9 +463,10 @@ def check_integral_laws(
     integral over every block of every partition (all 203 partitions of
     a 6-atom set, 674 blocks), but each distinct block (at most 63) is
     evaluated once per trial, on its first lookup, and its value reused
-    by every partition holding it.  The partitions are built once per
-    atom count, a block as the bit mask of its atoms' indices, and the
-    values are cached by mask for one trial alone;
+    by every partition holding it; each distinct prefix of a partition's
+    blocks is summed once (see :func:`_partitions`).  The partitions are
+    built once per atom count, a block as the bit mask of its atoms'
+    indices, and the values are cached by mask for one trial alone;
     ``brute_force_integral`` keeps its own enumeration.  An injected
     ``measure_fn`` or ``integrate_fn`` must be deterministic, a function
     of its arguments alone; then a cached value is the value each
@@ -444,7 +482,7 @@ def check_integral_laws(
     for i in range(trials):
         ts = _trial_seed(seed, i)
         rng = random.Random(ts)
-        n = rng.randint(1, 6)
+        n = _randint(rng, 1, 6)
         space = random_atom_space(rng, n)
         f = random_simple_fn(rng, space)
         g = random_simple_fn(rng, space)
@@ -517,18 +555,22 @@ def random_isimple_minorant(rng: random.Random, space: AtomSpace, f: SimpleFn) -
         if roll < 0.25 or v.is_zero:
             continue
         if roll < 0.5 and v.d > 0:
-            d = v.d * Fraction(rng.randint(0, 3), 4)
-            if d < v.d:
-                m = INF if rng.random() < 0.25 else ExtRat(rng.randint(0, 100))
-                pieces.append((HValue(d, m), AtomSet.of(a)))
-                continue
+            d = _quarters(v.d, _randint(rng, 0, 3))  # at most 3/4 of v.d, so below it
+            m = INF if rng.random() < 0.25 else _randint(rng, 0, 100)
+            pieces.append((HValue.of(d, m), AtomSet.of(a)))
+            continue
         m_cap = v.m
         if m_cap.is_finite:
-            m = m_cap.frac * Fraction(rng.randint(0, 4), 4)
-            pieces.append((HValue(v.d, ExtRat(m)), AtomSet.of(a)))
+            m = _quarters(m_cap.frac, _randint(rng, 0, 4))
+            pieces.append((HValue.of(v.d, m), AtomSet.of(a)))
         else:
-            pieces.append((HValue(v.d, ExtRat(rng.randint(0, 100))), AtomSet.of(a)))
+            pieces.append((HValue.of(v.d, _randint(rng, 0, 100)), AtomSet.of(a)))
     return SimpleFn.of(pieces, i_simple=True)
+
+
+def _quarters(q: Fraction, k: int) -> Fraction:
+    """q * k/4, reduced once."""
+    return Fraction(q.numerator * k, q.denominator * 4)
 
 
 def minorant_sample_check(

@@ -163,8 +163,14 @@ class AtomSpace:
         return AtomSet(frozenset(self.atoms))
 
     def measure(self, s: AtomSet) -> HValue:
+        """The dominance sum of the weights of s's atoms; a known atom alone is its weight."""
         if not isinstance(s, AtomSet):
             raise UnknownSetError(f"{type(s).__name__} is not a set of an atom space")
+        if len(s.atoms) == 1:
+            (a,) = s.atoms
+            w = self.weights.get(a)
+            if w is not None:
+                return w
         missing = s.atoms.difference(self.weights)
         if missing:
             raise UnknownSetError(f"unknown atoms: {sorted(missing)}")

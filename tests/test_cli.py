@@ -550,6 +550,18 @@ MALFORMED = {
     "three-bounds": ("eval", {**SPACE, "bounds": ["0", "1", "2"]}, CONST11),
     "scenario-as-string": ("defi", "ab"),
     "function-as-boolean": ("eval", SPACE, True),
+    "jump-as-string": ("defi", {"kind": "continuity", "jumps": ["0"]}),
+    "global-as-number": ("defi", {"kind": "continuity", "global": 5}),
+    "primitives-as-numbers": (
+        "defi",
+        {"kind": "lineness", "primitives": [0, 1], "candidates": [{"p": ["0", "0"], "q": ["1", "0"]}]},
+    ),
+    "candidate-as-boolean": (
+        "defi",
+        {"kind": "lineness", "primitives": [{"type": "point", "p": ["0", "0"]}], "candidates": [True]},
+    ),
+    "pi1-as-string": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi1": "1"}]}),
+    "pi2-as-list": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi2": [1]}]}),
 }
 
 # the whole message of the MALFORMED entries that name their field
@@ -561,6 +573,12 @@ FIELD_NAMED = {
     "three-bounds": "parse error: bounds must be two numbers, got 3\n",
     "scenario-as-string": "parse error: scenario description must be an object, got 'ab'\n",
     "function-as-boolean": "parse error: function description must be an object, got True\n",
+    "jump-as-string": "parse error: a jump must be an object, got '0'\n",
+    "global-as-number": "parse error: a global component must be an object, got 5\n",
+    "primitives-as-numbers": "parse error: a primitive must be an object, got 0\n",
+    "candidate-as-boolean": "parse error: a candidate must be an object, got True\n",
+    "pi1-as-string": "parse error: pi1 must be an object, got '1'\n",
+    "pi2-as-list": "parse error: pi2 must be an object, got [1]\n",
 }
 
 

@@ -826,3 +826,9 @@ class TestJson:
         ]
         for e, obj in golden:
             assert expr_from_json(obj) == e
+
+    @pytest.mark.parametrize("obj", ["1", 1, True, None, [1], ["kind", "const"]], ids=repr)
+    def test_an_expression_that_is_not_an_object_is_named(self, obj):
+        with pytest.raises(ParseError) as refused:
+            expr_from_json(obj)
+        assert str(refused.value) == f"an expression must be an object, got {obj!r}"

@@ -21,6 +21,7 @@ from hintegral.hvalue import (
     HValue,
     SeqDescriptor,
     add,
+    as_ext,
     as_fraction,
     as_pair,
     mul,
@@ -366,6 +367,30 @@ class TestIntegerKernel:
         for attr in ("d", "m", "other"):
             with pytest.raises(AttributeError):
                 setattr(x, attr, Fraction(1))
+
+    @given(ref_dims0, ref_masses)
+    @settings(max_examples=300)
+    def test_of_builds_the_constructor_value(self, d, ref):
+        # each exact form of the dimension and of the mass: int where it is whole
+        flag, q = ref
+        dims = [d, fresh(d)] + ([d.numerator] if d.denominator == 1 else [])
+        masses = [ext_of(ref)] + ([] if flag else [q, fresh(q)] + ([q.numerator] if q.denominator == 1 else []))
+        for e in dims:
+            for m in masses:
+                assert_value(HValue.of(e, m), (d, ext_of(ref)))
+
+    @pytest.mark.parametrize("d", [0, 2, Fraction(1, 3), -1, Fraction(-1, 2), "1/3", "-1", True, 1.5, None])
+    @pytest.mark.parametrize("m", [0, -3, Fraction(5, 2), ExtRat(7), INF, NEG_INF, "inf", "2/4", True, 2.5, None])
+    def test_of_refuses_as_the_coercing_constructor(self, d, m):
+        # HValue(as_fraction(d), as_ext(m)): the same value, or the same refusal in the same order
+        try:
+            expected = HValue(as_fraction(d), as_ext(m))
+        except Exception as exc:
+            with pytest.raises(type(exc)) as refused:
+                HValue.of(d, m)
+            assert str(refused.value) == str(exc)
+        else:
+            assert_value(HValue.of(d, m), (expected.d, expected.m))
 
 
 class TestAdd:

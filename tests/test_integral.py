@@ -1571,6 +1571,33 @@ class TestRestrict:
         sp = IntervalSpace.of(0, 4, dim_offset=offset, density=density)
         assert integrate(sp, restrict(f, L))[0] == _clipped_sum(sp, f, L)
 
+    @settings(max_examples=300)
+    @given(
+        st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 3)),
+        st.lists(
+            st.builds(
+                HValue,
+                st.fractions(min_value=0, max_value=3, max_denominator=4),
+                st.one_of(st.fractions(min_value=0, max_value=9, max_denominator=4).map(ExtRat), st.just(INF)),
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+        st.booleans(),
+        st.frozensets(st.sampled_from("abcdefz")),
+    )
+    def test_atoms_as_the_constructor_restricts(self, piece_of, coeffs, i_simple, L):
+        # the pieces of f cut by L, the empty ones dropped: what SimpleFn.of builds from them
+        groups = [frozenset(a for a, k in piece_of.items() if k == j) for j in range(4)]
+        pieces = [(c, AtomSet(g)) for c, g in zip(coeffs, groups) if g and (i_simple or c.m.is_finite)]
+        f = SimpleFn.of(pieces, i_simple=i_simple)
+        g = restrict(f, AtomSet(L))
+        expected = SimpleFn.of([(c, AtomSet(s.atoms & L)) for c, s in pieces if s.atoms & L], i_simple=i_simple)
+        assert type(g) is SimpleFn and g == expected and hash(g) == hash(expected)
+        assert g.i_simple == i_simple and (g.pieces == ()) == (not expected.pieces)
+        for a in "abcdefz":
+            assert g.value_at(a) == (f.value_at(a) if a in L else ZERO)
+
     def test_kind_mismatch(self):
         with pytest.raises(UnknownSetError):
             restrict(constant_fn(0, 1, H(1, 1)), AtomSet.of("a"))

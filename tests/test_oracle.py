@@ -24,7 +24,10 @@ from hintegral.hvalue import INF, ExtRat, HValue, ZERO, add, sum_finite
 from hintegral.space import AtomSet, AtomSpace, IntervalSet
 from hintegral.integral import SimpleFn, integrate, integrate_simple, restrict
 from hintegral.oracle import (
+    _partitions,
+    _randint,
     _random_rat,
+    _unsummed,
     all_partitions,
     approx_gap_witness,
     brute_force_integral,
@@ -87,6 +90,19 @@ class TestGenerators:
                 x, y = _random_rat(rng, signed), reference_rat(ref, signed)
                 assert type(x) is F and (x, hash(x), str(x)) == (y, hash(y), str(y))
             assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 100), (1, 100), (1, 6), (0, 4), (0, 3)])
+    def test_randint_draws_as_random_randint(self, lo, hi):
+        # the value and the generator's state after it, for every range the suites draw;
+        # _random_pair's two inlined draws are checked against randint above
+        seen = set()
+        for seed in range(3000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = _randint(rng, lo, hi)
+                assert got == ref.randint(lo, hi) and rng.getstate() == ref.getstate()
+                seen.add(got)
+        assert seen == set(range(lo, hi + 1))
 
 
 def reference_rat(rng, signed):
@@ -266,6 +282,34 @@ class TestBlockCache:
         records = [v for v in report.violations if v["law"] in expected]
         assert [v["law"] for v in records] == list(expected)
         assert [v["partition"] for v in records] == list(expected.values())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_prefix_sums_report_the_first_unsummed_partition(self, n):
+        # block values of a measure, one block made wrong in most rounds: against a sum_finite
+        # per partition, the same partition (or None), and the same blocks looked up first, in
+        # the same order, up to it
+        sets = [frozenset(k for k in range(n) if m >> k & 1) for m in range(1 << n)]
+        parts = list(all_partitions(tuple(range(n))))
+        outcomes = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            weights = [random_hvalue(rng, "with-infinities") for _ in range(n)]
+            block = {s: sum_finite(weights[k] for k in sorted(s)) for s in sets}
+            if seed % 4:
+                wrong = rng.choice(sets[1:])
+                block[wrong] = add(block[wrong], H(1000, 1))
+            target = sum_finite(weights)
+            looked_up, expected_order = [], []
+            got = _unsummed(target, _partitions(n), sets, lambda s: looked_up.append(s) or block[s])
+            expected = None
+            for part in parts:
+                expected_order += [b for b in map(frozenset, part) if b not in expected_order]
+                if sum_finite(block[frozenset(b)] for b in part) != target:
+                    expected = part
+                    break
+            assert got == expected and looked_up == expected_order
+            outcomes.add(-1 if expected is None else parts.index(expected))
+        assert -1 in outcomes and max(outcomes) >= (n > 1)  # all summed, and a miss past the first
 
 
 def _first_unsummed(space, target, value_of):

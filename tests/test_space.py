@@ -202,6 +202,38 @@ class TestAtomSpace:
         with pytest.raises(ValueError):
             AtomSpace.of({"a": H(1, -1)})
 
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(
+            st.sampled_from("abcdef"),
+            st.builds(
+                HValue,
+                st.fractions(min_value=0, max_value=3, max_denominator=4),
+                st.one_of(st.fractions(min_value=0, max_value=9, max_denominator=4).map(ExtRat), st.just(INF)),
+            ),
+            min_size=1,
+        ),
+        st.frozensets(st.sampled_from("abcdef"), max_size=3),
+    )
+    def test_measure_is_the_sorted_dominance_sum(self, weights, atoms):
+        # a known atom alone is its weight; a set with an unknown atom is refused by name
+        sp = AtomSpace.of(weights)
+        for a, w in weights.items():
+            assert sp.measure(AtomSet.of(a)) == w == sum_finite([w])
+        if atoms <= weights.keys():
+            assert sp.measure(AtomSet(atoms)) == sum_finite(weights[a] for a in sorted(atoms))
+        for s in [AtomSet.of("z"), AtomSet(atoms | {"z", "y"})]:
+            with pytest.raises(UnknownSetError) as refused:
+                sp.measure(s)
+            assert str(refused.value) == f"unknown atoms: {sorted(s.atoms - weights.keys())}"
+
+    @pytest.mark.parametrize("s", [IntervalSet.of([(0, 1)]), frozenset("a"), "a", None], ids=repr)
+    def test_measure_of_a_non_atom_set_is_refused_by_type(self, s):
+        sp = AtomSpace.of({"a": H(1, 2)})
+        with pytest.raises(UnknownSetError) as refused:
+            sp.measure(s)
+        assert str(refused.value) == f"{type(s).__name__} is not a set of an atom space"
+
 
 class TestIntervalSpace:
     def test_positive_length(self):
