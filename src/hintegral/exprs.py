@@ -2,8 +2,8 @@
 
 An expression is one of two node kinds:
 
-* :class:`Poly` -- a polynomial with trimmed rational coefficients,
-  constant term first, of degree at most ``MAX_DEGREE``.  The
+* :class:`Poly` -- a polynomial ``ints / den`` of degree at most
+  ``MAX_DEGREE``, integer coefficients constant term first.  The
   polynomials of degree 0 and 1 are the constants and the affine maps
   ``a + b*x``; :func:`const`, :func:`affine` and :func:`poly` all build
   this node.
@@ -18,19 +18,18 @@ by a rounded root where c**r is too long).  One sign test,
 :func:`at_least`, decides ``e >= c`` on a cell, or at a point (a cell
 with ``lo == hi``), for every expression.
 
-A polynomial's kernels run on integers: a :class:`Poly` carries its
-coefficients as integers over one common denominator, built once where
-they are read: :func:`poly` and :func:`const` build it from the coprime
-pairs of :func:`hvalue.as_pair`, trimmed, over their denominators' lcm.
+A :class:`Poly` holds only its integer form, canonical (trimmed, ``den > 0``
+and ``gcd(den, *ints) == 1``), so equal polynomials hold equal integers.
+:func:`poly` and :func:`const` build it from the coprime pairs of
+:func:`hvalue.as_pair`, and one helper forms ``e1 +- e2`` for
+:func:`try_add`, :func:`split_dominance` and :func:`at_least`'s ``e - c``.
 :func:`at_least` decides degree 0 and 1 by integer cross products, and
 degree >= 2 on the integer polynomial of ``e - c`` (its Bernstein
-coefficients, and Yun's square-free decomposition for its odd part);
-:func:`sup_on` evaluates an affine map at its end on integers; and a
-polynomial's integral against a density multiplies the integer
-coefficient lists and makes one integer Horner pass per end.  Fractions
-remain in the coefficients that a Poly compares and prints, in the results
-(a supremum, an integral, a power's bounds) and in the cells that the
-bisection of :func:`at_least` halves.
+coefficients, and Yun's square-free decomposition for its odd part).  A
+mass integral against a density runs on the density's integers and
+divides by its denominator once.  Fractions are built on read only: in
+the ``coeffs`` property, in the results (a supremum, an integral, a cut, a
+power's bounds) and in the cells that :func:`at_least` bisects.
 
 One function, :func:`split_dominance`, cuts a piece by comparing two
 expressions; a sublevel set is read off its cells against a constant, so
@@ -49,13 +48,13 @@ rational, that round each irrational one as ROOT_BITS describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap, zip_longest
+from itertools import zip_longest
 from math import factorial, gcd, isqrt, lcm, log2
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import UnsupportedExpressionError, json_list, json_loader, json_object
+from .errors import ParseError, UnsupportedExpressionError, json_list, json_loader, json_object
 from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction, as_pair, frac_cmp, pair_fraction
 
 # ---------------------------------------------------------------------------
@@ -75,16 +74,6 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
-
-
-def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    return poly_trim(
-        [
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
 
 
 def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -118,12 +107,6 @@ def poly_lipschitz_bound(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction)
 # ---------------------------------------------------------------------------
 # the integer kernel: integer coefficient lists, constant term first
 # ---------------------------------------------------------------------------
-
-
-def _integer_poly(pairs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, ...], int]:
-    """Integer coefficients and one positive denominator D, with p = ints / D, of coprime pairs."""
-    den = lcm(*[d for _, d in pairs])
-    return tuple([n * (den // d) for n, d in pairs]), den
 
 
 def _integral(ints: Sequence[int], den: int, a: Fraction, b: Fraction) -> Fraction:
@@ -345,22 +328,21 @@ def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial with trimmed rational coefficients, constant term first, and their
-    integer form ``ints / den``, ``den > 0`` (:func:`_integer_poly`), built once for the
-    kernels to read: by :func:`poly` from the pairs it reads, or here from the Fractions."""
+    """The polynomial ``ints / den``: integer coefficients, constant term first, over
+    one denominator, in canonical form: trimmed, ``den > 0`` and ``gcd(den, *ints) == 1``.
+    So equal polynomials hold equal integers.  Build it with :func:`poly` or :func:`const`."""
 
-    coeffs: Tuple[Fraction, ...]
-    ints: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    ints: Tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        ints, den = _integer_poly([(c.numerator, c.denominator) for c in self.coeffs])
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "den", den)
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The rational coefficients, built as they are read."""
+        return tuple([Fraction(n, self.den) for n in self.ints])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
 
 @dataclass(frozen=True)
@@ -374,18 +356,9 @@ class Power:
 Expr = Union[Poly, Power]
 
 
-def _read(coeffs: Tuple[Fraction, ...], ints: Tuple[int, ...], den: int) -> Poly:
-    """The Poly of coefficients read as coprime pairs (:func:`as_pair`) and their integer
-    form, written straight into its ``__dict__`` (it is frozen), without ``__post_init__``."""
-    p = object.__new__(Poly)
-    fields = vars(p)
-    fields["coeffs"], fields["ints"], fields["den"] = coeffs, ints, den
-    return p
-
-
 def const(c) -> Poly:
     n, d = as_pair(c)
-    return _read((pair_fraction(n, d),), (n,), d)  # a constant's pair is its integer form
+    return Poly((n,), d)  # a constant's coprime pair is its canonical form
 
 
 def affine(a, b) -> Poly:
@@ -415,7 +388,21 @@ def poly(coeffs) -> Poly:
         pairs.pop()
     if len(pairs) > MAX_DEGREE + 1:
         raise UnsupportedExpressionError(f"a polynomial's degree must be at most {MAX_DEGREE}")
-    return _read(tuple(starmap(pair_fraction, pairs)), *_integer_poly(pairs))
+    # each prime power in the lcm divides some d exactly, whose n is prime to it: canonical
+    den = lcm(*[d for _, d in pairs])
+    return Poly(tuple([n * (den // d) for n, d in pairs]), den)
+
+
+def _plus(e1: Poly, e2: Poly, s: int) -> Poly:
+    """e1 + s * e2 for s = 1 or -1, over the lcm of the two denominators, trimmed and reduced."""
+    g = gcd(e1.den, e2.den)
+    k1, k2 = e2.den // g, s * (e1.den // g)
+    ints = [a * k1 + b * k2 for a, b in zip_longest(e1.ints, e2.ints, fillvalue=0)]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    den = e1.den * k1
+    g = gcd(den, *ints)
+    return Poly(tuple([n // g for n in ints]), den // g)
 
 
 def check_piece(pi1: Expr, pi2: Expr, lo: Fraction, hi: Fraction) -> None:
@@ -450,7 +437,7 @@ def sup_on(e: Expr, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
     if isinstance(e, Power):
         return pow_exact(hi, e.q)
     if e.degree == 0:
-        return e.coeffs[0]
+        return pair_fraction(e.ints[0], e.den)
     if e.degree == 1:
         x = hi if e.ints[1] > 0 else lo
         return Fraction(e.ints[0] * x.denominator + e.ints[1] * x.numerator, e.den * x.denominator)
@@ -488,9 +475,7 @@ def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
     if e.degree == 1:
         x = hi if ints[1] < 0 else lo
         return (ints[0] * x.denominator + ints[1] * x.numerator) * cd >= cn * den * x.denominator
-    g = gcd(den, cd)  # e - c = diff / lcm(den, cd)
-    diff = [k * (cd // g) for k in ints]
-    diff[0] -= cn * (den // g)
+    diff = _plus(e, Poly((cn,), cd), -1).ints  # e - c, its sign that of diff
     bs = _bernstein(diff, lo, hi)
     if bs[0] < 0 or bs[-1] < 0:
         return False
@@ -527,15 +512,15 @@ def weighted_integral_bounds(
     if isinstance(e, Poly):
         v = _integral(poly_mul(e.ints, density.ints), e.den * density.den, lo, hi)
         return v, v
-    low = high = Fraction(0)
-    for k, c in enumerate(density.coeffs):
+    low = high = Fraction(0)  # times density.den, divided once at the end
+    for k, c in enumerate(density.ints):
         if c == 0:
             continue
         q = e.q + k + 1
         (lo_down, lo_up), (hi_down, hi_up) = _pow_bounds(lo, q), _pow_bounds(hi, q)
         ends = c * (hi_down - lo_up) / q, c * (hi_up - lo_down) / q
         low, high = low + min(ends), high + max(ends)
-    return low, high
+    return low / density.den, high / density.den
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +541,14 @@ def split_dominance(
     if e1 == e2:
         return [(lo, hi, 0)]
     if isinstance(e1, Poly) and isinstance(e2, Poly):
-        diff = poly_add(e1.coeffs, [-c for c in e2.coeffs])
-        if len(diff) > 2:
+        diff = _plus(e1, e2, -1)
+        if diff.degree > 1:
             raise UnsupportedExpressionError(
                 "dominance between higher-degree polynomial coordinates"
             )
-        cuts = [-diff[0] / diff[1]] if len(diff) == 2 else []
-        sign = lambda x: frac_cmp(poly_eval(diff, x), 0)
+        d0, d1 = (*diff.ints, 0)[:2]  # e1 - e2 = (d0 + d1*x) / den, den > 0
+        cuts = [Fraction(-d0, d1)] if d1 else []
+        sign = lambda x: ((v := d0 * x.denominator + d1 * x.numerator) > 0) - (v < 0)
     elif isinstance(e1, Power) and isinstance(e2, Power):
         cuts = [Fraction(1)]  # x**q1 and x**q2 cross only at x == 1 within x > 0
         sign = lambda x: frac_cmp(e1.q, e2.q) * frac_cmp(x, 1)
@@ -572,7 +558,7 @@ def split_dominance(
             raise UnsupportedExpressionError(
                 "dominance between a fractional power and a non-constant coordinate"
             )
-        c = other.coeffs[0]
+        c = pair_fraction(other.ints[0], other.den)
         sign = lambda x: flip * cmp_pow(x, pw.q, c)
         cuts = []
         if cmp_pow(lo, pw.q, c) < 0 < cmp_pow(hi, pw.q, c):  # x**q increases
@@ -594,7 +580,7 @@ def split_dominance(
 def try_add(e1: Expr, e2: Expr) -> Expr:
     """Pointwise sum, provided it stays inside the grammar."""
     if isinstance(e1, Poly) and isinstance(e2, Poly):
-        return Poly(poly_add(e1.coeffs, e2.coeffs))
+        return _plus(e1, e2, 1)
     raise UnsupportedExpressionError(
         "sum of a fractional power with another coordinate leaves the grammar"
     )
@@ -607,7 +593,9 @@ def try_add(e1: Expr, e2: Expr) -> Expr:
 
 @json_loader
 def expr_from_json(obj) -> Expr:
-    kind = json_object(obj, "an expression").get("kind")
+    kind = json_object(obj, "an expression")["kind"]
+    if not isinstance(kind, str):
+        raise ParseError(f"an expression's kind must be a string, got {kind!r}")
     if kind == "const":
         return const(obj["value"])
     if kind == "affine":

@@ -176,6 +176,11 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == f"unsupported: integral of x**{q} has irrational endpoint values\n"
 
+    def test_an_unknown_expression_kind_is_exit_3(self, tmp_path, capsys):
+        fn = {"pieces": [{**_piece("0", "1"), "pi1": {"kind": "sin"}}]}
+        assert main(["eval", write(tmp_path, "s.json", SPACE), write(tmp_path, "f.json", fn)]) == 3
+        assert capsys.readouterr().err == "unsupported: unknown expression kind 'sin'\n"
+
     def test_fractional_power_below_zero_exit_3(self, tmp_path, capsys):
         sp = {"kind": "interval", "bounds": ["-1", "1"]}
         fn = {"pieces": [{**_piece("-1", "1"), "pi1": {"kind": "pow", "q": "1/2"}}]}
@@ -562,6 +567,9 @@ MALFORMED = {
     ),
     "pi1-as-string": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi1": "1"}]}),
     "pi2-as-list": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi2": [1]}]}),
+    # an expression's kind is a string that must be there; an unknown one is exit 3
+    "pi1-without-kind": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi1": {"value": "1"}}]}),
+    "pi1-kind-as-number": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi1": {"kind": 5}}]}),
 }
 
 # the whole message of the MALFORMED entries that name their field
@@ -579,6 +587,8 @@ FIELD_NAMED = {
     "candidate-as-boolean": "parse error: a candidate must be an object, got True\n",
     "pi1-as-string": "parse error: pi1 must be an object, got '1'\n",
     "pi2-as-list": "parse error: pi2 must be an object, got [1]\n",
+    "pi1-without-kind": "parse error: expr_from_json: KeyError: 'kind'\n",
+    "pi1-kind-as-number": "parse error: an expression's kind must be a string, got 5\n",
 }
 
 
@@ -959,6 +969,7 @@ class TestDemo:
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 UNIT_SPACE = SCENARIOS / "space_unit_interval.json"
 CATALOG_SPACE = SCENARIOS / "space_catalog_line_point.json"
+DENSITY_SPACE = SCENARIOS / "space_density_interval.json"
 # `defi --json` output of each bundled scenario file
 DEFI_GOLDENS = {
     "continuity_dirichlet.json": {"value": "(1, inf)"},
@@ -1011,6 +1022,13 @@ EVAL_GOLDENS = {
     "function_root_mass.json": (
         UNIT_SPACE,
         _eval_golden("(2, 2/3)", [_witness("0", "1", "(1, 1)", "(1, 2/3)")], "2/3"),
+    ),
+    # under the density 1/2 + 3x/4 the mass of sqrt(x) on (0, 1) is
+    # 1/2 * 2/3 + 3/4 * 2/5 = 19/30 and the measure 1/2 + 3/8 = 7/8, so
+    # the witness's bound is the mean 19/30 / (7/8) = 76/105
+    "function_root_mass_density.json": (
+        DENSITY_SPACE,
+        _eval_golden("(2, 19/30)", [_witness("0", "1", "(1, 7/8)", "(1, 76/105)")], "19/30"),
     ),
     # the same function cut at 1/4 and 1/2: the three top pieces share
     # sqrt(x) and touch, so they are one run and one witness, and

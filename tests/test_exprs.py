@@ -3,7 +3,8 @@
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, reject
@@ -43,7 +44,7 @@ class TestPolyHelpers:
 
     def test_integral(self):
         # int_0^1 x^2 dx = 1/3
-        assert exprs.poly_integral(exprs.Poly((F(0), F(0), F(1))), F(0), F(1)) == F(1, 3)
+        assert exprs.poly_integral(poly([0, 0, 1]), F(0), F(1)) == F(1, 3)
 
     @given(
         st.lists(
@@ -59,7 +60,7 @@ class TestPolyHelpers:
         # degree 0-8, 200-bit coefficients, ends of either sign, and a == b
         b = a if empty else b
         terms = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
-        assert exprs.poly_integral(exprs.Poly(tuple(coeffs)), a, b) == terms
+        assert exprs.poly_integral(poly(coeffs), a, b) == terms
 
     def test_lipschitz_is_a_bound(self):
         coeffs = (F(1), F(-3), F(2), F(5))
@@ -77,9 +78,10 @@ def _bernstein_min(coeffs, lo, hi):
     """The smallest Bernstein coefficient of p on [lo, hi] from the
     integer kernel of `at_least`: `_bernstein` scales each coefficient
     of the integer polynomial D * p by n! * (b*d)**n, where lo = a/b and
-    hi = c/d."""
-    p = exprs.Poly(tuple(coeffs))
-    ints, den = p.ints, p.den
+    hi = c/d.  The integer form is built here, untrimmed, so that n is
+    the length of ``coeffs`` less one, as in the Fraction reference."""
+    den = lcm(*[F(c).denominator for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
     n = len(ints) - 1
     scale = factorial(n) * den * (lo.denominator * hi.denominator) ** n
     return F(min(exprs._bernstein(ints, lo, hi)), scale)
@@ -207,7 +209,7 @@ class TestAtLeast:
                 coeffs = exprs.poly_mul(coeffs, (-F(m), F(0), F(1)))
         hi = lo + width
         expected = _known_sign_nonnegative(sign, roots, squares, lo, hi)
-        assert at_least(exprs.Poly(coeffs), F(0), lo, hi) == expected
+        assert at_least(poly(coeffs), F(0), lo, hi) == expected
 
 
 class TestAtAPoint:
@@ -321,7 +323,7 @@ class TestIntegerKernel:
         expected = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(prod))
         low, high = exprs.weighted_integral_bounds(poly(mass), poly(density), a, b)
         assert low == high == expected
-        assert exprs.poly_integral(exprs.Poly(exprs.poly_mul(poly(mass).coeffs, density)), a, b) == expected
+        assert exprs.poly_integral(poly(exprs.poly_mul(poly(mass).coeffs, density)), a, b) == expected
 
     @given(st.data())
     def test_nu(self, data):
@@ -530,13 +532,31 @@ COEFFICIENTS = st.one_of(
 ZEROS = st.lists(st.sampled_from([0, "0", "-0", "0/7", "0e3", "0.0", F(0)]), max_size=3)
 
 
+def _fraction_route(fractions):
+    """The canonical form of Fraction coefficients, built here: the trimmed
+    Fractions, and their integers over the lcm of the reduced denominators."""
+    cs = list(fractions)
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    cs = cs or [F(0)]
+    den = lcm(*[c.denominator for c in cs])
+    return tuple(cs), tuple([c.numerator * (den // c.denominator) for c in cs]), den
+
+
+def _is_canonical(p):
+    """p is trimmed, its denominator positive and prime to its integers."""
+    return (len(p.ints) == 1 or p.ints[-1] != 0) and p.den > 0 and gcd(p.den, *p.ints) == 1
+
+
 class TestReader:
     """poly and const read each coefficient as a pair; the reference reads
-    it as a Fraction and builds the Poly from the trimmed Fractions."""
+    it as a Fraction and builds the canonical form from the trimmed Fractions."""
 
     @staticmethod
-    def assert_same(got, ref):
-        assert (got.coeffs, got.ints, got.den) == (ref.coeffs, ref.ints, ref.den)
+    def assert_same(got, fractions):
+        coeffs, ints, den = _fraction_route(fractions)
+        assert (got.coeffs, got.ints, got.den) == (coeffs, ints, den)
+        ref = exprs.Poly(ints, den)
         assert got == ref and hash(got) == hash(ref)
         assert all(type(c) is F for c in got.coeffs)
         assert got.den > 0 and [F(n, got.den) for n in got.ints] == list(got.coeffs)
@@ -546,9 +566,9 @@ class TestReader:
     @example(["6/4", " -3/9 ", "-0", "0.5", "1e2"], ["0", "-0"])
     def test_poly_and_const_match_the_fraction_route(self, cs, zeros):
         cs = cs + zeros
-        self.assert_same(poly(cs), exprs.Poly(exprs.poly_trim([as_fraction(c) for c in cs])))
+        self.assert_same(poly(cs), [as_fraction(c) for c in cs])
         for c in cs:
-            self.assert_same(const(c), exprs.Poly((as_fraction(c),)))
+            self.assert_same(const(c), [as_fraction(c)])
 
     @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, None])
     def test_refuses_what_is_not_an_exact_rational(self, bad):
@@ -559,6 +579,43 @@ class TestReader:
     def test_degree_65_keeps_its_message(self):
         with pytest.raises(UnsupportedExpressionError, match=f"^a polynomial's degree must be at most {MAX_DEGREE}$"):
             poly(["1/2"] * (MAX_DEGREE + 2) + ["0"])
+
+
+# few denominators and small values, so that two draws are often equal
+TERMS = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=3)
+
+
+class TestCanonicalForm:
+    """A Poly is ints / den, trimmed, den > 0 and gcd(den, *ints) == 1, so
+    equal polynomials hold equal integers."""
+
+    @given(st.lists(COEFFICIENTS, max_size=4), ZEROS, TERMS)
+    @example(["2/4", "-6/4"], ["0"], [F(1, 2), F(3, 2)])
+    def test_poly_const_and_the_sum_are_canonical(self, cs, zeros, terms):
+        p, q = poly(cs + zeros), poly(terms)
+        built = [p, q, exprs._plus(p, q, 1), exprs._plus(p, q, -1), exprs._plus(p, p, -1)]
+        for e in built + [const(c) for c in cs + zeros]:
+            assert _is_canonical(e), e
+
+    @given(TERMS, TERMS, ZEROS)
+    @example([F(1, 2)], [F(1, 2), 0], [])
+    @example([F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)], [])
+    def test_equal_exactly_when_the_fractions_are(self, a, b, zeros):
+        p, q = poly(a + zeros), poly(b)
+        fractions_equal = _fraction_route([as_fraction(c) for c in a + zeros])[0] == _fraction_route(b)[0]
+        assert (p == q) == fractions_equal == (p.coeffs == q.coeffs)
+        if p == q:
+            assert hash(p) == hash(q)
+
+    @given(TERMS, TERMS)
+    @example([F(1, 2), F(1, 3)], [F(1, 2), F(1, 3)])
+    def test_the_sum_and_difference_are_the_fraction_ones(self, a, b):
+        p, q = poly(a), poly(b)
+        pairs = list(zip_longest(p.coeffs, q.coeffs, fillvalue=F(0)))
+        for s, total in ((1, [x + y for x, y in pairs]), (-1, [x - y for x, y in pairs])):
+            got = exprs._plus(p, q, s)
+            assert got == poly(total)
+            assert (got.coeffs, got.ints, got.den) == _fraction_route(total)
 
 
 class TestEvalAndBounds:
@@ -813,6 +870,84 @@ class TestTryAdd:
     def test_power_sum_leaves_grammar(self):
         with pytest.raises(UnsupportedExpressionError):
             try_add(power(F(1, 2)), const(1))
+
+
+def _fraction_dominance(e1, e2, lo, hi):
+    """split_dominance of two polynomials by the Fraction formula: the trimmed
+    Fraction difference d, cut at -d0/d1 and signed by poly_eval; None where
+    the difference has degree 2."""
+    d = [x - y for x, y in zip_longest(e1.coeffs, e2.coeffs, fillvalue=F(0))]
+    while len(d) > 1 and d[-1] == 0:
+        d.pop()
+    if len(d) > 2:
+        return None
+    cuts = [-d[0] / d[1]] if len(d) == 2 else []
+    edges = [lo] + sorted(t for t in cuts if lo < t < hi) + [hi]
+    signs = [exprs.poly_eval(d, (a + b) / 2) for a, b in zip(edges, edges[1:])]
+    return [(a, b, (v > 0) - (v < 0)) for a, b, v in zip(edges, edges[1:], signs)]
+
+
+def _fraction_power_bounds(q, density, lo, hi):
+    """weighted_integral_bounds of x**q by the Fraction formula: each density
+    coefficient c_k as a Fraction times the rounded end powers of x**(q+k+1)."""
+    low = high = F(0)
+    for k, c in enumerate(density):
+        if c == 0:
+            continue
+        r = q + k + 1
+        (lo_down, lo_up), (hi_down, hi_up) = exprs._pow_bounds(lo, r), exprs._pow_bounds(hi, r)
+        ends = c * (hi_down - lo_up) / r, c * (hi_up - lo_down) / r
+        low, high = low + min(ends), high + max(ends)
+    return low, high
+
+
+quadratics = st.builds(lambda a, b, c: poly([a, b, c]), small, small, st.sampled_from([0, 1, F(-1, 2), F(2, 3)]))
+polys_to_degree_2 = st.one_of(consts, affines, quadratics)
+DENSITIES = [(F(1, 3), 0, F(2, 5)), (1, F(-1, 2))]
+
+
+class TestFractionPins:
+    """The integer branches against the Fraction formulas they replace."""
+
+    @given(polys_to_degree_2, polys_to_degree_2, cells(nonneg=False))
+    @example(affine(F(1, 3), F(1, 2)), affine(0, F(1, 3)), (F(-4), F(1)))
+    @example(poly([1, 0, 1]), poly([0, 1, 1]), (F(0), F(2)))
+    @example(poly([1, 0, 1]), affine(0, 1), (F(0), F(2)))
+    def test_split_dominance_and_try_add(self, e1, e2, cell):
+        lo, hi = cell
+        cells_ref = _fraction_dominance(e1, e2, lo, hi)
+        if cells_ref is None:
+            with pytest.raises(UnsupportedExpressionError):
+                split_dominance(e1, e2, lo, hi)
+        else:
+            assert split_dominance(e1, e2, lo, hi) == cells_ref
+        total = [x + y for x, y in zip_longest(e1.coeffs, e2.coeffs, fillvalue=F(0))]
+        while len(total) > 1 and total[-1] == 0:
+            total.pop()
+        assert try_add(e1, e2).coeffs == tuple(total)
+        assert try_add(e1, e2) == poly(total)
+
+    @given(
+        st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(5, 2)]),
+        st.one_of(
+            st.sampled_from(DENSITIES),
+            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=4),
+        ),
+        cells(nonneg=True),
+    )
+    @example(F(1, 2), DENSITIES[0], (F(0), F(2)))
+    @example(F(1, 3), DENSITIES[1], (F(1, 2), F(3)))
+    def test_weighted_integral_bounds_of_a_power(self, q, density, cell):
+        lo, hi = cell
+        got = exprs.weighted_integral_bounds(power(q), poly(density), lo, hi)
+        assert got == _fraction_power_bounds(q, [F(c) for c in density], lo, hi)
+
+    @pytest.mark.parametrize(
+        "density, exact", [(DENSITIES[0], F(1, 3) * F(2, 3) + F(2, 5) * F(2, 7)), (DENSITIES[1], F(2, 3) - F(1, 5))]
+    )
+    def test_a_root_under_a_density_on_the_unit_interval(self, density, exact):
+        # x**(1/2) * (c0 + c1*x + c2*x**2) on (0, 1): sum c_k / (k + 3/2)
+        assert exprs.weighted_integral_bounds(power(F(1, 2)), poly(density), F(0), F(1)) == (exact, exact)
 
 
 class TestJson:
