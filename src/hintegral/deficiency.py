@@ -2,17 +2,17 @@
 
 Each functional measures how far an object is from a property as the
 h-integral of a declared "defect" integrand.  Scenarios carry the
-defect data explicitly (cluster remainders, catalog primitives, point
-sets); the module never computes cluster sets analytically.  Every
+defect data explicitly (cluster remainders, lines, segments and points,
+point sets); the module never computes cluster sets analytically.  Every
 integrand is simple, so each functional is a dominance sum of value x
 measure over disjoint sets: (0,1) for each point, jump or ordered pair,
 and the declared measure of a global cluster component.
 
 Lineness is a closed form (:func:`_lineness_value`): a line other than
-the candidate gives (1, inf), segments add the lengths the sections
-see, and distinct points count only at dimension 0.  The value is the
-minimum over the listed candidates, an upper bound for the infimum
-over every line in the plane.
+the candidate gives (1, inf), segments grouped by carrying line add the
+lengths the sections see, and distinct points count only at dimension
+0.  The value is the minimum over the listed candidates, an upper bound
+for the infimum over every line in the plane.
 
 The geometry is exact and on integers: a point is read straight onto
 one denominator (:class:`Point2`), and lines, incidence and squared
@@ -171,45 +171,37 @@ class ClusterScenario:
 
 
 @dataclass(frozen=True)
-class LinePrimitive:
-    """One catalog primitive of a planar set: point, line or segment."""
-
-    kind: str  # "point" | "line" | "segment"
-    p: Point2
-    q: Optional[Point2] = None
-
-    def line(self) -> Line2:
-        return Line2.through(self.p, self.q)
-
-
-@dataclass(frozen=True)
 class LinenessScenario:
-    primitives: Tuple[LinePrimitive, ...]
+    """A planar set K as its lines and segments, each a pair of distinct
+    points, and its points, every field in file order; with the
+    candidate lines."""
+
+    lines: Tuple[Tuple[Point2, Point2], ...]
+    segments: Tuple[Tuple[Point2, Point2], ...]
+    points: Tuple[Point2, ...]
     candidates: Tuple[Line2, ...]
 
     @staticmethod
-    def of(primitives: Sequence[LinePrimitive], candidates: Sequence[Line2]) -> "LinenessScenario":
+    def of(lines=(), segments=(), points=(), candidates=()) -> "LinenessScenario":
         if not candidates:
             raise ValueError("candidate list must be nonempty")
-        return LinenessScenario(tuple(primitives), tuple(candidates))
+        return LinenessScenario(tuple(lines), tuple(segments), tuple(points), tuple(candidates))
 
 
 @dataclass(frozen=True)
 class ConvexityScenario:
-    """Bounded K: a finite point set, or a single convex primitive."""
+    """Bounded K: a finite point set, or a single segment (a pair of points)."""
 
     points: Tuple[Point2, ...] = ()
-    convex_primitive: Optional[LinePrimitive] = None
+    segment: Optional[Tuple[Point2, Point2]] = None
 
     @staticmethod
-    def of(points: Sequence[Point2] = (), convex_primitive=None) -> "ConvexityScenario":
-        if points and convex_primitive is not None:
+    def of(points: Sequence[Point2] = (), segment=None) -> "ConvexityScenario":
+        if points and segment is not None:
             raise UnsupportedScenarioError(
                 "mixed point/primitive descriptions are not reducible"
             )
-        if convex_primitive is not None and convex_primitive.kind not in ("segment", "point"):
-            raise UnsupportedScenarioError("only bounded convex primitives are supported")
-        return ConvexityScenario(tuple(points), convex_primitive)
+        return ConvexityScenario(tuple(points), segment)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +244,7 @@ def _union_on(line: Line2, segments) -> list:
     return union
 
 
-def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
+def _lineness_value(e: Line2, s: LinenessScenario) -> HValue:
     """Integral along e = {a*x + b*y = c} of the measure of each
     perpendicular section of K minus its foot, in closed form:
 
@@ -269,18 +261,11 @@ def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
     K is a set, so a repeated point counts once, and the segments on a
     common line are merged into their union before their lengths add.
     """
-    if any(prim.kind == "line" and prim.line() != e for prim in prims):
+    if any(Line2.through(p, q) != e for p, q in s.lines):
         return HValue(ONE, INF)
-    points = set()  # distinct points off e
     segments = {}  # carrying line -> its segments (p, q)
-    for prim in prims:
-        if prim.kind == "point":
-            if not e.contains(prim.p):
-                points.add(prim.p)
-        elif prim.kind == "segment":
-            segments.setdefault(prim.line(), []).append((prim.p, prim.q))
-        elif prim.kind != "line":  # every line is e itself
-            raise UnsupportedScenarioError(f"unknown primitive kind {prim.kind!r}")
+    for pq in s.segments:
+        segments.setdefault(Line2.through(*pq), []).append(pq)
     length = Fraction(0)  # perpendicular segments
     shadow = Fraction(0)  # shadow lengths times sqrt(a^2 + b^2)
     for line, on_line in segments.items():
@@ -299,7 +284,9 @@ def _lineness_value(e: Line2, prims: Sequence[LinePrimitive]) -> HValue:
                 f"shadow length along {e} is irrational (direction norm^2: {n2})"
             )
         length += shadow / norm
-    return HValue(ONE, ExtRat(length)) if length else HValue.of(0, len(points))
+    if length:
+        return HValue(ONE, ExtRat(length))
+    return HValue.of(0, len({p for p in s.points if not e.contains(p)}))
 
 
 def defi_lineness(s: LinenessScenario) -> Tuple[HValue, Line2]:
@@ -308,7 +295,7 @@ def defi_lineness(s: LinenessScenario) -> Tuple[HValue, Line2]:
     An upper bound for the infimum over all lines of the plane; the
     returned line is the first candidate attaining the minimum.
     """
-    values = [(_lineness_value(e, s.primitives), e) for e in s.candidates]
+    values = [(_lineness_value(e, s), e) for e in s.candidates]
     return min(values, key=lambda value_line: value_line[0])
 
 
@@ -323,7 +310,7 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
     For finite K every ordered pair has counting measure (0,1), and the
     integrand at (x,y) is the length of the segment xy (removing the
     finitely many points of K is null at dimension 1) unless the segment
-    lies inside K.  A single convex primitive gives (0,0) outright.
+    lies inside K.  A single segment gives (0,0) outright.
 
     Every term (1, |xy|) x (0, 1) has dimension 1, so the masses add: the
     value is (1, 2 * sum |xy|) over the unordered pairs of distinct
@@ -338,7 +325,7 @@ def defi_convexity(s: ConvexityScenario) -> HValue:
     pair denominators is their product, and one Fraction is built at
     the end.
     """
-    if s.convex_primitive is not None:
+    if s.segment is not None:
         return ZERO
     pts = list(dict.fromkeys(s.points))  # K is a set: one copy of each point
     sums = {}  # pair denominator L -> sum of the numerators r over L
@@ -378,26 +365,14 @@ def _point_from_json(obj, memo: dict) -> Point2:
     return _set_point(object.__new__(Point2), *read_once(as_pair, x, memo), *read_once(as_pair, y, memo))
 
 
-def _line_from_json(obj, memo: dict) -> Line2:
-    json_object(obj, "a candidate")
-    return Line2.through(_point_from_json(obj["p"], memo), _point_from_json(obj["q"], memo))
-
-
-def _primitive_from_json(obj, memo: dict) -> LinePrimitive:
-    kind = json_object(obj, "a primitive").get("type")
-    if kind == "point":
-        p, q = _point_from_json(obj["p"], memo), None
-    elif kind in ("line", "segment"):
-        p, q = _point_from_json(obj["p"], memo), _point_from_json(obj["q"], memo)
-        if p == q:
-            raise ParseError(f"a {kind} needs two distinct points, got ({p.x}, {p.y}) twice")
-    else:
-        raise ParseError(f"unknown primitive type {kind!r}")
-    # LinePrimitive(kind, p, q), its fields written straight into its __dict__ (it is frozen)
-    prim = object.__new__(LinePrimitive)
-    fields = vars(prim)
-    fields["kind"], fields["p"], fields["q"] = kind, p, q
-    return prim
+def _two_points(obj, what: str, memo: dict, keys=("p", "q")) -> Tuple[Point2, Point2]:
+    """The points at obj[keys[0]] and obj[keys[1]], read in turn: the two ends of
+    a line, a segment (a convexity one at keys 0 and 1) or a candidate, which must differ."""
+    p = _point_from_json(obj[keys[0]], memo)
+    q = _point_from_json(obj[keys[1]], memo)
+    if p == q:
+        raise ParseError(f"{what} needs two distinct points, got ({p.x}, {p.y}) twice")
+    return p, q
 
 
 @json_loader
@@ -425,19 +400,27 @@ def scenario_from_json(obj):
             )
         return ClusterScenario.of(jumps, global_component)
     if kind == "lineness":
-        prims = [_primitive_from_json(p, memo) for p in json_list(obj.get("primitives", []), "primitives")]
-        cands = [_line_from_json(c, memo) for c in json_list(obj.get("candidates", []), "candidates")]
-        return LinenessScenario.of(prims, cands)
+        lines, segments, points = [], [], []
+        for prim in json_list(obj.get("primitives", []), "primitives"):
+            shape = json_object(prim, "a primitive").get("type")
+            if shape == "point":
+                points.append(_point_from_json(prim["p"], memo))
+            elif shape in ("line", "segment"):
+                (lines if shape == "line" else segments).append(_two_points(prim, f"a {shape}", memo))
+            else:
+                raise ParseError(f"unknown primitive type {shape!r}")
+        cands = json_list(obj.get("candidates", []), "candidates")
+        cands = [Line2.through(*_two_points(json_object(c, "a candidate"), "a candidate", memo)) for c in cands]
+        return LinenessScenario.of(lines, segments, points, cands)
     if kind == "convexity":
-        prim = None
+        segment = None
         if "segment" in obj:
             ends = json_list(obj["segment"], "segment")
             if len(ends) != 2:
                 raise ParseError(f"segment must be two points, got {len(ends)}")
-            p, q = ends
-            prim = _primitive_from_json({"type": "segment", "p": p, "q": q}, memo)
+            segment = _two_points(ends, "a segment", memo, (0, 1))
         pts = [_point_from_json(p, memo) for p in json_list(obj.get("points", []), "points")]
-        return ConvexityScenario.of(pts, prim)
+        return ConvexityScenario.of(pts, segment)
     raise ParseError(f"unknown scenario kind {kind!r}")
 
 

@@ -330,10 +330,16 @@ def cmp_pow(x: Fraction, q: Fraction, c: Fraction) -> int:
 class Poly:
     """The polynomial ``ints / den``: integer coefficients, constant term first, over
     one denominator, in canonical form: trimmed, ``den > 0`` and ``gcd(den, *ints) == 1``.
-    So equal polynomials hold equal integers.  Build it with :func:`poly` or :func:`const`."""
+    So equal polynomials hold equal integers; any other form is a ValueError.  Build it
+    with :func:`poly` or :func:`const`."""
 
     ints: Tuple[int, ...]
     den: int
+
+    def __post_init__(self):
+        ints, den = self.ints, self.den
+        if not ints or (len(ints) > 1 and ints[-1] == 0) or den <= 0 or gcd(den, *ints) != 1:
+            raise ValueError(f"a Poly is trimmed ints over a positive den prime to them, got {self}")
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:

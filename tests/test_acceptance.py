@@ -65,7 +65,6 @@ def test_criterion_4_deficiency_goldens():
         ClusterScenario,
         ConvexityScenario,
         Line2,
-        LinePrimitive,
         LinenessScenario,
         Point2,
         defi_continuity,
@@ -75,18 +74,15 @@ def test_criterion_4_deficiency_goldens():
 
     P = Point2.of
     x_axis = Line2.through(P(0, 0), P(1, 0))
-    x_axis_prim = LinePrimitive("line", P(0, 0), P(1, 0))
 
-    seg = ConvexityScenario.of(convex_primitive=LinePrimitive("segment", P(0, 0), P(1, 0)))
+    seg = ConvexityScenario.of(segment=(P(0, 0), P(1, 0)))
     assert defi_convexity(seg) == H(0, 0)
     assert defi_convexity(ConvexityScenario.of([P(0, 0), P(1, 0)])) == H(1, 2)
     assert defi_convexity(ConvexityScenario.of([P(0, 0), P(1, 0), P(2, 0)])) == H(1, 8)
     assert defi_continuity(ClusterScenario.of([(F(1, 2), H(0, 1))])) == H(0, 1)
     dirichlet = ClusterScenario.of([], ("R", H(1, "inf"), H(0, 1)))
     assert defi_continuity(dirichlet) == H(1, "inf")
-    line_point = LinenessScenario.of(
-        [x_axis_prim, LinePrimitive("point", P(0, 1))], [x_axis]
-    )
+    line_point = LinenessScenario.of(lines=[(P(0, 0), P(1, 0))], points=[P(0, 1)], candidates=[x_axis])
     assert defi_lineness(line_point) == (H(0, 1), x_axis)
     print(
         "\nPASS criterion 4: deficiency goldens (0,0) (1,2) (1,8) (0,1) (1,inf) (0,1)"

@@ -176,6 +176,11 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == f"unsupported: integral of x**{q} has irrational endpoint values\n"
 
+    def test_a_dimension_polynomial_of_degree_2_is_exit_3(self, tmp_path, capsys):
+        fn = {"pieces": [{**_piece("0", "1"), "pi1": {"kind": "poly", "coeffs": ["0", "0", "1"]}}]}
+        assert main(["eval", write(tmp_path, "s.json", SPACE), write(tmp_path, "f.json", fn)]) == 3
+        assert capsys.readouterr() == ("", "unsupported: dimension coordinate must be constant, affine or a power\n")
+
     def test_an_unknown_expression_kind_is_exit_3(self, tmp_path, capsys):
         fn = {"pieces": [{**_piece("0", "1"), "pi1": {"kind": "sin"}}]}
         assert main(["eval", write(tmp_path, "s.json", SPACE), write(tmp_path, "f.json", fn)]) == 3
@@ -570,6 +575,31 @@ MALFORMED = {
     # an expression's kind is a string that must be there; an unknown one is exit 3
     "pi1-without-kind": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi1": {"value": "1"}}]}),
     "pi1-kind-as-number": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "pi1": {"kind": 5}}]}),
+    # refusals of the readers that name their cause
+    "space-kind-unknown": ("eval", {"kind": "sphere"}, CONST11),
+    "negative-dim-offset": ("eval", {**SPACE, "dim_offset": "-1"}, CONST11),
+    "negative-simple-coefficient": (
+        "eval",
+        SPACE,
+        {"simple": [{"coeff": "(1, -1)", "set": {"intervals": [["0", "1"]]}}]},
+    ),
+    "lineness-point-of-one-coordinate": (
+        "defi",
+        {
+            "kind": "lineness",
+            "primitives": [{"type": "point", "p": ["1"]}],
+            "candidates": [{"p": ["0", "0"], "q": ["1", "0"]}],
+        },
+    ),
+    # a candidate is read as a line and a segment are: it names itself and its point
+    "candidate-with-equal-ends": (
+        "defi",
+        {
+            "kind": "lineness",
+            "primitives": [{"type": "point", "p": ["0", "0"]}],
+            "candidates": [{"p": ["0", "0"], "q": ["0", "0"]}],
+        },
+    ),
 }
 
 # the whole message of the MALFORMED entries that name their field
@@ -589,6 +619,11 @@ FIELD_NAMED = {
     "pi2-as-list": "parse error: pi2 must be an object, got [1]\n",
     "pi1-without-kind": "parse error: expr_from_json: KeyError: 'kind'\n",
     "pi1-kind-as-number": "parse error: an expression's kind must be a string, got 5\n",
+    "space-kind-unknown": "parse error: unknown space kind 'sphere'\n",
+    "negative-dim-offset": "parse error: space_from_json: ValueError: dim_offset must be nonnegative\n",
+    "negative-simple-coefficient": "parse error: function_from_json: ValueError: negative coefficient (1, -1)\n",
+    "lineness-point-of-one-coordinate": "parse error: a point is a pair of rationals, got ['1']\n",
+    "candidate-with-equal-ends": "parse error: a candidate needs two distinct points, got (0, 0) twice\n",
 }
 
 

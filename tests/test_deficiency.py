@@ -48,7 +48,6 @@ from hintegral.deficiency import (
     ClusterScenario,
     ConvexityScenario,
     Line2,
-    LinePrimitive,
     LinenessScenario,
     Point2,
     defi_continuity,
@@ -65,8 +64,17 @@ H = HValue.of
 P = Point2.of
 
 X_AXIS = Line2.through(P(0, 0), P(1, 0))
-X_AXIS_PRIM = LinePrimitive("line", P(0, 0), P(1, 0))
+X_AXIS_ENDS = (P(0, 0), P(1, 0))
 DIRECTIONS = [(1, 0), (0, 1), (3, 4), (4, -3), (1, 1)]
+
+
+def lineness(prims, candidates):
+    """The scenario of the primitives (kind, p, q), kind "point", "line" or
+    "segment" and q None for a point, each filed into its field in order."""
+    fields = {"line": [], "segment": [], "point": []}
+    for kind, p, q in prims:
+        fields[kind].append(p if kind == "point" else (p, q))
+    return LinenessScenario.of(fields["line"], fields["segment"], fields["point"], candidates)
 
 
 class TestGeometry:
@@ -131,7 +139,7 @@ class TestContinuity:
 PYTHAGOREAN = [(1, 0), (0, 1), (-1, 0), (0, -1), (3, 4), (4, -3), (-4, 3), (5, 12), (12, -5)]
 
 
-def _section_integral(origin, direction, prims):
+def _section_integral(origin, direction, s):
     """The lineness integral from its definition, on the line through
     origin along direction (of rational length), which is in K or not at
     all: the sections are constant between the feet of the points, the
@@ -151,18 +159,17 @@ def _section_integral(origin, direction, prims):
     def section(t):
         offsets = set()  # signed distances of K's points on the section, off e
         inside = []  # the segments inside the section, as distance intervals
-        for prim in prims:
-            if prim.kind == "point":
-                foot, off = along(prim.p)
-                if foot == t and off != 0:
-                    offsets.add(off)
-            elif prim.kind == "segment":
-                (fp, op), (fq, oq) = along(prim.p), along(prim.q)
-                if fp == fq:  # perpendicular to e: inside the section or apart
-                    if fp == t:
-                        inside.append(sorted((op, oq)))
-                elif min(fp, fq) <= t <= max(fp, fq):
-                    offsets.add(op + (oq - op) * (t - fp) / (fq - fp))
+        for point in s.points:
+            foot, off = along(point)
+            if foot == t and off != 0:
+                offsets.add(off)
+        for p, q in s.segments:
+            (fp, op), (fq, oq) = along(p), along(q)
+            if fp == fq:  # perpendicular to e: inside the section or apart
+                if fp == t:
+                    inside.append(sorted((op, oq)))
+            elif min(fp, fq) <= t <= max(fp, fq):
+                offsets.add(op + (oq - op) * (t - fp) / (fq - fp))
         offsets.discard(0)  # the foot
         if not inside:
             return H(0, len(offsets))
@@ -173,17 +180,16 @@ def _section_integral(origin, direction, prims):
             reach = hi if reach is None else max(reach, hi)
         return H(1, length)
 
-    ends = [p for prim in prims if prim.kind != "line" for p in (prim.p, prim.q) if p is not None]
+    ends = [*s.points, *(p for pq in s.segments for p in pq)]
     feet = {along(p)[0] for p in ends}
     slanted = []  # (slope, intercept) of the offset of each segment not perpendicular to e
-    for prim in prims:  # where a segment crosses e, its point there is a foot, removed
-        if prim.kind == "segment":
-            (fp, op), (fq, oq) = along(prim.p), along(prim.q)
-            if op * oq < 0:
-                feet.add(fp + (fq - fp) * op / (op - oq))
-            if fp != fq:
-                slope = (oq - op) / (fq - fp)
-                slanted.append((slope, op - slope * fp))
+    for p, q in s.segments:  # where a segment crosses e, its point there is a foot, removed
+        (fp, op), (fq, oq) = along(p), along(q)
+        if op * oq < 0:
+            feet.add(fp + (fq - fp) * op / (op - oq))
+        if fp != fq:
+            slope = (oq - op) / (fq - fp)
+            slanted.append((slope, op - slope * fp))
     # where two segments cross, a section holds one point fewer
     for i, (s1, c1) in enumerate(slanted):
         feet.update((c2 - c1) / (s1 - s2) for s2, c2 in slanted[:i] if s1 != s2)
@@ -198,79 +204,56 @@ def _section_integral(origin, direction, prims):
 
 class TestLineness:
     def test_line_alone(self):
-        s = LinenessScenario.of([X_AXIS_PRIM], [X_AXIS])
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], candidates=[X_AXIS])
         assert defi_lineness(s) == (ZERO, X_AXIS)
 
     def test_line_plus_point(self):
-        s = LinenessScenario.of(
-            [X_AXIS_PRIM, LinePrimitive("point", P(0, 1))], [X_AXIS]
-        )
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], points=[P(0, 1)], candidates=[X_AXIS])
         assert defi_lineness(s) == (H(0, 1), X_AXIS)
 
     def test_point_on_the_line_is_free(self):
-        s = LinenessScenario.of(
-            [X_AXIS_PRIM, LinePrimitive("point", P(7, 0))], [X_AXIS]
-        )
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], points=[P(7, 0)], candidates=[X_AXIS])
         assert defi_lineness(s)[0] == ZERO
 
     def test_two_parallel_lines(self):
-        s = LinenessScenario.of(
-            [X_AXIS_PRIM, LinePrimitive("line", P(0, 1), P(1, 1))], [X_AXIS]
-        )
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS, (P(0, 1), P(1, 1))], candidates=[X_AXIS])
         assert defi_lineness(s)[0] == H(1, "inf")
 
     def test_crossing_line(self):
         # a non-parallel line also hits almost every section once
-        s = LinenessScenario.of(
-            [X_AXIS_PRIM, LinePrimitive("line", P(0, 0), P(1, 1))], [X_AXIS]
-        )
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS, (P(0, 0), P(1, 1))], candidates=[X_AXIS])
         assert defi_lineness(s)[0] == H(1, "inf")
 
     def test_perpendicular_line(self):
         # a perpendicular line sits inside a single section entirely
-        s = LinenessScenario.of(
-            [X_AXIS_PRIM, LinePrimitive("line", P(2, 0), P(2, 1))], [X_AXIS]
-        )
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS, (P(2, 0), P(2, 1))], candidates=[X_AXIS])
         assert defi_lineness(s)[0] == H(1, "inf")
 
     def test_parallel_segment(self):
-        seg = LinePrimitive("segment", P(0, 1), P(3, 1))
-        s = LinenessScenario.of([X_AXIS_PRIM, seg], [X_AXIS])
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], segments=[(P(0, 1), P(3, 1))], candidates=[X_AXIS])
         # shadow of length 3 at value (0,1), plus two endpoint feet
         assert defi_lineness(s)[0] == H(1, 3)
 
     def test_overlapping_parallel_segments(self):
         # shadows (0, 3) and (1, 4): depth 1, 2, 1 on cells of length 1, 2, 1
-        segs = [
-            LinePrimitive("segment", P(0, 1), P(3, 1)),
-            LinePrimitive("segment", P(1, 2), P(4, 2)),
-        ]
-        s = LinenessScenario.of([X_AXIS_PRIM, *segs], [X_AXIS])
+        segs = [(P(0, 1), P(3, 1)), (P(1, 2), P(4, 2))]
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], segments=segs, candidates=[X_AXIS])
         assert defi_lineness(s)[0] == H(1, 6)
 
     def test_overlapping_collinear_segments_count_their_union(self):
         # K holds (0,1)-(4,1) and no more, whichever segments cover it
-        segs = [
-            LinePrimitive("segment", P(0, 1), P(3, 1)),
-            LinePrimitive("segment", P(4, 1), P(1, 1)),
-        ]
-        s = LinenessScenario.of([X_AXIS_PRIM, *segs], [X_AXIS])
+        segs = [(P(0, 1), P(3, 1)), (P(4, 1), P(1, 1))]
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], segments=segs, candidates=[X_AXIS])
         assert defi_lineness(s)[0] == H(1, 4)
-        perpendicular = [
-            LinePrimitive("segment", P(2, 0), P(2, 3)),
-            LinePrimitive("segment", P(2, 5), P(2, 1)),
-            LinePrimitive("segment", P(2, 7), P(2, 8)),
-        ]
-        s = LinenessScenario.of([X_AXIS_PRIM, *perpendicular], [X_AXIS])
+        perpendicular = [(P(2, 0), P(2, 3)), (P(2, 5), P(2, 1)), (P(2, 7), P(2, 8))]
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], segments=perpendicular, candidates=[X_AXIS])
         assert defi_lineness(s)[0] == H(1, 6)
 
     def test_perpendicular_segment_and_point_share_a_foot(self):
-        prims = [
-            X_AXIS_PRIM,
-            LinePrimitive("segment", P(2, 0), P(2, 5)),
-            LinePrimitive("point", P(2, 7)),
-        ]
-        assert defi_lineness(LinenessScenario.of(prims, [X_AXIS]))[0] == H(1, 5)
+        s = LinenessScenario.of(
+            lines=[X_AXIS_ENDS], segments=[(P(2, 0), P(2, 5))], points=[P(2, 7)], candidates=[X_AXIS]
+        )
+        assert defi_lineness(s)[0] == H(1, 5)
 
     @given(st.data())
     def test_primitive_order_is_irrelevant(self, data):
@@ -282,74 +265,67 @@ class TestLineness:
             u, v = data.draw(st.sampled_from(DIRECTIONS))
             k = data.draw(st.integers(1, 2))
             q = None if kind == "point" else P(p.x + k * u, p.y + k * v)
-            prims.append(LinePrimitive(kind, p, q))
+            prims.append((kind, p, q))
         candidates = [X_AXIS, Line2.through(P(0, 1), P(3, 5))]
         shuffled = data.draw(st.permutations(prims))
-        assert defi_lineness(LinenessScenario.of(shuffled, candidates)) == defi_lineness(
-            LinenessScenario.of(prims, candidates)
-        )
+        assert defi_lineness(lineness(shuffled, candidates)) == defi_lineness(lineness(prims, candidates))
 
     def test_repeated_point_counts_once(self):
-        dot = LinePrimitive("point", P(0, 1))
-        s = LinenessScenario.of([X_AXIS_PRIM, dot, dot], [X_AXIS])
+        s = LinenessScenario.of(lines=[X_AXIS_ENDS], points=[P(0, 1), P(0, 1)], candidates=[X_AXIS])
         assert defi_lineness(s)[0] == H(0, 1)
 
     def test_other_line_beats_an_irrational_norm(self):
         # the shadow of the segment along y = x would need sqrt(2), but the
         # line x = 0 already gives (1, inf)
         diagonal = Line2.through(P(0, 0), P(1, 1))
-        prims = [
-            LinePrimitive("line", P(0, 0), P(0, 1)),
-            LinePrimitive("segment", P(0, 0), P(2, 0)),
-        ]
-        assert defi_lineness(LinenessScenario.of(prims, [diagonal])) == (H(1, "inf"), diagonal)
+        y_axis, segment = (P(0, 0), P(0, 1)), (P(0, 0), P(2, 0))
+        s = LinenessScenario.of(lines=[y_axis], segments=[segment], candidates=[diagonal])
+        assert defi_lineness(s) == (H(1, "inf"), diagonal)
         with pytest.raises(UnsupportedScenarioError, match="direction norm\\^2: 2"):
-            defi_lineness(LinenessScenario.of(prims[1:], [diagonal]))
+            defi_lineness(LinenessScenario.of(segments=[segment], candidates=[diagonal]))
 
     @given(st.data())
     def test_closed_form_matches_the_section_integral(self, data):
         coords = st.integers(-4, 4)
         points = data.draw(st.lists(st.tuples(coords, coords), max_size=4, unique=True))
-        prims = [LinePrimitive("point", P(x, y)) for x, y in points]
+        points = [P(x, y) for x, y in points]
+        segments, lines = [], []
         drawn = []  # (start, direction) of each segment
         for _ in range(data.draw(st.integers(0, 4))):
             p = P(data.draw(coords), data.draw(coords))
             u, v = data.draw(st.sampled_from(PYTHAGOREAN))
             k = data.draw(st.integers(1, 2))
-            prims.append(LinePrimitive("segment", p, P(p.x + k * u, p.y + k * v)))
+            segments.append((p, P(p.x + k * u, p.y + k * v)))
             drawn.append((p, u, v))
         for _ in range(data.draw(st.integers(0, 2)) if drawn else 0):
             # on the line of a drawn segment, mostly overlapping it
             p, u, v = data.draw(st.sampled_from(drawn))
             j, k = data.draw(st.integers(-1, 2)), data.draw(st.integers(1, 3))
             a, b = P(p.x + j * u, p.y + j * v), P(p.x + (j + k) * u, p.y + (j + k) * v)
-            prims.append(LinePrimitive("segment", *data.draw(st.permutations([a, b]))))
+            segments.append(tuple(data.draw(st.permutations([a, b]))))
         origin = P(data.draw(coords), data.draw(coords))
         u, v = data.draw(st.sampled_from(PYTHAGOREAN))
         tip = P(origin.x + u, origin.y + v)
         if data.draw(st.booleans()):
-            prims.append(LinePrimitive("line", origin, tip))
+            lines.append((origin, tip))
         e = Line2.through(origin, tip)
-        expected = _section_integral(origin, (F(u), F(v)), prims)
-        assert defi_lineness(LinenessScenario.of(prims, [e])) == (expected, e)
+        s = LinenessScenario.of(lines, segments, points, [e])
+        assert defi_lineness(s) == (_section_integral(origin, (F(u), F(v)), s), e)
 
     def test_more_candidates_never_increase(self):
-        prims = [X_AXIS_PRIM, LinePrimitive("point", P(0, 1))]
-        few = LinenessScenario.of(prims, [X_AXIS])
-        more = LinenessScenario.of(
-            prims, [X_AXIS, Line2.through(P(0, 1), P(1, 1))]
-        )
+        k = {"lines": [X_AXIS_ENDS], "points": [P(0, 1)]}
+        few = LinenessScenario.of(**k, candidates=[X_AXIS])
+        more = LinenessScenario.of(**k, candidates=[X_AXIS, Line2.through(P(0, 1), P(1, 1))])
         assert defi_lineness(more)[0] <= defi_lineness(few)[0]
 
     def test_best_candidate_returned(self):
-        prims = [X_AXIS_PRIM]
         off = Line2.through(P(0, 1), P(1, 1))
-        v, best = defi_lineness(LinenessScenario.of(prims, [off, X_AXIS]))
+        v, best = defi_lineness(LinenessScenario.of(lines=[X_AXIS_ENDS], candidates=[off, X_AXIS]))
         assert v == ZERO and best == X_AXIS
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            LinenessScenario.of([X_AXIS_PRIM], [])
+            LinenessScenario.of(lines=[X_AXIS_ENDS], candidates=[])
 
 
 def ref_distance(p, q):
@@ -429,9 +405,7 @@ def point_sets():
 
 class TestConvexity:
     def test_convex_segment(self):
-        s = ConvexityScenario.of(
-            convex_primitive=LinePrimitive("segment", P(0, 0), P(1, 0))
-        )
+        s = ConvexityScenario.of(segment=(P(0, 0), P(1, 0)))
         assert defi_convexity(s) == ZERO
 
     def test_two_points_distance_one(self):
@@ -634,15 +608,19 @@ def _ref_point(obj):
     return Point2(obj[0], obj[1])
 
 
+def _ref_distinct(p, q, what):
+    if p == q:
+        raise ParseError(f"{what} needs two distinct points, got ({p.x}, {p.y}) twice")
+    return p, q
+
+
 def _ref_primitive(obj):
+    """The primitive as (kind, p, q), q None for a point."""
     kind = obj.get("type")
     if kind == "point":
-        return LinePrimitive("point", _ref_point(obj["p"]))
+        return kind, _ref_point(obj["p"]), None
     if kind in ("line", "segment"):
-        p, q = _ref_point(obj["p"]), _ref_point(obj["q"])
-        if p == q:
-            raise ParseError(f"a {kind} needs two distinct points, got ({p.x}, {p.y}) twice")
-        return LinePrimitive(kind, p, q)
+        return (kind, *_ref_distinct(_ref_point(obj["p"]), _ref_point(obj["q"]), f"a {kind}"))
     raise ParseError(f"unknown primitive type {kind!r}")
 
 
@@ -673,15 +651,15 @@ def _ref_read(obj):
     if kind == "lineness":
         prims = [_ref_primitive(p) for p in json_list(obj.get("primitives", []), "primitives")]
         cands = [
-            Line2.through(_ref_point(c["p"]), _ref_point(c["q"]))
+            Line2.through(*_ref_distinct(_ref_point(c["p"]), _ref_point(c["q"]), "a candidate"))
             for c in json_list(obj.get("candidates", []), "candidates")
         ]
-        return LinenessScenario.of(prims, cands)
-    prim = None
+        return lineness(prims, cands)
+    segment = None
     if "segment" in obj:
         p, q = obj["segment"]
-        prim = _ref_primitive({"type": "segment", "p": p, "q": q})
-    return ConvexityScenario.of([_ref_point(p) for p in json_list(obj.get("points", []), "points")], prim)
+        segment = _ref_distinct(_ref_point(p), _ref_point(q), "a segment")
+    return ConvexityScenario.of([_ref_point(p) for p in json_list(obj.get("points", []), "points")], segment)
 
 
 _ref_read.__name__ = "scenario_from_json"  # the loader's messages name the function

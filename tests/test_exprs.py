@@ -597,6 +597,12 @@ class TestCanonicalForm:
         for e in built + [const(c) for c in cs + zeros]:
             assert _is_canonical(e), e
 
+    @pytest.mark.parametrize("ints, den", [((2,), 4), ((1, 0), 1), ((1,), -1), ((), 1)])
+    def test_the_constructor_refuses_any_other_form(self, ints, den):
+        # 2/4 would compare unequal to const("1/2"), and sup_on would return it unreduced
+        with pytest.raises(ValueError, match="^a Poly is trimmed ints"):
+            exprs.Poly(ints, den)
+
     @given(TERMS, TERMS, ZEROS)
     @example([F(1, 2)], [F(1, 2), 0], [])
     @example([F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)], [])

@@ -830,6 +830,34 @@ class TestCertificates:
         cert = T4Certificate(H(2, value_m), (), (), exact_m, ExtRat(achieved_m))
         assert not verify_certificate(UNIT, f, cert)
 
+    def test_a_zero_bound_or_a_mass_witness_below_the_value_fails(self):
+        # the honest certificate of (1, 1) on (0, 1), then its witness bound (0, 0), then
+        # an extra witness in both lists whose claim holds but reaches dimension 0 only
+        sp = IntervalSpace.of(0, 1)
+        f = constant_fn(0, 1, H(1, 1))
+        v, cert = integrate(sp, f)
+        assert v == H(1, 1) and verify_certificate(sp, f, cert)
+        (w,) = cert.d_witnesses
+        zero = (replace(w, inf_bound=ZERO),)
+        assert not verify_certificate(sp, f, replace(cert, d_witnesses=zero, m_witnesses=zero))
+        half = IntervalSet.of([(0, F(1, 2))])
+        extra = cert.d_witnesses + (Witness(half, H(0, F(1, 2)), H(0, 1)),)
+        assert f.claim_holds(sp, extra[1])
+        assert not verify_certificate(sp, f, replace(cert, d_witnesses=extra, m_witnesses=extra))
+
+    def test_a_claim_between_the_bounds_of_an_irrational_mass_raises(self):
+        # the mass of x**(1/2) on (0, 2) is (2/3) * 2**(3/2); a bound whose claim is
+        # the midpoint of its two rational bounds is neither proved nor refuted
+        sp = IntervalSpace.of(0, 2)
+        root = exprs.power(F(1, 2))
+        f = piecewise((0, 2, exprs.const(1), root))
+        where = IntervalSet.of([(0, 2)])
+        low, high = sp.integral_bounds(root, F(0), F(2))
+        assert low < high
+        w = Witness(where, sp.measure(where), H(1, (low + high) / 2 / sp.nu(where)))
+        with pytest.raises(UnsupportedExpressionError, match="^the witness claim turns on an irrational mass$"):
+            f.claim_holds(sp, w)
+
     def test_interval_witness_must_lie_in_pieces(self):
         # a witness reaching past the only piece is false though its midpoint is in it
         sp = IntervalSpace.of(0, 1)

@@ -19,7 +19,6 @@ from hintegral.deficiency import (
     ClusterScenario,
     ConvexityScenario,
     Line2,
-    LinePrimitive,
     LinenessScenario,
     Point2,
     defi_continuity,
@@ -199,9 +198,10 @@ def continuity(n):
 def lineness(n):
     """n primitives off the x-axis, the one candidate: points and unit
     segments perpendicular to it."""
-    points = [LinePrimitive("point", Point2.of(k, 1)) for k in range(0, n, 2)]
-    segments = [LinePrimitive("segment", Point2.of(k, 1), Point2.of(k, 2)) for k in range(1, n, 2)]
-    s = LinenessScenario.of(points + segments, [Line2.through(Point2.of(0, 0), Point2.of(1, 0))])
+    points = [Point2.of(k, 1) for k in range(0, n, 2)]
+    segments = [(Point2.of(k, 1), Point2.of(k, 2)) for k in range(1, n, 2)]
+    x_axis = Line2.through(Point2.of(0, 0), Point2.of(1, 0))
+    s = LinenessScenario.of(segments=segments, points=points, candidates=[x_axis])
     return lambda: defi_lineness(s)
 
 
