@@ -365,11 +365,19 @@ def _point_from_json(obj, memo: dict) -> Point2:
     return _set_point(object.__new__(Point2), *read_once(as_pair, x, memo), *read_once(as_pair, y, memo))
 
 
+def _field(obj, key, what: str):
+    """obj[key]; a missing key is a ParseError naming ``what`` and the key."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParseError(f'{what} needs "{key}"') from None
+
+
 def _two_points(obj, what: str, memo: dict, keys=("p", "q")) -> Tuple[Point2, Point2]:
     """The points at obj[keys[0]] and obj[keys[1]], read in turn: the two ends of
     a line, a segment (a convexity one at keys 0 and 1) or a candidate, which must differ."""
-    p = _point_from_json(obj[keys[0]], memo)
-    q = _point_from_json(obj[keys[1]], memo)
+    p = _point_from_json(_field(obj, keys[0], what), memo)
+    q = _point_from_json(_field(obj, keys[1], what), memo)
     if p == q:
         raise ParseError(f"{what} needs two distinct points, got ({p.x}, {p.y}) twice")
     return p, q
@@ -404,12 +412,14 @@ def scenario_from_json(obj):
         for prim in json_list(obj.get("primitives", []), "primitives"):
             shape = json_object(prim, "a primitive").get("type")
             if shape == "point":
-                points.append(_point_from_json(prim["p"], memo))
+                points.append(_point_from_json(_field(prim, "p", "a point"), memo))
             elif shape in ("line", "segment"):
                 (lines if shape == "line" else segments).append(_two_points(prim, f"a {shape}", memo))
             else:
                 raise ParseError(f"unknown primitive type {shape!r}")
         cands = json_list(obj.get("candidates", []), "candidates")
+        if not cands:
+            raise ParseError("a lineness scenario needs at least one candidate")
         cands = [Line2.through(*_two_points(json_object(c, "a candidate"), "a candidate", memo)) for c in cands]
         return LinenessScenario.of(lines, segments, points, cands)
     if kind == "convexity":

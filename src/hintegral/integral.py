@@ -25,11 +25,12 @@ supremum is attained (0 when it is not), one integral per run of
 touching pieces with one mass coordinate (:func:`_runs`).  On a null
 space every integral is (0, 0); on any other every piece has positive
 measure (:attr:`IntervalSpace.is_null`), so the essential supremum is
-the largest supremum over the pieces.  Each run is one top term, as
-each piece of a simple function is, and each term that reaches the
-value is a witness of the certificate: a claim that the integral over
-its set reaches its bound b times the set's measure, which the shape's
-``claim_holds`` decides exactly.
+the largest supremum over the pieces.  The runs share the bound's and
+the measure's dimensions, so their union is the one top term; two top
+pieces of a simple function may split one product differently, so each
+piece is a term.  Each term that reaches the value is a witness of the
+certificate: a claim that the integral over its set reaches its bound b
+times the set's measure, which the shape's ``claim_holds`` decides exactly.
 
 The public functions keep only the rules written once for every kind;
 the shape or kind of an argument is decided in :func:`_inside` and
@@ -199,12 +200,12 @@ class PiecewiseFn:
         return _ordered([PiecewisePiece(as_fraction(a), as_fraction(b), f, g) for a, b, f, g in pieces])
 
     def terms(self, space: IntervalSpace, measures: None) -> List[Tuple]:
-        """The top terms of the closed form, each with the set, measure and
-        bound of its witness: one per run of :func:`_runs` where pi1 is the
-        constant s, with the bound (s, m / nu) and the run's exact mass m,
-        so the term is (o + s, m); or, when no piece is that constant, one
-        zero-mass term on the union of the pieces whose pi1 reaches s, with
-        the bound (s, 0)."""
+        """The one top term of the closed form, with the set, measure and
+        bound of its witness: the set is the union of the runs of :func:`_runs`
+        where pi1 is the constant s, m the sum of their exact masses and the
+        bound (s, m / nu), so the term is (o + s, m); or, when no piece is that
+        constant, the union of the pieces whose pi1 reaches s, with the bound
+        (s, 0)."""
         pieces = self.pieces
         if not pieces or space.is_null:
             return []
@@ -214,16 +215,12 @@ class PiecewiseFn:
             if sup is None and (s is None or exprs.cmp_sup(p.pi1, p.lo, p.hi, s) > 0):
                 raise UnsupportedExpressionError(f"sup of pi1 on ({p.lo}, {p.hi}) is irrational")
         reach = [p for p, sup in zip(pieces, sups) if sup == s]
-        parts = [
-            (IntervalSet.of([(lo, hi)]), space.integral(pi2, lo, hi))
-            for lo, hi, pi2 in _runs(reach, s)
-        ] or [(IntervalSet.of([(p.lo, p.hi) for p in reach]), Fraction(0))]
-        terms = []
-        for where, m in parts:
-            mv = space.measure(where)
-            b = HValue(s, ExtRat(m / mv.m.frac))
-            terms.append((mul(b, mv), where, mv, b))
-        return terms
+        runs = _runs(reach, s)
+        where = IntervalSet.of([(lo, hi) for lo, hi, _ in runs] or [(p.lo, p.hi) for p in reach])
+        m = sum((space.integral(pi2, lo, hi) for lo, hi, pi2 in runs), Fraction(0))
+        mv = space.measure(where)
+        b = HValue(s, ExtRat(m / mv.m.frac))
+        return [(mul(b, mv), where, mv, b)]
 
     def sublevel(self, space: IntervalSpace, v: HValue) -> IntervalSet:
         """The cells of pi1 against v.d: below v where pi1 < v.d, and where
@@ -401,9 +398,10 @@ class T4Certificate:
     dimension whether or not the supremum is attained, and none has more.
     ``m_witnesses`` form one disjoint family at that dimension whose
     masses add up to the reported mass, which ``achieved_m`` repeats.
-    :func:`integrate` gives both lists the same top terms.  Each carries
-    its set's exact mass, so ``exact_m`` is always True; the field stays
-    because the JSON form of a certificate has it.
+    :func:`integrate` gives both lists the same top terms: on an interval
+    space the one union of the top runs, on an atom space one witness per
+    top piece.  Each carries its set's exact mass, so ``exact_m`` is always
+    True; the field stays because the JSON form of a certificate has it.
     """
 
     value: HValue

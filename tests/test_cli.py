@@ -600,6 +600,36 @@ MALFORMED = {
             "candidates": [{"p": ["0", "0"], "q": ["0", "0"]}],
         },
     ),
+    # a missing point of a primitive or a candidate is named, as is a missing candidate
+    "segment-without-q": (
+        "defi",
+        {
+            "kind": "lineness",
+            "primitives": [{"type": "segment", "p": ["0", "0"]}],
+            "candidates": [{"p": ["0", "0"], "q": ["1", "0"]}],
+        },
+    ),
+    "candidate-without-q": (
+        "defi",
+        {"kind": "lineness", "primitives": [{"type": "point", "p": ["0", "0"]}], "candidates": [{"p": ["0", "0"]}]},
+    ),
+    "line-without-p": (
+        "defi",
+        {
+            "kind": "lineness",
+            "primitives": [{"type": "line", "q": ["1", "0"]}],
+            "candidates": [{"p": ["0", "0"], "q": ["1", "0"]}],
+        },
+    ),
+    "point-without-p": (
+        "defi",
+        {"kind": "lineness", "primitives": [{"type": "point"}], "candidates": [{"p": ["0", "0"], "q": ["1", "0"]}]},
+    ),
+    "candidates-empty": (
+        "defi",
+        {"kind": "lineness", "primitives": [{"type": "point", "p": ["0", "0"]}], "candidates": []},
+    ),
+    "candidates-missing": ("defi", {"kind": "lineness", "primitives": [{"type": "point", "p": ["0", "0"]}]}),
 }
 
 # the whole message of the MALFORMED entries that name their field
@@ -624,6 +654,12 @@ FIELD_NAMED = {
     "negative-simple-coefficient": "parse error: function_from_json: ValueError: negative coefficient (1, -1)\n",
     "lineness-point-of-one-coordinate": "parse error: a point is a pair of rationals, got ['1']\n",
     "candidate-with-equal-ends": "parse error: a candidate needs two distinct points, got (0, 0) twice\n",
+    "segment-without-q": 'parse error: a segment needs "q"\n',
+    "candidate-without-q": 'parse error: a candidate needs "q"\n',
+    "line-without-p": 'parse error: a line needs "p"\n',
+    "point-without-p": 'parse error: a point needs "p"\n',
+    "candidates-empty": "parse error: a lineness scenario needs at least one candidate\n",
+    "candidates-missing": "parse error: a lineness scenario needs at least one candidate\n",
 }
 
 
@@ -1071,6 +1107,18 @@ EVAL_GOLDENS = {
     "function_split_root_mass.json": (
         UNIT_SPACE,
         _eval_golden("(2, 2/3)", [_witness("0", "1", "(1, 1)", "(1, 2/3)")], "2/3"),
+    ),
+    # the top runs (0, 1/4) and (1/2, 1), apart by the piece (1/4, 1/2) of
+    # dimension 0, carry the masses 2 * 1/4 and 3/8: one witness on their
+    # union, of measure 3/4 and bound 7/8 / (3/4) = 7/6
+    "function_two_top_runs.json": (
+        UNIT_SPACE,
+        _eval_golden(
+            "(2, 7/8)",
+            [{"set": {"intervals": [["0", "1/4"], ["1/2", "1"]], "points": []},
+              "measure": "(1, 3/4)", "inf_bound": "(1, 7/6)"}],
+            "7/8",
+        ),
     ),
     # on an interval space a simple function is lowered to constant
     # pieces and its null point 3/4 goes: the run of the top dimension is

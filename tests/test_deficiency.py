@@ -650,10 +650,10 @@ def _ref_read(obj):
         return _ref_cluster(jumps, glob)
     if kind == "lineness":
         prims = [_ref_primitive(p) for p in json_list(obj.get("primitives", []), "primitives")]
-        cands = [
-            Line2.through(*_ref_distinct(_ref_point(c["p"]), _ref_point(c["q"]), "a candidate"))
-            for c in json_list(obj.get("candidates", []), "candidates")
-        ]
+        cands = json_list(obj.get("candidates", []), "candidates")
+        if not cands:
+            raise ParseError("a lineness scenario needs at least one candidate")
+        cands = [Line2.through(*_ref_distinct(_ref_point(c["p"]), _ref_point(c["q"]), "a candidate")) for c in cands]
         return lineness(prims, cands)
     segment = None
     if "segment" in obj:

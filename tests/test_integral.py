@@ -4,6 +4,7 @@ certificates, sublevel sets, pointwise sums, and the worked examples."""
 import hashlib
 import importlib.util
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -113,19 +114,20 @@ class TestSimpleIntegral:
         assert integrate_simple(sp, SimpleFn.of([])) == ZERO
 
     @pytest.mark.parametrize(
-        "sp, sets, passes",
+        "sp, sets, then",
         [
             (AtomSpace.of({"a": H(0, 1), "b": H(1, 2), "c": H(1, 1)}),
-             [AtomSet.of("a"), AtomSet.of("b"), AtomSet.of("c")], 1),
+             [AtomSet.of("a"), AtomSet.of("b"), AtomSet.of("c")], []),
             # the membership check measures the three piece sets, then the
-            # lowered function's closed form measures its three runs
+            # lowered function's closed form measures the union of its three runs
             (IntervalSpace.of(0, 1),
              [IntervalSet.of([(0, F(1, 4))]), IntervalSet.of([(F(1, 4), F(1, 2))]),
-              IntervalSet.of([(F(1, 2), 1)])], 2),
+              IntervalSet.of([(F(1, 2), 1)])],
+             [IntervalSet.of([(0, F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), 1)])]),
         ],
         ids=["atoms", "interval"],
     )
-    def test_integrate_measures_each_piece_once(self, monkeypatch, sp, sets, passes):
+    def test_integrate_measures_each_piece_once(self, monkeypatch, sp, sets, then):
         # the value and the witnesses come from one pass over the pieces
         calls = []
         for cls in (AtomSpace, IntervalSpace):
@@ -136,7 +138,7 @@ class TestSimpleIntegral:
         f = SimpleFn.of([(H(1, k + 1), s) for k, s in enumerate(sets)])
         value, cert = integrate(sp, f)
         assert value != ZERO and cert.m_witnesses
-        assert calls == sets * passes
+        assert calls == sets + then
 
 
 class TestWorkedExamples:
@@ -670,10 +672,10 @@ CERT_SHA256 = {
     "affine": "dfb21c066233780b2e26a11f2ca0ee1bb5a33c641cb0304a76467ccc84811f87",
     "root": "f0d5ffd6105167bc665a901ff4ece621c58c5d9d90c22e2920a23e4ca7ba8341",
     "square": "62e37371fbc72c83f2ca2ecf72b71645c1575ead4258d80183bb3f1010520be5",
-    "across_root": "894eedda7b629fa003563d3379df69f845c7845ef470cd18e384a48efa851acf",
+    "across_root": "9c16a0891fc5309cd9326c18cf70f24909157cbb03faedc7ddaece887aa757d0",
 }
 
-INTERVAL_SHA256 = "2f8ff4a696ed8531807de62efe2bf398db4cf91e716b3e173b27299245113f7c"
+INTERVAL_SHA256 = "88a0ef89b991cc2186603e716467a87053380185f4627b366f62183aada01693"
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -711,9 +713,15 @@ class TestPinnedCertificates:
 class TestWitnessLists:
     """Hand-built witness lists on TWO_RUNS, whose runs (0, 1) and (2, 3)
     reach dimension 3 over the space (0, 3) with masses 1 and 5/2: every
-    claim is checked once, and the mass is added up over m_witnesses."""
+    claim is checked once, and the mass is added up over m_witnesses.
+    :func:`integrate` writes the one witness on their union; these are the
+    witnesses of the two runs apart."""
 
     SPACE = IntervalSpace.of(0, 3, dim_offset=1)
+    RUNS = (
+        Witness(IntervalSet.of([(0, 1)]), H(1, 1), H(2, 1)),
+        Witness(IntervalSet.of([(2, 3)]), H(1, 1), H(2, F(5, 2))),
+    )
 
     @pytest.mark.parametrize("pick, mass, verdict", [
         pytest.param(lambda d: tuple(replace(w) for w in d), F(7, 2), True, id="equal"),
@@ -727,18 +735,87 @@ class TestWitnessLists:
                      id="mass-claim-not-in-d"),
     ])
     def test_verdict(self, pick, mass, verdict):
-        _, cert = integrate(self.SPACE, TWO_RUNS)
-        assert len(cert.d_witnesses) == 2
-        m_witnesses = pick(cert.d_witnesses)
-        forged = T4Certificate(H(3, mass), cert.d_witnesses, m_witnesses, True, ExtRat(mass))
+        m_witnesses = pick(self.RUNS)
+        forged = T4Certificate(H(3, mass), self.RUNS, m_witnesses, True, ExtRat(mass))
         assert verify_certificate(self.SPACE, TWO_RUNS, forged) is verdict
 
     def test_a_false_claim_in_equal_lists_fails(self):
         # each list holds a witness whose measure is doubled
-        _, cert = integrate(self.SPACE, TWO_RUNS)
-        w = cert.d_witnesses[0]
-        wits = (replace(w, measure=H(1, 2)),) + cert.d_witnesses[1:]
-        assert not verify_certificate(self.SPACE, TWO_RUNS, replace(cert, d_witnesses=wits, m_witnesses=wits))
+        wits = (replace(self.RUNS[0], measure=H(1, 2)),) + self.RUNS[1:]
+        forged = T4Certificate(H(3, F(7, 2)), wits, wits, True, ExtRat(F(7, 2)))
+        assert not verify_certificate(self.SPACE, TWO_RUNS, forged)
+
+
+def _top_runs(rng, s, zero_mass=False):
+    """A piecewise function on (0, 16) with two to four runs of pieces where pi1 is
+    the constant s, each run one or two touching pieces with one pi2 of its own (the
+    constant 0 under ``zero_mass``), apart by gaps or, when s > 0, by pieces whose
+    pi1 stays below s; with the runs as (lo, hi, pi2)."""
+    top, pieces, runs, x = exprs.const(s), [], [], F(0)
+
+    def step():
+        return rng.choice([F(1, 4), F(1, 2), F(1)])
+
+    for k in range(rng.randint(2, 4)):
+        # a separator before every run but the first, and maybe before that one too
+        if k or rng.random() < 0.5:
+            hi = x + step()
+            if s > 0 and rng.random() < 0.5:
+                pi1 = rng.choice([exprs.const(s / 2), _through(x, hi, F(0), s / 2)])
+                pieces.append((x, hi, pi1, exprs.const(rng.randint(0, 5))))
+            x = hi
+        pi2 = exprs.const(0) if zero_mass else exprs.affine(k + 1, rng.choice([0, F(1, 2), 1]))
+        lo = x
+        for _ in range(rng.randint(1, 2)):
+            pieces.append((x, x + step(), top, pi2))
+            x = pieces[-1][1]
+        runs.append((lo, x, pi2))
+    return PiecewiseFn.of(pieces), runs
+
+
+class TestOneWitness:
+    """On an interval space every top run has the bound dimension s and the
+    measure dimension of the space's offset, so :func:`integrate` writes one
+    witness on their union, with the sum of their masses."""
+
+    DENSITIES = [(1,), (F(1, 2), 1), (4, -4, 1)]  # 1, 1/2 + x and (x - 2)**2 on (0, 16)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_top_runs_are_one_witness(self, seed):
+        rng = random.Random(seed)
+        sp = IntervalSpace.of(0, 16, dim_offset=rng.randint(0, 1), density=rng.choice(self.DENSITIES))
+        s = rng.choice([F(0), F(1, 2), F(1), F(2)])
+        f, runs = _top_runs(rng, s)
+        masses = [exprs.weighted_integral(pi2, sp.density, lo, hi) for lo, hi, pi2 in runs]
+        v, cert = integrate(sp, f)
+        assert v == HValue(sp.dim_offset + s, ExtRat(sum(masses)))
+        (w,) = cert.d_witnesses
+        assert cert.m_witnesses == cert.d_witnesses
+        assert w.where == IntervalSet.of([(lo, hi) for lo, hi, _ in runs])
+        assert w.inf_bound.d == s and w.inf_bound.m * ExtRat(sp.nu(w.where)) == v.m
+        assert verify_certificate(sp, f, cert)
+        # the same certificate with one witness per run, each with its run's exact mass
+        split = []
+        for (lo, hi, _), m in zip(runs, masses):
+            where = IntervalSet.of([(lo, hi)])
+            split.append(Witness(where, sp.measure(where), HValue(s, ExtRat(m / sp.nu(where)))))
+        split = tuple(split)
+        assert verify_certificate(sp, f, replace(cert, d_witnesses=split, m_witnesses=split))
+        # a merged bound whose mass is raised by 10**-20 is a false claim
+        raised = replace(w, inf_bound=HValue(s, w.inf_bound.m + ExtRat(F(1, 10**20))))
+        assert not f.claim_holds(sp, raised)
+        mass = raised.inf_bound.m * w.measure.m
+        forged = T4Certificate(HValue(v.d, mass), (raised,), (raised,), True, mass)
+        assert not verify_certificate(sp, f, forged)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_zero_mass_runs_at_dimension_zero_give_no_witness(self, seed):
+        rng = random.Random(seed)
+        f, _ = _top_runs(rng, F(0), zero_mass=True)
+        sp = IntervalSpace.of(0, 16, density=rng.choice(self.DENSITIES))
+        v, cert = integrate(sp, f)
+        assert v == ZERO and cert.d_witnesses == cert.m_witnesses == ()
+        assert verify_certificate(sp, f, cert)
 
 
 class TestCertificates:
