@@ -388,11 +388,14 @@ def scenario_from_json(obj):
     """The scenario obj describes, read in one pass.  A memo for this call only reads each
     distinct coordinate text once (:func:`read_once`); a jump's x is read by
     :meth:`ClusterScenario.of`.  A list field given as anything else is a ParseError."""
-    kind = json_object(obj, "scenario description")["kind"]
+    kind = _field(json_object(obj, "scenario description"), "kind", "a scenario")
     memo = {}
     if kind == "continuity":
         jumps = [
-            (json_object(j, "a jump")["x"], HValue.parse(j["remainder"]))
+            (
+                _field(json_object(j, "a jump"), "x", "a jump"),
+                HValue.parse(_field(j, "remainder", "a jump")),
+            )
             for j in json_list(obj.get("jumps", []), "jumps")
         ]
         g = obj.get("global")
@@ -403,8 +406,8 @@ def scenario_from_json(obj):
                 raise ParseError(f"a global component's name must be a string, got {name!r}")
             global_component = (
                 name,
-                HValue.parse(g["hvalue"]),
-                HValue.parse(g["remainder"]),
+                HValue.parse(_field(g, "hvalue", "a global component")),
+                HValue.parse(_field(g, "remainder", "a global component")),
             )
         return ClusterScenario.of(jumps, global_component)
     if kind == "lineness":

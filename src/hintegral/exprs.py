@@ -23,8 +23,9 @@ and ``gcd(den, *ints) == 1``), so equal polynomials hold equal integers.
 :func:`poly` and :func:`const` build it from the coprime pairs of
 :func:`hvalue.as_pair`, and one helper forms ``e1 +- e2`` for
 :func:`try_add`, :func:`split_dominance` and :func:`at_least`'s ``e - c``.
-:func:`at_least` decides degree 0 and 1 by integer cross products, and
-degree >= 2 on the integer polynomial of ``e - c`` (its Bernstein
+:func:`at_least` decides degree 0, 1 and 2 in closed form, by integer
+values at the ends and, for a quadratic, at its vertex; degree >= 3 by
+Bernstein and Yun, on the integer polynomial of ``e - c`` (its Bernstein
 coefficients, and Yun's square-free decomposition for its odd part).  A
 mass integral against a density runs on the density's integers and
 divides by its denominator once.  Fractions are built on read only: in
@@ -33,9 +34,10 @@ power's bounds) and in the cells that :func:`at_least` bisects.
 
 One function, :func:`split_dominance`, cuts a piece by comparing two
 expressions; a sublevel set is read off its cells against a constant, so
-it is a finite union of intervals and points.  It and the suprema are
-solved for polynomials of degree at most 1 and for powers.  A higher
-degree there, or an irrational endpoint or bound, raises
+it is a finite union of intervals and points.  It is solved for
+polynomial differences of degree at most 2, cut at their rational roots,
+and for powers; the suprema for polynomials of degree at most 1 and for
+powers.  A higher degree there, or an irrational cut or bound, raises
 :class:`UnsupportedExpressionError`; an irrational supremum is None, and
 :func:`cmp_sup` compares it with a rational exactly.
 
@@ -121,14 +123,19 @@ def _integral(ints: Sequence[int], den: int, a: Fraction, b: Fraction) -> Fracti
 
 
 def _antiderivative_at(anti: Sequence[int], x: Fraction) -> Tuple[int, int]:
-    """sum_k anti[k] * x**(k+1) as num / q**n, with x = p/q and n terms:
+    """sum_k anti[k] * x**(k+1) as num / q**n, with x = p/q and n terms."""
+    return _value_at(anti, x) * x.numerator, x.denominator ** len(anti)
+
+
+def _value_at(ints: Sequence[int], x: Fraction) -> int:
+    """The integer polynomial at x = p/q times q**degree, so of its sign:
     Horner's rule on p with powers of q."""
     p, q = x.numerator, x.denominator
-    acc, qk = anti[-1], q
-    for c in reversed(anti[:-1]):
-        acc = acc * p + c * qk
+    acc, qk = ints[-1], 1
+    for c in reversed(ints[:-1]):
         qk *= q
-    return acc * p, qk
+        acc = acc * p + c * qk
+    return acc
 
 
 def _bernstein(ints: Sequence[int], lo: Fraction, hi: Fraction) -> List[int]:
@@ -466,13 +473,16 @@ def cmp_sup(e: Expr, lo: Fraction, hi: Fraction, c: Fraction) -> int:
 def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
     """Exactly decide e >= c on the open (lo, hi), or at lo if lo == hi.
 
-    A power (on x >= 0) increases and a polynomial of degree <= 1 is
-    monotone, so one end decides.  A higher degree is decided by its
-    values at the ends, then by its Bernstein bound, then by bisecting
-    its odd part on Bernstein bounds: p >= c fails exactly where that
-    part is negative, and its roots are simple, so a cell around a root
-    at an end is eventually bounded by 0 and the bisection ends.  At a
-    point every Bernstein coefficient is the value, and the ends decide."""
+    Degree 0, 1 and 2 are decided in closed form, degree >= 3 by
+    Bernstein and Yun.  A power (on x >= 0) increases and a polynomial of
+    degree <= 1 is monotone, so one end decides.  A quadratic is least at
+    an end or, when it opens upward, at its vertex inside the cell.  A
+    higher degree is decided by its values at the ends, then by its
+    Bernstein bound, then by bisecting its odd part on Bernstein bounds:
+    p >= c fails exactly where that part is negative, and its roots are
+    simple, so a cell around a root at an end is eventually bounded by 0
+    and the bisection ends.  At a point every Bernstein coefficient is
+    the value, and the ends decide."""
     if isinstance(e, Power):
         return c.numerator <= 0 or cmp_pow(lo, e.q, c) >= 0
     ints, den, cn, cd = e.ints, e.den, c.numerator, c.denominator
@@ -481,6 +491,17 @@ def at_least(e: Expr, c: Fraction, lo: Fraction, hi: Fraction) -> bool:
     if e.degree == 1:
         x = hi if ints[1] < 0 else lo
         return (ints[0] * x.denominator + ints[1] * x.numerator) * cd >= cn * den * x.denominator
+    if e.degree == 2:  # a0 + a1*x + a2*x**2 = (e - c) * den * cd, at x = n/d times d**2
+        a0, a1, a2 = ints[0] * cd - cn * den, ints[1] * cd, ints[2] * cd
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if a0 * ld * ld + (a1 * ld + a2 * ln) * ln < 0:
+            return False
+        if a0 * hd * hd + (a1 * hd + a2 * hn) * hn < 0:
+            return False
+        # the slope a1 + 2*a2*x is negative at lo and positive at hi only when a2 > 0
+        # and the vertex -a1 / (2*a2) is strictly inside, where the value is
+        # (4*a0*a2 - a1**2) / (4*a2)
+        return not (a1 * ld + 2 * a2 * ln < 0 < a1 * hd + 2 * a2 * hn) or 4 * a0 * a2 >= a1 * a1
     diff = _plus(e, Poly((cn,), cd), -1).ints  # e - c, its sign that of diff
     bs = _bernstein(diff, lo, hi)
     if bs[0] < 0 or bs[-1] < 0:
@@ -541,20 +562,36 @@ def split_dominance(
 
     Returns a list of (cell_lo, cell_hi, sign).  Every edge between two
     cells is a point where e1 == e2; a caller that needs the points
-    (a sublevel set does) reads them off the edges.  Raises when the
-    crossing structure cannot be decided exactly.
+    (a sublevel set does) reads them off the edges, so a double root of
+    a quadratic difference is an edge between cells of one sign.  Raises
+    when the crossing structure cannot be decided exactly: a polynomial
+    difference of degree >= 3, or an irrational crossing inside (lo, hi).
     """
     if e1 == e2:
         return [(lo, hi, 0)]
     if isinstance(e1, Poly) and isinstance(e2, Poly):
         diff = _plus(e1, e2, -1)
-        if diff.degree > 1:
+        if diff.degree > 2:
             raise UnsupportedExpressionError(
                 "dominance between higher-degree polynomial coordinates"
             )
-        d0, d1 = (*diff.ints, 0)[:2]  # e1 - e2 = (d0 + d1*x) / den, den > 0
-        cuts = [Fraction(-d0, d1)] if d1 else []
-        sign = lambda x: ((v := d0 * x.denominator + d1 * x.numerator) > 0) - (v < 0)
+        d0, d1, d2 = (*diff.ints, 0, 0)[:3]  # e1 - e2 = (d0 + d1*x + d2*x**2) / den, den > 0
+        sign = lambda x: ((v := _value_at(diff.ints, x)) > 0) - (v < 0)
+        disc = d1 * d1 - 4 * d0 * d2
+        root = isqrt(disc) if disc >= 0 else None
+        if not d2:
+            cuts = [Fraction(-d0, d1)] if d1 else []
+        elif root is not None and root * root == disc:  # rational roots, one when disc == 0
+            cuts = {Fraction(-d1 - root, 2 * d2), Fraction(-d1 + root, 2 * d2)}
+        elif disc > 0 and not (
+            at_least(diff, _FRAC_ZERO, lo, hi) or at_least(_plus(e2, e1, -1), _FRAC_ZERO, lo, hi)
+        ):  # two simple irrational roots: one inside (lo, hi) changes the sign there
+            raise UnsupportedExpressionError(
+                f"the coordinates cross at an irrational root of {d0} + {d1}*x + {d2}*x**2"
+                f" in ({lo}, {hi})"
+            )
+        else:
+            cuts = []
     elif isinstance(e1, Power) and isinstance(e2, Power):
         cuts = [Fraction(1)]  # x**q1 and x**q2 cross only at x == 1 within x > 0
         sign = lambda x: frac_cmp(e1.q, e2.q) * frac_cmp(x, 1)

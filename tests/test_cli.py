@@ -630,6 +630,11 @@ MALFORMED = {
         {"kind": "lineness", "primitives": [{"type": "point", "p": ["0", "0"]}], "candidates": []},
     ),
     "candidates-missing": ("defi", {"kind": "lineness", "primitives": [{"type": "point", "p": ["0", "0"]}]}),
+    # a missing field of a continuity scenario is named, as is a missing kind
+    "jump-without-x": ("defi", {"kind": "continuity", "jumps": [{"remainder": "(0, 1)"}]}),
+    "global-without-hvalue": ("defi", {"kind": "continuity", "global": {"name": "R", "remainder": "(0, 1)"}}),
+    "global-without-remainder": ("defi", {"kind": "continuity", "global": {"name": "R", "hvalue": "(1, 1)"}}),
+    "scenario-without-kind": ("defi", {"jumps": []}),
 }
 
 # the whole message of the MALFORMED entries that name their field
@@ -660,6 +665,11 @@ FIELD_NAMED = {
     "point-without-p": 'parse error: a point needs "p"\n',
     "candidates-empty": "parse error: a lineness scenario needs at least one candidate\n",
     "candidates-missing": "parse error: a lineness scenario needs at least one candidate\n",
+    "jump-without-remainder": 'parse error: a jump needs "remainder"\n',
+    "jump-without-x": 'parse error: a jump needs "x"\n',
+    "global-without-hvalue": 'parse error: a global component needs "hvalue"\n',
+    "global-without-remainder": 'parse error: a global component needs "remainder"\n',
+    "scenario-without-kind": 'parse error: a scenario needs "kind"\n',
 }
 
 
@@ -1088,6 +1098,11 @@ EVAL_GOLDENS = {
     "function_affine_mass.json": (
         UNIT_SPACE,
         _eval_golden("(2, 1/2)", [_witness("0", "1", "(1, 1)", "(1, 1/2)")], "1/2"),
+    ),
+    # the mass (x - 1/2)**2 touches 0 at its vertex 1/2 and integrates to 1/12
+    "function_square_mass.json": (
+        UNIT_SPACE,
+        _eval_golden("(2, 1/12)", [_witness("0", "1", "(1, 1)", "(1, 1/12)")], "1/12"),
     ),
     # the mass of sqrt(x) goes through the power integral: 2/3 on (0, 1)
     "function_root_mass.json": (

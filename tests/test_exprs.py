@@ -199,6 +199,8 @@ class TestAtLeast:
     @example(1, [(F(1, 3), 2)], [], F(0), F(1))
     @example(1, [(F(1, 2), 1), (F(1, 2), 2)], [], F(1, 2), F(1, 2))
     @example(-1, [], [(2, 1)], F(-1), F(2))
+    # (x - 1/3)**2 * (x + 2): a cubic tie at an interior double root bisects its odd part
+    @example(1, [(F(1, 3), 2), (-2, 1)], [], F(0), F(1))
     def test_matches_the_sign_of_known_factors(self, sign, roots, squares, lo, width):
         coeffs = (F(sign),)
         for r, k in roots:
@@ -290,6 +292,13 @@ class TestIntegerKernel:
     @example([F(1, 4), -1, 1], F(1, 100), F(0), F(1), None)  # (x - 1/2)**2 across its root
     @example([F(13, 4), -1, 1], F(3), F(0), F(1), None)  # ... plus 3 touches 3 at 1/2
     @example([F(1, 2), -1], F(-1, 2), F(-1), F(1), None)  # an affine map at its lower end
+    @example([F(5, 4), -1, 1], F(1), F(1, 2), F(1, 2), None)  # (x - 1/2)**2 + 1, its vertex at lo
+    @example([F(5, 4), -1, 1], F(1), F(0), F(1, 2), None)  # ... and at hi
+    @example([F(13, 4), -1, 1], F(1), F(0), F(1), F(1, 2))  # a tie at the vertex, c = 3
+    @example([0, 1, -1], F(1, 100), F(0), F(1), None)  # concave: its ends decide, not its vertex
+    @example([F(1, 4), -1, 1], F(1, 100), F(1, 2), F(0), None)  # a point cell at the vertex
+    @example([F(9, 4), 3, 1], F(1, 100), F(-2), F(1), None)  # (x + 3/2)**2 between negative ends
+    @example([F(9, 4), 3, 1], F(-1, 100), F(-2), F(1), None)
     def test_at_least_at_degree_0_to_2(self, coeffs, c, lo, width, tie):
         # tie: c is p's value at lo + tie * width, so c sits on p's range
         e = poly(coeffs)
@@ -808,12 +817,17 @@ def sublevel_cases(draw):
 
 
 def _crossings(e, c, lo, hi):
-    """The rational points of (lo, hi) where a constant, affine map or
-    power equals c."""
+    """The rational points of (lo, hi) where a constant, affine map,
+    quadratic or power equals c."""
     if isinstance(e, exprs.Power):
         ts = [nth_root(c**e.q.denominator, e.q.numerator)] if c > 0 else []
     elif e.degree == 1:
         ts = [(c - e.coeffs[0]) / e.coeffs[1]]
+    elif e.degree == 2:
+        a0, a1, a2 = e.coeffs
+        disc = a1 * a1 - 4 * a2 * (a0 - c)
+        root = nth_root(disc, 2) if disc >= 0 else None
+        ts = [] if root is None else [(-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)]
     else:
         ts = []
     return {t for t in ts if t is not None and lo < t < hi}
@@ -857,7 +871,7 @@ class TestDecisionProperties:
         try:
             below = sublevel_set(SPACE_0_4, f, v)
         except UnsupportedExpressionError:
-            reject()  # an irrational crossing, or a polynomial mass of degree 2
+            reject()  # an irrational crossing
         edges = sorted({F(0), F(4)} | {x for p in f.pieces for x in (p.lo, p.hi)})
         xs = set(edges[1:-1]) | {(a + b) / 2 for a, b in zip(edges, edges[1:])}
         for p in f.pieces:
@@ -866,6 +880,50 @@ class TestDecisionProperties:
                 xs |= _crossings(p.pi2, v.m.frac, p.lo, p.hi)
         for x in xs:
             assert (x in below) == _below(f, v, x), x
+
+
+class TestQuadraticDominance:
+    """split_dominance of a degree-2 difference against its known roots."""
+
+    @given(small, small, st.sampled_from([1, -1, F(2, 3)]), st.one_of(consts, affines), cells(nonneg=False))
+    @example(F(0), F(2), 1, const(1), (F(0), F(4)))  # (x - 1)**2 against 1 on (0, 4)
+    @example(F(1), F(1), -1, affine(1, 1), (F(0), F(2)))  # a double root: no sign change
+    def test_cut_at_rational_roots(self, r1, r2, a, g, cell):
+        # e1 = a * (x - r1) * (x - r2) + g against e2 = g
+        lo, hi = cell
+        product = exprs.poly_mul((-a * r1, F(a)), (-r2, F(1)))
+        e1 = try_add(poly(product), g)
+        edges = [lo] + sorted({r for r in (r1, r2) if lo < r < hi}) + [hi]
+        expected = []
+        for x, y in zip(edges, edges[1:]):
+            v = a * ((x + y) / 2 - r1) * ((x + y) / 2 - r2)
+            expected.append((x, y, (v > 0) - (v < 0)))
+        assert split_dominance(e1, g, lo, hi) == expected
+
+    @given(
+        st.fractions(min_value=F(1, 9), max_value=20, max_denominator=9).filter(lambda k: nth_root(k, 2) is None),
+        cells(nonneg=False),
+    )
+    @example(F(2), (F(0), F(2)))  # sqrt(2) inside
+    @example(F(2), (F(-1), F(1)))  # both roots outside
+    def test_an_irrational_crossing_inside_raises(self, k, cell):
+        # x**2 - k crosses 0 at +-sqrt(k); sqrt(k) > x is decided by squaring
+        lo, hi = cell
+        inside = (_sqrt_above(k, lo) and not _sqrt_above(k, hi)) or (
+            not _sqrt_above(k, -lo) and _sqrt_above(k, -hi)
+        )
+        if inside:
+            with pytest.raises(UnsupportedExpressionError, match="irrational root"):
+                split_dominance(poly([0, 0, 1]), const(k), lo, hi)
+        else:
+            mid = (lo + hi) / 2
+            sign = 1 if mid * mid > k else -1
+            assert split_dominance(poly([0, 0, 1]), const(k), lo, hi) == [(lo, hi, sign)]
+
+    def test_sublevel_set_of_a_quadratic_mass(self):
+        # (x - 1)**2 < 1 on (0, 2) of the piece (0, 4) whose dimension is the level's
+        f = PiecewiseFn.of([(0, 4, const(1), poly([1, -2, 1]))])
+        assert sublevel_set(SPACE_0_4, f, HValue.of(1, 1)) == IntervalSet.of([(0, 2)])
 
 
 class TestTryAdd:
@@ -879,17 +937,25 @@ class TestTryAdd:
 
 
 def _fraction_dominance(e1, e2, lo, hi):
-    """split_dominance of two polynomials by the Fraction formula: the trimmed
-    Fraction difference d, cut at -d0/d1 and signed by poly_eval; None where
-    the difference has degree 2."""
+    """split_dominance of two polynomials of degree <= 2 by the Fraction
+    formula: the trimmed Fraction difference d, cut at its rational roots
+    and signed by poly_eval; None where an irrational root lies inside,
+    found by a sign change between the ends, or between an end and the
+    vertex inside."""
     d = [x - y for x, y in zip_longest(e1.coeffs, e2.coeffs, fillvalue=F(0))]
     while len(d) > 1 and d[-1] == 0:
         d.pop()
-    if len(d) > 2:
-        return None
+    value = lambda x: exprs.poly_eval(d, x)
     cuts = [-d[0] / d[1]] if len(d) == 2 else []
-    edges = [lo] + sorted(t for t in cuts if lo < t < hi) + [hi]
-    signs = [exprs.poly_eval(d, (a + b) / 2) for a, b in zip(edges, edges[1:])]
+    if len(d) == 3:
+        disc, vertex = d[1] ** 2 - 4 * d[0] * d[2], -d[1] / (2 * d[2])
+        root = nth_root(disc, 2) if disc >= 0 else None
+        if root is not None:
+            cuts = [vertex - root / (2 * d[2]), vertex + root / (2 * d[2])]
+        elif disc > 0 and (value(lo) * value(hi) < 0 or (lo < vertex < hi and value(lo) * value(vertex) < 0)):
+            return None
+    edges = [lo] + sorted({t for t in cuts if lo < t < hi}) + [hi]
+    signs = [value((a + b) / 2) for a, b in zip(edges, edges[1:])]
     return [(a, b, (v > 0) - (v < 0)) for a, b, v in zip(edges, edges[1:], signs)]
 
 
