@@ -183,12 +183,12 @@ def cmd_defi(args: argparse.Namespace) -> int:
     if args.json:
         out = {"value": str(value)}
         if extra is not None:
-            out["best_line"] = f"{extra.a}*x + {extra.b}*y = {extra.c}"
+            out["best_line"] = str(extra)
         print(json.dumps(out, indent=2))
     else:
         print(value)
         if extra is not None:
-            print(f"best line: {extra.a}*x + {extra.b}*y = {extra.c}")
+            print(f"best line: {extra}")
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
-from .errors import ParseError, UnsupportedScenarioError, json_list, json_loader, json_object
+from .errors import ParseError, UnsupportedScenarioError, json_field, json_loader
 from .hvalue import INF, ZERO, ExtRat, HValue, RatLike, add, as_pair, mul, pair_fraction, read_once, sum_finite
 from .space import check_declared
 
@@ -72,6 +72,9 @@ class Point2:
     def __repr__(self) -> str:
         return f"Point2(x={self.x!r}, y={self.y!r})"
 
+    def __str__(self) -> str:
+        return f"({self.x}, {self.y})"
+
 
 def _set_point(p: Point2, a: int, b: int, c: int, d: int) -> Point2:
     """p set to (a/b, c/d), two coprime pairs (:func:`as_pair`) put on one denominator."""
@@ -112,6 +115,9 @@ class Line2:
         """The position of p along the line's direction (b, -a), scaled
         by the direction's length."""
         return Fraction(self.b * p.X - self.a * p.Y, p.D)
+
+    def __str__(self) -> str:
+        return f"{self.a}*x + {self.b}*y = {self.c}"
 
 
 def _pair_root(p: Point2, q: Point2) -> Tuple[int, int, int]:
@@ -158,7 +164,7 @@ class ClusterScenario:
     def of(jumps: Sequence[Tuple], global_component=None) -> "ClusterScenario":
         read = [(as_pair(x), r) for x, r in jumps]
         if len({xy for xy, _ in read}) != len(read):  # reduced pairs: equal exactly when the values are
-            raise ValueError("jump locations must be pairwise distinct")
+            raise ParseError("jump locations must be pairwise distinct")
         js = tuple((pair_fraction(*xy), r) for xy, r in read)
         remainders = [r for _, r in js]
         if global_component is not None:
@@ -166,7 +172,7 @@ class ClusterScenario:
             check_declared(name, mu, ambient=1)  # mu is a declared measure on R
             remainders.append(remainder)
         if not all(r.is_nonneg() for r in remainders):
-            raise ValueError("cluster remainders must be nonnegative")
+            raise ParseError("cluster remainders must be nonnegative")
         return ClusterScenario(js, global_component)
 
 
@@ -184,7 +190,7 @@ class LinenessScenario:
     @staticmethod
     def of(lines=(), segments=(), points=(), candidates=()) -> "LinenessScenario":
         if not candidates:
-            raise ValueError("candidate list must be nonempty")
+            raise ParseError("a lineness scenario needs at least one candidate")
         return LinenessScenario(tuple(lines), tuple(segments), tuple(points), tuple(candidates))
 
 
@@ -365,21 +371,13 @@ def _point_from_json(obj, memo: dict) -> Point2:
     return _set_point(object.__new__(Point2), *read_once(as_pair, x, memo), *read_once(as_pair, y, memo))
 
 
-def _field(obj, key, what: str):
-    """obj[key]; a missing key is a ParseError naming ``what`` and the key."""
-    try:
-        return obj[key]
-    except KeyError:
-        raise ParseError(f'{what} needs "{key}"') from None
-
-
-def _two_points(obj, what: str, memo: dict, keys=("p", "q")) -> Tuple[Point2, Point2]:
-    """The points at obj[keys[0]] and obj[keys[1]], read in turn: the two ends of
-    a line, a segment (a convexity one at keys 0 and 1) or a candidate, which must differ."""
-    p = _point_from_json(_field(obj, keys[0], what), memo)
-    q = _point_from_json(_field(obj, keys[1], what), memo)
+def _two_points(obj, what: str, memo: dict) -> Tuple[Point2, Point2]:
+    """The points at obj["p"] and obj["q"], read in turn: the two ends of a line,
+    a segment or a candidate, which must differ."""
+    p = _point_from_json(json_field(obj, "p", what), memo)
+    q = _point_from_json(json_field(obj, "q", what), memo)
     if p == q:
-        raise ParseError(f"{what} needs two distinct points, got ({p.x}, {p.y}) twice")
+        raise ParseError(f"{what} needs two distinct points, got {p} twice")
     return p, q
 
 
@@ -388,51 +386,46 @@ def scenario_from_json(obj):
     """The scenario obj describes, read in one pass.  A memo for this call only reads each
     distinct coordinate text once (:func:`read_once`); a jump's x is read by
     :meth:`ClusterScenario.of`.  A list field given as anything else is a ParseError."""
-    kind = _field(json_object(obj, "scenario description"), "kind", "a scenario")
+    kind = json_field(json_field(obj, None, "scenario description", dict), "kind", "a scenario")
     memo = {}
     if kind == "continuity":
         jumps = [
-            (
-                _field(json_object(j, "a jump"), "x", "a jump"),
-                HValue.parse(_field(j, "remainder", "a jump")),
-            )
-            for j in json_list(obj.get("jumps", []), "jumps")
+            (json_field(j, "x", "a jump"), HValue.parse(json_field(j, "remainder", "a jump")))
+            for j in json_field(obj, "jumps", "a continuity scenario", list, [])
         ]
         g = obj.get("global")
         global_component = None
         if g is not None:
-            name = json_object(g, "a global component").get("name", "global")
-            if not isinstance(name, str):
-                raise ParseError(f"a global component's name must be a string, got {name!r}")
+            name = json_field(g, "name", "a global component", default="global")
             global_component = (
-                name,
-                HValue.parse(_field(g, "hvalue", "a global component")),
-                HValue.parse(_field(g, "remainder", "a global component")),
+                json_field(name, None, "a global component's name", str),
+                HValue.parse(json_field(g, "hvalue", "a global component")),
+                HValue.parse(json_field(g, "remainder", "a global component")),
             )
         return ClusterScenario.of(jumps, global_component)
     if kind == "lineness":
         lines, segments, points = [], [], []
-        for prim in json_list(obj.get("primitives", []), "primitives"):
-            shape = json_object(prim, "a primitive").get("type")
+        for prim in json_field(obj, "primitives", "a lineness scenario", list, []):
+            shape = json_field(prim, "type", "a primitive", default=None)
             if shape == "point":
-                points.append(_point_from_json(_field(prim, "p", "a point"), memo))
+                points.append(_point_from_json(json_field(prim, "p", "a point"), memo))
             elif shape in ("line", "segment"):
                 (lines if shape == "line" else segments).append(_two_points(prim, f"a {shape}", memo))
             else:
                 raise ParseError(f"unknown primitive type {shape!r}")
-        cands = json_list(obj.get("candidates", []), "candidates")
-        if not cands:
-            raise ParseError("a lineness scenario needs at least one candidate")
-        cands = [Line2.through(*_two_points(json_object(c, "a candidate"), "a candidate", memo)) for c in cands]
+        cands = [
+            Line2.through(*_two_points(c, "a candidate", memo))
+            for c in json_field(obj, "candidates", "a lineness scenario", list, [])
+        ]
         return LinenessScenario.of(lines, segments, points, cands)
     if kind == "convexity":
         segment = None
         if "segment" in obj:
-            ends = json_list(obj["segment"], "segment")
+            ends = json_field(obj, "segment", "a convexity scenario", list)
             if len(ends) != 2:
                 raise ParseError(f"segment must be two points, got {len(ends)}")
-            segment = _two_points(ends, "a segment", memo, (0, 1))
-        pts = [_point_from_json(p, memo) for p in json_list(obj.get("points", []), "points")]
+            segment = _two_points({"p": ends[0], "q": ends[1]}, "a segment", memo)
+        pts = [_point_from_json(p, memo) for p in json_field(obj, "points", "a convexity scenario", list, [])]
         return ConvexityScenario.of(pts, segment)
     raise ParseError(f"unknown scenario kind {kind!r}")
 

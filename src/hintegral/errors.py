@@ -1,7 +1,6 @@
-"""Error types shared across the package.
-
-Every failure mode is a signaled exception, never a sentinel value.
-"""
+"""Error types shared across the package, and :func:`json_field`, the field reader of every
+``*_from_json`` reader.  Every failure mode is a signaled exception, never a sentinel value;
+a domain check of input (a negative weight) raises :class:`ParseError` with its own text."""
 
 import functools
 
@@ -30,34 +29,41 @@ class UnsupportedScenarioError(HIntegralError):
     """A deficiency scenario cannot be reduced to an exact simple integral."""
 
 
-class ParseError(HIntegralError):
-    """Malformed input text or scenario file."""
+class ParseError(HIntegralError, ValueError):
+    """Malformed input; a ValueError too, as a constructor refuses a bad argument with it."""
 
 
 def json_loader(load):
-    """Make a ``*_from_json`` loader raise :class:`ParseError` for input
-    with a missing key or a value of the wrong shape."""
+    """Make a ``*_from_json`` loader raise :class:`ParseError`, naming it, for what its reads let through."""
 
     @functools.wraps(load)
     def checked(obj):
         try:
             return load(obj)
+        except ParseError:
+            raise
         except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"{load.__name__}: {type(exc).__name__}: {exc}") from exc
 
     return checked
 
 
-def json_object(value, what: str):
-    """``value`` if it is a JSON object; anything else is a ParseError naming ``what``."""
-    if not isinstance(value, dict):
-        raise ParseError(f"{what} must be an object, got {value!r}")
-    return value
+# each JSON type a field may be required to have, as a refusal names it
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+_NEEDED = object()
 
 
-def json_list(value, what: str):
-    """``value`` if it is a JSON array.  Anything else is a ParseError; a
-    string in particular would otherwise be read one character at a time."""
-    if not isinstance(value, (list, tuple)):
-        raise ParseError(f"{what} must be a list, got {value!r}")
+def json_field(obj, key, owner: str, kind: type = object, default=_NEEDED):
+    """``obj[key]``, or ``default`` if it is missing, from the JSON object ``owner`` names
+    (``obj`` itself when key is None), of the JSON type ``kind``.  Else a ParseError:
+    ``<owner> must be an object, got …``, ``<owner> needs "<key>"`` or ``<key> (or the
+    owner) must be <kind>, got …``; a string is never read one character at a time."""
+    if key is None:
+        value = obj
+    elif not isinstance(obj, dict):
+        raise ParseError(f"{owner} must be an object, got {obj!r}")
+    elif (value := obj.get(key, default)) is _NEEDED:
+        raise ParseError(f'{owner} needs "{key}"')
+    if kind is not object and not isinstance(value, kind):
+        raise ParseError(f"{owner if key is None else key} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value

@@ -56,7 +56,7 @@ from itertools import zip_longest
 from math import factorial, gcd, isqrt, lcm, log2
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import ParseError, UnsupportedExpressionError, json_list, json_loader, json_object
+from .errors import UnsupportedExpressionError, json_field, json_loader
 from .hvalue import _FRAC_ZERO, MAX_POWER_BITS, as_fraction, as_pair, frac_cmp, pair_fraction
 
 # ---------------------------------------------------------------------------
@@ -636,16 +636,15 @@ def try_add(e1: Expr, e2: Expr) -> Expr:
 
 @json_loader
 def expr_from_json(obj) -> Expr:
-    kind = json_object(obj, "an expression")["kind"]
-    if not isinstance(kind, str):
-        raise ParseError(f"an expression's kind must be a string, got {kind!r}")
+    kind = json_field(obj, "kind", "an expression")
     if kind == "const":
-        return const(obj["value"])
+        return const(json_field(obj, "value", "a const expression"))
     if kind == "affine":
         return affine(obj.get("a", 0), obj.get("b", 0))
     if kind == "pow":
-        return power(obj["q"])
+        return power(json_field(obj, "q", "a pow expression"))
     if kind == "poly":
-        return poly(json_list(obj["coeffs"], "coeffs"))
+        return poly(json_field(obj, "coeffs", "a poly expression", list))
+    json_field(kind, None, "an expression's kind", str)  # a kind that is no string is malformed, not unknown
     raise UnsupportedExpressionError(f"unknown expression kind {kind!r}")
 

@@ -61,9 +61,8 @@ from .errors import (
     ParseError,
     UnknownSetError,
     UnsupportedExpressionError,
-    json_list,
+    json_field,
     json_loader,
-    json_object,
 )
 from .exprs import Expr
 from .hvalue import ZERO, ExtRat, HValue, add, as_fraction, frac_cmp, mul, read_once, sum_finite
@@ -103,9 +102,9 @@ class SimpleFn:
     def __post_init__(self):
         for coeff, _ in self.pieces:
             if not coeff.is_nonneg():
-                raise ValueError(f"negative coefficient {coeff}")
+                raise ParseError(f"negative coefficient {coeff}")
             if not self.i_simple and not coeff.m.is_finite:
-                raise ValueError(f"infinite coefficient {coeff} in a simple function")
+                raise ParseError(f"infinite coefficient {coeff} in a simple function")
         if self.pieces:
             union([s for _, s in self.pieces])  # structural disjointness check
 
@@ -580,23 +579,22 @@ def function_from_json(obj) -> HFunction:
     call only: each distinct end text (:func:`read_once`) and string expression (:func:`_expr`)
     is read once.  Only the constructor compares ends (:func:`_ordered`); on any failure the
     first piece read with lo >= hi raises its set's error instead, as in a piece-by-piece read."""
-    if ("simple" in json_object(obj, "function description")) == ("pieces" in obj):
+    if ("simple" in json_field(obj, None, "function description", dict)) == ("pieces" in obj):
         raise ParseError("function description needs one of 'simple' and 'pieces'")
     if "simple" in obj:
+        what = "a simple piece"
         pieces = [
-            (HValue.parse(json_object(p, "a simple piece")["coeff"]), set_from_json(p["set"]))
-            for p in json_list(obj["simple"], "simple")
+            (HValue.parse(json_field(p, "coeff", what)), set_from_json(json_field(p, "set", what)))
+            for p in json_field(obj, "simple", "function description", list)
         ]
-        i_simple = obj.get("i_simple", False)
-        if not isinstance(i_simple, bool):
-            raise ParseError(f"i_simple must be true or false, got {i_simple!r}")
-        return SimpleFn.of(pieces, i_simple=i_simple)
+        return SimpleFn.of(pieces, i_simple=json_field(obj, "i_simple", "function description", bool, False))
     memo, read, out = {}, [], []
     try:
-        for p in json_list(obj["pieces"], "pieces"):
-            lo, hi = _piece_ends(json_object(p, "a piecewise piece")["set"], memo)
-            read.append((p["set"], lo, hi))
-            out.append(PiecewisePiece(lo, hi, _expr(p["pi1"], "pi1", memo), _expr(p["pi2"], "pi2", memo)))
+        for p in json_field(obj, "pieces", "function description", list):
+            where = json_field(p, "set", "a piecewise piece")
+            lo, hi = _piece_ends(where, memo)
+            read.append((where, lo, hi))
+            out.append(PiecewisePiece(lo, hi, _expr(p, "pi1", memo), _expr(p, "pi2", memo)))
         return _ordered(out)
     except Exception:  # whatever failed, an earlier set with lo >= hi was the first error
         for where, lo, hi in read:
@@ -619,11 +617,11 @@ def _piece_ends(obj, memo: dict) -> Tuple[Fraction, Fraction]:
     return s.intervals[0]
 
 
-def _expr(obj, what: str, memo: dict) -> Expr:
-    """exprs.expr_from_json(obj), once per memo when its values are strings or lists of them;
-    an obj that is not an object is a ParseError naming ``what``."""
+def _expr(piece: dict, field: str, memo: dict) -> Expr:
+    """exprs.expr_from_json(piece[field]), an object, once per memo when its values are
+    strings or lists of them."""
     key = []
-    for k, v in json_object(obj, what).items():
+    for k, v in (obj := json_field(piece, field, "a piecewise piece", dict)).items():
         v = tuple(v) if type(v) is list else v
         if type(v) is not str and (type(v) is not tuple or {*map(type, v)} != {str}):
             return exprs.expr_from_json(obj)

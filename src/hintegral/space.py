@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import exprs
-from .errors import NonDisjointError, ParseError, UnknownSetError, json_list, json_loader, json_object
+from .errors import NonDisjointError, ParseError, UnknownSetError, json_field, json_loader
 from .hvalue import ZERO, ExtRat, HValue, as_fraction, frac_cmp, sum_finite
 
 _ENDS = (itemgetter(0), itemgetter(1))  # of an interval (a, b), for meeting
@@ -156,7 +156,7 @@ class AtomSpace:
     def of(weights: Mapping[str, HValue]) -> "AtomSpace":
         for name, w in weights.items():
             if not w.is_nonneg():
-                raise ValueError(f"atom {name!r} has a negative weight {w}")
+                raise ParseError(f"atom {name!r} has a negative weight {w}")
         return AtomSpace(tuple(weights), dict(weights))
 
     def full_set(self) -> AtomSet:
@@ -191,13 +191,13 @@ class IntervalSpace:
     def of(lo, hi, dim_offset=0, density: Sequence = (1,)) -> "IntervalSpace":
         lo, hi = as_fraction(lo), as_fraction(hi)
         if not lo < hi:
-            raise ValueError(f"empty interval ({lo}, {hi})")
+            raise ParseError(f"empty interval ({lo}, {hi})")
         d0 = as_fraction(dim_offset)
         if d0 < 0:
-            raise ValueError("dim_offset must be nonnegative")
+            raise ParseError("dim_offset must be nonnegative")
         density = exprs.poly(density)
         if not exprs.at_least(density, Fraction(0), lo, hi):
-            raise ValueError(f"density is negative on ({lo}, {hi})")
+            raise ParseError(f"density is negative on ({lo}, {hi})")
         return IntervalSpace(lo, hi, d0, density)
 
     @property
@@ -266,19 +266,19 @@ def check_declared(name: str, hvalue: HValue, ambient) -> HValue:
     ``ambient`` is an integer, the value is nonnegative, a dimension-0
     value is a count or +inf, and the dimension is at most ``ambient``."""
     if type(ambient) is not int:  # not bool, not a truncated float
-        raise ValueError(f"{name}: ambient must be an integer, got {ambient!r}")
+        raise ParseError(f"{name}: ambient must be an integer, got {ambient!r}")
     if not hvalue.is_nonneg():
-        raise ValueError(f"{name}: negative declared measure")
+        raise ParseError(f"{name}: negative declared measure")
     if hvalue.d == 0 and hvalue.m.is_finite and hvalue.m.frac.denominator != 1:
-        raise ValueError(f"{name}: dimension-0 value must be a count or +inf")
+        raise ParseError(f"{name}: dimension-0 value must be a count or +inf")
     if hvalue.d > ambient:
-        raise ValueError(f"{name}: dimension {hvalue.d} exceeds ambient {ambient}")
+        raise ParseError(f"{name}: dimension {hvalue.d} exceeds ambient {ambient}")
     return hvalue
 
 
 def _names(value, what: str) -> frozenset:
     """A JSON list of distinct strings, as a set."""
-    names = json_list(value, what)
+    names = json_field(value, None, what, list)
     if not all(isinstance(n, str) for n in names):
         raise ParseError(f"{what} must be strings, got {names!r}")
     out = frozenset(names)
@@ -288,7 +288,7 @@ def _names(value, what: str) -> frozenset:
 
 
 def set_from_json(obj) -> MeasurableSet:
-    json_object(obj, "set description")
+    json_field(obj, None, "set description", dict)
     atoms = [key for key in ("atoms", "catalog") if key in obj]
     interval_shape = "intervals" in obj or "points" in obj
     if len(atoms) + interval_shape > 1:
@@ -296,11 +296,11 @@ def set_from_json(obj) -> MeasurableSet:
     if atoms:
         return AtomSet(_names(obj[atoms[0]], atoms[0]))
     if interval_shape:
-        intervals = json_list(obj.get("intervals", ()), "intervals")
-        return IntervalSet.of(
-            [json_list(iv, "an interval") for iv in intervals],
-            json_list(obj.get("points", ()), "points"),
-        )
+        intervals = json_field(obj, "intervals", "set description", list, [])
+        for iv in intervals:
+            if len(json_field(iv, None, "an interval", list)) != 2:
+                raise ParseError(f"an interval must be two numbers, got {len(iv)}")
+        return IntervalSet.of(intervals, json_field(obj, "points", "set description", list, []))
     raise ParseError(f"unrecognized set description keys: {sorted(obj)}")
 
 
@@ -315,25 +315,26 @@ def set_to_json(s: MeasurableSet):
 
 @json_loader
 def space_from_json(obj) -> MeasureSpace:
-    kind = json_object(obj, "space description")["kind"]
+    kind = json_field(obj, "kind", "space description")
     if kind == "atoms":
-        atoms = json_object(obj.get("atoms", {}), "atoms")
+        atoms = json_field(obj, "atoms", "an atom space", dict, {})
         return AtomSpace.of({name: HValue.parse(text) for name, text in atoms.items()})
     if kind == "interval":
-        bounds = json_list(obj["bounds"], "bounds")
+        bounds = json_field(obj, "bounds", "an interval space", list)
         if len(bounds) != 2:
             raise ParseError(f"bounds must be two numbers, got {len(bounds)}")
-        lo, hi = bounds
-        density = json_list(obj.get("density", ["1"]), "density")
-        return IntervalSpace.of(lo, hi, obj.get("dim_offset", "0"), density)
+        density = json_field(obj, "density", "an interval space", list, ["1"])
+        return IntervalSpace.of(*bounds, obj.get("dim_offset", "0"), density)
     if kind == "catalog":
-        sets = [json_object(e, "a catalog entry") for e in json_list(obj.get("sets", []), "sets")]
-        _names([e["name"] for e in sets], "catalog names")
+        sets = json_field(obj, "sets", "a catalog space", list, [])
+        what = "a catalog entry"
+        names = [json_field(e, "name", what) for e in sets]
+        _names(names, "catalog names")
         for e in sets:
             if e.get("set_kind", "declared") not in SET_KINDS:
                 raise ParseError(f"unknown catalog kind {e['set_kind']!r}")
         return AtomSpace.of({
-            e["name"]: check_declared(e["name"], HValue.parse(e["hvalue"]), e.get("ambient", 1))
-            for e in sets
+            name: check_declared(name, HValue.parse(json_field(e, "hvalue", what)), e.get("ambient", 1))
+            for name, e in zip(names, sets)
         })
     raise ParseError(f"unknown space kind {kind!r}")

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -291,15 +292,6 @@ class TestEval:
         assert capsys.readouterr() == ("", "parse error: duplicate point 1/2\n")
 
 
-def _unpack_error(values):
-    """Python's own message for unpacking `values` into two names; its
-    wording differs between versions."""
-    try:
-        _, _ = values
-    except ValueError as exc:
-        return f"function_from_json: ValueError: {exc}"
-
-
 ONE_INTERVAL = "each piecewise piece needs exactly one interval"
 # The piece reader's error contract: a piece `set` of any shape but one
 # interval keeps the exit code and stderr it had when every set went
@@ -316,8 +308,8 @@ PIECE_SETS = {
         {"intervals": [["0", "1"]], "atoms": ["a"]},
         "a set description names one shape, got the keys ['atoms', 'intervals']",
     ),
-    "three numbers": ({"intervals": [["0", "1/2", "1"]]}, _unpack_error([0, 1, 2])),
-    "one number": ({"intervals": [["0"]]}, _unpack_error([0])),
+    "three numbers": ({"intervals": [["0", "1/2", "1"]]}, "an interval must be two numbers, got 3"),
+    "one number": ({"intervals": [["0"]]}, "an interval must be two numbers, got 1"),
     "string": ("(0, 1)", "set description must be an object, got '(0, 1)'"),
     "list": ([["0", "1"]], "set description must be an object, got [['0', '1']]"),
     "null": (None, "set description must be an object, got None"),
@@ -635,6 +627,40 @@ MALFORMED = {
     "global-without-hvalue": ("defi", {"kind": "continuity", "global": {"name": "R", "remainder": "(0, 1)"}}),
     "global-without-remainder": ("defi", {"kind": "continuity", "global": {"name": "R", "hvalue": "(1, 1)"}}),
     "scenario-without-kind": ("defi", {"jumps": []}),
+    # a missing field of a function or a space is named, as is a domain refusal of its reader
+    **{
+        f"piece-without-{key}": (
+            "eval",
+            SPACE,
+            {"pieces": [{k: v for k, v in _piece("0", "1").items() if k != key}]},
+        )
+        for key in ("set", "pi1", "pi2")
+    },
+    "simple-piece-without-coeff": ("eval", SPACE, {"simple": [{"set": {"intervals": [["0", "1"]]}}]}),
+    **{
+        f"{kind}-without-{key}": (
+            "eval",
+            SPACE,
+            {"pieces": [{**_piece("0", "1"), "pi2": {"kind": kind}}]},
+        )
+        for kind, key in (("pow", "q"), ("poly", "coeffs"))
+    },
+    "interval-with-one-end": ("eval", SPACE, {"pieces": [{**_piece("0", "1"), "set": {"intervals": [["0"]]}}]}),
+    **{
+        f"catalog-entry-without-{key}": (
+            "eval",
+            {"kind": "catalog", "sets": [{k: v for k, v in (("name", "a"), ("hvalue", "(0, 1)")) if k != key}]},
+            _simple_on({"catalog": ["a"]}),
+        )
+        for key in ("name", "hvalue")
+    },
+    "ambient-as-float": (
+        "eval",
+        {"kind": "catalog", "sets": [{"name": "a", "hvalue": "(0, 1)", "ambient": 1.0}]},
+        _simple_on({"catalog": ["a"]}),
+    ),
+    "space-without-kind": ("eval", {"bounds": ["0", "1"]}, CONST11),
+    "negative-atom-weight": ("eval", {"kind": "atoms", "atoms": {"a": "(1, -1)"}}, _simple_on({"atoms": ["a"]})),
 }
 
 # the whole message of the MALFORMED entries that name their field
@@ -652,11 +678,11 @@ FIELD_NAMED = {
     "candidate-as-boolean": "parse error: a candidate must be an object, got True\n",
     "pi1-as-string": "parse error: pi1 must be an object, got '1'\n",
     "pi2-as-list": "parse error: pi2 must be an object, got [1]\n",
-    "pi1-without-kind": "parse error: expr_from_json: KeyError: 'kind'\n",
+    "pi1-without-kind": 'parse error: an expression needs "kind"\n',
     "pi1-kind-as-number": "parse error: an expression's kind must be a string, got 5\n",
     "space-kind-unknown": "parse error: unknown space kind 'sphere'\n",
-    "negative-dim-offset": "parse error: space_from_json: ValueError: dim_offset must be nonnegative\n",
-    "negative-simple-coefficient": "parse error: function_from_json: ValueError: negative coefficient (1, -1)\n",
+    "negative-dim-offset": "parse error: dim_offset must be nonnegative\n",
+    "negative-simple-coefficient": "parse error: negative coefficient (1, -1)\n",
     "lineness-point-of-one-coordinate": "parse error: a point is a pair of rationals, got ['1']\n",
     "candidate-with-equal-ends": "parse error: a candidate needs two distinct points, got (0, 0) twice\n",
     "segment-without-q": 'parse error: a segment needs "q"\n',
@@ -670,6 +696,20 @@ FIELD_NAMED = {
     "global-without-hvalue": 'parse error: a global component needs "hvalue"\n',
     "global-without-remainder": 'parse error: a global component needs "remainder"\n',
     "scenario-without-kind": 'parse error: a scenario needs "kind"\n',
+    "piece-without-set": 'parse error: a piecewise piece needs "set"\n',
+    "piece-without-pi1": 'parse error: a piecewise piece needs "pi1"\n',
+    "piece-without-pi2": 'parse error: a piecewise piece needs "pi2"\n',
+    "simple-piece-without-coeff": 'parse error: a simple piece needs "coeff"\n',
+    "const-without-value": 'parse error: a const expression needs "value"\n',
+    "pow-without-q": 'parse error: a pow expression needs "q"\n',
+    "poly-without-coeffs": 'parse error: a poly expression needs "coeffs"\n',
+    "interval-with-one-end": "parse error: an interval must be two numbers, got 1\n",
+    "catalog-entry-without-name": 'parse error: a catalog entry needs "name"\n',
+    "catalog-entry-without-hvalue": 'parse error: a catalog entry needs "hvalue"\n',
+    "ambient-as-float": "parse error: a: ambient must be an integer, got 1.0\n",
+    "space-without-kind": 'parse error: space description needs "kind"\n',
+    "space-without-bounds": 'parse error: an interval space needs "bounds"\n',
+    "negative-atom-weight": "parse error: atom 'a' has a negative weight (1, -1)\n",
 }
 
 
@@ -1179,8 +1219,6 @@ class TestRoundTrip:
         main(["demo", "distributivity"])
         out = capsys.readouterr().out
         # every parenthesized pair in the transcript reparses
-        import re
-
         for token in re.findall(r"\([^()]*\)", out):
             HValue.parse(token)
 
@@ -1390,3 +1428,53 @@ class TestFuzzedInput:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([sub, *paths])
         assert code in (0, 2, 3, 4), err.getvalue()
+
+
+# what the mutation fuzzer puts at each key and list entry of a bundled file
+MUTANTS = [None, 5, -1, True, "x", "-1", "1/0", [], {}, ["1"], [["0", "0"]], {"a": 1}]
+# the last net of errors.json_loader: a refusal that names Python, not the input
+CATCH_ALL = re.compile(r"^parse error: \w+_from_json: \w+Error", re.M)
+
+
+def _mutations(obj):
+    """Every copy of obj with one key or list entry, at any depth, deleted
+    or replaced by one of MUTANTS, in a fixed order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield {k: v for k, v in obj.items() if k != key}
+            for new in [*MUTANTS, *_mutations(value)]:
+                yield {**obj, key: new}
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield obj[:i] + obj[i + 1 :]
+            for new in [*MUTANTS, *_mutations(value)]:
+                yield obj[:i] + [new] + obj[i + 1 :]
+
+
+def _argv(path, mutated):
+    """The command that runs the mutated copy of a bundled file: a scenario
+    under defi, a function over its golden space, and a space under the
+    first function golden over it."""
+    if path.name in DEFI_GOLDENS:
+        return ["defi", str(mutated)]
+    if path.name in EVAL_GOLDENS:
+        return ["eval", str(EVAL_GOLDENS[path.name][0]), str(mutated)]
+    fn = min(name for name, (space, _) in EVAL_GOLDENS.items() if space == path)
+    return ["eval", str(mutated), str(SCENARIOS / fn)]
+
+
+class TestMutatedBundledFiles:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+    def test_every_refusal_names_its_field(self, path, tmp_path):
+        # a missing or mistyped field, and a reader's own domain check, each
+        # print their own text under the documented exit code
+        mutated = tmp_path / path.name
+        hits = []
+        for obj in _mutations(json.loads(path.read_text())):
+            mutated.write_text(json.dumps(obj))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(_argv(path, mutated))
+            if code not in (0, 2, 3) or CATCH_ALL.search(err.getvalue()):
+                hits.append((code, err.getvalue(), obj))
+        assert not hits, f"{len(hits)} runs, the first: {hits[:3]}"

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from hintegral import deficiency
 from hintegral.cli import main
-from hintegral.errors import ParseError, UnsupportedScenarioError, json_list, json_loader
+from hintegral.errors import ParseError, UnsupportedScenarioError, json_field, json_loader
 from hintegral.exprs import nth_root
 from hintegral.hvalue import HValue, ZERO, add, as_fraction, as_pair, mul, sum_finite
 from hintegral.deficiency import (
@@ -503,8 +503,7 @@ def _ref_point_outcome(x, y):
         fx, fy = ref_as_fraction(x), ref_as_fraction(y)
     except ParseError as exc:
         return str(exc)
-    text = f"Point2(x={fx!r}, y={fy!r})"
-    return text, text, fx, fy
+    return f"Point2(x={fx!r}, y={fy!r})", f"({fx}, {fy})", fx, fy
 
 
 class TestPoint2:
@@ -512,8 +511,10 @@ class TestPoint2:
     Fraction coordinates, equality by value and the Fraction line formula."""
 
     def test_repr(self):
-        assert repr(P(1, 0)) == str(P("1", "0")) == "Point2(x=Fraction(1, 1), y=Fraction(0, 1))"
+        assert repr(P(1, 0)) == repr(P("1", "0")) == "Point2(x=Fraction(1, 1), y=Fraction(0, 1))"
         assert repr(P("-2/4", 3)) == "Point2(x=Fraction(-1, 2), y=Fraction(3, 1))"
+        # a message prints a point as the CLI prints a pair
+        assert str(P("1", "0")) == "(1, 0)" and str(P("-2/4", 3)) == "(-1/2, 3)"
 
     def test_equal_points_are_equal_and_hash_alike_across_input_forms(self):
         forms = [P("1/2", 1), P(F(2, 4), "1"), P(" 3/6 ", F(1)), P("0.5", "+1"), P("5e-1", "2/2")]
@@ -525,10 +526,15 @@ class TestPoint2:
     def test_irrational_distance_message(self):
         with pytest.raises(UnsupportedScenarioError) as exc:
             rational_distance(P(1, 0), P(0, 1))
-        assert str(exc.value) == (
-            "distance between Point2(x=Fraction(1, 1), y=Fraction(0, 1)) and "
-            "Point2(x=Fraction(0, 1), y=Fraction(1, 1)) is irrational (squared: 2)"
-        )
+        assert str(exc.value) == "distance between (1, 0) and (0, 1) is irrational (squared: 2)"
+
+    def test_irrational_shadow_message(self):
+        # a line prints as the CLI prints the best line
+        diagonal = Line2.through(P(0, 0), P(1, 1))
+        assert str(diagonal) == "1*x + -1*y = 0"
+        with pytest.raises(UnsupportedScenarioError) as exc:
+            defi_lineness(LinenessScenario.of(segments=[(P(0, 0), P(1, 0))], candidates=[diagonal]))
+        assert str(exc.value) == "shadow length along 1*x + -1*y = 0 is irrational (direction norm^2: 2)"
 
     @given(rational_texts(), rational_texts())
     @settings(max_examples=300, deadline=None)
@@ -629,14 +635,14 @@ def _ref_cluster(jumps, global_component):
     compared them by hashing."""
     js = tuple((as_fraction(x), r) for x, r in jumps)
     if len({x for x, _ in js}) != len(js):
-        raise ValueError("jump locations must be pairwise distinct")
+        raise ParseError("jump locations must be pairwise distinct")
     remainders = [r for _, r in js]
     if global_component is not None:
         name, mu, remainder = global_component
         check_declared(name, mu, ambient=1)
         remainders.append(remainder)
     if not all(r.is_nonneg() for r in remainders):
-        raise ValueError("cluster remainders must be nonnegative")
+        raise ParseError("cluster remainders must be nonnegative")
     return ClusterScenario(js, global_component)
 
 
@@ -644,13 +650,14 @@ def _ref_read(obj):
     """scenario_from_json read item by item, without a memo."""
     kind = obj["kind"]
     if kind == "continuity":
-        jumps = [(j["x"], HValue.parse(j["remainder"])) for j in json_list(obj.get("jumps", []), "jumps")]
+        jumps = json_field(obj, "jumps", "a continuity scenario", list, [])
+        jumps = [(j["x"], HValue.parse(j["remainder"])) for j in jumps]
         g = obj.get("global")
         glob = None if g is None else (g["name"], HValue.parse(g["hvalue"]), HValue.parse(g["remainder"]))
         return _ref_cluster(jumps, glob)
     if kind == "lineness":
-        prims = [_ref_primitive(p) for p in json_list(obj.get("primitives", []), "primitives")]
-        cands = json_list(obj.get("candidates", []), "candidates")
+        prims = [_ref_primitive(p) for p in json_field(obj, "primitives", "a lineness scenario", list, [])]
+        cands = json_field(obj, "candidates", "a lineness scenario", list, [])
         if not cands:
             raise ParseError("a lineness scenario needs at least one candidate")
         cands = [Line2.through(*_ref_distinct(_ref_point(c["p"]), _ref_point(c["q"]), "a candidate")) for c in cands]
@@ -659,7 +666,7 @@ def _ref_read(obj):
     if "segment" in obj:
         p, q = obj["segment"]
         segment = _ref_distinct(_ref_point(p), _ref_point(q), "a segment")
-    return ConvexityScenario.of([_ref_point(p) for p in json_list(obj.get("points", []), "points")], segment)
+    return ConvexityScenario.of([_ref_point(p) for p in json_field(obj, "points", "a convexity scenario", list, [])], segment)
 
 
 _ref_read.__name__ = "scenario_from_json"  # the loader's messages name the function

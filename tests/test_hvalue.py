@@ -601,6 +601,8 @@ def ref_as_fraction(x):
             if exponent.isdecimal() and int(exponent) * 10 > 3 * MAX_POWER_BITS:
                 raise ParseError(f"a decimal exponent above {3 * MAX_POWER_BITS // 10}: {x!r}")
             return Fraction(text)
+        except ParseError:  # the exponent's refusal above, a ValueError too
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not an exact rational: {x!r}") from exc
     if isinstance(x, Fraction):
